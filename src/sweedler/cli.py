@@ -38,7 +38,7 @@ from .graded import (
     is_connected,
     validate_graded,
 )
-from .linalg import LinMap, invert
+from .linalg import LinMap, is_invertible
 from .measurings import (
     compose_measuring,
     enumerate_measurings,
@@ -72,7 +72,7 @@ EXIT_BUDGET = 4
 EXIT_UNSUPPORTED = 5
 
 
-def _read_document(path: str) -> docs.Document:
+def _read_document(path: str | Path) -> docs.Document:
     return docs.parse_document(Path(path).read_text())
 
 
@@ -160,12 +160,7 @@ def cmd_fusion(args):
     out = {}
     for name, op in [("h", ops.h), ("h_prime", ops.h_prime),
                      ("h_bar", ops.h_bar), ("h_bar_prime", ops.h_bar_prime)]:
-        invertible = True
-        try:
-            invert(op)
-        except SweedlerError:
-            invertible = False
-        out[name] = {"invertible": invertible, "matrix": _matrix(op)}
+        out[name] = {"invertible": is_invertible(op), "matrix": _matrix(op)}
     return out, False
 
 
@@ -242,20 +237,16 @@ def cmd_reconstruct(args):
 def cmd_tensor(args):
     m1 = _read_measuring(args.first)
     m2 = _read_measuring(args.second)
-    mode = args.mode
-    if mode == "auto":
-        base = Path(args.first).parent
-        a_doc = docs.parse_document((base / m1.a_ref).read_text())
+    bialgebra = None
+    if args.mode != "endo":
+        a_doc = _read_document(Path(args.first).parent / m1.a_ref)
         try:
             bialgebra = _require_bialgebra(a_doc)
-            mode = "bialgebra"
         except ValidationError:
-            mode = "endo"
-    if mode == "bialgebra":
-        base = Path(args.first).parent
-        a_doc = docs.parse_document((base / m1.a_ref).read_text())
-        result = tensor_measuring_bialgebra(m1.measuring, m2.measuring,
-                                            _require_bialgebra(a_doc))
+            if args.mode == "bialgebra":
+                raise
+    if bialgebra is not None:
+        result = tensor_measuring_bialgebra(m1.measuring, m2.measuring, bialgebra)
     else:
         result = tensor_measuring_endo(m1.measuring, m2.measuring)
     out = docs.MeasuringDocument(m1.a_ref, m1.b_ref, result)

@@ -141,6 +141,20 @@ def _want(cond: bool, message: str, path: str):
         raise ParseError(message, path=path)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; ``true`` and ``false`` are not (``bool`` is an ``int``)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply") from exc
+
+
 def _parse_vector(field: Field, data, length: int, path: str) -> tuple:
     _want(isinstance(data, list) and len(data) == length,
           f"expected a vector of {length} scalars", path)
@@ -156,7 +170,7 @@ def parse_structure_dict(raw: dict) -> Document:
     field = parse_field(raw["field"]) if isinstance(raw["field"], str) else None
     _want(field is not None, "field must be a string", "field")
     dim = raw["dim"]
-    _want(isinstance(dim, int) and dim >= 0, "dim must be a nonnegative integer", "dim")
+    _want(_is_int(dim) and dim >= 0, "dim must be a nonnegative integer", "dim")
     basis = raw["basis"]
     _want(isinstance(basis, list) and len(basis) == dim
           and all(isinstance(x, str) and x for x in basis)
@@ -187,7 +201,7 @@ def parse_structure_dict(raw: dict) -> Document:
     if "degrees" in raw:
         data = raw["degrees"]
         _want(isinstance(data, list) and len(data) == dim
-              and all(isinstance(x, int) for x in data),
+              and all(_is_int(x) for x in data),
               "degrees must list dim integers", "degrees")
         degrees = tuple(data)
 
@@ -219,7 +233,7 @@ def _parse_algebra(field: Field, dim: int, raw: dict) -> Algebra:
         path = f"mult[{idx}]"
         _want(isinstance(triple, list) and len(triple) == 3, "expected [i, j, vector]", path)
         i, j, vec_data = triple
-        _want(isinstance(i, int) and isinstance(j, int) and 0 <= i < dim and 0 <= j < dim,
+        _want(_is_int(i) and _is_int(j) and 0 <= i < dim and 0 <= j < dim,
               "indices out of range", path)
         _want(last is None or (i, j) > last, "triples must be strictly sorted by (i, j)", path)
         last = (i, j)
@@ -249,7 +263,7 @@ def _parse_coalgebra(field: Field, dim: int, raw: dict) -> Coalgebra:
         path = f"comult[{idx}]"
         _want(isinstance(entry, list) and len(entry) == 2, "expected [i, matrix]", path)
         i, matrix = entry
-        _want(isinstance(i, int) and 0 <= i < dim, "index out of range", path)
+        _want(_is_int(i) and 0 <= i < dim, "index out of range", path)
         _want(last is None or i > last, "entries must be strictly sorted by index", path)
         last = i
         _want(isinstance(matrix, list) and len(matrix) == dim, "expected a dim x dim matrix", path)
@@ -300,11 +314,7 @@ def _validate(value):
 
 
 def parse_document(text: str) -> Document:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    return parse_structure_dict(raw)
+    return parse_structure_dict(_load_json(text))
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +346,7 @@ def serialize_measuring_document(mdoc: MeasuringDocument) -> str:
 
 def parse_measuring_document(text: str, loader) -> MeasuringDocument:
     """``loader(ref)`` must return the referenced structure Document."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    raw = _load_json(text)
     _want(isinstance(raw, dict), "measuring document must be an object", "$")
     for key in raw:
         _want(key in ("a", "b", "xdim", "psi"), f"unknown key {key!r}", key)
@@ -352,7 +359,7 @@ def parse_measuring_document(text: str, loader) -> MeasuringDocument:
     a = _require_algebra(a_doc, "a")
     b = _require_algebra(b_doc, "b")
     xdim = raw["xdim"]
-    _want(isinstance(xdim, int) and xdim >= 0, "xdim must be a nonnegative integer", "xdim")
+    _want(_is_int(xdim) and xdim >= 0, "xdim must be a nonnegative integer", "xdim")
     field = a.field
     zero = field.zero()
     cols: dict[tuple[int, int], tuple] = {}
@@ -362,7 +369,7 @@ def parse_measuring_document(text: str, loader) -> MeasuringDocument:
         _want(isinstance(entry, list) and len(entry) == 2, "expected [[a, x], vector]", path)
         pair, vec_data = entry
         _want(isinstance(pair, list) and len(pair) == 2
-              and all(isinstance(v, int) for v in pair), "expected [a-index, x-index]", path)
+              and all(_is_int(v) for v in pair), "expected [a-index, x-index]", path)
         t, x = pair
         _want(0 <= t < a.dim and 0 <= x < xdim, "indices out of range", path)
         _want(last is None or (t, x) > last, "entries must be strictly sorted", path)

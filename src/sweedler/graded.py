@@ -25,6 +25,8 @@ from .structures import (
     Failure,
     HopfAlgebra,
     ValidationReport,
+    _antipode_failures,
+    _bialgebra_failures,
     algebra_morphisms,
     dual_algebra,
     dual_bialgebra,
@@ -165,15 +167,7 @@ def _(g: GradedBialgebra) -> ValidationReport:
 def _(g: GradedHopf) -> ValidationReport:
     failures = _graded_bialgebra_failures(g.hopf.bialgebra, g.space)
     failures += _homogeneity_failures("antipode", g.hopf.antipode, g.degrees, g.degrees)
-    b = g.hopf.bialgebra
-    s = g.hopf.antipode
-    d = b.dim
-    ident = LinMap.identity(b.field, d)
-    unit_counit = compose(b.unit, b.counit)
-    if compose_all(b.mult, kron(s, ident), b.comult) != unit_counit:
-        failures.append(Failure("left antipode", ()))
-    if compose_all(b.mult, kron(ident, s), b.comult) != unit_counit:
-        failures.append(Failure("right antipode", ()))
+    failures += _antipode_failures(g.hopf.bialgebra, g.hopf.antipode)
     return ValidationReport(tuple(failures))
 
 
@@ -193,23 +187,8 @@ def _graded_bialgebra_failures(b: Bialgebra, space: GradedSpace) -> list[Failure
     """Bialgebra axioms with the Koszul braiding in the tensor-square product."""
     failures = _algebra_homogeneity(b.algebra, space.degrees)
     failures += _coalgebra_homogeneity(b.coalgebra, space.degrees)
-    failures += list(validate_algebra(b.algebra).failures)
-    failures += list(validate_coalgebra(b.coalgebra).failures)
-    d = b.dim
-    k = b.field
-    ident = LinMap.identity(k, d)
-    braided = kron(ident, kron(koszul_swap(space, space), ident))
-    mult2 = compose_all(kron(b.mult, b.mult), braided)
-
-    def check(axiom, lhs, rhs):
-        if lhs != rhs:
-            failures.append(Failure(axiom, ()))
-
-    check("comult multiplicative (Koszul)",
-          compose(b.comult, b.mult), compose(mult2, kron(b.comult, b.comult)))
-    check("comult unital", compose(b.comult, b.unit), kron(b.unit, b.unit))
-    check("counit multiplicative", compose(b.counit, b.mult), kron(b.counit, b.counit))
-    check("counit unital", compose(b.counit, b.unit), LinMap.identity(k, 1))
+    failures += _bialgebra_failures(b, koszul_swap(space, space),
+                                    "comult multiplicative (Koszul)")
     return failures
 
 

@@ -267,42 +267,23 @@ def kernel_basis(f: LinMap) -> list[tuple]:
 
 
 def invert(f: LinMap) -> LinMap:
-    """Two-sided inverse; raises Singular (with the rank) when there is none."""
+    """Two-sided inverse, read off the rref of [f | I]; raises Singular (with
+    the rank of f) when there is none."""
     if f.cod != f.dom:
         raise DimensionMismatch(f"only square maps can be inverted, got {f.cod}x{f.dom}")
     k = f.field
     n = f.cod
-    aug = [list(f.row_at(r)) + [k.one() if i == r else k.zero() for i in range(n)]
-           for r in range(n)]
-    r = 0
-    for c in range(n):
-        pivot_row = None
-        for rr in range(r, n):
-            if aug[rr][c] != 0:
-                pivot_row = rr
-                break
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        inv = k.inv(aug[r][c])
-        aug[r] = [k.mul(inv, x) for x in aug[r]]
-        for rr in range(n):
-            if rr != r and aug[rr][c] != 0:
-                factor = aug[rr][c]
-                aug[rr] = [k.sub(x, k.mul(factor, y)) for x, y in zip(aug[rr], aug[r])]
-        r += 1
-    if r < n:
-        raise Singular(r)
-    flat = tuple(aug[i][n + j] for i in range(n) for j in range(n))
-    return LinMap(k, n, n, flat)
+    ident = LinMap.identity(k, n)
+    aug = LinMap(k, n, 2 * n, tuple(x for r in range(n) for x in f.row_at(r) + ident.row_at(r)))
+    echelon, pivots = rref(aug)
+    found = sum(1 for p in pivots if p < n)
+    if found < n:
+        raise Singular(found)
+    return LinMap(k, n, n, tuple(x for r in range(n) for x in echelon.row_at(r)[n:]))
 
 
 def is_invertible(f: LinMap) -> bool:
-    try:
-        invert(f)
-        return True
-    except Singular:
-        return False
+    return f.cod == f.dom and rank(f) == f.cod
 
 
 def solve(f: LinMap, target: Sequence) -> tuple | None:

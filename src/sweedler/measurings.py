@@ -20,6 +20,7 @@ from .errors import (
     IncompatibleMeasurings,
     NotAMorphism,
     NotCommutative,
+    PreconditionViolated,
 )
 from .fields import same_field
 from .linalg import (
@@ -37,7 +38,9 @@ from .structures import (
     Bialgebra,
     Failure,
     ValidationReport,
+    _check,
     algebra_morphisms,
+    conjugation_orbits,
     general_linear_group,
     is_algebra_morphism,
     is_commutative,
@@ -85,29 +88,13 @@ def validate_measuring(m: Measuring) -> ValidationReport:
     ident_x = LinMap.identity(k, x)
     ident_b = LinMap.identity(k, db)
     failures: list[Failure] = []
-    lhs = compose(m.psi, kron(m.a.mult, ident_x))
-    rhs = compose_all(kron(ident_x, m.b.mult), kron(m.psi, ident_b), kron(ident_a, m.psi))
-    if lhs != rhs:
-        witness = _first_col_mismatch(lhs, rhs, (da, da, x))
-        failures.append(Failure("measuring multiplicativity", witness))
-    lhs_u = compose(m.psi, kron(m.a.unit, ident_x))
-    rhs_u = kron(ident_x, m.b.unit)
-    if lhs_u != rhs_u:
-        witness = _first_col_mismatch(lhs_u, rhs_u, (x,))
-        failures.append(Failure("measuring unit", witness))
+    _check(failures, "measuring multiplicativity",
+           compose(m.psi, kron(m.a.mult, ident_x)),
+           compose_all(kron(ident_x, m.b.mult), kron(m.psi, ident_b), kron(ident_a, m.psi)),
+           (da, da, x))
+    _check(failures, "measuring unit",
+           compose(m.psi, kron(m.a.unit, ident_x)), kron(ident_x, m.b.unit), (x,))
     return ValidationReport(tuple(failures))
-
-
-def _first_col_mismatch(lhs: LinMap, rhs: LinMap, dims: tuple[int, ...]) -> tuple:
-    for c in range(lhs.dom):
-        if lhs.col_at(c) != rhs.col_at(c):
-            idx = []
-            rest = c
-            for d in reversed(dims):
-                idx.append(rest % d)
-                rest //= d
-            return tuple(reversed(idx))
-    return ()
 
 
 def require_valid_measuring(m: Measuring) -> Measuring:
@@ -207,32 +194,38 @@ def enumerate_measurings(a: Algebra, b: Algebra, n: int,
     are equivalent to these, and the space is smaller than raw psi maps).
     Representatives are the lexicographically smallest flattened psi entries.
     """
+    if n < 0:
+        raise PreconditionViolated(f"measurings need n >= 0, got {n}")
     if n == 0:
         empty = Measuring(a, b, 0, LinMap.zero(a.field, 0, 0))
         return OrbitReport(1, ((empty, 1),))
     morphisms = algebra_morphisms(a, matrix_algebra(b, n), budget=budget)
     gl = general_linear_group(a.field, n, budget=budget)
-    remaining = {rho.entries: rho for rho in morphisms}
     orbits = []
-    while remaining:
-        seed_key = min(remaining)
-        seed = remaining.pop(seed_key)
-        orbit_keys = {seed_key}
-        seed_measuring = measuring_from_matrix_morphism(seed, a, b, n)
-        for g in gl:
-            moved = conjugate_measuring(seed_measuring, g)
-            key = matrix_morphism_from_measuring(moved).entries
-            orbit_keys.add(key)
-        for key in orbit_keys:
-            remaining.pop(key, None)
-        members = [measuring_from_matrix_morphism(LinMap(a.field, seed.cod, seed.dom, key), a, b, n)
-                   for key in orbit_keys]
-        rep = min(members, key=lambda m: m.psi.entries)
-        orbits.append((rep, len(orbit_keys)))
+    for orbit in _morphism_orbits(a, b, n, morphisms, gl):
+        members = [measuring_from_matrix_morphism(LinMap(a.field, n * n * b.dim, a.dim, key),
+                                                  a, b, n)
+                   for key in orbit]
+        orbits.append((min(members, key=lambda m: m.psi.entries), len(orbit)))
     orbits.sort(key=lambda pair: pair[0].psi.entries)
     total = len(morphisms)
-    assert total == sum(size for _, size in orbits)
+    if total != sum(size for _, size in orbits):
+        raise AssertionError("internal error: the conjugation orbits do not partition "
+                             "the morphisms")
     return OrbitReport(total, tuple(orbits))
+
+
+def _morphism_orbits(a: Algebra, b: Algebra, n: int, morphisms: list[LinMap],
+                     gl: list[LinMap]) -> list[frozenset]:
+    """The GL_n(k)-conjugation orbits of algebra morphisms A -> M_n(B), each as
+    the set of its members' entry tuples; conjugation acts through measurings."""
+
+    def conjugates(rho: LinMap):
+        mu = measuring_from_matrix_morphism(rho, a, b, n)
+        for g in gl:
+            yield matrix_morphism_from_measuring(conjugate_measuring(mu, g)).entries
+
+    return conjugation_orbits({rho.entries: rho for rho in morphisms}, conjugates)
 
 
 def is_simple(m: Measuring, budget: int = DEFAULT_BUDGET) -> bool:

@@ -21,7 +21,6 @@ from .errors import (
     InvalidCoalgebra,
     InvalidHopf,
     NotAGroup,
-    Singular,
     UnsupportedField,
 )
 from .fields import Field, same_field
@@ -29,7 +28,7 @@ from .linalg import (
     LinMap,
     compose,
     compose_all,
-    invert,
+    is_invertible,
     kernel_basis,
     kron,
     solve,
@@ -252,15 +251,21 @@ def validate_coalgebra(c: Coalgebra) -> ValidationReport:
 
 
 def validate_bialgebra(b: Bialgebra) -> ValidationReport:
+    return ValidationReport(tuple(_bialgebra_failures(b, swap_map(b.dim, b.dim, b.field))))
+
+
+def _bialgebra_failures(b: Bialgebra, braiding: LinMap,
+                        multiplicative: str = "comult multiplicative") -> list[Failure]:
     """Algebra + coalgebra axioms, plus: counit and comult are algebra morphisms
-    for the product (mult (x) mult).(1 (x) swap (x) 1) on the tensor square."""
+    for the product (mult (x) mult).(1 (x) braiding (x) 1) on the tensor square.
+    The braiding is the plain swap, or the Koszul one for graded bialgebras."""
     d = b.dim
     k = b.field
     ident = LinMap.identity(k, d)
     failures = list(validate_algebra(b.algebra).failures)
     failures += list(validate_coalgebra(b.coalgebra).failures)
-    mult2 = compose_all(kron(b.mult, b.mult), kron(ident, kron(swap_map(d, d, k), ident)))
-    _check(failures, "comult multiplicative",
+    mult2 = compose_all(kron(b.mult, b.mult), kron(ident, kron(braiding, ident)))
+    _check(failures, multiplicative,
            compose(b.comult, b.mult),
            compose(mult2, kron(b.comult, b.comult)), (d, d))
     _check(failures, "comult unital", compose(b.comult, b.unit), kron(b.unit, b.unit), (1,))
@@ -268,7 +273,7 @@ def validate_bialgebra(b: Bialgebra) -> ValidationReport:
            compose(b.counit, b.mult), kron(b.counit, b.counit), (d, d))
     _check(failures, "counit unital",
            compose(b.counit, b.unit), LinMap.identity(k, 1), (1,))
-    return ValidationReport(tuple(failures))
+    return failures
 
 
 def _antipode_failures(b: Bialgebra, s: LinMap) -> list[Failure]:
@@ -461,7 +466,10 @@ class FusionOperators:
 
 
 def fusion_operators(b: Bialgebra) -> FusionOperators:
-    require_valid_bialgebra(b)
+    return _fusion_operators(require_valid_bialgebra(b))
+
+
+def _fusion_operators(b: Bialgebra) -> FusionOperators:
     d = b.dim
     k = b.field
     ident = LinMap.identity(k, d)
@@ -492,9 +500,9 @@ def find_antipode(b: Bialgebra) -> HopfAlgebra | None:
     """Solve the antipode equations; cross-checked against fusion invertibility."""
     require_valid_bialgebra(b)
     s = _convolution_inverse_of_identity(b, twist=None)
-    ops = fusion_operators(b)
-    h_invertible = _invertible(ops.h)
-    h_prime_invertible = _invertible(ops.h_prime)
+    ops = _fusion_operators(b)
+    h_invertible = is_invertible(ops.h)
+    h_prime_invertible = is_invertible(ops.h_prime)
     found = s is not None
     if not (found == h_invertible == h_prime_invertible):
         raise AssertionError(
@@ -508,19 +516,11 @@ def find_opantipode(b: Bialgebra) -> LinMap | None:
     """Convolution inverse of the identity against the co-opposite comultiplication."""
     require_valid_bialgebra(b)
     s = _convolution_inverse_of_identity(b, twist=swap_map(b.dim, b.dim, b.field))
-    ops = fusion_operators(b)
-    if not ((s is not None) == _invertible(ops.h_bar) == _invertible(ops.h_bar_prime)):
+    ops = _fusion_operators(b)
+    if not ((s is not None) == is_invertible(ops.h_bar) == is_invertible(ops.h_bar_prime)):
         raise AssertionError(
             "internal error: opantipode solver and opfusion invertibility disagree")
     return s
-
-
-def _invertible(f: LinMap) -> bool:
-    try:
-        invert(f)
-        return True
-    except Singular:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -689,6 +689,20 @@ def general_linear_group(field: Field, n: int, budget: int = DEFAULT_BUDGET) -> 
     out = []
     for vec in _vectors(field, n * n, budget):
         m = LinMap(field, n, n, tuple(vec))
-        if _invertible(m):
+        if is_invertible(m):
             out.append(m)
     return out
+
+
+def conjugation_orbits(items: dict, conjugates) -> list[frozenset]:
+    """Partition the keys of ``items`` into orbits.  Each orbit is seeded from
+    the smallest remaining key; ``conjugates(value)`` yields the keys it reaches."""
+    remaining = dict(items)
+    orbits = []
+    while remaining:
+        seed_key = min(remaining)
+        orbit = {seed_key, *conjugates(remaining.pop(seed_key))}
+        for key in orbit:
+            remaining.pop(key, None)
+        orbits.append(frozenset(orbit))
+    return orbits

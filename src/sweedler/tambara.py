@@ -13,13 +13,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, UnsupportedField
+from .errors import BudgetExceeded, PreconditionViolated, UnsupportedField
 from .fields import Field, same_field
-from .linalg import LinMap, compose
+from .linalg import LinMap, compose, invert
 from .structures import (
     DEFAULT_BUDGET,
     Algebra,
     algebra_morphisms,
+    conjugation_orbits,
     general_linear_group,
     matrix_algebra,
 )
@@ -184,26 +185,24 @@ def tambara_modules(p: PresentedAlgebra, n: int,
 def module_orbits(p: PresentedAlgebra, modules: list[tuple[LinMap, ...]], n: int,
                   budget: int = DEFAULT_BUDGET) -> list[tuple[tuple[LinMap, ...], int]]:
     """GL_n(k)-conjugation orbits of modules, lexicographically smallest first."""
-    from .linalg import invert
-
     k = p.field
     gl = general_linear_group(k, n, budget=budget)
-    key = lambda mats: tuple(m.entries for m in mats)
-    remaining = {key(mats): mats for mats in modules}
-    orbits = []
-    while remaining:
-        seed = remaining.pop(min(remaining))
-        orbit_keys = {key(seed)}
-        for g in gl:
-            ginv = invert(g)
-            moved = tuple(compose(compose(g, m), ginv) for m in seed)
-            orbit_keys.add(key(moved))
-        for kk in orbit_keys:
-            remaining.pop(kk, None)
-        rep = min(orbit_keys)
-        orbits.append((tuple(LinMap(k, n, n, e) for e in rep), len(orbit_keys)))
+    orbits = [(tuple(LinMap(k, n, n, e) for e in min(orbit)), len(orbit))
+              for orbit in _module_orbits(modules, gl)]
     orbits.sort(key=lambda pair: tuple(m.entries for m in pair[0]))
     return orbits
+
+
+def _module_orbits(modules: list[tuple[LinMap, ...]], gl: list[LinMap]) -> list[frozenset]:
+    """Conjugation orbits of modules, each as the set of its members' entry tuples."""
+
+    def conjugates(mats):
+        for g in gl:
+            ginv = invert(g)
+            yield tuple(compose(compose(g, m), ginv).entries for m in mats)
+
+    return conjugation_orbits({tuple(m.entries for m in mats): mats for mats in modules},
+                              conjugates)
 
 
 def module_to_matrix_morphism(p: PresentedAlgebra, a: Algebra, b: Algebra,
@@ -273,59 +272,36 @@ class CorrespondenceReport:
         return self.matched and self.orbits_matched and self.intertwiners_matched
 
 
-def _orbit_partition(items: dict, conjugates) -> set[frozenset]:
-    """Partition of the key set of ``items`` by the closure ``conjugates(value)``."""
-    remaining = dict(items)
-    partition = set()
-    while remaining:
-        seed_key = min(remaining)
-        seed = remaining.pop(seed_key)
-        orbit = {seed_key} | set(conjugates(seed))
-        for kk in orbit:
-            remaining.pop(kk, None)
-        partition.add(frozenset(orbit))
-    return partition
-
-
 def correspondence_check(a: Algebra, b: Algebra, n: int,
                          budget: int = DEFAULT_BUDGET) -> CorrespondenceReport:
     """Verify that n-dimensional modules of a(A, B) are exactly the algebra
-    morphisms B -> M_n(A), compatibly with conjugation orbits and intertwiners."""
-    from .linalg import invert
+    morphisms B -> M_n(A), compatibly with conjugation orbits and intertwiners.
+    At n = 0 the one module matches the one morphism into M_0(A) = 0."""
     from .measurings import (
-        conjugate_measuring,
+        _morphism_orbits,
         intertwiners as measuring_intertwiners,
-        matrix_morphism_from_measuring,
         measuring_from_matrix_morphism,
     )
 
+    if n < 0:
+        raise PreconditionViolated(f"modules need n >= 0, got {n}")
     p = tambara_presentation(a, b)
     modules = tambara_modules(p, n, budget=budget)
-    morphisms = algebra_morphisms(b, matrix_algebra(a, n), budget=budget)
+    if n == 0:
+        morphisms = [LinMap(p.field, 0, b.dim, ())]
+    else:
+        morphisms = algebra_morphisms(b, matrix_algebra(a, n), budget=budget)
     translate = {tuple(m.entries for m in mats):
                  module_to_matrix_morphism(p, a, b, mats, n).entries
                  for mats in modules}
     matched = sorted(translate.values()) == sorted(rho.entries for rho in morphisms)
 
     gl = general_linear_group(p.field, n, budget=budget)
-
-    def module_conjugates(mats):
-        for g in gl:
-            ginv = invert(g)
-            yield tuple(compose(compose(g, m), ginv).entries for m in mats)
-
-    def morphism_conjugates(rho):
-        mu = measuring_from_matrix_morphism(rho, b, a, n)
-        for g in gl:
-            yield matrix_morphism_from_measuring(conjugate_measuring(mu, g)).entries
-
-    module_partition = _orbit_partition(
-        {tuple(m.entries for m in mats): mats for mats in modules}, module_conjugates)
-    morphism_partition = _orbit_partition(
-        {rho.entries: rho for rho in morphisms}, morphism_conjugates)
+    module_partition = _module_orbits(modules, gl)
+    morphism_partition = _morphism_orbits(b, a, n, morphisms, gl)
     translated_partition = {frozenset(translate[key] for key in orbit)
                             for orbit in module_partition}
-    orbits_matched = translated_partition == morphism_partition
+    orbits_matched = translated_partition == set(morphism_partition)
 
     # intertwiners transport: the same T solves both sides, in the same basis
     intertwiners_ok = True

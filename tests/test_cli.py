@@ -248,3 +248,52 @@ def test_fusion_command_reports_invertibility(capsys):
     assert not report["result"]["h"]["invertible"]
     code, out = run(capsys, "fusion", fixture("q_c2.json"))
     assert json.loads(out)["result"]["h"]["invertible"]
+
+
+def test_negative_measuring_dimension_is_unsupported(capsys):
+    code, out = run(capsys, "enumerate-measurings",
+                    fixture("f2_c2.json"), fixture("f2_trivial.json"), "-1")
+    assert code == 5
+    assert json.loads(out)["error"] == "PreconditionViolated"
+
+
+def test_boolean_dim_is_a_parse_error(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "f2_trivial.json").read_text())
+    doc["dim"] = True
+    path = tmp_path / "dim_true.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    code, out = run(capsys, "validate", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "ParseError"
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out = run(capsys, "validate", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "ParseError"
+
+
+def test_tambara_check_at_n_zero(capsys):
+    code, out = run(capsys, "tambara-check", fixture("f2_c2.json"),
+                    fixture("f2_dualnum.json"), "--n", "0")
+    result = json.loads(out)["result"]
+    assert code == 0
+    assert result["module_count"] == result["morphism_count"] == 1
+    assert result["module_orbit_sizes"] == result["morphism_orbit_sizes"] == [1]
+    assert result["matched"] and result["orbits_matched"] and result["intertwiners_matched"]
+
+
+def test_tensor_parses_the_source_algebra_once(monkeypatch, capsys):
+    import sweedler.documents as documents
+
+    calls = []
+    original = documents.parse_document
+    monkeypatch.setattr(documents, "parse_document",
+                        lambda text: calls.append(text) or original(text))
+    sign = fixture("q_c2_sign.measuring.json")
+    code, _ = run(capsys, "tensor", sign, sign)
+    assert code == 0
+    # A and B for each of the two measurings, then A once more for its coproduct
+    assert len(calls) == 5

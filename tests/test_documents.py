@@ -162,3 +162,43 @@ def test_invalid_measuring_is_rejected(inv_f2, k_f2):
     }
     with pytest.raises(ValidationError):
         parse_measuring_document(text, table.__getitem__)
+
+
+
+# each mutation is accepted if ``bool`` passes for ``int``: True == 1, False == 0
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.update(dim=True, basis=["1"], unit=["1"], mult=[], comult=[], counit=["1"],
+                       antipode=[["1"]], degrees=[0]),
+    lambda d: d.update(degrees=[0, False]),
+    lambda d: d["mult"][0].__setitem__(0, True),
+    lambda d: d["comult"][1].__setitem__(0, True),
+])
+def test_booleans_are_not_integers_in_structure_documents(mutate):
+    base = json.loads(serialize_document(Document(cyclic_group_hopf(QQ, 2), ("1", "g"))))
+    base["degrees"] = [0, 0]
+    parse_document(json.dumps(base))
+    mutate(base)
+    with pytest.raises(ParseError):
+        parse_document(json.dumps(base))
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.update(xdim=True),
+    lambda d: d["psi"][1].__setitem__(0, [1, False]),
+])
+def test_booleans_are_not_integers_in_measuring_documents(inv_f2, k_f2, mutate):
+    # the trivial character of F2[C2]: g acts as 1 on a one-dimensional X
+    base = {"a": "a.json", "b": "b.json", "xdim": 1,
+            "psi": [[[0, 0], ["1"]], [[1, 0], ["1"]]]}
+    table = {"a.json": Document(inv_f2, ("1", "g")), "b.json": Document(k_f2, ("1",))}
+    parse_measuring_document(json.dumps(base), table.__getitem__)
+    mutate(base)
+    with pytest.raises(ParseError):
+        parse_measuring_document(json.dumps(base), table.__getitem__)
+
+
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError):
+        parse_document("[" * 100_000)
+    with pytest.raises(ParseError):
+        parse_measuring_document("[" * 100_000, lambda ref: None)

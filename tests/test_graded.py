@@ -23,6 +23,7 @@ from sweedler.graded import (
 )
 from sweedler.measurings import regular_measuring, validate_measuring
 from sweedler.structures import (
+    HopfAlgebra,
     algebra_morphisms,
     matrix_algebra,
     trivial_algebra,
@@ -262,3 +263,18 @@ def test_graded_tensor_measuring_validates_after_forgetting_degrees():
     graded = graded_tensor_measuring(m2, ext2.space, m2, ext2.space, gbial2, gb2)
     plain = tensor_measuring_bialgebra(m2, m2, ext2.hopf.bialgebra)
     assert graded.psi == plain.psi
+
+
+def test_koszul_failure_has_a_witness():
+    # deg x = 2 is even, so the Koszul sign is +1 and Delta(x.x) = 2 x (x) x != 0
+    report = validate_graded(graded_line_hopf(QQ, 2))
+    assert [(f.axiom, f.witness) for f in report.failures] == [
+        ("comult multiplicative (Koszul)", (1, 1))]
+
+
+def test_graded_antipode_failure_has_a_witness():
+    gh = graded_line_hopf(QQ, 1)
+    wrong = GradedHopf(HopfAlgebra(gh.hopf.bialgebra, LinMap.identity(QQ, 2)), gh.space)
+    report = validate_graded(wrong)
+    assert [(f.axiom, f.witness) for f in report.failures] == [
+        ("left antipode", (1,)), ("right antipode", (1,))]

@@ -10,6 +10,7 @@ from sweedler.linalg import (
     LinMap,
     compose,
     invert,
+    is_invertible,
     kernel_basis,
     kron,
     rank,
@@ -140,6 +141,19 @@ def test_singular_carries_echelon_rank():
             assert rank(f) == 3
         except Singular as exc:
             assert exc.rank == rank(f) < 3
+
+
+def test_is_invertible_agrees_with_invert():
+    rng = random.Random(304)
+    for _ in range(40):
+        f = random_map(rng, GF(3), 3, 3)
+        try:
+            invert(f)
+            assert is_invertible(f)
+        except Singular:
+            assert not is_invertible(f)
+    assert not is_invertible(LinMap.zero(F2, 2, 3))
+    assert is_invertible(LinMap.zero(F2, 0, 0))
 
 
 def test_rank_nullity():

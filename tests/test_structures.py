@@ -14,6 +14,7 @@ from sweedler.structures import (
     HopfAlgebra,
     algebra_morphisms,
     convolution_algebra,
+    conjugation_orbits,
     coopposite,
     dual_algebra,
     dual_bialgebra,
@@ -403,3 +404,21 @@ def test_involutions_over_f3_match_brute_force():
                  if compose(LinMap.make(F3, 2, 2, entries),
                             LinMap.make(F3, 2, 2, entries)) == ident)
     assert len(found) == oracle == 14
+
+
+def test_conjugation_orbits_are_seeded_from_the_smallest_key():
+    items = {key: key for key in (5, 0, 4, 1, 3, 2)}
+    orbits = conjugation_orbits(items, lambda v: (v % 3, v % 3 + 3))
+    assert orbits == [frozenset({0, 3}), frozenset({1, 4}), frozenset({2, 5})]
+
+
+@pytest.mark.parametrize("solver", [find_antipode, find_opantipode])
+def test_antipode_solvers_validate_the_bialgebra_once(monkeypatch, sweedler4, solver):
+    import sweedler.structures as structures
+
+    calls = []
+    original = structures.validate_bialgebra
+    monkeypatch.setattr(structures, "validate_bialgebra",
+                        lambda b: calls.append(b) or original(b))
+    solver(sweedler4.bialgebra)
+    assert len(calls) == 1

@@ -89,3 +89,10 @@ def test_correspondence_reduces_to_identity_for_base_source(k_f2):
     count = sum(1 for e in itertools.product(range(2), repeat=4)
                 if compose(LinMap.make(F2, 2, 2, e), LinMap.make(F2, 2, 2, e)) == zero)
     assert report.module_count == count
+
+
+def test_correspondence_at_dimension_zero(inv_f2):
+    report = correspondence_check(inv_f2, dual_numbers(F2), 0)
+    assert report.ok
+    assert report.module_count == report.morphism_count == 1
+    assert report.module_orbit_sizes == report.morphism_orbit_sizes == (1,)
