@@ -216,11 +216,19 @@ def swap_map(m: int, n: int, field: Field) -> LinMap:
 
 def rref(f: LinMap) -> tuple[LinMap, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns (deterministic)."""
-    k = f.field
     rows = [list(f.row_at(r)) for r in range(f.cod)]
+    pivots = _reduce(f.field, rows, f.dom)
+    return LinMap(f.field, f.cod, f.dom, tuple(x for row in rows for x in row)), pivots
+
+
+def _reduce(k: Field, rows: list[list], ncols: int) -> tuple[int, ...]:
+    """Gauss-Jordan elimination of ``rows`` in place, pivoting in the first
+    ``ncols`` columns: leftmost pivot, lowest-index row first."""
     pivots = []
     r = 0
-    for c in range(f.dom):
+    for c in range(ncols):
+        if r == len(rows):
+            break
         pivot_row = None
         for rr in range(r, len(rows)):
             if rows[rr][c] != 0:
@@ -237,10 +245,7 @@ def rref(f: LinMap) -> tuple[LinMap, tuple[int, ...]]:
                 rows[rr] = [k.sub(x, k.mul(factor, y)) for x, y in zip(rows[rr], rows[r])]
         pivots.append(c)
         r += 1
-        if r == len(rows):
-            break
-    flat = tuple(x for row in rows for x in row)
-    return LinMap(k, f.cod, f.dom, flat), tuple(pivots)
+    return tuple(pivots)
 
 
 def rank(f: LinMap) -> int:
@@ -267,19 +272,18 @@ def kernel_basis(f: LinMap) -> list[tuple]:
 
 
 def invert(f: LinMap) -> LinMap:
-    """Two-sided inverse, read off the rref of [f | I]; raises Singular (with
+    """Two-sided inverse, read off the reduced [f | I]; raises Singular (with
     the rank of f) when there is none."""
     if f.cod != f.dom:
         raise DimensionMismatch(f"only square maps can be inverted, got {f.cod}x{f.dom}")
     k = f.field
     n = f.cod
-    ident = LinMap.identity(k, n)
-    aug = LinMap(k, n, 2 * n, tuple(x for r in range(n) for x in f.row_at(r) + ident.row_at(r)))
-    echelon, pivots = rref(aug)
-    found = sum(1 for p in pivots if p < n)
+    one, zero = k.one(), k.zero()
+    rows = [list(f.row_at(r)) + [one if i == r else zero for i in range(n)] for r in range(n)]
+    found = len(_reduce(k, rows, n))
     if found < n:
         raise Singular(found)
-    return LinMap(k, n, n, tuple(x for r in range(n) for x in echelon.row_at(r)[n:]))
+    return LinMap(k, n, n, tuple(x for row in rows for x in row[n:]))
 
 
 def is_invertible(f: LinMap) -> bool:

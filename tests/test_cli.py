@@ -257,16 +257,6 @@ def test_negative_measuring_dimension_is_unsupported(capsys):
     assert json.loads(out)["error"] == "PreconditionViolated"
 
 
-def test_boolean_dim_is_a_parse_error(tmp_path, capsys):
-    doc = json.loads((FIXTURES / "f2_trivial.json").read_text())
-    doc["dim"] = True
-    path = tmp_path / "dim_true.json"
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    code, out = run(capsys, "validate", str(path))
-    assert code == 2
-    assert json.loads(out)["error"] == "ParseError"
-
-
 def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sweedler.errors import IncompatibleMeasurings, NotCommutative, PreconditionViolated
+from sweedler.errors import IncompatibleMeasurings, NotCommutative
 from sweedler.fields import GF, QQ
 from sweedler.linalg import LinMap, compose, invert, kron
 from sweedler.measurings import (
@@ -96,11 +96,6 @@ def test_empty_measuring(inv_f2, k_f2):
 
 
 # -- enumeration and orbits -------------------------------------------------------
-
-
-def test_enumerate_rejects_a_negative_dimension(inv_f2, k_f2):
-    with pytest.raises(PreconditionViolated):
-        enumerate_measurings(inv_f2, k_f2, -1)
 
 
 def test_enumerate_dimension_one(inv_f2, k_f2):

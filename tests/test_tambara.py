@@ -71,7 +71,7 @@ def test_module_orbits_partition(inv_f2):
     assert sum(size for _, size in orbits) == len(modules)
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [0, 1, 2])
 def test_correspondence_on_the_motivating_example(inv_f2, n):
     report = correspondence_check(inv_f2, dual_numbers(F2), n)
     assert report.ok
@@ -89,10 +89,3 @@ def test_correspondence_reduces_to_identity_for_base_source(k_f2):
     count = sum(1 for e in itertools.product(range(2), repeat=4)
                 if compose(LinMap.make(F2, 2, 2, e), LinMap.make(F2, 2, 2, e)) == zero)
     assert report.module_count == count
-
-
-def test_correspondence_at_dimension_zero(inv_f2):
-    report = correspondence_check(inv_f2, dual_numbers(F2), 0)
-    assert report.ok
-    assert report.module_count == report.morphism_count == 1
-    assert report.module_orbit_sizes == report.morphism_orbit_sizes == (1,)
