@@ -364,6 +364,7 @@ def parse_measuring_document(text: str, loader) -> MeasuringDocument:
     zero = field.zero()
     cols: dict[tuple[int, int], tuple] = {}
     last = None
+    _want(isinstance(raw["psi"], list), "psi must be a list of entries", "psi")
     for idx, entry in enumerate(raw["psi"]):
         path = f"psi[{idx}]"
         _want(isinstance(entry, list) and len(entry) == 2, "expected [[a, x], vector]", path)

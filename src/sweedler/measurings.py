@@ -202,7 +202,7 @@ def enumerate_measurings(a: Algebra, b: Algebra, n: int,
     morphisms = algebra_morphisms(a, matrix_algebra(b, n), budget=budget)
     gl = general_linear_group(a.field, n, budget=budget)
     orbits = []
-    for orbit in _morphism_orbits(a, b, n, morphisms, gl):
+    for orbit in _morphism_partition(a, b, n, morphisms, gl):
         members = [measuring_from_matrix_morphism(LinMap(a.field, n * n * b.dim, a.dim, key),
                                                   a, b, n)
                    for key in orbit]
@@ -215,8 +215,8 @@ def enumerate_measurings(a: Algebra, b: Algebra, n: int,
     return OrbitReport(total, tuple(orbits))
 
 
-def _morphism_orbits(a: Algebra, b: Algebra, n: int, morphisms: list[LinMap],
-                     gl: list[LinMap]) -> list[frozenset]:
+def _morphism_partition(a: Algebra, b: Algebra, n: int, morphisms: list[LinMap],
+                        gl: list[LinMap]) -> list[frozenset]:
     """The GL_n(k)-conjugation orbits of algebra morphisms A -> M_n(B), each as
     the set of its members' entry tuples; conjugation acts through measurings."""
 

@@ -188,12 +188,12 @@ def module_orbits(p: PresentedAlgebra, modules: list[tuple[LinMap, ...]], n: int
     k = p.field
     gl = general_linear_group(k, n, budget=budget)
     orbits = [(tuple(LinMap(k, n, n, e) for e in min(orbit)), len(orbit))
-              for orbit in _module_orbits(modules, gl)]
+              for orbit in _module_partition(modules, gl)]
     orbits.sort(key=lambda pair: tuple(m.entries for m in pair[0]))
     return orbits
 
 
-def _module_orbits(modules: list[tuple[LinMap, ...]], gl: list[LinMap]) -> list[frozenset]:
+def _module_partition(modules: list[tuple[LinMap, ...]], gl: list[LinMap]) -> list[frozenset]:
     """Conjugation orbits of modules, each as the set of its members' entry tuples."""
 
     def conjugates(mats):
@@ -278,7 +278,7 @@ def correspondence_check(a: Algebra, b: Algebra, n: int,
     morphisms B -> M_n(A), compatibly with conjugation orbits and intertwiners.
     At n = 0 the one module matches the one morphism into M_0(A) = 0."""
     from .measurings import (
-        _morphism_orbits,
+        _morphism_partition,
         intertwiners as measuring_intertwiners,
         measuring_from_matrix_morphism,
     )
@@ -297,8 +297,8 @@ def correspondence_check(a: Algebra, b: Algebra, n: int,
     matched = sorted(translate.values()) == sorted(rho.entries for rho in morphisms)
 
     gl = general_linear_group(p.field, n, budget=budget)
-    module_partition = _module_orbits(modules, gl)
-    morphism_partition = _morphism_orbits(b, a, n, morphisms, gl)
+    module_partition = _module_partition(modules, gl)
+    morphism_partition = _morphism_partition(b, a, n, morphisms, gl)
     translated_partition = {frozenset(translate[key] for key in orbit)
                             for orbit in module_partition}
     orbits_matched = translated_partition == set(morphism_partition)

@@ -185,8 +185,9 @@ def test_booleans_are_not_integers_in_structure_documents(mutate):
 @pytest.mark.parametrize("mutate", [
     lambda d: d.update(xdim=True),
     lambda d: d["psi"][1].__setitem__(0, [1, False]),
+    lambda d: d.update(psi=5),
 ])
-def test_booleans_are_not_integers_in_measuring_documents(inv_f2, k_f2, mutate):
+def test_malformed_measuring_documents_are_parse_errors(inv_f2, k_f2, mutate):
     # the trivial character of F2[C2]: g acts as 1 on a one-dimensional X
     base = {"a": "a.json", "b": "b.json", "xdim": 1,
             "psi": [[[0, 0], ["1"]], [[1, 0], ["1"]]]}
