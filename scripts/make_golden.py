@@ -22,6 +22,7 @@ from pathlib import Path
 
 from sweedler.cli import main
 from sweedler.documents import algebra_of, coalgebra_of, parse_document
+from sweedler.errors import SweedlerError
 from sweedler.graded import GradedAlgebra, GradedBialgebra, GradedHopf
 from sweedler.structures import Bialgebra, HopfAlgebra
 
@@ -56,7 +57,7 @@ def cases() -> list[list[str]]:
     for n in structures:
         try:
             values[n] = parse_document((ROOT / FIXTURES / n).read_text())
-        except Exception:
+        except SweedlerError:
             values[n] = None  # an invalid fixture: only `validate` applies
     docs = {n: d for n, d in values.items() if d is not None}
     field = {n: str(d.field) for n, d in docs.items()}
