@@ -57,10 +57,11 @@ from .structures import (
     dual_algebra,
     dual_bialgebra,
     dual_coalgebra,
-    find_antipode,
-    find_opantipode,
-    fusion_operators,
+    _find_antipode,
+    _find_opantipode,
+    _fusion_operators,
     grouplikes,
+    require_valid_bialgebra,
 )
 from .tambara import correspondence_check, tambara_presentation
 
@@ -154,9 +155,19 @@ def _require_bialgebra(doc: docs.Document) -> Bialgebra:
     raise ValidationError("input must be a bialgebra document")
 
 
+def _valid_bialgebra(doc: docs.Document) -> Bialgebra:
+    """The document's bialgebra, proved valid under the plain swap.  Parsing
+    proved that already unless the document is graded: then it proved the
+    Koszul-braided axioms only."""
+    b = _require_bialgebra(doc)
+    if isinstance(doc.value, (GradedBialgebra, GradedHopf)):
+        require_valid_bialgebra(b)
+    return b
+
+
 def cmd_fusion(args):
-    b = _require_bialgebra(_read_document(args.document))
-    ops = fusion_operators(b)
+    b = _valid_bialgebra(_read_document(args.document))
+    ops = _fusion_operators(b)
     out = {}
     for name, op in [("h", ops.h), ("h_prime", ops.h_prime),
                      ("h_bar", ops.h_bar), ("h_bar_prime", ops.h_bar_prime)]:
@@ -165,16 +176,16 @@ def cmd_fusion(args):
 
 
 def cmd_antipode(args):
-    b = _require_bialgebra(_read_document(args.document))
-    found = find_antipode(b)
+    b = _valid_bialgebra(_read_document(args.document))
+    found = _find_antipode(b)
     if found is None:
         return {"antipode": {"present": False}}, False
     return {"antipode": {"present": True, "matrix": _matrix(found.antipode)}}, False
 
 
 def cmd_opantipode(args):
-    b = _require_bialgebra(_read_document(args.document))
-    found = find_opantipode(b)
+    b = _valid_bialgebra(_read_document(args.document))
+    found = _find_opantipode(b)
     if found is None:
         return {"opantipode": {"present": False}}, False
     return {"opantipode": {"present": True, "matrix": _matrix(found)}}, False

@@ -17,16 +17,35 @@ _INT_RE = re.compile(r"-?(0|[1-9][0-9]*)")
 _FRACTION_RE = re.compile(r"(-?(?:0|[1-9][0-9]*))/([1-9][0-9]*)")
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below PRIME_BOUND
+# (the least strong pseudoprime to all of them); no larger p is supported.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test; raises ValueError for n >= PRIME_BOUND."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"primality is decided only below {PRIME_BOUND}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -155,7 +174,11 @@ def parse_field(name: str) -> Field:
         return QQ
     m = re.fullmatch(r"F([1-9][0-9]*)", name)
     if m:
-        p = int(m.group(1))
+        digits = m.group(1)
+        # compare lengths first: int() refuses very long digit strings
+        if len(digits) > len(str(PRIME_BOUND)) or int(digits) >= PRIME_BOUND:
+            raise ParseError(f"prime fields need p < {PRIME_BOUND}")
+        p = int(digits)
         if not is_prime(p):
             raise ParseError(f"field F{p} is not a prime field")
         return Field(p)

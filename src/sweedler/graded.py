@@ -16,7 +16,7 @@ from functools import singledispatch
 
 from .errors import DimensionMismatch, NegativeDegree, NotClosed
 from .fields import Field, same_field
-from .linalg import LinMap, compose, compose_all, kron
+from .linalg import LinMap, compose_slot
 from .structures import (
     DEFAULT_BUDGET,
     Algebra,
@@ -321,23 +321,15 @@ def graded_tensor_measuring(m1, x1: GradedSpace, m2, x2: GradedSpace,
     """Bialgebra tensor of measurings with Koszul braidings in place of plain
     swaps; forgetting degrees, the result passes the ungraded validator."""
     from .errors import IncompatibleMeasurings, NotCommutative
-    from .measurings import Measuring
+    from .measurings import _braided_tensor
 
     if m1.a != m2.a or m1.b != m2.b or m1.a != a.bialgebra.algebra or m1.b != b.algebra:
         raise IncompatibleMeasurings("graded tensor needs matching graded (A, B)")
     if m1.xdim != x1.dim or m2.xdim != x2.dim:
         raise IncompatibleMeasurings("grading does not match the carriers")
     bspace = b.space
-    if compose(b.algebra.mult, koszul_swap(bspace, bspace)) != b.algebra.mult:
+    mult_b = b.algebra.mult
+    if compose_slot(mult_b, koszul_swap(bspace, bspace), 1, 1, after=False) != mult_b:
         raise NotCommutative("the target must be commutative in the graded sense")
-    k = m1.a.field
-    da, db = m1.a.dim, m1.b.dim
-    x, y = m1.xdim, m2.xdim
-    ident = lambda n: LinMap.identity(k, n)
-    bial = a.bialgebra
-    step1 = kron(bial.comult, ident(x * y))
-    step2 = kron(ident(da), kron(koszul_swap(a.space, x1), ident(y)))
-    step3 = kron(m1.psi, m2.psi)
-    step4 = kron(ident(x), kron(koszul_swap(bspace, x2), ident(db)))
-    step5 = kron(ident(x * y), b.algebra.mult)
-    return Measuring(m1.a, m1.b, x * y, compose_all(step5, step4, step3, step2, step1))
+    return _braided_tensor(m1, m2, a.bialgebra.comult, koszul_swap(a.space, x1),
+                           koszul_swap(bspace, x2))

@@ -1,10 +1,19 @@
-"""Exact dense linear algebra with tensor (Kronecker) structure.
+"""Exact linear algebra with tensor (Kronecker) structure.
 
-A :class:`LinMap` is a ``cod x dom`` matrix over a :class:`~sweedler.fields.Field`;
-the j-th column is the image of the j-th domain basis vector.  Tensor products
-use one global row-major index convention throughout the library:
+A :class:`LinMap` is a ``cod x dom`` matrix over a :class:`~sweedler.fields.Field`,
+stored as one dense row-major tuple of canonical scalars; the j-th column is
+the image of the j-th domain basis vector.  Tensor products use one global
+row-major index convention throughout the library:
 
     e_i (x) e_j  in  k^m (x) k^n   <->   index  i*n + j.
+
+Products do work in proportion to the nonzeros, not to the dense size:
+:func:`compose` indexes the nonzeros of its right factor by row once per call
+and meets each nonzero of the left factor with them; :func:`kron` multiplies
+nonzeros by nonzeros.  :func:`compose_slot` composes a map with a structural
+factor ``1_a (x) t (x) 1_b`` (an identity-padded ``t``, such as a braiding in
+the middle of a tensor power) by remapping indices through the nonzeros of
+``t``, without building the factor.  Only the dense result is allocated.
 
 Echelon forms pick the leftmost pivot in the lowest-index row first, so every
 derived basis (kernels, quotients, solution spaces) is deterministic.
@@ -14,6 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import DimensionMismatch, Singular
 from .fields import Field, same_field
@@ -118,18 +128,21 @@ class LinMap:
                             for c in range(self.dom) for r in range(self.cod)))
 
     def apply(self, vec: Sequence) -> tuple:
-        """Matrix-vector product on a length-``dom`` vector."""
+        """Matrix-vector product on a length-``dom`` vector, walking the
+        nonzeros of the vector and of the columns they select."""
         if len(vec) != self.dom:
             raise DimensionMismatch(f"vector of length {len(vec)} for {self.dom}-dim domain")
-        f = self.field
-        out = []
-        for r in range(self.cod):
-            acc = f.zero()
-            row = self.row_at(r)
-            for x, v in zip(row, vec):
-                if x != 0 and v != 0:
-                    acc = f.add(acc, f.mul(x, v))
-            out.append(acc)
+        p = self.field.char
+        zero = self.field.zero()
+        n, e = self.dom, self.entries
+        out = [zero] * self.cod
+        for c in compress(range(n), vec):
+            v = vec[c]
+            for r in compress(range(self.cod), e[c::n]):
+                acc = e[r * n + c] * v
+                if out[r] is not zero:
+                    acc += out[r]
+                out[r] = acc % p if p else acc
         return tuple(out)
 
     def _match_shape(self, other: LinMap):
@@ -138,66 +151,101 @@ class LinMap:
             raise DimensionMismatch(f"{self.cod}x{self.dom} vs {other.cod}x{other.dom}")
 
 
+def _nonzeros_by(f: LinMap, by_col: bool) -> list[list[tuple]]:
+    """The nonzero entries of f, one (index, value) list per row, or per
+    column when ``by_col``; the index is the entry's column (or row)."""
+    groups = [[] for _ in range(f.dom if by_col else f.cod)]
+    e = f.entries
+    n = f.dom
+    for pos in compress(range(len(e)), e):
+        r, c = divmod(pos, n)
+        if by_col:
+            groups[c].append((r, e[pos]))
+        else:
+            groups[r].append((c, e[pos]))
+    return groups
+
+
 def compose(f: LinMap, g: LinMap) -> LinMap:
     """Matrix product f.g: apply g first, then f."""
     same_field(f.field, g.field)
     if f.dom != g.cod:
         raise DimensionMismatch(f"cannot compose {f.cod}x{f.dom} with {g.cod}x{g.dom}")
     k = f.field
+    p = k.char
     zero = k.zero()
     gdom = g.dom
-    zeros_row = (zero,) * gdom
-    out = []
-    for r in range(f.cod):
-        frow = f.row_at(r)
-        nonzero = [(t, a) for t, a in enumerate(frow) if a != 0]
-        if not nonzero:
-            out.extend(zeros_row)
-            continue
-        for c in range(gdom):
-            acc = zero
-            for t, a in nonzero:
-                b = g.entries[t * gdom + c]
-                if b != 0:
-                    acc = k.add(acc, k.mul(a, b))
-            out.append(acc)
+    g_rows = _nonzeros_by(g, by_col=False)
+    fe = f.entries
+    out = [zero] * (f.cod * gdom)
+    for pos in compress(range(len(fe)), fe):
+        r, t = divmod(pos, f.dom)
+        a = fe[pos]
+        base = r * gdom
+        for c, b in g_rows[t]:
+            i = base + c
+            acc = a * b
+            if out[i] is not zero:
+                acc += out[i]
+            out[i] = acc % p if p else acc
     return LinMap(k, f.cod, gdom, tuple(out))
-
-
-def compose_all(*maps: LinMap) -> LinMap:
-    """Compose right-to-left: compose_all(f, g, h) = f.g.h."""
-    result = maps[-1]
-    for m in reversed(maps[:-1]):
-        result = compose(m, result)
-    return result
 
 
 def kron(f: LinMap, g: LinMap) -> LinMap:
     """Kronecker product under the global convention: (f(x)g)[(a,c),(b,d)] = f[a,b]*g[c,d]."""
     k = same_field(f.field, g.field)
+    p = k.char
     cod, dom = f.cod * g.cod, f.dom * g.dom
+    ge = g.entries
+    g_nonzero = [(*divmod(pos, g.dom), ge[pos]) for pos in compress(range(len(ge)), ge)]
+    fe = f.entries
     out = [k.zero()] * (cod * dom)
-    for a in range(f.cod):
-        for b in range(f.dom):
-            x = f.entries[a * f.dom + b]
-            if x == 0:
-                continue
-            for c in range(g.cod):
-                base_r = (a * g.cod + c) * dom
-                grow = g.row_at(c)
-                for d in range(g.dom):
-                    y = grow[d]
-                    if y == 0:
-                        continue
-                    out[base_r + b * g.dom + d] = k.mul(x, y)
+    for pos in compress(range(len(fe)), fe):
+        a, b = divmod(pos, f.dom)
+        x = fe[pos]
+        for c, d, y in g_nonzero:
+            v = x * y
+            out[(a * g.cod + c) * dom + b * g.dom + d] = v % p if p else v
     return LinMap(k, cod, dom, tuple(out))
 
 
-def kron_all(*maps: LinMap) -> LinMap:
-    result = maps[0]
-    for m in maps[1:]:
-        result = kron(result, m)
-    return result
+def compose_slot(f: LinMap, t: LinMap, a: int, b: int, *, after: bool) -> LinMap:
+    """f composed with the structural factor 1_a (x) t (x) 1_b, which is never built.
+
+    With ``after`` the factor is applied after f, giving (1_a (x) t (x) 1_b).f;
+    otherwise before it, giving f.(1_a (x) t (x) 1_b).  Each nonzero of f whose
+    index on the shared axis is (i, s, j) meets the nonzeros of t along s, and
+    lands at (i, u, j) on the result's axis.
+    """
+    k = same_field(f.field, t.field)
+    meet, free = (t.dom, t.cod) if after else (t.cod, t.dom)
+    shared = f.cod if after else f.dom
+    if shared != a * meet * b:
+        raise DimensionMismatch(
+            f"cannot compose {f.cod}x{f.dom} with 1_{a} (x) {t.cod}x{t.dom} (x) 1_{b}")
+    cod, dom = (a * free * b, f.dom) if after else (f.cod, a * free * b)
+    # the result's entry (m, o) on (slot axis, other axis) sits at m*m_step + o*o_step
+    m_step, o_step = (dom, 1) if after else (1, dom)
+    t_along = _nonzeros_by(t, by_col=after)
+    p = k.char
+    zero = k.zero()
+    fe = f.entries
+    out = [zero] * (cod * dom)
+    for pos in compress(range(len(fe)), fe):
+        r, c = divmod(pos, f.dom)
+        m, o = (r, c) if after else (c, r)
+        i, rest = divmod(m, meet * b)
+        s, j = divmod(rest, b)
+        x = fe[pos]
+        base = i * free * b + j
+        o_base = o * o_step
+        for u, v in t_along[s]:
+            idx = (base + u * b) * m_step + o_base
+            acc = x * v
+            if out[idx] is not zero:
+                acc += out[idx]
+            out[idx] = acc % p if p else acc
+    return LinMap(k, cod, dom, tuple(out))
 
 
 def swap_map(m: int, n: int, field: Field) -> LinMap:

@@ -26,7 +26,7 @@ from .fields import same_field
 from .linalg import (
     LinMap,
     compose,
-    compose_all,
+    compose_slot,
     invert,
     kron,
     matrix_equation_kernel,
@@ -84,16 +84,15 @@ class OrbitReport:
 def validate_measuring(m: Measuring) -> ValidationReport:
     k = m.field
     da, x, db = m.a.dim, m.xdim, m.b.dim
-    ident_a = LinMap.identity(k, da)
-    ident_x = LinMap.identity(k, x)
-    ident_b = LinMap.identity(k, db)
     failures: list[Failure] = []
+    # (1 (x) mult_B).(psi (x) 1).(1 (x) psi), the first factor built as the base
+    rhs = compose_slot(kron(LinMap.identity(k, da), m.psi), m.psi, 1, db, after=True)
+    rhs = compose_slot(rhs, m.b.mult, x, 1, after=True)
     _check(failures, "measuring multiplicativity",
-           compose(m.psi, kron(m.a.mult, ident_x)),
-           compose_all(kron(ident_x, m.b.mult), kron(m.psi, ident_b), kron(ident_a, m.psi)),
-           (da, da, x))
+           compose_slot(m.psi, m.a.mult, 1, x, after=False), rhs, (da, da, x))
     _check(failures, "measuring unit",
-           compose(m.psi, kron(m.a.unit, ident_x)), kron(ident_x, m.b.unit), (x,))
+           compose_slot(m.psi, m.a.unit, 1, x, after=False),
+           kron(LinMap.identity(k, x), m.b.unit), (x,))
     return ValidationReport(tuple(failures))
 
 
@@ -165,25 +164,20 @@ def intertwiners(m1: Measuring, m2: Measuring) -> list[Intertwiner]:
     """Echelon-canonical basis of {f : (f (x) 1_B).psi1 = psi2.(1_A (x) f)}."""
     if m1.a != m2.a or m1.b != m2.b:
         raise IncompatibleMeasurings("intertwiners need the same (A, B)")
-    k = m1.field
     da, db = m1.a.dim, m1.b.dim
-    ident_a = LinMap.identity(k, da)
-    ident_b = LinMap.identity(k, db)
 
     def op(f: LinMap) -> LinMap:
-        return compose(kron(f, ident_b), m1.psi) - compose(m2.psi, kron(ident_a, f))
+        return (compose_slot(m1.psi, f, 1, db, after=True)
+                - compose_slot(m2.psi, f, da, 1, after=False))
 
-    basis = matrix_equation_kernel(k, (m2.xdim, m1.xdim), [op])
+    basis = matrix_equation_kernel(m1.field, (m2.xdim, m1.xdim), [op])
     return [Intertwiner(m1, m2, f) for f in basis]
 
 
 def conjugate_measuring(m: Measuring, g: LinMap) -> Measuring:
     """Transport along the invertible g: X -> X, psi' = (g (x) 1).psi.(1 (x) g^-1)."""
-    k = m.field
-    ident_a = LinMap.identity(k, m.a.dim)
-    ident_b = LinMap.identity(k, m.b.dim)
-    psi = compose_all(kron(g, ident_b), m.psi, kron(ident_a, invert(g)))
-    return Measuring(m.a, m.b, m.xdim, psi)
+    psi = compose_slot(m.psi, invert(g), m.a.dim, 1, after=False)
+    return Measuring(m.a, m.b, m.xdim, compose_slot(psi, g, 1, m.b.dim, after=True))
 
 
 def enumerate_measurings(a: Algebra, b: Algebra, n: int,
@@ -257,26 +251,27 @@ def tensor_measuring_bialgebra(m1: Measuring, m2: Measuring, a: Bialgebra) -> Me
     if not is_commutative(m1.b):
         raise NotCommutative("the target algebra must be commutative")
     k = m1.field
-    da, db = m1.a.dim, m1.b.dim
-    x, y = m1.xdim, m2.xdim
-    ident = lambda n: LinMap.identity(k, n)
-    step1 = kron(a.comult, ident(x * y))
-    step2 = kron(ident(da), kron(swap_map(da, x, k), ident(y)))
-    step3 = kron(m1.psi, m2.psi)
-    step4 = kron(ident(x), kron(swap_map(db, y, k), ident(db)))
-    step5 = kron(ident(x * y), m1.b.mult)
-    return Measuring(m1.a, m1.b, x * y, compose_all(step5, step4, step3, step2, step1))
+    return _braided_tensor(m1, m2, a.comult, swap_map(m1.a.dim, m1.xdim, k),
+                           swap_map(m1.b.dim, m2.xdim, k))
+
+
+def _braided_tensor(m1: Measuring, m2: Measuring, comult: LinMap, c_ax: LinMap,
+                    c_by: LinMap) -> Measuring:
+    """The composite of :func:`tensor_measuring_bialgebra` for the braidings
+    c_ax: A X -> X A and c_by: B Y -> Y B, plain or Koszul."""
+    da, db, x, y = m1.a.dim, m1.b.dim, m1.xdim, m2.xdim
+    psi = compose_slot(kron(m1.psi, m2.psi), c_ax, da, y, after=False)
+    psi = compose_slot(psi, comult, 1, x * y, after=False)
+    psi = compose_slot(psi, c_by, x, db, after=True)
+    psi = compose_slot(psi, m1.b.mult, x * y, 1, after=True)
+    return Measuring(m1.a, m1.b, x * y, psi)
 
 
 def tensor_measuring_endo(m1: Measuring, m2: Measuring) -> Measuring:
     """A = B tensor: A X Y --psi1 Y--> X A Y --X psi2--> X Y A."""
     if not (m1.a == m1.b == m2.a == m2.b):
         raise IncompatibleMeasurings("endo tensor needs A = B on both factors")
-    k = m1.field
-    x, y = m1.xdim, m2.xdim
-    composite = compose(kron(LinMap.identity(k, x), m2.psi),
-                        kron(m1.psi, LinMap.identity(k, y)))
-    return Measuring(m1.a, m1.b, x * y, composite)
+    return Measuring(m1.a, m1.b, m1.xdim * m2.xdim, _stacked(m1, m2))
 
 
 def compose_measuring(m_ab: Measuring, m_bc: Measuring) -> Measuring:
@@ -284,18 +279,20 @@ def compose_measuring(m_ab: Measuring, m_bc: Measuring) -> Measuring:
     phi: B->C on Y; strictly associative on flattened maps."""
     if m_ab.b != m_bc.a:
         raise IncompatibleMeasurings("middle algebras do not match")
-    k = m_ab.field
-    x, y = m_ab.xdim, m_bc.xdim
-    composite = compose(kron(LinMap.identity(k, x), m_bc.psi),
-                        kron(m_ab.psi, LinMap.identity(k, y)))
-    return Measuring(m_ab.a, m_bc.b, x * y, composite)
+    return Measuring(m_ab.a, m_bc.b, m_ab.xdim * m_bc.xdim, _stacked(m_ab, m_bc))
+
+
+def _stacked(m1: Measuring, m2: Measuring) -> LinMap:
+    """(1_X (x) psi2).(psi1 (x) 1_Y) for psi1 on X and psi2 on Y."""
+    first = kron(m1.psi, LinMap.identity(m1.field, m2.xdim))
+    return compose_slot(first, m2.psi, m1.xdim, 1, after=True)
 
 
 def restrict_measuring(u: LinMap, m: Measuring, a_source: Algebra) -> Measuring:
     """Pull back along an algebra morphism u: A' -> A: psi' = psi.(u (x) 1)."""
     if not is_algebra_morphism(u, a_source, m.a):
         raise NotAMorphism("u is not an algebra morphism A' -> A")
-    psi = compose(m.psi, kron(u, LinMap.identity(m.field, m.xdim)))
+    psi = compose_slot(m.psi, u, 1, m.xdim, after=False)
     return Measuring(a_source, m.b, m.xdim, psi)
 
 
@@ -303,5 +300,5 @@ def corestrict_measuring(m: Measuring, v: LinMap, b_target: Algebra) -> Measurin
     """Push forward along an algebra morphism v: B -> B': psi' = (1 (x) v).psi."""
     if not is_algebra_morphism(v, m.b, b_target):
         raise NotAMorphism("v is not an algebra morphism B -> B'")
-    psi = compose(kron(LinMap.identity(m.field, m.xdim), v), m.psi)
+    psi = compose_slot(m.psi, v, m.xdim, 1, after=True)
     return Measuring(m.a, b_target, m.xdim, psi)

@@ -24,7 +24,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .fields import Field
-from .linalg import LinMap, compose, compose_all, kron, rref, swap_map
+from .linalg import LinMap, compose, compose_slot, kron, rref, swap_map
 from .structures import (
     Algebra,
     Bialgebra,
@@ -66,13 +66,11 @@ def validate_comodule(delta: LinMap, c: Coalgebra) -> bool:
     x = delta.dom
     if delta.cod != x * c.dim:
         return False
-    k = delta.field
-    ident_x = LinMap.identity(k, x)
-    lhs = compose(kron(delta, LinMap.identity(k, c.dim)), delta)
-    rhs = compose(kron(ident_x, c.comult), delta)
+    lhs = compose_slot(delta, delta, 1, c.dim, after=True)
+    rhs = compose_slot(delta, c.comult, x, 1, after=True)
     if lhs != rhs:
         return False
-    return compose(kron(ident_x, c.counit), delta) == ident_x
+    return compose_slot(delta, c.counit, x, 1, after=True) == LinMap.identity(delta.field, x)
 
 
 def comodule_to_coend_morphism(delta: LinMap, c: Coalgebra) -> LinMap:
@@ -260,9 +258,9 @@ def reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,
                             beta_sum[q][t * total + (base + s * x + c)] = val
     beta_sum_map = LinMap.from_rows(k, beta_sum)
 
-    proj2 = kron(proj, proj)
-    ident_a = LinMap.identity(k, da)
-    descended_comult = compose(proj2, comult_sum_map)
+    # (proj (x) proj).comult_sum, one tensor factor at a time
+    descended_comult = compose_slot(comult_sum_map, proj, total, 1, after=True)
+    descended_comult = compose_slot(descended_comult, proj, 1, d, after=True)
 
     # well-definedness: the induced maps must kill every relation
     for vec in relations:
@@ -271,14 +269,14 @@ def reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,
         if any(x != 0 for x in counit_sum_map.apply(vec)):
             raise InducedStructureIllDefined("counit does not descend")
         col = LinMap.column(k, list(vec))
-        if not compose(beta_sum_map, kron(ident_a, col)).is_zero():
+        if not compose_slot(beta_sum_map, col, da, 1, after=False).is_zero():
             raise InducedStructureIllDefined(
                 "pairing does not descend; an input morphism is not an intertwiner")
 
     comult = compose(descended_comult, section)
     counit = compose(counit_sum_map, section)
     coalg = Coalgebra(comult=comult, counit=counit)
-    pairing = compose(beta_sum_map, kron(ident_a, section))
+    pairing = compose_slot(beta_sum_map, section, da, 1, after=False)
     projections = tuple(
         LinMap(k, d, x * x,
                tuple(proj.entries[r * total + starts[idx] + c]
@@ -298,17 +296,14 @@ def _verify_generated(g: GeneratedSubcoalgebra) -> None:
     report = validate_coalgebra(g.d)
     if not report.ok:
         raise InducedStructureIllDefined(f"quotient is not a coalgebra: {report}")
-    ident_a = LinMap.identity(k, da)
-    ident_d = LinMap.identity(k, d)
     # beta is an algebra morphism A -> [D, B] for the convolution structure:
     # beta.(mult_A (x) 1) = mult_B.(beta (x) beta).(1 (x) swap (x) 1).(1 (x) 1 (x) comult_D)
-    lhs = compose(g.pairing, kron(g.a.mult, ident_d))
-    rhs = compose_all(g.b.mult, kron(g.pairing, g.pairing),
-                      kron(ident_a, kron(swap_map(da, d, k), ident_d)),
-                      kron(kron(ident_a, ident_a), g.d.comult))
-    if lhs != rhs:
+    lhs = compose_slot(g.pairing, g.a.mult, 1, d, after=False)
+    rhs = compose_slot(kron(g.pairing, g.pairing), swap_map(da, d, k), da, d, after=False)
+    rhs = compose_slot(rhs, g.d.comult, da * da, 1, after=False)
+    if lhs != compose(g.b.mult, rhs):
         raise InducedStructureIllDefined("pairing is not multiplicative in A")
-    if compose(g.pairing, kron(g.a.unit, ident_d)) != compose(g.b.unit, g.d.counit):
+    if compose_slot(g.pairing, g.a.unit, 1, d, after=False) != compose(g.b.unit, g.d.counit):
         raise InducedStructureIllDefined("pairing is not unital")
     for idx, m in enumerate(g.generators):
         proj_i = g.projections[idx]
@@ -328,9 +323,9 @@ def induced_measuring(g: GeneratedSubcoalgebra, delta: LinMap) -> LinMap:
     k = g.a.field
     x = delta.dom
     da = g.a.dim
-    return compose_all(kron(LinMap.identity(k, x), g.pairing),
-                       kron(swap_map(da, x, k), LinMap.identity(k, g.d.dim)),
-                       kron(LinMap.identity(k, da), delta))
+    psi = compose_slot(kron(LinMap.identity(k, da), delta), swap_map(da, x, k), 1, g.d.dim,
+                       after=True)
+    return compose_slot(psi, g.pairing, x, 1, after=True)
 
 
 def comodule_of_generator(g: GeneratedSubcoalgebra, index: int) -> LinMap:
@@ -375,25 +370,14 @@ def product_on_generated(g1: GeneratedSubcoalgebra, g2: GeneratedSubcoalgebra,
                 raise PreconditionViolated(
                     "g12 generators are not the pairwise tensors, row-major")
             blocks.append((i, j, mi.xdim, mj.xdim))
-    # canonical map coend(X) (x) coend(Y) -> coend(X (x) Y):
-    # f_ab (x) g_cd -> F_(a,c),(b,d); assembled blockwise, then pushed to D12.
+    # canonical map coend(X) (x) coend(Y) -> coend(X (x) Y), blockwise, pushed to D12
     d1, d2, d12 = g1.d.dim, g2.d.dim, g12.d.dim
     result = LinMap.zero(k, d12, d1 * d2)
     for idx, (i, j, x, y) in enumerate(blocks):
-        can = [[k.zero()] * (x * x * y * y) for _ in range((x * y) * (x * y))]
-        for aa in range(x):
-            for bb in range(x):
-                for cc in range(y):
-                    for dd in range(y):
-                        row = ((aa * y + cc) * (x * y)) + (bb * y + dd)
-                        can[row][(aa * x + bb) * (y * y) + (cc * y + dd)] = k.one()
-        can_map = (LinMap.from_rows(k, can) if x * y
-                   else LinMap.zero(k, 0, x * x * y * y))
-        piece = compose_all(g12.projections[idx], can_map,
-                            kron(_summand_restriction(g1, i),
-                                 _summand_restriction(g2, j)),
-                            kron(g1.section, g2.section))
-        result = result + piece
+        # f_ab (x) g_cd -> F_(a,c),(b,d) is 1_X (x) swap (x) 1_Y
+        piece = compose_slot(g12.projections[idx], swap_map(x, y, k), x, y, after=False)
+        result = result + compose(piece, kron(compose(_summand_restriction(g1, i), g1.section),
+                                              compose(_summand_restriction(g2, j), g2.section)))
     _verify_product(g1, g2, g12, a, result)
     return result
 
@@ -412,28 +396,24 @@ def _summand_restriction(g: GeneratedSubcoalgebra, index: int) -> LinMap:
 
 def _verify_product(g1, g2, g12, a: Bialgebra, product: LinMap) -> None:
     k = g1.a.field
-    da, db = a.dim, g1.b.dim
+    da = a.dim
     d1, d2 = g1.d.dim, g2.d.dim
     if not is_coalgebra_morphism(product, _tensor_coalgebra(g1.d, g2.d), g12.d):
         raise InducedStructureIllDefined("product is not a coalgebra morphism")
     # beta12.(1 (x) product) must be the convolution of beta1, beta2:
     # A D1 D2 --Delta 1 1--> A A D1 D2 --1 c 1--> A D1 A D2 --b1 b2--> B B --mult--> B
-    lhs = compose(g12.pairing, kron(LinMap.identity(k, da), product))
-    rhs = compose_all(g1.b.mult, kron(g1.pairing, g2.pairing),
-                      kron(LinMap.identity(k, da),
-                           kron(swap_map(da, d1, k), LinMap.identity(k, d2))),
-                      kron(a.comult, LinMap.identity(k, d1 * d2)))
-    if lhs != rhs:
+    lhs = compose_slot(g12.pairing, product, da, 1, after=False)
+    rhs = compose_slot(kron(g1.pairing, g2.pairing), swap_map(da, d1, k), da, d2, after=False)
+    rhs = compose_slot(rhs, a.comult, 1, d1 * d2, after=False)
+    if lhs != compose(g1.b.mult, rhs):
         raise InducedStructureIllDefined("product is not compatible with the pairings")
 
 
 def _tensor_coalgebra(c1: Coalgebra, c2: Coalgebra) -> Coalgebra:
     """Tensor product coalgebra with Delta = (1 (x) swap (x) 1).(Delta (x) Delta)."""
-    k = c1.field
     d1, d2 = c1.dim, c2.dim
-    comult = compose(kron(LinMap.identity(k, d1), kron(swap_map(d1, d2, k),
-                                                       LinMap.identity(k, d2))),
-                     kron(c1.comult, c2.comult))
+    comult = compose_slot(kron(c1.comult, c2.comult), swap_map(d1, d2, c1.field), d1, d2,
+                          after=True)
     counit = kron(c1.counit, c2.counit)
     return Coalgebra(comult=comult, counit=counit)
 

@@ -27,7 +27,7 @@ from .fields import Field, same_field
 from .linalg import (
     LinMap,
     compose,
-    compose_all,
+    compose_slot,
     is_invertible,
     kernel_basis,
     kron,
@@ -228,25 +228,28 @@ def _check(failures: list, axiom: str, lhs: LinMap, rhs: LinMap, dims: tuple[int
 
 def validate_algebra(a: Algebra) -> ValidationReport:
     d = a.dim
+    m = a.mult
     ident = LinMap.identity(a.field, d)
     failures: list[Failure] = []
     _check(failures, "associativity",
-           compose(a.mult, kron(a.mult, ident)),
-           compose(a.mult, kron(ident, a.mult)), (d, d, d))
-    _check(failures, "left unit", compose(a.mult, kron(a.unit, ident)), ident, (d,))
-    _check(failures, "right unit", compose(a.mult, kron(ident, a.unit)), ident, (d,))
+           compose_slot(m, m, 1, d, after=False),
+           compose_slot(m, m, d, 1, after=False), (d, d, d))
+    _check(failures, "left unit", compose_slot(m, a.unit, 1, d, after=False), ident, (d,))
+    _check(failures, "right unit", compose_slot(m, a.unit, d, 1, after=False), ident, (d,))
     return ValidationReport(tuple(failures))
 
 
 def validate_coalgebra(c: Coalgebra) -> ValidationReport:
     d = c.dim
+    delta = c.comult
     ident = LinMap.identity(c.field, d)
     failures: list[Failure] = []
     _check(failures, "coassociativity",
-           compose(kron(c.comult, ident), c.comult),
-           compose(kron(ident, c.comult), c.comult), (d, d, d), by_row=True)
-    _check(failures, "left counit", compose(kron(c.counit, ident), c.comult), ident, (d,))
-    _check(failures, "right counit", compose(kron(ident, c.counit), c.comult), ident, (d,))
+           compose_slot(delta, delta, 1, d, after=True),
+           compose_slot(delta, delta, d, 1, after=True), (d, d, d), by_row=True)
+    _check(failures, "left counit", compose_slot(delta, c.counit, 1, d, after=True), ident, (d,))
+    _check(failures, "right counit", compose_slot(delta, c.counit, d, 1, after=True), ident,
+           (d,))
     return ValidationReport(tuple(failures))
 
 
@@ -261,13 +264,13 @@ def _bialgebra_failures(b: Bialgebra, braiding: LinMap,
     The braiding is the plain swap, or the Koszul one for graded bialgebras."""
     d = b.dim
     k = b.field
-    ident = LinMap.identity(k, d)
     failures = list(validate_algebra(b.algebra).failures)
     failures += list(validate_coalgebra(b.coalgebra).failures)
-    mult2 = compose_all(kron(b.mult, b.mult), kron(ident, kron(braiding, ident)))
-    _check(failures, multiplicative,
-           compose(b.comult, b.mult),
-           compose(mult2, kron(b.comult, b.comult)), (d, d))
+    # (mult (x) mult).(1 (x) braiding (x) 1).(comult (x) 1 (x) 1).(1 (x) comult)
+    rhs = compose_slot(kron(b.mult, b.mult), braiding, d, d, after=False)
+    rhs = compose_slot(rhs, b.comult, 1, d * d, after=False)
+    rhs = compose_slot(rhs, b.comult, d, 1, after=False)
+    _check(failures, multiplicative, compose(b.comult, b.mult), rhs, (d, d))
     _check(failures, "comult unital", compose(b.comult, b.unit), kron(b.unit, b.unit), (1,))
     _check(failures, "counit multiplicative",
            compose(b.counit, b.mult), kron(b.counit, b.counit), (d, d))
@@ -278,13 +281,12 @@ def _bialgebra_failures(b: Bialgebra, braiding: LinMap,
 
 def _antipode_failures(b: Bialgebra, s: LinMap) -> list[Failure]:
     d = b.dim
-    ident = LinMap.identity(b.field, d)
     unit_counit = compose(b.unit, b.counit)
     failures: list[Failure] = []
     _check(failures, "left antipode",
-           compose_all(b.mult, kron(s, ident), b.comult), unit_counit, (d,))
+           compose(compose_slot(b.mult, s, 1, d, after=False), b.comult), unit_counit, (d,))
     _check(failures, "right antipode",
-           compose_all(b.mult, kron(ident, s), b.comult), unit_counit, (d,))
+           compose(compose_slot(b.mult, s, d, 1, after=False), b.comult), unit_counit, (d,))
     return failures
 
 
@@ -335,10 +337,7 @@ def tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
     """Tensor product algebra on A (x) B with (a (x) b)(a' (x) b') = aa' (x) bb'."""
     k = same_field(a.field, b.field)
     da, db = a.dim, b.dim
-    ident_a = LinMap.identity(k, da)
-    ident_b = LinMap.identity(k, db)
-    mult = compose_all(kron(a.mult, b.mult),
-                       kron(ident_a, kron(swap_map(db, da, k), ident_b)))
+    mult = compose_slot(kron(a.mult, b.mult), swap_map(db, da, k), da, db, after=False)
     return Algebra(mult=mult, unit=kron(a.unit, b.unit))
 
 
@@ -425,12 +424,14 @@ def dual_bialgebra(b: Bialgebra) -> Bialgebra:
 
 def opposite(a: Algebra) -> Algebra:
     d = a.dim
-    return Algebra(mult=compose(a.mult, swap_map(d, d, a.field)), unit=a.unit)
+    return Algebra(mult=compose_slot(a.mult, swap_map(d, d, a.field), 1, 1, after=False),
+                   unit=a.unit)
 
 
 def coopposite(c: Coalgebra) -> Coalgebra:
     d = c.dim
-    return Coalgebra(comult=compose(swap_map(d, d, c.field), c.comult), counit=c.counit)
+    return Coalgebra(comult=compose_slot(c.comult, swap_map(d, d, c.field), 1, 1, after=True),
+                     counit=c.counit)
 
 
 def is_commutative(a: Algebra) -> bool:
@@ -470,41 +471,55 @@ def fusion_operators(b: Bialgebra) -> FusionOperators:
 
 
 def _fusion_operators(b: Bialgebra) -> FusionOperators:
+    """:func:`fusion_operators` for a bialgebra already known to be valid."""
+    return FusionOperators(*_hopf_fusion(b), *_opfusion(b))
+
+
+def _hopf_fusion(b: Bialgebra) -> tuple[LinMap, LinMap]:
+    """h = (1 (x) mult).(comult (x) 1) and h' = (mult (x) 1).(1 (x) comult)."""
     d = b.dim
-    k = b.field
-    ident = LinMap.identity(k, d)
-    c = swap_map(d, d, k)
-    h = compose(kron(ident, b.mult), kron(b.comult, ident))
-    h_prime = compose(kron(b.mult, ident), kron(ident, b.comult))
-    h_bar = compose_all(kron(b.mult, ident), kron(ident, c), kron(b.comult, ident))
-    h_bar_prime = compose_all(kron(ident, b.mult), kron(c, ident), kron(ident, b.comult))
-    return FusionOperators(h, h_prime, h_bar, h_bar_prime)
+    ident = LinMap.identity(b.field, d)
+    h = compose_slot(kron(b.comult, ident), b.mult, d, 1, after=True)
+    h_prime = compose_slot(kron(ident, b.comult), b.mult, 1, d, after=True)
+    return h, h_prime
 
 
-def _convolution_inverse_of_identity(b: Bialgebra, twist: LinMap | None) -> LinMap | None:
+def _opfusion(b: Bialgebra) -> tuple[LinMap, LinMap]:
+    """h_bar = (mult (x) 1).(1 (x) swap).(comult (x) 1) and
+    h_bar' = (1 (x) mult).(swap (x) 1).(1 (x) comult)."""
+    d = b.dim
+    ident = LinMap.identity(b.field, d)
+    c = swap_map(d, d, b.field)
+    h_bar = compose_slot(compose_slot(kron(b.comult, ident), c, d, 1, after=True),
+                         b.mult, 1, d, after=True)
+    h_bar_prime = compose_slot(compose_slot(kron(ident, b.comult), c, 1, d, after=True),
+                               b.mult, d, 1, after=True)
+    return h_bar, h_bar_prime
+
+
+def _convolution_inverse_of_identity(b: Bialgebra, twisted: bool) -> LinMap | None:
     """Solve mult.(s (x) 1).D = unit.counit = mult.(1 (x) s).D for s, where
     D = comult (antipode) or swap.comult (opantipode).  None if inconsistent."""
     d = b.dim
     k = b.field
-    ident = LinMap.identity(k, d)
-    dlt = b.comult if twist is None else compose(twist, b.comult)
+    dlt = compose_slot(b.comult, swap_map(d, d, k), 1, 1, after=True) if twisted else b.comult
     rhs = compose(b.unit, b.counit)
-    s = solve_matrix_equations(
+    return solve_matrix_equations(
         k, (d, d),
-        [(lambda x: compose_all(b.mult, kron(x, ident), dlt), rhs),
-         (lambda x: compose_all(b.mult, kron(ident, x), dlt), rhs)])
-    return s
+        [(lambda x: compose(compose_slot(b.mult, x, 1, d, after=False), dlt), rhs),
+         (lambda x: compose(compose_slot(b.mult, x, d, 1, after=False), dlt), rhs)])
 
 
 def find_antipode(b: Bialgebra) -> HopfAlgebra | None:
     """Solve the antipode equations; cross-checked against fusion invertibility."""
-    require_valid_bialgebra(b)
-    s = _convolution_inverse_of_identity(b, twist=None)
-    ops = _fusion_operators(b)
-    h_invertible = is_invertible(ops.h)
-    h_prime_invertible = is_invertible(ops.h_prime)
-    found = s is not None
-    if not (found == h_invertible == h_prime_invertible):
+    return _find_antipode(require_valid_bialgebra(b))
+
+
+def _find_antipode(b: Bialgebra) -> HopfAlgebra | None:
+    """:func:`find_antipode` for a bialgebra already known to be valid."""
+    s = _convolution_inverse_of_identity(b, twisted=False)
+    h, h_prime = _hopf_fusion(b)
+    if not ((s is not None) == is_invertible(h) == is_invertible(h_prime)):
         raise AssertionError(
             "internal error: antipode solver and fusion-operator invertibility disagree")
     if s is None:
@@ -514,10 +529,14 @@ def find_antipode(b: Bialgebra) -> HopfAlgebra | None:
 
 def find_opantipode(b: Bialgebra) -> LinMap | None:
     """Convolution inverse of the identity against the co-opposite comultiplication."""
-    require_valid_bialgebra(b)
-    s = _convolution_inverse_of_identity(b, twist=swap_map(b.dim, b.dim, b.field))
-    ops = _fusion_operators(b)
-    if not ((s is not None) == is_invertible(ops.h_bar) == is_invertible(ops.h_bar_prime)):
+    return _find_opantipode(require_valid_bialgebra(b))
+
+
+def _find_opantipode(b: Bialgebra) -> LinMap | None:
+    """:func:`find_opantipode` for a bialgebra already known to be valid."""
+    s = _convolution_inverse_of_identity(b, twisted=True)
+    h_bar, h_bar_prime = _opfusion(b)
+    if not ((s is not None) == is_invertible(h_bar) == is_invertible(h_bar_prime)):
         raise AssertionError(
             "internal error: opantipode solver and opfusion invertibility disagree")
     return s

@@ -56,3 +56,41 @@ def f2_2x2_product(m, n):
 
 def f2_2x2_invertible(m):
     return (m[0] * m[3] + m[1] * m[2]) % 2 == 1
+
+
+def dense_compose(f, g):
+    """f.g by the triple loop over every output entry, field ops inline."""
+    k = f.field
+    out = []
+    for r in range(f.cod):
+        for c in range(g.dom):
+            acc = k.zero()
+            for t in range(f.dom):
+                acc = k.add(acc, k.mul(f.entries[r * f.dom + t], g.entries[t * g.dom + c]))
+            out.append(acc)
+    return LinMap(k, f.cod, g.dom, tuple(out))
+
+
+def dense_kron(f, g):
+    """f (x) g by definition: entry ((a, c), (b, d)) is f[a, b] * g[c, d]."""
+    k = f.field
+    return LinMap(k, f.cod * g.cod, f.dom * g.dom, tuple(
+        k.mul(f.entries[a * f.dom + b], g.entries[c * g.dom + d])
+        for a in range(f.cod) for c in range(g.cod)
+        for b in range(f.dom) for d in range(g.dom)))
+
+
+def slot_factor(t, a, b):
+    """1_a (x) t (x) 1_b built explicitly: entry ((i, r, j), (i', s, j')) is
+    t[r, s] when i = i' and j = j', else zero."""
+    k = t.field
+    cod, dom = a * t.cod * b, a * t.dom * b
+    entries = []
+    for row in range(cod):
+        i, rest = divmod(row, t.cod * b)
+        r, j = divmod(rest, b)
+        for col in range(dom):
+            i2, rest2 = divmod(col, t.dom * b)
+            s, j2 = divmod(rest2, b)
+            entries.append(t.entries[r * t.dom + s] if (i, j) == (i2, j2) else k.zero())
+    return LinMap(k, cod, dom, tuple(entries))

@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 
@@ -287,3 +291,40 @@ def test_tensor_parses_the_source_algebra_once(monkeypatch, capsys):
     assert code == 0
     # A and B for each of the two measurings, then A once more for its coproduct
     assert len(calls) == 5
+
+
+def _run_under_memory_limit(argv, limit_bytes):
+    """Run the CLI in a child process whose address space is capped, so that a
+    blow-up fails this test instead of exhausting the machine."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "sweedler", *argv], env=env,
+                          preexec_fn=cap, capture_output=True, text=True, timeout=300)
+
+
+def test_wide_algebra_with_empty_mult_fails_validation_within_a_gib(tmp_path):
+    # dim 60 and no products: the unit is not a basis vector, so nothing is
+    # implied and the unit axioms fail.  Associativity once built the factor
+    # mult (x) 1 with dim^5 entries and was killed for memory.
+    dim = 60
+    doc = {"field": "F2", "dim": dim, "basis": [f"e{i}" for i in range(dim)],
+           "unit": ["1", "1"] + ["0"] * (dim - 2), "mult": []}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    assert len(path.read_bytes()) < 1500
+    proc = _run_under_memory_limit(["validate", str(path)], 1 << 30)
+    assert proc.returncode == 3, proc.stderr
+    report = json.loads(proc.stdout)
+    assert [f["axiom"] for f in report["failures"]] == ["left unit", "right unit"]
+
+
+def test_huge_prime_field_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"field": "F1000000000000000000000000000057", "dim": 1,
+                                "basis": ["1"], "unit": ["1"], "mult": []}, indent=2) + "\n")
+    code, out = run(capsys, "validate", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "ParseError"

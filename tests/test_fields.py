@@ -1,16 +1,57 @@
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sweedler.errors import ParseError, UnsupportedField
-from sweedler.fields import GF, QQ, Field, is_prime, parse_field, same_field
+from sweedler.fields import PRIME_BOUND, GF, QQ, Field, is_prime, parse_field, same_field
 
 
 def test_prime_check():
     assert [p for p in range(30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     with pytest.raises(ValueError):
         Field(6)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_miller_rabin_agrees_with_trial_division_below_1e5():
+    sieve = [True] * 100_000
+    sieve[0] = sieve[1] = False
+    for d in range(2, 317):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(sieve[d * d::d])
+    assert all(is_prime(n) == sieve[n] for n in range(100_000))
+    assert all(_trial_division(n) == sieve[n] for n in range(0, 100_000, 97))
+
+
+def test_miller_rabin_near_its_bound():
+    # the least strong pseudoprime to the bases 2..37 is caught by the base 41
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 31 - 1)
+    assert not is_prime((2 ** 31 - 1) * (2 ** 19 - 1))
+    assert not is_prime(3215031751)  # strong pseudoprime to the bases 2, 3, 5, 7
+    assert not is_prime(PRIME_BOUND - 1)  # even
+    with pytest.raises(ValueError):
+        is_prime(PRIME_BOUND)
+
+
+@pytest.mark.parametrize("digits", [str(PRIME_BOUND), str(2 ** 89 - 1),
+                                    "1000000000000000000000000000057", "9" * 5000])
+def test_prime_fields_above_the_bound_are_parse_errors(digits):
+    with pytest.raises(ParseError, match=str(PRIME_BOUND)):
+        parse_field("F" + digits)
+
+
+def test_the_prime_bound_is_the_documented_one():
+    text = (Path(__file__).resolve().parents[1] / "docs" / "format.md").read_text()
+    assert f"must be below {PRIME_BOUND}" in text
+    assert parse_field(f"F{2 ** 61 - 1}") == GF(2 ** 61 - 1)
 
 
 def test_prime_field_arithmetic():

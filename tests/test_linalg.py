@@ -4,11 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import dense_compose, dense_kron, slot_factor
 from sweedler.errors import DimensionMismatch, FieldMismatch, Singular
 from sweedler.fields import GF, QQ
+from sweedler.graded import GradedSpace, koszul_swap
 from sweedler.linalg import (
     LinMap,
     compose,
+    compose_slot,
     invert,
     is_invertible,
     kernel_basis,
@@ -104,6 +107,109 @@ def test_kron_functorial(four):
     lhs = kron(compose(f, fp), compose(g, gp))
     rhs = compose(kron(f, g), kron(fp, gp))
     assert lhs == rhs
+
+
+# -- nonzero-driven kernels against dense oracles ----------------------------
+
+
+def sparse_maps(field, cod, dom):
+    """Maps of the given shape with zeros among the entries, some with a whole
+    zero row or column."""
+    if field.is_rational:
+        scalars = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
+    else:
+        scalars = st.sampled_from(range(field.char))
+    entries = st.lists(scalars, min_size=cod * dom, max_size=cod * dom)
+    blanks = st.tuples(st.sets(st.integers(0, max(cod - 1, 0)), max_size=1),
+                       st.sets(st.integers(0, max(dom - 1, 0)), max_size=1))
+
+    def build(pair):
+        xs, (zero_rows, zero_cols) = pair
+        return LinMap.make(field, cod, dom, [
+            0 if r in zero_rows or c in zero_cols else xs[r * dom + c]
+            for r in range(cod) for c in range(dom)])
+    return st.tuples(entries, blanks).map(build)
+
+
+def chain(field):
+    """Maps f: n -> m and g: p -> n, with every dimension possibly 0."""
+    return st.tuples(*[st.integers(0, 4)] * 3).flatmap(lambda mnp: st.tuples(
+        sparse_maps(field, mnp[0], mnp[1]), sparse_maps(field, mnp[1], mnp[2])))
+
+
+def slot_case(field, t_strategy=None):
+    """(t, a, b, f_after, f_before): t in a slot 1_a (x) t (x) 1_b, f_after
+    composable after the factor, f_before composable before it."""
+    def with_t(t):
+        return st.tuples(st.just(t), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)
+                         ).flatmap(lambda c: st.tuples(
+                             st.just(c[0]), st.just(c[1]), st.just(c[2]),
+                             sparse_maps(field, c[1] * t.dom * c[2], c[3]),
+                             sparse_maps(field, c[3], c[1] * t.cod * c[2])))
+    if t_strategy is None:
+        t_strategy = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+            lambda shape: sparse_maps(field, *shape))
+    return t_strategy.flatmap(with_t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fields().flatmap(chain))
+def test_compose_matches_the_dense_triple_loop(pair):
+    f, g = pair
+    assert compose(f, g) == dense_compose(f, g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fields().flatmap(chain))
+def test_apply_matches_the_dense_product(pair):
+    f, g = pair
+    for c in range(g.dom):
+        column = LinMap(g.field, g.cod, 1, g.col_at(c))
+        assert f.apply(column.entries) == dense_compose(f, column).entries
+
+
+@settings(max_examples=80, deadline=None)
+@given(fields().flatmap(lambda k: st.tuples(
+    *[st.integers(0, 3)] * 4).flatmap(lambda s: st.tuples(
+        sparse_maps(k, s[0], s[1]), sparse_maps(k, s[2], s[3])))))
+def test_kron_matches_the_definition(pair):
+    f, g = pair
+    assert kron(f, g) == dense_kron(f, g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fields().flatmap(slot_case))
+def test_compose_slot_matches_the_built_factor(case):
+    t, a, b, f_after, f_before = case
+    factor = slot_factor(t, a, b)
+    assert compose_slot(f_after, t, a, b, after=True) == dense_compose(factor, f_after)
+    assert compose_slot(f_before, t, a, b, after=False) == dense_compose(f_before, factor)
+
+
+def koszul_swaps(field):
+    degrees = st.lists(st.integers(-2, 3), max_size=3)
+    return st.tuples(degrees, degrees).map(lambda dv: koszul_swap(
+        GradedSpace(field, tuple(dv[0])), GradedSpace(field, tuple(dv[1]))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, GF(3), GF(5)]).flatmap(
+    lambda k: slot_case(k, koszul_swaps(k))))
+def test_compose_slot_with_the_signed_koszul_braiding(case):
+    t, a, b, f_after, f_before = case
+    factor = slot_factor(t, a, b)
+    assert compose_slot(f_after, t, a, b, after=True) == dense_compose(factor, f_after)
+    assert compose_slot(f_before, t, a, b, after=False) == dense_compose(f_before, factor)
+
+
+def test_compose_slot_shape_errors():
+    t = LinMap.identity(QQ, 2)
+    with pytest.raises(DimensionMismatch):
+        compose_slot(LinMap.identity(QQ, 3), t, 1, 1, after=False)
+    with pytest.raises(DimensionMismatch):
+        compose_slot(LinMap.identity(QQ, 4), t, 1, 3, after=True)
+    with pytest.raises(FieldMismatch):
+        compose_slot(LinMap.identity(QQ, 2), LinMap.identity(F2, 2), 1, 1, after=True)
 
 
 # -- kernels, ranks, inverses ------------------------------------------------

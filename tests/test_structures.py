@@ -1,9 +1,11 @@
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sweedler.cli import main
 from sweedler.errors import BudgetExceeded, InvalidBialgebra, NotAGroup, UnsupportedField
 from sweedler.fields import GF, QQ
 from sweedler.linalg import LinMap, compose, invert, rank
@@ -412,13 +414,29 @@ def test_conjugation_orbits_are_seeded_from_the_smallest_key():
     assert orbits == [frozenset({0, 3}), frozenset({1, 4}), frozenset({2, 5})]
 
 
-@pytest.mark.parametrize("solver", [find_antipode, find_opantipode])
-def test_antipode_solvers_validate_the_bialgebra_once(monkeypatch, sweedler4, solver):
+def _cli(command):
+    def run(_):
+        doc = Path(__file__).parent / "fixtures" / "sweedler4_f3.json"
+        assert main([command, str(doc)]) == 0
+    return run
+
+
+@pytest.mark.parametrize("run", [find_antipode, find_opantipode,
+                                 _cli("antipode"), _cli("opantipode"), _cli("fusion")],
+                         ids=["find_antipode", "find_opantipode",
+                              "cli-antipode", "cli-opantipode", "cli-fusion"])
+def test_antipode_solvers_validate_the_bialgebra_once(monkeypatch, capsys, sweedler4, run):
+    import sweedler.documents as documents
     import sweedler.structures as structures
 
     calls = []
     original = structures.validate_bialgebra
-    monkeypatch.setattr(structures, "validate_bialgebra",
-                        lambda b: calls.append(b) or original(b))
-    solver(sweedler4.bialgebra)
+
+    def counted(b):
+        calls.append(b)
+        return original(b)
+
+    monkeypatch.setattr(structures, "validate_bialgebra", counted)
+    monkeypatch.setattr(documents, "validate_bialgebra", counted)
+    run(sweedler4.bialgebra)
     assert len(calls) == 1
