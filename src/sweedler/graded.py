@@ -238,15 +238,9 @@ def hom_space(v: GradedSpace, w: GradedSpace) -> GradedSpace:
 def dual_comparison(v: GradedSpace, w: GradedSpace) -> LinMap:
     """The canonical map (graded dual of v) (x) w -> hom_space(v, w) sending
     alpha_i (x) y_j to the map x_i -> y_j.  Degree-preserving, and invertible
-    precisely because these spaces are finite-dimensional."""
-    k = same_field(v.field, w.field)
-    m, n = v.dim, w.dim
-    size = m * n
-    out = [k.zero()] * (size * size)
-    for i in range(m):
-        for j in range(n):
-            out[(i * n + j) * size + (i * n + j)] = k.one()
-    return LinMap(k, size, size, tuple(out))
+    precisely because these spaces are finite-dimensional.  Both sides index
+    the pair (i, j) at i*dim(w) + j, so the map is the identity matrix."""
+    return LinMap.identity(same_field(v.field, w.field), v.dim * w.dim)
 
 
 def is_connected(v: GradedSpace) -> bool:

@@ -15,6 +15,13 @@ factor ``1_a (x) t (x) 1_b`` (an identity-padded ``t``, such as a braiding in
 the middle of a tensor power) by remapping indices through the nonzeros of
 ``t``, without building the factor.  Only the dense result is allocated.
 
+:func:`permute_axes` is the one routine that moves data between layouts: it
+reads a map's entries as a tensor with given axis sizes (codomain axes
+first), reorders the axes and splits them into rows and columns again.  The
+layouts of a measuring psi, its matrix morphism A -> M_n(B), a comodule, its
+classifying coend morphism and a stack of module matrices all convert
+through it.
+
 Echelon forms pick the leftmost pivot in the lowest-index row first, so every
 derived basis (kernels, quotients, solution spaces) is deterministic.
 """
@@ -24,6 +31,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import compress
+from math import prod
 
 from .errors import DimensionMismatch, Singular
 from .fields import Field, same_field
@@ -246,6 +254,26 @@ def compose_slot(f: LinMap, t: LinMap, a: int, b: int, *, after: bool) -> LinMap
                 acc += out[idx]
             out[idx] = acc % p if p else acc
     return LinMap(k, cod, dom, tuple(out))
+
+
+def permute_axes(f: LinMap, dims: Sequence[int], order: Sequence[int], split: int) -> LinMap:
+    """The entries of f, read as a tensor with axes of sizes ``dims``
+    (row-major, codomain axes first), with the axes put in ``order``; the
+    first ``split`` of them index the rows of the result, the rest its columns."""
+    if sorted(order) != list(range(len(dims))) or not 0 <= split <= len(dims):
+        raise DimensionMismatch(f"cannot put {len(dims)} axes in order {tuple(order)} "
+                                f"split at {split}")
+    if prod(dims) != f.cod * f.dom:
+        raise DimensionMismatch(f"axes {tuple(dims)} do not fit a {f.cod}x{f.dom} map")
+    strides = [prod(dims[ax + 1:]) for ax in range(len(dims))]
+    # the source position of each result entry, in the result's row-major order
+    src = [0]
+    for ax in order:
+        step = strides[ax]
+        src = [s + i * step for s in src for i in range(dims[ax])]
+    e = f.entries
+    return LinMap(f.field, prod(dims[ax] for ax in order[:split]),
+                  prod(dims[ax] for ax in order[split:]), tuple(e[s] for s in src))
 
 
 def swap_map(m: int, n: int, field: Field) -> LinMap:

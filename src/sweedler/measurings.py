@@ -30,6 +30,7 @@ from .linalg import (
     invert,
     kron,
     matrix_equation_kernel,
+    permute_axes,
     swap_map,
 )
 from .structures import (
@@ -40,8 +41,8 @@ from .structures import (
     ValidationReport,
     _check,
     algebra_morphisms,
-    conjugation_orbits,
     general_linear_group,
+    gl_orbits,
     is_algebra_morphism,
     is_commutative,
     matrix_algebra,
@@ -109,36 +110,19 @@ def require_valid_measuring(m: Measuring) -> Measuring:
 
 def measuring_from_matrix_morphism(rho: LinMap, a: Algebra, b: Algebra, n: int) -> Measuring:
     """Unpack an algebra morphism A -> M_n(B) into psi(a (x) x_j) = sum_i x_i (x) rho(a)_ij."""
-    mb = matrix_algebra(b, n) if n >= 1 else None
-    if n >= 1 and not is_algebra_morphism(rho, a, mb):
+    if n >= 1 and not is_algebra_morphism(rho, a, matrix_algebra(b, n)):
         raise NotAMorphism("rho is not an algebra morphism into the matrix algebra")
-    k = a.field
-    da, db = a.dim, b.dim
-    entries = [k.zero()] * ((n * db) * (da * n))
-    for t in range(da):
-        col = rho.col_at(t) if n >= 1 else ()
-        for i in range(n):
-            for j in range(n):
-                for q in range(db):
-                    val = col[(i * n + j) * db + q]
-                    if val != 0:
-                        entries[(i * db + q) * (da * n) + (t * n + j)] = val
-    return Measuring(a, b, n, LinMap(k, n * db, da * n, tuple(entries)))
+    return Measuring(a, b, n, _psi_of(rho, a.dim, b.dim, n))
+
+
+def _psi_of(rho: LinMap, da: int, db: int, n: int) -> LinMap:
+    """psi[(i, q), (t, j)] = rho[(i, j, q), t], unchecked."""
+    return permute_axes(rho, (n, n, db, da), (0, 2, 3, 1), 2)
 
 
 def matrix_morphism_from_measuring(m: Measuring) -> LinMap:
     """Inverse of :func:`measuring_from_matrix_morphism`; roundtrip is the identity."""
-    k = m.field
-    da, n, db = m.a.dim, m.xdim, m.b.dim
-    entries = [k.zero()] * ((n * n * db) * da)
-    for t in range(da):
-        for i in range(n):
-            for j in range(n):
-                for q in range(db):
-                    val = m.psi.entries[(i * db + q) * (da * n) + (t * n + j)]
-                    if val != 0:
-                        entries[((i * n + j) * db + q) * da + t] = val
-    return LinMap(k, n * n * db, da, tuple(entries))
+    return permute_axes(m.psi, (m.xdim, m.b.dim, m.a.dim, m.xdim), (0, 3, 1, 2), 3)
 
 
 def regular_measuring(a: Algebra) -> Measuring:
@@ -196,30 +180,17 @@ def enumerate_measurings(a: Algebra, b: Algebra, n: int,
     morphisms = algebra_morphisms(a, matrix_algebra(b, n), budget=budget)
     gl = general_linear_group(a.field, n, budget=budget)
     orbits = []
-    for orbit in _morphism_partition(a, b, n, morphisms, gl):
-        members = [measuring_from_matrix_morphism(LinMap(a.field, n * n * b.dim, a.dim, key),
-                                                  a, b, n)
-                   for key in orbit]
-        orbits.append((min(members, key=lambda m: m.psi.entries), len(orbit)))
+    for orbit in gl_orbits(morphisms, gl, 1, b.dim):
+        # the enumeration proved these morphisms: unpack them without a second check
+        psi = min((_psi_of(LinMap(a.field, n * n * b.dim, a.dim, key), a.dim, b.dim, n)
+                   for key in orbit), key=lambda psi: psi.entries)
+        orbits.append((Measuring(a, b, n, psi), len(orbit)))
     orbits.sort(key=lambda pair: pair[0].psi.entries)
     total = len(morphisms)
     if total != sum(size for _, size in orbits):
         raise AssertionError("internal error: the conjugation orbits do not partition "
                              "the morphisms")
     return OrbitReport(total, tuple(orbits))
-
-
-def _morphism_partition(a: Algebra, b: Algebra, n: int, morphisms: list[LinMap],
-                        gl: list[LinMap]) -> list[frozenset]:
-    """The GL_n(k)-conjugation orbits of algebra morphisms A -> M_n(B), each as
-    the set of its members' entry tuples; conjugation acts through measurings."""
-
-    def conjugates(rho: LinMap):
-        mu = measuring_from_matrix_morphism(rho, a, b, n)
-        for g in gl:
-            yield matrix_morphism_from_measuring(conjugate_measuring(mu, g)).entries
-
-    return conjugation_orbits({rho.entries: rho for rho in morphisms}, conjugates)
 
 
 def is_simple(m: Measuring, budget: int = DEFAULT_BUDGET) -> bool:

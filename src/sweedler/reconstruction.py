@@ -24,7 +24,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .fields import Field
-from .linalg import LinMap, compose, compose_slot, kron, rref, swap_map
+from .linalg import LinMap, compose, compose_slot, kron, permute_axes, rref, swap_map
 from .structures import (
     Algebra,
     Bialgebra,
@@ -78,18 +78,8 @@ def comodule_to_coend_morphism(delta: LinMap, c: Coalgebra) -> LinMap:
     delta(x_j) = sum_i x_i (x) c_ij:  f_ij -> c_ij."""
     if not validate_comodule(delta, c):
         raise NotAComodule("delta does not satisfy the comodule axioms")
-    k = delta.field
     x = delta.dom
-    dc = c.dim
-    entries = [k.zero()] * (dc * x * x)
-    for j in range(x):
-        col = delta.col_at(j)
-        for i in range(x):
-            for q in range(dc):
-                val = col[i * dc + q]
-                if val != 0:
-                    entries[q * (x * x) + (i * x + j)] = val
-    return LinMap(k, dc, x * x, tuple(entries))
+    return permute_axes(delta, (x, c.dim, x), (1, 0, 2), 1)
 
 
 def coend_morphism_to_comodule(phi: LinMap, c: Coalgebra, xdim: int) -> LinMap:
@@ -99,16 +89,7 @@ def coend_morphism_to_comodule(phi: LinMap, c: Coalgebra, xdim: int) -> LinMap:
         raise NotAComodule("phi does not have coend(X) -> C shape")
     if not is_coalgebra_morphism(phi, coend_coalgebra(xdim, phi.field), c):
         raise NotAComodule("phi is not a coalgebra morphism out of the coend")
-    k = phi.field
-    dc = c.dim
-    entries = [k.zero()] * (xdim * dc * xdim)
-    for j in range(xdim):
-        for i in range(xdim):
-            col = phi.col_at(i * xdim + j)
-            for q in range(dc):
-                if col[q] != 0:
-                    entries[(i * dc + q) * xdim + j] = col[q]
-    return LinMap(k, xdim * dc, xdim, tuple(entries))
+    return permute_axes(phi, (c.dim, xdim, xdim), (1, 0, 2), 2)
 
 
 # ---------------------------------------------------------------------------

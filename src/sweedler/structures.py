@@ -28,6 +28,7 @@ from .linalg import (
     LinMap,
     compose,
     compose_slot,
+    invert,
     is_invertible,
     kernel_basis,
     kron,
@@ -711,6 +712,27 @@ def general_linear_group(field: Field, n: int, budget: int = DEFAULT_BUDGET) -> 
         if is_invertible(m):
             out.append(m)
     return out
+
+
+def gl_conjugate(f: LinMap, g: LinMap, a: int, b: int) -> LinMap:
+    """The GL_n(k) action on a map f into k^a (x) M_n(k) (x) k^b: each matrix
+    m in the middle factor becomes g m g^-1, that is (1_a (x) g (x) g^-T (x) 1_b).f."""
+    n = g.cod
+    f = compose_slot(f, g, a, n * b, after=True)
+    return compose_slot(f, invert(g).transpose(), a * n, b, after=True)
+
+
+def gl_orbits(maps: Sequence[LinMap], gl: Sequence[LinMap], a: int, b: int) -> list[frozenset]:
+    """The orbits of :func:`gl_conjugate` on ``maps``, each as the set of its
+    members' entry tuples: algebra morphisms A -> M_n(B) with a = 1 and
+    b = dim B, Tambara modules with a = #generators, b = 1 and the generator
+    matrices stacked in one column."""
+
+    def conjugates(f: LinMap):
+        for g in gl:
+            yield gl_conjugate(f, g, a, b).entries
+
+    return conjugation_orbits({f.entries: f for f in maps}, conjugates)
 
 
 def conjugation_orbits(items: dict, conjugates) -> list[frozenset]:

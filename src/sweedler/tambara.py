@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, PreconditionViolated, UnsupportedField
 from .fields import Field, same_field
-from .linalg import LinMap, compose, invert
+from .linalg import LinMap, compose, permute_axes
 from .structures import (
     DEFAULT_BUDGET,
     Algebra,
     algebra_morphisms,
-    conjugation_orbits,
     general_linear_group,
+    gl_orbits,
     matrix_algebra,
 )
 
@@ -186,23 +186,25 @@ def module_orbits(p: PresentedAlgebra, modules: list[tuple[LinMap, ...]], n: int
                   budget: int = DEFAULT_BUDGET) -> list[tuple[tuple[LinMap, ...], int]]:
     """GL_n(k)-conjugation orbits of modules, lexicographically smallest first."""
     k = p.field
+    cells = n * n
     gl = general_linear_group(k, n, budget=budget)
-    orbits = [(tuple(LinMap(k, n, n, e) for e in min(orbit)), len(orbit))
-              for orbit in _module_partition(modules, gl)]
-    orbits.sort(key=lambda pair: tuple(m.entries for m in pair[0]))
-    return orbits
+    smallest = sorted((min(orbit), len(orbit)) for orbit in _module_partition(p, modules, gl, n))
+    return [(tuple(LinMap(k, n, n, column[t * cells:(t + 1) * cells])
+                   for t in range(len(p.generators))), size)
+            for column, size in smallest]
 
 
-def _module_partition(modules: list[tuple[LinMap, ...]], gl: list[LinMap]) -> list[frozenset]:
-    """Conjugation orbits of modules, each as the set of its members' entry tuples."""
+def _module_partition(p: PresentedAlgebra, modules: list[tuple[LinMap, ...]],
+                      gl: list[LinMap], n: int) -> list[frozenset]:
+    """Conjugation orbits of modules, each as the set of its members' generator
+    matrices stacked in one column, as one entry tuple."""
+    gens = len(p.generators)
+    stacked = [LinMap(p.field, gens * n * n, 1, _stacked_entries(mats)) for mats in modules]
+    return gl_orbits(stacked, gl, gens, 1)
 
-    def conjugates(mats):
-        for g in gl:
-            ginv = invert(g)
-            yield tuple(compose(compose(g, m), ginv).entries for m in mats)
 
-    return conjugation_orbits({tuple(m.entries for m in mats): mats for mats in modules},
-                              conjugates)
+def _stacked_entries(mats: tuple[LinMap, ...]) -> tuple:
+    return tuple(x for m in mats for x in m.entries)
 
 
 def module_to_matrix_morphism(p: PresentedAlgebra, a: Algebra, b: Algebra,
@@ -233,16 +235,10 @@ def module_to_matrix_morphism(p: PresentedAlgebra, a: Algebra, b: Algebra,
             out = out - mats[gen_index[(i, jj)]].scale(k.mul(inv_pivot, unit_b[jj]))
         return out
 
-    entries = [k.zero()] * ((n * n * da) * db)
-    for j in range(db):
-        for i in range(da):
-            block = matrix_of(i, j)
-            for r in range(n):
-                for s in range(n):
-                    val = block.entries[r * n + s]
-                    if val != 0:
-                        entries[((r * n + s) * da + i) * db + j] = val
-    return LinMap(k, n * n * da, db, tuple(entries))
+    # the blocks stacked on rows (j, i) and columns (r, s), moved to rows (r, s, i)
+    blocks = LinMap(k, db * da, n * n, tuple(x for j in range(db) for i in range(da)
+                                             for x in matrix_of(i, j).entries))
+    return permute_axes(blocks, (db, da, n, n), (2, 3, 1, 0), 3)
 
 
 def module_intertwiners(mats1: tuple[LinMap, ...], mats2: tuple[LinMap, ...],
@@ -278,7 +274,6 @@ def correspondence_check(a: Algebra, b: Algebra, n: int,
     morphisms B -> M_n(A), compatibly with conjugation orbits and intertwiners.
     At n = 0 the one module matches the one morphism into M_0(A) = 0."""
     from .measurings import (
-        _morphism_partition,
         intertwiners as measuring_intertwiners,
         measuring_from_matrix_morphism,
     )
@@ -291,26 +286,23 @@ def correspondence_check(a: Algebra, b: Algebra, n: int,
         morphisms = [LinMap(p.field, 0, b.dim, ())]
     else:
         morphisms = algebra_morphisms(b, matrix_algebra(a, n), budget=budget)
-    translate = {tuple(m.entries for m in mats):
-                 module_to_matrix_morphism(p, a, b, mats, n).entries
-                 for mats in modules}
+    rhos = [module_to_matrix_morphism(p, a, b, mats, n) for mats in modules]
+    translate = {_stacked_entries(mats): rho.entries for mats, rho in zip(modules, rhos)}
     matched = sorted(translate.values()) == sorted(rho.entries for rho in morphisms)
 
     gl = general_linear_group(p.field, n, budget=budget)
-    module_partition = _module_partition(modules, gl)
-    morphism_partition = _morphism_partition(b, a, n, morphisms, gl)
+    module_partition = _module_partition(p, modules, gl, n)
+    morphism_partition = gl_orbits(morphisms, gl, 1, a.dim)
     translated_partition = {frozenset(translate[key] for key in orbit)
                             for orbit in module_partition}
     orbits_matched = translated_partition == set(morphism_partition)
 
-    # intertwiners transport: the same T solves both sides, in the same basis
+    # intertwiners transport: the same T solves both sides, in the same basis;
+    # each module becomes a measuring once, through the checked conversion
+    mus = [measuring_from_matrix_morphism(rho, b, a, n) for rho in rhos]
     intertwiners_ok = True
-    for mats1 in modules:
-        rho1 = module_to_matrix_morphism(p, a, b, mats1, n)
-        mu1 = measuring_from_matrix_morphism(rho1, b, a, n)
-        for mats2 in modules:
-            rho2 = module_to_matrix_morphism(p, a, b, mats2, n)
-            mu2 = measuring_from_matrix_morphism(rho2, b, a, n)
+    for mats1, mu1 in zip(modules, mus):
+        for mats2, mu2 in zip(modules, mus):
             lhs = [t.entries for t in module_intertwiners(mats1, mats2, p.field, n)]
             rhs = [iw.f.entries for iw in measuring_intertwiners(mu1, mu2)]
             if lhs != rhs:

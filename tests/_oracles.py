@@ -5,6 +5,8 @@ is assembled directly from structure constants, and the brute-force helpers
 do their arithmetic inline.
 """
 
+import itertools
+
 from sweedler.linalg import LinMap, compose
 
 
@@ -94,3 +96,26 @@ def slot_factor(t, a, b):
             s, j2 = divmod(rest2, b)
             entries.append(t.entries[r * t.dom + s] if (i, j) == (i2, j2) else k.zero())
     return LinMap(k, cod, dom, tuple(entries))
+
+
+def dense_permute(f, dims, order, split):
+    """permute_axes entry by entry: the result's entry at the multi-index
+    (u_0, ..., u_r) on the axes in ``order`` is f's entry at the multi-index
+    with u_p on axis order[p], flattened row-major over ``dims``."""
+    new_dims = [dims[ax] for ax in order]
+    cod = dom = 1
+    for pos, d in enumerate(new_dims):
+        if pos < split:
+            cod *= d
+        else:
+            dom *= d
+    entries = []
+    for new_index in itertools.product(*(range(d) for d in new_dims)):
+        old_index = [0] * len(dims)
+        for pos, ax in enumerate(order):
+            old_index[ax] = new_index[pos]
+        flat = 0
+        for ax, i in enumerate(old_index):
+            flat = flat * dims[ax] + i
+        entries.append(f.entries[flat])
+    return LinMap(f.field, cod, dom, tuple(entries))

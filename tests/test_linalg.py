@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import dense_compose, dense_kron, slot_factor
+from _oracles import dense_compose, dense_kron, dense_permute, slot_factor
 from sweedler.errors import DimensionMismatch, FieldMismatch, Singular
 from sweedler.fields import GF, QQ
 from sweedler.graded import GradedSpace, koszul_swap
@@ -16,6 +17,7 @@ from sweedler.linalg import (
     is_invertible,
     kernel_basis,
     kron,
+    permute_axes,
     rank,
     rref,
     solve,
@@ -210,6 +212,51 @@ def test_compose_slot_shape_errors():
         compose_slot(LinMap.identity(QQ, 4), t, 1, 3, after=True)
     with pytest.raises(FieldMismatch):
         compose_slot(LinMap.identity(QQ, 2), LinMap.identity(F2, 2), 1, 1, after=True)
+
+
+# -- permute_axes ---------------------------------------------------------------
+
+
+def permute_case(field):
+    """(f, dims, c, order, split): up to four axes of size 0..3, the first c
+    of them f's codomain axes, in a random order and split."""
+    def with_dims(dims):
+        n = len(dims)
+        return st.tuples(st.integers(0, n), st.permutations(range(n)), st.integers(0, n)).flatmap(
+            lambda cos: st.tuples(
+                sparse_maps(field, prod(dims[:cos[0]]), prod(dims[cos[0]:])),
+                st.just(dims), st.just(cos[0]), st.just(tuple(cos[1])), st.just(cos[2])))
+    return st.lists(st.integers(0, 3), max_size=4).map(tuple).flatmap(with_dims)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([QQ, F2, GF(3)]).flatmap(permute_case))
+def test_permute_axes_matches_the_entrywise_oracle(case):
+    f, dims, c, order, split = case
+    out = permute_axes(f, dims, order, split)
+    assert out == dense_permute(f, dims, order, split)
+    # the inverse order, split back at f's codomain axes, gives f again
+    back = sorted(range(len(order)), key=lambda pos: order[pos])
+    assert permute_axes(out, [dims[ax] for ax in order], back, c) == f
+
+
+def test_permute_axes_keeps_zero_size_shapes():
+    empty = LinMap.zero(GF(3), 0, 5)
+    assert permute_axes(empty, (0, 5), (0, 1), 1) == empty
+    assert permute_axes(empty, (0, 5), (1, 0), 1) == LinMap.zero(GF(3), 5, 0)
+    assert permute_axes(empty, (5, 0), (0, 1), 1) == LinMap.zero(GF(3), 5, 0)
+    assert permute_axes(LinMap.zero(QQ, 4, 0), (2, 2, 0), (2, 0, 1), 1) == \
+        LinMap.zero(QQ, 0, 4)
+
+
+def test_permute_axes_shape_errors():
+    f = LinMap.identity(QQ, 2)
+    with pytest.raises(DimensionMismatch):
+        permute_axes(f, (2, 3), (0, 1), 1)
+    with pytest.raises(DimensionMismatch):
+        permute_axes(f, (2, 2), (0, 0), 1)
+    with pytest.raises(DimensionMismatch):
+        permute_axes(f, (2, 2), (1, 0), 3)
 
 
 # -- kernels, ranks, inverses ------------------------------------------------

@@ -27,12 +27,14 @@ from sweedler.measurings import (
 from sweedler.structures import (
     algebra_morphisms,
     general_linear_group,
+    gl_conjugate,
     matrix_algebra,
     trivial_algebra,
 )
 from sweedler.zoo import cyclic_group_hopf, dual_numbers
 
 F2 = GF(2)
+F3 = GF(3)
 
 
 # -- validation ----------------------------------------------------------------
@@ -65,12 +67,14 @@ def test_zero_psi_fails_the_unit_diagram(inv_f2, k_f2):
 
 
 def test_roundtrip_on_all_enumerated_measurings(inv_f2, k_f2):
-    for n in (1, 2):
-        for rho in algebra_morphisms(inv_f2, matrix_algebra(k_f2, n)):
-            m = measuring_from_matrix_morphism(rho, inv_f2, k_f2, n)
+    c2_f3 = cyclic_group_hopf(F3, 2).algebra
+    cases = [(inv_f2, k_f2, 1), (inv_f2, k_f2, 2), (inv_f2, dual_numbers(F2), 2),
+             (dual_numbers(F2), inv_f2, 2), (c2_f3, trivial_algebra(F3), 2)]
+    for a, b, n in cases:
+        for rho in algebra_morphisms(a, matrix_algebra(b, n)):
+            m = measuring_from_matrix_morphism(rho, a, b, n)
             assert matrix_morphism_from_measuring(m) == rho
-            again = measuring_from_matrix_morphism(matrix_morphism_from_measuring(m),
-                                                   inv_f2, k_f2, n)
+            again = measuring_from_matrix_morphism(matrix_morphism_from_measuring(m), a, b, n)
             assert again == m
 
 
@@ -124,6 +128,21 @@ def test_enumerate_dimension_two_matches_brute_force(inv_f2, k_f2):
         seen |= orbit
         oracle_orbits.append(len(orbit))
     assert sorted(size for _, size in report.orbits) == sorted(oracle_orbits) == [1, 3]
+    # the GL_n action on a stack of a matrices is g m g^-1 on each of them
+    for a, b in ((1, 1), (2, 1), (1, 2)):
+        stacks = [LinMap.make(F2, a * 4 * b, 1, e)
+                  for e in itertools.product(range(2), repeat=a * 4 * b)]
+        for f in stacks:
+            for g in gl:
+                acted = gl_conjugate(f, g, a, b).entries
+                for i in range(a):
+                    for q in range(b):
+                        m = LinMap(F2, 2, 2, tuple(
+                            f.entries[((i * 2 + r) * 2 + s) * b + q]
+                            for r in range(2) for s in range(2)))
+                        expected = compose(compose(g, m), invert(g)).entries
+                        assert tuple(acted[((i * 2 + r) * 2 + s) * b + q]
+                                     for r in range(2) for s in range(2)) == expected
 
 
 def test_enumerate_from_base_field_is_forced(k_f2, m2_f2):
@@ -132,11 +151,44 @@ def test_enumerate_from_base_field_is_forced(k_f2, m2_f2):
 
 
 def test_orbit_members_are_conjugate(inv_f2, k_f2):
-    report = enumerate_measurings(inv_f2, k_f2, 2)
-    gl = general_linear_group(F2, 2)
-    for rep, size in report.orbits:
-        orbit = {conjugate_measuring(rep, g).psi.entries for g in gl}
-        assert len(orbit) == size
+    c2_f3 = cyclic_group_hopf(F3, 2).algebra
+    cases = [(inv_f2, k_f2, 2), (inv_f2, dual_numbers(F2), 2),
+             (dual_numbers(F2), inv_f2, 2), (c2_f3, trivial_algebra(F3), 2)]
+    for a, b, n in cases:
+        report = enumerate_measurings(a, b, n)
+        gl = general_linear_group(a.field, n)
+        for rep, size in report.orbits:
+            orbit = {conjugate_measuring(rep, g).psi.entries for g in gl}
+            assert len(orbit) == size
+            # the GL_n action on morphisms A -> M_n(B) is conjugate_measuring
+            rho = matrix_morphism_from_measuring(rep)
+            for g in gl:
+                assert gl_conjugate(rho, g, 1, b.dim) == \
+                    matrix_morphism_from_measuring(conjugate_measuring(rep, g))
+        assert sum(size for _, size in report.orbits) == report.total_count
+
+
+def test_enumeration_proves_each_morphism_once(monkeypatch):
+    import sweedler.measurings as measurings
+    import sweedler.structures as structures
+
+    calls = {"matrix_algebra": 0, "is_algebra_morphism": 0}
+
+    def counted(name):
+        original = getattr(structures, name)
+
+        def run(*args):
+            calls[name] += 1
+            return original(*args)
+        return run
+
+    for name in calls:
+        wrapper = counted(name)
+        monkeypatch.setattr(structures, name, wrapper)
+        monkeypatch.setattr(measurings, name, wrapper)
+    report = enumerate_measurings(cyclic_group_hopf(F3, 2).algebra, trivial_algebra(F3), 2)
+    assert report.total_count == 14
+    assert calls == {"matrix_algebra": 1, "is_algebra_morphism": 0}
 
 
 def test_non_conjugate_reps_have_no_invertible_intertwiner(inv_f2, k_f2):

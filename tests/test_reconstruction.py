@@ -88,15 +88,19 @@ def test_regular_comodule_classifier_is_evaluation_against_comult():
             assert phi.col_at(i * 2 + j) == expected
 
 
-def test_comodule_roundtrip_on_enumerated_examples(inv_f2, k_f2):
+def test_comodule_roundtrip_on_enumerated_examples(inv_f2, k_f2, m2_f2):
     dual = dual_coalgebra(inv_f2)
-    g = reconstruct([regular_measuring(inv_f2)])
-    for idx in range(len(g.generators)):
-        delta = comodule_of_generator(g, idx)
-        phi = comodule_to_coend_morphism(delta, g.d)
-        assert phi == g.projections[idx]
-        back = coend_morphism_to_comodule(phi, g.d, g.generators[idx].xdim)
-        assert back == delta
+    std = measuring_from_matrix_morphism(LinMap.identity(F2, 4), m2_f2, k_f2, 2)
+    twos = [measuring_from_matrix_morphism(rho, inv_f2, k_f2, 2)
+            for rho in algebra_morphisms(inv_f2, matrix_algebra(k_f2, 2))]
+    for gens in ([regular_measuring(inv_f2)], [std], twos):
+        g = reconstruct(gens)
+        for idx in range(len(g.generators)):
+            delta = comodule_of_generator(g, idx)
+            phi = comodule_to_coend_morphism(delta, g.d)
+            assert phi == g.projections[idx]
+            back = coend_morphism_to_comodule(phi, g.d, g.generators[idx].xdim)
+            assert back == delta
 
 
 def test_not_a_comodule_is_rejected():

@@ -6,9 +6,11 @@ from sweedler.errors import BudgetExceeded
 from sweedler.fields import GF
 from sweedler.linalg import LinMap, compose
 from sweedler.structures import algebra_morphisms, matrix_algebra, trivial_algebra
+from sweedler.measurings import matrix_morphism_from_measuring, measuring_from_matrix_morphism
 from sweedler.tambara import (
     correspondence_check,
     module_orbits,
+    module_to_matrix_morphism,
     tambara_modules,
     tambara_presentation,
 )
@@ -89,3 +91,35 @@ def test_correspondence_reduces_to_identity_for_base_source(k_f2):
     count = sum(1 for e in itertools.product(range(2), repeat=4)
                 if compose(LinMap.make(F2, 2, 2, e), LinMap.make(F2, 2, 2, e)) == zero)
     assert report.module_count == count
+
+
+def test_module_to_matrix_morphism_is_the_identification(inv_f2):
+    # rho(beta_j) = sum_i a_i (x) m(x_{i,j}) for every non-pivot beta_j (here y)
+    b = dual_numbers(F2)
+    p = tambara_presentation(inv_f2, b)
+    modules = tambara_modules(p, 2)
+    for mats in modules:
+        rho = module_to_matrix_morphism(p, inv_f2, b, mats, 2)
+        for i in range(2):
+            block = tuple(rho.entries[((r * 2 + s) * 2 + i) * 2 + 1]
+                          for r in range(2) for s in range(2))
+            assert block == mats[i].entries
+        # and it round-trips through the measuring layout
+        mu = measuring_from_matrix_morphism(rho, b, inv_f2, 2)
+        assert matrix_morphism_from_measuring(mu) == rho
+
+
+def test_correspondence_converts_each_module_once(monkeypatch, inv_f2):
+    import sweedler.measurings as measurings
+
+    calls = []
+    original = measurings.measuring_from_matrix_morphism
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(measurings, "measuring_from_matrix_morphism", counted)
+    report = correspondence_check(inv_f2, dual_numbers(F2), 2)
+    assert report.ok
+    assert len(calls) == report.module_count == 28
