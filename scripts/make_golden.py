@@ -94,8 +94,6 @@ def cases() -> list[list[str]]:
             if field[a] != field[b]:
                 continue
             out.append(["tambara-presentation", _fixture(a), _fixture(b)])
-            if field[a] == "F3" and docs[a].dim * docs[b].dim >= 16:
-                continue  # 3^12 candidate morphisms: over a minute each
             out.append(["morphisms", _fixture(a), _fixture(b)])
             for n in ["1"] + (["2"] if small(a) and docs[b].dim == 1 else []):
                 out.append(["enumerate-measurings", _fixture(a), _fixture(b), n])

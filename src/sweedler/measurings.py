@@ -7,8 +7,11 @@ These are the objects carrying the two axioms
 
 For X = k^n they are the same thing as algebra morphisms A -> M_n(B), and the
 isomorphism classes of n-dimensional ones are the GL_n(k)-conjugation orbits
-of those morphisms; both directions are implemented here, together with
-intertwiners, enumeration, tensor products and composition.
+of those morphisms.  Both directions of the bijection are implemented here,
+together with intertwiners, enumeration, tensor products and composition.
+Orbits are found without the group: two measurings lie in one orbit exactly
+when an invertible intertwiner joins them
+(:func:`~sweedler.structures.isomorphism_classes`).
 """
 
 from __future__ import annotations
@@ -41,10 +44,9 @@ from .structures import (
     ValidationReport,
     _check,
     algebra_morphisms,
-    general_linear_group,
-    gl_orbits,
     is_algebra_morphism,
     is_commutative,
+    isomorphism_classes,
     matrix_algebra,
     trivial_algebra,
 )
@@ -170,6 +172,7 @@ def enumerate_measurings(a: Algebra, b: Algebra, n: int,
 
     Enumeration runs over algebra morphisms A -> M_n(B) (the measuring axioms
     are equivalent to these, and the space is smaller than raw psi maps).
+    Orbits are isomorphism classes, found by :func:`morphism_classes`.
     Representatives are the lexicographically smallest flattened psi entries.
     """
     if n < 0:
@@ -178,19 +181,20 @@ def enumerate_measurings(a: Algebra, b: Algebra, n: int,
         empty = Measuring(a, b, 0, LinMap.zero(a.field, 0, 0))
         return OrbitReport(1, ((empty, 1),))
     morphisms = algebra_morphisms(a, matrix_algebra(b, n), budget=budget)
-    gl = general_linear_group(a.field, n, budget=budget)
-    orbits = []
-    for orbit in gl_orbits(morphisms, gl, 1, b.dim):
-        # the enumeration proved these morphisms: unpack them without a second check
-        psi = min((_psi_of(LinMap(a.field, n * n * b.dim, a.dim, key), a.dim, b.dim, n)
-                   for key in orbit), key=lambda psi: psi.entries)
-        orbits.append((Measuring(a, b, n, psi), len(orbit)))
+    orbits = [(min(members, key=lambda m: m.psi.entries), len(members))
+              for members in morphism_classes(a, b, n, morphisms, budget)]
     orbits.sort(key=lambda pair: pair[0].psi.entries)
-    total = len(morphisms)
-    if total != sum(size for _, size in orbits):
-        raise AssertionError("internal error: the conjugation orbits do not partition "
-                             "the morphisms")
-    return OrbitReport(total, tuple(orbits))
+    return OrbitReport(len(morphisms), tuple(orbits))
+
+
+def morphism_classes(a: Algebra, b: Algebra, n: int, morphisms: list[LinMap],
+                     budget: int = DEFAULT_BUDGET) -> list[list[Measuring]]:
+    """The measurings of algebra morphisms A -> M_n(B) that an enumeration
+    proved, unpacked without a second check, in isomorphism classes: joined
+    by an invertible intertwiner, each class seeded by its first member."""
+    measurings = [Measuring(a, b, n, _psi_of(rho, a.dim, b.dim, n)) for rho in morphisms]
+    return isomorphism_classes(
+        measurings, lambda m1, m2: [iw.f for iw in intertwiners(m1, m2)], budget)
 
 
 def is_simple(m: Measuring, budget: int = DEFAULT_BUDGET) -> bool:

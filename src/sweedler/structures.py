@@ -5,11 +5,18 @@ Everything is a :class:`~sweedler.linalg.LinMap` in the end: an algebra is
 (mult: dim^2 -> dim, unit: 1 -> dim), a coalgebra the transposed shapes, and
 all axioms are checked as exact matrix identities.  Validation failures are
 data (a report with a witness), not exceptions.
+
+Over a prime field, algebra morphisms are enumerated through generators:
+only the images of a generating set are tried, and each assignment is
+extended through a basis of words in the generators.  Isomorphism classes
+of representations (morphisms into M_n(B), modules) are found by asking
+whether a Hom space holds an invertible map, never by listing GL_n(k).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -26,13 +33,11 @@ from .errors import (
 from .fields import Field, same_field
 from .linalg import (
     LinMap,
+    _nonzeros_by,
     compose,
     compose_slot,
-    invert,
     is_invertible,
-    kernel_basis,
     kron,
-    solve,
     solve_matrix_equations,
     swap_map,
 )
@@ -72,16 +77,7 @@ class Algebra:
 
     def product(self, u: Sequence, v: Sequence) -> tuple:
         """Product of two coefficient vectors."""
-        k = self.field
-        vec = [k.zero()] * (self.dim * self.dim)
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                vec[i * self.dim + j] = k.mul(a, b)
-        return self.mult.apply(vec)
+        return _multiply(_nonzeros_by(self.mult, by_col=True), u, v, self.field)
 
 
 @dataclass(frozen=True)
@@ -544,7 +540,7 @@ def _find_opantipode(b: Bialgebra) -> LinMap | None:
 
 
 # ---------------------------------------------------------------------------
-# grouplikes and morphism enumeration
+# grouplikes, morphism enumeration and isomorphism classes
 
 
 def _vectors(field: Field, length: int, budget: int):
@@ -623,85 +619,160 @@ def is_coalgebra_morphism(f: LinMap, c: Coalgebra, d: Coalgebra) -> bool:
     return compose(d.comult, f) == compose(kron(f, f), c.comult)
 
 
-def _unital_affine_space(a: Algebra, b: Algebra,
-                         zero_coords: frozenset[int] | None = None):
-    """Particular solution + kernel basis for {f : f(1_A) = 1_B}, in vec(f)
-    coordinates (row-major, f[q, t] at q*dim(A) + t), optionally with some
-    coordinates pinned to zero."""
-    k = same_field(a.field, b.field)
-    da, db = a.dim, b.dim
-    nvars = da * db
-    # rows: db constraints  sum_t f[q, t] * unit_a[t] = unit_b[q]
-    rows = []
-    target = []
-    unit_a = a.unit_vector()
-    for q in range(db):
-        row = [k.zero()] * nvars
-        for t in range(da):
-            row[q * da + t] = unit_a[t]
-        rows.append(row)
-        target.append(b.unit_vector()[q])
-    if zero_coords:
-        for coord in sorted(zero_coords):
-            row = [k.zero()] * nvars
-            row[coord] = k.one()
-            rows.append(row)
-            target.append(k.zero())
-    system = LinMap.from_rows(k, rows)
-    particular = solve(system, target)
-    if particular is None:
-        return None
-    return particular, kernel_basis(system)
+def _multiply(table: list[list[tuple]], u: Sequence, v: Sequence, field: Field) -> tuple:
+    """The product of coefficient vectors u and v, walking their nonzeros and
+    those of the structure constants: ``table[i * dim + j]`` lists the
+    (index, coefficient) nonzeros of e_i e_j."""
+    d = len(u)
+    p = field.char
+    out = [field.zero()] * d
+    v_nonzero = [(j, y) for j, y in enumerate(v) if y]
+    for i, x in enumerate(u):
+        if x:
+            row = i * d
+            for j, y in v_nonzero:
+                xy = x * y
+                for r, c in table[row + j]:
+                    out[r] += xy * c
+    return tuple(z % p for z in out) if p else tuple(out)
+
+
+def _word_span(a: Algebra) -> tuple[list[int], list[tuple[list, list]], list[list]]:
+    """Generators of A over F_p, chosen in basis order, and a basis of A made
+    of words in them.
+
+    A basis vector becomes the next generator when it lies outside the span
+    of the words found so far; that span is then closed under right
+    multiplication by the generators.  Word 0 is the unit.  Stage s holds
+    the words (w, g), word w times generator g, that the s-th generator adds,
+    in the order they are found, and the relations (w, g, c), word w times
+    generator g = sum_j c_j word_j, found on the way; every pair of a word
+    and a generator is a word or a relation, once.  ``coords[t]`` is e_t in
+    the words, as its (j, c_j) nonzeros.
+    """
+    k = a.field
+    p = k.char
+    d = a.dim
+    table = _nonzeros_by(a.mult, by_col=True)
+    # echelon rows (pivot, vector with 1 at the pivot, the vector in words),
+    # each zero at the pivots of the rows before it
+    rows: list[tuple[int, list, dict]] = []
+    vectors: list[tuple] = []  # of the words
+
+    def reduce(v: Sequence) -> tuple[list, dict]:
+        """v less a combination of the rows, and that combination in words."""
+        v = list(v)
+        combo: dict[int, int] = {}
+        for pivot, vec, in_words in rows:
+            c = v[pivot]
+            if c:
+                v = [(x - c * y) % p for x, y in zip(v, vec)]
+                for j, x in in_words.items():
+                    combo[j] = (combo.get(j, 0) + c * x) % p
+        return v, combo
+
+    def add_word(v: tuple, rest: list, combo: dict):
+        """Make v the next word, where rest = v - sum_j combo_j word_j is nonzero."""
+        pivot = next(i for i, x in enumerate(rest) if x)
+        inv = k.inv(rest[pivot])
+        in_words = {j: (-c * inv) % p for j, c in combo.items() if c}
+        in_words[len(vectors)] = inv
+        rows.append((pivot, [x * inv % p for x in rest], in_words))
+        vectors.append(v)
+
+    add_word(a.unit_vector(), *reduce(a.unit_vector()))
+    basis = [tuple(k.one() if i == t else k.zero() for i in range(d)) for t in range(d)]
+    generators, stages = [], []
+    for t in range(d):
+        if not any(reduce(basis[t])[0]):
+            continue
+        generators.append(t)
+        words, relations = [], []
+        pending = deque((w, len(generators) - 1) for w in range(len(vectors)))
+        while pending:
+            w, g = pending.popleft()
+            v = _multiply(table, vectors[w], basis[generators[g]], k)
+            rest, combo = reduce(v)
+            if any(rest):
+                pending.extend((len(vectors), h) for h in range(len(generators)))
+                add_word(v, rest, combo)
+                words.append((w, g))
+            else:
+                relations.append((w, g, [(j, c) for j, c in combo.items() if c]))
+        stages.append((words, relations))
+    return generators, stages, [[(j, c) for j, c in reduce(e)[1].items() if c] for e in basis]
+
+
+def _supported(field: Field, length: int, rows: Sequence[int]):
+    """The vectors of the given length supported on ``rows``, lexicographic."""
+    zero = field.zero()
+    for values in itertools.product(field.elements(), repeat=len(rows)):
+        y = [zero] * length
+        for q, x in zip(rows, values):
+            y[q] = x
+        yield tuple(y)
 
 
 def algebra_morphisms(a: Algebra, b: Algebra, budget: int = DEFAULT_BUDGET,
                       zero_coords: frozenset[int] | None = None) -> list[LinMap]:
-    """All algebra morphisms A -> B by exhaustive enumeration, lexicographic.
+    """All algebra morphisms A -> B, lexicographic.
 
-    The unit condition (and any pinned-zero coordinates) is linear, so only the
-    residual affine space is enumerated; the budget bounds the candidates
-    actually tried.
+    A morphism is fixed by its images of the generators of :func:`_word_span`,
+    so only those are enumerated, generator by generator.  Each partial
+    assignment is extended through the words of its stage and dropped as
+    soon as a relation fails, which is when the extension is not well defined
+    or not multiplicative (A and B are associative and unital).  Coordinates
+    in ``zero_coords`` (f[q, t] at q*dim(A) + t) are pinned to zero.  The
+    budget bounds p to the number of free coordinates of the generators'
+    images, checked before the search starts.
     """
     k = same_field(a.field, b.field)
     if k.is_rational:
         raise UnsupportedField("morphism enumeration needs a finite field")
-    affine = _unital_affine_space(a, b, zero_coords)
-    if affine is None:
-        return []
-    particular, kernel = affine
-    free = len(kernel)
-    total = k.char ** free
-    if total > budget:
-        raise BudgetExceeded(total, budget)
     da, db = a.dim, b.dim
+    pinned = zero_coords or frozenset()
+    generators, stages, coords = _word_span(a)
+    free_rows = [[q for q in range(db) if q * da + t not in pinned] for t in generators]
+    needed = k.char ** sum(len(rows) for rows in free_rows)
+    if needed > budget:
+        raise BudgetExceeded(needed, budget)
+    p = k.char
+    table = _nonzeros_by(b.mult, by_col=True)
+    word_images = [b.unit_vector()]
+    gen_images: list[tuple] = []
     found = []
-    for coeffs in itertools.product(k.elements(), repeat=free):
-        vec = list(particular)
-        for t, basis_vec in zip(coeffs, kernel):
-            if t == 0:
-                continue
-            for i, x in enumerate(basis_vec):
-                if x != 0:
-                    vec[i] = k.add(vec[i], k.mul(t, x))
-        f = LinMap(k, db, da, tuple(vec))
-        if _is_multiplicative(f, a, b):
-            found.append(f)
-    found.sort(key=lambda m: m.entries)
+
+    def combination(terms: list[tuple]) -> tuple:
+        out = [0] * db
+        for j, c in terms:
+            for q, x in enumerate(word_images[j]):
+                if x:
+                    out[q] += c * x
+        return tuple(x % p for x in out)
+
+    def search(s: int):
+        if s == len(stages):
+            cols = [combination(terms) for terms in coords]
+            entries = tuple(cols[t][q] for q in range(db) for t in range(da))
+            if not any(entries[i] for i in pinned):
+                found.append(LinMap(k, db, da, entries))
+            return
+        new_words, relations = stages[s]
+        for y in _supported(k, db, free_rows[s]):
+            gen_images.append(y)
+            for w, g in new_words:
+                # a one-letter word needs no product: 1_B y = y
+                word_images.append(gen_images[g] if w == 0 else
+                                   _multiply(table, word_images[w], gen_images[g], k))
+            if all(_multiply(table, word_images[w], gen_images[g], k) == combination(c)
+                   for w, g, c in relations):
+                search(s + 1)
+            del word_images[len(word_images) - len(new_words):]
+            gen_images.pop()
+
+    search(0)
+    found.sort(key=lambda f: f.entries)
     return found
-
-
-def _is_multiplicative(f: LinMap, a: Algebra, b: Algebra) -> bool:
-    k = f.field
-    da = a.dim
-    images = [f.col_at(t) for t in range(da)]
-    for i in range(da):
-        for j in range(da):
-            prod = a.mult.col_at(i * da + j)
-            lhs = f.apply(prod)
-            rhs = b.product(images[i], images[j])
-            if lhs != rhs:
-                return False
-    return True
 
 
 def general_linear_group(field: Field, n: int, budget: int = DEFAULT_BUDGET) -> list[LinMap]:
@@ -714,36 +785,43 @@ def general_linear_group(field: Field, n: int, budget: int = DEFAULT_BUDGET) -> 
     return out
 
 
-def gl_conjugate(f: LinMap, g: LinMap, a: int, b: int) -> LinMap:
-    """The GL_n(k) action on a map f into k^a (x) M_n(k) (x) k^b: each matrix
-    m in the middle factor becomes g m g^-1, that is (1_a (x) g (x) g^-T (x) 1_b).f."""
-    n = g.cod
-    f = compose_slot(f, g, a, n * b, after=True)
-    return compose_slot(f, invert(g).transpose(), a * n, b, after=True)
+def isomorphism_classes(items: Sequence, hom, budget: int = DEFAULT_BUDGET) -> list[list]:
+    """Partition ``items`` into isomorphism classes, each seeded by its first member.
+
+    ``hom(x, y)`` is a basis of the n x n matrices T with T x = y T, such as
+    the intertwiners of two measurings or of two modules.  An item joins the
+    first class whose seed it is isomorphic to: Hom(seed, item) has the
+    dimension of End(seed), and its span, walked lexicographically, holds an
+    invertible T.  Each walk counts p^dim Hom candidates against the budget.
+    Items in sorted order make each seed the smallest member of its class;
+    no group is listed and nothing is inverted.
+    """
+    classes = []  # (seed, dim End(seed), members)
+    for item in items:
+        for seed, end_dim, members in classes:
+            basis = hom(seed, item)
+            # only a 0-dimensional seed has End(seed) = 0, and 0-dim items are isomorphic
+            if len(basis) == end_dim and (end_dim == 0 or _spans_invertible(basis, budget)):
+                members.append(item)
+                break
+        else:
+            classes.append((item, len(hom(item, item)), [item]))
+    return [members for _, _, members in classes]
 
 
-def gl_orbits(maps: Sequence[LinMap], gl: Sequence[LinMap], a: int, b: int) -> list[frozenset]:
-    """The orbits of :func:`gl_conjugate` on ``maps``, each as the set of its
-    members' entry tuples: algebra morphisms A -> M_n(B) with a = 1 and
-    b = dim B, Tambara modules with a = #generators, b = 1 and the generator
-    matrices stacked in one column."""
-
-    def conjugates(f: LinMap):
-        for g in gl:
-            yield gl_conjugate(f, g, a, b).entries
-
-    return conjugation_orbits({f.entries: f for f in maps}, conjugates)
-
-
-def conjugation_orbits(items: dict, conjugates) -> list[frozenset]:
-    """Partition the keys of ``items`` into orbits.  Each orbit is seeded from
-    the smallest remaining key; ``conjugates(value)`` yields the keys it reaches."""
-    remaining = dict(items)
-    orbits = []
-    while remaining:
-        seed_key = min(remaining)
-        orbit = {seed_key, *conjugates(remaining.pop(seed_key))}
-        for key in orbit:
-            remaining.pop(key, None)
-        orbits.append(frozenset(orbit))
-    return orbits
+def _spans_invertible(basis: Sequence[LinMap], budget: int) -> bool:
+    """Whether the span of a nonempty basis of n x n maps holds an invertible map."""
+    field = basis[0].field
+    n = basis[0].cod
+    p = field.char
+    for coeffs in _vectors(field, len(basis), budget):
+        if not any(coeffs):
+            continue
+        acc = [0] * (n * n)
+        for c, t in zip(coeffs, basis):
+            if c:
+                for i, x in enumerate(t.entries):
+                    acc[i] += c * x
+        if is_invertible(LinMap(field, n, n, tuple(x % p for x in acc))):
+            return True
+    return False

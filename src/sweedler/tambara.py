@@ -20,8 +20,7 @@ from .structures import (
     DEFAULT_BUDGET,
     Algebra,
     algebra_morphisms,
-    general_linear_group,
-    gl_orbits,
+    isomorphism_classes,
     matrix_algebra,
 )
 
@@ -185,22 +184,15 @@ def tambara_modules(p: PresentedAlgebra, n: int,
 def module_orbits(p: PresentedAlgebra, modules: list[tuple[LinMap, ...]], n: int,
                   budget: int = DEFAULT_BUDGET) -> list[tuple[tuple[LinMap, ...], int]]:
     """GL_n(k)-conjugation orbits of modules, lexicographically smallest first."""
-    k = p.field
-    cells = n * n
-    gl = general_linear_group(k, n, budget=budget)
-    smallest = sorted((min(orbit), len(orbit)) for orbit in _module_partition(p, modules, gl, n))
-    return [(tuple(LinMap(k, n, n, column[t * cells:(t + 1) * cells])
-                   for t in range(len(p.generators))), size)
-            for column, size in smallest]
+    return [(members[0], len(members)) for members in _module_classes(p, modules, n, budget)]
 
 
-def _module_partition(p: PresentedAlgebra, modules: list[tuple[LinMap, ...]],
-                      gl: list[LinMap], n: int) -> list[frozenset]:
-    """Conjugation orbits of modules, each as the set of its members' generator
-    matrices stacked in one column, as one entry tuple."""
-    gens = len(p.generators)
-    stacked = [LinMap(p.field, gens * n * n, 1, _stacked_entries(mats)) for mats in modules]
-    return gl_orbits(stacked, gl, gens, 1)
+def _module_classes(p: PresentedAlgebra, modules: list[tuple[LinMap, ...]], n: int,
+                    budget: int) -> list[list[tuple[LinMap, ...]]]:
+    """Isomorphism classes of modules, in the order of their smallest members
+    (generator matrices stacked in one column), each listed smallest first."""
+    return isomorphism_classes(sorted(modules, key=_stacked_entries),
+                               lambda m1, m2: module_intertwiners(m1, m2, p.field, n), budget)
 
 
 def _stacked_entries(mats: tuple[LinMap, ...]) -> tuple:
@@ -275,7 +267,9 @@ def correspondence_check(a: Algebra, b: Algebra, n: int,
     At n = 0 the one module matches the one morphism into M_0(A) = 0."""
     from .measurings import (
         intertwiners as measuring_intertwiners,
+        matrix_morphism_from_measuring,
         measuring_from_matrix_morphism,
+        morphism_classes,
     )
 
     if n < 0:
@@ -290,12 +284,11 @@ def correspondence_check(a: Algebra, b: Algebra, n: int,
     translate = {_stacked_entries(mats): rho.entries for mats, rho in zip(modules, rhos)}
     matched = sorted(translate.values()) == sorted(rho.entries for rho in morphisms)
 
-    gl = general_linear_group(p.field, n, budget=budget)
-    module_partition = _module_partition(p, modules, gl, n)
-    morphism_partition = gl_orbits(morphisms, gl, 1, a.dim)
-    translated_partition = {frozenset(translate[key] for key in orbit)
-                            for orbit in module_partition}
-    orbits_matched = translated_partition == set(morphism_partition)
+    module_partition = [frozenset(translate[_stacked_entries(mats)] for mats in members)
+                        for members in _module_classes(p, modules, n, budget)]
+    morphism_partition = [frozenset(matrix_morphism_from_measuring(mu).entries for mu in members)
+                          for members in morphism_classes(b, a, n, morphisms, budget)]
+    orbits_matched = set(module_partition) == set(morphism_partition)
 
     # intertwiners transport: the same T solves both sides, in the same basis;
     # each module becomes a measuring once, through the checked conversion

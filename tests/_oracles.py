@@ -7,7 +7,8 @@ do their arithmetic inline.
 
 import itertools
 
-from sweedler.linalg import LinMap, compose
+from sweedler.linalg import LinMap, compose, invert, kernel_basis, solve
+from sweedler.structures import general_linear_group, is_algebra_morphism
 
 
 def classifying_iso_to_dual(g):
@@ -119,3 +120,96 @@ def dense_permute(f, dims, order, split):
             flat = flat * dims[ax] + i
         entries.append(f.entries[flat])
     return LinMap(f.field, cod, dom, tuple(entries))
+
+
+def exhaustive_morphisms(a, b, zero_coords=frozenset()):
+    """All algebra morphisms A -> B over F_p by exhaustive search, sorted by entries.
+
+    The unit condition f(1_A) = 1_B and the pinned coordinates f[q, t] = 0
+    (at q*dim(A) + t) are linear: every point of that affine space, a
+    particular solution plus each combination of a kernel basis, is tried
+    with ``is_algebra_morphism``."""
+    k = a.field
+    da, db = a.dim, b.dim
+    rows, target = [], []
+    for q in range(db):
+        row = [k.zero()] * (db * da)
+        row[q * da:(q + 1) * da] = a.unit_vector()
+        rows.append(row)
+        target.append(b.unit_vector()[q])
+    for coord in sorted(zero_coords):
+        rows.append([k.one() if c == coord else k.zero() for c in range(db * da)])
+        target.append(k.zero())
+    system = LinMap.from_rows(k, rows)
+    particular = solve(system, target)
+    if particular is None:
+        return []
+    kernel = kernel_basis(system)
+    found = []
+    for coeffs in itertools.product(k.elements(), repeat=len(kernel)):
+        vec = list(particular)
+        for c, basis_vec in zip(coeffs, kernel):
+            if c:
+                vec = [(x + c * y) % k.char for x, y in zip(vec, basis_vec)]
+        f = LinMap(k, db, da, tuple(vec))
+        if is_algebra_morphism(f, a, b):
+            found.append(f)
+    return sorted(found, key=lambda f: f.entries)
+
+
+def gl_conjugate(f, g, g_inv, a, b):
+    """f with each n x n matrix m in the middle factor of its codomain
+    k^a (x) M_n(k) (x) k^b replaced by g m g^-1, by inline products."""
+    k = f.field
+    n = g.cod
+    ge, he = g.entries, g_inv.entries
+    out = list(f.entries)
+    for col in range(f.dom):
+        for i in range(a):
+            for q in range(b):
+                at = [(((i * n + r) * n + s) * b + q) * f.dom + col
+                      for r in range(n) for s in range(n)]
+                m = [f.entries[x] for x in at]
+                gm = [sum(ge[r * n + t] * m[t * n + s] for t in range(n))
+                      for r in range(n) for s in range(n)]
+                for r in range(n):
+                    for s in range(n):
+                        out[at[r * n + s]] = k.coerce(
+                            sum(gm[r * n + t] * he[t * n + s] for t in range(n)))
+    return LinMap(k, f.cod, f.dom, tuple(out))
+
+
+def conjugation_orbits(items, conjugates):
+    """Partition the keys of ``items`` into orbits.  Each orbit is seeded from
+    the smallest remaining key; ``conjugates(value)`` yields the keys it reaches."""
+    remaining = dict(items)
+    orbits = []
+    while remaining:
+        seed_key = min(remaining)
+        orbit = {seed_key, *conjugates(remaining.pop(seed_key))}
+        for key in orbit:
+            remaining.pop(key, None)
+        orbits.append(frozenset(orbit))
+    return orbits
+
+
+def conjugation_partition(maps, n, a, b):
+    """The GL_n(k)-conjugation orbits of maps into k^a (x) M_n(k) (x) k^b,
+    each as the set of its members' entry tuples, by conjugating with every
+    element of the group: morphisms A -> M_n(B) with a = 1 and b = dim B,
+    Tambara modules with a = #generators, b = 1 and the generator matrices
+    stacked in one column."""
+    if not maps:
+        return []
+    gl = [(g, invert(g)) for g in general_linear_group(maps[0].field, n)]
+    return conjugation_orbits(
+        {f.entries: f for f in maps},
+        lambda f: (gl_conjugate(f, g, g_inv, a, b).entries for g, g_inv in gl))
+
+
+def gl_order(p, n):
+    """|GL_n(F_p)| = prod_{i < n} (p^n - p^i)."""
+    out = 1
+    for i in range(n):
+        out *= p ** n - p ** i
+    return out

@@ -7,6 +7,9 @@ from pathlib import Path
 
 
 from sweedler.cli import main
+from sweedler.documents import Document, serialize_document
+from sweedler.fields import GF
+from sweedler.zoo import cyclic_group_hopf
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -83,6 +86,17 @@ def test_budget_exceeded_exit_code(capsys):
                     "--budget", "2")
     assert code == 4
     assert json.loads(out)["error"] == "BudgetExceeded"
+
+
+def test_morphism_budget_reports_the_generator_bound(capsys, tmp_path):
+    # F3[C_3] is generated by g: the bound is 3 to the 3 coordinates of g's image
+    f3c3 = tmp_path / "f3c3.json"
+    f3c3.write_text(serialize_document(Document(cyclic_group_hopf(GF(3), 3), ("e", "g", "g2"))))
+    code, out = run(capsys, "morphisms", str(f3c3), str(f3c3), "--budget", "2")
+    assert code == 4
+    report = json.loads(out)
+    assert report["error"] == "BudgetExceeded"
+    assert report["message"] == "enumeration needs 27 candidates, budget is 2"
 
 
 def test_grouplikes_over_q_is_unsupported(capsys):

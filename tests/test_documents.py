@@ -203,3 +203,23 @@ def test_deep_nesting_is_a_parse_error():
         parse_document("[" * 100_000)
     with pytest.raises(ParseError):
         parse_measuring_document("[" * 100_000, lambda ref: None)
+
+
+@pytest.mark.parametrize("name", ["f3_c2.json", "q_c2_sign.measuring.json"])
+def test_layout_and_key_order_are_accepted(name):
+    # parsing checks canonical content, not layout: compact JSON and any key
+    # order parse to the same value, which serializes to the canonical text
+    text = (FIXTURES / name).read_text()
+    raw = json.loads(text)
+    if name.endswith(".measuring.json"):
+        loader = lambda ref: parse_document((FIXTURES / ref).read_text())
+        parse = lambda t: parse_measuring_document(t, loader)
+        serialize = serialize_measuring_document
+    else:
+        parse, serialize = parse_document, serialize_document
+    compact = json.dumps(raw, separators=(",", ":"))
+    reordered = json.dumps(dict(reversed(list(raw.items()))), indent=2) + "\n"
+    for variant in (compact, reordered):
+        assert variant != text
+        assert parse(variant) == parse(text)
+        assert serialize(parse(variant)) == text

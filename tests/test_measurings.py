@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -16,6 +17,7 @@ from sweedler.measurings import (
     is_simple,
     matrix_morphism_from_measuring,
     measuring_from_matrix_morphism,
+    morphism_classes,
     regular_measuring,
     restrict_measuring,
     corestrict_measuring,
@@ -27,14 +29,30 @@ from sweedler.measurings import (
 from sweedler.structures import (
     algebra_morphisms,
     general_linear_group,
-    gl_conjugate,
     matrix_algebra,
     trivial_algebra,
 )
-from sweedler.zoo import cyclic_group_hopf, dual_numbers
+from sweedler.zoo import cyclic_group_hopf, dual_numbers, involution_algebra
+
+from _oracles import (
+    conjugation_partition,
+    dense_permute,
+    exhaustive_morphisms,
+    gl_conjugate,
+    gl_order,
+)
 
 F2 = GF(2)
 F3 = GF(3)
+
+# the (A, B, n) of scripts/measuring_census.py, up to n = 3 for F3[C_2] -> F3
+CENSUS = [pytest.param(a, b, n, id=f"{name}-n{n}") for name, a, b, dims in [
+    ("F2C2-F2", involution_algebra(F2), trivial_algebra(F2), (1, 2)),
+    ("F2C3-F2", cyclic_group_hopf(F2, 3).algebra, trivial_algebra(F2), (1, 2)),
+    ("F3C2-F3", cyclic_group_hopf(F3, 2).algebra, trivial_algebra(F3), (1, 2, 3)),
+    ("F2C2-F2y", involution_algebra(F2), dual_numbers(F2), (1, 2)),
+    ("M2F2-F2", matrix_algebra(trivial_algebra(F2), 2), trivial_algebra(F2), (1, 2)),
+] for n in dims]
 
 
 # -- validation ----------------------------------------------------------------
@@ -134,7 +152,7 @@ def test_enumerate_dimension_two_matches_brute_force(inv_f2, k_f2):
                   for e in itertools.product(range(2), repeat=a * 4 * b)]
         for f in stacks:
             for g in gl:
-                acted = gl_conjugate(f, g, a, b).entries
+                acted = gl_conjugate(f, g, invert(g), a, b).entries
                 for i in range(a):
                     for q in range(b):
                         m = LinMap(F2, 2, 2, tuple(
@@ -163,7 +181,7 @@ def test_orbit_members_are_conjugate(inv_f2, k_f2):
             # the GL_n action on morphisms A -> M_n(B) is conjugate_measuring
             rho = matrix_morphism_from_measuring(rep)
             for g in gl:
-                assert gl_conjugate(rho, g, 1, b.dim) == \
+                assert gl_conjugate(rho, g, invert(g), 1, b.dim) == \
                     matrix_morphism_from_measuring(conjugate_measuring(rep, g))
         assert sum(size for _, size in report.orbits) == report.total_count
 
@@ -189,6 +207,79 @@ def test_enumeration_proves_each_morphism_once(monkeypatch):
     report = enumerate_measurings(cyclic_group_hopf(F3, 2).algebra, trivial_algebra(F3), 2)
     assert report.total_count == 14
     assert calls == {"matrix_algebra": 1, "is_algebra_morphism": 0}
+
+
+@pytest.mark.parametrize("a,b,n", CENSUS)
+def test_census_matches_the_exhaustive_oracles(a, b, n):
+    morphisms = exhaustive_morphisms(a, matrix_algebra(b, n))
+    assert algebra_morphisms(a, matrix_algebra(b, n)) == morphisms
+    oracle = conjugation_partition(morphisms, n, 1, b.dim)
+    classes = morphism_classes(a, b, n, morphisms)
+    assert {frozenset(matrix_morphism_from_measuring(m).entries for m in members)
+            for members in classes} == set(oracle)
+    # representatives: the smallest psi of each orbit, psi[(i, q), (t, j)] = rho[(i, j, q), t]
+    expected = sorted(
+        (min(dense_permute(LinMap(a.field, n * n * b.dim, a.dim, rho), (n, n, b.dim, a.dim),
+                           (0, 2, 3, 1), 2).entries for rho in orbit), len(orbit))
+        for orbit in oracle)
+    report = enumerate_measurings(a, b, n)
+    assert report.total_count == len(morphisms)
+    assert [(rep.psi.entries, size) for rep, size in report.orbits] == expected
+
+
+def _determinant(entries, n, p):
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i) if perm[j] > perm[i])
+        term = -1 if inversions % 2 else 1
+        for r in range(n):
+            term *= entries[r * n + perm[r]]
+        total += term
+    return total % p
+
+
+@pytest.mark.parametrize("a,b,n", CENSUS)
+def test_orbit_size_times_automorphisms_is_the_group_order(a, b, n):
+    # orbit-stabilizer: the stabilizer of rep under conjugation is Aut(rep)
+    p = a.field.char
+    for rep, size in enumerate_measurings(a, b, n).orbits:
+        basis = [iw.f.entries for iw in intertwiners(rep, rep)]
+        automorphisms = sum(
+            1 for coeffs in itertools.product(range(p), repeat=len(basis))
+            if _determinant([sum(c * t[i] for c, t in zip(coeffs, basis)) for i in range(n * n)],
+                            n, p))
+        assert size * automorphisms == gl_order(p, n)
+
+
+def test_census_enumeration_lists_no_group_and_inverts_nothing(monkeypatch):
+    calls = {"invert": 0, "general_linear_group": 0}
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "sweedler":
+            continue
+        for name in calls:
+            if hasattr(module, name):
+                def counted(*args, name=name, original=getattr(module, name), **kwargs):
+                    calls[name] += 1
+                    return original(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+    report = enumerate_measurings(cyclic_group_hopf(F3, 2).algebra, trivial_algebra(F3), 3)
+    assert sorted(size for _, size in report.orbits) == [1, 1, 117, 117]
+    assert calls == {"invert": 0, "general_linear_group": 0}
+    # the counters see calls made through the library
+    conjugate_measuring(report.orbits[0][0], LinMap.identity(F3, 3))
+    assert calls["invert"] == 1
+
+
+def test_cyclic_morphisms_enumerate_only_the_generator_image():
+    # F2[C_3] is generated by g: 2^9 images of g, not 2^18 unital maps
+    a = cyclic_group_hopf(F2, 3).algebra
+    found = algebra_morphisms(a, matrix_algebra(trivial_algebra(F2), 3), budget=2 ** 9)
+    ident = LinMap.identity(F2, 3)
+    cubes = [e for e in itertools.product(range(2), repeat=9)
+             if compose(LinMap(F2, 3, 3, e), compose(LinMap(F2, 3, 3, e), LinMap(F2, 3, 3, e)))
+             == ident]
+    assert len(found) == len(cubes) == 57
+    assert {f.col_at(1) for f in found} == set(cubes)
 
 
 def test_non_conjugate_reps_have_no_invertible_intertwiner(inv_f2, k_f2):

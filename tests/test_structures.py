@@ -16,7 +16,6 @@ from sweedler.structures import (
     HopfAlgebra,
     algebra_morphisms,
     convolution_algebra,
-    conjugation_orbits,
     coopposite,
     dual_algebra,
     dual_bialgebra,
@@ -37,10 +36,16 @@ from sweedler.structures import (
     validate_coalgebra,
     validate_hopf,
 )
+from sweedler.graded import GradedAlgebra, graded_algebra_morphisms
 from sweedler.zoo import (
     cyclic_group_hopf,
     dual_numbers,
+    graded_dual_numbers,
+    graded_line_hopf,
+    sweedler_hopf,
 )
+
+from _oracles import conjugation_orbits, exhaustive_morphisms
 
 F2 = GF(2)
 F3 = GF(3)
@@ -412,6 +417,56 @@ def test_conjugation_orbits_are_seeded_from_the_smallest_key():
     items = {key: key for key in (5, 0, 4, 1, 3, 2)}
     orbits = conjugation_orbits(items, lambda v: (v % 3, v % 3 + 3))
     assert orbits == [frozenset({0, 3}), frozenset({1, 4}), frozenset({2, 5})]
+
+
+def _graded_pins(a, b):
+    """The coordinates f[q, t] of a map A -> B that join different degrees."""
+    return frozenset(q * a.algebra.dim + t for q in range(b.algebra.dim)
+                     for t in range(a.algebra.dim) if b.degrees[q] != a.degrees[t])
+
+
+_SWEEDLER_F3 = sweedler_hopf(F3).algebra
+_M2_F2 = matrix_algebra(trivial_algebra(F2), 2)
+_LINE_F2 = GradedAlgebra(graded_line_hopf(F2, 1).hopf.algebra, graded_line_hopf(F2, 1).space)
+_GRADED = [(_LINE_F2, graded_dual_numbers(F2, 1)),
+           (_LINE_F2, graded_dual_numbers(F2, 2)),
+           (graded_dual_numbers(F2, 2), graded_dual_numbers(F2, 2))]
+
+
+@pytest.mark.parametrize("a,b,pins", [
+    (cyclic_group_hopf(F2, 3).algebra, _M2_F2, frozenset()),
+    (_M2_F2, trivial_algebra(F2), frozenset()),
+    (_SWEEDLER_F3, trivial_algebra(F3), frozenset()),
+    # the g^2-coordinate of the image of g^2, which is not a generator
+    (cyclic_group_hopf(F2, 3).algebra, cyclic_group_hopf(F2, 3).algebra, frozenset({2 * 3 + 2})),
+], ids=["F2C3-M2F2", "M2F2-F2", "sweedler-F3", "F2C3-F2C3-pinned"])
+def test_morphisms_match_the_exhaustive_oracle(a, b, pins):
+    found = algebra_morphisms(a, b, zero_coords=pins)
+    assert found == exhaustive_morphisms(a, b, pins)
+    assert not pins or found != algebra_morphisms(a, b)
+
+
+@pytest.mark.parametrize("a,b", _GRADED, ids=["line1-dualnum1", "line1-dualnum2", "dualnum2"])
+def test_graded_morphisms_match_the_exhaustive_oracle(a, b):
+    pins = _graded_pins(a, b)
+    assert algebra_morphisms(a.algebra, b.algebra, zero_coords=pins) == \
+        exhaustive_morphisms(a.algebra, b.algebra, pins)
+    assert graded_algebra_morphisms(a, b) == exhaustive_morphisms(a.algebra, b.algebra, pins)
+
+
+@pytest.mark.parametrize("a,b,needed,pins", [
+    (cyclic_group_hopf(F3, 3).algebra, cyclic_group_hopf(F3, 3).algebra, 3 ** 3, None),
+    (_M2_F2, trivial_algebra(F2), 2 ** 3, None),  # three generators e00, e01, e10
+    (_SWEEDLER_F3, _SWEEDLER_F3, 3 ** 8, None),  # two generators g, x
+    (cyclic_group_hopf(F2, 2).algebra, _M2_F2, 2 ** 4, None),
+    # x of degree 1 may only go to y of degree 1
+    (_GRADED[0][0].algebra, _GRADED[0][1].algebra, 2, _graded_pins(*_GRADED[0])),
+], ids=["F3C3-F3C3", "M2F2-F2", "sweedler-sweedler", "F2C2-M2F2", "graded"])
+def test_budget_bound_is_p_to_the_free_generator_coordinates(a, b, needed, pins):
+    with pytest.raises(BudgetExceeded) as exc:
+        algebra_morphisms(a, b, budget=needed - 1, zero_coords=pins)
+    assert (exc.value.needed, exc.value.budget) == (needed, needed - 1)
+    algebra_morphisms(a, b, budget=needed, zero_coords=pins)
 
 
 def _cli(command):

@@ -16,6 +16,8 @@ from sweedler.tambara import (
 )
 from sweedler.zoo import cyclic_group_hopf, dual_numbers
 
+from _oracles import conjugation_partition
+
 F2 = GF(2)
 
 
@@ -123,3 +125,16 @@ def test_correspondence_converts_each_module_once(monkeypatch, inv_f2):
     report = correspondence_check(inv_f2, dual_numbers(F2), 2)
     assert report.ok
     assert len(calls) == report.module_count == 28
+
+
+def test_module_orbits_match_the_conjugation_oracle(inv_f2):
+    p = tambara_presentation(inv_f2, dual_numbers(F2))
+    gens = len(p.generators)
+    modules = tambara_modules(p, 2)
+    stacked = [LinMap(F2, gens * 4, 1, tuple(x for m in mats for x in m.entries))
+               for mats in modules]
+    oracle = sorted((min(orbit), len(orbit)) for orbit in conjugation_partition(stacked, 2, gens, 1))
+    found = [(tuple(x for m in mats for x in m.entries), size)
+             for mats, size in module_orbits(p, modules, 2)]
+    assert found == oracle
+    assert len(oracle) > 1
