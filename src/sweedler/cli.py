@@ -8,12 +8,18 @@ grouplikes) are successful runs with status 0; only operational problems
 
     0 success          3 validation error     5 unsupported input or
     1 internal error   4 budget exceeded        precondition violation
-    2 parse error
+    2 parse error, unreadable input or unwritable ``--output``
+
+The argument parser is built once per process (``build_parser`` is cached)
+and shared by every in-process caller of ``main``: ``parse_args`` returns a
+fresh namespace each call, and argparse picks its streams and help width when
+it prints, not when it is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -336,7 +342,22 @@ def cmd_tambara_check(args):
 # wiring
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True,
+             "false": False, "no": False, "0": False}
+
+
+def _boolean(value: str) -> bool:
+    try:
+        return _BOOLEANS[value.lower()]
+    except KeyError:
+        raise argparse.ArgumentTypeError(
+            f"expected one of true/false/yes/no/1/0, got {value!r}") from None
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on the first call and returned by every
+    later one: callers share it and must not change it."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="enumeration candidate budget")
@@ -345,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--output", type=str, default=None, help="write the report here")
     shared.add_argument("--format", choices=["report", "document"], default="report")
     shared.add_argument("--auto-intertwiners", dest="auto_intertwiners",
-                        type=lambda v: v.lower() in ("1", "true", "yes"), default=True,
+                        type=_boolean, default=True,
                         metavar="BOOL",
                         help="use a full Hom-space basis in reconstruct (default true)")
     parser = argparse.ArgumentParser(
@@ -400,58 +421,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, payload: dict, is_document: bool) -> None:
+def _report(args, payload: dict, is_document: bool) -> str:
     if args.format == "document" and is_document:
-        text = docs.canonical_json(payload)
-    else:
-        report = {"command": args.command, "status": "ok"}
-        if args.seed is not None:
-            report["seed"] = args.seed
-        report["result"] = payload
-        text = docs.canonical_json(report)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+        return docs.canonical_json(payload)
+    report = {"command": args.command, "status": "ok"}
+    if args.seed is not None:
+        report["seed"] = args.seed
+    report["result"] = payload
+    return docs.canonical_json(report)
 
 
-def _emit_error(args, exc: Exception, code: int) -> int:
-    report = {"command": getattr(args, "command", None), "status": "error",
+def _error_report(args, exc: Exception) -> str:
+    report = {"command": args.command, "status": "error",
               "error": type(exc).__name__, "message": str(exc)}
     failures = getattr(exc, "report", None)
     if failures is not None:
         report["failures"] = [{"axiom": f.axiom, "witness": list(f.witness)}
                               for f in failures.failures]
-    text = docs.canonical_json(report)
-    if getattr(args, "output", None):
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return code
+    return docs.canonical_json(report)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> tuple[int, str]:
+    """Exit code and report text of one parsed command line."""
     try:
         payload, is_document = args.handler(args)
     except ParseError as exc:
-        return _emit_error(args, exc, EXIT_PARSE)
+        return EXIT_PARSE, _error_report(args, exc)
     except ValidationError as exc:
-        return _emit_error(args, exc, EXIT_VALIDATION)
+        return EXIT_VALIDATION, _error_report(args, exc)
     except BudgetExceeded as exc:
-        return _emit_error(args, exc, EXIT_BUDGET)
+        return EXIT_BUDGET, _error_report(args, exc)
     except (UnsupportedField, PreconditionViolated, IncompatibleMeasurings,
             NotCommutative) as exc:
-        return _emit_error(args, exc, EXIT_UNSUPPORTED)
+        return EXIT_UNSUPPORTED, _error_report(args, exc)
     except OSError as exc:
-        return _emit_error(args, exc, EXIT_PARSE)
+        return EXIT_PARSE, _error_report(args, exc)
     except SweedlerError as exc:
-        return _emit_error(args, exc, EXIT_VALIDATION)
+        return EXIT_VALIDATION, _error_report(args, exc)
     except AssertionError as exc:
-        return _emit_error(args, exc, EXIT_INTERNAL)
-    _emit(args, payload, is_document)
-    return EXIT_OK
+        return EXIT_INTERNAL, _error_report(args, exc)
+    return EXIT_OK, _report(args, payload, is_document)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    code, text = _run(args)
+    if not args.output:
+        sys.stdout.write(text)
+        return code
+    try:
+        Path(args.output).write_text(text)
+    except OSError as exc:
+        # the report is lost; say why on stdout rather than retry the path
+        sys.stdout.write(_error_report(args, exc))
+        return EXIT_PARSE
+    return code
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import resource
@@ -6,6 +7,9 @@ import sys
 from pathlib import Path
 
 
+import pytest
+
+from sweedler import cli
 from sweedler.cli import main
 from sweedler.documents import Document, serialize_document
 from sweedler.fields import GF
@@ -259,6 +263,26 @@ def test_reconstruct_without_intertwiners(capsys):
     assert report["result"]["d"]["dim"] == 4
 
 
+@pytest.mark.parametrize("value, dim", [("TRUE", 2), ("Yes", 2), ("1", 2),
+                                        ("False", 4), ("no", 4), ("0", 4)])
+def test_auto_intertwiners_spellings(capsys, value, dim):
+    code, out = run(capsys, "reconstruct", fixture("f2_c2_regular.measuring.json"),
+                    "--auto-intertwiners", value)
+    assert code == 0
+    assert json.loads(out)["result"]["d"]["dim"] == dim
+
+
+@pytest.mark.parametrize("value", ["maybe", "", "on", "2"])
+def test_auto_intertwiners_rejects_other_values(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["reconstruct", fixture("f2_c2_regular.measuring.json"),
+              "--auto-intertwiners", value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "argument --auto-intertwiners: expected one of" in captured.err
+
+
 def test_fusion_command_reports_invertibility(capsys):
     code, out = run(capsys, "fusion", fixture("idempotent_f2.json"))
     report = json.loads(out)
@@ -342,3 +366,89 @@ def test_huge_prime_field_is_a_parse_error(tmp_path, capsys):
     code, out = run(capsys, "validate", str(path))
     assert code == 2
     assert json.loads(out)["error"] == "ParseError"
+
+
+def test_unwritable_output_of_a_report_is_a_structured_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out = run(capsys, "validate", fixture("f2_c2.json"), "--output", str(target))
+    assert code == 2
+    report = json.loads(out)
+    assert report["status"] == "error" and report["command"] == "validate"
+    assert report["error"] == "FileNotFoundError" and str(target) in report["message"]
+    assert not target.parent.exists()
+
+
+def test_unwritable_output_of_an_error_report_is_a_structured_error(tmp_path, capsys,
+                                                                     monkeypatch):
+    writes = []
+    original = Path.write_text
+    monkeypatch.setattr(Path, "write_text",
+                        lambda self, *a, **k: writes.append(self) or original(self, *a, **k))
+    target = tmp_path / "missing" / "x.json"
+    code, out = run(capsys, "validate", fixture("broken_coassoc.json"),
+                    "--output", str(target))
+    assert code == 2
+    report = json.loads(out)
+    assert report["status"] == "error" and report["error"] == "FileNotFoundError"
+    # the failed path is tried once, not again for the write error's report
+    assert writes == [target]
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    assert run(capsys, "validate", fixture("f2_c2.json"))[0] == 0
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(3):
+        assert run(capsys, "validate", fixture("f2_c2.json"))[0] == 0
+        assert run(capsys, "fusion", fixture("q_c2.json"))[0] == 0
+    assert built == []
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_seed_does_not_leak_into_the_next_call(capsys):
+    code, out = run(capsys, "fusion", fixture("q_c2.json"), "--seed", "5")
+    assert code == 0 and json.loads(out)["seed"] == 5
+    code, out = run(capsys, "fusion", fixture("q_c2.json"))
+    assert code == 0 and "seed" not in json.loads(out)
+
+
+def test_tensor_mode_does_not_leak_into_the_next_call(capsys):
+    sign = fixture("q_c2_sign.measuring.json")
+    code, out = run(capsys, "tensor", sign, sign, "--mode", "endo")
+    assert code == 5 and json.loads(out)["error"] == "IncompatibleMeasurings"
+    code, out = run(capsys, "tensor", sign, sign, "--format", "document")
+    assert code == 0
+    assert json.loads(out)["psi"] == [[[0, 0], ["1"]], [[1, 0], ["1"]]]
+
+
+def test_output_and_format_do_not_leak_into_the_next_call(tmp_path, capsys):
+    target = tmp_path / "dual.json"
+    code, out = run(capsys, "dual", fixture("m2_f2.json"),
+                    "--format", "document", "--output", str(target))
+    assert code == 0 and out == ""
+    written = target.read_text()
+    target.unlink()
+    code, out = run(capsys, "dual", fixture("m2_f2.json"))
+    assert code == 0 and not target.exists()
+    report = json.loads(out)
+    assert report["status"] == "ok" and report["result"] == json.loads(written)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["tensor", "--help"], [],
+                                  ["tensor", "a", "b", "--mode", "sideways"],
+                                  ["tambara-check", "a", "b"]])
+def test_help_and_usage_errors_repeat_byte_for_byte(capsys, argv):
+    seen = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        seen.append((exc.value.code, captured.out, captured.err))
+    assert seen[0] == seen[1]
+    assert seen[0][1] or seen[0][2]
