@@ -79,7 +79,13 @@ def main() -> None:
     write("f2_c2_regular.measuring.json",
           canonical_json(measuring_to_dict(
               MeasuringDocument("f2_c2.json", "f2_trivial.json", regular_measuring(a)))))
-    m2 = matrix_algebra(trivial_algebra(f2), 2)
+    # the trivial character g -> 1, the only 1-dimensional F2[C_2]-module
+    f2_triv = measuring_from_matrix_morphism(LinMap.from_rows(f2, [[1, 1]]), a,
+                                             trivial_algebra(f2), 1)
+    write("f2_c2_triv.measuring.json",
+          canonical_json(measuring_to_dict(
+              MeasuringDocument("f2_c2.json", "f2_trivial.json", f2_triv))))
+    m2 =matrix_algebra(trivial_algebra(f2), 2)
     std = measuring_from_matrix_morphism(LinMap.identity(f2, 4), m2, trivial_algebra(f2), 2)
     write("m2_standard.measuring.json",
           canonical_json(measuring_to_dict(
