@@ -79,17 +79,22 @@ EXIT_BUDGET = 4
 EXIT_UNSUPPORTED = 5
 
 
+def _read_text(path: str | Path) -> str:
+    """A document's text; a file that is not UTF-8 is a parse error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 ({exc.reason} at byte {exc.start})", path=str(path)) from exc
+
+
 def _read_document(path: str | Path) -> docs.Document:
-    return docs.parse_document(Path(path).read_text())
+    return docs.parse_document(_read_text(path))
 
 
 def _read_measuring(path: str) -> docs.MeasuringDocument:
     base = Path(path).parent
-
-    def loader(ref: str) -> docs.Document:
-        return docs.parse_document((base / ref).read_text())
-
-    return docs.parse_measuring_document(Path(path).read_text(), loader)
+    return docs.parse_measuring_document(
+        _read_text(path), lambda ref: docs.parse_document(_read_text(base / ref)))
 
 
 def _matrix(f: LinMap) -> list[list[str]]:

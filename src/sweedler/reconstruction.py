@@ -7,14 +7,23 @@ span of the coend relations
     (alpha . f) (x) v  -  alpha (x) f(v)
 
 over a family of intertwiners f, with comultiplication, counit and the
-measuring pairing beta: A (x) D -> B induced on the quotient.  All induced
-structure is verified before a value is returned; with B = k and enough
-modules this computes the linear dual of A.
+measuring pairing beta: A (x) D -> B induced on the quotient.
+
+The stage is assembled one generator at a time, never as the direct sum:
+with P_i: coend(X_i) -> D the projection and S_i the section's rows on that
+summand, D has comultiplication sum_i (P_i (x) P_i).Delta_i.S_i, counit
+sum_i eps_i.S_i and pairing sum_i beta_i.(1_A (x) S_i), with (Delta_i, eps_i)
+from :func:`coend_coalgebra` and beta_i the axes of psi_i reordered.  These
+descend (are well defined) exactly when every P_i is a coalgebra morphism and
+every generator's induced comodule gives back its psi; that and the rest of
+the induced structure are verified before a value is returned.  With B = k
+and enough modules this computes the linear dual of A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import (
     IncompatibleMeasurings,
@@ -24,7 +33,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .fields import Field
-from .linalg import LinMap, compose, compose_slot, kron, permute_axes, rref, swap_map
+from .linalg import LinMap, compose, compose_slot, kernel_basis, kron, permute_axes, swap_map
 from .structures import (
     Algebra,
     Bialgebra,
@@ -47,16 +56,16 @@ def coend_coalgebra(xdim: int, field: Field) -> Coalgebra:
     Delta f_ij = sum_k f_ik (x) f_kj, eps f_ij = delta_ij."""
     k = field
     d = xdim * xdim
-    comult = [[k.zero()] * d for _ in range(d * d)]
+    comult = [k.zero()] * (d * d * d)
     counit = [k.zero()] * d
     for i in range(xdim):
         counit[i * xdim + i] = k.one()
         for j in range(xdim):
             for t in range(xdim):
                 row = (i * xdim + t) * d + (t * xdim + j)
-                comult[row][i * xdim + j] = k.one()
-    return Coalgebra(comult=LinMap.from_rows(k, comult) if d else LinMap.zero(k, 0, 0),
-                     counit=LinMap.row(k, counit))
+                comult[row * d + i * xdim + j] = k.one()
+    return Coalgebra(comult=LinMap(k, d * d, d, tuple(comult)),
+                     counit=LinMap(k, 1, d, tuple(counit)))
 
 
 def validate_comodule(delta: LinMap, c: Coalgebra) -> bool:
@@ -89,7 +98,12 @@ def coend_morphism_to_comodule(phi: LinMap, c: Coalgebra, xdim: int) -> LinMap:
         raise NotAComodule("phi does not have coend(X) -> C shape")
     if not is_coalgebra_morphism(phi, coend_coalgebra(xdim, phi.field), c):
         raise NotAComodule("phi is not a coalgebra morphism out of the coend")
-    return permute_axes(phi, (c.dim, xdim, xdim), (1, 0, 2), 2)
+    return _classified_comodule(phi, c.dim, xdim)
+
+
+def _classified_comodule(phi: LinMap, cdim: int, xdim: int) -> LinMap:
+    """delta(x_j) = sum_i x_i (x) phi(f_ij), for any linear phi: coend(X) -> C."""
+    return permute_axes(phi, (cdim, xdim, xdim), (1, 0, 2), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -115,35 +129,37 @@ class GeneratedSubcoalgebra:
     generators: tuple[Measuring, ...]
 
 
-def _quotient_by_rows(field: Field, n: int, relations: list[tuple]) -> tuple[LinMap, LinMap]:
-    """Quotient of k^n by the row span; returns (projection n->d, section d->n).
+def _quotient_by_rows(field: Field, n: int,
+                      relations: list[tuple]) -> tuple[list[tuple], LinMap]:
+    """Quotient of k^n by the row span: the rows of the projection k^n -> k^d
+    and the section k^d -> k^n.
 
-    The quotient basis consists of the non-pivot coordinates of the reduced
-    row echelon form, in increasing order.
+    The projection's rows are the kernel basis of the relation matrix, one per
+    free (non-pivot) coordinate of its reduced echelon form, in increasing
+    order; the section sends the quotient's basis to those coordinates.
     """
     k = field
-    if relations:
-        echelon, pivots = rref(LinMap.from_rows(field, [list(r) for r in relations]))
-    else:
-        echelon, pivots = LinMap.zero(field, 0, n), ()
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    d = len(free)
-    proj = [[k.zero()] * n for _ in range(d)]
-    for col in range(n):
-        if col in pivot_set:
-            r = pivots.index(col)
-            # e_col = sum of free coordinates of the echelon row, negated
-            for out, fc in enumerate(free):
-                val = echelon.entries[r * n + fc]
-                if val != 0:
-                    proj[out][col] = k.neg(val)
-        else:
-            proj[free.index(col)][col] = k.one()
-    section = [[k.one() if free[c] == r else k.zero() for c in range(d)] for r in range(n)]
-    proj_map = LinMap.from_rows(k, proj) if d else LinMap.zero(k, 0, n)
-    section_map = LinMap.from_rows(k, section) if n else LinMap.zero(k, 0, d)
-    return proj_map, section_map
+    rel = LinMap.from_rows(k, relations) if relations else LinMap.zero(k, 0, n)
+    rows = kernel_basis(rel)
+    d = len(rows)
+    section = [k.zero()] * (n * d)
+    for c, row in enumerate(rows):
+        # the kernel vector of free coordinate j is zero after j
+        free = max(j for j, v in enumerate(row) if v)
+        section[free * d + c] = k.one()
+    return rows, LinMap(k, n, d, tuple(section))
+
+
+def _section_blocks(section: LinMap, xdims: list[int]) -> list[LinMap]:
+    """S_i: the rows of the section on the i-th summand coend(X_i)."""
+    d = section.dom
+    blocks = []
+    start = 0
+    for x in xdims:
+        end = start + x * x
+        blocks.append(LinMap(section.field, x * x, d, section.entries[start * d:end * d]))
+        start = end
+    return blocks
 
 
 def reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,
@@ -170,110 +186,72 @@ def reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,
         raise IncompatibleMeasurings("an empty generator list needs explicit a and b")
     k = a.field
     xdims = [m.xdim for m in measurings]
-    starts = []
-    total = 0
-    for x in xdims:
-        starts.append(total)
-        total += x * x
-
+    starts = [sum(x * x for x in xdims[:i]) for i in range(len(xdims))]
+    total = sum(x * x for x in xdims)
     if auto_intertwiners:
-        morphism_list = []
-        for i, mi in enumerate(measurings):
-            for j, mj in enumerate(measurings):
-                for iw in intertwiners(mi, mj):
-                    morphism_list.append((i, j, iw.f))
-    else:
-        morphism_list = list(morphisms or [])
+        morphisms = [(i, j, iw.f) for i, mi in enumerate(measurings)
+                     for j, mj in enumerate(measurings) for iw in intertwiners(mi, mj)]
 
     relations = []
-    for i, j, f in morphism_list:
+    for i, j, f in morphisms or []:
         xi, xj = xdims[i], xdims[j]
         if f.dom != xi or f.cod != xj:
             raise IncompatibleMeasurings("morphism shape does not match its endpoints")
-        for r in range(xj):      # alpha = r-th dual basis vector of X_j
-            for c in range(xi):  # v = c-th basis vector of X_i
-                vec = [k.zero()] * total
-                for s in range(xi):
-                    val = f.entries[r * xi + s]
-                    if val != 0:
-                        vec[starts[i] + s * xi + c] = k.add(vec[starts[i] + s * xi + c], val)
-                for u in range(xj):
-                    val = f.entries[u * xi + c]
-                    if val != 0:
-                        idx = starts[j] + r * xj + u
-                        vec[idx] = k.sub(vec[idx], val)
-                if any(x != 0 for x in vec):
-                    relations.append(tuple(vec))
+        # row (r, c), for alpha = e^r in X_j* and v = e_c in X_i, is f (x) 1 on
+        # coend(X_i) minus 1 (x) f^T on coend(X_j)
+        left = kron(f, LinMap.identity(k, xi))
+        right = kron(LinMap.identity(k, xj), f.transpose())
+        for r in range(xj * xi):
+            vec = [k.zero()] * total
+            vec[starts[i]:starts[i] + xi * xi] = left.row_at(r)
+            for u in compress(range(xj * xj), right.row_at(r)):
+                vec[starts[j] + u] = k.sub(vec[starts[j] + u], right[r, u])
+            if any(vec):
+                relations.append(tuple(vec))
 
-    proj, section = _quotient_by_rows(k, total, relations)
-    d = proj.cod
+    rows, section = _quotient_by_rows(k, total, relations)
+    d = len(rows)
+    projections = tuple(LinMap(k, d, x * x, tuple(v for row in rows for v in row[s:s + x * x]))
+                        for s, x in zip(starts, xdims))
 
-    # comultiplication and counit of the direct sum of coends
-    comult_sum = [[k.zero()] * total for _ in range(total * total)]
-    counit_sum = [k.zero()] * total
-    for idx, x in enumerate(xdims):
-        base = starts[idx]
-        for i in range(x):
-            counit_sum[base + i * x + i] = k.one()
-            for j in range(x):
-                for t in range(x):
-                    row = (base + i * x + t) * total + (base + t * x + j)
-                    comult_sum[row][base + i * x + j] = k.one()
-    comult_sum_map = (LinMap.from_rows(k, comult_sum)
-                      if total else LinMap.zero(k, 0, 0))
-    counit_sum_map = LinMap.row(k, counit_sum)
-
-    # pairing A (x) sum coend(X_i) -> B induced by the psi_i
+    # coend(X_i) pushed along P_i and pulled back along S_i, summed over i
     da, db = a.dim, b.dim
-    beta_sum = [[k.zero()] * (da * total) for _ in range(db)]
-    for idx, m in enumerate(measurings):
+    coends = [coend_coalgebra(x, k) for x in xdims]
+    comult = LinMap.zero(k, d * d, d)
+    counit = LinMap.zero(k, 1, d)
+    pairing = LinMap.zero(k, db, da * d)
+    for m, c, p, s in zip(measurings, coends, projections, _section_blocks(section, xdims)):
         x = m.xdim
-        base = starts[idx]
-        for t in range(da):
-            for s in range(x):
-                for c in range(x):
-                    col = t * x + c
-                    for q in range(db):
-                        val = m.psi.entries[(s * db + q) * (da * x) + col]
-                        if val != 0:
-                            beta_sum[q][t * total + (base + s * x + c)] = val
-    beta_sum_map = LinMap.from_rows(k, beta_sum)
+        pushed = compose_slot(compose_slot(c.comult, p, x * x, 1, after=True), p, 1, d, after=True)
+        comult = comult + compose(pushed, s)
+        counit = counit + compose(c.counit, s)
+        beta = permute_axes(m.psi, (x, db, da, x), (1, 2, 0, 3), 1)
+        pairing = pairing + compose_slot(beta, s, da, 1, after=False)
 
-    # (proj (x) proj).comult_sum, one tensor factor at a time
-    descended_comult = compose_slot(comult_sum_map, proj, total, 1, after=True)
-    descended_comult = compose_slot(descended_comult, proj, 1, d, after=True)
-
-    # well-definedness: the induced maps must kill every relation
-    for vec in relations:
-        if any(x != 0 for x in descended_comult.apply(vec)):
-            raise InducedStructureIllDefined("comultiplication does not descend")
-        if any(x != 0 for x in counit_sum_map.apply(vec)):
-            raise InducedStructureIllDefined("counit does not descend")
-        col = LinMap.column(k, list(vec))
-        if not compose_slot(beta_sum_map, col, da, 1, after=False).is_zero():
-            raise InducedStructureIllDefined(
-                "pairing does not descend; an input morphism is not an intertwiner")
-
-    comult = compose(descended_comult, section)
-    counit = compose(counit_sum_map, section)
-    coalg = Coalgebra(comult=comult, counit=counit)
-    pairing = compose_slot(beta_sum_map, section, da, 1, after=False)
-    projections = tuple(
-        LinMap(k, d, x * x,
-               tuple(proj.entries[r * total + starts[idx] + c]
-                     for r in range(d) for c in range(x * x)))
-        for idx, x in enumerate(xdims))
-
-    result = GeneratedSubcoalgebra(a, b, coalg, pairing, projections, section,
-                                   tuple(measurings))
-    _verify_generated(result)
+    result = GeneratedSubcoalgebra(a, b, Coalgebra(comult=comult, counit=counit), pairing,
+                                   projections, section, tuple(measurings))
+    _verify_generated(result, coends)
     return result
 
 
-def _verify_generated(g: GeneratedSubcoalgebra) -> None:
-    """Machine-check every invariant of a generated subcoalgebra."""
+def _verify_generated(g: GeneratedSubcoalgebra, coends: list[Coalgebra]) -> None:
+    """Machine-check every invariant of a generated subcoalgebra.
+
+    As the kernel of the projection onto D is the span of the relations, the
+    comultiplication and counit descend to D exactly when every P_i is a
+    coalgebra morphism coend(X_i) -> D, and the pairing descends exactly when
+    every generator's induced comodule gives back its psi.
+    """
+    for m, c, p in zip(g.generators, coends, g.projections):
+        if not is_coalgebra_morphism(p, c, g.d):
+            raise InducedStructureIllDefined(
+                "comultiplication or counit does not descend; "
+                "an input morphism is not an intertwiner")
+        if induced_measuring(g, _classified_comodule(p, g.d.dim, m.xdim)) != m.psi:
+            raise InducedStructureIllDefined(
+                "pairing does not descend; an input morphism is not an intertwiner")
     k = g.a.field
-    da, db, d = g.a.dim, g.b.dim, g.d.dim
+    da, d = g.a.dim, g.d.dim
     report = validate_coalgebra(g.d)
     if not report.ok:
         raise InducedStructureIllDefined(f"quotient is not a coalgebra: {report}")
@@ -286,14 +264,6 @@ def _verify_generated(g: GeneratedSubcoalgebra) -> None:
         raise InducedStructureIllDefined("pairing is not multiplicative in A")
     if compose_slot(g.pairing, g.a.unit, 1, d, after=False) != compose(g.b.unit, g.d.counit):
         raise InducedStructureIllDefined("pairing is not unital")
-    for idx, m in enumerate(g.generators):
-        proj_i = g.projections[idx]
-        if not is_coalgebra_morphism(proj_i, coend_coalgebra(m.xdim, k), g.d):
-            raise InducedStructureIllDefined("a projection is not a coalgebra morphism")
-        delta = coend_morphism_to_comodule(proj_i, g.d, m.xdim)
-        if induced_measuring(g, delta) != m.psi:
-            raise InducedStructureIllDefined(
-                "the induced comodule does not reproduce its generator")
 
 
 def induced_measuring(g: GeneratedSubcoalgebra, delta: LinMap) -> LinMap:
@@ -351,28 +321,17 @@ def product_on_generated(g1: GeneratedSubcoalgebra, g2: GeneratedSubcoalgebra,
                 raise PreconditionViolated(
                     "g12 generators are not the pairwise tensors, row-major")
             blocks.append((i, j, mi.xdim, mj.xdim))
+    s1 = _section_blocks(g1.section, [m.xdim for m in g1.generators])
+    s2 = _section_blocks(g2.section, [m.xdim for m in g2.generators])
     # canonical map coend(X) (x) coend(Y) -> coend(X (x) Y), blockwise, pushed to D12
     d1, d2, d12 = g1.d.dim, g2.d.dim, g12.d.dim
     result = LinMap.zero(k, d12, d1 * d2)
     for idx, (i, j, x, y) in enumerate(blocks):
         # f_ab (x) g_cd -> F_(a,c),(b,d) is 1_X (x) swap (x) 1_Y
         piece = compose_slot(g12.projections[idx], swap_map(x, y, k), x, y, after=False)
-        result = result + compose(piece, kron(compose(_summand_restriction(g1, i), g1.section),
-                                              compose(_summand_restriction(g2, j), g2.section)))
+        result = result + compose(piece, kron(s1[i], s2[j]))
     _verify_product(g1, g2, g12, a, result)
     return result
-
-
-def _summand_restriction(g: GeneratedSubcoalgebra, index: int) -> LinMap:
-    """Projection of the coend direct sum onto its index-th summand."""
-    k = g.a.field
-    xdims = [m.xdim for m in g.generators]
-    total = sum(x * x for x in xdims)
-    start = sum(x * x for x in xdims[:index])
-    size = xdims[index] ** 2
-    rows = [[k.one() if c == start + r else k.zero() for c in range(total)]
-            for r in range(size)]
-    return LinMap.from_rows(k, rows) if size else LinMap.zero(k, 0, total)
 
 
 def _verify_product(g1, g2, g12, a: Bialgebra, product: LinMap) -> None:

@@ -66,6 +66,29 @@ def _canonical(poly: Polynomial) -> tuple[tuple[object, Word], ...]:
     return tuple((poly[w], w) for w in sorted(poly, key=lambda w: (len(w), w)))
 
 
+def _generator_forms(a: Algebra, b: Algebra) -> tuple[list[tuple[int, int]], dict]:
+    """The generators x_{i,j} of a(A, B), numbered in the order of the first
+    list, and every coordinate x_{i,j} as a linear form
+    (constant, ((generator, coefficient), ...)) in them.
+
+    The pivot, the first nonzero coordinate u_pivot of 1_B, is eliminated by
+    the unit relation delta(1_B) = 1_A (x) 1:
+    x_{i,pivot} = (1/u_pivot) ((1_A)_i * 1 - sum_{j != pivot} u_j x_{i,j}).
+    """
+    k = same_field(a.field, b.field)
+    unit_a, unit_b = a.unit_vector(), b.unit_vector()
+    pivot = next(j for j, u in enumerate(unit_b) if u != 0)
+    inv_pivot = k.inv(unit_b[pivot])
+    generators = [(i, j) for i in range(a.dim) for j in range(b.dim) if j != pivot]
+    index = {ij: g for g, ij in enumerate(generators)}
+    forms = {ij: (k.zero(), ((g, k.one()),)) for ij, g in index.items()}
+    for i in range(a.dim):
+        forms[i, pivot] = (k.mul(inv_pivot, unit_a[i]),
+                           tuple((index[i, j], k.neg(k.mul(inv_pivot, u)))
+                                 for j, u in enumerate(unit_b) if j != pivot and u != 0))
+    return generators, forms
+
+
 def tambara_presentation(a: Algebra, b: Algebra,
                          a_labels: list[str] | None = None,
                          b_labels: list[str] | None = None) -> PresentedAlgebra:
@@ -82,32 +105,14 @@ def tambara_presentation(a: Algebra, b: Algebra,
         a_labels = [f"a{i}" for i in range(da)]
     if b_labels is None:
         b_labels = [f"b{j}" for j in range(db)]
-    unit_b = b.unit_vector()
-    pivot = next(j for j in range(db) if unit_b[j] != 0)
-    generators = []
-    gen_index: dict[tuple[int, int], int] = {}
-    for i in range(da):
-        for j in range(db):
-            if j == pivot:
-                continue
-            gen_index[(i, j)] = len(generators)
-            generators.append(f"x_{{{a_labels[i]},{b_labels[j]}}}")
-
-    unit_a = a.unit_vector()
-    inv_pivot = k.inv(unit_b[pivot])
+    pairs, forms = _generator_forms(a, b)
+    generators = [f"x_{{{a_labels[i]},{b_labels[j]}}}" for i, j in pairs]
 
     def image(i: int, j: int) -> Polynomial:
-        """The linear polynomial representing x_{i,j} with the pivot eliminated:
-        x_{i,pivot} = (1/u_pivot) ((1_A)_i * 1 - sum_{j != pivot} u_j x_{i,j})."""
-        if j != pivot:
-            return {(gen_index[(i, j)],): k.one()}
-        poly: Polynomial = {}
-        if unit_a[i] != 0:
-            poly[()] = k.mul(inv_pivot, unit_a[i])
-        for jj in range(db):
-            if jj == pivot or unit_b[jj] == 0:
-                continue
-            poly = _poly_add(k, poly, {(gen_index[(i, jj)],): k.neg(k.mul(inv_pivot, unit_b[jj]))})
+        """The linear polynomial representing x_{i,j}."""
+        const, terms = forms[i, j]
+        poly: Polynomial = {(): const} if const != 0 else {}
+        poly.update(((g,), c) for g, c in terms)
         return poly
 
     relations = []
@@ -205,26 +210,13 @@ def module_to_matrix_morphism(p: PresentedAlgebra, a: Algebra, b: Algebra,
     as an algebra morphism B -> M_n(A)."""
     k = p.field
     da, db = a.dim, b.dim
-    unit_b = b.unit_vector()
-    pivot = next(j for j in range(db) if unit_b[j] != 0)
-    gen_index = {}
-    g = 0
-    for i in range(da):
-        for j in range(db):
-            if j != pivot:
-                gen_index[(i, j)] = g
-                g += 1
-    unit_a = a.unit_vector()
-    inv_pivot = k.inv(unit_b[pivot])
+    _, forms = _generator_forms(a, b)
 
     def matrix_of(i: int, j: int) -> LinMap:
-        if j != pivot:
-            return mats[gen_index[(i, j)]]
-        out = LinMap.identity(k, n).scale(k.mul(inv_pivot, unit_a[i]))
-        for jj in range(db):
-            if jj == pivot or unit_b[jj] == 0:
-                continue
-            out = out - mats[gen_index[(i, jj)]].scale(k.mul(inv_pivot, unit_b[jj]))
+        const, terms = forms[i, j]
+        out = LinMap.identity(k, n).scale(const)
+        for g, c in terms:
+            out = out + mats[g].scale(c)
         return out
 
     # the blocks stacked on rows (j, i) and columns (r, s), moved to rows (r, s, i)

@@ -7,8 +7,9 @@ do their arithmetic inline.
 
 import itertools
 
-from sweedler.linalg import LinMap, compose, invert, kernel_basis, solve
-from sweedler.structures import general_linear_group, is_algebra_morphism
+from sweedler.errors import InducedStructureIllDefined
+from sweedler.linalg import LinMap, compose, compose_slot, invert, kernel_basis, rref, solve
+from sweedler.structures import Coalgebra, general_linear_group, is_algebra_morphism
 
 
 def classifying_iso_to_dual(g):
@@ -213,3 +214,101 @@ def gl_order(p, n):
     for i in range(n):
         out *= p ** n - p ** i
     return out
+
+
+def dense_reconstruct(measurings, morphisms, a, b):
+    """The coend stage by dense direct sums, as ``reconstruct`` once built it.
+
+    The comultiplication, counit and pairing of the whole direct sum of
+    comatrix coalgebras are written out as dense matrices, pushed along the
+    quotient by the coend relations of ``morphisms`` (source, target, map)
+    and checked to kill every relation; InducedStructureIllDefined is raised
+    when one does not.  Returns (d, pairing, projections, section)."""
+    k = a.field
+    xdims = [m.xdim for m in measurings]
+    starts = []
+    total = 0
+    for x in xdims:
+        starts.append(total)
+        total += x * x
+    relations = []
+    for i, j, f in morphisms:
+        xi, xj = xdims[i], xdims[j]
+        for r in range(xj):
+            for c in range(xi):
+                vec = [k.zero()] * total
+                for s in range(xi):
+                    val = f.entries[r * xi + s]
+                    if val != 0:
+                        vec[starts[i] + s * xi + c] = k.add(vec[starts[i] + s * xi + c], val)
+                for u in range(xj):
+                    val = f.entries[u * xi + c]
+                    if val != 0:
+                        idx = starts[j] + r * xj + u
+                        vec[idx] = k.sub(vec[idx], val)
+                if any(x != 0 for x in vec):
+                    relations.append(vec)
+
+    # the quotient: its basis is the non-pivot coordinates of the echelon form
+    if relations:
+        echelon, pivots = rref(LinMap.from_rows(k, relations))
+    else:
+        echelon, pivots = LinMap.zero(k, 0, total), ()
+    free = [c for c in range(total) if c not in pivots]
+    d = len(free)
+    proj = [[k.zero()] * total for _ in range(d)]
+    for col in range(total):
+        if col in pivots:
+            r = pivots.index(col)
+            for out, fc in enumerate(free):
+                val = echelon.entries[r * total + fc]
+                if val != 0:
+                    proj[out][col] = k.neg(val)
+        else:
+            proj[free.index(col)][col] = k.one()
+    proj = LinMap.from_rows(k, proj) if d else LinMap.zero(k, 0, total)
+    section = (LinMap.from_rows(k, [[k.one() if free[c] == r else k.zero() for c in range(d)]
+                                    for r in range(total)])
+               if total else LinMap.zero(k, 0, d))
+
+    comult_sum = [[k.zero()] * total for _ in range(total * total)]
+    counit_sum = [k.zero()] * total
+    for idx, x in enumerate(xdims):
+        base = starts[idx]
+        for i in range(x):
+            counit_sum[base + i * x + i] = k.one()
+            for j in range(x):
+                for t in range(x):
+                    row = (base + i * x + t) * total + (base + t * x + j)
+                    comult_sum[row][base + i * x + j] = k.one()
+    comult_sum = LinMap.from_rows(k, comult_sum) if total else LinMap.zero(k, 0, 0)
+    counit_sum = LinMap.row(k, counit_sum)
+    da, db = a.dim, b.dim
+    beta_sum = [[k.zero()] * (da * total) for _ in range(db)]
+    for idx, m in enumerate(measurings):
+        x = m.xdim
+        for t in range(da):
+            for s in range(x):
+                for c in range(x):
+                    for q in range(db):
+                        val = m.psi.entries[(s * db + q) * (da * x) + t * x + c]
+                        if val != 0:
+                            beta_sum[q][t * total + starts[idx] + s * x + c] = val
+    beta_sum = LinMap.from_rows(k, beta_sum)
+
+    descended = compose_slot(comult_sum, proj, total, 1, after=True)
+    descended = compose_slot(descended, proj, 1, d, after=True)
+    for vec in relations:
+        if any(x != 0 for x in descended.apply(vec)):
+            raise InducedStructureIllDefined("comultiplication does not descend")
+        if any(x != 0 for x in counit_sum.apply(vec)):
+            raise InducedStructureIllDefined("counit does not descend")
+        if not compose_slot(beta_sum, LinMap.column(k, vec), da, 1, after=False).is_zero():
+            raise InducedStructureIllDefined("pairing does not descend")
+    coalgebra = Coalgebra(comult=compose(descended, section), counit=compose(counit_sum, section))
+    pairing = compose_slot(beta_sum, section, da, 1, after=False)
+    projections = tuple(
+        LinMap(k, d, x * x, tuple(proj.entries[r * total + starts[idx] + c]
+                                  for r in range(d) for c in range(x * x)))
+        for idx, x in enumerate(xdims))
+    return coalgebra, pairing, projections, section

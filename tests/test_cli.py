@@ -53,6 +53,25 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert json.loads(out)["error"] == "ParseError"
 
 
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    code, out = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert json.loads(out)["error"] == "ParseError"
+    assert "not UTF-8" in json.loads(out)["message"]
+    # a measuring document, and a structure document it refers to
+    measuring = (FIXTURES / "f2_c2_regular.measuring.json").read_text()
+    (tmp_path / "f2_trivial.json").write_text((FIXTURES / "f2_trivial.json").read_text())
+    (tmp_path / "f2_c2.json").write_bytes(b"\xff\xfe\x00bad")
+    (tmp_path / "m.json").write_text(measuring)
+    (tmp_path / "bad_m.json").write_bytes(measuring.encode() + b"\xff")
+    for path in ("m.json", "bad_m.json"):
+        code, out = run(capsys, "reconstruct", str(tmp_path / path))
+        assert code == 2
+        assert json.loads(out)["error"] == "ParseError"
+
+
 def test_antipode_absent_is_success(capsys):
     code, out = run(capsys, "antipode", fixture("idempotent_f2.json"))
     report = json.loads(out)

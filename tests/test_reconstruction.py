@@ -1,4 +1,6 @@
 
+import itertools
+
 import pytest
 
 from sweedler.errors import (
@@ -40,7 +42,7 @@ from sweedler.structures import (
     trivial_algebra,
     validate_coalgebra,
 )
-from sweedler.zoo import cyclic_group_hopf, trivial_hopf
+from sweedler.zoo import cyclic_group_hopf, dual_numbers, trivial_hopf
 
 F2 = GF(2)
 
@@ -234,6 +236,120 @@ def test_simple_comodule_transport(m2_f2, k_f2):
     assert is_simple(lifted)
     # and every self-intertwiner space is 1-dimensional (scalars), as for std
     assert len(intertwiners(lifted, lifted)) == 1
+
+
+# -- the block-wise stage against the dense direct-sum oracle --------------------------
+
+
+from _oracles import dense_reconstruct
+
+
+def _all_intertwiners(gens):
+    from sweedler.measurings import intertwiners
+
+    return [(i, j, iw.f) for i, mi in enumerate(gens) for j, mj in enumerate(gens)
+            for iw in intertwiners(mi, mj)]
+
+
+def _assert_matches_oracle(gens, morphisms=None, a=None, b=None):
+    a, b = (gens[0].a, gens[0].b) if gens else (a, b)
+    if morphisms is None:
+        g = reconstruct(gens, a=a, b=b)
+        morphisms = _all_intertwiners(gens)
+    else:
+        g = reconstruct(gens, auto_intertwiners=False, morphisms=morphisms, a=a, b=b)
+    assert (g.d, g.pairing, g.projections, g.section) == dense_reconstruct(gens, morphisms, a, b)
+    return g
+
+
+def _census_representatives(a, upto):
+    k = trivial_algebra(a.field)
+    return [rep for n in range(1, upto + 1) for rep, _ in enumerate_measurings(a, k, n).orbits]
+
+
+def _f2_character():
+    a = cyclic_group_hopf(F2, 2).algebra
+    return measuring_from_matrix_morphism(LinMap.from_rows(F2, [[1, 1]]), a, trivial_algebra(F2), 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_regular_stage_matches_the_dense_oracle(n):
+    g = _assert_matches_oracle([regular_measuring(cyclic_group_hopf(QQ, n).algebra)])
+    assert g.d.dim == n
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_census_stage_matches_the_dense_oracle(p):
+    a = cyclic_group_hopf(GF(p), 2).algebra
+    gens = _census_representatives(a, 2)
+    assert len({m.xdim for m in gens}) == 2
+    _assert_matches_oracle(gens)
+
+
+def test_standard_m2_stage_matches_the_dense_oracle(m2_f2, k_f2):
+    std = measuring_from_matrix_morphism(LinMap.identity(F2, 4), m2_f2, k_f2, 2)
+    _assert_matches_oracle([std])
+
+
+def test_mixed_block_sizes_match_the_dense_oracle(inv_f2, k_f2):
+    empty = Measuring(inv_f2, k_f2, 0, LinMap.zero(F2, 0, 0))
+    reg, char = regular_measuring(inv_f2), _f2_character()
+    for gens in ([reg, char], [char, empty, reg], [empty, char], [reg, empty, char, reg]):
+        _assert_matches_oracle(gens)
+
+
+def test_partial_morphism_lists_match_the_dense_oracle(inv_f2):
+    gens = [regular_measuring(inv_f2), _f2_character()]
+    morphisms = _all_intertwiners(gens)
+    assert len(morphisms) == 5
+    dims = []
+    for upto in range(len(morphisms) + 1):
+        dims.append(_assert_matches_oracle(gens, morphisms[:upto]).d.dim)
+        _assert_matches_oracle(gens, morphisms[upto::2])
+    assert dims[0] == 5 and dims[-1] == 2
+
+
+def test_empty_stage_matches_the_dense_oracle(inv_f2, k_f2):
+    _assert_matches_oracle([], a=inv_f2, b=k_f2)
+    _assert_matches_oracle([], [], a=inv_f2, b=k_f2)
+
+
+@pytest.mark.parametrize("algebra", [cyclic_group_hopf(F2, 2).algebra, dual_numbers(F2)])
+def test_ill_defined_exactly_when_the_oracle_fails_to_descend(algebra):
+    # over F2[y]/(y^2) six non-intertwiners give a multiplicative, unital pairing
+    # on D, so only the check that psi comes back catches them
+    m = regular_measuring(algebra)
+    raised = 0
+    for entries in itertools.product((0, 1), repeat=4):
+        morphisms = [(0, 0, LinMap.make(F2, 2, 2, entries))]
+        try:
+            expected = dense_reconstruct([m], morphisms, algebra, m.b)
+        except InducedStructureIllDefined:
+            raised += 1
+            with pytest.raises(InducedStructureIllDefined):
+                reconstruct([m], auto_intertwiners=False, morphisms=morphisms)
+            continue
+        g = reconstruct([m], auto_intertwiners=False, morphisms=morphisms)
+        assert (g.d, g.pairing, g.projections, g.section) == expected
+    # A is commutative, so the intertwiners are the multiplications by A:
+    # four of the sixteen maps
+    assert raised == 12
+
+
+def test_each_projection_is_checked_once(monkeypatch, inv_f2, k_f2):
+    import sweedler.reconstruction as reconstruction
+
+    calls = []
+
+    def counting(f, c, d):
+        calls.append(f)
+        return is_coalgebra_morphism(f, c, d)
+
+    monkeypatch.setattr(reconstruction, "is_coalgebra_morphism", counting)
+    empty = Measuring(inv_f2, k_f2, 0, LinMap.zero(F2, 0, 0))
+    g = reconstruct([regular_measuring(inv_f2), _f2_character(), empty])
+    assert len(calls) == 3
+    assert calls == list(g.projections)
 
 
 # -- products on generated stages -----------------------------------------------------

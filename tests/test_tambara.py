@@ -5,7 +5,7 @@ import pytest
 from sweedler.errors import BudgetExceeded
 from sweedler.fields import GF
 from sweedler.linalg import LinMap, compose
-from sweedler.structures import algebra_morphisms, matrix_algebra, trivial_algebra
+from sweedler.structures import Algebra, algebra_morphisms, matrix_algebra, trivial_algebra
 from sweedler.measurings import matrix_morphism_from_measuring, measuring_from_matrix_morphism
 from sweedler.tambara import (
     correspondence_check,
@@ -138,3 +138,15 @@ def test_module_orbits_match_the_conjugation_oracle(inv_f2):
              for mats, size in module_orbits(p, modules, 2)]
     assert found == oracle
     assert len(oracle) > 1
+
+
+@pytest.mark.parametrize("a, n", [(trivial_algebra(GF(3)), 1), (trivial_algebra(GF(3)), 2),
+                                  (cyclic_group_hopf(GF(3), 2).algebra, 1)])
+def test_correspondence_when_the_unit_has_two_coordinates(a, n):
+    # F3 x F3 on its idempotents: 1_B = e0 + e1, so eliminating the pivot
+    # coordinate brings in the other one with its sign
+    f3 = GF(3)
+    b = Algebra(mult=LinMap.from_rows(f3, [[1, 0, 0, 0], [0, 0, 0, 1]]),
+                unit=LinMap.column(f3, [1, 1]))
+    report = correspondence_check(a, b, n)
+    assert report.ok and report.module_count == report.morphism_count > 1
