@@ -22,16 +22,28 @@ layouts of a measuring psi, its matrix morphism A -> M_n(B), a comodule, its
 classifying coend morphism and a stack of module matrices all convert
 through it.
 
-Echelon forms pick the leftmost pivot in the lowest-index row first, so every
-derived basis (kernels, quotients, solution spaces) is deterministic.
+Linear equations on a matrix unknown X (intertwiner spaces, antipodes) are
+sums of terms ``(c, L, a, b, R)``, each the map X -> c.L.(1_a (x) X (x) 1_b).R
+with None for an identity L or R.  :func:`_operator_matrix` writes the system
+in row-major vec coordinates straight from the nonzeros: each nonzero of L on
+a column (alpha, i, beta) meets the nonzeros of R on the rows (alpha, j, beta),
+and no image of a matrix unit is computed.
+
+Elimination is one Gauss-Jordan routine, :func:`_reduce`, behind :func:`rref`,
+:func:`kernel_basis`, :func:`solve` and :func:`invert`.  It normalises each
+pivot row once, lists its nonzeros, and updates only the rows with a nonzero
+in the pivot column, at those positions.  Echelon forms pick the leftmost
+pivot in the lowest-index row first, so every derived basis (kernels,
+quotients, solution spaces) is deterministic.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress
 from math import prod
+from operator import itemgetter
 
 from .errors import DimensionMismatch, Singular
 from .fields import Field, same_field
@@ -299,26 +311,40 @@ def rref(f: LinMap) -> tuple[LinMap, tuple[int, ...]]:
 
 def _reduce(k: Field, rows: list[list], ncols: int) -> tuple[int, ...]:
     """Gauss-Jordan elimination of ``rows`` in place, pivoting in the first
-    ``ncols`` columns: leftmost pivot, lowest-index row first."""
+    ``ncols`` columns: leftmost pivot, lowest-index row first.
+
+    The pivot row is normalised once and its nonzeros listed; only the rows
+    with a nonzero in the pivot column are updated, at those positions.
+    """
+    p = k.char
     pivots = []
     r = 0
     for c in range(ncols):
         if r == len(rows):
             break
-        pivot_row = None
-        for rr in range(r, len(rows)):
-            if rows[rr][c] != 0:
-                pivot_row = rr
+        for pivot_row in range(r, len(rows)):
+            if rows[pivot_row][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = k.inv(rows[r][c])
-        rows[r] = [k.mul(inv, x) for x in rows[r]]
-        for rr in range(len(rows)):
-            if rr != r and rows[rr][c] != 0:
-                factor = rows[rr][c]
-                rows[rr] = [k.sub(x, k.mul(factor, y)) for x, y in zip(rows[rr], rows[r])]
+        pivot = rows[pivot_row]
+        rows[r], rows[pivot_row] = pivot, rows[r]
+        # the pivot row is zero left of c
+        support = list(compress(range(c, len(pivot)), pivot[c:]))
+        if pivot[c] != 1:
+            inv = k.inv(pivot[c])
+            for j in support:
+                pivot[j] = pivot[j] * inv % p if p else pivot[j] * inv
+        nonzeros = [(j, pivot[j]) for j in support]
+        for row in compress(rows, map(itemgetter(c), rows)):
+            if row is not pivot:
+                factor = row[c]
+                if p:
+                    for j, y in nonzeros:
+                        row[j] = (row[j] - factor * y) % p
+                else:
+                    for j, y in nonzeros:
+                        row[j] -= factor * y
         pivots.append(c)
         r += 1
     return tuple(pivots)
@@ -383,53 +409,87 @@ def solve(f: LinMap, target: Sequence) -> tuple | None:
     return tuple(sol)
 
 
-# operator equations on matrix unknowns --------------------------------------
+# matrix equations ----------------------------------------------------------
+
+# One term (c, L, a, b, R) of an equation is the map X -> c.L.(1_a (x) X (x) 1_b).R
+# on matrices X; L or R is None for an identity.
+Term = tuple[object, LinMap | None, int, int, LinMap | None]
 
 
-def _elementary(field: Field, cod: int, dom: int, r: int, c: int) -> LinMap:
-    out = [field.zero()] * (cod * dom)
-    out[r * dom + c] = field.one()
-    return LinMap(field, cod, dom, tuple(out))
+def _operator_matrix(field: Field, shape: tuple[int, int], terms: Sequence[Term]) -> LinMap:
+    """Matrix of X -> sum of the terms, in row-major vec coordinates on both sides.
 
-
-def _operator_matrix(op: Callable[[LinMap], LinMap], field: Field,
-                     shape: tuple[int, int]) -> LinMap:
-    """Matrix of a linear operator on cod x dom matrices, in row-major vec coordinates."""
+    The column of X's entry (i, j) is the image of the matrix unit E_ij, and
+    L.(1_a (x) E_ij (x) 1_b).R = sum over (alpha, beta) of L's column
+    (alpha, i, beta) times R's row (alpha, j, beta); so each nonzero of L on
+    such a column meets the nonzeros of R on the rows (alpha, j, beta).
+    """
+    k = field
+    p = k.char
+    zero, one = k.zero(), k.one()
     cod, dom = shape
-    cols = []
-    for r in range(cod):
-        for c in range(dom):
-            image = op(_elementary(field, cod, dom, r, c))
-            cols.append(image.entries)
-    out_dim = len(cols[0]) if cols else 0
-    flat = tuple(cols[c][r] for r in range(out_dim) for c in range(len(cols)))
-    return LinMap(field, out_dim, cod * dom, flat)
+    nvars = cod * dom
+    out_shape = None
+    out: list = []
+    for c, left, a, b, right in terms:
+        c = k.coerce(c)
+        mid_cod, mid_dom = a * cod * b, a * dom * b
+        rows = mid_cod if left is None else left.cod
+        cols = mid_dom if right is None else right.dom
+        if ((left is not None and left.dom != mid_cod)
+                or (right is not None and right.cod != mid_dom)
+                or out_shape not in (None, (rows, cols))):
+            raise DimensionMismatch(f"term does not fit a {cod}x{dom} unknown")
+        if out_shape is None:
+            out_shape = (rows, cols)
+            out = [zero] * (rows * cols * nvars)
+        # (r, s, value) for the nonzeros of L, and R's nonzeros (column, value) by row
+        if left is None:
+            left_nz = [(s, s, c) for s in range(mid_cod)]
+        else:
+            left_nz = [(r, s, c * v) for r, row in enumerate(_nonzeros_by(left, by_col=False))
+                       for s, v in row]
+        right_rows = ([[(t, one)] for t in range(mid_dom)] if right is None
+                      else _nonzeros_by(right, by_col=False))
+        for r, s, lv in left_nz:
+            alpha, rest = divmod(s, cod * b)
+            i, beta = divmod(rest, b)
+            base = r * cols * nvars + i * dom
+            for j in range(dom):
+                for col, rv in right_rows[(alpha * dom + j) * b + beta]:
+                    idx = base + col * nvars + j
+                    acc = lv * rv
+                    if out[idx] is not zero:
+                        acc += out[idx]
+                    out[idx] = acc % p if p else acc
+    rows, cols = out_shape or (0, 0)
+    return LinMap(k, rows * cols, nvars, tuple(out))
+
+
+def _stack(field: Field, nvars: int, blocks: Sequence[LinMap]) -> LinMap:
+    return LinMap(field, sum(b.cod for b in blocks), nvars,
+                  tuple(x for b in blocks for x in b.entries))
 
 
 def solve_matrix_equations(field: Field, shape: tuple[int, int],
-                           equations: Sequence[tuple[Callable[[LinMap], LinMap], LinMap]],
+                           equations: Sequence[tuple[Sequence[Term], LinMap]],
                            ) -> LinMap | None:
-    """Solve a system of linear matrix equations op_i(X) = rhs_i for one X, or None."""
+    """Solve a system of linear matrix equations (sum of terms)(X) = rhs for one X,
+    or None; each equation is (terms, rhs)."""
     if shape[0] * shape[1] == 0:
         zero = LinMap.zero(field, shape[0], shape[1])
         return zero if all(rhs.is_zero() for _, rhs in equations) else None
-    blocks = []
-    targets = []
-    for op, rhs in equations:
-        blocks.append(_operator_matrix(op, field, shape))
-        targets.extend(rhs.entries)
-    stacked = LinMap(field, sum(b.cod for b in blocks), shape[0] * shape[1],
-                     tuple(x for b in blocks for x in b.entries))
-    sol = solve(stacked, targets)
+    stacked = _stack(field, shape[0] * shape[1],
+                     [_operator_matrix(field, shape, terms) for terms, _ in equations])
+    sol = solve(stacked, [x for _, rhs in equations for x in rhs.entries])
     if sol is None:
         return None
     return LinMap(field, shape[0], shape[1], sol)
 
 
 def matrix_equation_kernel(field: Field, shape: tuple[int, int],
-                           operators: Sequence[Callable[[LinMap], LinMap]]) -> list[LinMap]:
-    """Echelon-canonical basis of {X : op_i(X) = 0 for all i}."""
-    blocks = [_operator_matrix(op, field, shape) for op in operators]
-    stacked = LinMap(field, sum(b.cod for b in blocks), shape[0] * shape[1],
-                     tuple(x for b in blocks for x in b.entries))
+                           equations: Sequence[Sequence[Term]]) -> list[LinMap]:
+    """Echelon-canonical basis of {X : (sum of terms)(X) = 0 for every equation}."""
+    stacked = _stack(field, shape[0] * shape[1],
+                     [_operator_matrix(field, shape, terms) for terms in equations])
     return [LinMap(field, shape[0], shape[1], vec) for vec in kernel_basis(stacked)]

@@ -151,12 +151,8 @@ def intertwiners(m1: Measuring, m2: Measuring) -> list[Intertwiner]:
     if m1.a != m2.a or m1.b != m2.b:
         raise IncompatibleMeasurings("intertwiners need the same (A, B)")
     da, db = m1.a.dim, m1.b.dim
-
-    def op(f: LinMap) -> LinMap:
-        return (compose_slot(m1.psi, f, 1, db, after=True)
-                - compose_slot(m2.psi, f, da, 1, after=False))
-
-    basis = matrix_equation_kernel(m1.field, (m2.xdim, m1.xdim), [op])
+    basis = matrix_equation_kernel(m1.field, (m2.xdim, m1.xdim),
+                                   [[(1, None, 1, db, m1.psi), (-1, m2.psi, da, 1, None)]])
     return [Intertwiner(m1, m2, f) for f in basis]
 
 

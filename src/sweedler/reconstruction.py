@@ -22,6 +22,7 @@ and enough modules this computes the linear dual of A.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import compress
 
@@ -33,7 +34,16 @@ from .errors import (
     PreconditionViolated,
 )
 from .fields import Field
-from .linalg import LinMap, compose, compose_slot, kernel_basis, kron, permute_axes, swap_map
+from .linalg import (
+    LinMap,
+    _reduce,
+    compose,
+    compose_slot,
+    kernel_basis,
+    kron,
+    permute_axes,
+    swap_map,
+)
 from .structures import (
     Algebra,
     Bialgebra,
@@ -130,17 +140,23 @@ class GeneratedSubcoalgebra:
 
 
 def _quotient_by_rows(field: Field, n: int,
-                      relations: list[tuple]) -> tuple[list[tuple], LinMap]:
-    """Quotient of k^n by the row span: the rows of the projection k^n -> k^d
-    and the section k^d -> k^n.
+                      blocks: Iterable[list[list]]) -> tuple[list[tuple], LinMap]:
+    """Quotient of k^n by the span of the rows in ``blocks``: the rows of the
+    projection k^n -> k^d and the section k^d -> k^n.
 
-    The projection's rows are the kernel basis of the relation matrix, one per
-    free (non-pivot) coordinate of its reduced echelon form, in increasing
-    order; the section sends the quotient's basis to those coordinates.
+    Each block is reduced together with the echelon rows of the blocks before
+    it and the zero rows are dropped, so at most n rows and one block are held
+    at a time.  The projection's rows are the kernel basis of the relations'
+    reduced echelon form (unique for their span), one per free (non-pivot)
+    coordinate, in increasing order; the section sends the quotient's basis
+    to those coordinates.
     """
     k = field
-    rel = LinMap.from_rows(k, relations) if relations else LinMap.zero(k, 0, n)
-    rows = kernel_basis(rel)
+    echelon: list[list] = []
+    for block in blocks:
+        echelon.extend(block)
+        del echelon[len(_reduce(k, echelon, n)):]
+    rows = kernel_basis(LinMap(k, len(echelon), n, tuple(x for row in echelon for x in row)))
     d = len(rows)
     section = [k.zero()] * (n * d)
     for c, row in enumerate(rows):
@@ -192,24 +208,27 @@ def reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,
         morphisms = [(i, j, iw.f) for i, mi in enumerate(measurings)
                      for j, mj in enumerate(measurings) for iw in intertwiners(mi, mj)]
 
-    relations = []
-    for i, j, f in morphisms or []:
+    def relation_rows(i: int, j: int, f: LinMap) -> list[list]:
         xi, xj = xdims[i], xdims[j]
         if f.dom != xi or f.cod != xj:
             raise IncompatibleMeasurings("morphism shape does not match its endpoints")
-        # row (r, c), for alpha = e^r in X_j* and v = e_c in X_i, is f (x) 1 on
-        # coend(X_i) minus 1 (x) f^T on coend(X_j)
-        left = kron(f, LinMap.identity(k, xi))
-        right = kron(LinMap.identity(k, xj), f.transpose())
-        for r in range(xj * xi):
-            vec = [k.zero()] * total
-            vec[starts[i]:starts[i] + xi * xi] = left.row_at(r)
-            for u in compress(range(xj * xj), right.row_at(r)):
-                vec[starts[j] + u] = k.sub(vec[starts[j] + u], right[r, u])
-            if any(vec):
-                relations.append(tuple(vec))
+        # row (r, c), for alpha = e^r in X_j* and v = e_c in X_i, is
+        # sum_s f[r, s] f_sc on coend(X_i) minus sum_u f[u, c] f_ru on coend(X_j)
+        out = []
+        for r in range(xj):
+            for c in range(xi):
+                vec = [k.zero()] * total
+                for s in compress(range(xi), f.row_at(r)):
+                    vec[starts[i] + s * xi + c] = f[r, s]
+                for u in compress(range(xj), f.col_at(c)):
+                    pos = starts[j] + r * xj + u
+                    vec[pos] = k.sub(vec[pos], f[u, c])
+                if any(vec):
+                    out.append(vec)
+        return out
 
-    rows, section = _quotient_by_rows(k, total, relations)
+    rows, section = _quotient_by_rows(
+        k, total, (relation_rows(i, j, f) for i, j, f in morphisms or []))
     d = len(rows)
     projections = tuple(LinMap(k, d, x * x, tuple(v for row in rows for v in row[s:s + x * x]))
                         for s, x in zip(starts, xdims))

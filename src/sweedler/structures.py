@@ -503,8 +503,7 @@ def _convolution_inverse_of_identity(b: Bialgebra, twisted: bool) -> LinMap | No
     rhs = compose(b.unit, b.counit)
     return solve_matrix_equations(
         k, (d, d),
-        [(lambda x: compose(compose_slot(b.mult, x, 1, d, after=False), dlt), rhs),
-         (lambda x: compose(compose_slot(b.mult, x, d, 1, after=False), dlt), rhs)])
+        [([(1, b.mult, 1, d, dlt)], rhs), ([(1, b.mult, d, 1, dlt)], rhs)])
 
 
 def find_antipode(b: Bialgebra) -> HopfAlgebra | None:

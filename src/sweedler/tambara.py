@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, PreconditionViolated, UnsupportedField
 from .fields import Field, same_field
-from .linalg import LinMap, compose, permute_axes
+from .linalg import LinMap, compose, matrix_equation_kernel, permute_axes
 from .structures import (
     DEFAULT_BUDGET,
     Algebra,
@@ -228,12 +228,8 @@ def module_to_matrix_morphism(p: PresentedAlgebra, a: Algebra, b: Algebra,
 def module_intertwiners(mats1: tuple[LinMap, ...], mats2: tuple[LinMap, ...],
                         field: Field, n: int) -> list[LinMap]:
     """Echelon basis of {T : T m1(x) = m2(x) T for every generator x}."""
-    from .linalg import matrix_equation_kernel
-
-    ops = []
-    for m1, m2 in zip(mats1, mats2):
-        ops.append(lambda t, m1=m1, m2=m2: compose(t, m1) - compose(m2, t))
-    return matrix_equation_kernel(field, (n, n), ops)
+    return matrix_equation_kernel(field, (n, n), [[(1, None, 1, 1, m1), (-1, m2, 1, 1, None)]
+                                                  for m1, m2 in zip(mats1, mats2)])
 
 
 @dataclass(frozen=True)

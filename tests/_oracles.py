@@ -100,6 +100,67 @@ def slot_factor(t, a, b):
     return LinMap(k, cod, dom, tuple(entries))
 
 
+def probing_operator_matrix(op, field, shape):
+    """Matrix of a linear operator on cod x dom matrices, in row-major vec
+    coordinates: column i*dom + j is op applied to the matrix unit E_ij."""
+    cod, dom = shape
+    cols = []
+    for r in range(cod):
+        for c in range(dom):
+            unit = [field.zero()] * (cod * dom)
+            unit[r * dom + c] = field.one()
+            cols.append(op(LinMap(field, cod, dom, tuple(unit))).entries)
+    out_dim = len(cols[0]) if cols else 0
+    flat = tuple(cols[c][r] for r in range(out_dim) for c in range(len(cols)))
+    return LinMap(field, out_dim, cod * dom, flat)
+
+
+def dense_term_operator(terms):
+    """X -> sum of c.L.(1_a (x) X (x) 1_b).R over the terms (c, L, a, b, R),
+    with the factor built by ``slot_factor`` and products by ``dense_compose``;
+    None stands for an identity L or R."""
+    def op(x):
+        total = None
+        for c, left, a, b, right in terms:
+            image = slot_factor(x, a, b)
+            if right is not None:
+                image = dense_compose(image, right)
+            if left is not None:
+                image = dense_compose(left, image)
+            image = image.scale(c)
+            total = image if total is None else total + image
+        return total
+    return op
+
+
+def dense_reduce(k, rows, ncols):
+    """Gauss-Jordan elimination of ``rows`` in place over every entry, zeros
+    included, pivoting in the first ``ncols`` columns: leftmost pivot,
+    lowest-index row first."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        pivot_row = None
+        for rr in range(r, len(rows)):
+            if rows[rr][c] != 0:
+                pivot_row = rr
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = k.inv(rows[r][c])
+        rows[r] = [k.mul(inv, x) for x in rows[r]]
+        for rr in range(len(rows)):
+            if rr != r and rows[rr][c] != 0:
+                factor = rows[rr][c]
+                rows[rr] = [k.sub(x, k.mul(factor, y)) for x, y in zip(rows[rr], rows[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(pivots)
+
+
 def dense_permute(f, dims, order, split):
     """permute_axes entry by entry: the result's entry at the multi-index
     (u_0, ..., u_r) on the axes in ``order`` is f's entry at the multi-index

@@ -5,22 +5,34 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import dense_compose, dense_kron, dense_permute, slot_factor
+from _oracles import (
+    dense_compose,
+    dense_kron,
+    dense_permute,
+    dense_reduce,
+    dense_term_operator,
+    probing_operator_matrix,
+    slot_factor,
+)
+from sweedler import linalg
 from sweedler.errors import DimensionMismatch, FieldMismatch, Singular
 from sweedler.fields import GF, QQ
 from sweedler.graded import GradedSpace, koszul_swap
 from sweedler.linalg import (
     LinMap,
+    _operator_matrix,
     compose,
     compose_slot,
     invert,
     is_invertible,
     kernel_basis,
     kron,
+    matrix_equation_kernel,
     permute_axes,
     rank,
     rref,
     solve,
+    solve_matrix_equations,
     swap_map,
 )
 
@@ -315,6 +327,136 @@ def test_kernel_vectors_independent():
         basis = kernel_basis(f)
         stacked = LinMap.from_rows(F2, [list(v) for v in basis])
         assert rank(stacked) == len(basis)
+
+
+# -- matrix equations and elimination against the dense oracles ---------------
+
+
+def sparse_random_map(rng, field, cod, dom):
+    """A random map with about half of its entries zero."""
+    if field.is_rational:
+        scalars = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 4)]
+    else:
+        scalars = range(1, field.char)
+    return LinMap.make(field, cod, dom, [rng.choice(scalars) if rng.random() < 0.5 else 0
+                                         for _ in range(cod * dom)])
+
+
+def random_equation(rng, field, shape):
+    """1 to 3 terms (c, L, a, b, R) on a ``shape`` unknown with one output shape;
+    the first term fixes it, with an identity L or R or both when drawn."""
+    cod, dom = shape
+    terms = []
+    out = None
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.randint(1, 3), rng.randint(1, 3)
+        mid_cod, mid_dom = a * cod * b, a * dom * b
+        if out is None:
+            out = (mid_cod if rng.random() < 0.4 else rng.randint(1, 4),
+                   mid_dom if rng.random() < 0.4 else rng.randint(1, 4))
+        left = (None if out[0] == mid_cod and rng.random() < 0.7
+                else sparse_random_map(rng, field, out[0], mid_cod))
+        right = (None if out[1] == mid_dom and rng.random() < 0.7
+                 else sparse_random_map(rng, field, mid_dom, out[1]))
+        terms.append((rng.choice([1, -1, 2, 3]), left, a, b, right))
+    return terms
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), QQ], ids=str)
+def test_operator_matrix_matches_the_probing_oracle(field):
+    rng = random.Random(811 + field.char)
+    seen = set()
+    for _ in range(60):
+        shape = (rng.randint(1, 3), rng.randint(1, 3))
+        terms = random_equation(rng, field, shape)
+        expected = probing_operator_matrix(dense_term_operator(terms), field, shape)
+        assert _operator_matrix(field, shape, terms) == expected
+        for _c, left, a, b, right in terms:
+            seen.update({"several terms"} if len(terms) > 1 else set())
+            padded = "a, b > 1, " if a > 1 and b > 1 else ""
+            seen.update({padded + "identity L"} if left is None else set())
+            seen.update({padded + "identity R"} if right is None else set())
+    assert seen == {"several terms", "identity L", "identity R",
+                    "a, b > 1, identity L", "a, b > 1, identity R"}
+
+
+def test_matrix_equations_match_the_probing_oracle():
+    rng = random.Random(812)
+    for field in (F2, GF(3), QQ):
+        for _ in range(15):
+            shape = (rng.randint(1, 3), rng.randint(1, 3))
+            equations = [random_equation(rng, field, shape) for _ in range(rng.randint(1, 3))]
+            blocks = [probing_operator_matrix(dense_term_operator(t), field, shape)
+                      for t in equations]
+            system = LinMap(field, sum(b.cod for b in blocks), shape[0] * shape[1],
+                            tuple(x for b in blocks for x in b.entries))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(linalg, "_reduce", dense_reduce)
+                kernel = kernel_basis(system)
+            assert [f.entries for f in matrix_equation_kernel(field, shape, equations)] == kernel
+            # a solvable right-hand side: the image of a random X
+            x = sparse_random_map(rng, field, *shape)
+            rhs = [dense_term_operator(t)(x) for t in equations]
+            solution = solve_matrix_equations(field, shape, list(zip(equations, rhs)))
+            assert solution is not None
+            assert all(b.apply(solution.entries) == r.entries for b, r in zip(blocks, rhs))
+
+
+def test_matrix_equations_on_zero_shapes():
+    terms = [(1, None, 1, 1, None)]
+    assert matrix_equation_kernel(QQ, (0, 2), [terms]) == []
+    assert solve_matrix_equations(QQ, (2, 0), [(terms, LinMap.zero(QQ, 2, 0))]) == \
+        LinMap.zero(QQ, 2, 0)
+
+
+def test_matrix_equation_term_shape_errors():
+    with pytest.raises(DimensionMismatch):
+        _operator_matrix(QQ, (2, 2), [(1, LinMap.identity(QQ, 3), 1, 1, None)])
+    with pytest.raises(DimensionMismatch):
+        _operator_matrix(QQ, (2, 2), [(1, None, 1, 1, LinMap.identity(QQ, 3))])
+    with pytest.raises(DimensionMismatch):
+        _operator_matrix(QQ, (2, 2), [(1, None, 1, 1, None), (1, None, 2, 1, None)])
+
+
+def elimination_cases(rng, field):
+    """Random matrices with zero rows, zero columns, low rank, and empty shapes."""
+    for _ in range(60):
+        cod, dom = rng.randint(0, 6), rng.randint(0, 6)
+        f = sparse_random_map(rng, field, cod, dom)
+        if rng.random() < 0.5 and cod and dom:
+            inner = rng.randint(0, min(cod, dom))
+            f = compose(sparse_random_map(rng, field, cod, inner),
+                        sparse_random_map(rng, field, inner, dom))
+        blank_rows = set(rng.sample(range(cod), rng.randint(0, cod // 2)))
+        blank_cols = set(rng.sample(range(dom), rng.randint(0, dom // 2)))
+        yield LinMap(field, cod, dom, tuple(
+            field.zero() if r in blank_rows or c in blank_cols else f[r, c]
+            for r in range(cod) for c in range(dom)))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Singular as exc:
+        return ("singular", exc.rank)
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), GF(5), QQ], ids=str)
+def test_elimination_matches_the_dense_oracle(field):
+    rng = random.Random(813 + field.char)
+    for f in elimination_cases(rng, field):
+        n = min(f.cod, f.dom)
+        square = LinMap(field, n, n, tuple(f[r, c] for r in range(n) for c in range(n)))
+        targets = [f.apply(sparse_random_map(rng, field, f.dom, 1).entries),
+                   sparse_random_map(rng, field, 1, f.cod).entries]
+
+        def results():
+            return (rref(f), kernel_basis(f), [solve(f, t) for t in targets],
+                    outcome(invert, square), rank(f))
+        got = results()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "_reduce", dense_reduce)
+            assert got == results()
 
 
 # -- swap --------------------------------------------------------------------
