@@ -34,16 +34,7 @@ from .errors import (
     UnsupportedField,
     ValidationError,
 )
-from .graded import (
-    GradedAlgebra,
-    GradedBialgebra,
-    GradedCoalgebra,
-    GradedHopf,
-    degree0_part,
-    graded_dual,
-    is_connected,
-    validate_graded,
-)
+from .graded import assemble, degree0_part, dual, is_connected, parts, validate_graded
 from .linalg import LinMap, is_invertible
 from .measurings import (
     compose_measuring,
@@ -54,15 +45,9 @@ from .measurings import (
 from .reconstruction import reconstruct
 from .structures import (
     DEFAULT_BUDGET,
-    Algebra,
     Bialgebra,
-    Coalgebra,
-    HopfAlgebra,
     algebra_morphisms,
     convolution_algebra,
-    dual_algebra,
-    dual_bialgebra,
-    dual_coalgebra,
     _find_antipode,
     _find_opantipode,
     _fusion_operators,
@@ -91,10 +76,21 @@ def _read_document(path: str | Path) -> docs.Document:
     return docs.parse_document(_read_text(path))
 
 
-def _read_measuring(path: str) -> docs.MeasuringDocument:
+def _read_shared(path: Path, loaded: dict) -> docs.Document:
+    """The structure document at ``path``, parsed once per ``loaded`` dict (one
+    per command) keyed by the file's device and inode: every path to a file
+    shares its parse, for one stat call where resolving takes one per part."""
+    stat = path.stat()
+    key = (stat.st_dev, stat.st_ino)
+    if key not in loaded:
+        loaded[key] = _read_document(path)
+    return loaded[key]
+
+
+def _read_measuring(path: str, loaded: dict) -> docs.MeasuringDocument:
     base = Path(path).parent
     return docs.parse_measuring_document(
-        _read_text(path), lambda ref: docs.parse_document(_read_text(base / ref)))
+        _read_text(path), lambda ref: _read_shared(base / ref, loaded))
 
 
 def _matrix(f: LinMap) -> list[list[str]]:
@@ -106,12 +102,10 @@ def _vector(field, vec) -> list[str]:
 
 
 def _kind(value) -> str:
-    return {
-        Algebra: "algebra", Coalgebra: "coalgebra", Bialgebra: "bialgebra",
-        HopfAlgebra: "hopf", GradedAlgebra: "graded algebra",
-        GradedCoalgebra: "graded coalgebra", GradedBialgebra: "graded bialgebra",
-        GradedHopf: "graded hopf",
-    }[type(value)]
+    algebra, coalgebra, antipode, space = parts(value)
+    kind = ("coalgebra" if algebra is None else "algebra" if coalgebra is None
+            else "bialgebra" if antipode is None else "hopf")
+    return kind if space is None else f"graded {kind}"
 
 
 # ---------------------------------------------------------------------------
@@ -126,19 +120,8 @@ def cmd_validate(args):
 
 def cmd_dual(args):
     doc = _read_document(args.document)
-    value = doc.value
     labels = tuple(f"{name}*" for name in doc.labels)
-    if isinstance(value, (GradedAlgebra, GradedCoalgebra, GradedBialgebra, GradedHopf)):
-        dual = graded_dual(value)
-    elif isinstance(value, HopfAlgebra):
-        dual = HopfAlgebra(dual_bialgebra(value.bialgebra), value.antipode.transpose())
-    elif isinstance(value, Bialgebra):
-        dual = dual_bialgebra(value)
-    elif isinstance(value, Algebra):
-        dual = dual_coalgebra(value)
-    else:
-        dual = dual_algebra(value)
-    return docs.structure_to_dict(docs.Document(dual, labels)), True
+    return docs.structure_to_dict(docs.Document(dual(doc.value), labels)), True
 
 
 def cmd_convolution(args):
@@ -156,14 +139,10 @@ def cmd_convolution(args):
 
 
 def _require_bialgebra(doc: docs.Document) -> Bialgebra:
-    value = doc.value
-    if isinstance(value, (GradedBialgebra, GradedHopf)):
-        value = value.bialgebra if isinstance(value, GradedBialgebra) else value.hopf
-    if isinstance(value, HopfAlgebra):
-        return value.bialgebra
-    if isinstance(value, Bialgebra):
-        return value
-    raise ValidationError("input must be a bialgebra document")
+    algebra, coalgebra, _, _ = parts(doc.value)
+    if algebra is None or coalgebra is None:
+        raise ValidationError("input must be a bialgebra document")
+    return Bialgebra(algebra, coalgebra)
 
 
 def _valid_bialgebra(doc: docs.Document) -> Bialgebra:
@@ -171,7 +150,7 @@ def _valid_bialgebra(doc: docs.Document) -> Bialgebra:
     proved that already unless the document is graded: then it proved the
     Koszul-braided axioms only."""
     b = _require_bialgebra(doc)
-    if isinstance(doc.value, (GradedBialgebra, GradedHopf)):
+    if parts(doc.value)[3] is not None:
         require_valid_bialgebra(b)
     return b
 
@@ -236,7 +215,8 @@ def cmd_enumerate_measurings(args):
 
 
 def cmd_reconstruct(args):
-    mdocs = [_read_measuring(path) for path in args.measurings]
+    loaded: dict = {}
+    mdocs = [_read_measuring(path, loaded) for path in args.measurings]
     generated = reconstruct([m.measuring for m in mdocs],
                             auto_intertwiners=args.auto_intertwiners)
     d = generated.d
@@ -257,11 +237,12 @@ def cmd_reconstruct(args):
 
 
 def cmd_tensor(args):
-    m1 = _read_measuring(args.first)
-    m2 = _read_measuring(args.second)
+    loaded: dict = {}
+    m1 = _read_measuring(args.first, loaded)
+    m2 = _read_measuring(args.second, loaded)
     bialgebra = None
     if args.mode != "endo":
-        a_doc = _read_document(Path(args.first).parent / m1.a_ref)
+        a_doc = _read_shared(Path(args.first).parent / m1.a_ref, loaded)
         try:
             bialgebra = _require_bialgebra(a_doc)
         except ValidationError:
@@ -276,8 +257,9 @@ def cmd_tensor(args):
 
 
 def cmd_compose(args):
-    m_ab = _read_measuring(args.first)
-    m_bc = _read_measuring(args.second)
+    loaded: dict = {}
+    m_ab = _read_measuring(args.first, loaded)
+    m_bc = _read_measuring(args.second, loaded)
     result = compose_measuring(m_ab.measuring, m_bc.measuring)
     out = docs.MeasuringDocument(m_ab.a_ref, m_bc.b_ref, result)
     return docs.measuring_to_dict(out), True
@@ -285,13 +267,13 @@ def cmd_compose(args):
 
 def cmd_graded_check(args):
     doc = _read_document(args.document)
-    value = doc.value
-    if not isinstance(value, (GradedAlgebra, GradedCoalgebra, GradedBialgebra, GradedHopf)):
+    space = parts(doc.value)[3]
+    if space is None:
         raise ValidationError("input carries no degrees")
-    report = validate_graded(value)
+    report = validate_graded(doc.value)
     connected = None
-    if all(d >= 0 for d in value.space.degrees):
-        connected = is_connected(value.space)
+    if all(d >= 0 for d in space.degrees):
+        connected = is_connected(space)
     return {"valid": report.ok, "connected": connected,
             "failures": [{"axiom": f.axiom, "witness": list(f.witness)}
                          for f in report.failures]}, False
@@ -299,17 +281,11 @@ def cmd_graded_check(args):
 
 def cmd_degree0(args):
     doc = _read_document(args.document)
-    value = doc.value
-    if not isinstance(value, (GradedAlgebra, GradedBialgebra, GradedHopf)):
+    algebra, _, _, space = parts(doc.value)
+    if algebra is None or space is None:
         raise ValidationError("input must be a graded algebra document")
-    if isinstance(value, (GradedBialgebra, GradedHopf)):
-        underlying = value.bialgebra.algebra if isinstance(value, GradedBialgebra) \
-            else value.hopf.algebra
-        graded = GradedAlgebra(underlying, value.space)
-    else:
-        graded = value
-    part = degree0_part(graded)
-    labels = tuple(lbl for lbl, d in zip(doc.labels, graded.degrees) if d == 0)
+    part = degree0_part(assemble(algebra, None, space=space))
+    labels = tuple(lbl for lbl, d in zip(doc.labels, space.degrees) if d == 0)
     return docs.structure_to_dict(docs.Document(part, labels)), True
 
 

@@ -17,26 +17,10 @@ from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
 from .fields import Field, parse_field
-from .graded import (
-    GradedAlgebra,
-    GradedBialgebra,
-    GradedCoalgebra,
-    GradedHopf,
-    GradedSpace,
-    validate_graded,
-)
+from .graded import GradedSpace, assemble, parts, validate
 from .linalg import LinMap
 from .measurings import Measuring, validate_measuring
-from .structures import (
-    Algebra,
-    Bialgebra,
-    Coalgebra,
-    HopfAlgebra,
-    validate_algebra,
-    validate_bialgebra,
-    validate_coalgebra,
-    validate_hopf,
-)
+from .structures import Algebra, Coalgebra
 
 _STRUCTURE_KEYS = ("field", "dim", "basis", "unit", "mult",
                    "comult", "counit", "antipode", "degrees")
@@ -51,31 +35,12 @@ class Document:
 
     @property
     def field(self) -> Field:
-        return _underlying(self.value)[2]
+        algebra, coalgebra, _, _ = parts(self.value)
+        return (algebra or coalgebra).field
 
     @property
     def dim(self) -> int:
         return len(self.labels)
-
-
-def _underlying(value):
-    """(algebra | None, coalgebra | None, field, antipode | None, degrees | None)."""
-    degrees = None
-    if isinstance(value, (GradedAlgebra, GradedCoalgebra, GradedBialgebra, GradedHopf)):
-        degrees = value.space.degrees
-        value = (value.algebra if isinstance(value, GradedAlgebra) else
-                 value.coalgebra if isinstance(value, GradedCoalgebra) else
-                 value.bialgebra if isinstance(value, GradedBialgebra) else
-                 value.hopf)
-    if isinstance(value, HopfAlgebra):
-        return value.algebra, value.coalgebra, value.field, value.antipode, degrees
-    if isinstance(value, Bialgebra):
-        return value.algebra, value.coalgebra, value.field, None, degrees
-    if isinstance(value, Algebra):
-        return value, None, value.field, None, degrees
-    if isinstance(value, Coalgebra):
-        return None, value, value.field, None, degrees
-    raise TypeError(f"not a structure value: {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +58,8 @@ def _unit_support(algebra: Algebra) -> int | None:
 
 
 def structure_to_dict(doc: Document) -> dict:
-    algebra, coalgebra, field, antipode, degrees = _underlying(doc.value)
+    algebra, coalgebra, antipode, space = parts(doc.value)
+    field = doc.field
     dim = doc.dim
     out: dict = {"field": str(field), "dim": dim, "basis": list(doc.labels)}
     if algebra is not None:
@@ -119,8 +85,8 @@ def structure_to_dict(doc: Document) -> dict:
         out["counit"] = show_vector(field, coalgebra.counit.row_at(0))
     if antipode is not None:
         out["antipode"] = [show_vector(field, antipode.col_at(i)) for i in range(dim)]
-    if degrees is not None:
-        out["degrees"] = list(degrees)
+    if space is not None:
+        out["degrees"] = list(space.degrees)
     return out
 
 
@@ -197,16 +163,18 @@ def parse_structure_dict(raw: dict) -> Document:
         cols = [_parse_vector(field, v, dim, f"antipode[{i}]") for i, v in enumerate(data)]
         antipode = LinMap.make(field, dim, dim,
                                [cols[j][r] for r in range(dim) for j in range(dim)])
-    degrees = None
+    space = None
     if "degrees" in raw:
         data = raw["degrees"]
         _want(isinstance(data, list) and len(data) == dim
               and all(_is_int(x) for x in data),
               "degrees must list dim integers", "degrees")
-        degrees = tuple(data)
+        space = GradedSpace(field, tuple(data))
 
-    value = _assemble(algebra, coalgebra, antipode, degrees, field)
-    _validate(value)
+    value = assemble(algebra, coalgebra, antipode, space)
+    report = validate(value)
+    if not report.ok:
+        raise ValidationError(str(report), report)
     return Document(value, tuple(basis))
 
 
@@ -278,39 +246,6 @@ def _parse_coalgebra(field: Field, dim: int, raw: dict) -> Coalgebra:
             entries.append(img[rc] if img is not None else zero)
     return Coalgebra(comult=LinMap(field, dim * dim, dim, tuple(entries)),
                      counit=LinMap.make(field, 1, dim, counit_vec))
-
-
-def _assemble(algebra, coalgebra, antipode, degrees, field):
-    if algebra is not None and coalgebra is not None:
-        bialgebra = Bialgebra(algebra, coalgebra)
-        core = HopfAlgebra(bialgebra, antipode) if antipode is not None else bialgebra
-    else:
-        core = algebra if algebra is not None else coalgebra
-    if degrees is None:
-        return core
-    space = GradedSpace(field, degrees)
-    if isinstance(core, HopfAlgebra):
-        return GradedHopf(core, space)
-    if isinstance(core, Bialgebra):
-        return GradedBialgebra(core, space)
-    if isinstance(core, Algebra):
-        return GradedAlgebra(core, space)
-    return GradedCoalgebra(core, space)
-
-
-def _validate(value):
-    if isinstance(value, (GradedAlgebra, GradedCoalgebra, GradedBialgebra, GradedHopf)):
-        report = validate_graded(value)
-    elif isinstance(value, HopfAlgebra):
-        report = validate_hopf(value)
-    elif isinstance(value, Bialgebra):
-        report = validate_bialgebra(value)
-    elif isinstance(value, Algebra):
-        report = validate_algebra(value)
-    else:
-        report = validate_coalgebra(value)
-    if not report.ok:
-        raise ValidationError(str(report), report)
 
 
 def parse_document(text: str) -> Document:
@@ -393,15 +328,15 @@ def parse_measuring_document(text: str, loader) -> MeasuringDocument:
 
 
 def _require_algebra(doc: Document, which: str) -> Algebra:
-    algebra = _underlying(doc.value)[0]
+    algebra = algebra_of(doc)
     if algebra is None:
         raise ValidationError(f"referenced document {which!r} has no algebra part")
     return algebra
 
 
 def algebra_of(doc: Document) -> Algebra | None:
-    return _underlying(doc.value)[0]
+    return parts(doc.value)[0]
 
 
 def coalgebra_of(doc: Document) -> Coalgebra | None:
-    return _underlying(doc.value)[1]
+    return parts(doc.value)[1]

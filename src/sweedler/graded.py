@@ -5,6 +5,10 @@ algebra underneath is untouched.  The braiding picks up the Koszul sign
 (-1)^(ab) on homogeneous elements of degrees a and b, which is what makes
 graded bialgebra validation differ from the ungraded one away from
 characteristic 2.
+
+Any structure value, graded or not, is its parts: (algebra, coalgebra,
+antipode, space), each possibly None.  ``parts`` and ``assemble`` convert
+between the two; validation and duals work on the parts.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import singledispatch
 
 from .errors import DimensionMismatch, NegativeDegree, NotClosed
 from .fields import Field, same_field
@@ -29,10 +32,11 @@ from .structures import (
     _bialgebra_failures,
     algebra_morphisms,
     dual_algebra,
-    dual_bialgebra,
     dual_coalgebra,
     validate_algebra,
+    validate_bialgebra,
     validate_coalgebra,
+    validate_hopf,
 )
 
 
@@ -104,6 +108,46 @@ def _match(field: Field, dim: int, space: GradedSpace):
         raise DimensionMismatch("degree list length differs from the dimension")
 
 
+def parts(value) -> tuple:
+    """A structure value as (algebra, coalgebra, antipode, space), None for each
+    part it lacks.  With ``assemble`` this is the only code that tells the
+    eight structure classes apart."""
+    match value:
+        case Algebra():
+            return value, None, None, None
+        case Coalgebra():
+            return None, value, None, None
+        case Bialgebra(algebra=a, coalgebra=c):
+            return a, c, None, None
+        case HopfAlgebra(antipode=s):
+            return value.algebra, value.coalgebra, s, None
+        case GradedAlgebra(algebra=a, space=v):
+            return a, None, None, v
+        case GradedCoalgebra(coalgebra=c, space=v):
+            return None, c, None, v
+        case GradedBialgebra(bialgebra=b, space=v):
+            return b.algebra, b.coalgebra, None, v
+        case GradedHopf(hopf=h, space=v):
+            return h.algebra, h.coalgebra, h.antipode, v
+    raise TypeError(f"not a structure value: {type(value).__name__}")
+
+
+def assemble(algebra, coalgebra, antipode=None, space=None):
+    """The structure value with the given parts: the inverse of ``parts``."""
+    if algebra is None or coalgebra is None:
+        if antipode is not None or algebra is coalgebra:
+            raise TypeError("a structure needs an algebra or a coalgebra part, "
+                            "and an antipode needs both")
+        if algebra is not None:
+            return algebra if space is None else GradedAlgebra(algebra, space)
+        return coalgebra if space is None else GradedCoalgebra(coalgebra, space)
+    core = Bialgebra(algebra, coalgebra)
+    if antipode is None:
+        return core if space is None else GradedBialgebra(core, space)
+    core = HopfAlgebra(core, antipode)
+    return core if space is None else GradedHopf(core, space)
+
+
 def koszul_swap(v: GradedSpace, w: GradedSpace) -> LinMap:
     """The graded symmetry e_i (x) e_j -> (-1)^(deg i * deg j) e_j (x) e_i."""
     k = same_field(v.field, w.field)
@@ -139,35 +183,42 @@ def _tensor_degrees(degs: Sequence[int], times: int = 2) -> list[int]:
     return [sum(combo) for combo in itertools.product(degs, repeat=times)]
 
 
-@singledispatch
-def validate_graded(structure) -> ValidationReport:
-    raise TypeError(f"no graded validation for {type(structure).__name__}")
+def validate(value) -> ValidationReport:
+    """The axioms of any structure value.  An ungraded one goes to its
+    validator in ``structures``; a graded one to ``validate_graded``."""
+    algebra, coalgebra, antipode, space = parts(value)
+    if space is not None:
+        return validate_graded(value)
+    if coalgebra is None:
+        return validate_algebra(algebra)
+    if algebra is None:
+        return validate_coalgebra(coalgebra)
+    return validate_bialgebra(value) if antipode is None else validate_hopf(value)
 
 
-@validate_graded.register
-def _(g: GradedAlgebra) -> ValidationReport:
-    failures = list(_algebra_homogeneity(g.algebra, g.degrees))
-    failures += list(validate_algebra(g.algebra).failures)
-    return ValidationReport(tuple(failures))
-
-
-@validate_graded.register
-def _(g: GradedCoalgebra) -> ValidationReport:
-    failures = list(_coalgebra_homogeneity(g.coalgebra, g.degrees))
-    failures += list(validate_coalgebra(g.coalgebra).failures)
-    return ValidationReport(tuple(failures))
-
-
-@validate_graded.register
-def _(g: GradedBialgebra) -> ValidationReport:
-    return ValidationReport(tuple(_graded_bialgebra_failures(g.bialgebra, g.space)))
-
-
-@validate_graded.register
-def _(g: GradedHopf) -> ValidationReport:
-    failures = _graded_bialgebra_failures(g.hopf.bialgebra, g.space)
-    failures += _homogeneity_failures("antipode", g.hopf.antipode, g.degrees, g.degrees)
-    failures += _antipode_failures(g.hopf.bialgebra, g.hopf.antipode)
+def validate_graded(value) -> ValidationReport:
+    """Homogeneity of each part, then the axioms, a bialgebra's with the
+    Koszul braiding in the tensor-square product, then the antipode's."""
+    algebra, coalgebra, antipode, space = parts(value)
+    if space is None:
+        raise TypeError(f"no graded validation for {type(value).__name__}")
+    degs = space.degrees
+    failures = []
+    if algebra is not None:
+        failures += _algebra_homogeneity(algebra, degs)
+    if coalgebra is not None:
+        failures += _coalgebra_homogeneity(coalgebra, degs)
+    if coalgebra is None:
+        failures += validate_algebra(algebra).failures
+    elif algebra is None:
+        failures += validate_coalgebra(coalgebra).failures
+    else:
+        bialgebra = Bialgebra(algebra, coalgebra)
+        failures += _bialgebra_failures(bialgebra, koszul_swap(space, space),
+                                        "comult multiplicative (Koszul)")
+    if antipode is not None:
+        failures += _homogeneity_failures("antipode", antipode, degs, degs)
+        failures += _antipode_failures(bialgebra, antipode)
     return ValidationReport(tuple(failures))
 
 
@@ -183,48 +234,27 @@ def _coalgebra_homogeneity(c: Coalgebra, degs: Sequence[int]) -> list[Failure]:
     return failures
 
 
-def _graded_bialgebra_failures(b: Bialgebra, space: GradedSpace) -> list[Failure]:
-    """Bialgebra axioms with the Koszul braiding in the tensor-square product."""
-    failures = _algebra_homogeneity(b.algebra, space.degrees)
-    failures += _coalgebra_homogeneity(b.coalgebra, space.degrees)
-    failures += _bialgebra_failures(b, koszul_swap(space, space),
-                                    "comult multiplicative (Koszul)")
-    return failures
-
-
 # ---------------------------------------------------------------------------
 # duals, connectedness, degree-zero adjunction
 
 
-@singledispatch
+def dual(value):
+    """The linear dual on the dual basis: the algebra and coalgebra parts trade
+    places, the antipode is transposed and the degrees are negated."""
+    algebra, coalgebra, antipode, space = parts(value)
+    return assemble(None if coalgebra is None else dual_algebra(coalgebra),
+                    None if algebra is None else dual_coalgebra(algebra),
+                    None if antipode is None else antipode.transpose(),
+                    None if space is None else graded_dual(space))
+
+
 def graded_dual(v):
-    raise TypeError(f"no graded dual for {type(v).__name__}")
-
-
-@graded_dual.register
-def _(v: GradedSpace) -> GradedSpace:
-    return GradedSpace(v.field, tuple(-d for d in v.degrees))
-
-
-@graded_dual.register
-def _(g: GradedAlgebra) -> GradedCoalgebra:
-    return GradedCoalgebra(dual_coalgebra(g.algebra), graded_dual(g.space))
-
-
-@graded_dual.register
-def _(g: GradedCoalgebra) -> GradedAlgebra:
-    return GradedAlgebra(dual_algebra(g.coalgebra), graded_dual(g.space))
-
-
-@graded_dual.register
-def _(g: GradedBialgebra) -> GradedBialgebra:
-    return GradedBialgebra(dual_bialgebra(g.bialgebra), graded_dual(g.space))
-
-
-@graded_dual.register
-def _(g: GradedHopf) -> GradedHopf:
-    dual = HopfAlgebra(dual_bialgebra(g.hopf.bialgebra), g.hopf.antipode.transpose())
-    return GradedHopf(dual, graded_dual(g.space))
+    """The dual of a graded space or of a graded structure value."""
+    if isinstance(v, GradedSpace):
+        return GradedSpace(v.field, tuple(-d for d in v.degrees))
+    if parts(v)[3] is None:
+        raise TypeError(f"no graded dual for {type(v).__name__}")
+    return dual(v)
 
 
 def hom_space(v: GradedSpace, w: GradedSpace) -> GradedSpace:
@@ -286,24 +316,12 @@ def degree0_part(a: GradedAlgebra) -> Algebra:
     return Algebra(mult=LinMap.from_rows(k, mult), unit=LinMap.column(k, unit))
 
 
-@singledispatch
 def include_degree0(structure):
-    raise TypeError(f"cannot concentrate {type(structure).__name__} in degree 0")
-
-
-@include_degree0.register
-def _(a: Algebra) -> GradedAlgebra:
-    return GradedAlgebra(a, GradedSpace(a.field, (0,) * a.dim))
-
-
-@include_degree0.register
-def _(b: Bialgebra) -> GradedBialgebra:
-    return GradedBialgebra(b, GradedSpace(b.field, (0,) * b.dim))
-
-
-@include_degree0.register
-def _(h: HopfAlgebra) -> GradedHopf:
-    return GradedHopf(h, GradedSpace(h.field, (0,) * h.dim))
+    """An ungraded algebra, bialgebra or Hopf algebra, concentrated in degree 0."""
+    algebra, coalgebra, antipode, space = parts(structure)
+    if algebra is None or space is not None:
+        raise TypeError(f"cannot concentrate {type(structure).__name__} in degree 0")
+    return assemble(algebra, coalgebra, antipode, GradedSpace(algebra.field, (0,) * algebra.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -99,13 +99,6 @@ def validate_measuring(m: Measuring) -> ValidationReport:
     return ValidationReport(tuple(failures))
 
 
-def require_valid_measuring(m: Measuring) -> Measuring:
-    report = validate_measuring(m)
-    if not report.ok:
-        raise IncompatibleMeasurings(f"not a measuring: {report}")
-    return m
-
-
 # ---------------------------------------------------------------------------
 # the bijection with algebra morphisms A -> M_n(B)
 

@@ -23,9 +23,7 @@ from dataclasses import dataclass
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
-    InvalidAlgebra,
     InvalidBialgebra,
-    InvalidCoalgebra,
     InvalidHopf,
     NotAGroup,
     UnsupportedField,
@@ -291,20 +289,6 @@ def validate_hopf(h: HopfAlgebra) -> ValidationReport:
     failures = list(validate_bialgebra(h.bialgebra).failures)
     failures += _antipode_failures(h.bialgebra, h.antipode)
     return ValidationReport(tuple(failures))
-
-
-def require_valid_algebra(a: Algebra) -> Algebra:
-    report = validate_algebra(a)
-    if not report.ok:
-        raise InvalidAlgebra(str(report), report)
-    return a
-
-
-def require_valid_coalgebra(c: Coalgebra) -> Coalgebra:
-    report = validate_coalgebra(c)
-    if not report.ok:
-        raise InvalidCoalgebra(str(report), report)
-    return c
 
 
 def require_valid_bialgebra(b: Bialgebra) -> Bialgebra:

@@ -336,18 +336,46 @@ def test_tambara_check_at_n_zero(capsys):
     assert result["matched"] and result["orbits_matched"] and result["intertwiners_matched"]
 
 
-def test_tensor_parses_the_source_algebra_once(monkeypatch, capsys):
+@pytest.fixture
+def parses(monkeypatch):
+    """The texts of the structure documents parsed from here on."""
     import sweedler.documents as documents
 
     calls = []
     original = documents.parse_document
     monkeypatch.setattr(documents, "parse_document",
                         lambda text: calls.append(text) or original(text))
+    return calls
+
+
+def test_tensor_parses_the_source_algebra_once(parses, capsys):
     sign = fixture("q_c2_sign.measuring.json")
     code, _ = run(capsys, "tensor", sign, sign)
     assert code == 0
-    # A and B for each of the two measurings, then A once more for its coproduct
-    assert len(calls) == 5
+    # A and B once each: both measurings and A's coproduct share them
+    assert len(parses) == 2
+
+
+def test_reconstruct_parses_each_shared_document_once(parses, capsys):
+    code, _ = run(capsys, "reconstruct", fixture("f2_c2_regular.measuring.json"),
+                  fixture("f2_c2_triv.measuring.json"))
+    assert code == 0
+    assert sorted(parses) == sorted(Path(fixture(name)).read_text()
+                                    for name in ("f2_c2.json", "f2_trivial.json"))
+
+
+def test_two_paths_to_one_document_share_its_parse(parses, capsys, tmp_path):
+    for name in ("q_c2.json", "q_trivial.json", "q_c2_sign.measuring.json"):
+        (tmp_path / name).write_text(Path(fixture(name)).read_text())
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "link.json").symlink_to(tmp_path / "q_c2.json")
+    other = tmp_path / "sub" / "sign.measuring.json"
+    other.write_text((tmp_path / "q_c2_sign.measuring.json").read_text()
+                     .replace('"q_c2.json"', '"link.json"')
+                     .replace('"q_trivial.json"', '"../q_trivial.json"'))
+    code, _ = run(capsys, "tensor", str(tmp_path / "q_c2_sign.measuring.json"), str(other))
+    assert code == 0
+    assert len(parses) == 2
 
 
 def _run_under_memory_limit(argv, limit_bytes):

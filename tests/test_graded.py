@@ -1,6 +1,9 @@
 
+from pathlib import Path
+
 import pytest
 
+from sweedler.documents import parse_document
 from sweedler.errors import NegativeDegree, NotClosed
 from sweedler.fields import GF, QQ
 from sweedler.linalg import LinMap, compose, invert, kron, swap_map
@@ -10,7 +13,9 @@ from sweedler.graded import (
     GradedCoalgebra,
     GradedHopf,
     GradedSpace,
+    assemble,
     degree0_part,
+    dual,
     dual_comparison,
     graded_algebra_morphisms,
     graded_dual,
@@ -19,17 +24,25 @@ from sweedler.graded import (
     include_degree0,
     is_connected,
     koszul_swap,
+    parts,
     validate_graded,
 )
 from sweedler.measurings import regular_measuring, validate_measuring
 from sweedler.structures import (
+    Algebra,
+    Bialgebra,
+    Coalgebra,
     HopfAlgebra,
     algebra_morphisms,
+    dual_coalgebra,
     matrix_algebra,
     trivial_algebra,
     validate_bialgebra,
 )
 from sweedler.zoo import (
+    corpus_algebras,
+    corpus_bialgebras,
+    corpus_hopf_algebras,
     cyclic_group_hopf,
     dual_numbers,
     graded_dual_numbers,
@@ -278,3 +291,99 @@ def test_graded_antipode_failure_has_a_witness():
     report = validate_graded(wrong)
     assert [(f.axiom, f.witness) for f in report.failures] == [
         ("left antipode", (1,)), ("right antipode", (1,))]
+
+
+# -- a structure value is its parts --------------------------------------------------
+
+
+def _values_of_every_kind():
+    fixtures = Path(__file__).parent / "fixtures"
+    graded_docs = [parse_document(path.read_text()).value
+                   for path in sorted(fixtures.glob("graded_*.json"))]
+    ungraded = ([a for _, a in corpus_algebras()]
+                + [dual_coalgebra(a) for _, a in corpus_algebras()]
+                + [b for _, b in corpus_bialgebras()]
+                + [h for _, h in corpus_hopf_algebras()])
+    graded = ([include_degree0(v) for v in ungraded if not isinstance(v, Coalgebra)]
+              + [graded_dual(g) for g in graded_docs]
+              + [graded_line_hopf(k, d) for k in (F2, QQ) for d in (0, 1, 2)]
+              + [GradedBialgebra(g.hopf.bialgebra, g.space) for g in graded_docs
+                 if isinstance(g, GradedHopf)]
+              + graded_docs)
+    return ungraded + graded
+
+
+def test_values_of_every_kind_cover_the_eight_classes():
+    assert {type(v) for v in _values_of_every_kind()} == {
+        Algebra, Coalgebra, Bialgebra, HopfAlgebra,
+        GradedAlgebra, GradedCoalgebra, GradedBialgebra, GradedHopf}
+
+
+@pytest.mark.parametrize("value", _values_of_every_kind())
+def test_assemble_inverts_parts(value):
+    algebra, coalgebra, antipode, space = parts(value)
+    assert assemble(algebra, coalgebra, antipode, space) == value
+    assert type(assemble(algebra, coalgebra, antipode, space)) is type(value)
+
+
+@pytest.mark.parametrize("value", _values_of_every_kind())
+def test_dual_is_an_involution_that_trades_the_parts(value):
+    algebra, coalgebra, antipode, space = parts(value)
+    d_algebra, d_coalgebra, d_antipode, d_space = parts(dual(value))
+    assert d_algebra == (None if coalgebra is None else
+                         Algebra(coalgebra.comult.transpose(), coalgebra.counit.transpose()))
+    assert d_coalgebra == (None if algebra is None else
+                           Coalgebra(algebra.mult.transpose(), algebra.unit.transpose()))
+    assert d_antipode == (None if antipode is None else antipode.transpose())
+    assert d_space == (None if space is None else
+                       GradedSpace(space.field, tuple(-d for d in space.degrees)))
+    assert dual(dual(value)) == value
+
+
+def test_parts_and_assemble_reject_what_is_not_a_structure():
+    with pytest.raises(TypeError):
+        parts(GradedSpace(F2, (0,)))
+    with pytest.raises(TypeError):
+        assemble(involution_algebra(F2), None, LinMap.identity(F2, 2))
+    with pytest.raises(TypeError):
+        assemble(None, None, space=GradedSpace(F2, ()))
+
+
+def test_graded_failures_come_in_order_with_witnesses():
+    # deg x = 2 and x.x = x: mult is not homogeneous, the even degree leaves
+    # Delta(x.x) != Delta(x) Delta(x) with the Koszul sign, and s(1) = 1 + x
+    # is neither homogeneous nor an antipode
+    k = QQ
+    mult = LinMap.from_rows(k, [[1, 0, 0, 0], [0, 1, 1, 1]])
+    comult = LinMap.from_rows(k, [[1, 0], [0, 1], [0, 1], [0, 0]])
+    bialgebra = Bialgebra(Algebra(mult, LinMap.column(k, [1, 0])),
+                          Coalgebra(comult, LinMap.row(k, [1, 0])))
+    antipode = LinMap.from_rows(k, [[1, 0], [1, -1]])
+    gh = GradedHopf(HopfAlgebra(bialgebra, antipode), GradedSpace(k, (0, 2)))
+    assert [(f.axiom, f.witness) for f in validate_graded(gh).failures] == [
+        ("mult homogeneity", (1, 3)),
+        ("comult multiplicative (Koszul)", (1, 1)),
+        ("antipode homogeneity", (1, 0)),
+        ("left antipode", (0,)),
+        ("right antipode", (0,))]
+
+
+@pytest.mark.parametrize("value", [involution_algebra(F2), dual_coalgebra(dual_numbers(F2)),
+                                   cyclic_group_hopf(QQ, 2).bialgebra,
+                                   cyclic_group_hopf(QQ, 2)],
+                         ids=["algebra", "coalgebra", "bialgebra", "hopf"])
+def test_graded_operations_reject_ungraded_values(value):
+    with pytest.raises(TypeError):
+        validate_graded(value)
+    with pytest.raises(TypeError):
+        graded_dual(value)
+
+
+@pytest.mark.parametrize("value", [dual_coalgebra(dual_numbers(F2)),
+                                   graded_dual_numbers(F2, 1),
+                                   graded_dual(graded_dual_numbers(F2, 1)),
+                                   graded_line_hopf(QQ, 1)],
+                         ids=["coalgebra", "graded-algebra", "graded-coalgebra", "graded-hopf"])
+def test_include_degree0_rejects_coalgebras_and_graded_values(value):
+    with pytest.raises(TypeError):
+        include_degree0(value)

@@ -481,7 +481,7 @@ def _cli(command):
                          ids=["find_antipode", "find_opantipode",
                               "cli-antipode", "cli-opantipode", "cli-fusion"])
 def test_antipode_solvers_validate_the_bialgebra_once(monkeypatch, capsys, sweedler4, run):
-    import sweedler.documents as documents
+    import sweedler.graded as graded
     import sweedler.structures as structures
 
     calls = []
@@ -492,6 +492,6 @@ def test_antipode_solvers_validate_the_bialgebra_once(monkeypatch, capsys, sweed
         return original(b)
 
     monkeypatch.setattr(structures, "validate_bialgebra", counted)
-    monkeypatch.setattr(documents, "validate_bialgebra", counted)
+    monkeypatch.setattr(graded, "validate_bialgebra", counted)
     run(sweedler4.bialgebra)
     assert len(calls) == 1
