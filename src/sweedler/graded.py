@@ -257,22 +257,6 @@ def graded_dual(v):
     return dual(v)
 
 
-def hom_space(v: GradedSpace, w: GradedSpace) -> GradedSpace:
-    """Maps v -> w as a graded space; the map x_i -> y_j sits in degree
-    deg(y_j) - deg(x_i), at index i*dim(w) + j."""
-    same_field(v.field, w.field)
-    degs = [w.degrees[j] - v.degrees[i] for i in range(v.dim) for j in range(w.dim)]
-    return GradedSpace(v.field, tuple(degs))
-
-
-def dual_comparison(v: GradedSpace, w: GradedSpace) -> LinMap:
-    """The canonical map (graded dual of v) (x) w -> hom_space(v, w) sending
-    alpha_i (x) y_j to the map x_i -> y_j.  Degree-preserving, and invertible
-    precisely because these spaces are finite-dimensional.  Both sides index
-    the pair (i, j) at i*dim(w) + j, so the map is the identity matrix."""
-    return LinMap.identity(same_field(v.field, w.field), v.dim * w.dim)
-
-
 def is_connected(v: GradedSpace) -> bool:
     """For nonnegative gradings: exactly one basis vector in degree zero."""
     if any(d < 0 for d in v.degrees):

@@ -186,18 +186,6 @@ def morphism_classes(a: Algebra, b: Algebra, n: int, morphisms: list[LinMap],
         measurings, lambda m1, m2: [iw.f for iw in intertwiners(m1, m2)], budget)
 
 
-def is_simple(m: Measuring, budget: int = DEFAULT_BUDGET) -> bool:
-    """No proper nonzero subcomodule: every intertwiner from a smaller
-    measuring is zero (a nonzero one has a subcomodule as its image)."""
-    for d in range(1, m.xdim):
-        report = enumerate_measurings(m.a, m.b, d, budget=budget)
-        for rep, _ in report.orbits:
-            for iw in intertwiners(rep, m):
-                if not iw.f.is_zero():
-                    return False
-    return m.xdim > 0
-
-
 # ---------------------------------------------------------------------------
 # tensor products and composition
 

@@ -9,15 +9,19 @@ span of the coend relations
 over a family of intertwiners f, with comultiplication, counit and the
 measuring pairing beta: A (x) D -> B induced on the quotient.
 
-The stage is assembled one generator at a time, never as the direct sum:
-with P_i: coend(X_i) -> D the projection and S_i the section's rows on that
-summand, D has comultiplication sum_i (P_i (x) P_i).Delta_i.S_i, counit
-sum_i eps_i.S_i and pairing sum_i beta_i.(1_A (x) S_i), with (Delta_i, eps_i)
-from :func:`coend_coalgebra` and beta_i the axes of psi_i reordered.  These
-descend (are well defined) exactly when every P_i is a coalgebra morphism and
-every generator's induced comodule gives back its psi; that and the rest of
-the induced structure are verified before a value is returned.  With B = k
-and enough modules this computes the linear dual of A.
+The stage is assembled one generator at a time, never as the direct sum, and
+no comatrix coalgebra is written out.  A linear P_i: coend(X_i) -> D is the
+same as delta_i: X_i -> X_i (x) D, delta_i(x_b) = sum_a x_a (x) P_i f_ab, and
+P_i is a coalgebra morphism exactly when delta_i is a D-comodule.  With S_i
+the section's rows on the i-th summand, D has comultiplication
+sum_i (P_i (x) P_i).Delta_i.S_i, counit sum_i eps_i.S_i and pairing
+sum_i beta_i.(1_A (x) S_i): (P_i (x) P_i).Delta_i f_ab = sum_t P_i f_at (x)
+P_i f_tb is (delta_i (x) 1).delta_i with its axes reordered, eps_i f_ab =
+delta_ab, and beta_i is psi_i with its axes reordered.  These descend (are
+well defined) exactly when every delta_i passes :func:`validate_comodule` and
+gives back its psi through the pairing; that and the rest of the induced
+structure are verified before a value is returned.  With B = k and enough
+modules this computes the linear dual of A.
 """
 
 from __future__ import annotations
@@ -106,9 +110,10 @@ def coend_morphism_to_comodule(phi: LinMap, c: Coalgebra, xdim: int) -> LinMap:
     delta(x_j) = sum_i x_i (x) phi(f_ij)."""
     if phi.dom != xdim * xdim or phi.cod != c.dim:
         raise NotAComodule("phi does not have coend(X) -> C shape")
-    if not is_coalgebra_morphism(phi, coend_coalgebra(xdim, phi.field), c):
+    delta = _classified_comodule(phi, c.dim, xdim)
+    if not validate_comodule(delta, c):
         raise NotAComodule("phi is not a coalgebra morphism out of the coend")
-    return _classified_comodule(phi, c.dim, xdim)
+    return delta
 
 
 def _classified_comodule(phi: LinMap, cdim: int, xdim: int) -> LinMap:
@@ -235,38 +240,42 @@ def reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,
 
     # coend(X_i) pushed along P_i and pulled back along S_i, summed over i
     da, db = a.dim, b.dim
-    coends = [coend_coalgebra(x, k) for x in xdims]
+    deltas = [_classified_comodule(p, d, x) for p, x in zip(projections, xdims)]
     comult = LinMap.zero(k, d * d, d)
     counit = LinMap.zero(k, 1, d)
     pairing = LinMap.zero(k, db, da * d)
-    for m, c, p, s in zip(measurings, coends, projections, _section_blocks(section, xdims)):
+    for m, delta, s in zip(measurings, deltas, _section_blocks(section, xdims)):
         x = m.xdim
-        pushed = compose_slot(compose_slot(c.comult, p, x * x, 1, after=True), p, 1, d, after=True)
+        # column f_ab of (delta (x) 1).delta, read on axes (a, D, D, b), is sum_t P f_at (x) P f_tb
+        pushed = permute_axes(compose_slot(delta, delta, 1, d, after=True), (x, d, d, x),
+                              (1, 2, 0, 3), 2)
         comult = comult + compose(pushed, s)
-        counit = counit + compose(c.counit, s)
+        # eps f_ab = delta_ab: the identity's entries read as one row
+        counit = counit + compose(LinMap(k, 1, x * x, LinMap.identity(k, x).entries), s)
         beta = permute_axes(m.psi, (x, db, da, x), (1, 2, 0, 3), 1)
         pairing = pairing + compose_slot(beta, s, da, 1, after=False)
 
     result = GeneratedSubcoalgebra(a, b, Coalgebra(comult=comult, counit=counit), pairing,
                                    projections, section, tuple(measurings))
-    _verify_generated(result, coends)
+    _verify_generated(result, deltas)
     return result
 
 
-def _verify_generated(g: GeneratedSubcoalgebra, coends: list[Coalgebra]) -> None:
+def _verify_generated(g: GeneratedSubcoalgebra, deltas: list[LinMap]) -> None:
     """Machine-check every invariant of a generated subcoalgebra.
 
     As the kernel of the projection onto D is the span of the relations, the
     comultiplication and counit descend to D exactly when every P_i is a
-    coalgebra morphism coend(X_i) -> D, and the pairing descends exactly when
-    every generator's induced comodule gives back its psi.
+    coalgebra morphism coend(X_i) -> D, that is when the comodule delta_i it
+    classifies is a D-comodule, and the pairing descends exactly when every
+    delta_i gives back its psi.
     """
-    for m, c, p in zip(g.generators, coends, g.projections):
-        if not is_coalgebra_morphism(p, c, g.d):
+    for m, delta in zip(g.generators, deltas):
+        if not validate_comodule(delta, g.d):
             raise InducedStructureIllDefined(
                 "comultiplication or counit does not descend; "
                 "an input morphism is not an intertwiner")
-        if induced_measuring(g, _classified_comodule(p, g.d.dim, m.xdim)) != m.psi:
+        if induced_measuring(g, delta) != m.psi:
             raise InducedStructureIllDefined(
                 "pairing does not descend; an input morphism is not an intertwiner")
     k = g.a.field

@@ -32,6 +32,7 @@ from .fields import Field, same_field
 from .linalg import (
     LinMap,
     _nonzeros_by,
+    _reduce,
     compose,
     compose_slot,
     is_invertible,
@@ -634,40 +635,27 @@ def _word_span(a: Algebra) -> tuple[list[int], list[tuple[list, list]], list[lis
     the words, as its (j, c_j) nonzeros.
     """
     k = a.field
-    p = k.char
     d = a.dim
     table = _nonzeros_by(a.mult, by_col=True)
-    # echelon rows (pivot, vector with 1 at the pivot, the vector in words),
-    # each zero at the pivots of the rows before it
-    rows: list[tuple[int, list, dict]] = []
+    one, zero = k.one(), k.zero()
+    # rows [u | c] with u = sum_j c_j word_j, in reduced echelon form on u
+    echelon: list[list] = []
     vectors: list[tuple] = []  # of the words
 
-    def reduce(v: Sequence) -> tuple[list, dict]:
-        """v less a combination of the rows, and that combination in words."""
-        v = list(v)
-        combo: dict[int, int] = {}
-        for pivot, vec, in_words in rows:
-            c = v[pivot]
-            if c:
-                v = [(x - c * y) % p for x, y in zip(v, vec)]
-                for j, x in in_words.items():
-                    combo[j] = (combo.get(j, 0) + c * x) % p
-        return v, combo
+    def reduce(rows: list[list], v: Sequence, marker: int | None = None) -> list | None:
+        """Reduce [v | e_marker] into ``rows``: None when v is outside their
+        span, and otherwise the row is dropped and v is returned in words."""
+        rows.append(list(v) + [one if j == marker else zero for j in range(d)])
+        if len(_reduce(k, rows, d)) == len(rows):
+            return None
+        return [(j, k.neg(c)) for j, c in enumerate(rows.pop()[d:]) if c and j != marker]
 
-    def add_word(v: tuple, rest: list, combo: dict):
-        """Make v the next word, where rest = v - sum_j combo_j word_j is nonzero."""
-        pivot = next(i for i, x in enumerate(rest) if x)
-        inv = k.inv(rest[pivot])
-        in_words = {j: (-c * inv) % p for j, c in combo.items() if c}
-        in_words[len(vectors)] = inv
-        rows.append((pivot, [x * inv % p for x in rest], in_words))
-        vectors.append(v)
-
-    add_word(a.unit_vector(), *reduce(a.unit_vector()))
-    basis = [tuple(k.one() if i == t else k.zero() for i in range(d)) for t in range(d)]
+    vectors.append(a.unit_vector())
+    reduce(echelon, vectors[0], 0)
+    basis = [tuple(one if i == t else zero for i in range(d)) for t in range(d)]
     generators, stages = [], []
     for t in range(d):
-        if not any(reduce(basis[t])[0]):
+        if reduce([list(row) for row in echelon], basis[t]) is not None:
             continue
         generators.append(t)
         words, relations = [], []
@@ -675,15 +663,15 @@ def _word_span(a: Algebra) -> tuple[list[int], list[tuple[list, list]], list[lis
         while pending:
             w, g = pending.popleft()
             v = _multiply(table, vectors[w], basis[generators[g]], k)
-            rest, combo = reduce(v)
-            if any(rest):
+            combo = reduce(echelon, v, len(vectors))
+            if combo is None:
                 pending.extend((len(vectors), h) for h in range(len(generators)))
-                add_word(v, rest, combo)
+                vectors.append(v)
                 words.append((w, g))
             else:
-                relations.append((w, g, [(j, c) for j, c in combo.items() if c]))
+                relations.append((w, g, combo))
         stages.append((words, relations))
-    return generators, stages, [[(j, c) for j, c in reduce(e)[1].items() if c] for e in basis]
+    return generators, stages, [reduce([list(row) for row in echelon], e) for e in basis]
 
 
 def _supported(field: Field, length: int, rows: Sequence[int]):

@@ -9,6 +9,7 @@ import itertools
 
 from sweedler.errors import InducedStructureIllDefined
 from sweedler.linalg import LinMap, compose, compose_slot, invert, kernel_basis, rref, solve
+from sweedler.measurings import enumerate_measurings, intertwiners
 from sweedler.structures import Coalgebra, general_linear_group, is_algebra_morphism
 
 
@@ -217,6 +218,16 @@ def exhaustive_morphisms(a, b, zero_coords=frozenset()):
         if is_algebra_morphism(f, a, b):
             found.append(f)
     return sorted(found, key=lambda f: f.entries)
+
+
+def is_simple(m):
+    """No proper nonzero subcomodule: every intertwiner from a smaller
+    measuring is zero (a nonzero one has a subcomodule as its image)."""
+    for d in range(1, m.xdim):
+        for rep, _ in enumerate_measurings(m.a, m.b, d).orbits:
+            if any(not iw.f.is_zero() for iw in intertwiners(rep, m)):
+                return False
+    return m.xdim > 0
 
 
 def gl_conjugate(f, g, g_inv, a, b):

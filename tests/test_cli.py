@@ -11,8 +11,14 @@ import pytest
 
 from sweedler import cli
 from sweedler.cli import main
-from sweedler.documents import Document, serialize_document
-from sweedler.fields import GF
+from sweedler.documents import (
+    Document,
+    MeasuringDocument,
+    serialize_document,
+    serialize_measuring_document,
+)
+from sweedler.fields import GF, QQ
+from sweedler.measurings import regular_measuring
 from sweedler.zoo import cyclic_group_hopf
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -404,6 +410,22 @@ def test_wide_algebra_with_empty_mult_fails_validation_within_a_gib(tmp_path):
     assert proc.returncode == 3, proc.stderr
     report = json.loads(proc.stdout)
     assert [f["axiom"] for f in report["failures"]] == ["left unit", "right unit"]
+
+
+def test_regular_stage_of_q_c16_is_built_within_256_mib(tmp_path):
+    # X = Q^16: written out, its comatrix coalgebra is a dense 65,536 x 256 map.
+    # The algebra alone is written, as parsing a Hopf document checks its axioms.
+    m = regular_measuring(cyclic_group_hopf(QQ, 16).algebra)
+    labels = tuple(f"g{i}" for i in range(16))
+    (tmp_path / "q_c16.json").write_text(serialize_document(Document(m.a, labels)))
+    (tmp_path / "q.json").write_text(serialize_document(Document(m.b, ("1",))))
+    path = tmp_path / "regular.measuring.json"
+    path.write_text(serialize_measuring_document(MeasuringDocument("q_c16.json", "q.json", m)))
+    proc = _run_under_memory_limit(["reconstruct", str(path)], 256 << 20)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)["result"]
+    assert report["d"]["dim"] == 16
+    assert len(report["projections"]) == 1
 
 
 def test_huge_prime_field_is_a_parse_error(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from sweedler.documents import parse_document
 from sweedler.errors import NegativeDegree, NotClosed
 from sweedler.fields import GF, QQ
-from sweedler.linalg import LinMap, compose, invert, kron, swap_map
+from sweedler.linalg import LinMap, compose, kron, swap_map
 from sweedler.graded import (
     GradedAlgebra,
     GradedBialgebra,
@@ -16,11 +16,9 @@ from sweedler.graded import (
     assemble,
     degree0_part,
     dual,
-    dual_comparison,
     graded_algebra_morphisms,
     graded_dual,
     graded_tensor_measuring,
-    hom_space,
     include_degree0,
     is_connected,
     koszul_swap,
@@ -164,17 +162,6 @@ def test_graded_dual_of_hopf_validates():
     gh = graded_line_hopf(QQ, 1)
     dual = graded_dual(gh)
     assert validate_graded(GradedHopf(dual.hopf, GradedSpace(QQ, (0, -1)))).ok
-
-
-def test_dual_comparison_map_is_invertible():
-    for degs_v, degs_w in [((0,), (0,)), ((0, 1), (2,)), ((1, 2, 3), (0, 1))]:
-        v = GradedSpace(QQ, degs_v)
-        w = GradedSpace(QQ, degs_w)
-        cmp_map = dual_comparison(v, w)
-        invert(cmp_map)
-        # degree bookkeeping: the comparison is degree preserving
-        dom = hom_space(graded_dual(graded_dual(v)), w)  # same degrees as v* (x) w flattened
-        assert cmp_map.cod == cmp_map.dom == v.dim * w.dim
 
 
 # -- connectedness ------------------------------------------------------------------

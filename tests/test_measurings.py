@@ -14,7 +14,6 @@ from sweedler.measurings import (
     enumerate_measurings,
     identity_measuring,
     intertwiners,
-    is_simple,
     matrix_morphism_from_measuring,
     measuring_from_matrix_morphism,
     morphism_classes,
@@ -40,6 +39,7 @@ from _oracles import (
     exhaustive_morphisms,
     gl_conjugate,
     gl_order,
+    is_simple,
 )
 
 F2 = GF(2)

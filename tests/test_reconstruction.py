@@ -1,15 +1,19 @@
 
 import itertools
+from pathlib import Path
 
 import pytest
 
+from sweedler.documents import parse_document
 from sweedler.errors import (
     IncompatibleMeasurings,
     InducedStructureIllDefined,
     NotAComodule,
     PreconditionViolated,
+    ValidationError,
 )
 from sweedler.fields import GF, QQ
+from sweedler.graded import parts
 from sweedler.linalg import LinMap, compose, invert, kron
 from sweedler.measurings import (
     Measuring,
@@ -110,6 +114,43 @@ def test_not_a_comodule_is_rejected():
     bad = LinMap.from_rows(F2, [[1], [1]])
     with pytest.raises(NotAComodule):
         comodule_to_coend_morphism(bad, h.coalgebra)
+
+
+def _f2_coalgebra_fixtures(dim):
+    """The coalgebras of dimension ``dim`` over F2 among the fixtures that parse."""
+    found = []
+    for path in sorted((Path(__file__).parent / "fixtures").glob("*.json")):
+        if path.name.endswith(".measuring.json"):
+            continue
+        try:
+            c = parts(parse_document(path.read_text()).value)[1]
+        except ValidationError:
+            continue
+        if c is not None and c.dim == dim and c.field == F2:
+            found.append((path.name, c))
+    return found
+
+
+@pytest.mark.parametrize("xdim", [1, 2])
+def test_coend_morphisms_are_exactly_the_comatrix_coalgebra_morphisms(xdim):
+    # every linear phi: coend(X) -> C, checked against the comatrix coalgebra
+    coalgebras = _f2_coalgebra_fixtures(2)
+    assert [name for name, _ in coalgebras] == [
+        "f2_c2.json", "graded_line_f2.json", "idempotent_f2.json"]
+    coend = coend_coalgebra(xdim, F2)
+    for name, c in coalgebras:
+        accepted = 0
+        for entries in itertools.product((0, 1), repeat=c.dim * xdim * xdim):
+            phi = LinMap.make(F2, c.dim, xdim * xdim, entries)
+            if is_coalgebra_morphism(phi, coend, c):
+                accepted += 1
+                delta = coend_morphism_to_comodule(phi, c, xdim)
+                assert comodule_to_coend_morphism(delta, c) == phi
+            else:
+                with pytest.raises(NotAComodule,
+                                   match="phi is not a coalgebra morphism out of the coend"):
+                    coend_morphism_to_comodule(phi, c, xdim)
+        assert 0 < accepted < 2 ** (c.dim * xdim * xdim), name
 
 
 # -- reconstruct -------------------------------------------------------------------
@@ -227,7 +268,8 @@ def test_universal_factorization_reproduces_generators(inv_f2, k_f2, m2_f2):
 
 def test_simple_comodule_transport(m2_f2, k_f2):
     # corestrict the standard module along k -> F2[y]/(y^2); it stays simple
-    from sweedler.measurings import corestrict_measuring, intertwiners, is_simple
+    from _oracles import is_simple
+    from sweedler.measurings import corestrict_measuring, intertwiners
     from sweedler.zoo import dual_numbers
 
     std = measuring_from_matrix_morphism(LinMap.identity(F2, 4), m2_f2, k_f2, 2)
@@ -341,15 +383,30 @@ def test_each_projection_is_checked_once(monkeypatch, inv_f2, k_f2):
 
     calls = []
 
-    def counting(f, c, d):
-        calls.append(f)
-        return is_coalgebra_morphism(f, c, d)
+    def counting(delta, c):
+        calls.append(delta)
+        return validate_comodule(delta, c)
 
-    monkeypatch.setattr(reconstruction, "is_coalgebra_morphism", counting)
+    monkeypatch.setattr(reconstruction, "validate_comodule", counting)
     empty = Measuring(inv_f2, k_f2, 0, LinMap.zero(F2, 0, 0))
     g = reconstruct([regular_measuring(inv_f2), _f2_character(), empty])
-    assert len(calls) == 3
-    assert calls == list(g.projections)
+    checked = list(calls)
+    assert len(checked) == 3
+    assert checked == [comodule_of_generator(g, i) for i in range(3)]
+
+
+def test_reconstruct_builds_no_comatrix_coalgebra(monkeypatch, inv_f2, k_f2, m2_f2):
+    import sweedler.reconstruction as reconstruction
+
+    def refuse(xdim, field):
+        raise AssertionError(f"comatrix coalgebra of dimension {xdim}^2 built")
+
+    monkeypatch.setattr(reconstruction, "coend_coalgebra", refuse)
+    std = measuring_from_matrix_morphism(LinMap.identity(F2, 4), m2_f2, k_f2, 2)
+    assert reconstruct([std]).d == dual_coalgebra(m2_f2)
+    g = reconstruct([regular_measuring(inv_f2), _f2_character()])
+    assert g.d.dim == 2
+    assert comodule_of_generator(g, 0).dom == 2
 
 
 # -- products on generated stages -----------------------------------------------------
