@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
-"""Regenerate the committed fixture documents in tests/fixtures/.
+"""Regenerate the committed fixture documents in tests/fixtures/ and the
+broken documents in tests/broken/.
 
 Everything is produced through the canonical serializer, so running this
-script must leave a clean git tree.
+script must leave a clean git tree.  Each broken document fails one axiom
+(and those that follow from it) on purpose; the golden corpus pins the
+witnesses that ``validate`` or ``reconstruct`` reports for them.
 """
 
 from __future__ import annotations
@@ -18,7 +21,15 @@ from sweedler.measurings import (
     measuring_from_matrix_morphism,
     regular_measuring,
 )
-from sweedler.structures import matrix_algebra, trivial_algebra
+from sweedler.measurings import Measuring
+from sweedler.structures import (
+    Algebra,
+    Bialgebra,
+    Coalgebra,
+    HopfAlgebra,
+    matrix_algebra,
+    trivial_algebra,
+)
 from sweedler.zoo import (
     cyclic_group_hopf,
     dual_numbers,
@@ -29,16 +40,55 @@ from sweedler.zoo import (
     sweedler_hopf,
 )
 
-OUT = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+TESTS = Path(__file__).resolve().parent.parent / "tests"
+OUT = TESTS / "fixtures"
+BROKEN = TESTS / "broken"
 
 
-def write(name: str, text: str) -> None:
-    (OUT / name).write_text(text)
-    print(f"wrote {name}")
+def write(name: str, text: str, out: Path = OUT) -> None:
+    (out / name).write_text(text)
+    print(f"wrote {out.name}/{name}")
 
 
-def structure(name: str, value, labels) -> None:
-    write(name, serialize_document(Document(value, tuple(labels))))
+def structure(name: str, value, labels, out: Path = OUT) -> None:
+    write(name, serialize_document(Document(value, tuple(labels))), out)
+
+
+def changed(f: LinMap, row: int, col: int, value) -> LinMap:
+    """f with the entry at (row, col) replaced by ``value``."""
+    entries = list(f.entries)
+    entries[row * f.dom + col] = f.field.coerce(value)
+    return LinMap(f.field, f.cod, f.dom, tuple(entries))
+
+
+def broken_documents() -> None:
+    """Documents that fail associativity, comult multiplicativity, the
+    antipode axioms and measuring multiplicativity.  The measuring refers
+    to its algebras in tests/fixtures/."""
+    BROKEN.mkdir(parents=True, exist_ok=True)
+    f2, f3 = GF(2), GF(3)
+    c3 = cyclic_group_hopf(f2, 3)
+    # g * g2 = g instead of 1
+    a = c3.algebra
+    structure("broken_assoc.json", Algebra(changed(changed(a.mult, 0, 1 * 3 + 2, 0),
+                                                    1, 1 * 3 + 2, 1), a.unit),
+              ["1", "g", "g2"], BROKEN)
+    # F3[y]/(y^2) with y primitive: Delta(y)^2 = 2 y (x) y, not Delta(y^2) = 0
+    dn = dual_numbers(f3)
+    comult = LinMap.from_rows(f3, [[1, 0], [0, 1], [0, 1], [0, 0]])
+    structure("broken_comult_mult.json",
+              Bialgebra(dn, Coalgebra(comult, LinMap.row(f3, [1, 0]))), ["1", "y"], BROKEN)
+    # s(g2) = g2 instead of g
+    structure("broken_antipode.json",
+              HopfAlgebra(c3.bialgebra, changed(changed(c3.antipode, 1, 2, 0), 2, 2, 1)),
+              ["1", "g", "g2"], BROKEN)
+    # the regular measuring of F2[C_2] with psi(g (x) x1) = x1 instead of x0
+    regular = regular_measuring(involution_algebra(f2))
+    psi = changed(changed(regular.psi, 0, 1 * 2 + 1, 0), 1, 1 * 2 + 1, 1)
+    write("broken_mult.measuring.json",
+          canonical_json(measuring_to_dict(MeasuringDocument(
+              "../fixtures/f2_c2.json", "../fixtures/f2_trivial.json",
+              Measuring(regular.a, regular.b, 2, psi)))), BROKEN)
 
 
 def main() -> None:
@@ -106,6 +156,8 @@ def main() -> None:
     write("q_c2_identity.measuring.json",
           canonical_json(measuring_to_dict(
               MeasuringDocument("q_c2.json", "q_c2.json", identity_measuring(HQ.algebra)))))
+
+    broken_documents()
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 """Regenerate the golden-report corpus in tests/golden/.
 
 Every CLI command is run in-process over every committed fixture it applies
-to (pairs of fixtures over one field for the two-input commands), from the
+to (pairs of fixtures over one field for the two-input commands), and
+``validate`` or ``reconstruct`` over each broken document, from the
 repository root so that the reports carry repo-relative paths.  The exit
 code and the exact stdout bytes of each run are stored; tests/test_golden.py
 replays the corpus and demands byte equality.
@@ -28,6 +29,7 @@ from sweedler.structures import Bialgebra, HopfAlgebra
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = "tests/fixtures"
+BROKEN = "tests/broken"
 OUT = ROOT / "tests" / "golden"
 MANIFEST = OUT / "cases.json"
 
@@ -115,13 +117,17 @@ def cases() -> list[list[str]]:
                     out.append(["tensor", _fixture(m1), _fixture(m2), "--mode", mode])
             if mdocs[m1]["b"] == mdocs[m2]["a"]:
                 out.append(["compose", _fixture(m1), _fixture(m2)])
+    for n in sorted(p.name for p in (ROOT / BROKEN).glob("*.json")):
+        out.append(["reconstruct" if n.endswith(".measuring.json") else "validate",
+                    f"{BROKEN}/{n}"])
     out.append(["validate", _fixture("f2_c2.json"), "--seed", "7"])
     out.append(["validate", _fixture("missing.json")])
     return out
 
 
 def case_id(argv: list[str]) -> str:
-    words = [Path(a).name.removesuffix(".json") if a.startswith(FIXTURES) else a for a in argv]
+    words = [Path(a).name.removesuffix(".json") if a.startswith((FIXTURES, BROKEN)) else a
+             for a in argv]
     return re.sub(r"[^A-Za-z0-9_.=-]+", "_", "__".join(w.lstrip("-") for w in words))
 
 

@@ -58,6 +58,20 @@ def test_committed_fixtures_reparse_canonically():
             assert serialize_document(parse_document(text)) == text
 
 
+def test_broken_documents_fail_validation_with_a_witness():
+    broken = sorted((FIXTURES.parent / "broken").glob("*.json"))
+    assert len(broken) == 4
+    for path in broken:
+        text = path.read_text()
+        with pytest.raises(ValidationError) as info:
+            if path.name.endswith(".measuring.json"):
+                parse_measuring_document(
+                    text, lambda ref: parse_document((path.parent / ref).read_text()))
+            else:
+                parse_document(text)
+        assert info.value.report.failures
+
+
 def test_trivial_algebra_document():
     doc = parse_document(json.dumps({
         "field": "Q", "dim": 1, "basis": ["1"], "unit": ["1"], "mult": []}))
