@@ -28,8 +28,9 @@ from .structures import (
     Failure,
     HopfAlgebra,
     ValidationReport,
-    _antipode_failures,
-    _bialgebra_failures,
+    _antipode_axioms,
+    _bialgebra_axioms,
+    _failures,
     algebra_morphisms,
     dual_algebra,
     dual_coalgebra,
@@ -214,11 +215,11 @@ def validate_graded(value) -> ValidationReport:
         failures += validate_coalgebra(coalgebra).failures
     else:
         bialgebra = Bialgebra(algebra, coalgebra)
-        failures += _bialgebra_failures(bialgebra, koszul_swap(space, space),
-                                        "comult multiplicative (Koszul)")
+        failures += _failures(_bialgebra_axioms(bialgebra, koszul_swap(space, space),
+                                                "comult multiplicative (Koszul)"))
     if antipode is not None:
         failures += _homogeneity_failures("antipode", antipode, degs, degs)
-        failures += _antipode_failures(bialgebra, antipode)
+        failures += _failures(_antipode_axioms(bialgebra, antipode))
     return ValidationReport(tuple(failures))
 
 

@@ -14,6 +14,9 @@ nonzeros by nonzeros.  :func:`compose_slot` composes a map with a structural
 factor ``1_a (x) t (x) 1_b`` (an identity-padded ``t``, such as a braiding in
 the middle of a tensor power) by remapping indices through the nonzeros of
 ``t``, without building the factor.  Only the dense result is allocated.
+:func:`apply_slot` applies such a factor to one sparse vector, a dict of
+its nonzeros; it is the kernel of the axiom checks, which never build a
+composite.
 
 :func:`permute_axes` is the one routine that moves data between layouts: it
 reads a map's entries as a tensor with given axis sizes (codomain axes
@@ -266,6 +269,30 @@ def compose_slot(f: LinMap, t: LinMap, a: int, b: int, *, after: bool) -> LinMap
                 acc += out[idx]
             out[idx] = acc % p if p else acc
     return LinMap(k, cod, dom, tuple(out))
+
+
+def apply_slot(vec: dict, t_along: list[list[tuple]], meet: int, free: int, b: int,
+               p: int) -> dict:
+    """1_a (x) t (x) 1_b applied to a sparse vector {index: nonzero}.
+
+    ``t_along[s]`` lists the (index, value) nonzeros of t's column s, and t
+    maps k^meet to k^free; given t's rows, this applies the transpose.  The
+    nonzero at (i, s, j) meets the nonzeros of column s and lands at
+    (i, u, j).  The result keeps only nonzeros, reduced mod p over F_p.
+    """
+    out: dict = {}
+    get = out.get
+    span, stride = meet * b, free * b
+    for m, x in vec.items():
+        i, rest = divmod(m, span)
+        s, j = divmod(rest, b)
+        base = i * stride + j
+        for u, v in t_along[s]:
+            idx = base + u * b
+            out[idx] = (get(idx, 0) + x * v) % p if p else get(idx, 0) + x * v
+    if 0 in out.values():
+        return {idx: v for idx, v in out.items() if v}
+    return out
 
 
 def permute_axes(f: LinMap, dims: Sequence[int], order: Sequence[int], split: int) -> LinMap:

@@ -39,10 +39,10 @@ from .linalg import (
 from .structures import (
     DEFAULT_BUDGET,
     Algebra,
+    Axiom,
     Bialgebra,
-    Failure,
     ValidationReport,
-    _check,
+    _failures,
     algebra_morphisms,
     is_algebra_morphism,
     is_commutative,
@@ -85,18 +85,14 @@ class OrbitReport:
 
 
 def validate_measuring(m: Measuring) -> ValidationReport:
-    k = m.field
     da, x, db = m.a.dim, m.xdim, m.b.dim
-    failures: list[Failure] = []
-    # (1 (x) mult_B).(psi (x) 1).(1 (x) psi), the first factor built as the base
-    rhs = compose_slot(kron(LinMap.identity(k, da), m.psi), m.psi, 1, db, after=True)
-    rhs = compose_slot(rhs, m.b.mult, x, 1, after=True)
-    _check(failures, "measuring multiplicativity",
-           compose_slot(m.psi, m.a.mult, 1, x, after=False), rhs, (da, da, x))
-    _check(failures, "measuring unit",
-           compose_slot(m.psi, m.a.unit, 1, x, after=False),
-           kron(LinMap.identity(k, x), m.b.unit), (x,))
-    return ValidationReport(tuple(failures))
+    psi = m.psi
+    # psi.(mult_A (x) 1) against (1 (x) mult_B).(psi (x) 1).(1 (x) psi)
+    return ValidationReport(tuple(_failures([
+        Axiom("measuring multiplicativity", [(m.a.mult, 1, x), (psi, 1, 1)],
+              [(psi, da, 1), (psi, 1, db), (m.b.mult, x, 1)], (da, da, x)),
+        Axiom("measuring unit", [(m.a.unit, 1, x), (psi, 1, 1)], [(m.b.unit, x, 1)], (x,)),
+    ])))
 
 
 # ---------------------------------------------------------------------------

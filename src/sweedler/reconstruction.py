@@ -50,9 +50,11 @@ from .linalg import (
 )
 from .structures import (
     Algebra,
+    Axiom,
     Bialgebra,
     Coalgebra,
     HopfAlgebra,
+    _failures,
     dual_bialgebra,
     dual_coalgebra,
     find_antipode,
@@ -89,11 +91,11 @@ def validate_comodule(delta: LinMap, c: Coalgebra) -> bool:
     x = delta.dom
     if delta.cod != x * c.dim:
         return False
-    lhs = compose_slot(delta, delta, 1, c.dim, after=True)
-    rhs = compose_slot(delta, c.comult, x, 1, after=True)
-    if lhs != rhs:
-        return False
-    return compose_slot(delta, c.counit, x, 1, after=True) == LinMap.identity(delta.field, x)
+    return not _failures([
+        Axiom("coassociative", [(delta, 1, 1), (delta, 1, c.dim)],
+              [(delta, 1, 1), (c.comult, x, 1)], (x,)),
+        Axiom("counital", [(delta, 1, 1), (c.counit, x, 1)], [], (x,)),
+    ])
 
 
 def comodule_to_coend_morphism(delta: LinMap, c: Coalgebra) -> LinMap:
@@ -278,33 +280,36 @@ def _verify_generated(g: GeneratedSubcoalgebra, deltas: list[LinMap]) -> None:
         if induced_measuring(g, delta) != m.psi:
             raise InducedStructureIllDefined(
                 "pairing does not descend; an input morphism is not an intertwiner")
-    k = g.a.field
     da, d = g.a.dim, g.d.dim
     report = validate_coalgebra(g.d)
     if not report.ok:
         raise InducedStructureIllDefined(f"quotient is not a coalgebra: {report}")
     # beta is an algebra morphism A -> [D, B] for the convolution structure:
     # beta.(mult_A (x) 1) = mult_B.(beta (x) beta).(1 (x) swap (x) 1).(1 (x) 1 (x) comult_D)
-    lhs = compose_slot(g.pairing, g.a.mult, 1, d, after=False)
-    rhs = compose_slot(kron(g.pairing, g.pairing), swap_map(da, d, k), da, d, after=False)
-    rhs = compose_slot(rhs, g.d.comult, da * da, 1, after=False)
-    if lhs != compose(g.b.mult, rhs):
-        raise InducedStructureIllDefined("pairing is not multiplicative in A")
-    if compose_slot(g.pairing, g.a.unit, 1, d, after=False) != compose(g.b.unit, g.d.counit):
-        raise InducedStructureIllDefined("pairing is not unital")
+    beta = g.pairing
+    failures = _failures([
+        Axiom("multiplicative in A", [(g.a.mult, 1, d), (beta, 1, 1)],
+              [(g.d.comult, da * da, 1), (swap_map(da, d, g.a.field), da, d),
+               (beta, da * d, 1), (beta, 1, g.b.dim), (g.b.mult, 1, 1)], (da, da, d)),
+        Axiom("unital", [(g.a.unit, 1, d), (beta, 1, 1)],
+              [(g.d.counit, 1, 1), (g.b.unit, 1, 1)], (d,)),
+    ])
+    if failures:
+        raise InducedStructureIllDefined(f"pairing is not {failures[0].axiom}")
 
 
 def induced_measuring(g: GeneratedSubcoalgebra, delta: LinMap) -> LinMap:
     """psi recovered from a comodule delta: X -> X (x) D through the pairing:
 
     A X --1 delta--> A X D --c 1--> X A D --1 beta--> X B
+
+    that is psi[(i, q), (t, j)] = sum_e beta[q, (t, e)] delta[(i, e), j], read
+    off beta.(1_A (x) P) for the classifying map P[e, (i, j)] = delta[(i, e), j].
     """
-    k = g.a.field
-    x = delta.dom
-    da = g.a.dim
-    psi = compose_slot(kron(LinMap.identity(k, da), delta), swap_map(da, x, k), 1, g.d.dim,
-                       after=True)
-    return compose_slot(psi, g.pairing, x, 1, after=True)
+    x, d = delta.dom, g.d.dim
+    classifying = permute_axes(delta, (x, d, x), (1, 0, 2), 1)
+    pushed = compose_slot(g.pairing, classifying, g.a.dim, 1, after=False)
+    return permute_axes(pushed, (g.b.dim, g.a.dim, x, x), (2, 0, 1, 3), 2)
 
 
 def comodule_of_generator(g: GeneratedSubcoalgebra, index: int) -> LinMap:
@@ -370,10 +375,10 @@ def _verify_product(g1, g2, g12, a: Bialgebra, product: LinMap) -> None:
         raise InducedStructureIllDefined("product is not a coalgebra morphism")
     # beta12.(1 (x) product) must be the convolution of beta1, beta2:
     # A D1 D2 --Delta 1 1--> A A D1 D2 --1 c 1--> A D1 A D2 --b1 b2--> B B --mult--> B
-    lhs = compose_slot(g12.pairing, product, da, 1, after=False)
-    rhs = compose_slot(kron(g1.pairing, g2.pairing), swap_map(da, d1, k), da, d2, after=False)
-    rhs = compose_slot(rhs, a.comult, 1, d1 * d2, after=False)
-    if lhs != compose(g1.b.mult, rhs):
+    if _failures([Axiom("compatible", [(product, da, 1), (g12.pairing, 1, 1)],
+                        [(a.comult, 1, d1 * d2), (swap_map(da, d1, k), da, d2),
+                         (g2.pairing, da * d1, 1), (g1.pairing, 1, g2.b.dim),
+                         (g1.b.mult, 1, 1)], (da, d1, d2))]):
         raise InducedStructureIllDefined("product is not compatible with the pairings")
 
 

@@ -8,7 +8,16 @@ do their arithmetic inline.
 import itertools
 
 from sweedler.errors import InducedStructureIllDefined
-from sweedler.linalg import LinMap, compose, compose_slot, invert, kernel_basis, rref, solve
+from sweedler.linalg import (
+    LinMap,
+    compose,
+    compose_slot,
+    invert,
+    kernel_basis,
+    kron,
+    rref,
+    solve,
+)
 from sweedler.measurings import enumerate_measurings, intertwiners
 from sweedler.structures import Coalgebra, general_linear_group, is_algebra_morphism
 
@@ -384,3 +393,98 @@ def dense_reconstruct(measurings, morphisms, a, b):
                                   for r in range(d) for c in range(x * x)))
         for idx, x in enumerate(xdims))
     return coalgebra, pairing, projections, section
+
+
+# ---------------------------------------------------------------------------
+# dense axiom checks: every composite written out, compared column by column
+
+
+def _unflatten(index, dims):
+    idx = []
+    for d in reversed(dims):
+        index, i = divmod(index, d)
+        idx.append(i)
+    return tuple(reversed(idx))
+
+
+def _dense_check(failures, axiom, lhs, rhs, dims, by_row=False):
+    """Append (axiom, witness) for the first differing column of two dense
+    maps, or the first differing row with ``by_row``."""
+    if lhs.entries == rhs.entries:
+        return
+    count, line = (lhs.cod, "row_at") if by_row else (lhs.dom, "col_at")
+    for i in range(count):
+        if getattr(lhs, line)(i) != getattr(rhs, line)(i):
+            failures.append((axiom, _unflatten(i, dims)))
+            return
+
+
+def dense_algebra_failures(a):
+    d = a.dim
+    m = a.mult
+    ident = LinMap.identity(a.field, d)
+    failures = []
+    _dense_check(failures, "associativity", compose_slot(m, m, 1, d, after=False),
+                 compose_slot(m, m, d, 1, after=False), (d, d, d))
+    _dense_check(failures, "left unit", compose_slot(m, a.unit, 1, d, after=False), ident, (d,))
+    _dense_check(failures, "right unit", compose_slot(m, a.unit, d, 1, after=False), ident,
+                 (d,))
+    return failures
+
+
+def dense_coalgebra_failures(c):
+    d = c.dim
+    delta = c.comult
+    ident = LinMap.identity(c.field, d)
+    failures = []
+    _dense_check(failures, "coassociativity", compose_slot(delta, delta, 1, d, after=True),
+                 compose_slot(delta, delta, d, 1, after=True), (d, d, d), by_row=True)
+    _dense_check(failures, "left counit", compose_slot(delta, c.counit, 1, d, after=True),
+                 ident, (d,))
+    _dense_check(failures, "right counit", compose_slot(delta, c.counit, d, 1, after=True),
+                 ident, (d,))
+    return failures
+
+
+def dense_bialgebra_failures(b, braiding, multiplicative="comult multiplicative"):
+    """Algebra and coalgebra axioms, then the comultiplication and counit as
+    algebra morphisms for (mult (x) mult).(1 (x) braiding (x) 1)."""
+    d = b.dim
+    failures = dense_algebra_failures(b.algebra) + dense_coalgebra_failures(b.coalgebra)
+    rhs = compose_slot(kron(b.mult, b.mult), braiding, d, d, after=False)
+    rhs = compose_slot(rhs, b.comult, 1, d * d, after=False)
+    rhs = compose_slot(rhs, b.comult, d, 1, after=False)
+    _dense_check(failures, multiplicative, compose(b.comult, b.mult), rhs, (d, d))
+    _dense_check(failures, "comult unital", compose(b.comult, b.unit), kron(b.unit, b.unit),
+                 (1,))
+    _dense_check(failures, "counit multiplicative", compose(b.counit, b.mult),
+                 kron(b.counit, b.counit), (d, d))
+    _dense_check(failures, "counit unital", compose(b.counit, b.unit),
+                 LinMap.identity(b.field, 1), (1,))
+    return failures
+
+
+def dense_antipode_failures(b, s):
+    d = b.dim
+    unit_counit = compose(b.unit, b.counit)
+    failures = []
+    _dense_check(failures, "left antipode",
+                 compose(compose_slot(b.mult, s, 1, d, after=False), b.comult), unit_counit,
+                 (d,))
+    _dense_check(failures, "right antipode",
+                 compose(compose_slot(b.mult, s, d, 1, after=False), b.comult), unit_counit,
+                 (d,))
+    return failures
+
+
+def dense_measuring_failures(m):
+    k = m.field
+    da, x, db = m.a.dim, m.xdim, m.b.dim
+    failures = []
+    rhs = compose_slot(kron(LinMap.identity(k, da), m.psi), m.psi, 1, db, after=True)
+    rhs = compose_slot(rhs, m.b.mult, x, 1, after=True)
+    _dense_check(failures, "measuring multiplicativity",
+                 compose_slot(m.psi, m.a.mult, 1, x, after=False), rhs, (da, da, x))
+    _dense_check(failures, "measuring unit", compose_slot(m.psi, m.a.unit, 1, x, after=False),
+                 kron(LinMap.identity(k, x), m.b.unit), (x,))
+    return failures

@@ -397,27 +397,29 @@ def _run_under_memory_limit(argv, limit_bytes):
 
 
 def test_wide_algebra_with_empty_mult_fails_validation_within_a_gib(tmp_path):
-    # dim 60 and no products: the unit is not a basis vector, so nothing is
-    # implied and the unit axioms fail.  Associativity once built the factor
-    # mult (x) 1 with dim^5 entries and was killed for memory.
-    dim = 60
-    doc = {"field": "F2", "dim": dim, "basis": [f"e{i}" for i in range(dim)],
-           "unit": ["1", "1"] + ["0"] * (dim - 2), "mult": []}
-    path = tmp_path / "wide.json"
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    assert len(path.read_bytes()) < 1500
-    proc = _run_under_memory_limit(["validate", str(path)], 1 << 30)
-    assert proc.returncode == 3, proc.stderr
-    report = json.loads(proc.stdout)
-    assert [f["axiom"] for f in report["failures"]] == ["left unit", "right unit"]
+    # no products: the unit is not a basis vector, so nothing is implied and
+    # the unit axioms fail.  Associativity once built the factor mult (x) 1
+    # with dim^5 entries, and then dense dim x dim^3 composites, which at
+    # dim 100 (10^8 entries) ended in a MemoryError traceback.
+    for dim, size in ((60, 1500), (100, 2100)):
+        doc = {"field": "F2", "dim": dim, "basis": [f"e{i}" for i in range(dim)],
+               "unit": ["1", "1"] + ["0"] * (dim - 2), "mult": []}
+        path = tmp_path / f"wide{dim}.json"
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        assert len(path.read_bytes()) < size
+        proc = _run_under_memory_limit(["validate", str(path)], 1 << 30)
+        assert proc.returncode == 3, proc.stderr
+        report = json.loads(proc.stdout)
+        assert [f["axiom"] for f in report["failures"]] == ["left unit", "right unit"]
 
 
 def test_regular_stage_of_q_c16_is_built_within_256_mib(tmp_path):
     # X = Q^16: written out, its comatrix coalgebra is a dense 65,536 x 256 map.
-    # The algebra alone is written, as parsing a Hopf document checks its axioms.
-    m = regular_measuring(cyclic_group_hopf(QQ, 16).algebra)
+    # A is the Hopf algebra, whose axioms are checked when it is parsed.
+    h = cyclic_group_hopf(QQ, 16)
+    m = regular_measuring(h.algebra)
     labels = tuple(f"g{i}" for i in range(16))
-    (tmp_path / "q_c16.json").write_text(serialize_document(Document(m.a, labels)))
+    (tmp_path / "q_c16.json").write_text(serialize_document(Document(h, labels)))
     (tmp_path / "q.json").write_text(serialize_document(Document(m.b, ("1",))))
     path = tmp_path / "regular.measuring.json"
     path.write_text(serialize_measuring_document(MeasuringDocument("q_c16.json", "q.json", m)))

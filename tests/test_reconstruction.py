@@ -261,6 +261,37 @@ def test_universal_factorization_reproduces_generators(inv_f2, k_f2, m2_f2):
             assert induced_measuring(g, delta) == m.psi
 
 
+def test_induced_measuring_matches_the_kron_construction(inv_f2, k_f2):
+    # psi = (1_X (x) beta).(c (x) 1_D).(1_A (x) delta), with 1_A (x) delta built
+    # as a dense Kronecker product, for the generators' comodules and for
+    # arbitrary maps of comodule shape
+    import random
+
+    from sweedler.linalg import compose_slot, swap_map
+
+    rng = random.Random(5)
+    families = [
+        [regular_measuring(inv_f2)],
+        [regular_measuring(cyclic_group_hopf(QQ, 3).algebra)],
+        [measuring_from_matrix_morphism(rho, inv_f2, k_f2, 2)
+         for rho in algebra_morphisms(inv_f2, matrix_algebra(k_f2, 2))],
+        [m for m, _ in enumerate_measurings(inv_f2, dual_numbers(F2), 2).orbits],
+    ]
+    for family in families:
+        g = reconstruct(family)
+        k, da, d = g.a.field, g.a.dim, g.d.dim
+        deltas = [comodule_of_generator(g, idx) for idx in range(len(family))]
+        for x in (1, 2, 3):
+            deltas.append(LinMap.make(k, x * d, x, [rng.choice([0, 1, 2, -1])
+                                                    for _ in range(x * d * x)]))
+        for delta in deltas:
+            x = delta.dom
+            dense = compose_slot(kron(LinMap.identity(k, da), delta), swap_map(da, x, k),
+                                 1, d, after=True)
+            assert induced_measuring(g, delta) == compose_slot(dense, g.pairing, x, 1,
+                                                               after=True)
+
+
 def test_simple_comodule_transport(m2_f2, k_f2):
     # corestrict the standard module along k -> F2[y]/(y^2); it stays simple
     from _oracles import is_simple
