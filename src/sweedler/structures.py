@@ -14,8 +14,9 @@ a time stacked into one sparse vector of nonzeros (``linalg.apply_slot``),
 and the reduced images are compared; the first basis tensor where they
 differ is the witness.  No composite is built, so the cost follows the
 nonzeros and not dim^4 or dim^5.  Coassociativity compares the transposed
-chains, so its witness is the first differing row.  Validators, morphism tests, measurings and the
-checks of reconstructed stages all write their identities as axioms.
+chains, so its witness is the first differing row.  Validators, morphism
+tests, measurings and the checks of reconstructed stages all write their
+identities as axioms.
 
 Over a prime field, algebra morphisms are enumerated through generators:
 only the images of a generating set are tried, and each assignment is
