@@ -42,7 +42,7 @@ from .measurings import (
     tensor_measuring_bialgebra,
     tensor_measuring_endo,
 )
-from .reconstruction import reconstruct
+from .reconstruction import _reconstruct
 from .structures import (
     DEFAULT_BUDGET,
     Bialgebra,
@@ -217,8 +217,9 @@ def cmd_enumerate_measurings(args):
 def cmd_reconstruct(args):
     loaded: dict = {}
     mdocs = [_read_measuring(path, loaded) for path in args.measurings]
-    generated = reconstruct([m.measuring for m in mdocs],
-                            auto_intertwiners=args.auto_intertwiners)
+    # every measuring document was validated when it was parsed
+    generated = _reconstruct([m.measuring for m in mdocs],
+                             auto_intertwiners=args.auto_intertwiners)
     d = generated.d
     labels = tuple(f"d{i}" for i in range(d.dim))
     pairing_entries = []

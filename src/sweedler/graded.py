@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, NegativeDegree, NotClosed
 from .fields import Field, same_field
-from .linalg import LinMap, compose_slot
+from .linalg import LinMap, composite
 from .structures import (
     DEFAULT_BUDGET,
     Algebra,
@@ -326,7 +326,7 @@ def graded_tensor_measuring(m1, x1: GradedSpace, m2, x2: GradedSpace,
         raise IncompatibleMeasurings("grading does not match the carriers")
     bspace = b.space
     mult_b = b.algebra.mult
-    if compose_slot(mult_b, koszul_swap(bspace, bspace), 1, 1, after=False) != mult_b:
+    if composite([(koszul_swap(bspace, bspace), 1, 1), (mult_b, 1, 1)], mult_b.dom) != mult_b:
         raise NotCommutative("the target must be commutative in the graded sense")
     return _braided_tensor(m1, m2, a.bialgebra.comult, koszul_swap(a.space, x1),
                            koszul_swap(bspace, x2))

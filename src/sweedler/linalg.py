@@ -7,16 +7,17 @@ row-major index convention throughout the library:
 
     e_i (x) e_j  in  k^m (x) k^n   <->   index  i*n + j.
 
-Products do work in proportion to the nonzeros, not to the dense size:
-:func:`compose` indexes the nonzeros of its right factor by row once per call
-and meets each nonzero of the left factor with them; :func:`kron` multiplies
-nonzeros by nonzeros.  :func:`compose_slot` composes a map with a structural
-factor ``1_a (x) t (x) 1_b`` (an identity-padded ``t``, such as a braiding in
-the middle of a tensor power) by remapping indices through the nonzeros of
-``t``, without building the factor.  Only the dense result is allocated.
-:func:`apply_slot` applies such a factor to one sparse vector, a dict of
-its nonzeros; it is the kernel of the axiom checks, which never build a
-composite.
+Every product is a chain of structural factors ``1_a (x) t (x) 1_b`` (a
+:data:`Factor` ``(t, a, b)``: an identity-padded ``t``, such as a braiding in
+the middle of a tensor power), applied in order.  There is one slot kernel,
+:func:`apply_slot`: it applies one factor to a sparse vector, a dict of its
+nonzeros, by remapping indices through the nonzeros of ``t``, so no factor is
+built and the work follows the nonzeros, not the dense size.
+:func:`composite` runs a chain on the basis vectors, a block of them stacked
+into one sparse vector, and writes the dense result; :func:`compose` (f.g)
+and :func:`kron` (f (x) g) are chains of two factors.  The axiom checks of
+:mod:`~sweedler.structures` run the same chains and compare the images,
+without writing any composite.
 
 :func:`permute_axes` is the one routine that moves data between layouts: it
 reads a map's entries as a tensor with given axis sizes (codomain axes
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import compress
 from math import prod
 from operator import itemgetter
@@ -111,9 +113,6 @@ class LinMap:
 
     def col_at(self, c: int) -> tuple:
         return self.entries[c :: self.dom] if self.dom else ()
-
-    def rows(self) -> list:
-        return [list(self.row_at(r)) for r in range(self.cod)]
 
     def is_zero(self) -> bool:
         z = self.field.zero()
@@ -191,84 +190,81 @@ def _nonzeros_by(f: LinMap, by_col: bool) -> list[list[tuple]]:
 
 def compose(f: LinMap, g: LinMap) -> LinMap:
     """Matrix product f.g: apply g first, then f."""
-    same_field(f.field, g.field)
-    if f.dom != g.cod:
-        raise DimensionMismatch(f"cannot compose {f.cod}x{f.dom} with {g.cod}x{g.dom}")
-    k = f.field
-    p = k.char
-    zero = k.zero()
-    gdom = g.dom
-    g_rows = _nonzeros_by(g, by_col=False)
-    fe = f.entries
-    out = [zero] * (f.cod * gdom)
-    for pos in compress(range(len(fe)), fe):
-        r, t = divmod(pos, f.dom)
-        a = fe[pos]
-        base = r * gdom
-        for c, b in g_rows[t]:
-            i = base + c
-            acc = a * b
-            if out[i] is not zero:
-                acc += out[i]
-            out[i] = acc % p if p else acc
-    return LinMap(k, f.cod, gdom, tuple(out))
+    return composite([(g, 1, 1), (f, 1, 1)], g.dom)
 
 
 def kron(f: LinMap, g: LinMap) -> LinMap:
     """Kronecker product under the global convention: (f(x)g)[(a,c),(b,d)] = f[a,b]*g[c,d]."""
-    k = same_field(f.field, g.field)
-    p = k.char
-    cod, dom = f.cod * g.cod, f.dom * g.dom
-    ge = g.entries
-    g_nonzero = [(*divmod(pos, g.dom), ge[pos]) for pos in compress(range(len(ge)), ge)]
-    fe = f.entries
-    out = [k.zero()] * (cod * dom)
-    for pos in compress(range(len(fe)), fe):
-        a, b = divmod(pos, f.dom)
-        x = fe[pos]
-        for c, d, y in g_nonzero:
-            v = x * y
-            out[(a * g.cod + c) * dom + b * g.dom + d] = v % p if p else v
-    return LinMap(k, cod, dom, tuple(out))
+    return composite([(g, f.dom, 1), (f, 1, g.cod)], f.dom * g.dom)
 
 
-def compose_slot(f: LinMap, t: LinMap, a: int, b: int, *, after: bool) -> LinMap:
-    """f composed with the structural factor 1_a (x) t (x) 1_b, which is never built.
+# A factor (t, a, b) is the map 1_a (x) t (x) 1_b; a chain lists factors in
+# the order they apply, and the empty chain is the identity.
+Factor = tuple[LinMap, int, int]
 
-    With ``after`` the factor is applied after f, giving (1_a (x) t (x) 1_b).f;
-    otherwise before it, giving f.(1_a (x) t (x) 1_b).  Each nonzero of f whose
-    index on the shared axis is (i, s, j) meets the nonzeros of t along s, and
-    lands at (i, u, j) on the result's axis.
+# basis vectors run through a chain together, which bounds the nonzeros held at a time
+_BLOCK = 256
+
+
+def composite(chain: Sequence[Factor], dom: int) -> LinMap:
+    """The composite of a nonempty chain of factors on k^dom, as a dense map;
+    DimensionMismatch when the factors do not compose.
+
+    Its columns are the images of the basis vectors (:func:`_chain_images`),
+    and its entries canonical scalars.
     """
-    k = same_field(f.field, t.field)
-    meet, free = (t.dom, t.cod) if after else (t.cod, t.dom)
-    shared = f.cod if after else f.dom
-    if shared != a * meet * b:
-        raise DimensionMismatch(
-            f"cannot compose {f.cod}x{f.dom} with 1_{a} (x) {t.cod}x{t.dom} (x) 1_{b}")
-    cod, dom = (a * free * b, f.dom) if after else (f.cod, a * free * b)
-    # the result's entry (m, o) on (slot axis, other axis) sits at m*m_step + o*o_step
-    m_step, o_step = (dom, 1) if after else (1, dom)
-    t_along = _nonzeros_by(t, by_col=after)
+    k = same_field(*(t.field for t, _, _ in chain))
+    cod = dom
+    for t, a, b in chain:
+        if a * t.dom * b != cod:
+            raise DimensionMismatch(
+                f"cannot apply 1_{a} (x) {t.cod}x{t.dom} (x) 1_{b} to k^{cod}")
+        cod = a * t.cod * b
+    steps = _chain_steps(chain, {})
     p = k.char
-    zero = k.zero()
-    fe = f.entries
-    out = [zero] * (cod * dom)
-    for pos in compress(range(len(fe)), fe):
-        r, c = divmod(pos, f.dom)
-        m, o = (r, c) if after else (c, r)
-        i, rest = divmod(m, meet * b)
-        s, j = divmod(rest, b)
-        x = fe[pos]
-        base = i * free * b + j
-        o_base = o * o_step
-        for u, v in t_along[s]:
-            idx = (base + u * b) * m_step + o_base
-            acc = x * v
-            if out[idx] is not zero:
-                acc += out[idx]
-            out[idx] = acc % p if p else acc
+    out = [k.zero()] * (cod * dom)
+    for start in range(0, dom, _BLOCK):
+        block = range(start, min(start + _BLOCK, dom))
+        for idx, v in _chain_images(steps, block, dom, p).items():
+            pos, r = divmod(idx, cod)
+            out[r * dom + start + pos] = v if p else Fraction(v)
     return LinMap(k, cod, dom, tuple(out))
+
+
+def _chain_steps(chain: Sequence[Factor], tables: dict, transposed: bool = False) -> list:
+    """The steps (along, meet, free, b) that :func:`apply_slot` takes for the
+    factors of a chain, in the order they apply; ``transposed``, those of the
+    transposed chain (the factors reversed, each transposed).  ``tables``
+    caches each factor's nonzeros, so factors shared by chains are listed once."""
+    steps = []
+    for t, _, b in (reversed(chain) if transposed else chain):
+        key = (id(t), transposed)
+        if key not in tables:
+            tables[key] = _table(t, transposed)
+        steps.append((*tables[key], b))
+    return steps
+
+
+def _table(t: LinMap, transposed: bool) -> tuple:
+    """(along, meet, free) of t, or of its transpose: its nonzeros by
+    column, its domain and codomain.  Rationals with denominator 1 become
+    ints, which multiply faster."""
+    along = _nonzeros_by(t, by_col=not transposed)
+    if not t.field.char:
+        along = [[(u, v.numerator if v.denominator == 1 else v) for u, v in nz]
+                 for nz in along]
+    return (along, t.cod, t.dom) if transposed else (along, t.dom, t.cod)
+
+
+def _chain_images(steps: list, block: Sequence[int], dom: int, p: int) -> dict:
+    """The basis vectors ``block`` of k^dom run through the steps of a chain:
+    stacked as one sparse vector whose outer axis is the position in the
+    block, so each factor is applied once per block.  Over Q the nonzeros
+    may be ints."""
+    vec = {pos * dom + c: 1 for pos, c in enumerate(block)}
+    for along, meet, free, b in steps:
+        vec = apply_slot(vec, along, meet, free, b, p)
+    return vec
 
 
 def apply_slot(vec: dict, t_along: list[list[tuple]], meet: int, free: int, b: int,

@@ -29,9 +29,8 @@ from .fields import same_field
 from .linalg import (
     LinMap,
     compose,
-    compose_slot,
+    composite,
     invert,
-    kron,
     matrix_equation_kernel,
     permute_axes,
     swap_map,
@@ -147,8 +146,9 @@ def intertwiners(m1: Measuring, m2: Measuring) -> list[Intertwiner]:
 
 def conjugate_measuring(m: Measuring, g: LinMap) -> Measuring:
     """Transport along the invertible g: X -> X, psi' = (g (x) 1).psi.(1 (x) g^-1)."""
-    psi = compose_slot(m.psi, invert(g), m.a.dim, 1, after=False)
-    return Measuring(m.a, m.b, m.xdim, compose_slot(psi, g, 1, m.b.dim, after=True))
+    psi = composite([(invert(g), m.a.dim, 1), (m.psi, 1, 1), (g, 1, m.b.dim)],
+                    m.a.dim * m.xdim)
+    return Measuring(m.a, m.b, m.xdim, psi)
 
 
 def enumerate_measurings(a: Algebra, b: Algebra, n: int,
@@ -208,10 +208,8 @@ def _braided_tensor(m1: Measuring, m2: Measuring, comult: LinMap, c_ax: LinMap,
     """The composite of :func:`tensor_measuring_bialgebra` for the braidings
     c_ax: A X -> X A and c_by: B Y -> Y B, plain or Koszul."""
     da, db, x, y = m1.a.dim, m1.b.dim, m1.xdim, m2.xdim
-    psi = compose_slot(kron(m1.psi, m2.psi), c_ax, da, y, after=False)
-    psi = compose_slot(psi, comult, 1, x * y, after=False)
-    psi = compose_slot(psi, c_by, x, db, after=True)
-    psi = compose_slot(psi, m1.b.mult, x * y, 1, after=True)
+    psi = composite([(comult, 1, x * y), (c_ax, da, y), (m2.psi, da * x, 1),
+                     (m1.psi, 1, y * db), (c_by, x, db), (m1.b.mult, x * y, 1)], da * x * y)
     return Measuring(m1.a, m1.b, x * y, psi)
 
 
@@ -232,15 +230,15 @@ def compose_measuring(m_ab: Measuring, m_bc: Measuring) -> Measuring:
 
 def _stacked(m1: Measuring, m2: Measuring) -> LinMap:
     """(1_X (x) psi2).(psi1 (x) 1_Y) for psi1 on X and psi2 on Y."""
-    first = kron(m1.psi, LinMap.identity(m1.field, m2.xdim))
-    return compose_slot(first, m2.psi, m1.xdim, 1, after=True)
+    return composite([(m1.psi, 1, m2.xdim), (m2.psi, m1.xdim, 1)],
+                     m1.a.dim * m1.xdim * m2.xdim)
 
 
 def restrict_measuring(u: LinMap, m: Measuring, a_source: Algebra) -> Measuring:
     """Pull back along an algebra morphism u: A' -> A: psi' = psi.(u (x) 1)."""
     if not is_algebra_morphism(u, a_source, m.a):
         raise NotAMorphism("u is not an algebra morphism A' -> A")
-    psi = compose_slot(m.psi, u, 1, m.xdim, after=False)
+    psi = composite([(u, 1, m.xdim), (m.psi, 1, 1)], a_source.dim * m.xdim)
     return Measuring(a_source, m.b, m.xdim, psi)
 
 
@@ -248,5 +246,5 @@ def corestrict_measuring(m: Measuring, v: LinMap, b_target: Algebra) -> Measurin
     """Push forward along an algebra morphism v: B -> B': psi' = (1 (x) v).psi."""
     if not is_algebra_morphism(v, m.b, b_target):
         raise NotAMorphism("v is not an algebra morphism B -> B'")
-    psi = compose_slot(m.psi, v, m.xdim, 1, after=True)
+    psi = composite([(m.psi, 1, 1), (v, m.xdim, 1)], m.a.dim * m.xdim)
     return Measuring(m.a, b_target, m.xdim, psi)

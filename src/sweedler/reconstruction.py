@@ -42,7 +42,7 @@ from .linalg import (
     LinMap,
     _reduce,
     compose,
-    compose_slot,
+    composite,
     kernel_basis,
     kron,
     permute_axes,
@@ -196,15 +196,22 @@ def reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,
     induced structure is checked; a failed check raises
     InducedStructureIllDefined and means an input morphism was not one.
     """
+    for m in measurings:
+        report = validate_measuring(m)
+        if not report.ok:
+            raise IncompatibleMeasurings(f"generator is not a measuring: {report}")
+    return _reconstruct(measurings, auto_intertwiners, morphisms, a, b)
+
+
+def _reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,
+                 morphisms: list[tuple[int, int, LinMap]] | None = None,
+                 a: Algebra | None = None, b: Algebra | None = None) -> GeneratedSubcoalgebra:
+    """:func:`reconstruct` for generators already known to be measurings."""
     if measurings:
         a = measurings[0].a
         b = measurings[0].b
-        for m in measurings:
-            if m.a != a or m.b != b:
-                raise IncompatibleMeasurings("generators disagree on (A, B)")
-            report = validate_measuring(m)
-            if not report.ok:
-                raise IncompatibleMeasurings(f"generator is not a measuring: {report}")
+        if any(m.a != a or m.b != b for m in measurings):
+            raise IncompatibleMeasurings("generators disagree on (A, B)")
     elif a is None or b is None:
         raise IncompatibleMeasurings("an empty generator list needs explicit a and b")
     k = a.field
@@ -249,13 +256,13 @@ def reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,
     for m, delta, s in zip(measurings, deltas, _section_blocks(section, xdims)):
         x = m.xdim
         # column f_ab of (delta (x) 1).delta, read on axes (a, D, D, b), is sum_t P f_at (x) P f_tb
-        pushed = permute_axes(compose_slot(delta, delta, 1, d, after=True), (x, d, d, x),
+        pushed = permute_axes(composite([(delta, 1, 1), (delta, 1, d)], x), (x, d, d, x),
                               (1, 2, 0, 3), 2)
         comult = comult + compose(pushed, s)
         # eps f_ab = delta_ab: the identity's entries read as one row
         counit = counit + compose(LinMap(k, 1, x * x, LinMap.identity(k, x).entries), s)
         beta = permute_axes(m.psi, (x, db, da, x), (1, 2, 0, 3), 1)
-        pairing = pairing + compose_slot(beta, s, da, 1, after=False)
+        pairing = pairing + composite([(s, da, 1), (beta, 1, 1)], da * d)
 
     result = GeneratedSubcoalgebra(a, b, Coalgebra(comult=comult, counit=counit), pairing,
                                    projections, section, tuple(measurings))
@@ -308,7 +315,7 @@ def induced_measuring(g: GeneratedSubcoalgebra, delta: LinMap) -> LinMap:
     """
     x, d = delta.dom, g.d.dim
     classifying = permute_axes(delta, (x, d, x), (1, 0, 2), 1)
-    pushed = compose_slot(g.pairing, classifying, g.a.dim, 1, after=False)
+    pushed = composite([(classifying, g.a.dim, 1), (g.pairing, 1, 1)], g.a.dim * x * x)
     return permute_axes(pushed, (g.b.dim, g.a.dim, x, x), (2, 0, 1, 3), 2)
 
 
@@ -344,7 +351,6 @@ def product_on_generated(g1: GeneratedSubcoalgebra, g2: GeneratedSubcoalgebra,
             "g12 must be generated by the pairwise tensors, row-major")
     from .measurings import tensor_measuring_bialgebra
 
-    k = g1.a.field
     n2 = len(g2.generators)
     blocks = []
     for i, mi in enumerate(g1.generators):
@@ -358,11 +364,11 @@ def product_on_generated(g1: GeneratedSubcoalgebra, g2: GeneratedSubcoalgebra,
     s2 = _section_blocks(g2.section, [m.xdim for m in g2.generators])
     # canonical map coend(X) (x) coend(Y) -> coend(X (x) Y), blockwise, pushed to D12
     d1, d2, d12 = g1.d.dim, g2.d.dim, g12.d.dim
-    result = LinMap.zero(k, d12, d1 * d2)
+    result = LinMap.zero(g1.a.field, d12, d1 * d2)
     for idx, (i, j, x, y) in enumerate(blocks):
-        # f_ab (x) g_cd -> F_(a,c),(b,d) is 1_X (x) swap (x) 1_Y
-        piece = compose_slot(g12.projections[idx], swap_map(x, y, k), x, y, after=False)
-        result = result + compose(piece, kron(s1[i], s2[j]))
+        # f_ab (x) g_cd -> F_(a,c),(b,d): the projection read on axes (a, b, c, d)
+        piece = permute_axes(g12.projections[idx], (d12, x, y, x, y), (0, 1, 3, 2, 4), 1)
+        result = result + composite([(s2[j], d1, 1), (s1[i], 1, y * y), (piece, 1, 1)], d1 * d2)
     _verify_product(g1, g2, g12, a, result)
     return result
 
@@ -385,8 +391,8 @@ def _verify_product(g1, g2, g12, a: Bialgebra, product: LinMap) -> None:
 def _tensor_coalgebra(c1: Coalgebra, c2: Coalgebra) -> Coalgebra:
     """Tensor product coalgebra with Delta = (1 (x) swap (x) 1).(Delta (x) Delta)."""
     d1, d2 = c1.dim, c2.dim
-    comult = compose_slot(kron(c1.comult, c2.comult), swap_map(d1, d2, c1.field), d1, d2,
-                          after=True)
+    comult = composite([(c2.comult, d1, 1), (c1.comult, 1, d2 * d2),
+                        (swap_map(d1, d2, c1.field), d1, d2)], d1 * d2)
     counit = kron(c1.counit, c2.counit)
     return Coalgebra(comult=comult, counit=counit)
 

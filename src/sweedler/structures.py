@@ -16,7 +16,11 @@ differ is the witness.  No composite is built, so the cost follows the
 nonzeros and not dim^4 or dim^5.  Coassociativity compares the transposed
 chains, so its witness is the first differing row.  Validators, morphism
 tests, measurings and the checks of reconstructed stages all write their
-identities as axioms.
+identities as axioms.  Constructions write their structure maps in the same
+notation: a fusion operator, a tensor product algebra or a tensor product of
+measurings is one chain, which ``linalg.composite`` evaluates on the same
+slot kernel; a plain swap next to a single map is a reordering of its axes
+(``linalg.permute_axes``).
 
 Over a prime field, algebra morphisms are enumerated through generators:
 only the images of a generating set are tried, and each assignment is
@@ -44,14 +48,18 @@ from .errors import (
 )
 from .fields import Field, same_field
 from .linalg import (
+    _BLOCK,
+    Factor,
     LinMap,
+    _chain_images,
+    _chain_steps,
     _nonzeros_by,
     _reduce,
-    apply_slot,
     compose,
-    compose_slot,
+    composite,
     is_invertible,
     kron,
+    permute_axes,
     solve_matrix_equations,
     swap_map,
 )
@@ -215,14 +223,6 @@ def _unflatten(index: int, dims: tuple[int, ...]) -> tuple:
     return tuple(reversed(idx))
 
 
-# A factor (t, a, b) is the map 1_a (x) t (x) 1_b; a chain lists factors in
-# the order they apply, and the empty chain is the identity.
-Factor = tuple[LinMap, int, int]
-
-# basis vectors checked together, which bounds the nonzeros held at a time
-_BLOCK = 256
-
-
 class Axiom(NamedTuple):
     """Two chains with the same composite k^dims -> ..., checked column by
     column; with ``by_row`` row by row, as the transposed chains are."""
@@ -251,30 +251,19 @@ def _differ_at(axiom: Axiom, tables: dict) -> int | None:
     """The first basis vector, in index order, that the axiom's two chains
     send to different vectors, or None when the composites agree.
 
-    Both chains are applied to the basis vectors as sparse vectors, one
-    factor at a time (``apply_slot``), so no composite is built.  The basis
-    vectors are taken in blocks of consecutive ones, stacked as one sparse
-    vector whose outer axis is the position in the block, so each factor is
-    applied once per block; the check stops at the first block with a
-    difference.  Beyond one block, only the basis vectors that the first
-    factor of some chain does not kill are tried; every other one goes to
-    zero on both sides.  By row, the transposed chains (the factors
+    Both chains run on blocks of consecutive basis vectors, one factor at a
+    time (``linalg._chain_images``, which :func:`~sweedler.linalg.composite`
+    runs too), so no composite is built; the check stops at the first block
+    with a difference.  Beyond one block, only the basis vectors that the
+    first factor of some chain does not kill are tried; every other one goes
+    to zero on both sides.  By row, the transposed chains (the factors
     reversed, each transposed) are compared, so the index is the first row
     at which the composites differ.
     """
     dom = prod(axiom.dims)
     if dom == 0:
         return None
-    transposed = axiom.by_row
-    chains = []
-    for chain in (axiom.lhs, axiom.rhs):
-        steps = []
-        for t, _, b in (reversed(chain) if transposed else chain):
-            key = (id(t), transposed)
-            if key not in tables:
-                tables[key] = _table(t, transposed)
-            steps.append((*tables[key], b))
-        chains.append(steps)
+    chains = [_chain_steps(chain, tables, axiom.by_row) for chain in (axiom.lhs, axiom.rhs)]
     cod = dom
     for _, meet, free, _ in chains[0]:
         cod = cod // meet * free
@@ -286,29 +275,12 @@ def _differ_at(axiom: Axiom, tables: dict) -> int | None:
             candidates = sorted({*live[0], *live[1]})
     for start in range(0, len(candidates), _BLOCK):
         block = candidates[start:start + _BLOCK]
-        images = []
-        for steps in chains:
-            vec = {pos * dom + c: 1 for pos, c in enumerate(block)}
-            for along, meet, free, b in steps:
-                vec = apply_slot(vec, along, meet, free, b, p)
-            images.append(vec)
-        left, right = images
+        left, right = (_chain_images(steps, block, dom, p) for steps in chains)
         if left != right:
             first = min(idx for idx in left.keys() | right.keys()
                         if left.get(idx) != right.get(idx))
             return block[first // cod]
     return None
-
-
-def _table(t: LinMap, transposed: bool) -> tuple:
-    """(along, meet, free) of t, or of its transpose: its nonzeros by
-    column, its domain and codomain.  Rationals with denominator 1 become
-    ints, which multiply faster."""
-    along = _nonzeros_by(t, by_col=not transposed)
-    if not t.field.char:
-        along = [[(u, v.numerator if v.denominator == 1 else v) for u, v in nz]
-                 for nz in along]
-    return (along, t.cod, t.dom) if transposed else (along, t.dom, t.cod)
 
 
 def _live(steps: list, dom: int) -> list[int] | None:
@@ -413,7 +385,8 @@ def tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
     """Tensor product algebra on A (x) B with (a (x) b)(a' (x) b') = aa' (x) bb'."""
     k = same_field(a.field, b.field)
     da, db = a.dim, b.dim
-    mult = compose_slot(kron(a.mult, b.mult), swap_map(db, da, k), da, db, after=False)
+    mult = composite([(swap_map(db, da, k), da, db), (b.mult, da * da, 1), (a.mult, 1, db)],
+                     da * db * da * db)
     return Algebra(mult=mult, unit=kron(a.unit, b.unit))
 
 
@@ -500,14 +473,12 @@ def dual_bialgebra(b: Bialgebra) -> Bialgebra:
 
 def opposite(a: Algebra) -> Algebra:
     d = a.dim
-    return Algebra(mult=compose_slot(a.mult, swap_map(d, d, a.field), 1, 1, after=False),
-                   unit=a.unit)
+    return Algebra(mult=permute_axes(a.mult, (d, d, d), (0, 2, 1), 1), unit=a.unit)
 
 
 def coopposite(c: Coalgebra) -> Coalgebra:
     d = c.dim
-    return Coalgebra(comult=compose_slot(c.comult, swap_map(d, d, c.field), 1, 1, after=True),
-                     counit=c.counit)
+    return Coalgebra(comult=permute_axes(c.comult, (d, d, d), (1, 0, 2), 2), counit=c.counit)
 
 
 def is_commutative(a: Algebra) -> bool:
@@ -554,23 +525,17 @@ def _fusion_operators(b: Bialgebra) -> FusionOperators:
 def _hopf_fusion(b: Bialgebra) -> tuple[LinMap, LinMap]:
     """h = (1 (x) mult).(comult (x) 1) and h' = (mult (x) 1).(1 (x) comult)."""
     d = b.dim
-    ident = LinMap.identity(b.field, d)
-    h = compose_slot(kron(b.comult, ident), b.mult, d, 1, after=True)
-    h_prime = compose_slot(kron(ident, b.comult), b.mult, 1, d, after=True)
-    return h, h_prime
+    return (composite([(b.comult, 1, d), (b.mult, d, 1)], d * d),
+            composite([(b.comult, d, 1), (b.mult, 1, d)], d * d))
 
 
 def _opfusion(b: Bialgebra) -> tuple[LinMap, LinMap]:
     """h_bar = (mult (x) 1).(1 (x) swap).(comult (x) 1) and
     h_bar' = (1 (x) mult).(swap (x) 1).(1 (x) comult)."""
     d = b.dim
-    ident = LinMap.identity(b.field, d)
     c = swap_map(d, d, b.field)
-    h_bar = compose_slot(compose_slot(kron(b.comult, ident), c, d, 1, after=True),
-                         b.mult, 1, d, after=True)
-    h_bar_prime = compose_slot(compose_slot(kron(ident, b.comult), c, 1, d, after=True),
-                               b.mult, d, 1, after=True)
-    return h_bar, h_bar_prime
+    return (composite([(b.comult, 1, d), (c, d, 1), (b.mult, 1, d)], d * d),
+            composite([(b.comult, d, 1), (c, 1, d), (b.mult, d, 1)], d * d))
 
 
 def _convolution_inverse_of_identity(b: Bialgebra, twisted: bool) -> LinMap | None:
@@ -578,7 +543,7 @@ def _convolution_inverse_of_identity(b: Bialgebra, twisted: bool) -> LinMap | No
     D = comult (antipode) or swap.comult (opantipode).  None if inconsistent."""
     d = b.dim
     k = b.field
-    dlt = compose_slot(b.comult, swap_map(d, d, k), 1, 1, after=True) if twisted else b.comult
+    dlt = coopposite(b.coalgebra).comult if twisted else b.comult
     rhs = compose(b.unit, b.counit)
     return solve_matrix_equations(
         k, (d, d),

@@ -6,18 +6,11 @@ do their arithmetic inline.
 """
 
 import itertools
+from itertools import compress
 
-from sweedler.errors import InducedStructureIllDefined
-from sweedler.linalg import (
-    LinMap,
-    compose,
-    compose_slot,
-    invert,
-    kernel_basis,
-    kron,
-    rref,
-    solve,
-)
+from sweedler.errors import DimensionMismatch, InducedStructureIllDefined
+from sweedler.fields import same_field
+from sweedler.linalg import LinMap, _nonzeros_by, invert, kernel_basis, rref, solve
 from sweedler.measurings import enumerate_measurings, intertwiners
 from sweedler.structures import Coalgebra, general_linear_group, is_algebra_morphism
 
@@ -43,10 +36,10 @@ def classifying_iso_to_dual(g):
         start += x * x
     gamma = LinMap(k, d, total, tuple(
         cols.get(c, (k.zero(),) * d)[t] for t in range(d) for c in range(total)))
-    phi = compose(gamma, g.section)
+    phi = dense_compose(gamma, g.section)
     # well-definedness: gamma factors through the quotient
     for idx in range(len(g.generators)):
-        assert compose(phi, g.projections[idx]) == _gamma_summand(g, idx, gamma)
+        assert dense_compose(phi, g.projections[idx]) == _gamma_summand(g, idx, gamma)
     return phi
 
 
@@ -58,7 +51,7 @@ def _gamma_summand(g, idx, gamma):
     incl = LinMap(k, total, width, tuple(
         k.one() if r == start + c else k.zero()
         for r in range(total) for c in range(width)))
-    return compose(gamma, incl)
+    return dense_compose(gamma, incl)
 
 
 def f2_2x2_product(m, n):
@@ -108,6 +101,56 @@ def slot_factor(t, a, b):
             s, j2 = divmod(rest2, b)
             entries.append(t.entries[r * t.dom + s] if (i, j) == (i2, j2) else k.zero())
     return LinMap(k, cod, dom, tuple(entries))
+
+
+def dense_chain(chain, dom):
+    """The composite of a chain of factors (t, a, b) on k^dom: each factor
+    built by ``slot_factor`` and multiplied densely."""
+    out = LinMap.identity(chain[0][0].field, dom)
+    for t, a, b in chain:
+        out = dense_compose(slot_factor(t, a, b), out)
+    return out
+
+
+# One slot factor composed with a dense map, with no chain: the reference that
+# the dense checks below and ``dense_reconstruct`` build their composites with.
+def compose_slot(f: LinMap, t: LinMap, a: int, b: int, *, after: bool) -> LinMap:
+    """f composed with the structural factor 1_a (x) t (x) 1_b, which is never built.
+
+    With ``after`` the factor is applied after f, giving (1_a (x) t (x) 1_b).f;
+    otherwise before it, giving f.(1_a (x) t (x) 1_b).  Each nonzero of f whose
+    index on the shared axis is (i, s, j) meets the nonzeros of t along s, and
+    lands at (i, u, j) on the result's axis.
+    """
+    k = same_field(f.field, t.field)
+    meet, free = (t.dom, t.cod) if after else (t.cod, t.dom)
+    shared = f.cod if after else f.dom
+    if shared != a * meet * b:
+        raise DimensionMismatch(
+            f"cannot compose {f.cod}x{f.dom} with 1_{a} (x) {t.cod}x{t.dom} (x) 1_{b}")
+    cod, dom = (a * free * b, f.dom) if after else (f.cod, a * free * b)
+    # the result's entry (m, o) on (slot axis, other axis) sits at m*m_step + o*o_step
+    m_step, o_step = (dom, 1) if after else (1, dom)
+    t_along = _nonzeros_by(t, by_col=after)
+    p = k.char
+    zero = k.zero()
+    fe = f.entries
+    out = [zero] * (cod * dom)
+    for pos in compress(range(len(fe)), fe):
+        r, c = divmod(pos, f.dom)
+        m, o = (r, c) if after else (c, r)
+        i, rest = divmod(m, meet * b)
+        s, j = divmod(rest, b)
+        x = fe[pos]
+        base = i * free * b + j
+        o_base = o * o_step
+        for u, v in t_along[s]:
+            idx = (base + u * b) * m_step + o_base
+            acc = x * v
+            if out[idx] is not zero:
+                acc += out[idx]
+            out[idx] = acc % p if p else acc
+    return LinMap(k, cod, dom, tuple(out))
 
 
 def probing_operator_matrix(op, field, shape):
@@ -386,7 +429,8 @@ def dense_reconstruct(measurings, morphisms, a, b):
             raise InducedStructureIllDefined("counit does not descend")
         if not compose_slot(beta_sum, LinMap.column(k, vec), da, 1, after=False).is_zero():
             raise InducedStructureIllDefined("pairing does not descend")
-    coalgebra = Coalgebra(comult=compose(descended, section), counit=compose(counit_sum, section))
+    coalgebra = Coalgebra(comult=dense_compose(descended, section),
+                          counit=dense_compose(counit_sum, section))
     pairing = compose_slot(beta_sum, section, da, 1, after=False)
     projections = tuple(
         LinMap(k, d, x * x, tuple(proj.entries[r * total + starts[idx] + c]
@@ -451,29 +495,29 @@ def dense_bialgebra_failures(b, braiding, multiplicative="comult multiplicative"
     algebra morphisms for (mult (x) mult).(1 (x) braiding (x) 1)."""
     d = b.dim
     failures = dense_algebra_failures(b.algebra) + dense_coalgebra_failures(b.coalgebra)
-    rhs = compose_slot(kron(b.mult, b.mult), braiding, d, d, after=False)
+    rhs = compose_slot(dense_kron(b.mult, b.mult), braiding, d, d, after=False)
     rhs = compose_slot(rhs, b.comult, 1, d * d, after=False)
     rhs = compose_slot(rhs, b.comult, d, 1, after=False)
-    _dense_check(failures, multiplicative, compose(b.comult, b.mult), rhs, (d, d))
-    _dense_check(failures, "comult unital", compose(b.comult, b.unit), kron(b.unit, b.unit),
-                 (1,))
-    _dense_check(failures, "counit multiplicative", compose(b.counit, b.mult),
-                 kron(b.counit, b.counit), (d, d))
-    _dense_check(failures, "counit unital", compose(b.counit, b.unit),
+    _dense_check(failures, multiplicative, dense_compose(b.comult, b.mult), rhs, (d, d))
+    _dense_check(failures, "comult unital", dense_compose(b.comult, b.unit),
+                 dense_kron(b.unit, b.unit), (1,))
+    _dense_check(failures, "counit multiplicative", dense_compose(b.counit, b.mult),
+                 dense_kron(b.counit, b.counit), (d, d))
+    _dense_check(failures, "counit unital", dense_compose(b.counit, b.unit),
                  LinMap.identity(b.field, 1), (1,))
     return failures
 
 
 def dense_antipode_failures(b, s):
     d = b.dim
-    unit_counit = compose(b.unit, b.counit)
+    unit_counit = dense_compose(b.unit, b.counit)
     failures = []
     _dense_check(failures, "left antipode",
-                 compose(compose_slot(b.mult, s, 1, d, after=False), b.comult), unit_counit,
-                 (d,))
+                 dense_compose(compose_slot(b.mult, s, 1, d, after=False), b.comult),
+                 unit_counit, (d,))
     _dense_check(failures, "right antipode",
-                 compose(compose_slot(b.mult, s, d, 1, after=False), b.comult), unit_counit,
-                 (d,))
+                 dense_compose(compose_slot(b.mult, s, d, 1, after=False), b.comult),
+                 unit_counit, (d,))
     return failures
 
 
@@ -481,10 +525,10 @@ def dense_measuring_failures(m):
     k = m.field
     da, x, db = m.a.dim, m.xdim, m.b.dim
     failures = []
-    rhs = compose_slot(kron(LinMap.identity(k, da), m.psi), m.psi, 1, db, after=True)
+    rhs = compose_slot(dense_kron(LinMap.identity(k, da), m.psi), m.psi, 1, db, after=True)
     rhs = compose_slot(rhs, m.b.mult, x, 1, after=True)
     _dense_check(failures, "measuring multiplicativity",
                  compose_slot(m.psi, m.a.mult, 1, x, after=False), rhs, (da, da, x))
     _dense_check(failures, "measuring unit", compose_slot(m.psi, m.a.unit, 1, x, after=False),
-                 kron(LinMap.identity(k, x), m.b.unit), (x,))
+                 dense_kron(LinMap.identity(k, x), m.b.unit), (x,))
     return failures

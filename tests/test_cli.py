@@ -370,6 +370,21 @@ def test_reconstruct_parses_each_shared_document_once(parses, capsys):
                                     for name in ("f2_c2.json", "f2_trivial.json"))
 
 
+def test_reconstruct_validates_each_generator_once(monkeypatch, capsys):
+    import sweedler.documents as documents
+    import sweedler.reconstruction as reconstruction
+
+    calls = []
+    original = documents.validate_measuring
+    for module in (documents, reconstruction):
+        monkeypatch.setattr(module, "validate_measuring",
+                            lambda m: calls.append(m) or original(m))
+    code, _ = run(capsys, "reconstruct", fixture("f2_c2_regular.measuring.json"),
+                  fixture("f2_c2_triv.measuring.json"))
+    assert code == 0
+    assert len(calls) == 2
+
+
 def test_two_paths_to_one_document_share_its_parse(parses, capsys, tmp_path):
     for name in ("q_c2.json", "q_trivial.json", "q_c2_sign.measuring.json"):
         (tmp_path / name).write_text(Path(fixture(name)).read_text())

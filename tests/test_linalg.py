@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import (
+    dense_chain,
     dense_compose,
     dense_kron,
     dense_permute,
     dense_reduce,
     dense_term_operator,
     probing_operator_matrix,
-    slot_factor,
 )
 from sweedler import linalg
 from sweedler.errors import DimensionMismatch, FieldMismatch, Singular
@@ -22,7 +22,7 @@ from sweedler.linalg import (
     LinMap,
     _operator_matrix,
     compose,
-    compose_slot,
+    composite,
     invert,
     is_invertible,
     kernel_basis,
@@ -151,19 +151,40 @@ def chain(field):
         sparse_maps(field, mnp[0], mnp[1]), sparse_maps(field, mnp[1], mnp[2])))
 
 
-def slot_case(field, t_strategy=None):
-    """(t, a, b, f_after, f_before): t in a slot 1_a (x) t (x) 1_b, f_after
-    composable after the factor, f_before composable before it."""
-    def with_t(t):
-        return st.tuples(st.just(t), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)
-                         ).flatmap(lambda c: st.tuples(
-                             st.just(c[0]), st.just(c[1]), st.just(c[2]),
-                             sparse_maps(field, c[1] * t.dom * c[2], c[3]),
-                             sparse_maps(field, c[3], c[1] * t.cod * c[2])))
-    if t_strategy is None:
-        t_strategy = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
-            lambda shape: sparse_maps(field, *shape))
-    return t_strategy.flatmap(with_t)
+@st.composite
+def slot_chains(draw, field, koszul=False):
+    """(chain, dom): 1 to 3 factors 1_a (x) t (x) 1_b that compose on k^dom,
+    with a and b up to 3 and every dimension possibly 0; with ``koszul``,
+    every other factor is a signed Koszul braiding."""
+    chain, dom, cod = [], None, None
+    for n in range(draw(st.integers(1, 3))):
+        if not cod:
+            a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+            size = draw(st.integers(0, 3)) if cod is None or a * b == 0 else 0
+        else:
+            a = draw(st.sampled_from([x for x in (1, 2, 3) if cod % x == 0]))
+            b = draw(st.sampled_from([x for x in (1, 2, 3) if cod // a % x == 0]))
+            size = cod // (a * b)
+        if koszul and n % 2 == 0:
+            t = draw(koszul_swaps(field, size))
+        else:
+            t = draw(sparse_maps(field, draw(st.integers(0, 3)), size))
+        dom = a * size * b if dom is None else dom
+        cod = a * t.cod * b
+        chain.append((t, a, b))
+    return chain, dom
+
+
+def koszul_swaps(field, size):
+    """Koszul braidings V (x) W -> W (x) V with dim V * dim W = size."""
+    shapes = ([(0, 0), (0, 2), (3, 0)] if size == 0
+              else [(m, size // m) for m in range(1, size + 1) if size % m == 0])
+
+    def degrees(n):
+        return st.lists(st.integers(-2, 3), min_size=n, max_size=n)
+    return st.sampled_from(shapes).flatmap(lambda mn: st.tuples(
+        degrees(mn[0]), degrees(mn[1]))).map(lambda dv: koszul_swap(
+            GradedSpace(field, tuple(dv[0])), GradedSpace(field, tuple(dv[1]))))
 
 
 @settings(max_examples=80, deadline=None)
@@ -192,38 +213,39 @@ def test_kron_matches_the_definition(pair):
 
 
 @settings(max_examples=80, deadline=None)
-@given(fields().flatmap(slot_case))
-def test_compose_slot_matches_the_built_factor(case):
-    t, a, b, f_after, f_before = case
-    factor = slot_factor(t, a, b)
-    assert compose_slot(f_after, t, a, b, after=True) == dense_compose(factor, f_after)
-    assert compose_slot(f_before, t, a, b, after=False) == dense_compose(f_before, factor)
-
-
-def koszul_swaps(field):
-    degrees = st.lists(st.integers(-2, 3), max_size=3)
-    return st.tuples(degrees, degrees).map(lambda dv: koszul_swap(
-        GradedSpace(field, tuple(dv[0])), GradedSpace(field, tuple(dv[1]))))
+@given(fields().flatmap(slot_chains))
+def test_composite_matches_the_built_factors(case):
+    chain, dom = case
+    assert composite(chain, dom) == dense_chain(chain, dom)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([QQ, GF(3), GF(5)]).flatmap(
-    lambda k: slot_case(k, koszul_swaps(k))))
-def test_compose_slot_with_the_signed_koszul_braiding(case):
-    t, a, b, f_after, f_before = case
-    factor = slot_factor(t, a, b)
-    assert compose_slot(f_after, t, a, b, after=True) == dense_compose(factor, f_after)
-    assert compose_slot(f_before, t, a, b, after=False) == dense_compose(f_before, factor)
+@given(st.sampled_from([QQ, GF(3), GF(5)]).flatmap(lambda k: slot_chains(k, koszul=True)))
+def test_composite_with_the_signed_koszul_braiding(case):
+    chain, dom = case
+    assert composite(chain, dom) == dense_chain(chain, dom)
 
 
-def test_compose_slot_shape_errors():
+def test_composite_over_q_holds_fractions():
+    # integer structure constants run as ints inside the chain kernel
+    comult = LinMap.make(QQ, 4, 2, [1, 0, 0, 1, 0, 1, 1, 0])
+    mult = LinMap.make(QQ, 2, 4, [1, 0, 0, -1, 0, 1, 1, 0])
+    got = composite([(comult, 1, 2), (mult, 2, 1)], 4)
+    assert got == LinMap.make(QQ, 4, 4, [1, 0, 0, -1, 0, 1, 1, 0, 0, -1, 1, 0, 1, 0, 0, 1])
+    assert all(type(x) is Fraction for x in got.entries)
+    assert all(type(x) is Fraction for x in kron(comult, mult).entries)
+
+
+def test_composite_shape_errors():
     t = LinMap.identity(QQ, 2)
     with pytest.raises(DimensionMismatch):
-        compose_slot(LinMap.identity(QQ, 3), t, 1, 1, after=False)
+        composite([(t, 1, 1)], 3)
     with pytest.raises(DimensionMismatch):
-        compose_slot(LinMap.identity(QQ, 4), t, 1, 3, after=True)
+        composite([(LinMap.zero(QQ, 3, 4), 1, 1), (t, 1, 3)], 4)
+    with pytest.raises(DimensionMismatch):
+        compose(LinMap.identity(QQ, 3), t)
     with pytest.raises(FieldMismatch):
-        compose_slot(LinMap.identity(QQ, 2), LinMap.identity(F2, 2), 1, 1, after=True)
+        composite([(t, 1, 1), (LinMap.identity(F2, 2), 1, 1)], 2)
 
 
 # -- permute_axes ---------------------------------------------------------------

@@ -176,6 +176,14 @@ def test_empty_generator_list(inv_f2, k_f2):
         reconstruct([])
 
 
+def test_a_generator_that_is_not_a_measuring_is_rejected(inv_f2, k_f2):
+    # psi = 0 breaks the unit axiom psi(1 (x) x) = x (x) 1
+    broken = Measuring(inv_f2, k_f2, 1, LinMap.zero(F2, 1, 2))
+    with pytest.raises(IncompatibleMeasurings, match="generator is not a measuring: "
+                                                     "measuring unit fails"):
+        reconstruct([regular_measuring(inv_f2), broken])
+
+
 def test_zero_dimensional_generator_contributes_nothing(inv_f2, k_f2):
     empty = Measuring(inv_f2, k_f2, 0, LinMap.zero(F2, 0, 0))
     g = reconstruct([empty])
@@ -267,7 +275,8 @@ def test_induced_measuring_matches_the_kron_construction(inv_f2, k_f2):
     # arbitrary maps of comodule shape
     import random
 
-    from sweedler.linalg import compose_slot, swap_map
+    from _oracles import compose_slot, dense_kron
+    from sweedler.linalg import swap_map
 
     rng = random.Random(5)
     families = [
@@ -286,8 +295,8 @@ def test_induced_measuring_matches_the_kron_construction(inv_f2, k_f2):
                                                     for _ in range(x * d * x)]))
         for delta in deltas:
             x = delta.dom
-            dense = compose_slot(kron(LinMap.identity(k, da), delta), swap_map(da, x, k),
-                                 1, d, after=True)
+            dense = compose_slot(dense_kron(LinMap.identity(k, da), delta),
+                                 swap_map(da, x, k), 1, d, after=True)
             assert induced_measuring(g, delta) == compose_slot(dense, g.pairing, x, 1,
                                                                after=True)
 
@@ -487,17 +496,21 @@ def test_dual_bialgebra_multiplication_from_module_corpus(inv_f2, k_f2):
     for d in (1, 2):
         report = enumerate_measurings(inv_f2, k_f2, d)
         gens.extend(rep for rep, _ in report.orbits)
-    g1 = reconstruct(gens)
-    gens12 = [tensor_measuring_bialgebra(m1, m2, h2.bialgebra)
-              for m1 in g1.generators for m2 in g1.generators]
-    g12 = reconstruct(gens12)
-    prod = product_on_generated(g1, g1, g12, h2.bialgebra)
-    # under the explicit isomorphisms to A*, prod must be the dual-bialgebra
-    # multiplication transpose(Delta_A)
-    phi1 = classifying_iso_to_dual(g1)
-    phi12 = classifying_iso_to_dual(g12)
-    dual_mult = dual_algebra(h2.coalgebra).mult
-    assert compose(phi12, prod) == compose(dual_mult, kron(phi1, phi1))
+    # the 3 x 3 blocks of the regular module of F3[C_3] pin the axis order of
+    # the canonical map coend(X) (x) coend(Y) -> coend(X (x) Y)
+    h3 = cyclic_group_hopf(GF(3), 3)
+    for h, generators in [(h2, gens), (h3, [regular_measuring(h3.algebra)])]:
+        g1 = reconstruct(generators)
+        gens12 = [tensor_measuring_bialgebra(m1, m2, h.bialgebra)
+                  for m1 in g1.generators for m2 in g1.generators]
+        g12 = reconstruct(gens12)
+        prod = product_on_generated(g1, g1, g12, h.bialgebra)
+        # under the explicit isomorphisms to A*, prod must be the dual-bialgebra
+        # multiplication transpose(Delta_A)
+        phi1 = classifying_iso_to_dual(g1)
+        phi12 = classifying_iso_to_dual(g12)
+        dual_mult = dual_algebra(h.coalgebra).mult
+        assert compose(phi12, prod) == compose(dual_mult, kron(phi1, phi1))
 
 
 def test_product_requires_matched_tensor_family(q_c2):

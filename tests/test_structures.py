@@ -45,7 +45,7 @@ from sweedler.zoo import (
     sweedler_hopf,
 )
 
-from _oracles import conjugation_orbits, exhaustive_morphisms
+from _oracles import conjugation_orbits, dense_chain, exhaustive_morphisms
 
 F2 = GF(2)
 F3 = GF(3)
@@ -289,6 +289,52 @@ def test_sweedler_opantipode_is_antipode_inverse(sweedler4):
 
 def test_idempotent_monoid_has_no_opantipode(idempotent):
     assert find_opantipode(idempotent) is None
+
+
+def test_structure_maps_build_no_padded_kronecker_product(monkeypatch, q_c2, sweedler4,
+                                                          idempotent):
+    # every composite is one chain of slot factors: kron is never called
+    from sweedler import linalg, measurings, reconstruction, structures
+    from sweedler.linalg import swap_map
+    from sweedler.measurings import (
+        compose_measuring,
+        identity_measuring,
+        regular_measuring,
+        tensor_measuring_bialgebra,
+    )
+
+    def fusion_reference(b):
+        d = b.dim
+        c = swap_map(d, d, b.field)
+        return [dense_chain(chain, d * d) for chain in (
+            [(b.comult, 1, d), (b.mult, d, 1)], [(b.comult, d, 1), (b.mult, 1, d)],
+            [(b.comult, 1, d), (c, d, 1), (b.mult, 1, d)],
+            [(b.comult, d, 1), (c, 1, d), (b.mult, d, 1)])]
+
+    bialgebras = [q_c2.bialgebra, sweedler4.bialgebra, idempotent]
+    fusions = [fusion_reference(b) for b in bialgebras]
+    a = q_c2.algebra
+    regular = regular_measuring(a)
+    k = trivial_algebra(QQ)
+    tensor = dense_chain([(q_c2.bialgebra.comult, 1, 4), (swap_map(2, 2, QQ), 2, 2),
+                          (regular.psi, 4, 1), (regular.psi, 1, 2), (swap_map(1, 2, QQ), 2, 1),
+                          (k.mult, 4, 1)], 8)
+    identity = identity_measuring(a)
+    composed = dense_chain([(identity.psi, 1, 2), (regular.psi, 1, 1)], 4)
+    opantipode = invert(sweedler4.antipode)
+
+    def no_kron(*args):
+        raise AssertionError("a padded Kronecker product was built")
+    for module in (linalg, structures, measurings, reconstruction):
+        monkeypatch.setattr(module, "kron", no_kron, raising=False)
+    for b, expected in zip(bialgebras, fusions):
+        ops = fusion_operators(b)
+        assert [ops.h, ops.h_prime, ops.h_bar, ops.h_bar_prime] == expected
+    assert find_antipode(sweedler4.bialgebra).antipode == sweedler4.antipode
+    assert find_opantipode(sweedler4.bialgebra) == opantipode
+    assert find_antipode(idempotent) is None and find_opantipode(idempotent) is None
+    assert tensor_measuring_bialgebra(regular, regular, q_c2.bialgebra).psi == tensor
+    assert compose_measuring(identity, regular).psi == composed
 
 
 def test_antipode_iff_fusion_invertible(bialgebra_corpus):
