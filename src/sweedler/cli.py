@@ -191,20 +191,23 @@ def cmd_grouplikes(args):
             "grouplikes": [_vector(c.field, v) for v in found]}, False
 
 
-def cmd_morphisms(args):
-    a = docs.algebra_of(_read_document(args.source))
-    b = docs.algebra_of(_read_document(args.target))
+def _algebra_operands(args):
+    """The algebra parts of the source and target documents, and their labels."""
+    adoc, bdoc = _read_document(args.source), _read_document(args.target)
+    a, b = docs.algebra_of(adoc), docs.algebra_of(bdoc)
     if a is None or b is None:
         raise ValidationError("both inputs need algebra parts")
+    return a, b, (adoc.labels, bdoc.labels)
+
+
+def cmd_morphisms(args):
+    a, b, _ = _algebra_operands(args)
     found = algebra_morphisms(a, b, budget=args.budget)
     return {"count": len(found), "morphisms": [_matrix(f) for f in found]}, False
 
 
 def cmd_enumerate_measurings(args):
-    a = docs.algebra_of(_read_document(args.source))
-    b = docs.algebra_of(_read_document(args.target))
-    if a is None or b is None:
-        raise ValidationError("both inputs need algebra parts")
+    a, b, _ = _algebra_operands(args)
     report = enumerate_measurings(a, b, args.n, budget=args.budget)
     orbits = [{"size": size,
                "representative": docs.measuring_to_dict(
@@ -291,13 +294,8 @@ def cmd_degree0(args):
 
 
 def cmd_tambara_presentation(args):
-    adoc = _read_document(args.source)
-    bdoc = _read_document(args.target)
-    a = docs.algebra_of(adoc)
-    b = docs.algebra_of(bdoc)
-    if a is None or b is None:
-        raise ValidationError("both inputs need algebra parts")
-    pres = tambara_presentation(a, b, list(adoc.labels), list(bdoc.labels))
+    a, b, (alabels, blabels) = _algebra_operands(args)
+    pres = tambara_presentation(a, b, list(alabels), list(blabels))
     relations = [[[pres.field.show(coeff), list(word)] for coeff, word in rel]
                  for rel in pres.relations]
     return {"field": str(pres.field), "generators": list(pres.generators),
@@ -305,10 +303,7 @@ def cmd_tambara_presentation(args):
 
 
 def cmd_tambara_check(args):
-    a = docs.algebra_of(_read_document(args.source))
-    b = docs.algebra_of(_read_document(args.target))
-    if a is None or b is None:
-        raise ValidationError("both inputs need algebra parts")
+    a, b, _ = _algebra_operands(args)
     report = correspondence_check(a, b, args.n, budget=args.budget)
     if not report.ok:
         raise AssertionError("internal error: the canonical identification failed")

@@ -17,9 +17,16 @@ import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, NegativeDegree, NotClosed
+from .errors import (
+    DimensionMismatch,
+    IncompatibleMeasurings,
+    NegativeDegree,
+    NotClosed,
+    NotCommutative,
+)
 from .fields import Field, same_field
-from .linalg import LinMap, composite
+from .linalg import LinMap, _signed_swap, composite
+from .measurings import _braided_tensor
 from .structures import (
     DEFAULT_BUDGET,
     Algebra,
@@ -151,17 +158,7 @@ def assemble(algebra, coalgebra, antipode=None, space=None):
 
 def koszul_swap(v: GradedSpace, w: GradedSpace) -> LinMap:
     """The graded symmetry e_i (x) e_j -> (-1)^(deg i * deg j) e_j (x) e_i."""
-    k = same_field(v.field, w.field)
-    m, n = v.dim, w.dim
-    size = m * n
-    out = [k.zero()] * (size * size)
-    one = k.one()
-    minus = k.neg(one)
-    for i in range(m):
-        for j in range(n):
-            sign = minus if (v.degrees[i] * w.degrees[j]) % 2 else one
-            out[(j * m + i) * size + (i * n + j)] = sign
-    return LinMap(k, size, size, tuple(out))
+    return _signed_swap(v.degrees, w.degrees, same_field(v.field, w.field))
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +314,6 @@ def graded_tensor_measuring(m1, x1: GradedSpace, m2, x2: GradedSpace,
                             a: GradedBialgebra, b: GradedAlgebra):
     """Bialgebra tensor of measurings with Koszul braidings in place of plain
     swaps; forgetting degrees, the result passes the ungraded validator."""
-    from .errors import IncompatibleMeasurings, NotCommutative
-    from .measurings import _braided_tensor
-
     if m1.a != m2.a or m1.b != m2.b or m1.a != a.bialgebra.algebra or m1.b != b.algebra:
         raise IncompatibleMeasurings("graded tensor needs matching graded (A, B)")
     if m1.xdim != x1.dim or m2.xdim != x2.dim:

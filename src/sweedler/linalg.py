@@ -313,12 +313,20 @@ def permute_axes(f: LinMap, dims: Sequence[int], order: Sequence[int], split: in
 
 def swap_map(m: int, n: int, field: Field) -> LinMap:
     """The symmetry k^m (x) k^n -> k^n (x) k^m, e_i (x) e_j -> e_j (x) e_i."""
-    one, zero = field.one(), field.zero()
+    return _signed_swap((0,) * m, (0,) * n, field)
+
+
+def _signed_swap(left: Sequence[int], right: Sequence[int], field: Field) -> LinMap:
+    """The braiding k^m (x) k^n -> k^n (x) k^m of basis vectors with the given
+    degrees, m and n of them: e_i (x) e_j -> (-1)^(deg i * deg j) e_j (x) e_i."""
+    one = field.one()
+    minus = field.neg(one)
+    m, n = len(left), len(right)
     size = m * n
-    out = [zero] * (size * size)
-    for i in range(m):
-        for j in range(n):
-            out[(j * m + i) * size + (i * n + j)] = one
+    out = [field.zero()] * (size * size)
+    for i, p in enumerate(left):
+        for j, q in enumerate(right):
+            out[(j * m + i) * size + (i * n + j)] = minus if p * q % 2 else one
     return LinMap(field, size, size, tuple(out))
 
 

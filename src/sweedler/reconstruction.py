@@ -12,16 +12,16 @@ measuring pairing beta: A (x) D -> B induced on the quotient.
 The stage is assembled one generator at a time, never as the direct sum, and
 no comatrix coalgebra is written out.  A linear P_i: coend(X_i) -> D is the
 same as delta_i: X_i -> X_i (x) D, delta_i(x_b) = sum_a x_a (x) P_i f_ab, and
-P_i is a coalgebra morphism exactly when delta_i is a D-comodule.  With S_i
-the section's rows on the i-th summand, D has comultiplication
-sum_i (P_i (x) P_i).Delta_i.S_i, counit sum_i eps_i.S_i and pairing
-sum_i beta_i.(1_A (x) S_i): (P_i (x) P_i).Delta_i f_ab = sum_t P_i f_at (x)
-P_i f_tb is (delta_i (x) 1).delta_i with its axes reordered, eps_i f_ab =
-delta_ab, and beta_i is psi_i with its axes reordered.  These descend (are
-well defined) exactly when every delta_i passes :func:`validate_comodule` and
-gives back its psi through the pairing; that and the rest of the induced
-structure are verified before a value is returned.  With B = k and enough
-modules this computes the linear dual of A.
+P_i is a coalgebra morphism exactly when delta_i is a D-comodule.  The
+section picks one coefficient f_ab of one coend(X_i) for each basis vector c
+of D, and c is its class, so every map out of D is a read at that
+coefficient: Delta c = (P_i (x) P_i).Delta_i f_ab = sum_t P_i f_at (x) P_i f_tb,
+which is column b of (delta_i (x) 1).delta_i on the rows (a, D, D);
+eps c = delta_ab; and beta(e_t (x) c) = psi_i(e_t (x) x_b) on the rows
+(a, B).  These descend (are well defined) exactly when every delta_i passes
+:func:`validate_comodule` and gives back its psi through the pairing; that
+and the rest of the induced structure are verified before a value is
+returned.  With B = k and enough modules this computes the linear dual of A.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .fields import Field
 from .linalg import (
     LinMap,
     _reduce,
-    compose,
     composite,
     kernel_basis,
     kron,
@@ -64,7 +63,7 @@ from .structures import (
     validate_coalgebra,
     validate_hopf,
 )
-from .measurings import Measuring, intertwiners, validate_measuring
+from .measurings import Measuring, intertwiners, tensor_measuring_bialgebra, validate_measuring
 
 
 def coend_coalgebra(xdim: int, field: Field) -> Coalgebra:
@@ -173,16 +172,17 @@ def _quotient_by_rows(field: Field, n: int,
     return rows, LinMap(k, n, d, tuple(section))
 
 
-def _section_blocks(section: LinMap, xdims: list[int]) -> list[LinMap]:
-    """S_i: the rows of the section on the i-th summand coend(X_i)."""
-    d = section.dom
-    blocks = []
-    start = 0
-    for x in xdims:
-        end = start + x * x
-        blocks.append(LinMap(section.field, x * x, d, section.entries[start * d:end * d]))
-        start = end
-    return blocks
+def _coefficients(section: LinMap, xdims: list[int]) -> list[tuple[int, int, int]]:
+    """(i, a, b) for each basis vector c of D: the section's 1 in column c lies
+    at the coefficient f_ab of the i-th summand coend(X_i)."""
+    summands = [(i, *divmod(f, x)) for i, x in enumerate(xdims) for f in range(x * x)]
+    return [summands[next(compress(range(section.cod), section.col_at(c)))]
+            for c in range(section.dom)]
+
+
+def _from_columns(field: Field, cod: int, columns: list[tuple]) -> LinMap:
+    """The map k^len(columns) -> k^cod with the given columns."""
+    return LinMap(field, cod, len(columns), tuple(v for row in zip(*columns) for v in row))
 
 
 def reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,
@@ -247,24 +247,23 @@ def _reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,
     projections = tuple(LinMap(k, d, x * x, tuple(v for row in rows for v in row[s:s + x * x]))
                         for s, x in zip(starts, xdims))
 
-    # coend(X_i) pushed along P_i and pulled back along S_i, summed over i
+    # basis vector c of D is the class of the coefficient f_ab of coend(X_i), so
+    # each structure map of D is read off generator i at (a, b)
     da, db = a.dim, b.dim
     deltas = [_classified_comodule(p, d, x) for p, x in zip(projections, xdims)]
-    comult = LinMap.zero(k, d * d, d)
-    counit = LinMap.zero(k, 1, d)
-    pairing = LinMap.zero(k, db, da * d)
-    for m, delta, s in zip(measurings, deltas, _section_blocks(section, xdims)):
-        x = m.xdim
-        # column f_ab of (delta (x) 1).delta, read on axes (a, D, D, b), is sum_t P f_at (x) P f_tb
-        pushed = permute_axes(composite([(delta, 1, 1), (delta, 1, d)], x), (x, d, d, x),
-                              (1, 2, 0, 3), 2)
-        comult = comult + compose(pushed, s)
-        # eps f_ab = delta_ab: the identity's entries read as one row
-        counit = counit + compose(LinMap(k, 1, x * x, LinMap.identity(k, x).entries), s)
-        beta = permute_axes(m.psi, (x, db, da, x), (1, 2, 0, 3), 1)
-        pairing = pairing + composite([(s, da, 1), (beta, 1, 1)], da * d)
+    # column b of (delta (x) 1).delta on the rows (a, D, D) is sum_t P f_at (x) P f_tb
+    pushed = [composite([(delta, 1, 1), (delta, 1, d)], x) for delta, x in zip(deltas, xdims)]
+    coefficients = _coefficients(section, xdims)
+    comult = [pushed[i].col_at(b)[a * d * d:(a + 1) * d * d] for i, a, b in coefficients]
+    # eps f_ab = delta_ab
+    counit = [k.one() if a == b else k.zero() for _, a, b in coefficients]
+    # beta_i[q, (t, a, b)] = psi_i[(a, q), (t, b)]
+    pairing = [measurings[i].psi.col_at(t * xdims[i] + b)[a * db:(a + 1) * db]
+               for t in range(da) for i, a, b in coefficients]
 
-    result = GeneratedSubcoalgebra(a, b, Coalgebra(comult=comult, counit=counit), pairing,
+    coalgebra = Coalgebra(comult=_from_columns(k, d * d, comult),
+                          counit=LinMap(k, 1, d, tuple(counit)))
+    result = GeneratedSubcoalgebra(a, b, coalgebra, _from_columns(k, db, pairing),
                                    projections, section, tuple(measurings))
     _verify_generated(result, deltas)
     return result
@@ -349,26 +348,23 @@ def product_on_generated(g1: GeneratedSubcoalgebra, g2: GeneratedSubcoalgebra,
     if len(g12.generators) != len(g1.generators) * len(g2.generators):
         raise PreconditionViolated(
             "g12 must be generated by the pairwise tensors, row-major")
-    from .measurings import tensor_measuring_bialgebra
-
     n2 = len(g2.generators)
-    blocks = []
     for i, mi in enumerate(g1.generators):
         for j, mj in enumerate(g2.generators):
-            m12 = g12.generators[i * n2 + j]
-            if m12 != tensor_measuring_bialgebra(mi, mj, a):
+            if g12.generators[i * n2 + j] != tensor_measuring_bialgebra(mi, mj, a):
                 raise PreconditionViolated(
                     "g12 generators are not the pairwise tensors, row-major")
-            blocks.append((i, j, mi.xdim, mj.xdim))
-    s1 = _section_blocks(g1.section, [m.xdim for m in g1.generators])
-    s2 = _section_blocks(g2.section, [m.xdim for m in g2.generators])
-    # canonical map coend(X) (x) coend(Y) -> coend(X (x) Y), blockwise, pushed to D12
-    d1, d2, d12 = g1.d.dim, g2.d.dim, g12.d.dim
-    result = LinMap.zero(g1.a.field, d12, d1 * d2)
-    for idx, (i, j, x, y) in enumerate(blocks):
-        # f_ab (x) g_cd -> F_(a,c),(b,d): the projection read on axes (a, b, c, d)
-        piece = permute_axes(g12.projections[idx], (d12, x, y, x, y), (0, 1, 3, 2, 4), 1)
-        result = result + composite([(s2[j], d1, 1), (s1[i], 1, y * y), (piece, 1, 1)], d1 * d2)
+    # the canonical map coend(X) (x) coend(Y) -> coend(X (x) Y), f_ab (x) g_ce ->
+    # F_(a,c),(b,e), pushed to D12: column (c1, c2) of the product is a column of
+    # the projection of the generator pair (i, j) that c1 and c2 stand for
+    second = _coefficients(g2.section, [m.xdim for m in g2.generators])
+    columns = []
+    for i, a1, b1 in _coefficients(g1.section, [m.xdim for m in g1.generators]):
+        x = g1.generators[i].xdim
+        for j, a2, b2 in second:
+            y = g2.generators[j].xdim
+            columns.append(g12.projections[i * n2 + j].col_at((a1 * y + a2) * x * y + b1 * y + b2))
+    result = _from_columns(g1.a.field, g12.d.dim, columns)
     _verify_product(g1, g2, g12, a, result)
     return result
 

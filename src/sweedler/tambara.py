@@ -253,6 +253,7 @@ def correspondence_check(a: Algebra, b: Algebra, n: int,
     """Verify that n-dimensional modules of a(A, B) are exactly the algebra
     morphisms B -> M_n(A), compatibly with conjugation orbits and intertwiners.
     At n = 0 the one module matches the one morphism into M_0(A) = 0."""
+    # imported here so that tests can patch the measurings module's functions
     from .measurings import (
         intertwiners as measuring_intertwiners,
         matrix_morphism_from_measuring,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from .errors import UnsupportedField
 from .fields import QQ, Field, GF
+from .graded import GradedAlgebra, GradedHopf, GradedSpace
 from .linalg import LinMap
 from .structures import (
     Algebra,
@@ -114,8 +115,6 @@ def graded_line_hopf(field: Field, degree: int = 1):
     Over the rationals this is a Hopf algebra only in the graded (Koszul)
     sense and only for odd degree; in characteristic 2 any degree works.
     """
-    from .graded import GradedHopf, GradedSpace
-
     k = field
     one, zero = k.one(), k.zero()
     mult = LinMap.from_rows(k, [[one, zero, zero, zero], [zero, one, one, zero]])
@@ -129,8 +128,6 @@ def graded_line_hopf(field: Field, degree: int = 1):
 
 def graded_dual_numbers(field: Field, degree: int):
     """k[y]/(y^2) as a graded algebra with deg y = degree."""
-    from .graded import GradedAlgebra, GradedSpace
-
     return GradedAlgebra(dual_numbers(field), GradedSpace(field, (0, degree)))
 
 

@@ -10,7 +10,16 @@ from itertools import compress
 
 from sweedler.errors import DimensionMismatch, InducedStructureIllDefined
 from sweedler.fields import same_field
-from sweedler.linalg import LinMap, _nonzeros_by, invert, kernel_basis, rref, solve
+from sweedler.linalg import (
+    LinMap,
+    _nonzeros_by,
+    composite,
+    invert,
+    kernel_basis,
+    permute_axes,
+    rref,
+    solve,
+)
 from sweedler.measurings import enumerate_measurings, intertwiners
 from sweedler.structures import Coalgebra, general_linear_group, is_algebra_morphism
 
@@ -437,6 +446,38 @@ def dense_reconstruct(measurings, morphisms, a, b):
                                   for r in range(d) for c in range(x * x)))
         for idx, x in enumerate(xdims))
     return coalgebra, pairing, projections, section
+
+
+def _section_blocks(section, xdims):
+    """S_i: the rows of the section on the i-th summand coend(X_i)."""
+    d = section.dom
+    blocks = []
+    start = 0
+    for x in xdims:
+        end = start + x * x
+        blocks.append(LinMap(section.field, x * x, d, section.entries[start * d:end * d]))
+        start = end
+    return blocks
+
+
+def section_product(g1, g2, g12):
+    """The product D1 (x) D2 -> D12 of generated stages as
+    ``product_on_generated`` once assembled it: for each generator pair (i, j),
+    the canonical map coend(X_i) (x) coend(Y_j) -> coend(X_i (x) Y_j) pushed
+    to D12 along the pair's projection, pulled back along the section rows
+    S_i (x) S_j, and the blocks summed.  No check is made."""
+    n2 = len(g2.generators)
+    blocks = [(i, j, mi.xdim, mj.xdim) for i, mi in enumerate(g1.generators)
+              for j, mj in enumerate(g2.generators)]
+    s1 = _section_blocks(g1.section, [m.xdim for m in g1.generators])
+    s2 = _section_blocks(g2.section, [m.xdim for m in g2.generators])
+    d1, d2, d12 = g1.d.dim, g2.d.dim, g12.d.dim
+    result = LinMap.zero(g1.a.field, d12, d1 * d2)
+    for i, j, x, y in blocks:
+        # f_ab (x) g_cd -> F_(a,c),(b,d): the projection read on axes (a, b, c, d)
+        piece = permute_axes(g12.projections[i * n2 + j], (d12, x, y, x, y), (0, 1, 3, 2, 4), 1)
+        result = result + composite([(s2[j], d1, 1), (s1[i], 1, y * y), (piece, 1, 1)], d1 * d2)
+    return result
 
 
 # ---------------------------------------------------------------------------

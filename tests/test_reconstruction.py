@@ -1,4 +1,5 @@
 
+import functools
 import itertools
 from pathlib import Path
 
@@ -46,7 +47,7 @@ from sweedler.structures import (
     trivial_algebra,
     validate_coalgebra,
 )
-from sweedler.zoo import cyclic_group_hopf, dual_numbers, trivial_hopf
+from sweedler.zoo import cyclic_group_hopf, dual_numbers, sweedler_hopf, trivial_hopf
 
 F2 = GF(2)
 
@@ -318,7 +319,7 @@ def test_simple_comodule_transport(m2_f2, k_f2):
 # -- the block-wise stage against the dense direct-sum oracle --------------------------
 
 
-from _oracles import dense_reconstruct
+from _oracles import dense_reconstruct, section_product
 
 
 def _all_intertwiners(gens):
@@ -517,6 +518,59 @@ def test_product_requires_matched_tensor_family(q_c2):
     g1 = _character_stage(q_c2, [[1, 1], [1, -1]])
     with pytest.raises(PreconditionViolated):
         product_on_generated(g1, g1, g1, q_c2.bialgebra)
+
+
+PRODUCT_CASES = ["Q[C2] x Q[C2]", "F3[C3] x census", "sweedler4/F3 x census"]
+
+
+@functools.cache
+def _product_stages(case):
+    """The bialgebra and the stages (g1, g2, g12) of a product case: the
+    regular-measuring stage times the regular-measuring stage of Q[C_2], or
+    times the stage of the census representatives to k with n <= 2.  Stages
+    are values, so each case is built once per session."""
+    if case == "Q[C2] x Q[C2]":
+        h = cyclic_group_hopf(QQ, 2)
+        second = [regular_measuring(h.algebra)]
+    else:
+        h = cyclic_group_hopf(GF(3), 3) if case == "F3[C3] x census" else sweedler_hopf(GF(3))
+        second = _census_representatives(h.algebra, 2)
+    g1, g2 = reconstruct([regular_measuring(h.algebra)]), reconstruct(second)
+    g12 = reconstruct([tensor_measuring_bialgebra(m1, m2, h.bialgebra)
+                       for m1 in g1.generators for m2 in g2.generators])
+    return h.bialgebra, (g1, g2, g12)
+
+
+@pytest.mark.parametrize("case", PRODUCT_CASES)
+def test_product_matches_the_section_oracle(case):
+    bialgebra, stages = _product_stages(case)
+    if case == "F3[C3] x census":
+        assert [m.xdim for m in stages[1].generators] == [1, 2, 2]
+    assert product_on_generated(*stages, bialgebra) == section_product(*stages)
+
+
+def test_stage_maps_are_read_with_no_sums_or_products(monkeypatch, inv_f2, k_f2):
+    import sweedler.reconstruction as reconstruction
+
+    def refuse(*args):
+        raise AssertionError("a stage map was assembled by sums or products of maps")
+
+    monkeypatch.setattr(LinMap, "__add__", refuse)
+    monkeypatch.setattr(reconstruction, "compose", refuse, raising=False)
+    empty = Measuring(inv_f2, k_f2, 0, LinMap.zero(F2, 0, 0))
+    reg, char = regular_measuring(inv_f2), _f2_character()
+    mixed = [[reg, char], [char, empty, reg], [empty, char], [reg, empty, char, reg]]
+    stages = [reconstruct(gens) for gens in mixed]
+    products = []
+    for case in PRODUCT_CASES:
+        bialgebra, three = _product_stages(case)
+        products.append((three, product_on_generated(*three, bialgebra)))
+    monkeypatch.undo()
+    for gens, g in zip(mixed, stages):
+        expected = dense_reconstruct(gens, _all_intertwiners(gens), inv_f2, k_f2)
+        assert (g.d, g.pairing, g.projections, g.section) == expected
+    for three, product in products:
+        assert product == section_product(*three)
 
 
 # -- finite dual and dual Hopf ---------------------------------------------------------
