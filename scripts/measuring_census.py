@@ -31,8 +31,8 @@ def main() -> None:
     f2, f3 = GF(2), GF(3)
     census("F2[C2] -> F2", involution_algebra(f2), trivial_algebra(f2), (1, 2, 3, 4))
     census("F2[C3] -> F2", cyclic_group_hopf(f2, 3).algebra, trivial_algebra(f2), (1, 2, 3))
-    census("F3[C2] -> F3", cyclic_group_hopf(f3, 2).algebra, trivial_algebra(f3), (1, 2))
-    census("F2[C2] -> F2[y]/(y2)", involution_algebra(f2), dual_numbers(f2), (1, 2))
+    census("F3[C2] -> F3", cyclic_group_hopf(f3, 2).algebra, trivial_algebra(f3), (1, 2, 3))
+    census("F2[C2] -> F2[y]/(y2)", involution_algebra(f2), dual_numbers(f2), (1, 2, 3))
     census("M2(F2) -> F2", matrix_algebra(trivial_algebra(f2), 2),
            trivial_algebra(f2), (1, 2))
 

@@ -43,6 +43,7 @@ from .structures import (
     ValidationReport,
     _failures,
     algebra_morphisms,
+    conjugation_invariant,
     is_algebra_morphism,
     is_commutative,
     isomorphism_classes,
@@ -178,8 +179,15 @@ def morphism_classes(a: Algebra, b: Algebra, n: int, morphisms: list[LinMap],
     proved, unpacked without a second check, in isomorphism classes: joined
     by an invertible intertwiner, each class seeded by its first member."""
     measurings = [Measuring(a, b, n, _psi_of(rho, a.dim, b.dim, n)) for rho in morphisms]
+
+    def invariant(m: Measuring) -> tuple:
+        # the n x n blocks M_{t,q}[i, j] = psi[(i, q), (t, j)], each conjugated by g
+        stacked = permute_axes(m.psi, (n, b.dim, a.dim, n), (2, 1, 0, 3), 3).entries
+        return conjugation_invariant([LinMap(a.field, n, n, stacked[s * n * n:(s + 1) * n * n])
+                                      for s in range(a.dim * b.dim)])
+
     return isomorphism_classes(
-        measurings, lambda m1, m2: [iw.f for iw in intertwiners(m1, m2)], budget)
+        measurings, lambda m1, m2: [iw.f for iw in intertwiners(m1, m2)], invariant, budget)
 
 
 # ---------------------------------------------------------------------------

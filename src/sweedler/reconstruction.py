@@ -83,8 +83,8 @@ def coend_coalgebra(xdim: int, field: Field) -> Coalgebra:
                      counit=LinMap(k, 1, d, tuple(counit)))
 
 
-def validate_comodule(delta: LinMap, c: Coalgebra) -> bool:
-    """delta: X -> X (x) C satisfies coassociativity and counitality."""
+def validate_comodule(delta: LinMap, c: Coalgebra, tables: dict | None = None) -> bool:
+    """delta: X -> X (x) C is coassociative and counital (``tables``: see _failures)."""
     if delta.dom == 0:
         return delta.cod == 0
     x = delta.dom
@@ -94,7 +94,7 @@ def validate_comodule(delta: LinMap, c: Coalgebra) -> bool:
         Axiom("coassociative", [(delta, 1, 1), (delta, 1, c.dim)],
               [(delta, 1, 1), (c.comult, x, 1)], (x,)),
         Axiom("counital", [(delta, 1, 1), (c.counit, x, 1)], [], (x,)),
-    ])
+    ], tables)
 
 
 def comodule_to_coend_morphism(delta: LinMap, c: Coalgebra) -> LinMap:
@@ -150,19 +150,26 @@ def _quotient_by_rows(field: Field, n: int,
     """Quotient of k^n by the span of the rows in ``blocks``: the rows of the
     projection k^n -> k^d and the section k^d -> k^n.
 
-    Each block is reduced together with the echelon rows of the blocks before
-    it and the zero rows are dropped, so at most n rows and one block are held
-    at a time.  The projection's rows are the kernel basis of the relations'
+    Each block is reduced on its own: the pivot columns of the blocks before
+    it are cleared from its rows, it is brought to reduced echelon form and
+    its pivots are cleared from the earlier rows, so each step follows the
+    block.  The projection's rows are the kernel basis of the relations'
     reduced echelon form (unique for their span), one per free (non-pivot)
-    coordinate, in increasing order; the section sends the quotient's basis
-    to those coordinates.
+    coordinate, in increasing order; the section sends D's basis to those.
     """
     k = field
-    echelon: list[list] = []
+    echelon: dict[int, list] = {}  # pivot column -> row
     for block in blocks:
-        echelon.extend(block)
-        del echelon[len(_reduce(k, echelon, n)):]
-    rows = kernel_basis(LinMap(k, len(echelon), n, tuple(x for row in echelon for x in row)))
+        for row in block:
+            for c, pivot_row in echelon.items():
+                _clear(row, pivot_row, c, k.char)
+        pivots = _reduce(k, block, n)
+        for c, pivot_row in zip(pivots, block):
+            for row in echelon.values():
+                _clear(row, pivot_row, c, k.char)
+        echelon.update(zip(pivots, block))
+    rows = kernel_basis(LinMap(k, len(echelon), n,
+                               tuple(x for c in sorted(echelon) for x in echelon[c])))
     d = len(rows)
     section = [k.zero()] * (n * d)
     for c, row in enumerate(rows):
@@ -170,6 +177,14 @@ def _quotient_by_rows(field: Field, n: int,
         free = max(j for j, v in enumerate(row) if v)
         section[free * d + c] = k.one()
     return rows, LinMap(k, n, d, tuple(section))
+
+
+def _clear(row: list, pivot_row: list, c: int, p: int) -> None:
+    """row -= row[c] pivot_row, in place, for a pivot row zero left of its 1 at c."""
+    factor = row[c]
+    if factor:
+        for j in compress(range(c, len(row)), pivot_row[c:]):
+            row[j] = (row[j] - factor * pivot_row[j]) % p if p else row[j] - factor * pivot_row[j]
 
 
 def _coefficients(section: LinMap, xdims: list[int]) -> list[tuple[int, int, int]]:
@@ -278,8 +293,9 @@ def _verify_generated(g: GeneratedSubcoalgebra, deltas: list[LinMap]) -> None:
     classifies is a D-comodule, and the pairing descends exactly when every
     delta_i gives back its psi.
     """
+    tables: dict = {}  # lists D's comultiplication once; its factors live in deltas and g
     for m, delta in zip(g.generators, deltas):
-        if not validate_comodule(delta, g.d):
+        if not validate_comodule(delta, g.d, tables):
             raise InducedStructureIllDefined(
                 "comultiplication or counit does not descend; "
                 "an input morphism is not an intertwiner")

@@ -22,11 +22,11 @@ measurings is one chain, which ``linalg.composite`` evaluates on the same
 slot kernel; a plain swap next to a single map is a reordering of its axes
 (``linalg.permute_axes``).
 
-Over a prime field, algebra morphisms are enumerated through generators:
-only the images of a generating set are tried, and each assignment is
-extended through a basis of words in the generators.  Isomorphism classes
-of representations (morphisms into M_n(B), modules) are found by asking
-whether a Hom space holds an invertible map, never by listing GL_n(k).
+Over a prime field, algebra morphisms are enumerated through generators,
+one image coordinate at a time, each branch ending at its first failing
+relation among words.  Representations (morphisms into M_n(B), modules) with
+one conjugation invariant are isomorphic when a Hom space between them holds
+an invertible map; GL_n(k) is never listed.
 """
 
 from __future__ import annotations
@@ -96,10 +96,6 @@ class Algebra:
 
     def unit_vector(self) -> tuple:
         return self.unit.col_at(0)
-
-    def product(self, u: Sequence, v: Sequence) -> tuple:
-        """Product of two coefficient vectors."""
-        return _multiply(_nonzeros_by(self.mult, by_col=True), u, v, self.field)
 
 
 @dataclass(frozen=True)
@@ -234,11 +230,12 @@ class Axiom(NamedTuple):
     by_row: bool = False
 
 
-def _failures(axioms: Sequence[Axiom]) -> list[Failure]:
+def _failures(axioms: Sequence[Axiom], tables: dict | None = None) -> list[Failure]:
     """Each failing axiom with its witness: the basis indices over its dims
     of the first column (or row) at which its two composites differ.  The
-    factors' nonzeros are listed once for all the axioms."""
-    tables: dict = {}
+    factors' nonzeros are listed once for all the axioms and all calls that
+    share ``tables``, which is keyed by id(): its factors must stay alive."""
+    tables = {} if tables is None else tables
     failures = []
     for axiom in axioms:
         index = _differ_at(axiom, tables)
@@ -666,24 +663,6 @@ def is_coalgebra_morphism(f: LinMap, c: Coalgebra, d: Coalgebra) -> bool:
     ])
 
 
-def _multiply(table: list[list[tuple]], u: Sequence, v: Sequence, field: Field) -> tuple:
-    """The product of coefficient vectors u and v, walking their nonzeros and
-    those of the structure constants: ``table[i * dim + j]`` lists the
-    (index, coefficient) nonzeros of e_i e_j."""
-    d = len(u)
-    p = field.char
-    out = [field.zero()] * d
-    v_nonzero = [(j, y) for j, y in enumerate(v) if y]
-    for i, x in enumerate(u):
-        if x:
-            row = i * d
-            for j, y in v_nonzero:
-                xy = x * y
-                for r, c in table[row + j]:
-                    out[r] += xy * c
-    return tuple(z % p for z in out) if p else tuple(out)
-
-
 def _word_span(a: Algebra) -> tuple[list[int], list[tuple[list, list]], list[list]]:
     """Generators of A over F_p, chosen in basis order, and a basis of A made
     of words in them.
@@ -699,7 +678,6 @@ def _word_span(a: Algebra) -> tuple[list[int], list[tuple[list, list]], list[lis
     """
     k = a.field
     d = a.dim
-    table = _nonzeros_by(a.mult, by_col=True)
     one, zero = k.one(), k.zero()
     # rows [u | c] with u = sum_j c_j word_j, in reduced echelon form on u
     echelon: list[list] = []
@@ -725,7 +703,7 @@ def _word_span(a: Algebra) -> tuple[list[int], list[tuple[list, list]], list[lis
         pending = deque((w, len(generators) - 1) for w in range(len(vectors)))
         while pending:
             w, g = pending.popleft()
-            v = _multiply(table, vectors[w], basis[generators[g]], k)
+            v = a.mult.apply([x * y for x in vectors[w] for y in basis[generators[g]]])
             combo = reduce(echelon, v, len(vectors))
             if combo is None:
                 pending.extend((len(vectors), h) for h in range(len(generators)))
@@ -737,28 +715,19 @@ def _word_span(a: Algebra) -> tuple[list[int], list[tuple[list, list]], list[lis
     return generators, stages, [reduce([list(row) for row in echelon], e) for e in basis]
 
 
-def _supported(field: Field, length: int, rows: Sequence[int]):
-    """The vectors of the given length supported on ``rows``, lexicographic."""
-    zero = field.zero()
-    for values in itertools.product(field.elements(), repeat=len(rows)):
-        y = [zero] * length
-        for q, x in zip(rows, values):
-            y[q] = x
-        yield tuple(y)
-
-
 def algebra_morphisms(a: Algebra, b: Algebra, budget: int = DEFAULT_BUDGET,
                       zero_coords: frozenset[int] | None = None) -> list[LinMap]:
     """All algebra morphisms A -> B, lexicographic.
 
     A morphism is fixed by its images of the generators of :func:`_word_span`,
-    so only those are enumerated, generator by generator.  Each partial
-    assignment is extended through the words of its stage and dropped as
-    soon as a relation fails, which is when the extension is not well defined
-    or not multiplicative (A and B are associative and unital).  Coordinates
-    in ``zero_coords`` (f[q, t] at q*dim(A) + t) are pinned to zero.  The
-    budget bounds p to the number of free coordinates of the generators'
-    images, checked before the search starts.
+    whose free coordinates are assigned one at a time, depth first.  Each
+    coordinate of a word's image (word times generator, through B's
+    structure constants by output coordinate) and of a relation (word times
+    generator minus its combination of words) is evaluated at the depth of
+    the last free coordinate it reads; a branch ends at its first nonzero
+    relation coordinate (A and B are associative and unital).  Coordinates in
+    ``zero_coords`` (f[q, t] at q*dim(A) + t) are pinned to zero.  The budget
+    bounds p to the number of free coordinates, however few are tried.
     """
     k = same_field(a.field, b.field)
     if k.is_rational:
@@ -766,43 +735,69 @@ def algebra_morphisms(a: Algebra, b: Algebra, budget: int = DEFAULT_BUDGET,
     da, db = a.dim, b.dim
     pinned = zero_coords or frozenset()
     generators, stages, coords = _word_span(a)
-    free_rows = [[q for q in range(db) if q * da + t not in pinned] for t in generators]
-    needed = k.char ** sum(len(rows) for rows in free_rows)
+    free = [(s, q) for s, t in enumerate(generators) for q in range(db)
+            if q * da + t not in pinned]
+    needed = k.char ** len(free)
     if needed > budget:
         raise BudgetExceeded(needed, budget)
     p = k.char
-    table = _nonzeros_by(b.mult, by_col=True)
-    word_images = [b.unit_vector()]
-    gen_images: list[tuple] = []
+    # scalar slots: 1, the free coordinates, then what they fix, each with the depth
+    # of the last free coordinate it reads (-1: none); an always-zero one is None
+    values, depth = [1, *[0] * len(free)], [-1, *range(len(free))]
+    tasks = [[] for _ in range(len(free) + 1)]  # by depth + 1
+
+    def schedule(terms: list[tuple], word: bool) -> int | None:
+        """Queue sum(values[x] values[y] c) over the terms (x, y, c), as a word
+        coordinate in a new slot or as a relation coordinate that must vanish."""
+        if not terms:
+            return None
+        level = max(max(depth[x], depth[y]) for x, y, _ in terms)
+        target = len(values) if word else None
+        tasks[level + 1].append((target, terms))
+        if word:
+            values.append(0)
+            depth.append(level)
+        return target
+
+    slot_of = {sq: v + 1 for v, sq in enumerate(free)}
+    gen_slots = [[slot_of.get((s, q)) for q in range(db)] for s in range(len(generators))]
+    word_slots = [[schedule([(0, 0, u)], True) if u else None for u in b.unit_vector()]]
+    by_output = _nonzeros_by(b.mult, by_col=False)
+
+    def product(w: int, g: int, r: int) -> list[tuple]:
+        """The terms of coordinate r of word w times generator g."""
+        pairs = ((word_slots[w][ij // db], gen_slots[g][ij % db], c) for ij, c in by_output[r])
+        return [(x, y, c) for x, y, c in pairs if x is not None and y is not None]
+
+    for words, relations in stages:
+        for w, g in words:
+            # a one-letter word needs no product: 1_B y = y
+            word_slots.append(gen_slots[g] if w == 0 else
+                              [schedule(product(w, g, r), True) for r in range(db)])
+        for w, g, combo in relations:
+            for r in range(db):
+                schedule(product(w, g, r) + [(0, word_slots[j][r], -c % p) for j, c in combo
+                                             if word_slots[j][r] is not None], False)
+    # f[q, t] is coordinate q of e_t written in the words
+    entry_terms = [[(word_slots[j][q], c) for j, c in coords[t] if word_slots[j][q] is not None]
+                   for q in range(db) for t in range(da)]
     found = []
 
-    def combination(terms: list[tuple]) -> tuple:
-        out = [0] * db
-        for j, c in terms:
-            for q, x in enumerate(word_images[j]):
-                if x:
-                    out[q] += c * x
-        return tuple(x % p for x in out)
-
-    def search(s: int):
-        if s == len(stages):
-            cols = [combination(terms) for terms in coords]
-            entries = tuple(cols[t][q] for q in range(db) for t in range(da))
+    def search(v: int):
+        for target, terms in tasks[v]:
+            acc = sum(values[x] * values[y] * c for x, y, c in terms) % p
+            if target is not None:
+                values[target] = acc
+            elif acc:
+                return
+        if v == len(free):
+            entries = tuple(sum(values[x] * c for x, c in terms) % p for terms in entry_terms)
             if not any(entries[i] for i in pinned):
                 found.append(LinMap(k, db, da, entries))
             return
-        new_words, relations = stages[s]
-        for y in _supported(k, db, free_rows[s]):
-            gen_images.append(y)
-            for w, g in new_words:
-                # a one-letter word needs no product: 1_B y = y
-                word_images.append(gen_images[g] if w == 0 else
-                                   _multiply(table, word_images[w], gen_images[g], k))
-            if all(_multiply(table, word_images[w], gen_images[g], k) == combination(c)
-                   for w, g, c in relations):
-                search(s + 1)
-            del word_images[len(word_images) - len(new_words):]
-            gen_images.pop()
+        for x in k.elements():
+            values[v + 1] = x  # the slot of free coordinate v
+            search(v + 1)
 
     search(0)
     found.sort(key=lambda f: f.entries)
@@ -819,28 +814,47 @@ def general_linear_group(field: Field, n: int, budget: int = DEFAULT_BUDGET) -> 
     return out
 
 
-def isomorphism_classes(items: Sequence, hom, budget: int = DEFAULT_BUDGET) -> list[list]:
+def isomorphism_classes(items: Sequence, hom, invariant,
+                        budget: int = DEFAULT_BUDGET) -> list[list]:
     """Partition ``items`` into isomorphism classes, each seeded by its first member.
 
     ``hom(x, y)`` is a basis of the n x n matrices T with T x = y T, such as
-    the intertwiners of two measurings or of two modules.  An item joins the
-    first class whose seed it is isomorphic to: Hom(seed, item) has the
-    dimension of End(seed), and its span, walked lexicographically, holds an
-    invertible T.  Each walk counts p^dim Hom candidates against the budget.
-    Items in sorted order make each seed the smallest member of its class;
-    no group is listed and nothing is inverted.
+    the intertwiners of two measurings or of two modules, and isomorphic
+    items have equal ``invariant(x)``, such as :func:`conjugation_invariant`.
+    An item joins the first class, among those whose seed has its invariant,
+    whose seed it is isomorphic to: Hom(seed, item) has the dimension of
+    End(seed), and its span, walked lexicographically, holds an invertible T.
+    Each walk counts p^dim Hom candidates against the budget.  Items in
+    sorted order make each seed the smallest member of its class; no group
+    is listed and nothing is inverted.
     """
-    classes = []  # (seed, dim End(seed), members)
+    classes = []
+    buckets: dict = {}  # invariant -> [(seed, dim End(seed), members)] in class order
     for item in items:
-        for seed, end_dim, members in classes:
+        bucket = buckets.setdefault(invariant(item), [])
+        for seed, end_dim, members in bucket:
             basis = hom(seed, item)
             # only a 0-dimensional seed has End(seed) = 0, and 0-dim items are isomorphic
             if len(basis) == end_dim and (end_dim == 0 or _spans_invertible(basis, budget)):
                 members.append(item)
                 break
         else:
-            classes.append((item, len(hom(item, item)), [item]))
-    return [members for _, _, members in classes]
+            classes.append([item])
+            bucket.append((item, len(hom(item, item)), classes[-1]))
+    return classes
+
+
+def conjugation_invariant(mats: Sequence[LinMap]) -> tuple:
+    """rank(m - c.1) for each n x n matrix m and each scalar c of a prime
+    field, in order: unchanged when every m becomes g m g^-1."""
+    out = []
+    for m in mats:
+        k, n = m.field, m.cod
+        for c in k.elements():
+            shifted = [[k.sub(x, c) if i == j else x for j, x in enumerate(m.row_at(i))]
+                       for i in range(n)]
+            out.append(len(_reduce(k, shifted, n)))
+    return tuple(out)
 
 
 def _spans_invertible(basis: Sequence[LinMap], budget: int) -> bool:

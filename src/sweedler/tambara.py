@@ -20,6 +20,7 @@ from .structures import (
     DEFAULT_BUDGET,
     Algebra,
     algebra_morphisms,
+    conjugation_invariant,
     isomorphism_classes,
     matrix_algebra,
 )
@@ -197,7 +198,8 @@ def _module_classes(p: PresentedAlgebra, modules: list[tuple[LinMap, ...]], n: i
     """Isomorphism classes of modules, in the order of their smallest members
     (generator matrices stacked in one column), each listed smallest first."""
     return isomorphism_classes(sorted(modules, key=_stacked_entries),
-                               lambda m1, m2: module_intertwiners(m1, m2, p.field, n), budget)
+                               lambda m1, m2: module_intertwiners(m1, m2, p.field, n),
+                               conjugation_invariant, budget)
 
 
 def _stacked_entries(mats: tuple[LinMap, ...]) -> tuple:

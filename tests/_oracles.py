@@ -63,6 +63,14 @@ def _gamma_summand(g, idx, gamma):
     return dense_compose(gamma, incl)
 
 
+def algebra_product(a, u, v):
+    """The product of coefficient vectors u and v of A over F_p, summed
+    inline over its structure constants."""
+    d, e = a.dim, a.mult.entries
+    return tuple(sum(u[i] * v[j] * e[r * d * d + i * d + j] for i in range(d) for j in range(d))
+                 % a.field.char for r in range(d))
+
+
 def f2_2x2_product(m, n):
     """2x2 matrix product over F_2 with inline arithmetic."""
     return tuple(

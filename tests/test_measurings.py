@@ -28,12 +28,14 @@ from sweedler.measurings import (
 from sweedler.structures import (
     algebra_morphisms,
     general_linear_group,
+    isomorphism_classes,
     matrix_algebra,
     trivial_algebra,
 )
-from sweedler.zoo import cyclic_group_hopf, dual_numbers, involution_algebra
+from sweedler.zoo import cyclic_group_hopf, dual_numbers, involution_algebra, sweedler_hopf
 
 from _oracles import (
+    conjugation_orbits,
     conjugation_partition,
     dense_permute,
     exhaustive_morphisms,
@@ -268,6 +270,40 @@ def test_census_enumeration_lists_no_group_and_inverts_nothing(monkeypatch):
     # the counters see calls made through the library
     conjugate_measuring(report.orbits[0][0], LinMap.identity(F3, 3))
     assert calls["invert"] == 1
+
+
+def test_invariant_buckets_keep_the_orbit_partition(inv_f2):
+    b, n = dual_numbers(F2), 2
+    morphisms = algebra_morphisms(inv_f2, matrix_algebra(b, n))
+    gl = [(g, invert(g)) for g in general_linear_group(F2, n)]
+    oracle = conjugation_orbits({rho.entries: rho for rho in morphisms},
+                                lambda rho: (gl_conjugate(rho, g, g_inv, 1, b.dim).entries
+                                             for g, g_inv in gl))
+    classes = [[matrix_morphism_from_measuring(m).entries for m in members]
+               for members in morphism_classes(inv_f2, b, n, morphisms)]
+    assert [frozenset(members) for members in classes] == oracle
+    # one bucket for all: every item is tested against every seed, in class order
+    measurings = [measuring_from_matrix_morphism(rho, inv_f2, b, n) for rho in morphisms]
+    unbucketed = isomorphism_classes(
+        measurings, lambda m1, m2: [iw.f for iw in intertwiners(m1, m2)], lambda m: None)
+    assert [[matrix_morphism_from_measuring(m).entries for m in members]
+            for members in unbucketed] == classes
+
+
+def test_sweedler_orbits_make_at_most_two_intertwiner_calls_per_morphism(monkeypatch):
+    import sweedler.measurings as measurings
+
+    calls = []
+
+    def counted(m1, m2):
+        calls.append((m1, m2))
+        return intertwiners(m1, m2)
+
+    monkeypatch.setattr(measurings, "intertwiners", counted)
+    a = sweedler_hopf(F3).algebra
+    report = enumerate_measurings(a, a, 1)
+    assert report.total_count == len(report.orbits) == 164
+    assert len(calls) <= 2 * report.total_count
 
 
 def test_cyclic_morphisms_enumerate_only_the_generator_image():

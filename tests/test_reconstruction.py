@@ -419,9 +419,9 @@ def test_each_projection_is_checked_once(monkeypatch, inv_f2, k_f2):
 
     calls = []
 
-    def counting(delta, c):
+    def counting(delta, c, *tables):
         calls.append(delta)
-        return validate_comodule(delta, c)
+        return validate_comodule(delta, c, *tables)
 
     monkeypatch.setattr(reconstruction, "validate_comodule", counting)
     empty = Measuring(inv_f2, k_f2, 0, LinMap.zero(F2, 0, 0))

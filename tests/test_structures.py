@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from sweedler.structures import (
     Coalgebra,
     HopfAlgebra,
     algebra_morphisms,
+    conjugation_invariant,
     convolution_algebra,
     coopposite,
     dual_algebra,
@@ -45,7 +48,7 @@ from sweedler.zoo import (
     sweedler_hopf,
 )
 
-from _oracles import conjugation_orbits, dense_chain, exhaustive_morphisms
+from _oracles import algebra_product, conjugation_orbits, dense_chain, exhaustive_morphisms
 
 F2 = GF(2)
 F3 = GF(3)
@@ -103,11 +106,11 @@ def test_matrix_algebra_of_size_one_is_the_base(k_f2):
 
 def test_matrix_units(m2_f2):
     # e01 at index 1, e10 at index 2; products by matrix-unit calculus
-    e01_e10 = m2_f2.product((0, 1, 0, 0), (0, 0, 1, 0))
+    e01_e10 = algebra_product(m2_f2, (0, 1, 0, 0), (0, 0, 1, 0))
     assert e01_e10 == (1, 0, 0, 0)  # e00
-    e01_e01 = m2_f2.product((0, 1, 0, 0), (0, 1, 0, 0))
+    e01_e01 = algebra_product(m2_f2, (0, 1, 0, 0), (0, 1, 0, 0))
     assert e01_e01 == (0, 0, 0, 0)
-    e00_e01 = m2_f2.product((1, 0, 0, 0), (0, 1, 0, 0))
+    e00_e01 = algebra_product(m2_f2, (1, 0, 0, 0), (0, 1, 0, 0))
     assert e00_e01 == (0, 1, 0, 0)
 
 
@@ -191,7 +194,7 @@ def test_opposite_of_commutative_is_itself(q_c2):
 def test_opposite_matrix_units(m2_f2):
     op = opposite(m2_f2)
     # in the opposite algebra e01 . e00 = e00 . e01 evaluated backwards = e01
-    assert op.product((0, 1, 0, 0), (1, 0, 0, 0)) == (0, 1, 0, 0)
+    assert algebra_product(op, (0, 1, 0, 0), (1, 0, 0, 0)) == (0, 1, 0, 0)
     assert validate_algebra(op).ok
 
 
@@ -459,6 +462,52 @@ def test_involutions_over_f3_match_brute_force():
     assert len(found) == oracle == 14
 
 
+def _f2_3x3_product(m, n):
+    return tuple(sum(m[3 * r + t] * n[3 * t + c] for t in range(3)) % 2
+                 for r in range(3) for c in range(3))
+
+
+def test_involutions_of_m3_over_dual_numbers_match_the_kernel_count(inv_f2):
+    # g -> X + yY squares to 1 exactly when X^2 = 1 and XY + YX = 0, so there
+    # are |ker(Y -> XY + YX)| = 2^dim ker morphisms for each involution X
+    ident = (1, 0, 0, 0, 1, 0, 0, 0, 1)
+    cubes = list(itertools.product(range(2), repeat=9))
+    involutions = [x for x in cubes if _f2_3x3_product(x, x) == ident]
+    oracle = sum(1 for x in involutions for y in cubes
+                 if _f2_3x3_product(x, y) == _f2_3x3_product(y, x))
+    start = time.perf_counter()
+    found = algebra_morphisms(inv_f2, matrix_algebra(dual_numbers(F2), 3))
+    assert time.perf_counter() - start < 1
+    assert len(found) == oracle == 1184
+
+
+def test_involutions_of_m3_over_f3_match_brute_force():
+    found = algebra_morphisms(cyclic_group_hopf(F3, 2).algebra,
+                              matrix_algebra(trivial_algebra(F3), 3))
+    ident = (1, 0, 0, 0, 1, 0, 0, 0, 1)
+    oracle = sum(1 for x in itertools.product(range(3), repeat=9)
+                 if tuple(sum(x[3 * r + t] * x[3 * t + c] for t in range(3)) % 3
+                          for r in range(3) for c in range(3)) == ident)
+    assert len(found) == oracle == 236
+
+
+@pytest.mark.parametrize("k", [F2, F3], ids=["F2", "F3"])
+def test_conjugation_invariant_is_unchanged_by_conjugation(k):
+    rng = random.Random(7)
+    for n in (1, 2, 3):
+        for _ in range(20):
+            mats = [LinMap.make(k, n, n, [rng.randrange(k.char) for _ in range(n * n)])
+                    for _ in range(3)]
+            g = LinMap.make(k, n, n, [rng.randrange(k.char) for _ in range(n * n)])
+            if rank(g) < n:
+                continue
+            conjugated = [compose(compose(g, m), invert(g)) for m in mats]
+            assert conjugation_invariant(conjugated) == conjugation_invariant(mats)
+    # rank(m - c) for c = 0, 1, 2: a nilpotent and an involution of F_3^2
+    assert conjugation_invariant([LinMap.make(F3, 2, 2, [0, 1, 0, 0]),
+                                  LinMap.make(F3, 2, 2, [1, 0, 0, 2])]) == (1, 2, 2, 2, 1, 1)
+
+
 def test_conjugation_orbits_are_seeded_from_the_smallest_key():
     items = {key: key for key in (5, 0, 4, 1, 3, 2)}
     orbits = conjugation_orbits(items, lambda v: (v % 3, v % 3 + 3))
@@ -485,7 +534,10 @@ _GRADED = [(_LINE_F2, graded_dual_numbers(F2, 1)),
     (_SWEEDLER_F3, trivial_algebra(F3), frozenset()),
     # the g^2-coordinate of the image of g^2, which is not a generator
     (cyclic_group_hopf(F2, 3).algebra, cyclic_group_hopf(F2, 3).algebra, frozenset({2 * 3 + 2})),
-], ids=["F2C3-M2F2", "M2F2-F2", "sweedler-F3", "F2C3-F2C3-pinned"])
+    # the e00-coordinate of the image of the generator g, which the relation
+    # g^2 . g = 1 reads next to g^2, a word of the same stage
+    (cyclic_group_hopf(F2, 3).algebra, _M2_F2, frozenset({0 * 3 + 1})),
+], ids=["F2C3-M2F2", "M2F2-F2", "sweedler-F3", "F2C3-F2C3-pinned", "F2C3-M2F2-pinned"])
 def test_morphisms_match_the_exhaustive_oracle(a, b, pins):
     found = algebra_morphisms(a, b, zero_coords=pins)
     assert found == exhaustive_morphisms(a, b, pins)

@@ -16,7 +16,7 @@ from sweedler.tambara import (
 )
 from sweedler.zoo import cyclic_group_hopf, dual_numbers
 
-from _oracles import conjugation_partition
+from _oracles import algebra_product, conjugation_partition
 
 F2 = GF(2)
 
@@ -57,7 +57,7 @@ def test_one_dimensional_modules_match_algebra_morphisms(inv_f2):
     modules = tambara_modules(p, 1)
     # oracle: morphisms B -> M_1(A) = A send y to a square-zero element
     squares_to_zero = [v for v in itertools.product(range(2), repeat=2)
-                       if inv_f2.product(v, v) == (0, 0)]
+                       if algebra_product(inv_f2, v, v) == (0, 0)]
     assert len(modules) == len(squares_to_zero) == 2
     assert len(algebra_morphisms(b, matrix_algebra(inv_f2, 1))) == 2
 
