@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import FieldMismatch, ParseError, UnsupportedField
 
@@ -47,6 +48,23 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+@cache
+def primitive_root(p: int) -> int:
+    """The least generator of the multiplicative group of F_p, for a prime p.
+    The prime factors of p - 1 come by trial division, so a large p costs
+    up to sqrt(p) steps: ask only when the root is needed."""
+    factors, m, d = [], p - 1, 2
+    while d * d <= m:
+        if m % d == 0:
+            factors.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        factors.append(m)
+    return next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ For X = k^n they are the same thing as algebra morphisms A -> M_n(B), and the
 isomorphism classes of n-dimensional ones are the GL_n(k)-conjugation orbits
 of those morphisms.  Both directions of the bijection are implemented here,
 together with intertwiners, enumeration, tensor products and composition.
-Orbits are found without the group: two measurings lie in one orbit exactly
-when an invertible intertwiner joins them
-(:func:`~sweedler.structures.isomorphism_classes`).
+Orbits are found without listing the group: the blocks of each measuring are
+closed under the moves of a generating set of GL_n(k)
+(:func:`~sweedler.structures.conjugation_classes`).
 """
 
 from __future__ import annotations
@@ -43,10 +43,9 @@ from .structures import (
     ValidationReport,
     _failures,
     algebra_morphisms,
-    conjugation_invariant,
+    conjugation_classes,
     is_algebra_morphism,
     is_commutative,
-    isomorphism_classes,
     matrix_algebra,
     trivial_algebra,
 )
@@ -158,7 +157,7 @@ def enumerate_measurings(a: Algebra, b: Algebra, n: int,
 
     Enumeration runs over algebra morphisms A -> M_n(B) (the measuring axioms
     are equivalent to these, and the space is smaller than raw psi maps).
-    Orbits are isomorphism classes, found by :func:`morphism_classes`.
+    Orbits are conjugation orbits, found by :func:`morphism_classes`.
     Representatives are the lexicographically smallest flattened psi entries.
     """
     if n < 0:
@@ -168,26 +167,22 @@ def enumerate_measurings(a: Algebra, b: Algebra, n: int,
         return OrbitReport(1, ((empty, 1),))
     morphisms = algebra_morphisms(a, matrix_algebra(b, n), budget=budget)
     orbits = [(min(members, key=lambda m: m.psi.entries), len(members))
-              for members in morphism_classes(a, b, n, morphisms, budget)]
+              for members in morphism_classes(a, b, n, morphisms)]
     orbits.sort(key=lambda pair: pair[0].psi.entries)
     return OrbitReport(len(morphisms), tuple(orbits))
 
 
-def morphism_classes(a: Algebra, b: Algebra, n: int, morphisms: list[LinMap],
-                     budget: int = DEFAULT_BUDGET) -> list[list[Measuring]]:
+def morphism_classes(a: Algebra, b: Algebra, n: int,
+                     morphisms: list[LinMap]) -> list[list[Measuring]]:
     """The measurings of algebra morphisms A -> M_n(B) that an enumeration
-    proved, unpacked without a second check, in isomorphism classes: joined
-    by an invertible intertwiner, each class seeded by its first member."""
+    proved, unpacked without a second check, in conjugation orbits: the
+    morphisms must be all of them, and each class is listed in their order."""
     measurings = [Measuring(a, b, n, _psi_of(rho, a.dim, b.dim, n)) for rho in morphisms]
-
-    def invariant(m: Measuring) -> tuple:
-        # the n x n blocks M_{t,q}[i, j] = psi[(i, q), (t, j)], each conjugated by g
-        stacked = permute_axes(m.psi, (n, b.dim, a.dim, n), (2, 1, 0, 3), 3).entries
-        return conjugation_invariant([LinMap(a.field, n, n, stacked[s * n * n:(s + 1) * n * n])
-                                      for s in range(a.dim * b.dim)])
-
-    return isomorphism_classes(
-        measurings, lambda m1, m2: [iw.f for iw in intertwiners(m1, m2)], invariant, budget)
+    # the n x n blocks M_{t,q}[i, j] = psi[(i, q), (t, j)], each conjugated by g
+    blocks = [permute_axes(m.psi, (n, b.dim, a.dim, n), (2, 1, 0, 3), 3).entries
+              for m in measurings]
+    return [[measurings[i] for i in members]
+            for members in conjugation_classes(a.field, n, blocks)]
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ slot kernel; a plain swap next to a single map is a reordering of its axes
 
 Over a prime field, algebra morphisms are enumerated through generators,
 one image coordinate at a time, each branch ending at its first failing
-relation among words.  Representations (morphisms into M_n(B), modules) with
-one conjugation invariant are isomorphic when a Hom space between them holds
-an invertible map; GL_n(k) is never listed.
+relation among words.  The isomorphism classes of representations
+(morphisms into M_n(B), modules) are their GL_n(k)-conjugation orbits, each
+closed under a fixed generating set of the group; GL_n(k) is never listed.
 """
 
 from __future__ import annotations
@@ -44,9 +44,10 @@ from .errors import (
     InvalidBialgebra,
     InvalidHopf,
     NotAGroup,
+    PreconditionViolated,
     UnsupportedField,
 )
-from .fields import Field, same_field
+from .fields import Field, primitive_root, same_field
 from .linalg import (
     _BLOCK,
     Factor,
@@ -814,62 +815,70 @@ def general_linear_group(field: Field, n: int, budget: int = DEFAULT_BUDGET) -> 
     return out
 
 
-def isomorphism_classes(items: Sequence, hom, invariant,
-                        budget: int = DEFAULT_BUDGET) -> list[list]:
-    """Partition ``items`` into isomorphism classes, each seeded by its first member.
+def gl_generators(p: int, n: int, scaling: bool = True) -> list[tuple[int, int, int]]:
+    """Generators of GL_n(F_p) as moves (i, j, c): the transvection 1 + c E_ij
+    when i != j, and diag(c, 1, ..., 1) when i = j = 0.  The transvections
+    1 + E_ij generate SL_n(F_p); for p > 2, diag(w, 1, ..., 1) with w a
+    primitive root adds every determinant, unless ``scaling`` is off."""
+    moves = [(i, j, 1) for i in range(n) for j in range(n) if i != j]
+    if scaling and p > 2 and n > 0:
+        moves.append((0, 0, primitive_root(p)))
+    return moves
 
-    ``hom(x, y)`` is a basis of the n x n matrices T with T x = y T, such as
-    the intertwiners of two measurings or of two modules, and isomorphic
-    items have equal ``invariant(x)``, such as :func:`conjugation_invariant`.
-    An item joins the first class, among those whose seed has its invariant,
-    whose seed it is isomorphic to: Hom(seed, item) has the dimension of
-    End(seed), and its span, walked lexicographically, holds an invertible T.
-    Each walk counts p^dim Hom candidates against the budget.  Items in
-    sorted order make each seed the smallest member of its class; no group
-    is listed and nothing is inverted.
+
+def conjugation_classes(field: Field, n: int, items: Sequence[tuple]) -> list[list[int]]:
+    """Partition ``items``, each a tuple of n x n blocks concatenated row-major,
+    into orbits under m -> g m g^-1 on every block, g in GL_n(F_p): lists of
+    item indices in item order, listed in the order of their first members.
+
+    Each item not yet placed is closed under the moves of :func:`gl_generators`,
+    one row and one column operation per block; in a finite group that is the
+    whole orbit, so a conjugate missing from the items raises
+    PreconditionViolated.  The primitive root is found only for an item that
+    diag(w, 1, ..., 1) moves.
     """
-    classes = []
-    buckets: dict = {}  # invariant -> [(seed, dim End(seed), members)] in class order
-    for item in items:
-        bucket = buckets.setdefault(invariant(item), [])
-        for seed, end_dim, members in bucket:
-            basis = hom(seed, item)
-            # only a 0-dimensional seed has End(seed) = 0, and 0-dim items are isomorphic
-            if len(basis) == end_dim and (end_dim == 0 or _spans_invertible(basis, budget)):
-                members.append(item)
-                break
-        else:
-            classes.append([item])
-            bucket.append((item, len(hom(item, item)), classes[-1]))
+    if field.is_rational:
+        raise UnsupportedField("conjugation orbits need a finite field")
+    p, size = field.char, n * n
+    transvections = gl_generators(p, n, scaling=False)
+    index = {item: i for i, item in enumerate(items)}
+    label: list[int | None] = [None] * len(items)  # the class of each indexed item
+    classes: list[list[int]] = []
+    for i, item in enumerate(items):
+        seed = index[item]
+        if label[seed] is None:
+            label[seed] = len(classes)
+            classes.append([])
+            stack = [item]
+            while stack:
+                m = stack.pop()
+                # diag(w, 1, ..., 1) scales the off-diagonal entries of row 0
+                # and column 0, and fixes a block without them
+                scaled = p > 2 and n > 1 and any(m[b + c] or m[b + c * n]
+                                                 for b in range(0, len(m), size)
+                                                 for c in range(1, n))
+                for move in gl_generators(p, n) if scaled else transvections:
+                    at = index.get(_conjugated(m, n, p, move))
+                    if at is None:
+                        raise PreconditionViolated("the items are not closed under conjugation")
+                    if label[at] is None:
+                        label[at] = label[seed]
+                        stack.append(items[at])
+        classes[label[seed]].append(i)
     return classes
 
 
-def conjugation_invariant(mats: Sequence[LinMap]) -> tuple:
-    """rank(m - c.1) for each n x n matrix m and each scalar c of a prime
-    field, in order: unchanged when every m becomes g m g^-1."""
-    out = []
-    for m in mats:
-        k, n = m.field, m.cod
-        for c in k.elements():
-            shifted = [[k.sub(x, c) if i == j else x for j, x in enumerate(m.row_at(i))]
-                       for i in range(n)]
-            out.append(len(_reduce(k, shifted, n)))
+def _conjugated(item: tuple, n: int, p: int, move: tuple[int, int, int]) -> tuple:
+    """g m g^-1 for every n x n block m of ``item``, with g = 1 + a E_ij the
+    generator ``move`` and g^-1 = 1 + b E_ij: row i += a row j, then
+    column j += b column i."""
+    i, j, c = move
+    a, b = (c, -c) if i != j else (c - 1, pow(c, p - 2, p) - 1)
+    out = list(item)
+    for start in range(0, len(out), n * n):
+        row = start + i * n
+        for x in range(row, row + n):
+            out[x] = (out[x] + a * out[x + (j - i) * n]) % p
+        for x in range(start + j, start + n * n, n):
+            out[x] = (out[x] + b * out[x + i - j]) % p
     return tuple(out)
-
-
-def _spans_invertible(basis: Sequence[LinMap], budget: int) -> bool:
-    """Whether the span of a nonempty basis of n x n maps holds an invertible map."""
-    field = basis[0].field
-    n = basis[0].cod
-    p = field.char
-    for coeffs in _vectors(field, len(basis), budget):
-        if not any(coeffs):
-            continue
-        acc = [0] * (n * n)
-        for c, t in zip(coeffs, basis):
-            if c:
-                for i, x in enumerate(t.entries):
-                    acc[i] += c * x
-        if is_invertible(LinMap(field, n, n, tuple(x % p for x in acc))):
-            return True
-    return False

@@ -20,8 +20,7 @@ from .structures import (
     DEFAULT_BUDGET,
     Algebra,
     algebra_morphisms,
-    conjugation_invariant,
-    isomorphism_classes,
+    conjugation_classes,
     matrix_algebra,
 )
 
@@ -187,19 +186,19 @@ def tambara_modules(p: PresentedAlgebra, n: int,
     return found
 
 
-def module_orbits(p: PresentedAlgebra, modules: list[tuple[LinMap, ...]], n: int,
-                  budget: int = DEFAULT_BUDGET) -> list[tuple[tuple[LinMap, ...], int]]:
+def module_orbits(p: PresentedAlgebra, modules: list[tuple[LinMap, ...]],
+                  n: int) -> list[tuple[tuple[LinMap, ...], int]]:
     """GL_n(k)-conjugation orbits of modules, lexicographically smallest first."""
-    return [(members[0], len(members)) for members in _module_classes(p, modules, n, budget)]
+    return [(members[0], len(members)) for members in _module_classes(p, modules, n)]
 
 
-def _module_classes(p: PresentedAlgebra, modules: list[tuple[LinMap, ...]], n: int,
-                    budget: int) -> list[list[tuple[LinMap, ...]]]:
-    """Isomorphism classes of modules, in the order of their smallest members
-    (generator matrices stacked in one column), each listed smallest first."""
-    return isomorphism_classes(sorted(modules, key=_stacked_entries),
-                               lambda m1, m2: module_intertwiners(m1, m2, p.field, n),
-                               conjugation_invariant, budget)
+def _module_classes(p: PresentedAlgebra, modules: list[tuple[LinMap, ...]],
+                    n: int) -> list[list[tuple[LinMap, ...]]]:
+    """Conjugation orbits of all the modules, in the order of their smallest
+    members (generator matrices stacked in one column), each listed smallest first."""
+    ordered = sorted(modules, key=_stacked_entries)
+    return [[ordered[i] for i in members] for members in
+            conjugation_classes(p.field, n, [_stacked_entries(mats) for mats in ordered])]
 
 
 def _stacked_entries(mats: tuple[LinMap, ...]) -> tuple:
@@ -276,9 +275,9 @@ def correspondence_check(a: Algebra, b: Algebra, n: int,
     matched = sorted(translate.values()) == sorted(rho.entries for rho in morphisms)
 
     module_partition = [frozenset(translate[_stacked_entries(mats)] for mats in members)
-                        for members in _module_classes(p, modules, n, budget)]
+                        for members in _module_classes(p, modules, n)]
     morphism_partition = [frozenset(matrix_morphism_from_measuring(mu).entries for mu in members)
-                          for members in morphism_classes(b, a, n, morphisms, budget)]
+                          for members in morphism_classes(b, a, n, morphisms)]
     orbits_matched = set(module_partition) == set(morphism_partition)
 
     # intertwiners transport: the same T solves both sides, in the same basis;

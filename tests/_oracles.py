@@ -6,6 +6,7 @@ do their arithmetic inline.
 """
 
 import itertools
+from collections.abc import Sequence
 from itertools import compress
 
 from sweedler.errors import DimensionMismatch, InducedStructureIllDefined
@@ -13,15 +14,23 @@ from sweedler.fields import same_field
 from sweedler.linalg import (
     LinMap,
     _nonzeros_by,
+    _reduce,
     composite,
     invert,
+    is_invertible,
     kernel_basis,
     permute_axes,
     rref,
     solve,
 )
-from sweedler.measurings import enumerate_measurings, intertwiners
-from sweedler.structures import Coalgebra, general_linear_group, is_algebra_morphism
+from sweedler.measurings import enumerate_measurings, intertwiners, measuring_from_matrix_morphism
+from sweedler.structures import (
+    DEFAULT_BUDGET,
+    Coalgebra,
+    _vectors,
+    general_linear_group,
+    is_algebra_morphism,
+)
 
 
 def classifying_iso_to_dual(g):
@@ -357,6 +366,71 @@ def gl_order(p, n):
     return out
 
 
+# The Hom-walk orbit routine the library once used: an item joins a class
+# when a Hom space from the seed holds an invertible map.
+
+
+def isomorphism_classes(items: Sequence, hom, invariant,
+                        budget: int = DEFAULT_BUDGET) -> list[list]:
+    """Partition ``items`` into isomorphism classes, each seeded by its first member.
+
+    ``hom(x, y)`` is a basis of the n x n matrices T with T x = y T, such as
+    the intertwiners of two measurings or of two modules, and isomorphic
+    items have equal ``invariant(x)``, such as :func:`conjugation_invariant`.
+    An item joins the first class, among those whose seed has its invariant,
+    whose seed it is isomorphic to: Hom(seed, item) has the dimension of
+    End(seed), and its span, walked lexicographically, holds an invertible T.
+    Each walk counts p^dim Hom candidates against the budget.  Items in
+    sorted order make each seed the smallest member of its class; no group
+    is listed and nothing is inverted.
+    """
+    classes = []
+    buckets: dict = {}  # invariant -> [(seed, dim End(seed), members)] in class order
+    for item in items:
+        bucket = buckets.setdefault(invariant(item), [])
+        for seed, end_dim, members in bucket:
+            basis = hom(seed, item)
+            # only a 0-dimensional seed has End(seed) = 0, and 0-dim items are isomorphic
+            if len(basis) == end_dim and (end_dim == 0 or _spans_invertible(basis, budget)):
+                members.append(item)
+                break
+        else:
+            classes.append([item])
+            bucket.append((item, len(hom(item, item)), classes[-1]))
+    return classes
+
+
+def conjugation_invariant(mats: Sequence[LinMap]) -> tuple:
+    """rank(m - c.1) for each n x n matrix m and each scalar c of a prime
+    field, in order: unchanged when every m becomes g m g^-1."""
+    out = []
+    for m in mats:
+        k, n = m.field, m.cod
+        for c in k.elements():
+            shifted = [[k.sub(x, c) if i == j else x for j, x in enumerate(m.row_at(i))]
+                       for i in range(n)]
+            out.append(len(_reduce(k, shifted, n)))
+    return tuple(out)
+
+
+def _spans_invertible(basis: Sequence[LinMap], budget: int) -> bool:
+    """Whether the span of a nonempty basis of n x n maps holds an invertible map."""
+    field = basis[0].field
+    n = basis[0].cod
+    p = field.char
+    for coeffs in _vectors(field, len(basis), budget):
+        if not any(coeffs):
+            continue
+        acc = [0] * (n * n)
+        for c, t in zip(coeffs, basis):
+            if c:
+                for i, x in enumerate(t.entries):
+                    acc[i] += c * x
+        if is_invertible(LinMap(field, n, n, tuple(x % p for x in acc))):
+            return True
+    return False
+
+
 def dense_reconstruct(measurings, morphisms, a, b):
     """The coend stage by dense direct sums, as ``reconstruct`` once built it.
 
@@ -581,3 +655,18 @@ def dense_measuring_failures(m):
     _dense_check(failures, "measuring unit", compose_slot(m.psi, m.a.unit, 1, x, after=False),
                  dense_kron(LinMap.identity(k, x), m.b.unit), (x,))
     return failures
+
+
+def hom_walk_morphism_classes(a, b, n, morphisms):
+    """The classes of morphisms A -> M_n(B) as measurings, by the Hom-walk
+    routine: items bucketed by the conjugation invariant of their n x n
+    blocks M_{t,q}[i, j] = psi[(i, q), (t, j)]."""
+    measurings = [measuring_from_matrix_morphism(rho, a, b, n) for rho in morphisms]
+
+    def invariant(m):
+        stacked = permute_axes(m.psi, (n, b.dim, a.dim, n), (2, 1, 0, 3), 3).entries
+        return conjugation_invariant([LinMap(a.field, n, n, stacked[s * n * n:(s + 1) * n * n])
+                                      for s in range(a.dim * b.dim)])
+
+    return isomorphism_classes(
+        measurings, lambda m1, m2: [iw.f for iw in intertwiners(m1, m2)], invariant)

@@ -445,6 +445,26 @@ def test_regular_stage_of_q_c16_is_built_within_256_mib(tmp_path):
     assert len(report["projections"]) == 1
 
 
+@pytest.mark.parametrize("argv", [["enumerate-measurings", "k.json", "k.json", "1"],
+                                  ["enumerate-measurings", "k.json", "k.json", "2"],
+                                  ["tambara-check", "k.json", "k.json", "--n", "1"]])
+def test_census_over_a_large_prime_does_no_work_per_scalar(tmp_path, argv):
+    # conjugation fixes the unit in M_n(k): no move may cost p or sqrt(p) steps
+    (tmp_path / "k.json").write_text(json.dumps(
+        {"field": "F1000000000000000000000007", "dim": 1, "basis": ["1"], "unit": ["1"],
+         "mult": []}, indent=2) + "\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "sweedler", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    if argv[0] == "tambara-check":
+        assert (result["module_count"], result["module_orbit_sizes"]) == (1, [1])
+        assert (result["morphism_count"], result["morphism_orbit_sizes"]) == (1, [1])
+    else:
+        assert (result["total"], result["orbit_count"]) == (1, 1)
+
+
 def test_huge_prime_field_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"field": "F1000000000000000000000000000057", "dim": 1,

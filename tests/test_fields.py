@@ -6,13 +6,29 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sweedler.errors import ParseError, UnsupportedField
-from sweedler.fields import PRIME_BOUND, GF, QQ, Field, is_prime, parse_field, same_field
+from sweedler.fields import (
+    PRIME_BOUND,
+    GF,
+    QQ,
+    Field,
+    is_prime,
+    parse_field,
+    primitive_root,
+    same_field,
+)
 
 
 def test_prime_check():
     assert [p for p in range(30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     with pytest.raises(ValueError):
         Field(6)
+
+
+def test_primitive_root_is_the_least_element_of_order_p_minus_1():
+    for p in range(2, 200):
+        if is_prime(p):
+            orders = {g: next(e for e in range(1, p) if pow(g, e, p) == 1) for g in range(1, p)}
+            assert primitive_root(p) == min(g for g, order in orders.items() if order == p - 1)
 
 
 def _trial_division(n):

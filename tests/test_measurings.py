@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from sweedler.errors import IncompatibleMeasurings, NotCommutative
+from sweedler.errors import IncompatibleMeasurings, NotCommutative, PreconditionViolated
 from sweedler.fields import GF, QQ
 from sweedler.linalg import LinMap, compose, invert, kron
 from sweedler.measurings import (
@@ -28,7 +28,6 @@ from sweedler.measurings import (
 from sweedler.structures import (
     algebra_morphisms,
     general_linear_group,
-    isomorphism_classes,
     matrix_algebra,
     trivial_algebra,
 )
@@ -41,7 +40,9 @@ from _oracles import (
     exhaustive_morphisms,
     gl_conjugate,
     gl_order,
+    hom_walk_morphism_classes,
     is_simple,
+    isomorphism_classes,
 )
 
 F2 = GF(2)
@@ -303,7 +304,49 @@ def test_sweedler_orbits_make_at_most_two_intertwiner_calls_per_morphism(monkeyp
     a = sweedler_hopf(F3).algebra
     report = enumerate_measurings(a, a, 1)
     assert report.total_count == len(report.orbits) == 164
-    assert len(calls) <= 2 * report.total_count
+    # conjugation fixes 1 x 1 blocks: the orbits need no intertwiner at all
+    assert calls == []
+
+
+@pytest.mark.parametrize("a,b,n", CENSUS + [
+    pytest.param(involution_algebra(F2), dual_numbers(F2), 3, id="F2C2-F2y-n3"),
+    # a nonzero nilpotent's SL_n(F_3)-orbit is half its GL_n(F_3)-orbit
+    *(pytest.param(dual_numbers(F3), trivial_algebra(F3), n, id=f"F3y-F3-n{n}") for n in (2, 3))])
+def test_conjugation_classes_match_the_hom_walk_oracle(a, b, n):
+    morphisms = algebra_morphisms(a, matrix_algebra(b, n))
+    classes = [[m.psi for m in members] for members in morphism_classes(a, b, n, morphisms)]
+    assert classes == [[m.psi for m in members]
+                       for members in hom_walk_morphism_classes(a, b, n, morphisms)]
+    if n == 3 and b.dim == 2:
+        assert (len(morphisms), len(classes)) == (1184, 28)
+
+
+def test_a_missing_conjugate_is_a_precondition_violation():
+    a, b, n = cyclic_group_hopf(F3, 2).algebra, trivial_algebra(F3), 2
+    morphisms = algebra_morphisms(a, matrix_algebra(b, n))
+    classes = morphism_classes(a, b, n, morphisms)
+    assert any(len(members) > 1 for members in classes)
+    for members in classes:
+        if len(members) > 1:
+            dropped = matrix_morphism_from_measuring(members[-1])
+            with pytest.raises(PreconditionViolated):
+                morphism_classes(a, b, n, [rho for rho in morphisms if rho != dropped])
+
+
+def test_census_orbits_solve_no_matrix_equation(monkeypatch):
+    calls = []
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "sweedler" and hasattr(module, "matrix_equation_kernel"):
+            def counted(*args, original=module.matrix_equation_kernel, **kwargs):
+                calls.append(args)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, "matrix_equation_kernel", counted)
+    report = enumerate_measurings(cyclic_group_hopf(F3, 2).algebra, trivial_algebra(F3), 3)
+    assert report.total_count == 236
+    assert calls == []
+    # the counters see calls made through the library
+    intertwiners(report.orbits[0][0], report.orbits[0][0])
+    assert len(calls) == 1
 
 
 def test_cyclic_morphisms_enumerate_only_the_generator_image():

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sweedler.cli import main
-from sweedler.errors import BudgetExceeded, InvalidBialgebra, NotAGroup, UnsupportedField
+from sweedler.errors import (
+    BudgetExceeded,
+    InvalidBialgebra,
+    NotAGroup,
+    PreconditionViolated,
+    UnsupportedField,
+)
 from sweedler.fields import GF, QQ
 from sweedler.linalg import LinMap, compose, invert, rank
 from sweedler.structures import (
@@ -16,8 +22,9 @@ from sweedler.structures import (
     Bialgebra,
     Coalgebra,
     HopfAlgebra,
+    _conjugated,
     algebra_morphisms,
-    conjugation_invariant,
+    conjugation_classes,
     convolution_algebra,
     coopposite,
     dual_algebra,
@@ -26,6 +33,7 @@ from sweedler.structures import (
     find_antipode,
     find_opantipode,
     fusion_operators,
+    gl_generators,
     group_algebra,
     grouplikes,
     is_algebra_morphism,
@@ -48,7 +56,14 @@ from sweedler.zoo import (
     sweedler_hopf,
 )
 
-from _oracles import algebra_product, conjugation_orbits, dense_chain, exhaustive_morphisms
+from _oracles import (
+    algebra_product,
+    conjugation_invariant,
+    conjugation_orbits,
+    dense_chain,
+    exhaustive_morphisms,
+    gl_order,
+)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -512,6 +527,53 @@ def test_conjugation_orbits_are_seeded_from_the_smallest_key():
     items = {key: key for key in (5, 0, 4, 1, 3, 2)}
     orbits = conjugation_orbits(items, lambda v: (v % 3, v % 3 + 3))
     assert orbits == [frozenset({0, 3}), frozenset({1, 4}), frozenset({2, 5})]
+
+
+def _generator_matrix(p, n, move):
+    """The matrix of a move (i, j, c): 1 + c E_ij, or diag(c, 1, ..., 1) at i = j = 0."""
+    i, j, c = move
+    entries = [int(r == s) for r in range(n) for s in range(n)]
+    entries[i * n + j] = c
+    return LinMap.make(GF(p), n, n, entries)
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2)])
+def test_gl_generators_reach_the_whole_group_from_the_identity(p, n):
+    gens = [_generator_matrix(p, n, move).entries for move in gl_generators(p, n)]
+    identity = tuple(int(r == s) for r in range(n) for s in range(n))
+    seen, stack = {identity}, [identity]
+    while stack:
+        m = stack.pop()
+        for g in gens:
+            gm = tuple(sum(g[r * n + t] * m[t * n + s] for t in range(n)) % p
+                       for r in range(n) for s in range(n))
+            if gm not in seen:
+                seen.add(gm)
+                stack.append(gm)
+    assert len(seen) == gl_order(p, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_move_conjugates_every_block(p):
+    rng = random.Random(p)
+    for n in (1, 2, 3):
+        for move in gl_generators(p, n):
+            g = _generator_matrix(p, n, move)
+            blocks = [LinMap.make(GF(p), n, n, [rng.randrange(p) for _ in range(n * n)])
+                      for _ in range(3)]
+            item = tuple(x for m in blocks for x in m.entries)
+            assert _conjugated(item, n, p, move) == tuple(
+                x for m in blocks for x in compose(compose(g, m), invert(g)).entries)
+
+
+def test_conjugation_classes_list_indices_by_first_member():
+    # the three 2 x 2 nilpotents of rank 1 over F_2, the identity and zero
+    items = [(0, 1, 0, 0), (1, 0, 0, 1), (1, 1, 1, 1), (0, 0, 0, 0), (0, 0, 1, 0)]
+    assert conjugation_classes(F2, 2, items) == [[0, 2, 4], [1], [3]]
+    with pytest.raises(PreconditionViolated):
+        conjugation_classes(F2, 2, items[:4])
+    with pytest.raises(UnsupportedField):
+        conjugation_classes(QQ, 2, items)
 
 
 def _graded_pins(a, b):

@@ -8,7 +8,10 @@ from sweedler.linalg import LinMap, compose
 from sweedler.structures import Algebra, algebra_morphisms, matrix_algebra, trivial_algebra
 from sweedler.measurings import matrix_morphism_from_measuring, measuring_from_matrix_morphism
 from sweedler.tambara import (
+    _module_classes,
+    _stacked_entries,
     correspondence_check,
+    module_intertwiners,
     module_orbits,
     module_to_matrix_morphism,
     tambara_modules,
@@ -16,7 +19,12 @@ from sweedler.tambara import (
 )
 from sweedler.zoo import cyclic_group_hopf, dual_numbers
 
-from _oracles import algebra_product, conjugation_partition
+from _oracles import (
+    algebra_product,
+    conjugation_invariant,
+    conjugation_partition,
+    isomorphism_classes,
+)
 
 F2 = GF(2)
 
@@ -150,3 +158,17 @@ def test_correspondence_when_the_unit_has_two_coordinates(a, n):
                 unit=LinMap.column(f3, [1, 1]))
     report = correspondence_check(a, b, n)
     assert report.ok and report.module_count == report.morphism_count > 1
+
+
+@pytest.mark.parametrize("source,target,n", [
+    ("inv", "dualnum", 0), ("inv", "dualnum", 1), ("inv", "dualnum", 2),
+    ("k", "dualnum", 2), ("k", "c2", 2)])
+def test_module_classes_match_the_hom_walk_oracle(inv_f2, source, target, n):
+    algebras = {"inv": inv_f2, "k": trivial_algebra(F2), "dualnum": dual_numbers(F2),
+                "c2": cyclic_group_hopf(F2, 2).algebra}
+    p = tambara_presentation(algebras[source], algebras[target])
+    modules = tambara_modules(p, n)
+    oracle = isomorphism_classes(sorted(modules, key=_stacked_entries),
+                                 lambda m1, m2: module_intertwiners(m1, m2, F2, n),
+                                 conjugation_invariant)
+    assert _module_classes(p, modules, n) == oracle
