@@ -24,8 +24,7 @@ from pathlib import Path
 from sweedler.cli import main
 from sweedler.documents import algebra_of, coalgebra_of, parse_document
 from sweedler.errors import SweedlerError
-from sweedler.graded import GradedAlgebra, GradedBialgebra, GradedHopf
-from sweedler.structures import Bialgebra, HopfAlgebra
+from sweedler.graded import parts
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = "tests/fixtures"
@@ -65,10 +64,8 @@ def cases() -> list[list[str]]:
     field = {n: str(d.field) for n, d in docs.items()}
     algebras = [n for n, d in docs.items() if algebra_of(d) is not None]
     coalgebras = [n for n, d in docs.items() if coalgebra_of(d) is not None]
-    bialgebras = [n for n, d in docs.items()
-                  if isinstance(d.value, (Bialgebra, HopfAlgebra, GradedBialgebra, GradedHopf))]
-    graded_algebras = [n for n, d in docs.items()
-                       if isinstance(d.value, (GradedAlgebra, GradedBialgebra, GradedHopf))]
+    bialgebras = [n for n in algebras if coalgebra_of(docs[n]) is not None]
+    graded_algebras = [n for n in algebras if parts(docs[n].value)[3] is not None]
     finite = lambda n: field[n] != "Q"
     small = lambda n: docs[n].dim <= 2
 

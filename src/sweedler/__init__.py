@@ -50,10 +50,7 @@ from .reconstruction import (
     reconstruct,
 )
 from .graded import (
-    GradedAlgebra,
-    GradedBialgebra,
-    GradedCoalgebra,
-    GradedHopf,
+    Graded,
     GradedSpace,
     degree0_part,
     graded_algebra_morphisms,

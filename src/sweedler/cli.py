@@ -97,10 +97,6 @@ def _matrix(f: LinMap) -> list[list[str]]:
     return [docs.show_vector(f.field, f.row_at(r)) for r in range(f.cod)]
 
 
-def _vector(field, vec) -> list[str]:
-    return docs.show_vector(field, vec)
-
-
 def _kind(value) -> str:
     algebra, coalgebra, antipode, space = parts(value)
     kind = ("coalgebra" if algebra is None else "algebra" if coalgebra is None
@@ -188,7 +184,7 @@ def cmd_grouplikes(args):
         raise ValidationError("input needs a coalgebra part")
     found = grouplikes(c, budget=args.budget)
     return {"count": len(found),
-            "grouplikes": [_vector(c.field, v) for v in found]}, False
+            "grouplikes": [docs.show_vector(c.field, v) for v in found]}, False
 
 
 def _algebra_operands(args):
@@ -230,7 +226,7 @@ def cmd_reconstruct(args):
         for j in range(d.dim):
             col = generated.pairing.col_at(t * d.dim + j)
             if any(x != 0 for x in col):
-                pairing_entries.append([[t, j], _vector(d.field, col)])
+                pairing_entries.append([[t, j], docs.show_vector(d.field, col)])
     return {
         "a": mdocs[0].a_ref if mdocs else None,
         "b": mdocs[0].b_ref if mdocs else None,

@@ -42,14 +42,6 @@ class InvalidStructure(SweedlerError):
         self.report = report
 
 
-class InvalidAlgebra(InvalidStructure):
-    pass
-
-
-class InvalidCoalgebra(InvalidStructure):
-    pass
-
-
 class InvalidBialgebra(InvalidStructure):
     pass
 

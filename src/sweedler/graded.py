@@ -6,9 +6,10 @@ algebra underneath is untouched.  The braiding picks up the Koszul sign
 graded bialgebra validation differ from the ungraded one away from
 characteristic 2.
 
-Any structure value, graded or not, is its parts: (algebra, coalgebra,
-antipode, space), each possibly None.  ``parts`` and ``assemble`` convert
-between the two; validation and duals work on the parts.
+A graded value is one class, :class:`Graded`: any ungraded structure value
+plus its degrees.  Any structure value, graded or not, is its parts:
+(algebra, coalgebra, antipode, space), each possibly None.  ``parts`` and
+``assemble`` convert between the two; validation and duals work on the parts.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     NotCommutative,
 )
 from .fields import Field, same_field
-from .linalg import LinMap, _signed_swap, composite
+from .linalg import LinMap, _SignedSwap, composite
 from .measurings import _braided_tensor
 from .structures import (
     DEFAULT_BUDGET,
@@ -59,67 +60,29 @@ class GradedSpace:
 
 
 @dataclass(frozen=True)
-class GradedAlgebra:
-    algebra: Algebra
+class Graded:
+    """A structure value with a degree for each basis vector: ``value`` is an
+    ungraded Algebra, Coalgebra, Bialgebra or HopfAlgebra."""
+
+    value: Algebra | Coalgebra | Bialgebra | HopfAlgebra
     space: GradedSpace
 
     def __post_init__(self):
-        _match(self.algebra.field, self.algebra.dim, self.space)
+        if parts(self.value)[3] is not None:
+            raise TypeError("a graded value cannot be graded again")
+        same_field(self.value.field, self.space.field)
+        if self.value.dim != self.space.dim:
+            raise DimensionMismatch("degree list length differs from the dimension")
 
     @property
     def degrees(self):
         return self.space.degrees
-
-
-@dataclass(frozen=True)
-class GradedCoalgebra:
-    coalgebra: Coalgebra
-    space: GradedSpace
-
-    def __post_init__(self):
-        _match(self.coalgebra.field, self.coalgebra.dim, self.space)
-
-    @property
-    def degrees(self):
-        return self.space.degrees
-
-
-@dataclass(frozen=True)
-class GradedBialgebra:
-    bialgebra: Bialgebra
-    space: GradedSpace
-
-    def __post_init__(self):
-        _match(self.bialgebra.field, self.bialgebra.dim, self.space)
-
-    @property
-    def degrees(self):
-        return self.space.degrees
-
-
-@dataclass(frozen=True)
-class GradedHopf:
-    hopf: HopfAlgebra
-    space: GradedSpace
-
-    def __post_init__(self):
-        _match(self.hopf.field, self.hopf.dim, self.space)
-
-    @property
-    def degrees(self):
-        return self.space.degrees
-
-
-def _match(field: Field, dim: int, space: GradedSpace):
-    same_field(field, space.field)
-    if dim != space.dim:
-        raise DimensionMismatch("degree list length differs from the dimension")
 
 
 def parts(value) -> tuple:
     """A structure value as (algebra, coalgebra, antipode, space), None for each
     part it lacks.  With ``assemble`` this is the only code that tells the
-    eight structure classes apart."""
+    structure classes apart."""
     match value:
         case Algebra():
             return value, None, None, None
@@ -129,14 +92,8 @@ def parts(value) -> tuple:
             return a, c, None, None
         case HopfAlgebra(antipode=s):
             return value.algebra, value.coalgebra, s, None
-        case GradedAlgebra(algebra=a, space=v):
-            return a, None, None, v
-        case GradedCoalgebra(coalgebra=c, space=v):
-            return None, c, None, v
-        case GradedBialgebra(bialgebra=b, space=v):
-            return b.algebra, b.coalgebra, None, v
-        case GradedHopf(hopf=h, space=v):
-            return h.algebra, h.coalgebra, h.antipode, v
+        case Graded(value=v, space=space):
+            return *parts(v)[:3], space
     raise TypeError(f"not a structure value: {type(value).__name__}")
 
 
@@ -146,19 +103,22 @@ def assemble(algebra, coalgebra, antipode=None, space=None):
         if antipode is not None or algebra is coalgebra:
             raise TypeError("a structure needs an algebra or a coalgebra part, "
                             "and an antipode needs both")
-        if algebra is not None:
-            return algebra if space is None else GradedAlgebra(algebra, space)
-        return coalgebra if space is None else GradedCoalgebra(coalgebra, space)
-    core = Bialgebra(algebra, coalgebra)
-    if antipode is None:
-        return core if space is None else GradedBialgebra(core, space)
-    core = HopfAlgebra(core, antipode)
-    return core if space is None else GradedHopf(core, space)
+        core = coalgebra if algebra is None else algebra
+    else:
+        core = Bialgebra(algebra, coalgebra)
+        if antipode is not None:
+            core = HopfAlgebra(core, antipode)
+    return core if space is None else Graded(core, space)
 
 
 def koszul_swap(v: GradedSpace, w: GradedSpace) -> LinMap:
     """The graded symmetry e_i (x) e_j -> (-1)^(deg i * deg j) e_j (x) e_i."""
-    return _signed_swap(v.degrees, w.degrees, same_field(v.field, w.field))
+    return composite([(_koszul(v, w), 1, 1)], v.dim * w.dim)
+
+
+def _koszul(v: GradedSpace, w: GradedSpace) -> _SignedSwap:
+    """:func:`koszul_swap` as a chain factor."""
+    return _SignedSwap(same_field(v.field, w.field), v.degrees, w.degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +172,7 @@ def validate_graded(value) -> ValidationReport:
         failures += validate_coalgebra(coalgebra).failures
     else:
         bialgebra = Bialgebra(algebra, coalgebra)
-        failures += _failures(_bialgebra_axioms(bialgebra, koszul_swap(space, space),
+        failures += _failures(_bialgebra_axioms(bialgebra, _koszul(space, space),
                                                 "comult multiplicative (Koszul)"))
     if antipode is not None:
         failures += _homogeneity_failures("antipode", antipode, degs, degs)
@@ -262,31 +222,35 @@ def is_connected(v: GradedSpace) -> bool:
     return sum(1 for d in v.degrees if d == 0) == 1
 
 
-def graded_algebra_morphisms(a: GradedAlgebra, b: GradedAlgebra,
+def graded_algebra_morphisms(a: Graded, b: Graded,
                              budget: int = DEFAULT_BUDGET) -> list[LinMap]:
-    """All degree-0 unit-preserving multiplicative maps, exhaustively."""
+    """All degree-0 unit-preserving multiplicative maps between the algebra
+    parts, exhaustively."""
+    algebra_a, _, _, space_a = parts(a)
+    algebra_b, _, _, space_b = parts(b)
     zero_coords = frozenset(
-        q * a.algebra.dim + t
-        for q in range(b.algebra.dim) for t in range(a.algebra.dim)
-        if b.degrees[q] != a.degrees[t])
-    return algebra_morphisms(a.algebra, b.algebra, budget=budget, zero_coords=zero_coords)
+        q * algebra_a.dim + t
+        for q in range(algebra_b.dim) for t in range(algebra_a.dim)
+        if space_b.degrees[q] != space_a.degrees[t])
+    return algebra_morphisms(algebra_a, algebra_b, budget=budget, zero_coords=zero_coords)
 
 
-def degree0_part(a: GradedAlgebra) -> Algebra:
-    """The degree-0 subalgebra on the degree-0 basis vectors."""
-    k = a.algebra.field
-    keep = [i for i, d in enumerate(a.degrees) if d == 0]
+def degree0_part(a: Graded) -> Algebra:
+    """The degree-0 subalgebra of the algebra part on the degree-0 basis vectors."""
+    algebra, _, _, space = parts(a)
+    k = algebra.field
+    keep = [i for i, d in enumerate(space.degrees) if d == 0]
     pos = {i: n for n, i in enumerate(keep)}
     d0 = len(keep)
-    dim = a.algebra.dim
-    unit_vec = a.algebra.unit_vector()
+    dim = algebra.dim
+    unit_vec = algebra.unit_vector()
     for i in range(dim):
         if i not in pos and unit_vec[i] != 0:
             raise NotClosed("the unit is not supported in degree 0")
     mult = [[k.zero()] * (d0 * d0) for _ in range(d0)]
     for ii, i in enumerate(keep):
         for jj, j in enumerate(keep):
-            col = a.algebra.mult.col_at(i * dim + j)
+            col = algebra.mult.col_at(i * dim + j)
             for t in range(dim):
                 if col[t] == 0:
                     continue
@@ -310,17 +274,16 @@ def include_degree0(structure):
 # graded measurings: the braided tensor product
 
 
-def graded_tensor_measuring(m1, x1: GradedSpace, m2, x2: GradedSpace,
-                            a: GradedBialgebra, b: GradedAlgebra):
+def graded_tensor_measuring(m1, x1: GradedSpace, m2, x2: GradedSpace, a: Graded, b: Graded):
     """Bialgebra tensor of measurings with Koszul braidings in place of plain
     swaps; forgetting degrees, the result passes the ungraded validator."""
-    if m1.a != m2.a or m1.b != m2.b or m1.a != a.bialgebra.algebra or m1.b != b.algebra:
+    algebra_a, coalgebra_a, _, aspace = parts(a)
+    algebra_b, _, _, bspace = parts(b)
+    if m1.a != m2.a or m1.b != m2.b or m1.a != algebra_a or m1.b != algebra_b:
         raise IncompatibleMeasurings("graded tensor needs matching graded (A, B)")
     if m1.xdim != x1.dim or m2.xdim != x2.dim:
         raise IncompatibleMeasurings("grading does not match the carriers")
-    bspace = b.space
-    mult_b = b.algebra.mult
-    if composite([(koszul_swap(bspace, bspace), 1, 1), (mult_b, 1, 1)], mult_b.dom) != mult_b:
+    mult_b = algebra_b.mult
+    if composite([(_koszul(bspace, bspace), 1, 1), (mult_b, 1, 1)], mult_b.dom) != mult_b:
         raise NotCommutative("the target must be commutative in the graded sense")
-    return _braided_tensor(m1, m2, a.bialgebra.comult, koszul_swap(a.space, x1),
-                           koszul_swap(bspace, x2))
+    return _braided_tensor(m1, m2, coalgebra_a.comult, _koszul(aspace, x1), _koszul(bspace, x2))

@@ -9,10 +9,11 @@ row-major index convention throughout the library:
 
 Every product is a chain of structural factors ``1_a (x) t (x) 1_b`` (a
 :data:`Factor` ``(t, a, b)``: an identity-padded ``t``, such as a braiding in
-the middle of a tensor power), applied in order.  There is one slot kernel,
-:func:`apply_slot`: it applies one factor to a sparse vector, a dict of its
-nonzeros, by remapping indices through the nonzeros of ``t``, so no factor is
-built and the work follows the nonzeros, not the dense size.
+the middle of a tensor power; a braiding is given by its nonzeros alone),
+applied in order.  There is one slot kernel, :func:`apply_slot`: it applies
+one factor to a sparse vector, a dict of its nonzeros, by remapping indices
+through the nonzeros of ``t``, so no factor is built and the work follows the
+nonzeros, not the dense size.
 :func:`composite` runs a chain on the basis vectors, a block of them stacked
 into one sparse vector, and writes the dense result; :func:`compose` (f.g)
 and :func:`kron` (f (x) g) are chains of two factors.  The axiom checks of
@@ -129,16 +130,6 @@ class LinMap:
         return LinMap(f, self.cod, self.dom,
                       tuple(f.add(a, b) for a, b in zip(self.entries, other.entries)))
 
-    def __sub__(self, other: LinMap) -> LinMap:
-        self._match_shape(other)
-        f = self.field
-        return LinMap(f, self.cod, self.dom,
-                      tuple(f.sub(a, b) for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> LinMap:
-        f = self.field
-        return LinMap(f, self.cod, self.dom, tuple(f.neg(a) for a in self.entries))
-
     def scale(self, c) -> LinMap:
         f = self.field
         c = f.coerce(c)
@@ -198,9 +189,10 @@ def kron(f: LinMap, g: LinMap) -> LinMap:
     return composite([(g, f.dom, 1), (f, 1, g.cod)], f.dom * g.dom)
 
 
-# A factor (t, a, b) is the map 1_a (x) t (x) 1_b; a chain lists factors in
-# the order they apply, and the empty chain is the identity.
-Factor = tuple[LinMap, int, int]
+# A factor (t, a, b) is the map 1_a (x) t (x) 1_b, t a LinMap or a braiding
+# (_SignedSwap); a chain lists factors in the order they apply, and the empty
+# chain is the identity.
+Factor = tuple["LinMap | _SignedSwap", int, int]
 
 # basis vectors run through a chain together, which bounds the nonzeros held at a time
 _BLOCK = 256
@@ -245,11 +237,12 @@ def _chain_steps(chain: Sequence[Factor], tables: dict, transposed: bool = False
     return steps
 
 
-def _table(t: LinMap, transposed: bool) -> tuple:
+def _table(t: LinMap | _SignedSwap, transposed: bool) -> tuple:
     """(along, meet, free) of t, or of its transpose: its nonzeros by
     column, its domain and codomain.  Rationals with denominator 1 become
     ints, which multiply faster."""
-    along = _nonzeros_by(t, by_col=not transposed)
+    along = (t.nonzeros(by_col=not transposed) if isinstance(t, _SignedSwap)
+             else _nonzeros_by(t, by_col=not transposed))
     if not t.field.char:
         along = [[(u, v.numerator if v.denominator == 1 else v) for u, v in nz]
                  for nz in along]
@@ -313,21 +306,39 @@ def permute_axes(f: LinMap, dims: Sequence[int], order: Sequence[int], split: in
 
 def swap_map(m: int, n: int, field: Field) -> LinMap:
     """The symmetry k^m (x) k^n -> k^n (x) k^m, e_i (x) e_j -> e_j (x) e_i."""
-    return _signed_swap((0,) * m, (0,) * n, field)
+    return composite([(_swap(m, n, field), 1, 1)], m * n)
 
 
-def _signed_swap(left: Sequence[int], right: Sequence[int], field: Field) -> LinMap:
+def _swap(m: int, n: int, field: Field) -> _SignedSwap:
+    """:func:`swap_map` as a chain factor."""
+    return _SignedSwap(field, (0,) * m, (0,) * n)
+
+
+@dataclass(frozen=True)
+class _SignedSwap:
     """The braiding k^m (x) k^n -> k^n (x) k^m of basis vectors with the given
-    degrees, m and n of them: e_i (x) e_j -> (-1)^(deg i * deg j) e_j (x) e_i."""
-    one = field.one()
-    minus = field.neg(one)
-    m, n = len(left), len(right)
-    size = m * n
-    out = [field.zero()] * (size * size)
-    for i, p in enumerate(left):
-        for j, q in enumerate(right):
-            out[(j * m + i) * size + (i * n + j)] = minus if p * q % 2 else one
-    return LinMap(field, size, size, tuple(out))
+    degrees, m and n of them: e_i (x) e_j -> (-1)^(left[i] * right[j]) e_j (x) e_i.
+    A chain factor that :func:`_table` lists from its m*n nonzeros; only
+    :func:`swap_map` and ``graded.koszul_swap`` write it densely."""
+
+    field: Field
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+
+    @property
+    def dom(self) -> int:
+        return len(self.left) * len(self.right)
+
+    cod = dom
+
+    def nonzeros(self, by_col: bool) -> list[list[tuple]]:
+        """As :func:`_nonzeros_by`; a row of the swap is a column of the
+        swap the other way round, with the same signs."""
+        left, right = (self.left, self.right) if by_col else (self.right, self.left)
+        m, n = len(left), len(right)
+        minus = self.field.char - 1 if self.field.char else -1
+        return [[(j * m + i, minus if p * q % 2 else 1)]
+                for i, p in enumerate(left) for j, q in enumerate(right)]
 
 
 # echelon machinery ---------------------------------------------------------

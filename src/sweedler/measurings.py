@@ -28,12 +28,13 @@ from .errors import (
 from .fields import same_field
 from .linalg import (
     LinMap,
+    _SignedSwap,
+    _swap,
     compose,
     composite,
     invert,
     matrix_equation_kernel,
     permute_axes,
-    swap_map,
 )
 from .structures import (
     DEFAULT_BUDGET,
@@ -202,12 +203,12 @@ def tensor_measuring_bialgebra(m1: Measuring, m2: Measuring, a: Bialgebra) -> Me
     if not is_commutative(m1.b):
         raise NotCommutative("the target algebra must be commutative")
     k = m1.field
-    return _braided_tensor(m1, m2, a.comult, swap_map(m1.a.dim, m1.xdim, k),
-                           swap_map(m1.b.dim, m2.xdim, k))
+    return _braided_tensor(m1, m2, a.comult, _swap(m1.a.dim, m1.xdim, k),
+                           _swap(m1.b.dim, m2.xdim, k))
 
 
-def _braided_tensor(m1: Measuring, m2: Measuring, comult: LinMap, c_ax: LinMap,
-                    c_by: LinMap) -> Measuring:
+def _braided_tensor(m1: Measuring, m2: Measuring, comult: LinMap, c_ax: _SignedSwap,
+                    c_by: _SignedSwap) -> Measuring:
     """The composite of :func:`tensor_measuring_bialgebra` for the braidings
     c_ax: A X -> X A and c_by: B Y -> Y B, plain or Koszul."""
     da, db, x, y = m1.a.dim, m1.b.dim, m1.xdim, m2.xdim

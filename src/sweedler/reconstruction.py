@@ -41,11 +41,11 @@ from .fields import Field
 from .linalg import (
     LinMap,
     _reduce,
+    _swap,
     composite,
     kernel_basis,
     kron,
     permute_axes,
-    swap_map,
 )
 from .structures import (
     Algebra,
@@ -311,7 +311,7 @@ def _verify_generated(g: GeneratedSubcoalgebra, deltas: list[LinMap]) -> None:
     beta = g.pairing
     failures = _failures([
         Axiom("multiplicative in A", [(g.a.mult, 1, d), (beta, 1, 1)],
-              [(g.d.comult, da * da, 1), (swap_map(da, d, g.a.field), da, d),
+              [(g.d.comult, da * da, 1), (_swap(da, d, g.a.field), da, d),
                (beta, da * d, 1), (beta, 1, g.b.dim), (g.b.mult, 1, 1)], (da, da, d)),
         Axiom("unital", [(g.a.unit, 1, d), (beta, 1, 1)],
               [(g.d.counit, 1, 1), (g.b.unit, 1, 1)], (d,)),
@@ -394,7 +394,7 @@ def _verify_product(g1, g2, g12, a: Bialgebra, product: LinMap) -> None:
     # beta12.(1 (x) product) must be the convolution of beta1, beta2:
     # A D1 D2 --Delta 1 1--> A A D1 D2 --1 c 1--> A D1 A D2 --b1 b2--> B B --mult--> B
     if _failures([Axiom("compatible", [(product, da, 1), (g12.pairing, 1, 1)],
-                        [(a.comult, 1, d1 * d2), (swap_map(da, d1, k), da, d2),
+                        [(a.comult, 1, d1 * d2), (_swap(da, d1, k), da, d2),
                          (g2.pairing, da * d1, 1), (g1.pairing, 1, g2.b.dim),
                          (g1.b.mult, 1, 1)], (da, d1, d2))]):
         raise InducedStructureIllDefined("product is not compatible with the pairings")
@@ -404,7 +404,7 @@ def _tensor_coalgebra(c1: Coalgebra, c2: Coalgebra) -> Coalgebra:
     """Tensor product coalgebra with Delta = (1 (x) swap (x) 1).(Delta (x) Delta)."""
     d1, d2 = c1.dim, c2.dim
     comult = composite([(c2.comult, d1, 1), (c1.comult, 1, d2 * d2),
-                        (swap_map(d1, d2, c1.field), d1, d2)], d1 * d2)
+                        (_swap(d1, d2, c1.field), d1, d2)], d1 * d2)
     counit = kron(c1.counit, c2.counit)
     return Coalgebra(comult=comult, counit=counit)
 

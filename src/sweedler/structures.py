@@ -52,17 +52,18 @@ from .linalg import (
     _BLOCK,
     Factor,
     LinMap,
+    _SignedSwap,
     _chain_images,
     _chain_steps,
     _nonzeros_by,
     _reduce,
+    _swap,
     compose,
     composite,
     is_invertible,
     kron,
     permute_axes,
     solve_matrix_equations,
-    swap_map,
 )
 
 DEFAULT_BUDGET = 1 << 24
@@ -311,7 +312,7 @@ def _coalgebra_axioms(c: Coalgebra) -> list[Axiom]:
             Axiom("right counit", [(delta, 1, 1), (eps, d, 1)], [], (d,))]
 
 
-def _bialgebra_axioms(b: Bialgebra, braiding: LinMap,
+def _bialgebra_axioms(b: Bialgebra, braiding: _SignedSwap,
                       multiplicative: str = "comult multiplicative") -> list[Axiom]:
     """Algebra + coalgebra axioms, plus: counit and comult are algebra morphisms
     for the product (mult (x) mult).(1 (x) braiding (x) 1) on the tensor square.
@@ -346,7 +347,7 @@ def validate_coalgebra(c: Coalgebra) -> ValidationReport:
 
 
 def validate_bialgebra(b: Bialgebra) -> ValidationReport:
-    braiding = swap_map(b.dim, b.dim, b.field)
+    braiding = _swap(b.dim, b.dim, b.field)
     return ValidationReport(tuple(_failures(_bialgebra_axioms(b, braiding))))
 
 
@@ -383,7 +384,7 @@ def tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
     """Tensor product algebra on A (x) B with (a (x) b)(a' (x) b') = aa' (x) bb'."""
     k = same_field(a.field, b.field)
     da, db = a.dim, b.dim
-    mult = composite([(swap_map(db, da, k), da, db), (b.mult, da * da, 1), (a.mult, 1, db)],
+    mult = composite([(_swap(db, da, k), da, db), (b.mult, da * da, 1), (a.mult, 1, db)],
                      da * db * da * db)
     return Algebra(mult=mult, unit=kron(a.unit, b.unit))
 
@@ -531,7 +532,7 @@ def _opfusion(b: Bialgebra) -> tuple[LinMap, LinMap]:
     """h_bar = (mult (x) 1).(1 (x) swap).(comult (x) 1) and
     h_bar' = (1 (x) mult).(swap (x) 1).(1 (x) comult)."""
     d = b.dim
-    c = swap_map(d, d, b.field)
+    c = _swap(d, d, b.field)
     return (composite([(b.comult, 1, d), (c, d, 1), (b.mult, 1, d)], d * d),
             composite([(b.comult, d, 1), (c, 1, d), (b.mult, d, 1)], d * d))
 

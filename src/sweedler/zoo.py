@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import UnsupportedField
 from .fields import QQ, Field, GF
-from .graded import GradedAlgebra, GradedHopf, GradedSpace
+from .graded import Graded, GradedSpace
 from .linalg import LinMap
 from .structures import (
     Algebra,
@@ -123,12 +123,12 @@ def graded_line_hopf(field: Field, degree: int = 1):
     counit = LinMap.row(k, [1, 0])
     antipode = LinMap.from_rows(k, [[one, zero], [zero, k.neg(one)]])
     hopf = HopfAlgebra(Bialgebra(Algebra(mult, unit), Coalgebra(comult, counit)), antipode)
-    return GradedHopf(hopf, GradedSpace(k, (0, degree)))
+    return Graded(hopf, GradedSpace(k, (0, degree)))
 
 
 def graded_dual_numbers(field: Field, degree: int):
     """k[y]/(y^2) as a graded algebra with deg y = degree."""
-    return GradedAlgebra(dual_numbers(field), GradedSpace(field, (0, degree)))
+    return Graded(dual_numbers(field), GradedSpace(field, (0, degree)))
 
 
 def corpus_bialgebras() -> list[tuple[str, Bialgebra]]:

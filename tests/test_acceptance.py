@@ -14,7 +14,7 @@ from _oracles import classifying_iso_to_dual, f2_2x2_invertible, f2_2x2_product
 
 from sweedler.fields import GF, QQ
 from sweedler.graded import (
-    GradedAlgebra,
+    Graded,
     GradedSpace,
     degree0_part,
     graded_algebra_morphisms,
@@ -216,7 +216,7 @@ def test_criterion_06_terminal_comonoid():
 
 def test_criterion_07_connectedness_counterexample():
     def body():
-        a = GradedAlgebra(dual_numbers(F2), GradedSpace(F2, (0, 1)))
+        a = Graded(dual_numbers(F2), GradedSpace(F2, (0, 1)))
         b1 = graded_dual_numbers(F2, 1)
         b2 = graded_dual_numbers(F2, 2)
         assert len(graded_algebra_morphisms(a, b1)) == 2
@@ -233,13 +233,12 @@ def test_criterion_07_connectedness_counterexample():
 def test_criterion_08_degree_zero_adjunction():
     def body():
         graded_sources = {
-            F2: [GradedAlgebra(dual_numbers(F2), GradedSpace(F2, (0, 1))),
+            F2: [Graded(dual_numbers(F2), GradedSpace(F2, (0, 1))),
                  include_degree0(involution_algebra(F2)),
-                 GradedAlgebra(graded_line_hopf(F2, 1).hopf.algebra,
-                               GradedSpace(F2, (0, 1))),
+                 Graded(graded_line_hopf(F2, 1).value.algebra, GradedSpace(F2, (0, 1))),
                  graded_dual_numbers(F2, 2)],
             F3: [include_degree0(cyclic_group_hopf(F3, 2).algebra),
-                 GradedAlgebra(dual_numbers(F3), GradedSpace(F3, (0, 1)))],
+                 Graded(dual_numbers(F3), GradedSpace(F3, (0, 1)))],
         }
         targets = {
             F2: [trivial_algebra(F2), involution_algebra(F2), dual_numbers(F2),

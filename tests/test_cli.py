@@ -426,6 +426,23 @@ def test_wide_algebra_with_empty_mult_fails_validation_within_a_gib(tmp_path):
         assert proc.returncode == 3, proc.stderr
         report = json.loads(proc.stdout)
         assert [f["axiom"] for f in report["failures"]] == ["left unit", "right unit"]
+    # a bialgebra with no products or coproducts and a zero counit, plain and
+    # in degree 0: its braiding was once a dense dim^2 x dim^2 swap (10^8
+    # entries), built before any check
+    dim = 100
+    doc = {"field": "F2", "dim": dim, "basis": [f"e{i}" for i in range(dim)],
+           "unit": ["1"] + ["0"] * (dim - 1), "mult": [], "comult": [], "counit": ["0"] * dim}
+    for name, degrees, size in (("bialgebra", None, 1800), ("graded", [0] * dim, 2100)):
+        if degrees is not None:
+            doc["degrees"] = degrees
+        path = tmp_path / f"{name}{dim}.json"
+        path.write_text(json.dumps(doc))
+        assert len(path.read_bytes()) < size
+        proc = _run_under_memory_limit(["validate", str(path)], 256 << 20)
+        assert proc.returncode == 3, proc.stderr
+        report = json.loads(proc.stdout)
+        assert [f["axiom"] for f in report["failures"]] == [
+            "left counit", "right counit", "comult unital", "counit unital"]
 
 
 def test_regular_stage_of_q_c16_is_built_within_256_mib(tmp_path):

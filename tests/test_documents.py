@@ -13,9 +13,9 @@ from sweedler.documents import (
 )
 from sweedler.errors import ParseError, ValidationError
 from sweedler.fields import GF, QQ
-from sweedler.graded import GradedHopf
+from sweedler.graded import Graded
 from sweedler.measurings import regular_measuring
-from sweedler.structures import matrix_algebra, trivial_algebra
+from sweedler.structures import HopfAlgebra, matrix_algebra, trivial_algebra
 from sweedler.zoo import (
     cyclic_group_hopf,
     graded_line_hopf,
@@ -142,12 +142,12 @@ def test_graded_document_roundtrip_and_homogeneity_validation():
     doc = Document(gh, ("1", "x"))
     text = serialize_document(doc)
     parsed = parse_document(text)
-    assert isinstance(parsed.value, GradedHopf)
+    assert isinstance(parsed.value, Graded) and isinstance(parsed.value.value, HopfAlgebra)
     # break homogeneity: claim deg x = 3 while x is primitive of square zero
     raw = json.loads(text)
     raw["degrees"] = [0, 3]
     reparsed = parse_document(json.dumps(raw))  # still homogeneous: 3+3 has no target
-    assert isinstance(reparsed.value, GradedHopf)
+    assert isinstance(reparsed.value, Graded) and isinstance(reparsed.value.value, HopfAlgebra)
     raw["degrees"] = [1, 0]  # the unit moves out of degree 0
     with pytest.raises(ValidationError):
         parse_document(json.dumps(raw))

@@ -4,14 +4,11 @@ from pathlib import Path
 import pytest
 
 from sweedler.documents import parse_document
-from sweedler.errors import NegativeDegree, NotClosed
+from sweedler.errors import DimensionMismatch, FieldMismatch, NegativeDegree, NotClosed
 from sweedler.fields import GF, QQ
 from sweedler.linalg import LinMap, compose, kron, swap_map
 from sweedler.graded import (
-    GradedAlgebra,
-    GradedBialgebra,
-    GradedCoalgebra,
-    GradedHopf,
+    Graded,
     GradedSpace,
     assemble,
     degree0_part,
@@ -110,7 +107,7 @@ def test_primitive_line_over_q_needs_the_koszul_sign():
     gh = graded_line_hopf(QQ, 1)
     assert validate_graded(gh).ok
     # without the sign the same structure constants fail the bialgebra axiom
-    assert not validate_bialgebra(gh.hopf.bialgebra).ok
+    assert not validate_bialgebra(gh.value.bialgebra).ok
 
 
 def test_even_degree_over_q_fails():
@@ -125,7 +122,7 @@ def test_homogeneity_failure_has_a_witness():
 
     k = F2
     mult = LinMap.from_rows(k, [[1, 0, 0, 0], [0, 1, 1, 1]])
-    alg = GradedAlgebra(Algebra(mult, LinMap.column(k, [1, 0])), GradedSpace(k, (0, 1)))
+    alg = Graded(Algebra(mult, LinMap.column(k, [1, 0])), GradedSpace(k, (0, 1)))
     report = validate_graded(alg)
     assert not report.ok
     failure = next(f for f in report.failures if "homogeneity" in f.axiom)
@@ -134,7 +131,7 @@ def test_homogeneity_failure_has_a_witness():
 
 def test_group_algebra_concentrated_in_degree_zero_is_graded():
     gh = include_degree0(cyclic_group_hopf(QQ, 2))
-    assert isinstance(gh, GradedHopf)
+    assert isinstance(gh, Graded) and isinstance(gh.value, HopfAlgebra)
     assert validate_graded(gh).ok
 
 
@@ -153,7 +150,7 @@ def test_dual_negates_degrees():
 def test_double_dual_identity_on_structures():
     ga = graded_dual_numbers(F2, 1)
     dual = graded_dual(ga)
-    assert isinstance(dual, GradedCoalgebra)
+    assert isinstance(dual, Graded) and isinstance(dual.value, Coalgebra)
     double = graded_dual(dual)
     assert double == ga
 
@@ -161,7 +158,7 @@ def test_double_dual_identity_on_structures():
 def test_graded_dual_of_hopf_validates():
     gh = graded_line_hopf(QQ, 1)
     dual = graded_dual(gh)
-    assert validate_graded(GradedHopf(dual.hopf, GradedSpace(QQ, (0, -1)))).ok
+    assert validate_graded(Graded(dual.value, GradedSpace(QQ, (0, -1)))).ok
 
 
 # -- connectedness ------------------------------------------------------------------
@@ -179,7 +176,7 @@ def test_connectedness_verdicts():
 
 
 def test_counterexample_counts():
-    a = GradedAlgebra(dual_numbers(F2), GradedSpace(F2, (0, 1)))
+    a = Graded(dual_numbers(F2), GradedSpace(F2, (0, 1)))
     b_deg1 = graded_dual_numbers(F2, 1)
     b_deg2 = graded_dual_numbers(F2, 2)
     assert len(graded_algebra_morphisms(a, b_deg1)) == 2   # x -> 0 and x -> y
@@ -194,7 +191,7 @@ def test_trivial_source_has_one_graded_morphism():
 
 
 def test_graded_morphisms_are_homogeneous_and_multiplicative():
-    a = GradedAlgebra(dual_numbers(F2), GradedSpace(F2, (0, 1)))
+    a = Graded(dual_numbers(F2), GradedSpace(F2, (0, 1)))
     b = graded_dual_numbers(F2, 1)
     for f in graded_algebra_morphisms(a, b):
         for i, di in enumerate(a.degrees):
@@ -207,7 +204,7 @@ def test_graded_morphisms_are_homogeneous_and_multiplicative():
 
 
 def test_degree0_part_of_the_line():
-    a = GradedAlgebra(dual_numbers(F2), GradedSpace(F2, (0, 1)))
+    a = Graded(dual_numbers(F2), GradedSpace(F2, (0, 1)))
     part = degree0_part(a)
     assert part == trivial_algebra(F2)
 
@@ -223,16 +220,16 @@ def test_degree0_part_rejects_nonclosed_gradings():
 
     k = F2
     mult = LinMap.from_rows(k, [[1, 0, 0, 0], [1, 1, 1, 1]])
-    bad = GradedAlgebra(Algebra(mult, LinMap.column(k, [1, 0])), GradedSpace(k, (0, 1)))
+    bad = Graded(Algebra(mult, LinMap.column(k, [1, 0])), GradedSpace(k, (0, 1)))
     with pytest.raises(NotClosed):
         degree0_part(bad)
 
 
 def test_degree0_adjunction_counts_on_corpus():
     graded_sources = [
-        GradedAlgebra(dual_numbers(F2), GradedSpace(F2, (0, 1))),
+        Graded(dual_numbers(F2), GradedSpace(F2, (0, 1))),
         include_degree0(involution_algebra(F2)),
-        GradedAlgebra(graded_line_hopf(F2, 1).hopf.algebra, GradedSpace(F2, (0, 1))),
+        Graded(graded_line_hopf(F2, 1).value.algebra, GradedSpace(F2, (0, 1))),
     ]
     targets = [trivial_algebra(F2), involution_algebra(F2), dual_numbers(F2),
                matrix_algebra(trivial_algebra(F2), 2)]
@@ -248,20 +245,20 @@ def test_degree0_adjunction_counts_on_corpus():
 
 def test_graded_tensor_measuring_validates_after_forgetting_degrees():
     ext = graded_line_hopf(QQ, 1)
-    m = regular_measuring(ext.hopf.algebra)
-    gb = GradedAlgebra(trivial_algebra(QQ), GradedSpace(QQ, (0,)))
-    gbial = GradedBialgebra(ext.hopf.bialgebra, ext.space)
+    m = regular_measuring(ext.value.algebra)
+    gb = Graded(trivial_algebra(QQ), GradedSpace(QQ, (0,)))
+    gbial = Graded(ext.value.bialgebra, ext.space)
     t = graded_tensor_measuring(m, ext.space, m, ext.space, gbial, gb)
     assert validate_measuring(t).ok
     # over F2 the signs vanish and the graded tensor equals the plain one
     from sweedler.measurings import tensor_measuring_bialgebra
 
     ext2 = graded_line_hopf(F2, 1)
-    m2 = regular_measuring(ext2.hopf.algebra)
-    gb2 = GradedAlgebra(trivial_algebra(F2), GradedSpace(F2, (0,)))
-    gbial2 = GradedBialgebra(ext2.hopf.bialgebra, ext2.space)
+    m2 = regular_measuring(ext2.value.algebra)
+    gb2 = Graded(trivial_algebra(F2), GradedSpace(F2, (0,)))
+    gbial2 = Graded(ext2.value.bialgebra, ext2.space)
     graded = graded_tensor_measuring(m2, ext2.space, m2, ext2.space, gbial2, gb2)
-    plain = tensor_measuring_bialgebra(m2, m2, ext2.hopf.bialgebra)
+    plain = tensor_measuring_bialgebra(m2, m2, ext2.value.bialgebra)
     assert graded.psi == plain.psi
 
 
@@ -274,7 +271,7 @@ def test_koszul_failure_has_a_witness():
 
 def test_graded_antipode_failure_has_a_witness():
     gh = graded_line_hopf(QQ, 1)
-    wrong = GradedHopf(HopfAlgebra(gh.hopf.bialgebra, LinMap.identity(QQ, 2)), gh.space)
+    wrong = Graded(HopfAlgebra(gh.value.bialgebra, LinMap.identity(QQ, 2)), gh.space)
     report = validate_graded(wrong)
     assert [(f.axiom, f.witness) for f in report.failures] == [
         ("left antipode", (1,)), ("right antipode", (1,))]
@@ -294,16 +291,26 @@ def _values_of_every_kind():
     graded = ([include_degree0(v) for v in ungraded if not isinstance(v, Coalgebra)]
               + [graded_dual(g) for g in graded_docs]
               + [graded_line_hopf(k, d) for k in (F2, QQ) for d in (0, 1, 2)]
-              + [GradedBialgebra(g.hopf.bialgebra, g.space) for g in graded_docs
-                 if isinstance(g, GradedHopf)]
+              + [Graded(g.value.bialgebra, g.space) for g in graded_docs
+                 if isinstance(g.value, HopfAlgebra)]
               + graded_docs)
     return ungraded + graded
 
 
-def test_values_of_every_kind_cover_the_eight_classes():
-    assert {type(v) for v in _values_of_every_kind()} == {
-        Algebra, Coalgebra, Bialgebra, HopfAlgebra,
-        GradedAlgebra, GradedCoalgebra, GradedBialgebra, GradedHopf}
+def test_values_of_every_kind_cover_the_four_kinds_plain_and_graded():
+    kinds = {type(v) if not isinstance(v, Graded) else (Graded, type(v.value))
+             for v in _values_of_every_kind()}
+    ungraded = {Algebra, Coalgebra, Bialgebra, HopfAlgebra}
+    assert kinds == ungraded | {(Graded, kind) for kind in ungraded}
+
+
+def test_graded_checks_its_degrees_field_and_value():
+    with pytest.raises(DimensionMismatch):
+        Graded(dual_numbers(F2), GradedSpace(F2, (0, 1, 2)))
+    with pytest.raises(FieldMismatch):
+        Graded(dual_numbers(F2), GradedSpace(GF(3), (0, 1)))
+    with pytest.raises(TypeError):
+        Graded(graded_dual_numbers(F2, 1), GradedSpace(F2, (0, 1)))
 
 
 @pytest.mark.parametrize("value", _values_of_every_kind())
@@ -346,7 +353,7 @@ def test_graded_failures_come_in_order_with_witnesses():
     bialgebra = Bialgebra(Algebra(mult, LinMap.column(k, [1, 0])),
                           Coalgebra(comult, LinMap.row(k, [1, 0])))
     antipode = LinMap.from_rows(k, [[1, 0], [1, -1]])
-    gh = GradedHopf(HopfAlgebra(bialgebra, antipode), GradedSpace(k, (0, 2)))
+    gh = Graded(HopfAlgebra(bialgebra, antipode), GradedSpace(k, (0, 2)))
     assert [(f.axiom, f.witness) for f in validate_graded(gh).failures] == [
         ("mult homogeneity", (1, 3)),
         ("comult multiplicative (Koszul)", (1, 1)),

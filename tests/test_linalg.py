@@ -21,6 +21,7 @@ from sweedler.graded import GradedSpace, koszul_swap
 from sweedler.linalg import (
     LinMap,
     _operator_matrix,
+    _SignedSwap,
     compose,
     composite,
     invert,
@@ -35,6 +36,7 @@ from sweedler.linalg import (
     solve_matrix_equations,
     swap_map,
 )
+from sweedler.structures import Axiom, _failures
 
 F2 = GF(2)
 
@@ -508,6 +510,42 @@ def test_swap_naturality():
         lhs = compose(swap_map(f.cod, g.cod, GF(3)), kron(f, g))
         rhs = compose(kron(g, f), swap_map(f.dom, g.dom, GF(3)))
         assert lhs == rhs
+
+
+
+@pytest.mark.parametrize("field", [QQ, F2, GF(3)], ids=str)
+def test_braiding_factor_runs_as_its_dense_map(field):
+    # the factor lists its nonzeros; swap_map and koszul_swap write it densely
+    left, right = (0, 1, 2), (1, 3)
+    m, n = len(left), len(right)
+    dense = koszul_swap(GradedSpace(field, left), GradedSpace(field, right))
+    sign = {(i, j): -1 if p * q % 2 else 1 for i, p in enumerate(left)
+            for j, q in enumerate(right)}
+    assert dense == LinMap.make(field, m * n, m * n, [
+        sign[c // n, c % n] if r == (c % n) * m + c // n else 0
+        for r in range(m * n) for c in range(m * n)])
+    assert swap_map(m, n, field) == koszul_swap(GradedSpace(field, (0,) * m),
+                                                GradedSpace(field, (0,) * n))
+    rng = random.Random(17)
+    f, g = random_map(rng, field, m, 2), random_map(rng, field, 2, m)
+    plain = [(f, 1, n), (swap_map(m, n, field), 1, 1), (g, n, 1)]
+    for braiding, swap in ((_SignedSwap(field, left, right), dense),
+                           (_SignedSwap(field, (0,) * m, (0,) * n), swap_map(m, n, field))):
+        for pad in ((1, 1), (2, 1), (1, 3)):
+            with_factor = [(braiding, *pad)]
+            with_dense = [(swap, *pad)]
+            dom = pad[0] * m * n * pad[1]
+            assert composite(with_factor, dom) == composite(with_dense, dom)
+        with_factor = [(f, 1, n), (braiding, 1, 1), (g, n, 1)]
+        with_dense = [(f, 1, n), (swap, 1, 1), (g, n, 1)]
+        assert composite(with_factor, 2 * n) == composite(with_dense, 2 * n)
+        for by_row in (False, True):
+            assert _failures([Axiom("same", with_factor, with_dense, (2, n), by_row)]) == []
+            assert (_failures([Axiom("other", with_factor, plain, (2, n), by_row)])
+                    == _failures([Axiom("other", with_dense, plain, (2, n), by_row)]))
+    # the signs are seen: over Q the Koszul chain differs from the plain one
+    koszul = [(f, 1, n), (_SignedSwap(field, left, right), 1, 1), (g, n, 1)]
+    assert bool(_failures([Axiom("other", koszul, plain, (2, n))])) == (field.char != 2)
 
 
 # -- misc --------------------------------------------------------------------

@@ -345,6 +345,19 @@ def _census_representatives(a, upto):
     return [rep for n in range(1, upto + 1) for rep, _ in enumerate_measurings(a, k, n).orbits]
 
 
+@pytest.mark.parametrize("upto,count,dim", [(2, 12, 10), (3, 40, 18)])
+def test_coend_of_the_dual_numbers_census_representatives(upto, count, dim):
+    # the coend over the full subcategory on the orbit representatives of
+    # F2[C_2] -> F2[y]/(y^2), n <= upto: its dual is the natural endomorphisms
+    # of the generators.  The subcoalgebra of P(A, B) that they span is smaller
+    # (8 and 16: dual to the algebra that the blocks of the generators
+    # generate), so building that instead must change these dimensions here.
+    a, b = cyclic_group_hopf(F2, 2).algebra, dual_numbers(F2)
+    reps = [rep for n in range(1, upto + 1) for rep, _ in enumerate_measurings(a, b, n).orbits]
+    assert len(reps) == count
+    assert reconstruct(reps).d.dim == dim
+
+
 def _f2_character():
     a = cyclic_group_hopf(F2, 2).algebra
     return measuring_from_matrix_morphism(LinMap.from_rows(F2, [[1, 1]]), a, trivial_algebra(F2), 1)

@@ -47,7 +47,7 @@ from sweedler.structures import (
     validate_coalgebra,
     validate_hopf,
 )
-from sweedler.graded import GradedAlgebra, graded_algebra_morphisms
+from sweedler.graded import Graded, graded_algebra_morphisms
 from sweedler.zoo import (
     cyclic_group_hopf,
     dual_numbers,
@@ -578,13 +578,13 @@ def test_conjugation_classes_list_indices_by_first_member():
 
 def _graded_pins(a, b):
     """The coordinates f[q, t] of a map A -> B that join different degrees."""
-    return frozenset(q * a.algebra.dim + t for q in range(b.algebra.dim)
-                     for t in range(a.algebra.dim) if b.degrees[q] != a.degrees[t])
+    return frozenset(q * a.value.dim + t for q in range(b.value.dim)
+                     for t in range(a.value.dim) if b.degrees[q] != a.degrees[t])
 
 
 _SWEEDLER_F3 = sweedler_hopf(F3).algebra
 _M2_F2 = matrix_algebra(trivial_algebra(F2), 2)
-_LINE_F2 = GradedAlgebra(graded_line_hopf(F2, 1).hopf.algebra, graded_line_hopf(F2, 1).space)
+_LINE_F2 = Graded(graded_line_hopf(F2, 1).value.algebra, graded_line_hopf(F2, 1).space)
 _GRADED = [(_LINE_F2, graded_dual_numbers(F2, 1)),
            (_LINE_F2, graded_dual_numbers(F2, 2)),
            (graded_dual_numbers(F2, 2), graded_dual_numbers(F2, 2))]
@@ -609,9 +609,9 @@ def test_morphisms_match_the_exhaustive_oracle(a, b, pins):
 @pytest.mark.parametrize("a,b", _GRADED, ids=["line1-dualnum1", "line1-dualnum2", "dualnum2"])
 def test_graded_morphisms_match_the_exhaustive_oracle(a, b):
     pins = _graded_pins(a, b)
-    assert algebra_morphisms(a.algebra, b.algebra, zero_coords=pins) == \
-        exhaustive_morphisms(a.algebra, b.algebra, pins)
-    assert graded_algebra_morphisms(a, b) == exhaustive_morphisms(a.algebra, b.algebra, pins)
+    assert algebra_morphisms(a.value, b.value, zero_coords=pins) == \
+        exhaustive_morphisms(a.value, b.value, pins)
+    assert graded_algebra_morphisms(a, b) == exhaustive_morphisms(a.value, b.value, pins)
 
 
 @pytest.mark.parametrize("a,b,needed,pins", [
@@ -620,7 +620,7 @@ def test_graded_morphisms_match_the_exhaustive_oracle(a, b):
     (_SWEEDLER_F3, _SWEEDLER_F3, 3 ** 8, None),  # two generators g, x
     (cyclic_group_hopf(F2, 2).algebra, _M2_F2, 2 ** 4, None),
     # x of degree 1 may only go to y of degree 1
-    (_GRADED[0][0].algebra, _GRADED[0][1].algebra, 2, _graded_pins(*_GRADED[0])),
+    (_GRADED[0][0].value, _GRADED[0][1].value, 2, _graded_pins(*_GRADED[0])),
 ], ids=["F3C3-F3C3", "M2F2-F2", "sweedler-sweedler", "F2C2-M2F2", "graded"])
 def test_budget_bound_is_p_to_the_free_generator_coordinates(a, b, needed, pins):
     with pytest.raises(BudgetExceeded) as exc:
