@@ -221,17 +221,11 @@ def cmd_reconstruct(args):
                              auto_intertwiners=args.auto_intertwiners)
     d = generated.d
     labels = tuple(f"d{i}" for i in range(d.dim))
-    pairing_entries = []
-    for t in range(generated.a.dim):
-        for j in range(d.dim):
-            col = generated.pairing.col_at(t * d.dim + j)
-            if any(x != 0 for x in col):
-                pairing_entries.append([[t, j], docs.show_vector(d.field, col)])
     return {
         "a": mdocs[0].a_ref if mdocs else None,
         "b": mdocs[0].b_ref if mdocs else None,
         "d": docs.structure_to_dict(docs.Document(d, labels)),
-        "pairing": pairing_entries,
+        "pairing": docs.column_entries(generated.pairing, d.dim),
         "projections": [_matrix(p) for p in generated.projections],
     }, True
 

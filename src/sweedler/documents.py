@@ -57,6 +57,14 @@ def _unit_support(algebra: Algebra) -> int | None:
     return support[0] if len(support) == 1 else None
 
 
+def column_entries(f: LinMap, inner: int) -> list[list]:
+    """[[i, j], shown column] for each nonzero column c = i*inner + j of f, in
+    column order."""
+    columns = (f.col_at(c) for c in range(f.dom))
+    return [[list(divmod(c, inner)), show_vector(f.field, col)]
+            for c, col in enumerate(columns) if any(col)]
+
+
 def structure_to_dict(doc: Document) -> dict:
     algebra, coalgebra, antipode, space = parts(doc.value)
     field = doc.field
@@ -64,24 +72,12 @@ def structure_to_dict(doc: Document) -> dict:
     out: dict = {"field": str(field), "dim": dim, "basis": list(doc.labels)}
     if algebra is not None:
         out["unit"] = show_vector(field, algebra.unit_vector())
-        triples = []
         implied = _unit_support(algebra)
-        for i in range(dim):
-            for j in range(dim):
-                if implied is not None and (i == implied or j == implied):
-                    continue
-                col = algebra.mult.col_at(i * dim + j)
-                if any(x != 0 for x in col):
-                    triples.append([i, j, show_vector(field, col)])
-        out["mult"] = triples
+        out["mult"] = [[i, j, col] for (i, j), col in column_entries(algebra.mult, dim)
+                       if implied not in (i, j)]
     if coalgebra is not None:
-        entries = []
-        for i in range(dim):
-            col = coalgebra.comult.col_at(i)
-            if any(x != 0 for x in col):
-                matrix = [show_vector(field, col[r * dim:(r + 1) * dim]) for r in range(dim)]
-                entries.append([i, matrix])
-        out["comult"] = entries
+        out["comult"] = [[i, [col[r * dim:(r + 1) * dim] for r in range(dim)]]
+                         for (i, _), col in column_entries(coalgebra.comult, 1)]
         out["counit"] = show_vector(field, coalgebra.counit.row_at(0))
     if antipode is not None:
         out["antipode"] = [show_vector(field, antipode.col_at(i)) for i in range(dim)]
@@ -161,8 +157,8 @@ def parse_structure_dict(raw: dict) -> Document:
         _want(isinstance(data, list) and len(data) == dim, "antipode must list dim images",
               "antipode")
         cols = [_parse_vector(field, v, dim, f"antipode[{i}]") for i, v in enumerate(data)]
-        antipode = LinMap.make(field, dim, dim,
-                               [cols[j][r] for r in range(dim) for j in range(dim)])
+        antipode = LinMap.from_nonzeros(
+            field, dim, dim, [(r, j, x) for j, col in enumerate(cols) for r, x in enumerate(col) if x])
     space = None
     if "degrees" in raw:
         data = raw["degrees"]
@@ -184,16 +180,14 @@ def _parse_algebra(field: Field, dim: int, raw: dict) -> Algebra:
     support = [i for i, x in enumerate(unit_vec) if x != 0]
     _want(bool(support), "the unit vector cannot be zero", "unit")
     implied = support[0] if len(support) == 1 else None
-    zero = field.zero()
-    cols: dict[tuple[int, int], tuple] = {}
+    nonzeros = []
     if implied is not None:
-        # products with the unit axis are forced: e_t e_j = (1/u) e_j
+        # products with the unit axis are forced: e_t e_j = e_j e_t = (1/u) e_j
         inv = field.inv(unit_vec[implied])
         for j in range(dim):
-            vec = [zero] * dim
-            vec[j] = inv
-            cols[(implied, j)] = tuple(vec)
-            cols[(j, implied)] = tuple(vec)
+            nonzeros.append((j, implied * dim + j, inv))
+            if j != implied:
+                nonzeros.append((j, j * dim + implied, inv))
     data = raw["mult"]
     _want(isinstance(data, list), "mult must be a list of triples", "mult")
     last = None
@@ -209,14 +203,8 @@ def _parse_algebra(field: Field, dim: int, raw: dict) -> Algebra:
               "products with the unit axis are implied and must be omitted", path)
         vec = _parse_vector(field, vec_data, dim, path)
         _want(any(x != 0 for x in vec), "zero triples must be omitted", path)
-        cols[(i, j)] = vec
-    entries = []
-    for t in range(dim):
-        for i in range(dim):
-            for j in range(dim):
-                col = cols.get((i, j))
-                entries.append(col[t] if col is not None else zero)
-    return Algebra(mult=LinMap(field, dim, dim * dim, tuple(entries)),
+        nonzeros += [(t, i * dim + j, x) for t, x in enumerate(vec) if x]
+    return Algebra(mult=LinMap.from_nonzeros(field, dim, dim * dim, nonzeros),
                    unit=LinMap.make(field, dim, 1, unit_vec))
 
 
@@ -224,8 +212,7 @@ def _parse_coalgebra(field: Field, dim: int, raw: dict) -> Coalgebra:
     counit_vec = _parse_vector(field, raw["counit"], dim, "counit")
     data = raw["comult"]
     _want(isinstance(data, list), "comult must be a list of [i, matrix] entries", "comult")
-    zero = field.zero()
-    images: dict[int, list] = {}
+    nonzeros = []
     last = None
     for idx, entry in enumerate(data):
         path = f"comult[{idx}]"
@@ -238,13 +225,8 @@ def _parse_coalgebra(field: Field, dim: int, raw: dict) -> Coalgebra:
         rows = [_parse_vector(field, row, dim, f"{path}[{r}]") for r, row in enumerate(matrix)]
         flat = [x for row in rows for x in row]
         _want(any(x != 0 for x in flat), "zero entries must be omitted", path)
-        images[i] = flat
-    entries = []
-    for rc in range(dim * dim):
-        for i in range(dim):
-            img = images.get(i)
-            entries.append(img[rc] if img is not None else zero)
-    return Coalgebra(comult=LinMap(field, dim * dim, dim, tuple(entries)),
+        nonzeros += [(rc, i, x) for rc, x in enumerate(flat) if x]
+    return Coalgebra(comult=LinMap.from_nonzeros(field, dim * dim, dim, nonzeros),
                      counit=LinMap.make(field, 1, dim, counit_vec))
 
 
@@ -265,14 +247,8 @@ class MeasuringDocument:
 
 def measuring_to_dict(mdoc: MeasuringDocument) -> dict:
     m = mdoc.measuring
-    field = m.field
-    entries = []
-    for t in range(m.a.dim):
-        for x in range(m.xdim):
-            col = m.psi.col_at(t * m.xdim + x)
-            if any(v != 0 for v in col):
-                entries.append([[t, x], show_vector(field, col)])
-    return {"a": mdoc.a_ref, "b": mdoc.b_ref, "xdim": m.xdim, "psi": entries}
+    return {"a": mdoc.a_ref, "b": mdoc.b_ref, "xdim": m.xdim,
+            "psi": column_entries(m.psi, m.xdim)}
 
 
 def serialize_measuring_document(mdoc: MeasuringDocument) -> str:
@@ -296,8 +272,7 @@ def parse_measuring_document(text: str, loader) -> MeasuringDocument:
     xdim = raw["xdim"]
     _want(_is_int(xdim) and xdim >= 0, "xdim must be a nonnegative integer", "xdim")
     field = a.field
-    zero = field.zero()
-    cols: dict[tuple[int, int], tuple] = {}
+    nonzeros = []
     last = None
     _want(isinstance(raw["psi"], list), "psi must be a list of entries", "psi")
     for idx, entry in enumerate(raw["psi"]):
@@ -312,14 +287,8 @@ def parse_measuring_document(text: str, loader) -> MeasuringDocument:
         last = (t, x)
         vec = _parse_vector(field, vec_data, xdim * b.dim, path)
         _want(any(v != 0 for v in vec), "zero entries must be omitted", path)
-        cols[(t, x)] = vec
-    entries = []
-    for r in range(xdim * b.dim):
-        for t in range(a.dim):
-            for x in range(xdim):
-                col = cols.get((t, x))
-                entries.append(col[r] if col is not None else zero)
-    psi = LinMap(field, xdim * b.dim, a.dim * xdim, tuple(entries))
+        nonzeros += [(r, t * xdim + x, v) for r, v in enumerate(vec) if v]
+    psi = LinMap.from_nonzeros(field, xdim * b.dim, a.dim * xdim, nonzeros)
     measuring = Measuring(a, b, xdim, psi)
     report = validate_measuring(measuring)
     if not report.ok:

@@ -26,7 +26,7 @@ from .errors import (
     NotCommutative,
 )
 from .fields import Field, same_field
-from .linalg import LinMap, _SignedSwap, composite
+from .linalg import LinMap, _SignedSwap, _nonzeros_by, composite
 from .measurings import _braided_tensor
 from .structures import (
     DEFAULT_BUDGET,
@@ -128,13 +128,11 @@ def _koszul(v: GradedSpace, w: GradedSpace) -> _SignedSwap:
 def _homogeneity_failures(name: str, f: LinMap, cod_degs: Sequence[int],
                           dom_degs: Sequence[int]) -> list[Failure]:
     """Entries must vanish unless the codomain degree equals the domain degree."""
-    out = []
-    for r in range(f.cod):
-        for c in range(f.dom):
-            if f.entries[r * f.dom + c] != 0 and cod_degs[r] != dom_degs[c]:
-                out.append(Failure(f"{name} homogeneity", (r, c)))
-                return out
-    return out
+    for r, row in enumerate(_nonzeros_by(f, by_col=False)):
+        for c, _ in row:
+            if cod_degs[r] != dom_degs[c]:
+                return [Failure(f"{name} homogeneity", (r, c))]
+    return []
 
 
 def _tensor_degrees(degs: Sequence[int], times: int = 2) -> list[int]:
@@ -247,19 +245,17 @@ def degree0_part(a: Graded) -> Algebra:
     for i in range(dim):
         if i not in pos and unit_vec[i] != 0:
             raise NotClosed("the unit is not supported in degree 0")
-    mult = [[k.zero()] * (d0 * d0) for _ in range(d0)]
+    mult = []
     for ii, i in enumerate(keep):
         for jj, j in enumerate(keep):
             col = algebra.mult.col_at(i * dim + j)
-            for t in range(dim):
-                if col[t] == 0:
-                    continue
+            for t in itertools.compress(range(dim), col):
                 if t not in pos:
                     raise NotClosed(
                         f"product of degree-0 elements {i}, {j} leaves degree 0")
-                mult[pos[t]][ii * d0 + jj] = col[t]
+                mult.append((pos[t], ii * d0 + jj, col[t]))
     unit = [unit_vec[i] for i in keep]
-    return Algebra(mult=LinMap.from_rows(k, mult), unit=LinMap.column(k, unit))
+    return Algebra(mult=LinMap.from_nonzeros(k, d0, d0 * d0, mult), unit=LinMap.column(k, unit))
 
 
 def include_degree0(structure):

@@ -87,6 +87,17 @@ class LinMap:
         return LinMap.make(field, cod, dom, [x for r in rows for x in r])
 
     @staticmethod
+    def from_nonzeros(field: Field, cod: int, dom: int, nonzeros) -> LinMap:
+        """The cod x dom map with the given (row, column, value) entries, each
+        position at most once, and zero everywhere else."""
+        out = [field.zero()] * (cod * dom)
+        for r, c, v in nonzeros:
+            if not (0 <= r < cod and 0 <= c < dom):
+                raise DimensionMismatch(f"entry ({r}, {c}) outside a {cod}x{dom} map")
+            out[r * dom + c] = field.coerce(v)
+        return LinMap(field, cod, dom, tuple(out))
+
+    @staticmethod
     def identity(field: Field, n: int) -> LinMap:
         one, zero = field.one(), field.zero()
         return LinMap(field, n, n, tuple(one if i == j else zero for i in range(n) for j in range(n)))

@@ -69,18 +69,12 @@ from .measurings import Measuring, intertwiners, tensor_measuring_bialgebra, val
 def coend_coalgebra(xdim: int, field: Field) -> Coalgebra:
     """The comatrix coalgebra X* (x) X on basis f_ij (index i*xdim + j):
     Delta f_ij = sum_k f_ik (x) f_kj, eps f_ij = delta_ij."""
-    k = field
     d = xdim * xdim
-    comult = [k.zero()] * (d * d * d)
-    counit = [k.zero()] * d
-    for i in range(xdim):
-        counit[i * xdim + i] = k.one()
-        for j in range(xdim):
-            for t in range(xdim):
-                row = (i * xdim + t) * d + (t * xdim + j)
-                comult[row * d + i * xdim + j] = k.one()
-    return Coalgebra(comult=LinMap(k, d * d, d, tuple(comult)),
-                     counit=LinMap(k, 1, d, tuple(counit)))
+    comult = [((i * xdim + t) * d + (t * xdim + j), i * xdim + j, 1)
+              for i in range(xdim) for j in range(xdim) for t in range(xdim)]
+    counit = [(0, i * xdim + i, 1) for i in range(xdim)]
+    return Coalgebra(comult=LinMap.from_nonzeros(field, d * d, d, comult),
+                     counit=LinMap.from_nonzeros(field, 1, d, counit))
 
 
 def validate_comodule(delta: LinMap, c: Coalgebra, tables: dict | None = None) -> bool:
@@ -170,13 +164,9 @@ def _quotient_by_rows(field: Field, n: int,
         echelon.update(zip(pivots, block))
     rows = kernel_basis(LinMap(k, len(echelon), n,
                                tuple(x for c in sorted(echelon) for x in echelon[c])))
-    d = len(rows)
-    section = [k.zero()] * (n * d)
-    for c, row in enumerate(rows):
-        # the kernel vector of free coordinate j is zero after j
-        free = max(j for j, v in enumerate(row) if v)
-        section[free * d + c] = k.one()
-    return rows, LinMap(k, n, d, tuple(section))
+    # the kernel vector of free coordinate j is zero after j
+    section = [(max(compress(range(n), row)), c, 1) for c, row in enumerate(rows)]
+    return rows, LinMap.from_nonzeros(k, n, len(rows), section)
 
 
 def _clear(row: list, pivot_row: list, c: int, p: int) -> None:
@@ -197,7 +187,8 @@ def _coefficients(section: LinMap, xdims: list[int]) -> list[tuple[int, int, int
 
 def _from_columns(field: Field, cod: int, columns: list[tuple]) -> LinMap:
     """The map k^len(columns) -> k^cod with the given columns."""
-    return LinMap(field, cod, len(columns), tuple(v for row in zip(*columns) for v in row))
+    return LinMap.from_nonzeros(field, cod, len(columns), [
+        (r, c, col[r]) for c, col in enumerate(columns) for r in compress(range(cod), col)])
 
 
 def reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,

@@ -391,17 +391,13 @@ def tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
 
 def matrix_units_algebra(field: Field, n: int) -> Algebra:
     """M_n(k) on the matrix-unit basis e_ij, index i*n + j."""
-    k = field
     dim = n * n
-    mult = [[k.zero()] * (dim * dim) for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                # e_ij . e_jl = e_il
-                mult[i * n + l][(i * n + j) * dim + (j * n + l)] = k.one()
-    unit = [k.one() if i % (n + 1) == 0 else k.zero() for i in range(dim)]
-    return Algebra(mult=LinMap.from_rows(k, mult),
-                   unit=LinMap.column(k, unit))
+    # e_ij . e_jl = e_il
+    mult = [(i * n + l, (i * n + j) * dim + (j * n + l), 1)
+            for i in range(n) for j in range(n) for l in range(n)]
+    unit = [(i * n + i, 0, 1) for i in range(n)]
+    return Algebra(mult=LinMap.from_nonzeros(field, dim, dim * dim, mult),
+                   unit=LinMap.from_nonzeros(field, dim, 1, unit))
 
 
 def matrix_algebra(b: Algebra, n: int) -> Algebra:
@@ -443,18 +439,13 @@ def group_algebra(field: Field, cayley: Sequence[Sequence[int]]) -> HopfAlgebra:
                 if cayley[cayley[g][h]][l] != cayley[g][cayley[h][l]]:
                     raise NotAGroup(f"associativity fails at ({g}, {h}, {l})")
     k = field
-    mult = [[k.zero()] * (n * n) for _ in range(n)]
-    comult = [[k.zero()] * n for _ in range(n * n)]
-    for g in range(n):
-        for h in range(n):
-            mult[cayley[g][h]][g * n + h] = k.one()
-        comult[g * n + g][g] = k.one()
-    unit = [k.one() if g == identity else k.zero() for g in range(n)]
-    counit = [k.one()] * n
-    antipode = [[k.one() if inverse[j] == i else k.zero() for j in range(n)] for i in range(n)]
-    alg = Algebra(mult=LinMap.from_rows(k, mult), unit=LinMap.column(k, unit))
-    coalg = Coalgebra(comult=LinMap.from_rows(k, comult), counit=LinMap.row(k, counit))
-    return HopfAlgebra(Bialgebra(alg, coalg), LinMap.from_rows(k, antipode))
+    mult = LinMap.from_nonzeros(k, n, n * n, [(cayley[g][h], g * n + h, 1)
+                                              for g in range(n) for h in range(n)])
+    comult = LinMap.from_nonzeros(k, n * n, n, [(g * n + g, g, 1) for g in range(n)])
+    alg = Algebra(mult=mult, unit=LinMap.from_nonzeros(k, n, 1, [(identity, 0, 1)]))
+    coalg = Coalgebra(comult=comult, counit=LinMap.row(k, [1] * n))
+    antipode = LinMap.from_nonzeros(k, n, n, [(inverse[g], g, 1) for g in range(n)])
+    return HopfAlgebra(Bialgebra(alg, coalg), antipode)
 
 
 def dual_coalgebra(a: Algebra) -> Coalgebra:

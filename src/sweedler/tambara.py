@@ -127,7 +127,7 @@ def tambara_presentation(a: Algebra, b: Algebra,
                     if not pi:
                         continue
                     for u in range(da):
-                        coeff = a.mult.entries[t * (da * da) + (i * da + u)]
+                        coeff = a.mult[t, i * da + u]
                         if coeff == 0:
                             continue
                         pu = image(u, l)

@@ -72,7 +72,7 @@ def sweedler_hopf(field: Field) -> HopfAlgebra:
     if field.char == 2:
         raise UnsupportedField("this Hopf algebra degenerates in characteristic 2")
     k = field
-    one, zero = k.one(), k.zero()
+    one = k.one()
     minus = k.neg(one)
     dim = 4
     # basis order: 1, g, x, gx
@@ -82,20 +82,17 @@ def sweedler_hopf(field: Field) -> HopfAlgebra:
         (2, 0): {2: one}, (2, 1): {3: minus}, (2, 2): {}, (2, 3): {},
         (3, 0): {3: one}, (3, 1): {2: minus}, (3, 2): {}, (3, 3): {},
     }
-    mult_rows = [[zero] * (dim * dim) for _ in range(dim)]
-    for (i, j), image in products.items():
-        for t, coeff in image.items():
-            mult_rows[t][i * dim + j] = coeff
-    comult_rows = [[zero] * dim for _ in range(dim * dim)]
-    # Delta 1 = 1 (x) 1; Delta g = g (x) g
-    comult_rows[0 * dim + 0][0] = one
-    comult_rows[1 * dim + 1][1] = one
-    # Delta x = x (x) 1 + g (x) x
-    comult_rows[2 * dim + 0][2] = one
-    comult_rows[1 * dim + 2][2] = one
-    # Delta gx = gx (x) g + 1 (x) gx
-    comult_rows[3 * dim + 1][3] = one
-    comult_rows[0 * dim + 3][3] = one
+    mult = LinMap.from_nonzeros(k, dim, dim * dim, [
+        (t, i * dim + j, coeff) for (i, j), image in products.items()
+        for t, coeff in image.items()])
+    comult = LinMap.from_nonzeros(k, dim * dim, dim, [
+        # Delta 1 = 1 (x) 1; Delta g = g (x) g
+        (0 * dim + 0, 0, one), (1 * dim + 1, 1, one),
+        # Delta x = x (x) 1 + g (x) x
+        (2 * dim + 0, 2, one), (1 * dim + 2, 2, one),
+        # Delta gx = gx (x) g + 1 (x) gx
+        (3 * dim + 1, 3, one), (0 * dim + 3, 3, one),
+    ])
     counit = LinMap.row(k, [1, 1, 0, 0])
     antipode = LinMap.from_rows(k, [
         [1, 0, 0, 0],
@@ -103,8 +100,8 @@ def sweedler_hopf(field: Field) -> HopfAlgebra:
         [0, 0, 0, 1],
         [0, 0, minus, 0],
     ])
-    alg = Algebra(LinMap.from_rows(k, mult_rows), LinMap.column(k, [1, 0, 0, 0]))
-    coalg = Coalgebra(LinMap.from_rows(k, comult_rows), counit)
+    alg = Algebra(mult, LinMap.column(k, [1, 0, 0, 0]))
+    coalg = Coalgebra(comult, counit)
     return HopfAlgebra(Bialgebra(alg, coalg), antipode)
 
 

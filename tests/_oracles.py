@@ -657,6 +657,18 @@ def dense_measuring_failures(m):
     return failures
 
 
+def dense_homogeneity_failures(name, f, cod_degs, dom_degs):
+    """[(axiom, witness)] for the first entry of f, in row-major order, that is
+    nonzero between basis vectors of different degrees; every entry is read."""
+    out = []
+    for r in range(f.cod):
+        for c in range(f.dom):
+            if f.entries[r * f.dom + c] != 0 and cod_degs[r] != dom_degs[c]:
+                out.append((f"{name} homogeneity", (r, c)))
+                return out
+    return out
+
+
 def hom_walk_morphism_classes(a, b, n, morphisms):
     """The classes of morphisms A -> M_n(B) as measurings, by the Hom-walk
     routine: items bucketed by the conjugation invariant of their n x n

@@ -17,20 +17,13 @@ from _oracles import (
     dense_antipode_failures,
     dense_bialgebra_failures,
     dense_coalgebra_failures,
+    dense_homogeneity_failures,
     dense_measuring_failures,
 )
 
 from sweedler.documents import parse_document, parse_measuring_document
 from sweedler.fields import GF
-from sweedler.graded import (
-    _algebra_homogeneity,
-    _coalgebra_homogeneity,
-    _homogeneity_failures,
-    assemble,
-    koszul_swap,
-    parts,
-    validate,
-)
+from sweedler.graded import _homogeneity_failures, assemble, koszul_swap, parts, validate
 from sweedler.linalg import LinMap, compose, kron, swap_map
 from sweedler.measurings import Measuring, regular_measuring, validate_measuring
 from sweedler.structures import (
@@ -121,11 +114,13 @@ def _dense_failures(value):
     out = []
     if space is not None:
         degs = space.degrees
+        pairs = [p + q for p in degs for q in degs]
         if algebra is not None:
-            out += _algebra_homogeneity(algebra, degs)
+            out += dense_homogeneity_failures("mult", algebra.mult, degs, pairs)
+            out += dense_homogeneity_failures("unit", algebra.unit, degs, [0])
         if coalgebra is not None:
-            out += _coalgebra_homogeneity(coalgebra, degs)
-        out = [(f.axiom, f.witness) for f in out]
+            out += dense_homogeneity_failures("comult", coalgebra.comult, pairs, degs)
+            out += dense_homogeneity_failures("counit", coalgebra.counit, [0], degs)
     if coalgebra is None:
         return out + dense_algebra_failures(algebra)
     if algebra is None:
@@ -138,8 +133,7 @@ def _dense_failures(value):
                                         "comult multiplicative (Koszul)")
     if antipode is not None:
         if space is not None:
-            out += [(f.axiom, f.witness) for f in
-                    _homogeneity_failures("antipode", antipode, space.degrees, space.degrees)]
+            out += dense_homogeneity_failures("antipode", antipode, space.degrees, space.degrees)
         out += dense_antipode_failures(b, antipode)
     return out
 
@@ -170,6 +164,36 @@ def test_structure_witnesses_match_the_dense_checks():
             checked += 1
     assert checked > 500
     assert ALL_AXIOMS - {"measuring multiplicativity", "measuring unit"} <= seen
+
+
+def test_homogeneity_witness_is_the_first_in_row_major_order():
+    """Several constants of a graded structure map changed at once: the
+    witness is the first inhomogeneous entry of the dense walk."""
+    rng = random.Random(14)
+    checked = 0
+    for value in _structures():
+        algebra, coalgebra, antipode, space = parts(value)
+        if space is None:
+            continue
+        degs = space.degrees
+        pairs = [p + q for p in degs for q in degs]
+        shapes = [("antipode", antipode, degs, degs)]
+        if algebra is not None:
+            shapes += [("mult", algebra.mult, degs, pairs), ("unit", algebra.unit, degs, [0])]
+        if coalgebra is not None:
+            shapes += [("comult", coalgebra.comult, pairs, degs),
+                       ("counit", coalgebra.counit, [0], degs)]
+        for name, f, cod_degs, dom_degs in shapes:
+            if f is None:
+                continue
+            for _ in range(POSITIONS):
+                for _ in range(3):
+                    f = _changed(f, rng)
+                got = [(x.axiom, x.witness)
+                       for x in _homogeneity_failures(name, f, cod_degs, dom_degs)]
+                assert got == dense_homogeneity_failures(name, f, cod_degs, dom_degs)
+                checked += bool(got)
+    assert checked > 40
 
 
 def test_measuring_witnesses_match_the_dense_checks():

@@ -564,6 +564,40 @@ def test_zero_dimensional_maps():
     assert rref(empty)[1] == ()
 
 
+# -- from_nonzeros -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", [QQ, F2, GF(3)], ids=str)
+def test_from_nonzeros_matches_the_dense_table(field):
+    rng = random.Random(808)
+    for _ in range(60):
+        cod, dom = rng.randint(1, 5), rng.randint(0, 5)
+        rows = [[0] * dom for _ in range(cod)]
+        nonzeros = []
+        for pos in rng.sample(range(cod * dom), rng.randint(0, cod * dom)):
+            r, c = divmod(pos, dom)
+            # ints of either sign, and Fractions, which the field must coerce
+            v = rng.randint(-7, 7)
+            if rng.random() < 0.5:
+                v = Fraction(v, rng.randint(1, 4) if field.is_rational else 1)
+            rows[r][c] = v
+            nonzeros.append((r, c, v))
+        assert LinMap.from_nonzeros(field, cod, dom, nonzeros) == LinMap.from_rows(field, rows)
+
+
+@pytest.mark.parametrize("r, c", [(2, 0), (0, 3), (-1, 0), (0, -1), (5, 5)])
+def test_from_nonzeros_rejects_positions_outside_the_shape(r, c):
+    with pytest.raises(DimensionMismatch):
+        LinMap.from_nonzeros(F2, 2, 3, [(0, 0, 1), (r, c, 1)])
+
+
+@pytest.mark.parametrize("field", [QQ, F2, GF(3)], ids=str)
+def test_from_nonzeros_builds_empty_shapes(field):
+    assert LinMap.from_nonzeros(field, 0, 4, []) == LinMap.zero(field, 0, 4)
+    assert LinMap.from_nonzeros(field, 4, 0, []) == LinMap.zero(field, 4, 0)
+    assert LinMap.from_nonzeros(field, 0, 0, []) == LinMap.zero(field, 0, 0)
+
+
 def test_exact_roundtrip_through_strings():
     rng = random.Random(707)
     for _ in range(30):
