@@ -6,8 +6,8 @@ emits a deterministic JSON report (or a bare result document with
 grouplikes) are successful runs with status 0; only operational problems
 (parse, validation, budget, unsupported inputs) are nonzero:
 
-    0 success          3 validation error     5 unsupported input or
-    1 internal error   4 budget exceeded        precondition violation
+    0 success          3 validation error     5 unsupported input, precondition
+    1 internal error   4 budget exceeded        violation or tables too large
     2 parse error, unreadable input or unwritable ``--output``
 
 The argument parser is built once per process (``build_parser`` is cached)
@@ -48,9 +48,8 @@ from .structures import (
     Bialgebra,
     algebra_morphisms,
     convolution_algebra,
-    _find_antipode,
-    _find_opantipode,
     _fusion_operators,
+    _read_antipode,
     grouplikes,
     require_valid_bialgebra,
 )
@@ -163,18 +162,10 @@ def cmd_fusion(args):
 
 def cmd_antipode(args):
     b = _valid_bialgebra(_read_document(args.document))
-    found = _find_antipode(b)
-    if found is None:
-        return {"antipode": {"present": False}}, False
-    return {"antipode": {"present": True, "matrix": _matrix(found.antipode)}}, False
-
-
-def cmd_opantipode(args):
-    b = _valid_bialgebra(_read_document(args.document))
-    found = _find_opantipode(b)
-    if found is None:
-        return {"opantipode": {"present": False}}, False
-    return {"opantipode": {"present": True, "matrix": _matrix(found)}}, False
+    s = _read_antipode(b, twisted=args.command == "opantipode")
+    if s is None:
+        return {args.command: {"present": False}}, False
+    return {args.command: {"present": True, "matrix": _matrix(s)}}, False
 
 
 def cmd_grouplikes(args):
@@ -357,9 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("fusion", cmd_fusion, ((["document"], {})),
         help="the four fusion operators and their invertibility")
     add("antipode", cmd_antipode, ((["document"], {})),
-        help="solve for an antipode (absent is a successful result)")
-    add("opantipode", cmd_opantipode, ((["document"], {})),
-        help="solve for an opantipode")
+        help="read an antipode off the fusion operator (absent is a successful result)")
+    add("opantipode", cmd_antipode, ((["document"], {})),
+        help="read an opantipode off the fusion operator")
     add("grouplikes", cmd_grouplikes, ((["document"], {})),
         help="enumerate grouplike elements (finite fields)")
     add("morphisms", cmd_morphisms, ((["source"], {})), ((["target"], {})),
@@ -427,6 +418,9 @@ def _run(args) -> tuple[int, str]:
         return EXIT_VALIDATION, _error_report(args, exc)
     except AssertionError as exc:
         return EXIT_INTERNAL, _error_report(args, exc)
+    except MemoryError:
+        return EXIT_UNSUPPORTED, _error_report(
+            args, MemoryError("the input's tables do not fit in memory"))
     return EXIT_OK, _report(args, payload, is_document)
 
 

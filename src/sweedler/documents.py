@@ -57,12 +57,12 @@ def _unit_support(algebra: Algebra) -> int | None:
     return support[0] if len(support) == 1 else None
 
 
-def column_entries(f: LinMap, inner: int) -> list[list]:
+def column_entries(f: LinMap, inner: int, omit: int | None = None) -> list[list]:
     """[[i, j], shown column] for each nonzero column c = i*inner + j of f, in
-    column order."""
-    columns = (f.col_at(c) for c in range(f.dom))
-    return [[list(divmod(c, inner)), show_vector(f.field, col)]
-            for c, col in enumerate(columns) if any(col)]
+    column order; a column with ``omit`` in (i, j) is skipped unread."""
+    cells = ((c, divmod(c, inner)) for c in range(f.dom))
+    columns = ((ij, f.col_at(c)) for c, ij in cells if omit not in ij)
+    return [[list(ij), show_vector(f.field, col)] for ij, col in columns if any(col)]
 
 
 def structure_to_dict(doc: Document) -> dict:
@@ -72,9 +72,8 @@ def structure_to_dict(doc: Document) -> dict:
     out: dict = {"field": str(field), "dim": dim, "basis": list(doc.labels)}
     if algebra is not None:
         out["unit"] = show_vector(field, algebra.unit_vector())
-        implied = _unit_support(algebra)
-        out["mult"] = [[i, j, col] for (i, j), col in column_entries(algebra.mult, dim)
-                       if implied not in (i, j)]
+        out["mult"] = [[i, j, col] for (i, j), col in
+                       column_entries(algebra.mult, dim, _unit_support(algebra))]
     if coalgebra is not None:
         out["comult"] = [[i, [col[r * dim:(r + 1) * dim] for r in range(dim)]]
                          for (i, _), col in column_entries(coalgebra.comult, 1)]

@@ -27,12 +27,13 @@ layouts of a measuring psi, its matrix morphism A -> M_n(B), a comodule, its
 classifying coend morphism and a stack of module matrices all convert
 through it.
 
-Linear equations on a matrix unknown X (intertwiner spaces, antipodes) are
-sums of terms ``(c, L, a, b, R)``, each the map X -> c.L.(1_a (x) X (x) 1_b).R
-with None for an identity L or R.  :func:`_operator_matrix` writes the system
-in row-major vec coordinates straight from the nonzeros: each nonzero of L on
-a column (alpha, i, beta) meets the nonzeros of R on the rows (alpha, j, beta),
-and no image of a matrix unit is computed.
+Linear equations on a matrix unknown X (intertwiner and Tambara module Hom
+spaces) are sums of terms ``(c, L, a, b, R)``, each the map
+X -> c.L.(1_a (x) X (x) 1_b).R with None for an identity L or R.
+:func:`_operator_matrix` writes the system in row-major vec coordinates
+straight from the nonzeros: each nonzero of L on a column (alpha, i, beta)
+meets the nonzeros of R on the rows (alpha, j, beta), and no image of a
+matrix unit is computed.
 
 Elimination is one Gauss-Jordan routine, :func:`_reduce`, behind :func:`rref`,
 :func:`kernel_basis`, :func:`solve` and :func:`invert`.  It normalises each

@@ -54,9 +54,9 @@ from .structures import (
     Coalgebra,
     HopfAlgebra,
     _failures,
+    _find_antipode,
     dual_bialgebra,
     dual_coalgebra,
-    find_antipode,
     is_coalgebra_morphism,
     is_commutative,
     require_valid_hopf,
@@ -404,7 +404,7 @@ def dual_hopf_check(h: HopfAlgebra) -> HopfAlgebra:
     """The dual Hopf algebra, with its antipode independently re-derived.
 
     Builds (mult = comult^T, comult = mult^T, antipode = s^T), validates it,
-    and cross-checks that the antipode solver on the dual bialgebra returns
+    and cross-checks that the antipode read off the dual's fusion operator is
     exactly s^T.
     """
     require_valid_hopf(h)
@@ -412,7 +412,7 @@ def dual_hopf_check(h: HopfAlgebra) -> HopfAlgebra:
     report = validate_hopf(dual)
     if not report.ok:
         raise InvalidHopf(f"transposed structure is not Hopf: {report}", report)
-    solved = find_antipode(dual.bialgebra)
+    solved = _find_antipode(dual.bialgebra)
     if solved is None or solved.antipode != dual.antipode:
-        raise InvalidHopf("solver disagrees with the transposed antipode")
+        raise InvalidHopf("the fusion read disagrees with the transposed antipode")
     return dual

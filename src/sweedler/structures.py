@@ -45,6 +45,7 @@ from .errors import (
     InvalidHopf,
     NotAGroup,
     PreconditionViolated,
+    Singular,
     UnsupportedField,
 )
 from .fields import Field, primitive_root, same_field
@@ -58,12 +59,11 @@ from .linalg import (
     _nonzeros_by,
     _reduce,
     _swap,
-    compose,
     composite,
+    invert,
     is_invertible,
     kron,
     permute_axes,
-    solve_matrix_equations,
 )
 
 DEFAULT_BUDGET = 1 << 24
@@ -528,48 +528,47 @@ def _opfusion(b: Bialgebra) -> tuple[LinMap, LinMap]:
             composite([(b.comult, d, 1), (c, 1, d), (b.mult, d, 1)], d * d))
 
 
-def _convolution_inverse_of_identity(b: Bialgebra, twisted: bool) -> LinMap | None:
-    """Solve mult.(s (x) 1).D = unit.counit = mult.(1 (x) s).D for s, where
-    D = comult (antipode) or swap.comult (opantipode).  None if inconsistent."""
+def _read_antipode(b: Bialgebra, twisted: bool) -> LinMap | None:
+    """The antipode S of a valid bialgebra (``twisted``: its opantipode S'), or
+    None, read off the inverse fusion operator that decides Hopfness:
+
+        h^-1(x (x) y) = x_1 (x) S(x_2)y,       S = (counit (x) 1).h^-1.(1 (x) unit),
+        h_bar^-1(x (x) y) = y_2 (x) S'(y_1)x,  S' = (counit (x) 1).h_bar^-1.(unit (x) 1).
+
+    S must satisfy the antipode axioms (of the co-opposite bialgebra when
+    twisted), and h' (h_bar') must be invertible exactly when S exists."""
     d = b.dim
-    k = b.field
-    dlt = coopposite(b.coalgebra).comult if twisted else b.comult
-    rhs = compose(b.unit, b.counit)
-    return solve_matrix_equations(
-        k, (d, d),
-        [([(1, b.mult, 1, d, dlt)], rhs), ([(1, b.mult, d, 1, dlt)], rhs)])
+    h, h_prime = _opfusion(b) if twisted else _hopf_fusion(b)
+    try:
+        inverse = invert(h)
+    except Singular:
+        s = None
+    else:
+        s = composite([(b.unit, 1, d) if twisted else (b.unit, d, 1), (inverse, 1, 1),
+                       (b.counit, 1, d)], d)
+        if _failures(_antipode_axioms(
+                Bialgebra(b.algebra, coopposite(b.coalgebra)) if twisted else b, s)):
+            raise AssertionError("internal error: the fusion read is not an antipode")
+    if (s is None) == is_invertible(h_prime):
+        raise AssertionError(
+            "internal error: antipode and fusion-operator invertibility disagree")
+    return s
 
 
 def find_antipode(b: Bialgebra) -> HopfAlgebra | None:
-    """Solve the antipode equations; cross-checked against fusion invertibility."""
+    """The antipode read off the inverse fusion operator h, or None."""
     return _find_antipode(require_valid_bialgebra(b))
 
 
 def _find_antipode(b: Bialgebra) -> HopfAlgebra | None:
     """:func:`find_antipode` for a bialgebra already known to be valid."""
-    s = _convolution_inverse_of_identity(b, twisted=False)
-    h, h_prime = _hopf_fusion(b)
-    if not ((s is not None) == is_invertible(h) == is_invertible(h_prime)):
-        raise AssertionError(
-            "internal error: antipode solver and fusion-operator invertibility disagree")
-    if s is None:
-        return None
-    return HopfAlgebra(b, s)
+    s = _read_antipode(b, twisted=False)
+    return None if s is None else HopfAlgebra(b, s)
 
 
 def find_opantipode(b: Bialgebra) -> LinMap | None:
-    """Convolution inverse of the identity against the co-opposite comultiplication."""
-    return _find_opantipode(require_valid_bialgebra(b))
-
-
-def _find_opantipode(b: Bialgebra) -> LinMap | None:
-    """:func:`find_opantipode` for a bialgebra already known to be valid."""
-    s = _convolution_inverse_of_identity(b, twisted=True)
-    h_bar, h_bar_prime = _opfusion(b)
-    if not ((s is not None) == is_invertible(h_bar) == is_invertible(h_bar_prime)):
-        raise AssertionError(
-            "internal error: opantipode solver and opfusion invertibility disagree")
-    return s
+    """The opantipode read off the inverse fusion operator h_bar, or None."""
+    return _read_antipode(require_valid_bialgebra(b), twisted=True)
 
 
 # ---------------------------------------------------------------------------

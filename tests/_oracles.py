@@ -15,6 +15,7 @@ from sweedler.linalg import (
     LinMap,
     _nonzeros_by,
     _reduce,
+    compose,
     composite,
     invert,
     is_invertible,
@@ -22,12 +23,14 @@ from sweedler.linalg import (
     permute_axes,
     rref,
     solve,
+    solve_matrix_equations,
 )
 from sweedler.measurings import enumerate_measurings, intertwiners, measuring_from_matrix_morphism
 from sweedler.structures import (
     DEFAULT_BUDGET,
     Coalgebra,
     _vectors,
+    coopposite,
     general_linear_group,
     is_algebra_morphism,
 )
@@ -642,6 +645,18 @@ def dense_antipode_failures(b, s):
                  dense_compose(compose_slot(b.mult, s, d, 1, after=False), b.comult),
                  unit_counit, (d,))
     return failures
+
+
+def convolution_inverse(b, twisted):
+    """Solve mult.(s (x) 1).D = unit.counit = mult.(1 (x) s).D for s, where
+    D = comult (antipode) or swap.comult (opantipode).  None if inconsistent."""
+    d = b.dim
+    k = b.field
+    dlt = coopposite(b.coalgebra).comult if twisted else b.comult
+    rhs = compose(b.unit, b.counit)
+    return solve_matrix_equations(
+        k, (d, d),
+        [([(1, b.mult, 1, d, dlt)], rhs), ([(1, b.mult, d, 1, dlt)], rhs)])
 
 
 def dense_measuring_failures(m):

@@ -445,6 +445,32 @@ def test_wide_algebra_with_empty_mult_fails_validation_within_a_gib(tmp_path):
             "left counit", "right counit", "comult unital", "counit unital"]
 
 
+@pytest.mark.parametrize("argv", [["validate", "wide300.json"], ["dual", "wide300.json"],
+                                  ["enumerate-measurings", "wide300.json", "wide300.json", "1"],
+                                  ["reconstruct", "big.measuring.json"]],
+                         ids=lambda argv: argv[0])
+def test_documents_too_large_for_memory_end_in_an_error_report(tmp_path, argv):
+    # small documents declaring dense tables that do not fit in 256 MiB: a
+    # 300 x 90,000 mult (unit e0, no products) and a 3,000 x 6,000 psi
+    dim = 300
+    (tmp_path / "wide300.json").write_text(json.dumps(
+        {"field": "F2", "dim": dim, "basis": [f"e{i}" for i in range(dim)],
+         "unit": ["1"] + ["0"] * (dim - 1), "mult": []}))
+    for name in ("f2_c2.json", "f2_trivial.json"):
+        (tmp_path / name).write_bytes((FIXTURES / name).read_bytes())
+    (tmp_path / "big.measuring.json").write_text(json.dumps(
+        {"a": "f2_c2.json", "b": "f2_trivial.json", "xdim": 3000, "psi": []}) + "\n")
+    assert len((tmp_path / "wide300.json").read_bytes()) == 3850
+    assert len((tmp_path / "big.measuring.json").read_bytes()) == 69
+    proc = _run_under_memory_limit(
+        [str(tmp_path / a) if a.endswith(".json") else a for a in argv], 256 << 20)
+    assert proc.returncode == 5, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["status"], report["error"]) == ("error", "MemoryError")
+    assert report["message"] == "the input's tables do not fit in memory"
+
+
 def test_regular_stage_of_q_c16_is_built_within_256_mib(tmp_path):
     # X = Q^16: written out, its comatrix coalgebra is a dense 65,536 x 256 map.
     # A is the Hopf algebra, whose axioms are checked when it is parsed.

@@ -603,6 +603,21 @@ def test_dual_hopf_check_on_corpus(hopf_corpus):
         assert dual.antipode == h.antipode.transpose(), name
 
 
+def test_dual_hopf_check_validates_each_bialgebra_once(monkeypatch, sweedler4):
+    import sweedler.structures as structures
+
+    calls = []
+    original = structures.validate_bialgebra
+
+    def counted(b):
+        calls.append(b)
+        return original(b)
+
+    monkeypatch.setattr(structures, "validate_bialgebra", counted)
+    dual = dual_hopf_check(sweedler4)
+    assert calls == [sweedler4.bialgebra, dual.bialgebra]
+
+
 def test_dual_hopf_check_sweedler_antipode_square(sweedler4):
     dual = dual_hopf_check(sweedler4)
     square = compose(dual.antipode, dual.antipode)
