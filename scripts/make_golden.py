@@ -80,6 +80,10 @@ def cases() -> list[list[str]]:
             out.append([cmd, _fixture(n)])
     for n in coalgebras:
         out.append(["grouplikes", _fixture(n)])
+    # the grouplike bound is p to the number of generators of the dual algebra
+    for n, budget in (("sweedler4_f3.json", "26"), ("f2_c3.json", "3"),
+                      ("sweedler4_f3.json", "27")):
+        out.append(["grouplikes", _fixture(n), "--budget", budget])
     for n in docs:
         out.append(["graded-check", _fixture(n)])
     for n in graded_algebras:

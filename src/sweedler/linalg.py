@@ -40,7 +40,9 @@ Elimination is one Gauss-Jordan routine, :func:`_reduce`, behind :func:`rref`,
 pivot row once, lists its nonzeros, and updates only the rows with a nonzero
 in the pivot column, at those positions.  Echelon forms pick the leftmost
 pivot in the lowest-index row first, so every derived basis (kernels,
-quotients, solution spaces) is deterministic.
+quotients, solution spaces) is deterministic.  A span grown one vector at a
+time is one incremental echelon {pivot column: reduced row}, through
+:func:`reduce_row` and :func:`insert_row`; its reduced form is unique.
 """
 
 from __future__ import annotations
@@ -404,27 +406,48 @@ def _reduce(k: Field, rows: list[list], ncols: int) -> tuple[int, ...]:
     return tuple(pivots)
 
 
+def reduce_row(k: Field, echelon: dict[int, list], row: list) -> None:
+    """Clear the pivot columns of an incremental echelon {pivot column: row,
+    1 there and 0 at the other pivots} from ``row``, in place."""
+    p = k.char
+    for c in [c for c in echelon if row[c]]:
+        factor, pivot_row = row[c], echelon[c]
+        for j in compress(range(c, len(row)), pivot_row[c:]):
+            row[j] = (row[j] - factor * pivot_row[j]) % p if p else row[j] - factor * pivot_row[j]
+
+
+def insert_row(k: Field, echelon: dict[int, list], row: list, ncols: int) -> int | None:
+    """Reduce ``row`` in place and add it, normalised, at its leftmost nonzero
+    among the first ``ncols`` columns, cleared from the other rows: that
+    pivot column, or None when there is none."""
+    reduce_row(k, echelon, row)
+    c = next(compress(range(ncols), row), None)
+    if c is not None:
+        inv = k.inv(row[c])
+        for j in compress(range(c, len(row)), row[c:]):
+            row[j] = k.mul(row[j], inv)
+        for other in echelon.values():
+            reduce_row(k, {c: row}, other)
+        echelon[c] = row
+    return c
+
+
 def rank(f: LinMap) -> int:
     return len(rref(f)[1])
 
 
 def kernel_basis(f: LinMap) -> list[tuple]:
-    """Basis of ker f, one vector per free column, in reduced column-echelon form.
-
-    The vector for free column j has 1 at j, zero at every other free column.
-    """
-    k = f.field
+    """Basis of ker f, one vector per free column, in reduced column-echelon form."""
     echelon, pivots = rref(f)
-    pivot_set = set(pivots)
-    free = [c for c in range(f.dom) if c not in pivot_set]
-    basis = []
-    for j in free:
-        vec = [k.zero()] * f.dom
-        vec[j] = k.one()
-        for r, p in enumerate(pivots):
-            vec[p] = k.neg(echelon.entries[r * f.dom + j])
-        basis.append(tuple(vec))
-    return basis
+    return null_vectors(f.field, {c: echelon.row_at(r) for r, c in enumerate(pivots)}, f.dom)
+
+
+def null_vectors(k: Field, echelon: dict[int, Sequence], n: int) -> list[tuple]:
+    """Basis of the vectors of k^n that a reduced echelon {pivot column: row}
+    kills, one per free column j in order: 1 at j, minus column j at each pivot."""
+    one, zero = k.one(), k.zero()
+    return [tuple(one if i == j else k.neg(echelon[i][j]) if i in echelon else zero
+                  for i in range(n)) for j in range(n) if j not in echelon]
 
 
 def invert(f: LinMap) -> LinMap:

@@ -1,13 +1,12 @@
 """Finite-stage coend reconstruction of universal measuring coalgebras.
 
-Given measurings (X_i, psi_i) of A into B, the generated subcoalgebra D is the
+Given measurings (X_i, psi_i) of A into B, the stage D is their coend: the
 quotient of the direct sum of the comatrix coalgebras X_i* (x) X_i by the
-span of the coend relations
-
-    (alpha . f) (x) v  -  alpha (x) f(v)
-
-over a family of intertwiners f, with comultiplication, counit and the
-measuring pairing beta: A (x) D -> B induced on the quotient.
+span of the relations (alpha . f) (x) v - alpha (x) f(v) over a family of
+intertwiners f, with comultiplication, counit and the measuring pairing
+beta: A (x) D -> B induced on the quotient.  Over every intertwiner, D is
+the coend over the full subcategory on the generators; it maps onto the
+subcoalgebra of P(A, B) that the generators span, not always injectively.
 
 The stage is assembled one generator at a time, never as the direct sum, and
 no comatrix coalgebra is written out.  A linear P_i: coend(X_i) -> D is the
@@ -40,11 +39,11 @@ from .errors import (
 from .fields import Field
 from .linalg import (
     LinMap,
-    _reduce,
     _swap,
     composite,
-    kernel_basis,
+    insert_row,
     kron,
+    null_vectors,
     permute_axes,
 )
 from .structures import (
@@ -122,7 +121,8 @@ def _classified_comodule(phi: LinMap, cdim: int, xdim: int) -> LinMap:
 
 @dataclass(frozen=True)
 class GeneratedSubcoalgebra:
-    """A finite-dimensional stage of the universal measuring coalgebra.
+    """A finite stage: the coend of ``generators`` over intertwiners, which maps
+    onto the subcoalgebra of P(A, B) they span, not always injectively.
 
     ``d`` is the quotient coalgebra, ``pairing`` the measuring pairing
     beta: A (x) D -> B, ``projections[i]`` the coalgebra morphism
@@ -140,41 +140,16 @@ class GeneratedSubcoalgebra:
 
 
 def _quotient_by_rows(field: Field, n: int,
-                      blocks: Iterable[list[list]]) -> tuple[list[tuple], LinMap]:
-    """Quotient of k^n by the span of the rows in ``blocks``: the rows of the
-    projection k^n -> k^d and the section k^d -> k^n.
-
-    Each block is reduced on its own: the pivot columns of the blocks before
-    it are cleared from its rows, it is brought to reduced echelon form and
-    its pivots are cleared from the earlier rows, so each step follows the
-    block.  The projection's rows are the kernel basis of the relations'
-    reduced echelon form (unique for their span), one per free (non-pivot)
-    coordinate, in increasing order; the section sends D's basis to those.
-    """
-    k = field
-    echelon: dict[int, list] = {}  # pivot column -> row
-    for block in blocks:
-        for row in block:
-            for c, pivot_row in echelon.items():
-                _clear(row, pivot_row, c, k.char)
-        pivots = _reduce(k, block, n)
-        for c, pivot_row in zip(pivots, block):
-            for row in echelon.values():
-                _clear(row, pivot_row, c, k.char)
-        echelon.update(zip(pivots, block))
-    rows = kernel_basis(LinMap(k, len(echelon), n,
-                               tuple(x for c in sorted(echelon) for x in echelon[c])))
-    # the kernel vector of free coordinate j is zero after j
-    section = [(max(compress(range(n), row)), c, 1) for c, row in enumerate(rows)]
-    return rows, LinMap.from_nonzeros(k, n, len(rows), section)
-
-
-def _clear(row: list, pivot_row: list, c: int, p: int) -> None:
-    """row -= row[c] pivot_row, in place, for a pivot row zero left of its 1 at c."""
-    factor = row[c]
-    if factor:
-        for j in compress(range(c, len(row)), pivot_row[c:]):
-            row[j] = (row[j] - factor * pivot_row[j]) % p if p else row[j] - factor * pivot_row[j]
+                      relations: Iterable[list]) -> tuple[list[tuple], LinMap]:
+    """Quotient of k^n by the span of the rows ``relations``, inserted in one
+    incremental echelon: the projection k^n -> k^d has its null vectors as
+    rows, one per free column j in order, and the section sends each to e_j."""
+    echelon: dict[int, list] = {}
+    for row in relations:
+        insert_row(field, echelon, row, n)
+    free = [j for j in range(n) if j not in echelon]
+    return (null_vectors(field, echelon, n),
+            LinMap.from_nonzeros(field, n, len(free), [(j, c, 1) for c, j in enumerate(free)]))
 
 
 def _coefficients(section: LinMap, xdims: list[int]) -> list[tuple[int, int, int]]:
@@ -197,8 +172,9 @@ def reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,
     """Coend of the given measurings over their intertwiners.
 
     With ``auto_intertwiners`` a basis of every Hom space between every ordered
-    pair of generators (endomorphisms included) is used; otherwise the caller
-    supplies ``morphisms`` as (source index, target index, map) triples.  All
+    pair of generators (endomorphisms included) is used: the coend over the
+    full subcategory on them, not always their span in P(A, B).  Otherwise
+    ``morphisms`` lists (source index, target index, map) triples.  All
     induced structure is checked; a failed check raises
     InducedStructureIllDefined and means an input morphism was not one.
     """
@@ -248,7 +224,7 @@ def _reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,
         return out
 
     rows, section = _quotient_by_rows(
-        k, total, (relation_rows(i, j, f) for i, j, f in morphisms or []))
+        k, total, (row for i, j, f in morphisms or [] for row in relation_rows(i, j, f)))
     d = len(rows)
     projections = tuple(LinMap(k, d, x * x, tuple(v for row in rows for v in row[s:s + x * x]))
                         for s, x in zip(starts, xdims))

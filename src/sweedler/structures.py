@@ -24,9 +24,10 @@ slot kernel; a plain swap next to a single map is a reordering of its axes
 
 Over a prime field, algebra morphisms are enumerated through generators,
 one image coordinate at a time, each branch ending at its first failing
-relation among words.  The isomorphism classes of representations
-(morphisms into M_n(B), modules) are their GL_n(k)-conjugation orbits, each
-closed under a fixed generating set of the group; GL_n(k) is never listed.
+relation among words; grouplikes of C are the algebra maps C* -> k.  The
+isomorphism classes of representations (morphisms into M_n(B), modules) are
+their GL_n(k)-conjugation orbits, each closed under a fixed generating set
+of the group; GL_n(k) is never listed.
 """
 
 from __future__ import annotations
@@ -57,13 +58,15 @@ from .linalg import (
     _chain_images,
     _chain_steps,
     _nonzeros_by,
-    _reduce,
     _swap,
+    apply_slot,
     composite,
+    insert_row,
     invert,
     is_invertible,
     kron,
     permute_axes,
+    reduce_row,
 )
 
 DEFAULT_BUDGET = 1 << 24
@@ -589,48 +592,32 @@ def grouplikes(c: Coalgebra, candidates: Sequence[Sequence] | None = None,
                budget: int = DEFAULT_BUDGET) -> list[tuple]:
     """All x with comult x = x (x) x and counit x = 1, deterministically ordered.
 
-    Over a prime field the search is exhaustive.  Over the rationals the
+    Over a prime field these are the :func:`algebra_morphisms` C* -> k of a
+    valid coalgebra c, within p^(generators of C*) <= budget.  Over Q the
     quadratic system is undecidable by enumeration, so the caller must declare
     candidate axes; each axis line is solved exactly and the result is complete
     for the declared family only.
     """
     k = c.field
-    d = c.dim
-    one = k.one()
-    out = []
-    if candidates is not None:
-        seen = set()
-        for cand in candidates:
-            vec = tuple(k.coerce(x) for x in cand)
-            if len(vec) != d:
-                raise DimensionMismatch("candidate axis has wrong length")
-            eps = c.counit.apply(vec)[0]
-            if eps == 0:
-                continue
-            x = tuple(k.div(v, eps) for v in vec)
-            if x in seen:
-                continue
-            if _is_grouplike(c, x):
-                seen.add(x)
-                out.append(x)
-        return out
-    for vec in _vectors(k, d, budget):
-        if c.counit.apply(vec)[0] != one:
-            continue
-        if _is_grouplike(c, vec):
-            out.append(tuple(vec))
-    return out
-
-
-def _is_grouplike(c: Coalgebra, x: Sequence) -> bool:
-    k = c.field
-    lhs = c.comult.apply(x)
-    d = c.dim
-    for i in range(d):
-        for j in range(d):
-            if lhs[i * d + j] != k.mul(x[i], x[j]):
-                return False
-    return c.counit.apply(x)[0] == k.one()
+    if candidates is None:
+        if k.is_rational:
+            raise UnsupportedField("exhaustive enumeration needs a finite field")
+        if c.dim == 0:
+            return []
+        return [f.entries for f in algebra_morphisms(dual_algebra(c), trivial_algebra(k),
+                                                     budget=budget)]
+    lines = {}  # each candidate scaled to counit 1, once, in order
+    for cand in candidates:
+        vec = tuple(k.coerce(x) for x in cand)
+        if len(vec) != c.dim:
+            raise DimensionMismatch("candidate axis has wrong length")
+        eps = c.counit.apply(vec)[0]
+        if eps != 0:
+            lines[tuple(k.div(v, eps) for v in vec)] = None
+    if not lines:  # nothing to test, and C* needs dim >= 1
+        return []
+    dual, base = dual_algebra(c), trivial_algebra(k)
+    return [x for x in lines if is_algebra_morphism(LinMap.row(k, x), dual, base)]
 
 
 def is_algebra_morphism(f: LinMap, a: Algebra, b: Algebra) -> bool:
@@ -667,44 +654,53 @@ def _word_span(a: Algebra) -> tuple[list[int], list[tuple[list, list]], list[lis
     generator g = sum_j c_j word_j, found on the way; every pair of a word
     and a generator is a word or a relation, once.  ``coords[t]`` is e_t in
     the words, as its (j, c_j) nonzeros.
+
+    The words are an incremental echelon of rows [u | c], u = sum_j c_j word_j,
+    reduced on u: v is in their span when [v | 0] reduces to [0 | -c].
     """
     k = a.field
     d = a.dim
     one, zero = k.one(), k.zero()
-    # rows [u | c] with u = sum_j c_j word_j, in reduced echelon form on u
-    echelon: list[list] = []
-    vectors: list[tuple] = []  # of the words
+    echelon: dict[int, list] = {}
+    vectors: list[list] = []  # of the words
+    columns = _nonzeros_by(a.mult, by_col=True)
 
-    def reduce(rows: list[list], v: Sequence, marker: int | None = None) -> list | None:
-        """Reduce [v | e_marker] into ``rows``: None when v is outside their
-        span, and otherwise the row is dropped and v is returned in words."""
-        rows.append(list(v) + [one if j == marker else zero for j in range(d)])
-        if len(_reduce(k, rows, d)) == len(rows):
+    def in_words(v: list, n: int | None = None) -> list | None:
+        """v in words, or None when v is outside the span; given ``n``, such
+        a v becomes word n."""
+        row = [*v, *[zero] * d]
+        if n is not None and n < d:  # d words span A
+            row[d + n] = one
+        reduce_row(k, echelon, row)
+        if any(row[:d]):
+            if n is not None:
+                insert_row(k, echelon, row, d)
+                vectors.append(v)
             return None
-        return [(j, k.neg(c)) for j, c in enumerate(rows.pop()[d:]) if c and j != marker]
+        return [(j, k.neg(c)) for j, c in enumerate(row[d:]) if c and j != n]
 
-    vectors.append(a.unit_vector())
-    reduce(echelon, vectors[0], 0)
-    basis = [tuple(one if i == t else zero for i in range(d)) for t in range(d)]
+    in_words(list(a.unit_vector()), 0)
+    basis = [[one if i == t else zero for i in range(d)] for t in range(d)]
     generators, stages = [], []
     for t in range(d):
-        if reduce([list(row) for row in echelon], basis[t]) is not None:
+        if in_words(basis[t]) is not None:
             continue
         generators.append(t)
         words, relations = [], []
         pending = deque((w, len(generators) - 1) for w in range(len(vectors)))
         while pending:
             w, g = pending.popleft()
-            v = a.mult.apply([x * y for x in vectors[w] for y in basis[generators[g]]])
-            combo = reduce(echelon, v, len(vectors))
+            v, s = vectors[w], generators[g]  # v times e_s, off mult's columns (i, s)
+            product = apply_slot({i * d + s: v[i] for i in itertools.compress(range(d), v)},
+                                 columns, d * d, d, 1, k.char)
+            combo = in_words([product.get(r, zero) for r in range(d)], len(vectors))
             if combo is None:
-                pending.extend((len(vectors), h) for h in range(len(generators)))
-                vectors.append(v)
+                pending.extend((len(vectors) - 1, h) for h in range(len(generators)))
                 words.append((w, g))
             else:
                 relations.append((w, g, combo))
         stages.append((words, relations))
-    return generators, stages, [reduce([list(row) for row in echelon], e) for e in basis]
+    return generators, stages, [in_words(e) for e in basis]
 
 
 def algebra_morphisms(a: Algebra, b: Algebra, budget: int = DEFAULT_BUDGET,

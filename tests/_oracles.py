@@ -6,6 +6,7 @@ do their arithmetic inline.
 """
 
 import itertools
+from collections import deque
 from collections.abc import Sequence
 from itertools import compress
 
@@ -28,6 +29,7 @@ from sweedler.linalg import (
 from sweedler.measurings import enumerate_measurings, intertwiners, measuring_from_matrix_morphism
 from sweedler.structures import (
     DEFAULT_BUDGET,
+    Algebra,
     Coalgebra,
     _vectors,
     coopposite,
@@ -299,6 +301,90 @@ def exhaustive_morphisms(a, b, zero_coords=frozenset()):
         if is_algebra_morphism(f, a, b):
             found.append(f)
     return sorted(found, key=lambda f: f.entries)
+
+
+def diagonal_algebra(k, n: int) -> Algebra:
+    """k^n with orthogonal idempotents e_i and unit their sum."""
+    return Algebra(LinMap.from_nonzeros(k, n, n * n, [(i, i * n + i, 1) for i in range(n)]),
+                   LinMap.from_nonzeros(k, n, 1, [(i, 0, 1) for i in range(n)]))
+
+
+def truncated_algebra(k, n: int) -> Algebra:
+    """k[y]/(y^n) on the basis 1, y, ..., y^(n-1)."""
+    return Algebra(LinMap.from_nonzeros(k, n, n * n, [(i + j, i * n + j, 1) for i in range(n)
+                                                      for j in range(n - i)]),
+                   LinMap.from_nonzeros(k, n, 1, [(0, 0, 1)]))
+
+
+def word_span(a: Algebra) -> tuple[list[int], list[tuple[list, list]], list[list]]:
+    """``structures._word_span`` as it was before its incremental echelon:
+    every candidate is reduced by a fresh Gauss-Jordan pass (``_reduce``)
+    over a copy of the echelon, and every product is ``mult`` applied to a
+    Kronecker vector."""
+    k = a.field
+    d = a.dim
+    one, zero = k.one(), k.zero()
+    # rows [u | c] with u = sum_j c_j word_j, in reduced echelon form on u
+    echelon: list[list] = []
+    vectors: list[tuple] = []  # of the words
+
+    def reduce(rows: list[list], v: Sequence, marker: int | None = None) -> list | None:
+        """Reduce [v | e_marker] into ``rows``: None when v is outside their
+        span, and otherwise the row is dropped and v is returned in words."""
+        rows.append(list(v) + [one if j == marker else zero for j in range(d)])
+        if len(_reduce(k, rows, d)) == len(rows):
+            return None
+        return [(j, k.neg(c)) for j, c in enumerate(rows.pop()[d:]) if c and j != marker]
+
+    vectors.append(a.unit_vector())
+    reduce(echelon, vectors[0], 0)
+    basis = [tuple(one if i == t else zero for i in range(d)) for t in range(d)]
+    generators, stages = [], []
+    for t in range(d):
+        if reduce([list(row) for row in echelon], basis[t]) is not None:
+            continue
+        generators.append(t)
+        words, relations = [], []
+        pending = deque((w, len(generators) - 1) for w in range(len(vectors)))
+        while pending:
+            w, g = pending.popleft()
+            v = a.mult.apply([x * y for x in vectors[w] for y in basis[generators[g]]])
+            combo = reduce(echelon, v, len(vectors))
+            if combo is None:
+                pending.extend((len(vectors), h) for h in range(len(generators)))
+                vectors.append(v)
+                words.append((w, g))
+            else:
+                relations.append((w, g, combo))
+        stages.append((words, relations))
+    return generators, stages, [reduce([list(row) for row in echelon], e) for e in basis]
+
+
+def exhaustive_grouplikes(c: Coalgebra, budget: int = DEFAULT_BUDGET) -> list[tuple]:
+    """All grouplikes of C over F_p, as ``structures.grouplikes`` once found
+    them: every one of the p^dim vectors, in lexicographic order, is tested."""
+    k = c.field
+    d = c.dim
+    one = k.one()
+    out = []
+    for vec in _vectors(k, d, budget):
+        if c.counit.apply(vec)[0] != one:
+            continue
+        if is_grouplike(c, vec):
+            out.append(tuple(vec))
+    return out
+
+
+def is_grouplike(c: Coalgebra, x: Sequence) -> bool:
+    """comult x = x (x) x and counit x = 1, entry by entry."""
+    k = c.field
+    lhs = c.comult.apply(x)
+    d = c.dim
+    for i in range(d):
+        for j in range(d):
+            if lhs[i * d + j] != k.mul(x[i], x[j]):
+                return False
+    return c.counit.apply(x)[0] == k.one()
 
 
 def is_simple(m):

@@ -19,7 +19,10 @@ from sweedler.documents import (
 )
 from sweedler.fields import GF, QQ
 from sweedler.measurings import regular_measuring
+from sweedler.structures import dual_coalgebra
 from sweedler.zoo import cyclic_group_hopf
+
+from _oracles import truncated_algebra
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -126,6 +129,17 @@ def test_morphism_budget_reports_the_generator_bound(capsys, tmp_path):
     report = json.loads(out)
     assert report["error"] == "BudgetExceeded"
     assert report["message"] == "enumeration needs 27 candidates, budget is 2"
+
+
+def test_grouplikes_of_a_long_truncated_dual_fit_a_small_budget(capsys, tmp_path):
+    # the dual of F2[y]/(y^20): its grouplikes are the algebra maps out of
+    # F2[y]/(y^20), which y generates, so 2 candidates bound the search
+    path = tmp_path / "dual_trunc20.json"
+    path.write_text(serialize_document(Document(dual_coalgebra(truncated_algebra(GF(2), 20)),
+                                                tuple(f"y{i}" for i in range(20)))))
+    code, out = run(capsys, "grouplikes", str(path), "--budget", "1024")
+    assert code == 0
+    assert json.loads(out)["result"]["count"] == 1
 
 
 def test_grouplikes_over_q_is_unsupported(capsys):

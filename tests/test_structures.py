@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -7,7 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sweedler import linalg, structures
 from sweedler.cli import main
+from sweedler.documents import Document, serialize_document
 from sweedler.errors import (
     BudgetExceeded,
     InvalidBialgebra,
@@ -23,6 +26,7 @@ from sweedler.structures import (
     Coalgebra,
     HopfAlgebra,
     _conjugated,
+    _word_span,
     algebra_morphisms,
     conjugation_classes,
     convolution_algebra,
@@ -63,8 +67,13 @@ from _oracles import (
     conjugation_orbits,
     convolution_inverse,
     dense_chain,
+    diagonal_algebra,
+    exhaustive_grouplikes,
     exhaustive_morphisms,
     gl_order,
+    is_grouplike,
+    truncated_algebra,
+    word_span,
 )
 
 F2 = GF(2)
@@ -437,8 +446,88 @@ def test_grouplikes_over_q_require_candidates(q_c2):
 
 
 def test_grouplike_budget_is_checked_before_enumerating(m2_f2):
-    with pytest.raises(BudgetExceeded):
+    # M_2(F2), the dual of its comatrix coalgebra, has the three generators
+    # e00, e01, e10, so the bound is 2^3 = 8
+    with pytest.raises(BudgetExceeded) as raised:
         grouplikes(dual_coalgebra(m2_f2), budget=7)
+    assert raised.value.needed == 8
+
+
+def _span_algebras(algebra_corpus, bialgebra_corpus):
+    out = list(algebra_corpus)
+    out += [(f"dual {name}", dual_algebra(b.coalgebra)) for name, b in bialgebra_corpus]
+    out += [("F5[C4]", cyclic_group_hopf(GF(5), 4).algebra),
+            ("M3(F2[y]/(y2))", matrix_algebra(dual_numbers(F2), 3)),
+            ("Q[C6]", cyclic_group_hopf(QQ, 6).algebra),
+            ("dual sweedler/Q", dual_algebra(sweedler_hopf(QQ).coalgebra))]
+    out += [(f"F2^{n}", diagonal_algebra(F2, n)) for n in range(1, 13)]
+    out += [(f"F2[y]/(y^{n})", truncated_algebra(F2, n)) for n in range(1, 13)]
+    return out
+
+
+def test_word_span_matches_the_batch_reference(algebra_corpus, bialgebra_corpus):
+    for name, a in _span_algebras(algebra_corpus, bialgebra_corpus):
+        assert _word_span(a) == word_span(a), name
+
+
+def _grouplike_coalgebras(algebra_corpus, bialgebra_corpus):
+    out = [(f"dual {name}", dual_coalgebra(a)) for name, a in algebra_corpus]
+    out += [(name, b.coalgebra) for name, b in bialgebra_corpus]
+    out += [("F5[C4]", cyclic_group_hopf(GF(5), 4).coalgebra),
+            ("sweedler/F3", sweedler_hopf(F3).coalgebra),
+            ("dual sweedler/F3", dual_coalgebra(sweedler_hopf(F3).algebra)),
+            ("graded line/F2", graded_line_hopf(F2, 1).value.coalgebra)]
+    out += [(f"dual F2^{n}", dual_coalgebra(diagonal_algebra(F2, n))) for n in range(1, 13)]
+    out += [(f"dual F2[y]/(y^{n})", dual_coalgebra(truncated_algebra(F2, n))) for n in range(1, 13)]
+    return [(name, c) for name, c in out if not c.field.is_rational]
+
+
+def test_grouplikes_match_the_exhaustive_walk(algebra_corpus, bialgebra_corpus):
+    for name, c in _grouplike_coalgebras(algebra_corpus, bialgebra_corpus):
+        assert grouplikes(c) == exhaustive_grouplikes(c), name
+
+
+def test_grouplikes_of_a_zero_dimensional_coalgebra(tmp_path, capsys):
+    zero = Coalgebra(LinMap.zero(F2, 0, 0), LinMap.zero(F2, 1, 0))
+    assert grouplikes(zero) == exhaustive_grouplikes(zero) == []
+    path = tmp_path / "zero.json"
+    path.write_text(serialize_document(Document(zero, ())))
+    assert main(["grouplikes", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["count"] == 0
+
+
+def test_grouplike_candidates_over_q_skip_counit_zero_and_duplicates(q_c2):
+    dual = dual_coalgebra(q_c2.algebra)
+    candidates = [(2, 2), (0, 5), (1, 0), (1, 1), (3, -3), (-1, 1)]
+    assert grouplikes(dual, candidates=candidates) == [(1, 1), (1, -1)]
+    # the oracle: scaled to counit 1, once each, tested entry by entry
+    scaled = dict.fromkeys(tuple(Fraction(x, c[0]) for x in c) for c in candidates if c[0])
+    assert [x for x in scaled if is_grouplike(dual, x)] == [(1, 1), (1, -1)]
+
+
+def test_grouplikes_of_a_long_truncated_dual_fit_a_small_budget():
+    # F2[y]/(y^20) is generated by y, so its one grouplike costs 2 candidates,
+    # where the p^dim walk would need 2^20
+    found = grouplikes(dual_coalgebra(truncated_algebra(F2, 20)), budget=2 ** 10)
+    assert found == [(1, *[0] * 19)]
+
+
+def test_morphisms_from_a_large_diagonal_algebra_raise_without_elimination(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    reduce = linalg._reduce
+    # patched wherever the name may be bound, so a call by an imported name counts too
+    for module in (linalg, structures):
+        monkeypatch.setattr(module, "_reduce", counted, raising=False)
+    # e_0, ..., e_88 are generators; e_89 is the unit minus them
+    with pytest.raises(BudgetExceeded) as raised:
+        algebra_morphisms(diagonal_algebra(F2, 90), trivial_algebra(F2))
+    assert raised.value.needed == 2 ** 89
+    assert calls == []
 
 
 def test_morphisms_from_involution_to_base(inv_f2, k_f2):
