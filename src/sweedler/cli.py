@@ -49,8 +49,8 @@ from .structures import (
     algebra_morphisms,
     convolution_algebra,
     _fusion_operators,
+    _grouplikes,
     _read_antipode,
-    grouplikes,
     require_valid_bialgebra,
 )
 from .tambara import correspondence_check, tambara_presentation
@@ -173,7 +173,7 @@ def cmd_grouplikes(args):
     c = docs.coalgebra_of(doc)
     if c is None:
         raise ValidationError("input needs a coalgebra part")
-    found = grouplikes(c, budget=args.budget)
+    found = _grouplikes(c, None, args.budget)  # parsing checked the axioms
     return {"count": len(found),
             "grouplikes": [docs.show_vector(c.field, v) for v in found]}, False
 

@@ -167,9 +167,7 @@ def parse_structure_dict(raw: dict) -> Document:
         space = GradedSpace(field, tuple(data))
 
     value = assemble(algebra, coalgebra, antipode, space)
-    report = validate(value)
-    if not report.ok:
-        raise ValidationError(str(report), report)
+    validate(value).raise_if_failed(ValidationError)
     return Document(value, tuple(basis))
 
 
@@ -289,9 +287,7 @@ def parse_measuring_document(text: str, loader) -> MeasuringDocument:
         nonzeros += [(r, t * xdim + x, v) for r, v in enumerate(vec) if v]
     psi = LinMap.from_nonzeros(field, xdim * b.dim, a.dim * xdim, nonzeros)
     measuring = Measuring(a, b, xdim, psi)
-    report = validate_measuring(measuring)
-    if not report.ok:
-        raise ValidationError(f"not a measuring: {report}", report)
+    validate_measuring(measuring).raise_if_failed(ValidationError, "not a measuring: ")
     return MeasuringDocument(raw["a"], raw["b"], measuring)
 
 

@@ -416,11 +416,10 @@ def reduce_row(k: Field, echelon: dict[int, list], row: list) -> None:
             row[j] = (row[j] - factor * pivot_row[j]) % p if p else row[j] - factor * pivot_row[j]
 
 
-def insert_row(k: Field, echelon: dict[int, list], row: list, ncols: int) -> int | None:
-    """Reduce ``row`` in place and add it, normalised, at its leftmost nonzero
-    among the first ``ncols`` columns, cleared from the other rows: that
-    pivot column, or None when there is none."""
-    reduce_row(k, echelon, row)
+def insert_row(k: Field, echelon: dict[int, list], row: list, ncols: int) -> None:
+    """Add ``row``, already reduced, normalised at its leftmost nonzero among
+    the first ``ncols`` columns, and clear that column from the other rows; a
+    row with no nonzero there is left out."""
     c = next(compress(range(ncols), row), None)
     if c is not None:
         inv = k.inv(row[c])
@@ -429,7 +428,6 @@ def insert_row(k: Field, echelon: dict[int, list], row: list, ncols: int) -> int
         for other in echelon.values():
             reduce_row(k, {c: row}, other)
         echelon[c] = row
-    return c
 
 
 def rank(f: LinMap) -> int:

@@ -45,6 +45,7 @@ from .linalg import (
     kron,
     null_vectors,
     permute_axes,
+    reduce_row,
 )
 from .structures import (
     Algebra,
@@ -146,6 +147,7 @@ def _quotient_by_rows(field: Field, n: int,
     rows, one per free column j in order, and the section sends each to e_j."""
     echelon: dict[int, list] = {}
     for row in relations:
+        reduce_row(field, echelon, row)
         insert_row(field, echelon, row, n)
     free = [j for j in range(n) if j not in echelon]
     return (null_vectors(field, echelon, n),
@@ -385,9 +387,7 @@ def dual_hopf_check(h: HopfAlgebra) -> HopfAlgebra:
     """
     require_valid_hopf(h)
     dual = HopfAlgebra(dual_bialgebra(h.bialgebra), h.antipode.transpose())
-    report = validate_hopf(dual)
-    if not report.ok:
-        raise InvalidHopf(f"transposed structure is not Hopf: {report}", report)
+    validate_hopf(dual).raise_if_failed(InvalidHopf, "transposed structure is not Hopf: ")
     solved = _find_antipode(dual.bialgebra)
     if solved is None or solved.antipode != dual.antipode:
         raise InvalidHopf("the fusion read disagrees with the transposed antipode")

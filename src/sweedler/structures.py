@@ -44,6 +44,7 @@ from .errors import (
     DimensionMismatch,
     InvalidBialgebra,
     InvalidHopf,
+    InvalidStructure,
     NotAGroup,
     PreconditionViolated,
     Singular,
@@ -214,6 +215,11 @@ class ValidationReport:
             return "valid"
         return "; ".join(str(f) for f in self.failures)
 
+    def raise_if_failed(self, error: type, prefix: str = "") -> None:
+        """Raise ``error`` with the prefixed failures and this report, if any."""
+        if self.failures:
+            raise error(prefix + str(self), self)
+
 
 def _unflatten(index: int, dims: tuple[int, ...]) -> tuple:
     idx = []
@@ -361,16 +367,12 @@ def validate_hopf(h: HopfAlgebra) -> ValidationReport:
 
 
 def require_valid_bialgebra(b: Bialgebra) -> Bialgebra:
-    report = validate_bialgebra(b)
-    if not report.ok:
-        raise InvalidBialgebra(str(report), report)
+    validate_bialgebra(b).raise_if_failed(InvalidBialgebra)
     return b
 
 
 def require_valid_hopf(h: HopfAlgebra) -> HopfAlgebra:
-    report = validate_hopf(h)
-    if not report.ok:
-        raise InvalidHopf(str(report), report)
+    validate_hopf(h).raise_if_failed(InvalidHopf)
     return h
 
 
@@ -590,14 +592,22 @@ def _vectors(field: Field, length: int, budget: int):
 
 def grouplikes(c: Coalgebra, candidates: Sequence[Sequence] | None = None,
                budget: int = DEFAULT_BUDGET) -> list[tuple]:
-    """All x with comult x = x (x) x and counit x = 1, deterministically ordered.
+    """All x with comult x = x (x) x and counit x = 1, deterministically ordered,
+    of a valid coalgebra c: an invalid one raises InvalidStructure.
 
-    Over a prime field these are the :func:`algebra_morphisms` C* -> k of a
-    valid coalgebra c, within p^(generators of C*) <= budget.  Over Q the
-    quadratic system is undecidable by enumeration, so the caller must declare
-    candidate axes; each axis line is solved exactly and the result is complete
-    for the declared family only.
+    Over a prime field these are the :func:`algebra_morphisms` C* -> k, within
+    p^(generators of C*) <= budget, a search that needs C* associative and
+    unital.  Over Q enumeration cannot decide the quadratic system, so the
+    caller declares candidate axes; each axis line is solved exactly, and the
+    result is complete for those only.
     """
+    validate_coalgebra(c).raise_if_failed(InvalidStructure)
+    return _grouplikes(c, candidates, budget)
+
+
+def _grouplikes(c: Coalgebra, candidates: Sequence[Sequence] | None,
+                budget: int) -> list[tuple]:
+    """:func:`grouplikes` of a coalgebra already known to be valid."""
     k = c.field
     if candidates is None:
         if k.is_rational:

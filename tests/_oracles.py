@@ -316,6 +316,16 @@ def truncated_algebra(k, n: int) -> Algebra:
                    LinMap.from_nonzeros(k, n, 1, [(0, 0, 1)]))
 
 
+def nonassociative_dual(k, counit: Sequence) -> Coalgebra:
+    """A 3-dimensional C whose C* on 1, y, z (1 a unit on both sides) has
+    yy = z, yz = 1 and zy = zz = 0, so (yy)y = 0 but y(yy) = 1: C is not
+    coassociative.  ``counit`` is its counit, 1* for a counital C."""
+    products = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 1, (2, 0): 2, (1, 1): 2, (1, 2): 0}
+    return Coalgebra(LinMap.from_nonzeros(k, 9, 3, [(3 * i + j, t, 1)
+                                                    for (i, j), t in products.items()]),
+                     LinMap.from_nonzeros(k, 1, 3, [(0, t, x) for t, x in enumerate(counit)]))
+
+
 def word_span(a: Algebra) -> tuple[list[int], list[tuple[list, list]], list[list]]:
     """``structures._word_span`` as it was before its incremental echelon:
     every candidate is reduced by a fresh Gauss-Jordan pass (``_reduce``)

@@ -22,7 +22,7 @@ from sweedler.measurings import regular_measuring
 from sweedler.structures import dual_coalgebra
 from sweedler.zoo import cyclic_group_hopf
 
-from _oracles import truncated_algebra
+from _oracles import nonassociative_dual, truncated_algebra
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -140,6 +140,19 @@ def test_grouplikes_of_a_long_truncated_dual_fit_a_small_budget(capsys, tmp_path
     code, out = run(capsys, "grouplikes", str(path), "--budget", "1024")
     assert code == 0
     assert json.loads(out)["result"]["count"] == 1
+
+
+def test_grouplikes_of_an_invalid_coalgebra_fail_validation(capsys, tmp_path):
+    # not coassociative, with the counit 1* or zero: parsing rejects both
+    for name, counit in [("noncoassoc", (1, 0, 0)), ("zero_counit", (0, 0, 0))]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_document(Document(nonassociative_dual(GF(2), counit),
+                                                    ("1", "y", "z"))))
+        code, out = run(capsys, "grouplikes", str(path))
+        assert code == 3, name
+        report = json.loads(out)
+        assert report["error"] == "ValidationError"
+        assert report["failures"][0]["axiom"] == "coassociativity"
 
 
 def test_grouplikes_over_q_is_unsupported(capsys):

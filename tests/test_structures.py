@@ -14,6 +14,7 @@ from sweedler.documents import Document, serialize_document
 from sweedler.errors import (
     BudgetExceeded,
     InvalidBialgebra,
+    InvalidStructure,
     NotAGroup,
     PreconditionViolated,
     UnsupportedField,
@@ -70,6 +71,7 @@ from _oracles import (
     diagonal_algebra,
     exhaustive_grouplikes,
     exhaustive_morphisms,
+    nonassociative_dual,
     gl_order,
     is_grouplike,
     truncated_algebra,
@@ -494,6 +496,17 @@ def test_grouplikes_of_a_zero_dimensional_coalgebra(tmp_path, capsys):
     path.write_text(serialize_document(Document(zero, ())))
     assert main(["grouplikes", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["count"] == 0
+
+
+def test_grouplikes_reject_an_invalid_coalgebra_before_the_search():
+    # the search assumes C* associative and unital: unchecked, it would keep
+    # f(y) = 0 on the first coalgebra, and (1, 0, 0) is no grouplike there
+    assert exhaustive_grouplikes(nonassociative_dual(F2, (1, 0, 0))) == []
+    for counit, failed in [((1, 0, 0), ["coassociativity"]),
+                           ((0, 0, 0), ["coassociativity", "left counit", "right counit"])]:
+        with pytest.raises(InvalidStructure) as raised:
+            grouplikes(nonassociative_dual(F2, counit))
+        assert [f.axiom for f in raised.value.report.failures] == failed
 
 
 def test_grouplike_candidates_over_q_skip_counit_zero_and_duplicates(q_c2):
