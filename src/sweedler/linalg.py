@@ -30,10 +30,12 @@ through it.
 Linear equations on a matrix unknown X (intertwiner and Tambara module Hom
 spaces) are sums of terms ``(c, L, a, b, R)``, each the map
 X -> c.L.(1_a (x) X (x) 1_b).R with None for an identity L or R.
-:func:`_operator_matrix` writes the system in row-major vec coordinates
-straight from the nonzeros: each nonzero of L on a column (alpha, i, beta)
-meets the nonzeros of R on the rows (alpha, j, beta), and no image of a
-matrix unit is computed.
+:func:`_term_nonzeros` writes one term's operator in row-major vec
+coordinates straight from the nonzeros: each nonzero of L on a column
+(alpha, i, beta) meets the nonzeros of R on the rows (alpha, j, beta), and no
+image of a matrix unit is computed.  An equation sums its terms' nonzeros into
+one buffer, whose rows go straight to elimination; a loop over many pairs of
+maps shares one ``tables`` dict, so each term is written once.
 
 Elimination is one Gauss-Jordan routine, :func:`_reduce`, behind :func:`rref`,
 :func:`kernel_basis`, :func:`solve` and :func:`invert`.  It normalises each
@@ -491,54 +493,98 @@ def solve(f: LinMap, target: Sequence) -> tuple | None:
 Term = tuple[object, LinMap | None, int, int, LinMap | None]
 
 
-def _operator_matrix(field: Field, shape: tuple[int, int], terms: Sequence[Term]) -> LinMap:
-    """Matrix of X -> sum of the terms, in row-major vec coordinates on both sides.
+def _term_nonzeros(field: Field, shape: tuple[int, int],
+                   term: Term) -> tuple[tuple[int, int], dict[int, list[tuple]]]:
+    """The shape (rows, cols) of a term's images, and the nonzeros of its
+    operator X -> c.L.(1_a (x) X (x) 1_b).R by row, {row: [(column, value)]},
+    in row-major vec coordinates on both sides.
 
     The column of X's entry (i, j) is the image of the matrix unit E_ij, and
     L.(1_a (x) E_ij (x) 1_b).R = sum over (alpha, beta) of L's column
     (alpha, i, beta) times R's row (alpha, j, beta); so each nonzero of L on
     such a column meets the nonzeros of R on the rows (alpha, j, beta).
+    Over Q the products run on ints where the denominators are 1, as in
+    :func:`_table`, and the nonzeros written are canonical scalars.
     """
     k = field
     p = k.char
-    zero, one = k.zero(), k.one()
+    c, left, a, b, right = term
+    c = k.coerce(c)
+    if not p and c.denominator == 1:
+        c = c.numerator
     cod, dom = shape
     nvars = cod * dom
+    mid_cod, mid_dom = a * cod * b, a * dom * b
+    if (left is not None and left.dom != mid_cod) or (right is not None and right.cod != mid_dom):
+        raise DimensionMismatch(f"term does not fit a {cod}x{dom} unknown")
+    cols = mid_dom if right is None else right.dom
+    # (r, s, value) for the nonzeros of L, and R's nonzeros (column, value) by row
+    if left is None:
+        left_nz = [(s, s, c) for s in range(mid_cod)]
+    else:
+        left_nz = [(r, s, c * v) for r, row in enumerate(_table(left, True)[0]) for s, v in row]
+    right_rows = [[(t, 1)] for t in range(mid_dom)] if right is None else _table(right, True)[0]
+    out: dict = {}
+    for r, s, lv in left_nz:
+        alpha, rest = divmod(s, cod * b)
+        i, beta = divmod(rest, b)
+        base = r * cols * nvars + i * dom
+        for j in range(dom):
+            for col, rv in right_rows[(alpha * dom + j) * b + beta]:
+                idx = base + col * nvars + j
+                acc = lv * rv
+                if idx in out:
+                    acc += out[idx]
+                out[idx] = acc % p if p else acc
+    by_row: dict = {}
+    for idx, v in out.items():
+        if v:
+            row, var = divmod(idx, nvars)
+            by_row.setdefault(row, []).append((var, v if p else Fraction(v)))
+    return (mid_cod if left is None else left.cod, cols), by_row
+
+
+def _summed_rows(field: Field, shape: tuple[int, int], terms: Sequence[Term],
+                 tables: dict) -> tuple[int, dict[int, list]]:
+    """The number of rows of the matrix of X -> sum of the terms, and its rows
+    that some term writes, {row: entries}: each term's nonzeros summed into
+    one buffer.  ``tables`` caches each term's nonzeros by its scalar, its
+    padding, the unknown's shape and the ids of L and R, so a term that
+    several equations share is written once; its maps must stay alive."""
+    k = field
+    p = k.char
+    zero = k.zero()
+    nvars = shape[0] * shape[1]
     out_shape = None
-    out: list = []
-    for c, left, a, b, right in terms:
-        c = k.coerce(c)
-        mid_cod, mid_dom = a * cod * b, a * dom * b
-        rows = mid_cod if left is None else left.cod
-        cols = mid_dom if right is None else right.dom
-        if ((left is not None and left.dom != mid_cod)
-                or (right is not None and right.cod != mid_dom)
-                or out_shape not in (None, (rows, cols))):
-            raise DimensionMismatch(f"term does not fit a {cod}x{dom} unknown")
-        if out_shape is None:
-            out_shape = (rows, cols)
-            out = [zero] * (rows * cols * nvars)
-        # (r, s, value) for the nonzeros of L, and R's nonzeros (column, value) by row
-        if left is None:
-            left_nz = [(s, s, c) for s in range(mid_cod)]
-        else:
-            left_nz = [(r, s, c * v) for r, row in enumerate(_nonzeros_by(left, by_col=False))
-                       for s, v in row]
-        right_rows = ([[(t, one)] for t in range(mid_dom)] if right is None
-                      else _nonzeros_by(right, by_col=False))
-        for r, s, lv in left_nz:
-            alpha, rest = divmod(s, cod * b)
-            i, beta = divmod(rest, b)
-            base = r * cols * nvars + i * dom
-            for j in range(dom):
-                for col, rv in right_rows[(alpha * dom + j) * b + beta]:
-                    idx = base + col * nvars + j
-                    acc = lv * rv
-                    if out[idx] is not zero:
-                        acc += out[idx]
-                    out[idx] = acc % p if p else acc
-    rows, cols = out_shape or (0, 0)
-    return LinMap(k, rows * cols, nvars, tuple(out))
+    rows: dict = {}
+    for term in terms:
+        c, left, a, b, right = term
+        key = (shape, c, id(left), a, b, id(right))
+        if key not in tables:
+            tables[key] = _term_nonzeros(field, shape, term)
+        term_shape, nonzeros = tables[key]
+        if out_shape not in (None, term_shape):
+            raise DimensionMismatch(f"term does not fit a {shape[0]}x{shape[1]} unknown")
+        out_shape = term_shape
+        for r, entries in nonzeros.items():
+            row = rows.get(r)
+            if row is None:
+                rows[r] = row = [zero] * nvars
+                for j, v in entries:
+                    row[j] = v
+            else:
+                for j, v in entries:
+                    row[j] = (row[j] + v) % p if p else row[j] + v
+    return (out_shape[0] * out_shape[1] if out_shape else 0), rows
+
+
+def _operator_matrix(field: Field, shape: tuple[int, int], terms: Sequence[Term]) -> LinMap:
+    """Matrix of X -> sum of the terms, in row-major vec coordinates on both sides."""
+    nvars = shape[0] * shape[1]
+    nrows, rows = _summed_rows(field, shape, terms, {})
+    zero_row = [field.zero()] * nvars
+    return LinMap(field, nrows, nvars,
+                  tuple(x for r in range(nrows) for x in rows.get(r, zero_row)))
 
 
 def _stack(field: Field, nvars: int, blocks: Sequence[LinMap]) -> LinMap:
@@ -563,8 +609,16 @@ def solve_matrix_equations(field: Field, shape: tuple[int, int],
 
 
 def matrix_equation_kernel(field: Field, shape: tuple[int, int],
-                           equations: Sequence[Sequence[Term]]) -> list[LinMap]:
-    """Echelon-canonical basis of {X : (sum of terms)(X) = 0 for every equation}."""
-    stacked = _stack(field, shape[0] * shape[1],
-                     [_operator_matrix(field, shape, terms) for terms in equations])
-    return [LinMap(field, shape[0], shape[1], vec) for vec in kernel_basis(stacked)]
+                           equations: Sequence[Sequence[Term]],
+                           tables: dict | None = None) -> list[LinMap]:
+    """Echelon-canonical basis of {X : (sum of terms)(X) = 0 for every equation}.
+
+    The rows the terms write go straight to elimination; calls that share
+    ``tables`` write each of their terms once (:func:`_summed_rows`)."""
+    tables = {} if tables is None else tables
+    nvars = shape[0] * shape[1]
+    rows = [row for terms in equations
+            for row in _summed_rows(field, shape, terms, tables)[1].values()]
+    pivots = _reduce(field, rows, nvars)
+    return [LinMap(field, shape[0], shape[1], vec)
+            for vec in null_vectors(field, dict(zip(pivots, rows)), nvars)]

@@ -100,10 +100,16 @@ def validate_measuring(m: Measuring) -> ValidationReport:
 
 
 def measuring_from_matrix_morphism(rho: LinMap, a: Algebra, b: Algebra, n: int) -> Measuring:
-    """Unpack an algebra morphism A -> M_n(B) into psi(a (x) x_j) = sum_i x_i (x) rho(a)_ij."""
-    if n >= 1 and not is_algebra_morphism(rho, a, matrix_algebra(b, n)):
+    """Unpack an algebra morphism A -> M_n(B) into psi(a (x) x_j) = sum_i x_i (x) rho(a)_ij.
+
+    rho is an algebra morphism exactly when psi satisfies the measuring
+    axioms, so psi is checked and M_n(B) is never built."""
+    if rho.dom != a.dim or rho.cod != n * n * b.dim:
+        raise NotAMorphism(f"rho is {rho.cod}x{rho.dom}, not a map A -> M_{n}(B)")
+    m = Measuring(a, b, n, _psi_of(rho, a.dim, b.dim, n))
+    if not validate_measuring(m).ok:
         raise NotAMorphism("rho is not an algebra morphism into the matrix algebra")
-    return Measuring(a, b, n, _psi_of(rho, a.dim, b.dim, n))
+    return m
 
 
 def _psi_of(rho: LinMap, da: int, db: int, n: int) -> LinMap:
@@ -135,13 +141,17 @@ def unit_measuring(a: Bialgebra, b: Algebra) -> Measuring:
 # intertwiners and conjugation orbits
 
 
-def intertwiners(m1: Measuring, m2: Measuring) -> list[Intertwiner]:
-    """Echelon-canonical basis of {f : (f (x) 1_B).psi1 = psi2.(1_A (x) f)}."""
+def intertwiners(m1: Measuring, m2: Measuring, tables: dict | None = None) -> list[Intertwiner]:
+    """Echelon-canonical basis of {f : (f (x) 1_B).psi1 = psi2.(1_A (x) f)}.
+
+    A loop over many pairs shares ``tables``, so each measuring's term is
+    written once (``linalg.matrix_equation_kernel``)."""
     if m1.a != m2.a or m1.b != m2.b:
         raise IncompatibleMeasurings("intertwiners need the same (A, B)")
     da, db = m1.a.dim, m1.b.dim
     basis = matrix_equation_kernel(m1.field, (m2.xdim, m1.xdim),
-                                   [[(1, None, 1, db, m1.psi), (-1, m2.psi, da, 1, None)]])
+                                   [[(1, None, 1, db, m1.psi), (-1, m2.psi, da, 1, None)]],
+                                   tables)
     return [Intertwiner(m1, m2, f) for f in basis]
 
 

@@ -203,8 +203,10 @@ def _reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,
     starts = [sum(x * x for x in xdims[:i]) for i in range(len(xdims))]
     total = sum(x * x for x in xdims)
     if auto_intertwiners:
+        hom_tables: dict = {}  # each generator's two terms, written once for all pairs
         morphisms = [(i, j, iw.f) for i, mi in enumerate(measurings)
-                     for j, mj in enumerate(measurings) for iw in intertwiners(mi, mj)]
+                     for j, mj in enumerate(measurings)
+                     for iw in intertwiners(mi, mj, hom_tables)]
 
     def relation_rows(i: int, j: int, f: LinMap) -> list[list]:
         xi, xj = xdims[i], xdims[j]

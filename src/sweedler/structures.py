@@ -713,19 +713,76 @@ def _word_span(a: Algebra) -> tuple[list[int], list[tuple[list, list]], list[lis
     return generators, stages, [in_words(e) for e in basis]
 
 
+class _QuadraticSearch:
+    """Assignments over F_p of ``free`` scalar slots, depth first and in
+    lexicographic order, under quadratic tasks.
+
+    Slot 0 holds 1 and slots 1..free the free coordinates, the first one
+    outermost.  :meth:`schedule` adds a task sum(values[x] values[y] c) over
+    terms (x, y, c): a derived slot, or a coordinate that must vanish.  Each
+    task is evaluated at the depth of the last free coordinate it reads, and a
+    branch ends at its first nonzero vanishing coordinate.  The budget bounds
+    p to the number of free coordinates, however few are tried.
+    """
+
+    def __init__(self, k: Field, free: int, budget: int):
+        needed = k.char ** free
+        if needed > budget:
+            raise BudgetExceeded(needed, budget)
+        self.k, self.free = k, free
+        # each slot's depth: that of the last free coordinate it reads (-1: none)
+        self.values, self.depth = [1, *[0] * free], [-1, *range(free)]
+        self.tasks = [[] for _ in range(free + 1)]  # by depth + 1
+
+    def schedule(self, terms: list[tuple], word: bool) -> int | None:
+        """Queue the sum over ``terms``, as a derived slot when ``word``, whose
+        index is returned, or as a coordinate that must vanish; an
+        always-zero sum is None."""
+        if not terms:
+            return None
+        depth = self.depth
+        level = max(max(depth[x], depth[y]) for x, y, _ in terms)
+        target = len(self.values) if word else None
+        self.tasks[level + 1].append((target, terms))
+        if word:
+            self.values.append(0)
+            depth.append(level)
+        return target
+
+    def run(self, leaf) -> None:
+        """Call ``leaf(values)`` at each assignment under which every
+        coordinate that must vanish does, in lexicographic order."""
+        values, tasks, free, k = self.values, self.tasks, self.free, self.k
+        p = k.char
+
+        def search(v: int):
+            for target, terms in tasks[v]:
+                acc = sum(values[x] * values[y] * c for x, y, c in terms) % p
+                if target is not None:
+                    values[target] = acc
+                elif acc:
+                    return
+            if v == free:
+                leaf(values)
+                return
+            for x in k.elements():
+                values[v + 1] = x  # the slot of free coordinate v
+                search(v + 1)
+
+        search(0)
+
+
 def algebra_morphisms(a: Algebra, b: Algebra, budget: int = DEFAULT_BUDGET,
                       zero_coords: frozenset[int] | None = None) -> list[LinMap]:
     """All algebra morphisms A -> B, lexicographic.
 
     A morphism is fixed by its images of the generators of :func:`_word_span`,
-    whose free coordinates are assigned one at a time, depth first.  Each
-    coordinate of a word's image (word times generator, through B's
-    structure constants by output coordinate) and of a relation (word times
-    generator minus its combination of words) is evaluated at the depth of
-    the last free coordinate it reads; a branch ends at its first nonzero
-    relation coordinate (A and B are associative and unital).  Coordinates in
-    ``zero_coords`` (f[q, t] at q*dim(A) + t) are pinned to zero.  The budget
-    bounds p to the number of free coordinates, however few are tried.
+    whose free coordinates are the slots of one :class:`_QuadraticSearch`.
+    Each coordinate of a word's image (word times generator, through B's
+    structure constants by output coordinate) is a derived slot, and each
+    coordinate of a relation (word times generator minus its combination of
+    words) must vanish (A and B are associative and unital).  Coordinates in
+    ``zero_coords`` (f[q, t] at q*dim(A) + t) are pinned to zero.
     """
     k = same_field(a.field, b.field)
     if k.is_rational:
@@ -735,28 +792,9 @@ def algebra_morphisms(a: Algebra, b: Algebra, budget: int = DEFAULT_BUDGET,
     generators, stages, coords = _word_span(a)
     free = [(s, q) for s, t in enumerate(generators) for q in range(db)
             if q * da + t not in pinned]
-    needed = k.char ** len(free)
-    if needed > budget:
-        raise BudgetExceeded(needed, budget)
+    quadratic = _QuadraticSearch(k, len(free), budget)
+    schedule = quadratic.schedule
     p = k.char
-    # scalar slots: 1, the free coordinates, then what they fix, each with the depth
-    # of the last free coordinate it reads (-1: none); an always-zero one is None
-    values, depth = [1, *[0] * len(free)], [-1, *range(len(free))]
-    tasks = [[] for _ in range(len(free) + 1)]  # by depth + 1
-
-    def schedule(terms: list[tuple], word: bool) -> int | None:
-        """Queue sum(values[x] values[y] c) over the terms (x, y, c), as a word
-        coordinate in a new slot or as a relation coordinate that must vanish."""
-        if not terms:
-            return None
-        level = max(max(depth[x], depth[y]) for x, y, _ in terms)
-        target = len(values) if word else None
-        tasks[level + 1].append((target, terms))
-        if word:
-            values.append(0)
-            depth.append(level)
-        return target
-
     slot_of = {sq: v + 1 for v, sq in enumerate(free)}
     gen_slots = [[slot_of.get((s, q)) for q in range(db)] for s in range(len(generators))]
     word_slots = [[schedule([(0, 0, u)], True) if u else None for u in b.unit_vector()]]
@@ -781,23 +819,12 @@ def algebra_morphisms(a: Algebra, b: Algebra, budget: int = DEFAULT_BUDGET,
                    for q in range(db) for t in range(da)]
     found = []
 
-    def search(v: int):
-        for target, terms in tasks[v]:
-            acc = sum(values[x] * values[y] * c for x, y, c in terms) % p
-            if target is not None:
-                values[target] = acc
-            elif acc:
-                return
-        if v == len(free):
-            entries = tuple(sum(values[x] * c for x, c in terms) % p for terms in entry_terms)
-            if not any(entries[i] for i in pinned):
-                found.append(LinMap(k, db, da, entries))
-            return
-        for x in k.elements():
-            values[v + 1] = x  # the slot of free coordinate v
-            search(v + 1)
+    def leaf(values: list):
+        entries = tuple(sum(values[x] * c for x, c in terms) % p for terms in entry_terms)
+        if not any(entries[i] for i in pinned):
+            found.append(LinMap(k, db, da, entries))
 
-    search(0)
+    quadratic.run(leaf)
     found.sort(key=lambda f: f.entries)
     return found
 

@@ -13,12 +13,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, PreconditionViolated, UnsupportedField
+from .errors import PreconditionViolated, UnsupportedField
 from .fields import Field, same_field
-from .linalg import LinMap, compose, matrix_equation_kernel, permute_axes
+from .linalg import LinMap, matrix_equation_kernel, permute_axes
 from .structures import (
     DEFAULT_BUDGET,
     Algebra,
+    _QuadraticSearch,
     algebra_morphisms,
     conjugation_classes,
     matrix_algebra,
@@ -148,41 +149,45 @@ def tambara_presentation(a: Algebra, b: Algebra,
 # module enumeration and the correspondence with measurings
 
 
-def _evaluate_word(word: Word, mats: list[LinMap], field: Field, n: int) -> LinMap:
-    out = LinMap.identity(field, n)
-    for g in word:
-        out = compose(out, mats[g])
-    return out
-
-
-def _satisfies(p: PresentedAlgebra, mats: list[LinMap], n: int) -> bool:
-    zero = LinMap.zero(p.field, n, n)
-    for relation in p.relations:
-        acc = zero
-        for coeff, word in relation:
-            acc = acc + _evaluate_word(word, mats, p.field, n).scale(coeff)
-        if not acc.is_zero():
-            return False
-    return True
-
-
 def tambara_modules(p: PresentedAlgebra, n: int,
                     budget: int = DEFAULT_BUDGET) -> list[tuple[LinMap, ...]]:
     """All n-dimensional modules: assignments of n x n matrices to the
-    generators satisfying every relation; lexicographic order."""
+    generators satisfying every relation; lexicographic order.
+
+    The entries of the generator matrices, generator by generator and row
+    by row, are the free coordinates of one quadratic search
+    (``structures._QuadraticSearch``).  Coordinate (i, j) of a relation must
+    vanish; its word xy gives sum_l c x[i, l] y[l, j], its word x gives
+    c x[i, j], and its empty word c on the diagonal."""
     k = p.field
     if k.is_rational:
         raise UnsupportedField("module enumeration needs a finite field")
-    g = len(p.generators)
-    total = k.char ** (n * n * g)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
+    g, cells = len(p.generators), n * n
+    quadratic = _QuadraticSearch(k, g * cells, budget)
+
+    def slot(t: int, i: int, j: int) -> int:
+        return 1 + t * cells + i * n + j
+
+    for relation in p.relations:
+        for i, j in itertools.product(range(n), repeat=2):
+            terms = []
+            for c, word in relation:
+                if len(word) == 2:
+                    terms += [(slot(word[0], i, l), slot(word[1], l, j), c) for l in range(n)]
+                elif len(word) == 1:
+                    terms.append((0, slot(word[0], i, j), c))
+                elif word:
+                    raise PreconditionViolated("module search needs relations of degree <= 2")
+                elif i == j:
+                    terms.append((0, 0, c))
+            quadratic.schedule(terms, False)
     found = []
-    cells = n * n
-    for flat in itertools.product(k.elements(), repeat=cells * g):
-        mats = [LinMap(k, n, n, tuple(flat[t * cells:(t + 1) * cells])) for t in range(g)]
-        if _satisfies(p, mats, n):
-            found.append(tuple(mats))
+
+    def leaf(values: list):
+        found.append(tuple(LinMap(k, n, n, tuple(values[slot(t, 0, 0):slot(t + 1, 0, 0)]))
+                           for t in range(g)))
+
+    quadratic.run(leaf)
     return found
 
 
@@ -227,10 +232,11 @@ def module_to_matrix_morphism(p: PresentedAlgebra, a: Algebra, b: Algebra,
 
 
 def module_intertwiners(mats1: tuple[LinMap, ...], mats2: tuple[LinMap, ...],
-                        field: Field, n: int) -> list[LinMap]:
-    """Echelon basis of {T : T m1(x) = m2(x) T for every generator x}."""
+                        field: Field, n: int, tables: dict | None = None) -> list[LinMap]:
+    """Echelon basis of {T : T m1(x) = m2(x) T for every generator x}; a loop
+    over many pairs shares ``tables`` (``linalg.matrix_equation_kernel``)."""
     return matrix_equation_kernel(field, (n, n), [[(1, None, 1, 1, m1), (-1, m2, 1, 1, None)]
-                                                  for m1, m2 in zip(mats1, mats2)])
+                                                  for m1, m2 in zip(mats1, mats2)], tables)
 
 
 @dataclass(frozen=True)
@@ -284,10 +290,13 @@ def correspondence_check(a: Algebra, b: Algebra, n: int,
     # each module becomes a measuring once, through the checked conversion
     mus = [measuring_from_matrix_morphism(rho, b, a, n) for rho in rhos]
     intertwiners_ok = True
+    # one dict per side, so that the two sides stay independent systems
+    module_tables: dict = {}
+    measuring_tables: dict = {}
     for mats1, mu1 in zip(modules, mus):
         for mats2, mu2 in zip(modules, mus):
-            lhs = [t.entries for t in module_intertwiners(mats1, mats2, p.field, n)]
-            rhs = [iw.f.entries for iw in measuring_intertwiners(mu1, mu2)]
+            lhs = [t.entries for t in module_intertwiners(mats1, mats2, p.field, n, module_tables)]
+            rhs = [iw.f.entries for iw in measuring_intertwiners(mu1, mu2, measuring_tables)]
             if lhs != rhs:
                 intertwiners_ok = False
     return CorrespondenceReport(

@@ -10,7 +10,12 @@ from collections import deque
 from collections.abc import Sequence
 from itertools import compress
 
-from sweedler.errors import DimensionMismatch, InducedStructureIllDefined
+from sweedler.errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    InducedStructureIllDefined,
+    UnsupportedField,
+)
 from sweedler.fields import same_field
 from sweedler.linalg import (
     LinMap,
@@ -301,6 +306,43 @@ def exhaustive_morphisms(a, b, zero_coords=frozenset()):
         if is_algebra_morphism(f, a, b):
             found.append(f)
     return sorted(found, key=lambda f: f.entries)
+
+
+def walk_tambara_modules(p, n: int, budget: int = DEFAULT_BUDGET) -> list[tuple[LinMap, ...]]:
+    """``tambara.tambara_modules`` as it was before the quadratic search: every
+    assignment of n x n matrices to the generators, in ``itertools.product``
+    order, with every relation evaluated on it by dense ``compose``."""
+    k = p.field
+    if k.is_rational:
+        raise UnsupportedField("module enumeration needs a finite field")
+    g = len(p.generators)
+    total = k.char ** (n * n * g)
+    if total > budget:
+        raise BudgetExceeded(total, budget)
+
+    def evaluate_word(word, mats):
+        out = LinMap.identity(k, n)
+        for t in word:
+            out = compose(out, mats[t])
+        return out
+
+    def satisfies(mats):
+        zero = LinMap.zero(k, n, n)
+        for relation in p.relations:
+            acc = zero
+            for coeff, word in relation:
+                acc = acc + evaluate_word(word, mats).scale(coeff)
+            if not acc.is_zero():
+                return False
+        return True
+
+    found = []
+    cells = n * n
+    for flat in itertools.product(k.elements(), repeat=cells * g):
+        mats = [LinMap(k, n, n, tuple(flat[t * cells:(t + 1) * cells])) for t in range(g)]
+        if satisfies(mats):
+            found.append(tuple(mats))
+    return found
 
 
 def diagonal_algebra(k, n: int) -> Algebra:

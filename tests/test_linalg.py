@@ -36,7 +36,9 @@ from sweedler.linalg import (
     solve_matrix_equations,
     swap_map,
 )
-from sweedler.structures import Axiom, _failures
+from sweedler.measurings import Measuring, enumerate_measurings, intertwiners, regular_measuring
+from sweedler.structures import Axiom, _failures, trivial_algebra
+from sweedler.zoo import cyclic_group_hopf, dual_numbers
 
 F2 = GF(2)
 
@@ -404,6 +406,16 @@ def test_operator_matrix_matches_the_probing_oracle(field):
                     "a, b > 1, identity L", "a, b > 1, identity R"}
 
 
+def probing_kernel(field, shape, equations):
+    """The kernel of the stacked probing matrices of the equations, by dense elimination."""
+    blocks = [probing_operator_matrix(dense_term_operator(t), field, shape) for t in equations]
+    system = LinMap(field, sum(b.cod for b in blocks), shape[0] * shape[1],
+                    tuple(x for b in blocks for x in b.entries))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_reduce", dense_reduce)
+        return kernel_basis(system)
+
+
 def test_matrix_equations_match_the_probing_oracle():
     rng = random.Random(812)
     for field in (F2, GF(3), QQ):
@@ -412,11 +424,7 @@ def test_matrix_equations_match_the_probing_oracle():
             equations = [random_equation(rng, field, shape) for _ in range(rng.randint(1, 3))]
             blocks = [probing_operator_matrix(dense_term_operator(t), field, shape)
                       for t in equations]
-            system = LinMap(field, sum(b.cod for b in blocks), shape[0] * shape[1],
-                            tuple(x for b in blocks for x in b.entries))
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(linalg, "_reduce", dense_reduce)
-                kernel = kernel_basis(system)
+            kernel = probing_kernel(field, shape, equations)
             assert [f.entries for f in matrix_equation_kernel(field, shape, equations)] == kernel
             # a solvable right-hand side: the image of a random X
             x = sparse_random_map(rng, field, *shape)
@@ -424,6 +432,66 @@ def test_matrix_equations_match_the_probing_oracle():
             solution = solve_matrix_equations(field, shape, list(zip(equations, rhs)))
             assert solution is not None
             assert all(b.apply(solution.entries) == r.entries for b, r in zip(blocks, rhs))
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), QQ], ids=str)
+def test_shared_tables_match_fresh_calls_and_the_probing_oracle(field):
+    # the seeded terms of the operator-matrix test, all kept alive: tables
+    # are keyed by id()
+    rng = random.Random(811 + field.char)
+    tables, kept = {}, []
+    for _ in range(60):
+        shape = (rng.randint(1, 3), rng.randint(1, 3))
+        equations = [random_equation(rng, field, shape)]
+        kept.append(equations)
+        shared = matrix_equation_kernel(field, shape, equations, tables)
+        assert shared == matrix_equation_kernel(field, shape, equations)
+        assert [f.entries for f in shared] == probing_kernel(field, shape, equations)
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(5), QQ], ids=str)
+def test_shared_tables_tell_apart_terms_on_one_map(field):
+    # terms on the same map that differ only in c, in (a, b), in side or in
+    # the unknown's shape; the equations go through one table, twice
+    m = LinMap.make(field, 2, 2, [1, 1, 0, 0])
+    big = LinMap.make(field, 4, 4, [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0])
+    cases = [
+        ((2, 2), [[(1, None, 1, 1, m), (-1, m, 1, 1, None)]]),
+        ((2, 2), [[(1, None, 1, 1, m), (1, m, 1, 1, None)]]),
+        ((2, 2), [[(1, None, 1, 1, m), (2, m, 1, 1, None)]]),
+        ((2, 2), [[(1, None, 1, 2, big)]]),
+        ((2, 2), [[(1, None, 2, 1, big)]]),
+        ((2, 2), [[(1, None, 1, 1, m)], [(1, None, 1, 2, big), (1, None, 2, 1, big)]]),
+        ((2, 2), [[(1, m, 1, 1, None)]]),
+        ((1, 2), [[(1, None, 1, 1, m)]]),
+        ((3, 2), [[(1, None, 1, 1, m)]]),
+        ((2, 1), [[(1, m, 1, 1, None)]]),
+    ]
+    tables = {}
+    results = [[matrix_equation_kernel(field, shape, equations, tables)
+                for shape, equations in cases] for _ in range(2)]
+    for shared in results:
+        for (shape, equations), kernel in zip(cases, shared):
+            assert kernel == matrix_equation_kernel(field, shape, equations)
+            assert [f.entries for f in kernel] == probing_kernel(field, shape, equations)
+    assert len({tuple(f.entries for f in kernel) for kernel in results[0]}) > 5
+
+
+def test_intertwiners_of_different_dimensions_share_one_table():
+    f2, q = (cyclic_group_hopf(GF(2), 2).algebra, dual_numbers(GF(2))), cyclic_group_hopf(QQ, 2)
+    families = [
+        [m for n in (1, 2) for m, _ in enumerate_measurings(*f2, n).orbits],
+        [regular_measuring(q.algebra),
+         *[Measuring(q.algebra, trivial_algebra(QQ), 1, LinMap.from_rows(QQ, [row]))
+           for row in ([1, 1], [1, -1])]],
+    ]
+    for family in families:
+        assert len({m.xdim for m in family}) == 2
+        tables = {}
+        for m1 in family:
+            for m2 in family:
+                shared = intertwiners(m1, m2, tables)
+                assert [iw.f for iw in shared] == [iw.f for iw in intertwiners(m1, m2)]
 
 
 def test_matrix_equations_on_zero_shapes():

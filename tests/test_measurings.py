@@ -4,7 +4,12 @@ import sys
 
 import pytest
 
-from sweedler.errors import IncompatibleMeasurings, NotCommutative, PreconditionViolated
+from sweedler.errors import (
+    IncompatibleMeasurings,
+    NotAMorphism,
+    NotCommutative,
+    PreconditionViolated,
+)
 from sweedler.fields import GF, QQ
 from sweedler.linalg import LinMap, compose, invert, kron
 from sweedler.measurings import (
@@ -118,6 +123,37 @@ def test_unpacking_matches_direct_indexing(inv_f2, k_f2):
 def test_empty_measuring(inv_f2, k_f2):
     m = measuring_from_matrix_morphism(LinMap.zero(F2, 0, 2), inv_f2, k_f2, 0)
     assert m.xdim == 0 and validate_measuring(m).ok
+
+
+def images_to_rho(images):
+    """The linear map F2[C_2] -> M_2(F2) sending 1 and g to the two matrices."""
+    return LinMap(F2, 4, 2, tuple(m.entries[cell] for cell in range(4) for m in images))
+
+
+@pytest.mark.parametrize("rho, n", [
+    # g -> M with M^2 != 1
+    pytest.param(images_to_rho([LinMap.identity(F2, 2), LinMap.from_rows(F2, [[1, 1], [1, 0]])]),
+                 2, id="not-multiplicative"),
+    pytest.param(LinMap.zero(F2, 4, 2), 2, id="not-unital"),
+    pytest.param(LinMap.zero(F2, 3, 2), 2, id="wrong-shape"),
+    pytest.param(LinMap.zero(F2, 1, 2), 0, id="wrong-shape-at-n0"),
+])
+def test_checked_conversion_refuses_what_is_not_a_morphism(inv_f2, k_f2, rho, n):
+    with pytest.raises(NotAMorphism):
+        measuring_from_matrix_morphism(rho, inv_f2, k_f2, n)
+
+
+def test_checked_conversion_builds_no_matrix_algebra(monkeypatch, inv_f2, k_f2):
+    import sweedler.measurings as measurings
+
+    def refuse(*args):
+        raise AssertionError("M_n(B) built")
+
+    monkeypatch.setattr(measurings, "matrix_algebra", refuse)
+    swap = LinMap.from_rows(F2, [[0, 1], [1, 0]])
+    m = measuring_from_matrix_morphism(images_to_rho([LinMap.identity(F2, 2), swap]),
+                                       inv_f2, k_f2, 2)
+    assert validate_measuring(m).ok
 
 
 # -- enumeration and orbits -------------------------------------------------------

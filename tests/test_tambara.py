@@ -1,7 +1,10 @@
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
+from sweedler.cli import EXIT_INTERNAL, main
 from sweedler.errors import BudgetExceeded
 from sweedler.fields import GF
 from sweedler.linalg import LinMap, compose
@@ -17,16 +20,19 @@ from sweedler.tambara import (
     tambara_modules,
     tambara_presentation,
 )
-from sweedler.zoo import cyclic_group_hopf, dual_numbers
+from sweedler.zoo import cyclic_group_hopf, dual_numbers, involution_algebra
 
 from _oracles import (
     algebra_product,
     conjugation_invariant,
     conjugation_partition,
+    diagonal_algebra,
     isomorphism_classes,
+    walk_tambara_modules,
 )
 
 F2 = GF(2)
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_presentation_of_the_motivating_example(inv_f2):
@@ -72,8 +78,42 @@ def test_one_dimensional_modules_match_algebra_morphisms(inv_f2):
 
 def test_module_enumeration_budget(inv_f2):
     p = tambara_presentation(inv_f2, dual_numbers(F2))
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as exc:
         tambara_modules(p, 2, budget=5)
+    # p^(n^2 generators), before any search
+    assert exc.value.needed == 2 ** 8
+
+
+def f3_idempotents():
+    """F3 x F3 on its idempotents: the unit 1_B = e0 + e1 has two coordinates."""
+    f3 = GF(3)
+    return Algebra(mult=LinMap.from_rows(f3, [[1, 0, 0, 0], [0, 0, 0, 1]]),
+                   unit=LinMap.column(f3, [1, 1]))
+
+
+# every presentation of this module's parametrisations, by (source, target)
+PRESENTATIONS = {
+    "inv-dualnum": lambda: (involution_algebra(F2), dual_numbers(F2)),
+    "k-dualnum": lambda: (trivial_algebra(F2), dual_numbers(F2)),
+    "k-c2": lambda: (trivial_algebra(F2), cyclic_group_hopf(F2, 2).algebra),
+    "f3-f3xf3": lambda: (trivial_algebra(GF(3)), f3_idempotents()),
+    "f3c2-f3xf3": lambda: (cyclic_group_hopf(GF(3), 2).algebra, f3_idempotents()),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_module_search_matches_the_walk_oracle(name, n):
+    p = tambara_presentation(*PRESENTATIONS[name]())
+    assert tambara_modules(p, n) == walk_tambara_modules(p, n)
+
+
+def test_diagonal_modules_in_one_search():
+    # 12 generators: the walk tries 2^12 candidates, the search prunes at the
+    # first relation coordinate that fails
+    a, b = diagonal_algebra(F2, 3), diagonal_algebra(F2, 5)
+    modules = tambara_modules(tambara_presentation(a, b), 1)
+    assert len(modules) == len(algebra_morphisms(b, matrix_algebra(a, 1))) == 125
 
 
 def test_module_orbits_partition(inv_f2):
@@ -135,6 +175,32 @@ def test_correspondence_converts_each_module_once(monkeypatch, inv_f2):
     assert len(calls) == report.module_count == 28
 
 
+def test_a_wrong_intertwiner_basis_fails_the_check(monkeypatch, capsys, inv_f2):
+    import sweedler.measurings as measurings
+
+    original = measurings.intertwiners
+    pairs = []
+
+    def wrong_for_the_first_pair(m1, m2, tables=None):
+        pairs.append((m1, m2))
+        basis = original(m1, m2, tables)
+        # a measuring against itself: the identity is in the basis, so it is not empty
+        return basis[:-1] if len(pairs) == 1 else basis
+
+    monkeypatch.setattr(measurings, "intertwiners", wrong_for_the_first_pair)
+    report = correspondence_check(inv_f2, dual_numbers(F2), 1)
+    assert report.matched and report.orbits_matched
+    assert report.intertwiners_matched is False and report.ok is False
+
+    pairs.clear()
+    code = main(["tambara-check", str(FIXTURES / "f2_c2.json"), str(FIXTURES / "f2_dualnum.json"),
+                 "--n", "1"])
+    assert code == EXIT_INTERNAL
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "tambara-check", "status": "error", "error": "AssertionError",
+        "message": "internal error: the canonical identification failed"}
+
+
 def test_module_orbits_match_the_conjugation_oracle(inv_f2):
     p = tambara_presentation(inv_f2, dual_numbers(F2))
     gens = len(p.generators)
@@ -151,12 +217,9 @@ def test_module_orbits_match_the_conjugation_oracle(inv_f2):
 @pytest.mark.parametrize("a, n", [(trivial_algebra(GF(3)), 1), (trivial_algebra(GF(3)), 2),
                                   (cyclic_group_hopf(GF(3), 2).algebra, 1)])
 def test_correspondence_when_the_unit_has_two_coordinates(a, n):
-    # F3 x F3 on its idempotents: 1_B = e0 + e1, so eliminating the pivot
-    # coordinate brings in the other one with its sign
-    f3 = GF(3)
-    b = Algebra(mult=LinMap.from_rows(f3, [[1, 0, 0, 0], [0, 0, 0, 1]]),
-                unit=LinMap.column(f3, [1, 1]))
-    report = correspondence_check(a, b, n)
+    # eliminating the pivot coordinate of 1_B = e0 + e1 brings in the other
+    # one with its sign
+    report = correspondence_check(a, f3_idempotents(), n)
     assert report.ok and report.module_count == report.morphism_count > 1
 
 
