@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedField,
     ValidationError,
 )
-from .graded import assemble, degree0_part, dual, is_connected, parts, validate_graded
+from .graded import assemble, bialgebra_of, degree0_part, dual, is_connected, parts, validate_graded
 from .linalg import LinMap, is_invertible
 from .measurings import (
     compose_measuring,
@@ -42,16 +42,16 @@ from .measurings import (
     tensor_measuring_bialgebra,
     tensor_measuring_endo,
 )
-from .reconstruction import _reconstruct
+from .reconstruction import reconstruct
 from .structures import (
     DEFAULT_BUDGET,
     Bialgebra,
     algebra_morphisms,
     convolution_algebra,
-    _fusion_operators,
-    _grouplikes,
-    _read_antipode,
-    require_valid_bialgebra,
+    find_antipode,
+    find_opantipode,
+    fusion_operators,
+    grouplikes,
 )
 from .tambara import correspondence_check, tambara_presentation
 
@@ -134,25 +134,15 @@ def cmd_convolution(args):
 
 
 def _require_bialgebra(doc: docs.Document) -> Bialgebra:
-    algebra, coalgebra, _, _ = parts(doc.value)
-    if algebra is None or coalgebra is None:
+    """The document's Bialgebra object itself, with the reports its parse kept."""
+    b = bialgebra_of(doc.value)
+    if b is None:
         raise ValidationError("input must be a bialgebra document")
-    return Bialgebra(algebra, coalgebra)
-
-
-def _valid_bialgebra(doc: docs.Document) -> Bialgebra:
-    """The document's bialgebra, proved valid under the plain swap.  Parsing
-    proved that already unless the document is graded: then it proved the
-    Koszul-braided axioms only."""
-    b = _require_bialgebra(doc)
-    if parts(doc.value)[3] is not None:
-        require_valid_bialgebra(b)
     return b
 
 
 def cmd_fusion(args):
-    b = _valid_bialgebra(_read_document(args.document))
-    ops = _fusion_operators(b)
+    ops = fusion_operators(_require_bialgebra(_read_document(args.document)))
     out = {}
     for name, op in [("h", ops.h), ("h_prime", ops.h_prime),
                      ("h_bar", ops.h_bar), ("h_bar_prime", ops.h_bar_prime)]:
@@ -161,8 +151,12 @@ def cmd_fusion(args):
 
 
 def cmd_antipode(args):
-    b = _valid_bialgebra(_read_document(args.document))
-    s = _read_antipode(b, twisted=args.command == "opantipode")
+    b = _require_bialgebra(_read_document(args.document))
+    if args.command == "opantipode":
+        s = find_opantipode(b)
+    else:
+        hopf = find_antipode(b)
+        s = None if hopf is None else hopf.antipode
     if s is None:
         return {args.command: {"present": False}}, False
     return {args.command: {"present": True, "matrix": _matrix(s)}}, False
@@ -173,7 +167,7 @@ def cmd_grouplikes(args):
     c = docs.coalgebra_of(doc)
     if c is None:
         raise ValidationError("input needs a coalgebra part")
-    found = _grouplikes(c, None, args.budget)  # parsing checked the axioms
+    found = grouplikes(c, budget=args.budget)
     return {"count": len(found),
             "grouplikes": [docs.show_vector(c.field, v) for v in found]}, False
 
@@ -207,9 +201,8 @@ def cmd_enumerate_measurings(args):
 def cmd_reconstruct(args):
     loaded: dict = {}
     mdocs = [_read_measuring(path, loaded) for path in args.measurings]
-    # every measuring document was validated when it was parsed
-    generated = _reconstruct([m.measuring for m in mdocs],
-                             auto_intertwiners=args.auto_intertwiners)
+    generated = reconstruct([m.measuring for m in mdocs],
+                            auto_intertwiners=args.auto_intertwiners)
     d = generated.d
     labels = tuple(f"d{i}" for i in range(d.dim))
     return {

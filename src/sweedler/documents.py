@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
 from .fields import Field, parse_field
-from .graded import GradedSpace, assemble, parts, validate
+from .graded import GradedSpace, assemble, parts
 from .linalg import LinMap
 from .measurings import Measuring, validate_measuring
 from .structures import Algebra, Coalgebra
@@ -167,7 +167,7 @@ def parse_structure_dict(raw: dict) -> Document:
         space = GradedSpace(field, tuple(data))
 
     value = assemble(algebra, coalgebra, antipode, space)
-    validate(value).raise_if_failed(ValidationError)
+    value.report.raise_if_failed(ValidationError)
     return Document(value, tuple(basis))
 
 

@@ -10,6 +10,9 @@ A graded value is one class, :class:`Graded`: any ungraded structure value
 plus its degrees.  Any structure value, graded or not, is its parts:
 (algebra, coalgebra, antipode, space), each possibly None.  ``parts`` and
 ``assemble`` convert between the two; validation and duals work on the parts.
+A graded value answers ``.report`` as every structure value does, once: its
+parts' own reports are reused, and only homogeneity, the Koszul-braided
+compatibility and the antipode are checked on top.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DimensionMismatch,
@@ -26,7 +30,7 @@ from .errors import (
     NotCommutative,
 )
 from .fields import Field, same_field
-from .linalg import LinMap, _SignedSwap, _nonzeros_by, composite
+from .linalg import LinMap, _SignedSwap, composite
 from .measurings import _braided_tensor
 from .structures import (
     DEFAULT_BUDGET,
@@ -37,15 +41,10 @@ from .structures import (
     HopfAlgebra,
     ValidationReport,
     _antipode_axioms,
-    _bialgebra_axioms,
     _failures,
     algebra_morphisms,
     dual_algebra,
     dual_coalgebra,
-    validate_algebra,
-    validate_bialgebra,
-    validate_coalgebra,
-    validate_hopf,
 )
 
 
@@ -78,11 +77,34 @@ class Graded:
     def degrees(self):
         return self.space.degrees
 
+    @cached_property
+    def report(self) -> ValidationReport:
+        """Homogeneity of each part, then the parts' reports, then a
+        bialgebra's compatibility axioms with the Koszul braiding, then the
+        antipode's homogeneity and axioms."""
+        algebra, coalgebra, antipode, space = parts(self)
+        degs = space.degrees
+        failures = []
+        if algebra is not None:
+            failures += _algebra_homogeneity(algebra, degs)
+        if coalgebra is not None:
+            failures += _coalgebra_homogeneity(coalgebra, degs)
+        failures += [f for part in (algebra, coalgebra) if part is not None
+                     for f in part.report.failures]
+        bialgebra = bialgebra_of(self)
+        if bialgebra is not None:
+            failures += bialgebra.compatibility(_koszul(space, space),
+                                                "comult multiplicative (Koszul)")
+        if antipode is not None:
+            failures += _homogeneity_failures("antipode", antipode, degs, degs)
+            failures += _failures(_antipode_axioms(bialgebra, antipode))
+        return ValidationReport(tuple(failures))
+
 
 def parts(value) -> tuple:
     """A structure value as (algebra, coalgebra, antipode, space), None for each
-    part it lacks.  With ``assemble`` this is the only code that tells the
-    structure classes apart."""
+    part it lacks.  With ``bialgebra_of`` and ``assemble`` this is the only
+    code that tells the structure classes apart."""
     match value:
         case Algebra():
             return value, None, None, None
@@ -95,6 +117,19 @@ def parts(value) -> tuple:
         case Graded(value=v, space=space):
             return *parts(v)[:3], space
     raise TypeError(f"not a structure value: {type(value).__name__}")
+
+
+def bialgebra_of(value) -> Bialgebra | None:
+    """The Bialgebra object that a structure value holds, or None: the value
+    itself, a Hopf value's, or the one inside a graded value."""
+    match value:
+        case Bialgebra():
+            return value
+        case HopfAlgebra(bialgebra=b):
+            return b
+        case Graded(value=v):
+            return bialgebra_of(v)
+    return None
 
 
 def assemble(algebra, coalgebra, antipode=None, space=None):
@@ -128,7 +163,7 @@ def _koszul(v: GradedSpace, w: GradedSpace) -> _SignedSwap:
 def _homogeneity_failures(name: str, f: LinMap, cod_degs: Sequence[int],
                           dom_degs: Sequence[int]) -> list[Failure]:
     """Entries must vanish unless the codomain degree equals the domain degree."""
-    for r, row in enumerate(_nonzeros_by(f, by_col=False)):
+    for r, row in enumerate(f.nonzeros(by_col=False)):
         for c, _ in row:
             if cod_degs[r] != dom_degs[c]:
                 return [Failure(f"{name} homogeneity", (r, c))]
@@ -139,43 +174,11 @@ def _tensor_degrees(degs: Sequence[int], times: int = 2) -> list[int]:
     return [sum(combo) for combo in itertools.product(degs, repeat=times)]
 
 
-def validate(value) -> ValidationReport:
-    """The axioms of any structure value.  An ungraded one goes to its
-    validator in ``structures``; a graded one to ``validate_graded``."""
-    algebra, coalgebra, antipode, space = parts(value)
-    if space is not None:
-        return validate_graded(value)
-    if coalgebra is None:
-        return validate_algebra(algebra)
-    if algebra is None:
-        return validate_coalgebra(coalgebra)
-    return validate_bialgebra(value) if antipode is None else validate_hopf(value)
-
-
-def validate_graded(value) -> ValidationReport:
-    """Homogeneity of each part, then the axioms, a bialgebra's with the
-    Koszul braiding in the tensor-square product, then the antipode's."""
-    algebra, coalgebra, antipode, space = parts(value)
-    if space is None:
+def validate_graded(value: Graded) -> ValidationReport:
+    """The report of a graded value (:attr:`Graded.report`)."""
+    if parts(value)[3] is None:
         raise TypeError(f"no graded validation for {type(value).__name__}")
-    degs = space.degrees
-    failures = []
-    if algebra is not None:
-        failures += _algebra_homogeneity(algebra, degs)
-    if coalgebra is not None:
-        failures += _coalgebra_homogeneity(coalgebra, degs)
-    if coalgebra is None:
-        failures += validate_algebra(algebra).failures
-    elif algebra is None:
-        failures += validate_coalgebra(coalgebra).failures
-    else:
-        bialgebra = Bialgebra(algebra, coalgebra)
-        failures += _failures(_bialgebra_axioms(bialgebra, _koszul(space, space),
-                                                "comult multiplicative (Koszul)"))
-    if antipode is not None:
-        failures += _homogeneity_failures("antipode", antipode, degs, degs)
-        failures += _failures(_antipode_axioms(bialgebra, antipode))
-    return ValidationReport(tuple(failures))
+    return value.report
 
 
 def _algebra_homogeneity(a: Algebra, degs: Sequence[int]) -> list[Failure]:

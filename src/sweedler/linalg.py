@@ -34,8 +34,13 @@ X -> c.L.(1_a (x) X (x) 1_b).R with None for an identity L or R.
 coordinates straight from the nonzeros: each nonzero of L on a column
 (alpha, i, beta) meets the nonzeros of R on the rows (alpha, j, beta), and no
 image of a matrix unit is computed.  An equation sums its terms' nonzeros into
-one buffer, whose rows go straight to elimination; a loop over many pairs of
-maps shares one ``tables`` dict, so each term is written once.
+one buffer, whose rows go straight to elimination.
+
+A map is a value, so what is read off it is kept on it: :meth:`LinMap.nonzeros`
+lists a map's nonzeros once, for every chain and every term it appears in,
+and a term's written nonzeros are kept on its L (on its R when L is the
+identity), keyed by everything else the term holds, the other map by value.
+A loop over many pairs of maps writes each term once, with no table to pass.
 
 Elimination is one Gauss-Jordan routine, :func:`_reduce`, behind :func:`rref`,
 :func:`kernel_basis`, :func:`solve` and :func:`invert`.  It normalises each
@@ -52,6 +57,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from math import prod
 from operator import itemgetter
@@ -131,6 +137,31 @@ class LinMap:
     def col_at(self, c: int) -> tuple:
         return self.entries[c :: self.dom] if self.dom else ()
 
+    def nonzeros(self, by_col: bool) -> list[list[tuple]]:
+        """The nonzero entries, one (index, value) list per row, or per column
+        when ``by_col``; the index is the entry's column (or row).  Listed on
+        first use and kept, so the lists are shared and must not be changed;
+        over Q a value with denominator 1 is an int, which multiplies faster."""
+        kept = self._kept
+        if by_col not in kept:
+            kept[by_col] = self._listed(by_col)
+        return kept[by_col]
+
+    def _listed(self, by_col: bool) -> list[list[tuple]]:
+        groups = [[] for _ in range(self.dom if by_col else self.cod)]
+        e, n, rational = self.entries, self.dom, not self.field.char
+        for pos in compress(range(len(e)), e):
+            r, c = divmod(pos, n)
+            v = e[pos].numerator if rational and e[pos].denominator == 1 else e[pos]
+            groups[c if by_col else r].append((r if by_col else c, v))
+        return groups
+
+    @cached_property
+    def _kept(self) -> dict:
+        """What is read off this map, kept: its nonzeros by orientation, and
+        the nonzeros of the matrix-equation terms on it (:func:`_summed_rows`)."""
+        return {}
+
     def is_zero(self) -> bool:
         z = self.field.zero()
         return all(x == z for x in self.entries)
@@ -180,21 +211,6 @@ class LinMap:
             raise DimensionMismatch(f"{self.cod}x{self.dom} vs {other.cod}x{other.dom}")
 
 
-def _nonzeros_by(f: LinMap, by_col: bool) -> list[list[tuple]]:
-    """The nonzero entries of f, one (index, value) list per row, or per
-    column when ``by_col``; the index is the entry's column (or row)."""
-    groups = [[] for _ in range(f.dom if by_col else f.cod)]
-    e = f.entries
-    n = f.dom
-    for pos in compress(range(len(e)), e):
-        r, c = divmod(pos, n)
-        if by_col:
-            groups[c].append((r, e[pos]))
-        else:
-            groups[r].append((c, e[pos]))
-    return groups
-
-
 def compose(f: LinMap, g: LinMap) -> LinMap:
     """Matrix product f.g: apply g first, then f."""
     return composite([(g, 1, 1), (f, 1, 1)], g.dom)
@@ -228,7 +244,7 @@ def composite(chain: Sequence[Factor], dom: int) -> LinMap:
             raise DimensionMismatch(
                 f"cannot apply 1_{a} (x) {t.cod}x{t.dom} (x) 1_{b} to k^{cod}")
         cod = a * t.cod * b
-    steps = _chain_steps(chain, {})
+    steps = _chain_steps(chain)
     p = k.char
     out = [k.zero()] * (cod * dom)
     for start in range(0, dom, _BLOCK):
@@ -239,30 +255,14 @@ def composite(chain: Sequence[Factor], dom: int) -> LinMap:
     return LinMap(k, cod, dom, tuple(out))
 
 
-def _chain_steps(chain: Sequence[Factor], tables: dict, transposed: bool = False) -> list:
+def _chain_steps(chain: Sequence[Factor], transposed: bool = False) -> list:
     """The steps (along, meet, free, b) that :func:`apply_slot` takes for the
-    factors of a chain, in the order they apply; ``transposed``, those of the
-    transposed chain (the factors reversed, each transposed).  ``tables``
-    caches each factor's nonzeros, so factors shared by chains are listed once."""
-    steps = []
-    for t, _, b in (reversed(chain) if transposed else chain):
-        key = (id(t), transposed)
-        if key not in tables:
-            tables[key] = _table(t, transposed)
-        steps.append((*tables[key], b))
-    return steps
-
-
-def _table(t: LinMap | _SignedSwap, transposed: bool) -> tuple:
-    """(along, meet, free) of t, or of its transpose: its nonzeros by
-    column, its domain and codomain.  Rationals with denominator 1 become
-    ints, which multiply faster."""
-    along = (t.nonzeros(by_col=not transposed) if isinstance(t, _SignedSwap)
-             else _nonzeros_by(t, by_col=not transposed))
-    if not t.field.char:
-        along = [[(u, v.numerator if v.denominator == 1 else v) for u, v in nz]
-                 for nz in along]
-    return (along, t.cod, t.dom) if transposed else (along, t.dom, t.cod)
+    factors of a chain, in the order they apply: each factor's nonzeros by
+    column, its domain and codomain.  ``transposed``, those of the transposed
+    chain (the factors reversed, each transposed: its nonzeros by row)."""
+    if transposed:
+        return [(t.nonzeros(by_col=False), t.cod, t.dom, b) for t, _, b in reversed(chain)]
+    return [(t.nonzeros(by_col=True), t.dom, t.cod, b) for t, _, b in chain]
 
 
 def _chain_images(steps: list, block: Sequence[int], dom: int, p: int) -> dict:
@@ -334,8 +334,8 @@ def _swap(m: int, n: int, field: Field) -> _SignedSwap:
 class _SignedSwap:
     """The braiding k^m (x) k^n -> k^n (x) k^m of basis vectors with the given
     degrees, m and n of them: e_i (x) e_j -> (-1)^(left[i] * right[j]) e_j (x) e_i.
-    A chain factor that :func:`_table` lists from its m*n nonzeros; only
-    :func:`swap_map` and ``graded.koszul_swap`` write it densely."""
+    A chain factor given by its m*n nonzeros; only :func:`swap_map` and
+    ``graded.koszul_swap`` write it densely."""
 
     field: Field
     left: tuple[int, ...]
@@ -348,7 +348,7 @@ class _SignedSwap:
     cod = dom
 
     def nonzeros(self, by_col: bool) -> list[list[tuple]]:
-        """As :func:`_nonzeros_by`; a row of the swap is a column of the
+        """As :meth:`LinMap.nonzeros`; a row of the swap is a column of the
         swap the other way round, with the same signs."""
         left, right = (self.left, self.right) if by_col else (self.right, self.left)
         m, n = len(left), len(right)
@@ -503,8 +503,9 @@ def _term_nonzeros(field: Field, shape: tuple[int, int],
     L.(1_a (x) E_ij (x) 1_b).R = sum over (alpha, beta) of L's column
     (alpha, i, beta) times R's row (alpha, j, beta); so each nonzero of L on
     such a column meets the nonzeros of R on the rows (alpha, j, beta).
-    Over Q the products run on ints where the denominators are 1, as in
-    :func:`_table`, and the nonzeros written are canonical scalars.
+    Over Q the products run on ints where the denominators are 1, as
+    :meth:`LinMap.nonzeros` lists them, and the nonzeros written are
+    canonical scalars.
     """
     k = field
     p = k.char
@@ -522,8 +523,9 @@ def _term_nonzeros(field: Field, shape: tuple[int, int],
     if left is None:
         left_nz = [(s, s, c) for s in range(mid_cod)]
     else:
-        left_nz = [(r, s, c * v) for r, row in enumerate(_table(left, True)[0]) for s, v in row]
-    right_rows = [[(t, 1)] for t in range(mid_dom)] if right is None else _table(right, True)[0]
+        left_nz = [(r, s, c * v) for r, row in enumerate(left.nonzeros(by_col=False))
+                   for s, v in row]
+    right_rows = [[(t, 1)] for t in range(mid_dom)] if right is None else right.nonzeros(False)
     out: dict = {}
     for r, s, lv in left_nz:
         alpha, rest = divmod(s, cod * b)
@@ -544,13 +546,13 @@ def _term_nonzeros(field: Field, shape: tuple[int, int],
     return (mid_cod if left is None else left.cod, cols), by_row
 
 
-def _summed_rows(field: Field, shape: tuple[int, int], terms: Sequence[Term],
-                 tables: dict) -> tuple[int, dict[int, list]]:
+def _summed_rows(field: Field, shape: tuple[int, int],
+                 terms: Sequence[Term]) -> tuple[int, dict[int, list]]:
     """The number of rows of the matrix of X -> sum of the terms, and its rows
     that some term writes, {row: entries}: each term's nonzeros summed into
-    one buffer.  ``tables`` caches each term's nonzeros by its scalar, its
-    padding, the unknown's shape and the ids of L and R, so a term that
-    several equations share is written once; its maps must stay alive."""
+    one buffer.  A term's nonzeros are written once and kept on its L, or on
+    its R when L is None, keyed by the unknown's shape, its scalar, its
+    padding, the side and the other map (by value)."""
     k = field
     p = k.char
     zero = k.zero()
@@ -559,10 +561,12 @@ def _summed_rows(field: Field, shape: tuple[int, int], terms: Sequence[Term],
     rows: dict = {}
     for term in terms:
         c, left, a, b, right = term
-        key = (shape, c, id(left), a, b, id(right))
-        if key not in tables:
-            tables[key] = _term_nonzeros(field, shape, term)
-        term_shape, nonzeros = tables[key]
+        owner, key = ((right, (shape, c, a, b, "right", None)) if left is None
+                      else (left, (shape, c, a, b, "left", right)))
+        kept = {} if owner is None else owner._kept
+        if key not in kept:
+            kept[key] = _term_nonzeros(field, shape, term)
+        term_shape, nonzeros = kept[key]
         if out_shape not in (None, term_shape):
             raise DimensionMismatch(f"term does not fit a {shape[0]}x{shape[1]} unknown")
         out_shape = term_shape
@@ -581,7 +585,7 @@ def _summed_rows(field: Field, shape: tuple[int, int], terms: Sequence[Term],
 def _operator_matrix(field: Field, shape: tuple[int, int], terms: Sequence[Term]) -> LinMap:
     """Matrix of X -> sum of the terms, in row-major vec coordinates on both sides."""
     nvars = shape[0] * shape[1]
-    nrows, rows = _summed_rows(field, shape, terms, {})
+    nrows, rows = _summed_rows(field, shape, terms)
     zero_row = [field.zero()] * nvars
     return LinMap(field, nrows, nvars,
                   tuple(x for r in range(nrows) for x in rows.get(r, zero_row)))
@@ -609,16 +613,14 @@ def solve_matrix_equations(field: Field, shape: tuple[int, int],
 
 
 def matrix_equation_kernel(field: Field, shape: tuple[int, int],
-                           equations: Sequence[Sequence[Term]],
-                           tables: dict | None = None) -> list[LinMap]:
+                           equations: Sequence[Sequence[Term]]) -> list[LinMap]:
     """Echelon-canonical basis of {X : (sum of terms)(X) = 0 for every equation}.
 
-    The rows the terms write go straight to elimination; calls that share
-    ``tables`` write each of their terms once (:func:`_summed_rows`)."""
-    tables = {} if tables is None else tables
+    The rows the terms write go straight to elimination; each term is
+    written once per map it is kept on (:func:`_summed_rows`)."""
     nvars = shape[0] * shape[1]
     rows = [row for terms in equations
-            for row in _summed_rows(field, shape, terms, tables)[1].values()]
+            for row in _summed_rows(field, shape, terms)[1].values()]
     pivots = _reduce(field, rows, nvars)
     return [LinMap(field, shape[0], shape[1], vec)
             for vec in null_vectors(field, dict(zip(pivots, rows)), nvars)]

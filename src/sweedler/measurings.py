@@ -17,6 +17,7 @@ closed under the moves of a generating set of GL_n(k)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DimensionMismatch,
@@ -70,6 +71,19 @@ class Measuring:
     def field(self):
         return self.psi.field
 
+    @cached_property
+    def report(self) -> ValidationReport:
+        """The two measuring axioms, checked on first use."""
+        da, x, db = self.a.dim, self.xdim, self.b.dim
+        psi = self.psi
+        # psi.(mult_A (x) 1) against (1 (x) mult_B).(psi (x) 1).(1 (x) psi)
+        return ValidationReport(tuple(_failures([
+            Axiom("measuring multiplicativity", [(self.a.mult, 1, x), (psi, 1, 1)],
+                  [(psi, da, 1), (psi, 1, db), (self.b.mult, x, 1)], (da, da, x)),
+            Axiom("measuring unit", [(self.a.unit, 1, x), (psi, 1, 1)],
+                  [(self.b.unit, x, 1)], (x,)),
+        ])))
+
 
 @dataclass(frozen=True)
 class Intertwiner:
@@ -85,14 +99,7 @@ class OrbitReport:
 
 
 def validate_measuring(m: Measuring) -> ValidationReport:
-    da, x, db = m.a.dim, m.xdim, m.b.dim
-    psi = m.psi
-    # psi.(mult_A (x) 1) against (1 (x) mult_B).(psi (x) 1).(1 (x) psi)
-    return ValidationReport(tuple(_failures([
-        Axiom("measuring multiplicativity", [(m.a.mult, 1, x), (psi, 1, 1)],
-              [(psi, da, 1), (psi, 1, db), (m.b.mult, x, 1)], (da, da, x)),
-        Axiom("measuring unit", [(m.a.unit, 1, x), (psi, 1, 1)], [(m.b.unit, x, 1)], (x,)),
-    ])))
+    return m.report
 
 
 # ---------------------------------------------------------------------------
@@ -141,17 +148,16 @@ def unit_measuring(a: Bialgebra, b: Algebra) -> Measuring:
 # intertwiners and conjugation orbits
 
 
-def intertwiners(m1: Measuring, m2: Measuring, tables: dict | None = None) -> list[Intertwiner]:
+def intertwiners(m1: Measuring, m2: Measuring) -> list[Intertwiner]:
     """Echelon-canonical basis of {f : (f (x) 1_B).psi1 = psi2.(1_A (x) f)}.
 
-    A loop over many pairs shares ``tables``, so each measuring's term is
-    written once (``linalg.matrix_equation_kernel``)."""
+    Each psi keeps the term it writes, so a loop over many pairs writes each
+    measuring's term once per partner dimension (``linalg._summed_rows``)."""
     if m1.a != m2.a or m1.b != m2.b:
         raise IncompatibleMeasurings("intertwiners need the same (A, B)")
     da, db = m1.a.dim, m1.b.dim
     basis = matrix_equation_kernel(m1.field, (m2.xdim, m1.xdim),
-                                   [[(1, None, 1, db, m1.psi), (-1, m2.psi, da, 1, None)]],
-                                   tables)
+                                   [[(1, None, 1, db, m1.psi), (-1, m2.psi, da, 1, None)]])
     return [Intertwiner(m1, m2, f) for f in basis]
 
 

@@ -17,10 +17,13 @@ of D, and c is its class, so every map out of D is a read at that
 coefficient: Delta c = (P_i (x) P_i).Delta_i f_ab = sum_t P_i f_at (x) P_i f_tb,
 which is column b of (delta_i (x) 1).delta_i on the rows (a, D, D);
 eps c = delta_ab; and beta(e_t (x) c) = psi_i(e_t (x) x_b) on the rows
-(a, B).  These descend (are well defined) exactly when every delta_i passes
-:func:`validate_comodule` and gives back its psi through the pairing; that
-and the rest of the induced structure are verified before a value is
-returned.  With B = k and enough modules this computes the linear dual of A.
+(a, B).  Each is written from the nonzeros of the column it reads
+(``LinMap.nonzeros``), never from a dense column.  These descend (are well
+defined) exactly when every delta_i passes :func:`validate_comodule` and
+gives back its psi through the pairing; that and the rest of the induced
+structure are verified before a value is returned.  A generator is checked
+through its own report, so one validated when parsed is not checked again.
+With B = k and enough modules this computes the linear dual of A.
 """
 
 from __future__ import annotations
@@ -54,12 +57,11 @@ from .structures import (
     Coalgebra,
     HopfAlgebra,
     _failures,
-    _find_antipode,
     dual_bialgebra,
     dual_coalgebra,
+    find_antipode,
     is_coalgebra_morphism,
     is_commutative,
-    require_valid_hopf,
     validate_coalgebra,
     validate_hopf,
 )
@@ -77,8 +79,8 @@ def coend_coalgebra(xdim: int, field: Field) -> Coalgebra:
                      counit=LinMap.from_nonzeros(field, 1, d, counit))
 
 
-def validate_comodule(delta: LinMap, c: Coalgebra, tables: dict | None = None) -> bool:
-    """delta: X -> X (x) C is coassociative and counital (``tables``: see _failures)."""
+def validate_comodule(delta: LinMap, c: Coalgebra) -> bool:
+    """delta: X -> X (x) C is coassociative and counital."""
     if delta.dom == 0:
         return delta.cod == 0
     x = delta.dom
@@ -88,7 +90,7 @@ def validate_comodule(delta: LinMap, c: Coalgebra, tables: dict | None = None) -
         Axiom("coassociative", [(delta, 1, 1), (delta, 1, c.dim)],
               [(delta, 1, 1), (c.comult, x, 1)], (x,)),
         Axiom("counital", [(delta, 1, 1), (c.counit, x, 1)], [], (x,)),
-    ], tables)
+    ])
 
 
 def comodule_to_coend_morphism(delta: LinMap, c: Coalgebra) -> LinMap:
@@ -162,12 +164,6 @@ def _coefficients(section: LinMap, xdims: list[int]) -> list[tuple[int, int, int
             for c in range(section.dom)]
 
 
-def _from_columns(field: Field, cod: int, columns: list[tuple]) -> LinMap:
-    """The map k^len(columns) -> k^cod with the given columns."""
-    return LinMap.from_nonzeros(field, cod, len(columns), [
-        (r, c, col[r]) for c, col in enumerate(columns) for r in compress(range(cod), col)])
-
-
 def reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,
                 morphisms: list[tuple[int, int, LinMap]] | None = None,
                 a: Algebra | None = None, b: Algebra | None = None) -> GeneratedSubcoalgebra:
@@ -184,13 +180,6 @@ def reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,
         report = validate_measuring(m)
         if not report.ok:
             raise IncompatibleMeasurings(f"generator is not a measuring: {report}")
-    return _reconstruct(measurings, auto_intertwiners, morphisms, a, b)
-
-
-def _reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,
-                 morphisms: list[tuple[int, int, LinMap]] | None = None,
-                 a: Algebra | None = None, b: Algebra | None = None) -> GeneratedSubcoalgebra:
-    """:func:`reconstruct` for generators already known to be measurings."""
     if measurings:
         a = measurings[0].a
         b = measurings[0].b
@@ -203,10 +192,8 @@ def _reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,
     starts = [sum(x * x for x in xdims[:i]) for i in range(len(xdims))]
     total = sum(x * x for x in xdims)
     if auto_intertwiners:
-        hom_tables: dict = {}  # each generator's two terms, written once for all pairs
         morphisms = [(i, j, iw.f) for i, mi in enumerate(measurings)
-                     for j, mj in enumerate(measurings)
-                     for iw in intertwiners(mi, mj, hom_tables)]
+                     for j, mj in enumerate(measurings) for iw in intertwiners(mi, mj)]
 
     def relation_rows(i: int, j: int, f: LinMap) -> list[list]:
         xi, xj = xdims[i], xdims[j]
@@ -235,21 +222,24 @@ def _reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,
 
     # basis vector c of D is the class of the coefficient f_ab of coend(X_i), so
     # each structure map of D is read off generator i at (a, b)
-    da, db = a.dim, b.dim
+    da, db, dd = a.dim, b.dim, d * d
     deltas = [_classified_comodule(p, d, x) for p, x in zip(projections, xdims)]
     # column b of (delta (x) 1).delta on the rows (a, D, D) is sum_t P f_at (x) P f_tb
     pushed = [composite([(delta, 1, 1), (delta, 1, d)], x) for delta, x in zip(deltas, xdims)]
     coefficients = _coefficients(section, xdims)
-    comult = [pushed[i].col_at(b)[a * d * d:(a + 1) * d * d] for i, a, b in coefficients]
+    comult = [(r - a * dd, c, v) for c, (i, a, b) in enumerate(coefficients)
+              for r, v in pushed[i].nonzeros(by_col=True)[b] if a * dd <= r < (a + 1) * dd]
     # eps f_ab = delta_ab
     counit = [k.one() if a == b else k.zero() for _, a, b in coefficients]
     # beta_i[q, (t, a, b)] = psi_i[(a, q), (t, b)]
-    pairing = [measurings[i].psi.col_at(t * xdims[i] + b)[a * db:(a + 1) * db]
-               for t in range(da) for i, a, b in coefficients]
+    pairing = [(r - a * db, t * d + c, v) for t in range(da)
+               for c, (i, a, b) in enumerate(coefficients)
+               for r, v in measurings[i].psi.nonzeros(by_col=True)[t * xdims[i] + b]
+               if a * db <= r < (a + 1) * db]
 
-    coalgebra = Coalgebra(comult=_from_columns(k, d * d, comult),
+    coalgebra = Coalgebra(comult=LinMap.from_nonzeros(k, dd, d, comult),
                           counit=LinMap(k, 1, d, tuple(counit)))
-    result = GeneratedSubcoalgebra(a, b, coalgebra, _from_columns(k, db, pairing),
+    result = GeneratedSubcoalgebra(a, b, coalgebra, LinMap.from_nonzeros(k, db, da * d, pairing),
                                    projections, section, tuple(measurings))
     _verify_generated(result, deltas)
     return result
@@ -264,9 +254,8 @@ def _verify_generated(g: GeneratedSubcoalgebra, deltas: list[LinMap]) -> None:
     classifies is a D-comodule, and the pairing descends exactly when every
     delta_i gives back its psi.
     """
-    tables: dict = {}  # lists D's comultiplication once; its factors live in deltas and g
     for m, delta in zip(g.generators, deltas):
-        if not validate_comodule(delta, g.d, tables):
+        if not validate_comodule(delta, g.d):
             raise InducedStructureIllDefined(
                 "comultiplication or counit does not descend; "
                 "an input morphism is not an intertwiner")
@@ -345,13 +334,15 @@ def product_on_generated(g1: GeneratedSubcoalgebra, g2: GeneratedSubcoalgebra,
     # F_(a,c),(b,e), pushed to D12: column (c1, c2) of the product is a column of
     # the projection of the generator pair (i, j) that c1 and c2 stand for
     second = _coefficients(g2.section, [m.xdim for m in g2.generators])
-    columns = []
-    for i, a1, b1 in _coefficients(g1.section, [m.xdim for m in g1.generators]):
+    nonzeros = []
+    for c1, (i, a1, b1) in enumerate(_coefficients(g1.section, [m.xdim for m in g1.generators])):
         x = g1.generators[i].xdim
-        for j, a2, b2 in second:
+        for c2, (j, a2, b2) in enumerate(second):
             y = g2.generators[j].xdim
-            columns.append(g12.projections[i * n2 + j].col_at((a1 * y + a2) * x * y + b1 * y + b2))
-    result = _from_columns(g1.a.field, g12.d.dim, columns)
+            column = g12.projections[i * n2 + j].nonzeros(by_col=True)[
+                (a1 * y + a2) * x * y + b1 * y + b2]
+            nonzeros += [(r, c1 * g2.d.dim + c2, v) for r, v in column]
+    result = LinMap.from_nonzeros(g1.a.field, g12.d.dim, g1.d.dim * g2.d.dim, nonzeros)
     _verify_product(g1, g2, g12, a, result)
     return result
 
@@ -387,10 +378,10 @@ def dual_hopf_check(h: HopfAlgebra) -> HopfAlgebra:
     and cross-checks that the antipode read off the dual's fusion operator is
     exactly s^T.
     """
-    require_valid_hopf(h)
+    validate_hopf(h).raise_if_failed(InvalidHopf)
     dual = HopfAlgebra(dual_bialgebra(h.bialgebra), h.antipode.transpose())
     validate_hopf(dual).raise_if_failed(InvalidHopf, "transposed structure is not Hopf: ")
-    solved = _find_antipode(dual.bialgebra)
+    solved = find_antipode(dual.bialgebra)
     if solved is None or solved.antipode != dual.antipode:
         raise InvalidHopf("the fusion read disagrees with the transposed antipode")
     return dual

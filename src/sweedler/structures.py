@@ -6,6 +6,11 @@ Everything is a :class:`~sweedler.linalg.LinMap` in the end: an algebra is
 all axioms are checked as exact identities.  Validation failures are data
 (a report with a witness), not exceptions.
 
+Axioms are checked once per value: each immutable value answers ``.report``,
+computed on first use and kept, and built on its parts' reports.  The
+``validate_*`` functions and the solvers' input checks read it, so a value
+validated when parsed is not checked again.
+
 Every identity is checked by one engine, :func:`_failures`.  An
 :class:`Axiom` is two chains of structural factors 1_a (x) t (x) 1_b, one
 per side; a braiding, plain or Koszul, is a factor like any other.  Both
@@ -36,6 +41,7 @@ import itertools
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from typing import NamedTuple
 
@@ -43,7 +49,6 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     InvalidBialgebra,
-    InvalidHopf,
     InvalidStructure,
     NotAGroup,
     PreconditionViolated,
@@ -58,7 +63,6 @@ from .linalg import (
     _SignedSwap,
     _chain_images,
     _chain_steps,
-    _nonzeros_by,
     _swap,
     apply_slot,
     composite,
@@ -103,6 +107,11 @@ class Algebra:
     def unit_vector(self) -> tuple:
         return self.unit.col_at(0)
 
+    @cached_property
+    def report(self) -> ValidationReport:
+        """Associativity and the unit laws."""
+        return ValidationReport(tuple(_failures(_algebra_axioms(self))))
+
 
 @dataclass(frozen=True)
 class Coalgebra:
@@ -124,6 +133,11 @@ class Coalgebra:
     @property
     def dim(self) -> int:
         return self.counit.dom
+
+    @cached_property
+    def report(self) -> ValidationReport:
+        """Coassociativity and the counit laws."""
+        return ValidationReport(tuple(_failures(_coalgebra_axioms(self))))
 
 
 @dataclass(frozen=True)
@@ -160,6 +174,33 @@ class Bialgebra:
     def counit(self) -> LinMap:
         return self.coalgebra.counit
 
+    @cached_property
+    def report(self) -> ValidationReport:
+        """The algebra's report, the coalgebra's, then the compatibility
+        axioms under the plain swap."""
+        return ValidationReport((*self.algebra.report.failures, *self.coalgebra.report.failures,
+                                 *self.compatibility(_swap(self.dim, self.dim, self.field))))
+
+    def compatibility(self, braiding: _SignedSwap,
+                      multiplicative: str = "comult multiplicative") -> tuple[Failure, ...]:
+        """The failing compatibility axioms: comult and counit are algebra
+        morphisms for the product (mult (x) mult).(1 (x) braiding (x) 1) on
+        the tensor square.  The braiding is the plain swap, or the Koszul one
+        for graded bialgebras; the axioms it does not enter are checked once."""
+        d, m, delta = self.dim, self.mult, self.comult
+        return (*_failures([Axiom(multiplicative, [(m, 1, 1), (delta, 1, 1)],
+                                  [(delta, d, 1), (delta, 1, d * d), (braiding, d, d),
+                                   (m, d * d, 1), (m, 1, d)], (d, d))]), *self._unbraided)
+
+    @cached_property
+    def _unbraided(self) -> tuple[Failure, ...]:
+        d, m, u, delta, eps = self.dim, self.mult, self.unit, self.comult, self.counit
+        return tuple(_failures([
+            Axiom("comult unital", [(u, 1, 1), (delta, 1, 1)], [(u, 1, 1), (u, 1, d)], (1,)),
+            Axiom("counit multiplicative", [(m, 1, 1), (eps, 1, 1)],
+                  [(eps, 1, d), (eps, 1, 1)], (d, d)),
+            Axiom("counit unital", [(u, 1, 1), (eps, 1, 1)], [], (1,))]))
+
 
 @dataclass(frozen=True)
 class HopfAlgebra:
@@ -187,6 +228,12 @@ class HopfAlgebra:
     @property
     def coalgebra(self) -> Coalgebra:
         return self.bialgebra.coalgebra
+
+    @cached_property
+    def report(self) -> ValidationReport:
+        """The bialgebra's report, then the antipode axioms."""
+        return ValidationReport((*self.bialgebra.report.failures,
+                                 *_failures(_antipode_axioms(self.bialgebra, self.antipode))))
 
 
 # ---------------------------------------------------------------------------
@@ -241,21 +288,18 @@ class Axiom(NamedTuple):
     by_row: bool = False
 
 
-def _failures(axioms: Sequence[Axiom], tables: dict | None = None) -> list[Failure]:
+def _failures(axioms: Sequence[Axiom]) -> list[Failure]:
     """Each failing axiom with its witness: the basis indices over its dims
-    of the first column (or row) at which its two composites differ.  The
-    factors' nonzeros are listed once for all the axioms and all calls that
-    share ``tables``, which is keyed by id(): its factors must stay alive."""
-    tables = {} if tables is None else tables
+    of the first column (or row) at which its two composites differ."""
     failures = []
     for axiom in axioms:
-        index = _differ_at(axiom, tables)
+        index = _differ_at(axiom)
         if index is not None:
             failures.append(Failure(axiom.name, _unflatten(index, axiom.dims)))
     return failures
 
 
-def _differ_at(axiom: Axiom, tables: dict) -> int | None:
+def _differ_at(axiom: Axiom) -> int | None:
     """The first basis vector, in index order, that the axiom's two chains
     send to different vectors, or None when the composites agree.
 
@@ -271,7 +315,7 @@ def _differ_at(axiom: Axiom, tables: dict) -> int | None:
     dom = prod(axiom.dims)
     if dom == 0:
         return None
-    chains = [_chain_steps(chain, tables, axiom.by_row) for chain in (axiom.lhs, axiom.rhs)]
+    chains = [_chain_steps(chain, axiom.by_row) for chain in (axiom.lhs, axiom.rhs)]
     cod = dom
     for _, meet, free, _ in chains[0]:
         cod = cod // meet * free
@@ -321,23 +365,6 @@ def _coalgebra_axioms(c: Coalgebra) -> list[Axiom]:
             Axiom("right counit", [(delta, 1, 1), (eps, d, 1)], [], (d,))]
 
 
-def _bialgebra_axioms(b: Bialgebra, braiding: _SignedSwap,
-                      multiplicative: str = "comult multiplicative") -> list[Axiom]:
-    """Algebra + coalgebra axioms, plus: counit and comult are algebra morphisms
-    for the product (mult (x) mult).(1 (x) braiding (x) 1) on the tensor square.
-    The braiding is the plain swap, or the Koszul one for graded bialgebras."""
-    d = b.dim
-    m, u, delta, eps = b.mult, b.unit, b.comult, b.counit
-    return [*_algebra_axioms(b.algebra), *_coalgebra_axioms(b.coalgebra),
-            Axiom(multiplicative, [(m, 1, 1), (delta, 1, 1)],
-                  [(delta, d, 1), (delta, 1, d * d), (braiding, d, d), (m, d * d, 1),
-                   (m, 1, d)], (d, d)),
-            Axiom("comult unital", [(u, 1, 1), (delta, 1, 1)], [(u, 1, 1), (u, 1, d)], (1,)),
-            Axiom("counit multiplicative", [(m, 1, 1), (eps, 1, 1)],
-                  [(eps, 1, d), (eps, 1, 1)], (d, d)),
-            Axiom("counit unital", [(u, 1, 1), (eps, 1, 1)], [], (1,))]
-
-
 def _antipode_axioms(b: Bialgebra, s: LinMap) -> list[Axiom]:
     d = b.dim
     unit_counit = [(b.counit, 1, 1), (b.unit, 1, 1)]
@@ -348,32 +375,24 @@ def _antipode_axioms(b: Bialgebra, s: LinMap) -> list[Axiom]:
 
 
 def validate_algebra(a: Algebra) -> ValidationReport:
-    return ValidationReport(tuple(_failures(_algebra_axioms(a))))
+    return a.report
 
 
 def validate_coalgebra(c: Coalgebra) -> ValidationReport:
-    return ValidationReport(tuple(_failures(_coalgebra_axioms(c))))
+    return c.report
 
 
 def validate_bialgebra(b: Bialgebra) -> ValidationReport:
-    braiding = _swap(b.dim, b.dim, b.field)
-    return ValidationReport(tuple(_failures(_bialgebra_axioms(b, braiding))))
+    return b.report
 
 
 def validate_hopf(h: HopfAlgebra) -> ValidationReport:
-    failures = list(validate_bialgebra(h.bialgebra).failures)
-    failures += _failures(_antipode_axioms(h.bialgebra, h.antipode))
-    return ValidationReport(tuple(failures))
+    return h.report
 
 
 def require_valid_bialgebra(b: Bialgebra) -> Bialgebra:
     validate_bialgebra(b).raise_if_failed(InvalidBialgebra)
     return b
-
-
-def require_valid_hopf(h: HopfAlgebra) -> HopfAlgebra:
-    validate_hopf(h).raise_if_failed(InvalidHopf)
-    return h
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +528,7 @@ class FusionOperators:
 
 
 def fusion_operators(b: Bialgebra) -> FusionOperators:
-    return _fusion_operators(require_valid_bialgebra(b))
-
-
-def _fusion_operators(b: Bialgebra) -> FusionOperators:
-    """:func:`fusion_operators` for a bialgebra already known to be valid."""
+    require_valid_bialgebra(b)
     return FusionOperators(*_hopf_fusion(b), *_opfusion(b))
 
 
@@ -562,12 +577,7 @@ def _read_antipode(b: Bialgebra, twisted: bool) -> LinMap | None:
 
 def find_antipode(b: Bialgebra) -> HopfAlgebra | None:
     """The antipode read off the inverse fusion operator h, or None."""
-    return _find_antipode(require_valid_bialgebra(b))
-
-
-def _find_antipode(b: Bialgebra) -> HopfAlgebra | None:
-    """:func:`find_antipode` for a bialgebra already known to be valid."""
-    s = _read_antipode(b, twisted=False)
+    s = _read_antipode(require_valid_bialgebra(b), twisted=False)
     return None if s is None else HopfAlgebra(b, s)
 
 
@@ -602,12 +612,6 @@ def grouplikes(c: Coalgebra, candidates: Sequence[Sequence] | None = None,
     result is complete for those only.
     """
     validate_coalgebra(c).raise_if_failed(InvalidStructure)
-    return _grouplikes(c, candidates, budget)
-
-
-def _grouplikes(c: Coalgebra, candidates: Sequence[Sequence] | None,
-                budget: int) -> list[tuple]:
-    """:func:`grouplikes` of a coalgebra already known to be valid."""
     k = c.field
     if candidates is None:
         if k.is_rational:
@@ -673,7 +677,7 @@ def _word_span(a: Algebra) -> tuple[list[int], list[tuple[list, list]], list[lis
     one, zero = k.one(), k.zero()
     echelon: dict[int, list] = {}
     vectors: list[list] = []  # of the words
-    columns = _nonzeros_by(a.mult, by_col=True)
+    columns = a.mult.nonzeros(by_col=True)
 
     def in_words(v: list, n: int | None = None) -> list | None:
         """v in words, or None when v is outside the span; given ``n``, such
@@ -798,7 +802,7 @@ def algebra_morphisms(a: Algebra, b: Algebra, budget: int = DEFAULT_BUDGET,
     slot_of = {sq: v + 1 for v, sq in enumerate(free)}
     gen_slots = [[slot_of.get((s, q)) for q in range(db)] for s in range(len(generators))]
     word_slots = [[schedule([(0, 0, u)], True) if u else None for u in b.unit_vector()]]
-    by_output = _nonzeros_by(b.mult, by_col=False)
+    by_output = b.mult.nonzeros(by_col=False)
 
     def product(w: int, g: int, r: int) -> list[tuple]:
         """The terms of coordinate r of word w times generator g."""

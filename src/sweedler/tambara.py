@@ -232,11 +232,11 @@ def module_to_matrix_morphism(p: PresentedAlgebra, a: Algebra, b: Algebra,
 
 
 def module_intertwiners(mats1: tuple[LinMap, ...], mats2: tuple[LinMap, ...],
-                        field: Field, n: int, tables: dict | None = None) -> list[LinMap]:
-    """Echelon basis of {T : T m1(x) = m2(x) T for every generator x}; a loop
-    over many pairs shares ``tables`` (``linalg.matrix_equation_kernel``)."""
+                        field: Field, n: int) -> list[LinMap]:
+    """Echelon basis of {T : T m1(x) = m2(x) T for every generator x}; each
+    generator matrix keeps the terms it writes (``linalg._summed_rows``)."""
     return matrix_equation_kernel(field, (n, n), [[(1, None, 1, 1, m1), (-1, m2, 1, 1, None)]
-                                                  for m1, m2 in zip(mats1, mats2)], tables)
+                                                  for m1, m2 in zip(mats1, mats2)])
 
 
 @dataclass(frozen=True)
@@ -287,16 +287,15 @@ def correspondence_check(a: Algebra, b: Algebra, n: int,
     orbits_matched = set(module_partition) == set(morphism_partition)
 
     # intertwiners transport: the same T solves both sides, in the same basis;
-    # each module becomes a measuring once, through the checked conversion
+    # each module becomes a measuring once, through the checked conversion.
+    # The two sides stay independent systems: their terms are kept on
+    # different maps, the generator matrices and the psi
     mus = [measuring_from_matrix_morphism(rho, b, a, n) for rho in rhos]
     intertwiners_ok = True
-    # one dict per side, so that the two sides stay independent systems
-    module_tables: dict = {}
-    measuring_tables: dict = {}
     for mats1, mu1 in zip(modules, mus):
         for mats2, mu2 in zip(modules, mus):
-            lhs = [t.entries for t in module_intertwiners(mats1, mats2, p.field, n, module_tables)]
-            rhs = [iw.f.entries for iw in measuring_intertwiners(mu1, mu2, measuring_tables)]
+            lhs = [t.entries for t in module_intertwiners(mats1, mats2, p.field, n)]
+            rhs = [iw.f.entries for iw in measuring_intertwiners(mu1, mu2)]
             if lhs != rhs:
                 intertwiners_ok = False
     return CorrespondenceReport(

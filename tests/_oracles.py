@@ -19,7 +19,6 @@ from sweedler.errors import (
 from sweedler.fields import same_field
 from sweedler.linalg import (
     LinMap,
-    _nonzeros_by,
     _reduce,
     compose,
     composite,
@@ -167,7 +166,7 @@ def compose_slot(f: LinMap, t: LinMap, a: int, b: int, *, after: bool) -> LinMap
     cod, dom = (a * free * b, f.dom) if after else (f.cod, a * free * b)
     # the result's entry (m, o) on (slot axis, other axis) sits at m*m_step + o*o_step
     m_step, o_step = (dom, 1) if after else (1, dom)
-    t_along = _nonzeros_by(t, by_col=after)
+    t_along = t.nonzeros(by_col=after)
     p = k.char
     zero = k.zero()
     fe = f.entries

@@ -1,6 +1,11 @@
+import sys
+from collections import Counter
+
 import pytest
 
+from sweedler import structures
 from sweedler.fields import GF, QQ
+from sweedler.linalg import _SignedSwap
 from sweedler.structures import matrix_algebra, trivial_algebra
 from sweedler.zoo import (
     corpus_algebras,
@@ -67,3 +72,30 @@ def hopf_corpus():
 @pytest.fixture(scope="session")
 def algebra_corpus():
     return corpus_algebras()
+
+
+@pytest.fixture
+def evaluated_axioms(monkeypatch):
+    """How often each axiom is evaluated while the test runs, counted by
+    wrapping ``structures._failures`` wherever the library holds it.
+
+    The key is (axiom name, lhs factors, rhs factors), each factor a map by
+    identity (the value it belongs to) or a braiding by value (every check
+    makes its own); the axioms are kept, so no identity is reused."""
+    counts = Counter()
+    kept = []
+    original = structures._failures
+
+    def key(chain):
+        return tuple(t if isinstance(t, _SignedSwap) else id(t) for t, _, _ in chain)
+
+    def counted(axioms):
+        kept.append(axioms)
+        for axiom in axioms:
+            counts[axiom.name, key(axiom.lhs), key(axiom.rhs)] += 1
+        return original(axioms)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sweedler" and getattr(module, "_failures", None) is original:
+            monkeypatch.setattr(module, "_failures", counted)
+    return counts

@@ -23,7 +23,7 @@ from _oracles import (
 
 from sweedler.documents import parse_document, parse_measuring_document
 from sweedler.fields import GF
-from sweedler.graded import _homogeneity_failures, assemble, koszul_swap, parts, validate
+from sweedler.graded import _homogeneity_failures, assemble, koszul_swap, parts
 from sweedler.linalg import LinMap, compose, kron, swap_map
 from sweedler.measurings import Measuring, regular_measuring, validate_measuring
 from sweedler.structures import (
@@ -109,7 +109,7 @@ def _structure_mutants(value, rng):
 
 def _dense_failures(value):
     """Every failure of a structure value as (axiom, witness), checked densely
-    in the order of ``validate``: homogeneity first for a graded value."""
+    in the order of a value's ``report``: homogeneity first for a graded value."""
     algebra, coalgebra, antipode, space = parts(value)
     out = []
     if space is not None:
@@ -154,11 +154,11 @@ def test_structure_witnesses_match_the_dense_checks():
     seen = set()
     checked = 0
     for value in _structures():
-        assert [(f.axiom, f.witness) for f in validate(value).failures] == \
+        assert [(f.axiom, f.witness) for f in value.report.failures] == \
             _dense_failures(value)
         for mutant in _structure_mutants(value, rng):
             expected = _dense_failures(mutant)
-            got = [(f.axiom, f.witness) for f in validate(mutant).failures]
+            got = [(f.axiom, f.witness) for f in mutant.report.failures]
             assert got == expected, mutant
             seen.update(axiom for axiom, _ in expected)
             checked += 1

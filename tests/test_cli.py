@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 
@@ -397,19 +398,36 @@ def test_reconstruct_parses_each_shared_document_once(parses, capsys):
                                     for name in ("f2_c2.json", "f2_trivial.json"))
 
 
-def test_reconstruct_validates_each_generator_once(monkeypatch, capsys):
-    import sweedler.documents as documents
-    import sweedler.reconstruction as reconstruction
-
-    calls = []
-    original = documents.validate_measuring
-    for module in (documents, reconstruction):
-        monkeypatch.setattr(module, "validate_measuring",
-                            lambda m: calls.append(m) or original(m))
+def test_reconstruct_validates_each_generator_once(evaluated_axioms, capsys):
     code, _ = run(capsys, "reconstruct", fixture("f2_c2_regular.measuring.json"),
                   fixture("f2_c2_triv.measuring.json"))
     assert code == 0
-    assert len(calls) == 2
+    # parsing checks each generator; reconstruct reads the kept report
+    assert set(evaluated_axioms.values()) == {1}
+    names = Counter(name for name, _, _ in evaluated_axioms)
+    assert names["measuring multiplicativity"] == names["measuring unit"] == 2
+    assert names["coassociative"] == names["counital"] == 2
+    # A and B, A and the stage D
+    assert names["associativity"] == names["coassociativity"] == 2
+
+
+def test_graded_check_evaluates_the_koszul_axioms_once(evaluated_axioms, capsys):
+    code, out = run(capsys, "graded-check", fixture("graded_line_q.json"))
+    assert code == 0 and json.loads(out)["result"]["valid"] is True
+    assert [count for (name, _, _), count in evaluated_axioms.items()
+            if name == "comult multiplicative (Koszul)"] == [1]
+    assert set(evaluated_axioms.values()) == {1}
+
+
+def test_antipode_of_a_graded_document_checks_each_axiom_once(evaluated_axioms, capsys):
+    # parsing checks the parts and the Koszul compatibility; the solver adds
+    # the plain compatibility, which fails here, and reuses the parts' reports
+    code, out = run(capsys, "antipode", fixture("graded_line_q.json"))
+    assert code == 3 and json.loads(out)["error"] == "InvalidBialgebra"
+    names = Counter(name for name, _, _ in evaluated_axioms)
+    assert names["associativity"] == names["coassociativity"] == 1
+    assert names["comult multiplicative"] == names["comult multiplicative (Koszul)"] == 1
+    assert set(evaluated_axioms.values()) == {1}
 
 
 def test_two_paths_to_one_document_share_its_parse(parses, capsys, tmp_path):

@@ -37,7 +37,7 @@ from sweedler.linalg import (
     swap_map,
 )
 from sweedler.measurings import Measuring, enumerate_measurings, intertwiners, regular_measuring
-from sweedler.structures import Axiom, _failures, trivial_algebra
+from sweedler.structures import Algebra, Axiom, _failures, trivial_algebra
 from sweedler.zoo import cyclic_group_hopf, dual_numbers
 
 F2 = GF(2)
@@ -434,27 +434,54 @@ def test_matrix_equations_match_the_probing_oracle():
             assert all(b.apply(solution.entries) == r.entries for b, r in zip(blocks, rhs))
 
 
+def _copied(equations):
+    """The equations with each map replaced by an equal copy, which keeps nothing."""
+    def copy(m):
+        return None if m is None else LinMap(m.field, m.cod, m.dom, m.entries)
+    return [[(c, copy(left), a, b, copy(right)) for c, left, a, b, right in terms]
+            for terms in equations]
+
+
+def _counting_term_writes(monkeypatch):
+    written = []
+    original = linalg._term_nonzeros
+
+    def counted(field, shape, term):
+        written.append(term)
+        return original(field, shape, term)
+
+    monkeypatch.setattr(linalg, "_term_nonzeros", counted)
+    return written
+
+
 @pytest.mark.parametrize("field", [F2, GF(3), QQ], ids=str)
-def test_shared_tables_match_fresh_calls_and_the_probing_oracle(field):
-    # the seeded terms of the operator-matrix test, all kept alive: tables
-    # are keyed by id()
+def test_shared_tables_match_fresh_calls_and_the_probing_oracle(monkeypatch, field):
+    # the seeded terms of the operator-matrix test: a second call reads each
+    # term's nonzeros kept on its map, and agrees with a call on equal copies
+    # of the maps and with the probing oracle
+    written = _counting_term_writes(monkeypatch)
     rng = random.Random(811 + field.char)
-    tables, kept = {}, []
     for _ in range(60):
         shape = (rng.randint(1, 3), rng.randint(1, 3))
         equations = [random_equation(rng, field, shape)]
-        kept.append(equations)
-        shared = matrix_equation_kernel(field, shape, equations, tables)
-        assert shared == matrix_equation_kernel(field, shape, equations)
-        assert [f.entries for f in shared] == probing_kernel(field, shape, equations)
+        first = matrix_equation_kernel(field, shape, equations)
+        written.clear()
+        memoized = matrix_equation_kernel(field, shape, equations)
+        # only a term with no map to keep it on is written again
+        assert all(t[1] is None and t[4] is None for t in written)
+        assert memoized == first == matrix_equation_kernel(field, shape, _copied(equations))
+        assert [f.entries for f in memoized] == probing_kernel(field, shape, equations)
 
 
 @pytest.mark.parametrize("field", [GF(3), GF(5), QQ], ids=str)
 def test_shared_tables_tell_apart_terms_on_one_map(field):
     # terms on the same map that differ only in c, in (a, b), in side or in
-    # the unknown's shape; the equations go through one table, twice
+    # the unknown's shape, and two-sided terms with equal but distinct R; the
+    # equations run twice, the second time on what the first one kept
     m = LinMap.make(field, 2, 2, [1, 1, 0, 0])
     big = LinMap.make(field, 4, 4, [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0])
+    r1, r2 = (LinMap.make(field, 4, 4, [1, 0, 0, 1, 0, 2, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0])
+              for _ in range(2))
     cases = [
         ((2, 2), [[(1, None, 1, 1, m), (-1, m, 1, 1, None)]]),
         ((2, 2), [[(1, None, 1, 1, m), (1, m, 1, 1, None)]]),
@@ -466,18 +493,19 @@ def test_shared_tables_tell_apart_terms_on_one_map(field):
         ((1, 2), [[(1, None, 1, 1, m)]]),
         ((3, 2), [[(1, None, 1, 1, m)]]),
         ((2, 1), [[(1, m, 1, 1, None)]]),
+        ((2, 2), [[(1, big, 2, 1, r1)], [(1, big, 2, 1, r2), (-1, big, 1, 2, None)]]),
+        ((2, 2), [[(1, big, 2, 1, r2), (1, big, 2, 1, big)]]),
     ]
-    tables = {}
-    results = [[matrix_equation_kernel(field, shape, equations, tables)
+    results = [[matrix_equation_kernel(field, shape, equations)
                 for shape, equations in cases] for _ in range(2)]
     for shared in results:
         for (shape, equations), kernel in zip(cases, shared):
-            assert kernel == matrix_equation_kernel(field, shape, equations)
+            assert kernel == matrix_equation_kernel(field, shape, _copied(equations))
             assert [f.entries for f in kernel] == probing_kernel(field, shape, equations)
     assert len({tuple(f.entries for f in kernel) for kernel in results[0]}) > 5
 
 
-def test_intertwiners_of_different_dimensions_share_one_table():
+def test_intertwiners_of_different_dimensions_share_one_table(monkeypatch):
     f2, q = (cyclic_group_hopf(GF(2), 2).algebra, dual_numbers(GF(2))), cyclic_group_hopf(QQ, 2)
     families = [
         [m for n in (1, 2) for m, _ in enumerate_measurings(*f2, n).orbits],
@@ -485,13 +513,38 @@ def test_intertwiners_of_different_dimensions_share_one_table():
          *[Measuring(q.algebra, trivial_algebra(QQ), 1, LinMap.from_rows(QQ, [row]))
            for row in ([1, 1], [1, -1])]],
     ]
+    written = _counting_term_writes(monkeypatch)
     for family in families:
         assert len({m.xdim for m in family}) == 2
-        tables = {}
+        written.clear()
         for m1 in family:
             for m2 in family:
-                shared = intertwiners(m1, m2, tables)
-                assert [iw.f for iw in shared] == [iw.f for iw in intertwiners(m1, m2)]
+                copies = [Measuring(m.a, m.b, m.xdim, LinMap(m.field, m.psi.cod, m.psi.dom,
+                                                              m.psi.entries)) for m in (m1, m2)]
+                assert ([iw.f for iw in intertwiners(m1, m2)]
+                        == [iw.f for iw in intertwiners(*copies)])
+        # the copies write both terms for each pair; the family, each term
+        # once per partner dimension
+        pairs = len(family) ** 2
+        assert len(written) == 2 * pairs + 2 * len(family) * 2
+
+
+def test_nonzeros_are_listed_once_per_map(monkeypatch):
+    f = LinMap.make(QQ, 2, 3, [1, 0, Fraction(1, 2), 0, -2, 0])
+    assert f.nonzeros(by_col=False) == [[(0, 1), (2, Fraction(1, 2))], [(1, -2)]]
+    assert f.nonzeros(by_col=True) == [[(0, 1)], [(1, -2)], [(0, Fraction(1, 2))]]
+    # a denominator 1 is read as an int
+    assert [type(v) for row in f.nonzeros(by_col=False) for _, v in row] == [int, Fraction, int]
+    # a product that every algebra axiom, two algebra values and a chain read
+    listed = []
+    original = LinMap._listed
+    monkeypatch.setattr(LinMap, "_listed",
+                        lambda self, by_col: listed.append((self, by_col)) or original(self, by_col))
+    a = cyclic_group_hopf(GF(3), 3).algebra
+    mult = LinMap(a.field, a.mult.cod, a.mult.dom, a.mult.entries)  # a copy, nothing listed yet
+    assert Algebra(mult, a.unit).report.ok and Algebra(mult, a.unit).report.ok
+    composite([(mult, 3, 1), (mult, 1, 1)], 27)
+    assert [by_col for m, by_col in listed if m is mult] == [True]
 
 
 def test_matrix_equations_on_zero_shapes():
