@@ -17,6 +17,7 @@ from sweedler.documents import Document, MeasuringDocument, canonical_json, \
 from sweedler.fields import GF, QQ
 from sweedler.linalg import LinMap
 from sweedler.measurings import (
+    enumerate_measurings,
     identity_measuring,
     measuring_from_matrix_morphism,
     regular_measuring,
@@ -140,6 +141,15 @@ def main() -> None:
     write("m2_standard.measuring.json",
           canonical_json(measuring_to_dict(
               MeasuringDocument("m2_f2.json", "f2_trivial.json", std))))
+
+    # the 1st, 4th and 7th 2-dimensional orbit representatives of
+    # F2[C_2] -> F2[y]/(y^2): the coend over every intertwiner between them has
+    # dimension 4, the subcoalgebra of P(A, B) that they span dimension 3
+    orbits = enumerate_measurings(a, dual_numbers(f2), 2).orbits
+    for i in (1, 4, 7):
+        write(f"f2_c2_dualnum_n2_{i}.measuring.json",
+              canonical_json(measuring_to_dict(
+                  MeasuringDocument("f2_c2.json", "f2_dualnum.json", orbits[i - 1][0]))))
 
     HQ = cyclic_group_hopf(QQ, 2)
     kq = trivial_algebra(QQ)

@@ -118,6 +118,9 @@ def cases() -> list[list[str]]:
                     out.append(["tensor", _fixture(m1), _fixture(m2), "--mode", mode])
             if mdocs[m1]["b"] == mdocs[m2]["a"]:
                 out.append(["compose", _fixture(m1), _fixture(m2)])
+    # a stage where the coend over the intertwiners does not inject into P(A, B)
+    out.append(["reconstruct", *(_fixture(f"f2_c2_dualnum_n2_{i}.measuring.json")
+                                 for i in (1, 4, 7))])
     for n in sorted(p.name for p in (ROOT / BROKEN).glob("*.json")):
         out.append(["reconstruct" if n.endswith(".measuring.json") else "validate",
                     f"{BROKEN}/{n}"])

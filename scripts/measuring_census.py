@@ -2,12 +2,10 @@
 """Census of measurings at small dimension, with the coalgebras they generate.
 
 For each (A, B) pair over a prime field this enumerates the n-dimensional
-measurings, their conjugation orbits, and the dimension of the coend over the
-full subcategory on the orbit representatives (``reconstruct`` with automatic
-intertwiners), printed as the "generated coalgebra".  That coend maps onto the
-subcoalgebra of the universal measuring coalgebra that the representatives
-span, but not always injectively, so the printed dimension can exceed the
-subcoalgebra's.
+measurings, their conjugation orbits, and the dimension of the subcoalgebra of
+the universal measuring coalgebra that the orbit representatives span
+(``reconstruct``), printed as the "generated coalgebra".  It is dual to the
+algebra that the representatives' blocks generate.
 """
 
 from sweedler.fields import GF

@@ -319,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--auto-intertwiners", dest="auto_intertwiners",
                         type=_boolean, default=True,
                         metavar="BOOL",
-                        help="use a full Hom-space basis in reconstruct (default true)")
+                        help="reconstruct the span of the generators; false: the direct sum "
+                             "of their comatrix coalgebras (default true)")
     parser = argparse.ArgumentParser(
         prog="sweedler",
         description="exact computations with algebras, Hopf algebras and measurings")

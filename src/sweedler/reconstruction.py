@@ -1,12 +1,14 @@
-"""Finite-stage coend reconstruction of universal measuring coalgebras.
+"""Finite stages of universal measuring coalgebras.
 
-Given measurings (X_i, psi_i) of A into B, the stage D is their coend: the
-quotient of the direct sum of the comatrix coalgebras X_i* (x) X_i by the
-span of the relations (alpha . f) (x) v - alpha (x) f(v) over a family of
-intertwiners f, with comultiplication, counit and the measuring pairing
-beta: A (x) D -> B induced on the quotient.  Over every intertwiner, D is
-the coend over the full subcategory on the generators; it maps onto the
-subcoalgebra of P(A, B) that the generators span, not always injectively.
+Given measurings (X_i, psi_i) of A into B, a stage D is a quotient of the
+direct sum of the comatrix coalgebras X_i* (x) X_i, with comultiplication,
+counit and the measuring pairing beta: A (x) D -> B induced on the quotient.
+By default D is the subcoalgebra of P(A, B) that the generators span: its
+dual is the algebra E that the blocks M_{t,q} (the q-th B-coordinate of
+psi_i(e_t (x) -)) generate in the product of the End(X_i), and the quotient
+is by the annihilator of E, found by closing E under words in the blocks.
+Given a family of intertwiners f instead, D is their coend: the quotient by
+the span of the relations (alpha . f) (x) v - alpha (x) f(v).
 
 The stage is assembled one generator at a time, never as the direct sum, and
 no comatrix coalgebra is written out.  A linear P_i: coend(X_i) -> D is the
@@ -65,7 +67,7 @@ from .structures import (
     validate_coalgebra,
     validate_hopf,
 )
-from .measurings import Measuring, intertwiners, tensor_measuring_bialgebra, validate_measuring
+from .measurings import Measuring, tensor_measuring_bialgebra, validate_measuring
 
 
 def coend_coalgebra(xdim: int, field: Field) -> Coalgebra:
@@ -124,8 +126,8 @@ def _classified_comodule(phi: LinMap, cdim: int, xdim: int) -> LinMap:
 
 @dataclass(frozen=True)
 class GeneratedSubcoalgebra:
-    """A finite stage: the coend of ``generators`` over intertwiners, which maps
-    onto the subcoalgebra of P(A, B) they span, not always injectively.
+    """A finite stage: the subcoalgebra of P(A, B) that ``generators`` span,
+    or their coend over a chosen family of intertwiners.
 
     ``d`` is the quotient coalgebra, ``pairing`` the measuring pairing
     beta: A (x) D -> B, ``projections[i]`` the coalgebra morphism
@@ -156,6 +158,68 @@ def _quotient_by_rows(field: Field, n: int,
             LinMap.from_nonzeros(field, n, len(free), [(j, c, 1) for c, j in enumerate(free)]))
 
 
+def _span_of_words(field: Field, measurings: list[Measuring], starts: list[int],
+                   total: int) -> tuple[list[list], LinMap]:
+    """E, the algebra that the blocks M_{t,q}[a, b] = psi_i[(a, q), (t, b)]
+    generate in the product of the End(X_i), as vectors of k^total in the
+    coend layout (f_ab of coend(X_i) at ``starts[i] + a*x_i + b``), and the
+    section onto its pivots.
+
+    E is closed under words from the identity: each element inserted is
+    multiplied on the right by every block, and the product is reduced in
+    one incremental echelon on the reversed columns, so pivots are taken
+    from the right.  Its rows, back in order and listed by pivot, are the
+    reduced echelon form of E: the projection rows onto D = E*, whose
+    kernel is the annihilator of E.  Where the coend over the intertwiners
+    is the span, they are the rows that :func:`_quotient_by_rows` gives."""
+    p = field.char
+    # block (t, q): the nonzeros (b, value) of its row a, keyed by the
+    # position of f_a0 of coend(X_i)
+    blocks: dict[tuple[int, int], dict[int, list]] = {}
+    for start, m in zip(starts, measurings):
+        x, db = m.xdim, m.b.dim
+        for col, column in enumerate(m.psi.nonzeros(by_col=True)):
+            t, b = divmod(col, x)
+            for r, v in column:
+                a, q = divmod(r, db)
+                blocks.setdefault((t, q), {}).setdefault(start + a * x, []).append((b, v))
+    # f_as of coend(X_i) meets row s of a block and lands in row a
+    where = [(start + s * m.xdim, start + a * m.xdim) for start, m in zip(starts, measurings)
+             for a in range(m.xdim) for s in range(m.xdim)]
+    echelon: dict[int, list] = {}
+    zero = field.zero()
+
+    def insert(nonzeros) -> list | None:
+        """The nonzeros of what is left of a vector reduced in the echelon,
+        once inserted; None when it is in the span already."""
+        row = [zero] * total
+        for pos, v in nonzeros:
+            row[total - 1 - pos] = v % p if p else field.coerce(v)
+        reduce_row(field, echelon, row)
+        if not any(row):
+            return None
+        insert_row(field, echelon, row, total)
+        return [(total - 1 - c, v) for c, v in enumerate(row) if v]
+
+    identity = insert((start + a * m.xdim + a, 1) for start, m in zip(starts, measurings)
+                      for a in range(m.xdim))
+    pending = [identity] if identity else []
+    for u in pending:  # grows as the closure runs
+        for block in blocks.values():
+            product: dict[int, object] = {}
+            for pos, x in u:
+                row, base = where[pos]
+                for b, v in block.get(row, ()):
+                    product[base + b] = product.get(base + b, 0) + x * v
+            remainder = insert(product.items())
+            if remainder:
+                pending.append(remainder)
+    pivots = sorted(total - 1 - c for c in echelon)
+    section = [(j, c, 1) for c, j in enumerate(pivots)]
+    return ([echelon[total - 1 - j][::-1] for j in pivots],
+            LinMap.from_nonzeros(field, total, len(pivots), section))
+
+
 def _coefficients(section: LinMap, xdims: list[int]) -> list[tuple[int, int, int]]:
     """(i, a, b) for each basis vector c of D: the section's 1 in column c lies
     at the coefficient f_ab of the i-th summand coend(X_i)."""
@@ -167,14 +231,14 @@ def _coefficients(section: LinMap, xdims: list[int]) -> list[tuple[int, int, int
 def reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,
                 morphisms: list[tuple[int, int, LinMap]] | None = None,
                 a: Algebra | None = None, b: Algebra | None = None) -> GeneratedSubcoalgebra:
-    """Coend of the given measurings over their intertwiners.
+    """The stage that the given measurings generate.
 
-    With ``auto_intertwiners`` a basis of every Hom space between every ordered
-    pair of generators (endomorphisms included) is used: the coend over the
-    full subcategory on them, not always their span in P(A, B).  Otherwise
-    ``morphisms`` lists (source index, target index, map) triples.  All
-    induced structure is checked; a failed check raises
-    InducedStructureIllDefined and means an input morphism was not one.
+    With ``auto_intertwiners`` it is the subcoalgebra of P(A, B) that they
+    span, dual to the algebra their blocks generate; no Hom space is solved.
+    Otherwise ``morphisms`` lists (source index, target index, map) triples,
+    and the stage is the coend over them.  All induced structure is checked;
+    a failed check raises InducedStructureIllDefined and means an input
+    morphism was not one.
     """
     for m in measurings:
         report = validate_measuring(m)
@@ -191,9 +255,6 @@ def reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,
     xdims = [m.xdim for m in measurings]
     starts = [sum(x * x for x in xdims[:i]) for i in range(len(xdims))]
     total = sum(x * x for x in xdims)
-    if auto_intertwiners:
-        morphisms = [(i, j, iw.f) for i, mi in enumerate(measurings)
-                     for j, mj in enumerate(measurings) for iw in intertwiners(mi, mj)]
 
     def relation_rows(i: int, j: int, f: LinMap) -> list[list]:
         xi, xj = xdims[i], xdims[j]
@@ -214,8 +275,11 @@ def reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,
                     out.append(vec)
         return out
 
-    rows, section = _quotient_by_rows(
-        k, total, (row for i, j, f in morphisms or [] for row in relation_rows(i, j, f)))
+    if auto_intertwiners:
+        rows, section = _span_of_words(k, measurings, starts, total)
+    else:
+        rows, section = _quotient_by_rows(
+            k, total, (row for i, j, f in morphisms or [] for row in relation_rows(i, j, f)))
     d = len(rows)
     projections = tuple(LinMap(k, d, x * x, tuple(v for row in rows for v in row[s:s + x * x]))
                         for s, x in zip(starts, xdims))
@@ -248,11 +312,11 @@ def reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,
 def _verify_generated(g: GeneratedSubcoalgebra, deltas: list[LinMap]) -> None:
     """Machine-check every invariant of a generated subcoalgebra.
 
-    As the kernel of the projection onto D is the span of the relations, the
-    comultiplication and counit descend to D exactly when every P_i is a
-    coalgebra morphism coend(X_i) -> D, that is when the comodule delta_i it
-    classifies is a D-comodule, and the pairing descends exactly when every
-    delta_i gives back its psi.
+    As the kernel of the projection onto D is the annihilator of E, or the
+    span of the relations, the comultiplication and counit descend to D
+    exactly when every P_i is a coalgebra morphism coend(X_i) -> D, that is
+    when the comodule delta_i it classifies is a D-comodule, and the pairing
+    descends exactly when every delta_i gives back its psi.
     """
     for m, delta in zip(g.generators, deltas):
         if not validate_comodule(delta, g.d):

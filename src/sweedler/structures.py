@@ -618,8 +618,8 @@ def grouplikes(c: Coalgebra, candidates: Sequence[Sequence] | None = None,
             raise UnsupportedField("exhaustive enumeration needs a finite field")
         if c.dim == 0:
             return []
-        return [f.entries for f in algebra_morphisms(dual_algebra(c), trivial_algebra(k),
-                                                     budget=budget)]
+        return [f.entries for f in _morphism_search(dual_algebra(c), trivial_algebra(k),
+                                                    budget)]
     lines = {}  # each candidate scaled to counit 1, once, in order
     for cand in candidates:
         vec = tuple(k.coerce(x) for x in cand)
@@ -778,7 +778,16 @@ class _QuadraticSearch:
 
 def algebra_morphisms(a: Algebra, b: Algebra, budget: int = DEFAULT_BUDGET,
                       zero_coords: frozenset[int] | None = None) -> list[LinMap]:
-    """All algebra morphisms A -> B, lexicographic.
+    """All algebra morphisms A -> B, lexicographic, from a valid algebra A:
+    an invalid one raises InvalidStructure, as the search assumes A
+    associative and unital (:func:`_morphism_search`)."""
+    validate_algebra(a).raise_if_failed(InvalidStructure)
+    return _morphism_search(a, b, budget, zero_coords)
+
+
+def _morphism_search(a: Algebra, b: Algebra, budget: int,
+                     zero_coords: frozenset[int] | None = None) -> list[LinMap]:
+    """The algebra morphisms A -> B, lexicographic, for A already checked.
 
     A morphism is fixed by its images of the generators of :func:`_word_span`,
     whose free coordinates are the slots of one :class:`_QuadraticSearch`.

@@ -26,6 +26,7 @@ from sweedler.linalg import (
     is_invertible,
     kernel_basis,
     permute_axes,
+    rank,
     rref,
     solve,
     solve_matrix_equations,
@@ -700,6 +701,58 @@ def section_product(g1, g2, g12):
         piece = permute_axes(g12.projections[i * n2 + j], (d12, x, y, x, y), (0, 1, 3, 2, 4), 1)
         result = result + composite([(s2[j], d1, 1), (s1[i], 1, y * y), (piece, 1, 1)], d1 * d2)
     return result
+
+
+def _grown_span(field, start, extend, flat):
+    """A spanning list of the span of ``start`` and its images under
+    ``extend`` (each element's list of next elements), closed length by
+    length: the elements are stacked as the columns of one matrix, and only
+    the new elements at the pivot columns of its ``rref`` (they raise the
+    rank) are extended again, until the rank stops rising."""
+    kept, new = [start], [start]
+    while new:
+        stacked = kept + [nxt for element in new for nxt in extend(element)]
+        columns = LinMap.from_rows(field, [flat(element) for element in stacked]).transpose()
+        new = [stacked[c] for c in rref(columns)[1] if c >= len(kept)]
+        kept += new
+    return kept
+
+
+def block_algebra_dim(measurings) -> int:
+    """dim E, for E the algebra that the blocks M_{t,q}[a, b] =
+    psi_i[(a, q), (t, b)] of the measurings generate in the product of the
+    End(X_i), from dense words: one matrix per generator, multiplied on the
+    right by a block with ``compose`` per generator, from the identity."""
+    if not measurings:
+        return 0
+    k, da, db = measurings[0].field, measurings[0].a.dim, measurings[0].b.dim
+    blocks = [[LinMap(k, m.xdim, m.xdim, tuple(m.psi[a * db + q, t * m.xdim + b]
+                                               for a in range(m.xdim) for b in range(m.xdim)))
+               for m in measurings] for t in range(da) for q in range(db)]
+    words = _grown_span(
+        k, [LinMap.identity(k, m.xdim) for m in measurings],
+        lambda word: [[compose(w, block) for w, block in zip(word, row)] for row in blocks],
+        lambda word: [v for w in word for v in w.entries])
+    return rank(LinMap.from_rows(k, [[v for w in word for v in w.entries] for word in words]))
+
+
+def pairing_rank(g) -> int:
+    """The rank of the functionals on D that the counit and the iterated
+    pairings beta^(n)(e_t1 (x) ... (x) e_tn (x) c) = beta(e_t1 (x) c_(1)) (x) ...
+    (x) beta(e_tn (x) c_(n)) in B^(x)n make, one for each coordinate: dim D
+    exactly when the pairing separates D.  The coordinate (q1, ..., qn) is the
+    functional psi_((t1, q1) ... (tn, qn)), a dense row with psi_() = counit
+    and psi_((t, q) w) = (beta_tq (x) psi_w).comult_D, beta_tq = e^q.beta(e_t (x) -)."""
+    k, d, db = g.a.field, g.d.dim, g.b.dim
+    if d == 0:
+        return 0
+    betas = [LinMap(k, 1, d, tuple(g.pairing[q, t * d + c] for c in range(d)))
+             for t in range(g.a.dim) for q in range(db)]
+    functionals = _grown_span(
+        k, g.d.counit,
+        lambda psi: [dense_compose(dense_kron(beta, psi), g.d.comult) for beta in betas],
+        lambda psi: list(psi.entries))
+    return rank(LinMap.from_rows(k, [psi.entries for psi in functionals]))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ import random
 from fractions import Fraction
 
 from _oracles import (
+    block_algebra_dim,
     classifying_iso_to_dual,
     convolution_inverse,
     f2_2x2_invertible,
     f2_2x2_product,
+    pairing_rank,
 )
 
 from sweedler.fields import GF, QQ
@@ -27,11 +29,12 @@ from sweedler.graded import (
     is_connected,
     koszul_swap,
 )
-from sweedler.linalg import LinMap, compose, invert, kernel_basis, kron
+from sweedler.linalg import LinMap, compose, invert, kernel_basis, kron, rank
 from sweedler.measurings import (
     Measuring,
     compose_measuring,
     enumerate_measurings,
+    intertwiners,
     matrix_morphism_from_measuring,
     measuring_from_matrix_morphism,
     regular_measuring,
@@ -421,6 +424,46 @@ def test_criterion_11_universal_factorization():
         assert checked == 17  # 3 regular/standard stages + 5-member family + 9 units
 
     _run(11, "universal factorization through the pairing", body)
+
+
+# -- 12: stages are monotone in their generators and separated by the pairing ---------
+
+
+def _restricted_rows(g, count):
+    """The projection rows of a stage on the coordinates of its first
+    ``count`` generators."""
+    return [[v for p in g.projections[:count] for v in p.row_at(r)] for r in range(g.d.dim)]
+
+
+def test_criterion_12_stages_are_monotone_and_separated():
+    def body():
+        # F2[C_2] -> F2[y]/(y^2): the 12 orbit representatives with n <= 2 and
+        # the 28 with n = 3
+        a, b = involution_algebra(F2), dual_numbers(F2)
+        reps = [rep for n in (1, 2) for rep, _ in enumerate_measurings(a, b, n).orbits]
+        threes = [rep for rep, _ in enumerate_measurings(a, b, 3).orbits]
+        assert (len(reps), len(threes)) == (12, 28)
+        small = reconstruct(reps)
+        assert small.d.dim == block_algebra_dim(reps) == 8
+        # monotone: the rows of E_T on the coordinates of S span E_S, so E_T
+        # maps onto E_S and D_S injects into D_T (at the coend, 4 of the 28
+        # additions lowered the dimension from 10 to 9)
+        rows = _restricted_rows(small, len(reps))
+        for m in threes:
+            restricted = _restricted_rows(reconstruct(reps + [m]), len(reps))
+            assert rank(LinMap.from_rows(F2, restricted)) == small.d.dim
+            assert rank(LinMap.from_rows(F2, restricted + rows)) == small.d.dim
+        # separated: the counit and the coordinates of the iterated pairings
+        # beta^(n)(e_t1 (x) ... (x) e_tn (x) c) in B^(x)n have rank dim D
+        for g in (small, reconstruct(reps + threes)):
+            assert pairing_rank(g) == g.d.dim
+        # the coend over every intertwiner is not separated
+        everything = [(i, j, iw.f) for i, mi in enumerate(reps) for j, mj in enumerate(reps)
+                      for iw in intertwiners(mi, mj)]
+        coend = reconstruct(reps, auto_intertwiners=False, morphisms=everything)
+        assert (pairing_rank(coend), coend.d.dim) == (8, 10)
+
+    _run(12, "stages are monotone in their generators and separated by the pairing", body)
 
 
 def _random_map(rng, field, cod, dom):

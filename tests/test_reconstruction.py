@@ -320,7 +320,7 @@ def test_simple_comodule_transport(m2_f2, k_f2):
 # -- the block-wise stage against the dense direct-sum oracle --------------------------
 
 
-from _oracles import dense_reconstruct, section_product
+from _oracles import block_algebra_dim, dense_reconstruct, section_product
 
 
 def _all_intertwiners(gens):
@@ -346,17 +346,81 @@ def _census_representatives(a, upto):
     return [rep for n in range(1, upto + 1) for rep, _ in enumerate_measurings(a, k, n).orbits]
 
 
+def _dual_numbers_representatives(upto):
+    """The orbit representatives of F2[C_2] -> F2[y]/(y^2) with n <= upto."""
+    a, b = cyclic_group_hopf(F2, 2).algebra, dual_numbers(F2)
+    return [rep for n in range(1, upto + 1) for rep, _ in enumerate_measurings(a, b, n).orbits]
+
+
 @pytest.mark.parametrize("upto,count,dim", [(2, 12, 10), (3, 40, 18)])
 def test_coend_of_the_dual_numbers_census_representatives(upto, count, dim):
     # the coend over the full subcategory on the orbit representatives of
-    # F2[C_2] -> F2[y]/(y^2), n <= upto: its dual is the natural endomorphisms
-    # of the generators.  The subcoalgebra of P(A, B) that they span is smaller
-    # (8 and 16: dual to the algebra that the blocks of the generators
-    # generate), so building that instead must change these dimensions here.
-    a, b = cyclic_group_hopf(F2, 2).algebra, dual_numbers(F2)
-    reps = [rep for n in range(1, upto + 1) for rep, _ in enumerate_measurings(a, b, n).orbits]
+    # F2[C_2] -> F2[y]/(y^2), n <= upto, given every intertwiner explicitly:
+    # its dual is the natural endomorphisms of the generators, larger than the
+    # algebra that their blocks generate (the test below)
+    reps = _dual_numbers_representatives(upto)
     assert len(reps) == count
-    assert reconstruct(reps).d.dim == dim
+    assert reconstruct(reps, auto_intertwiners=False,
+                       morphisms=_all_intertwiners(reps)).d.dim == dim
+
+
+@pytest.mark.parametrize("upto,count,dim", [(2, 12, 8), (3, 40, 16)])
+def test_stage_of_the_dual_numbers_census_representatives(upto, count, dim):
+    # the subcoalgebra of P(A, B) that the representatives span is dual to the
+    # algebra E that their blocks generate; the coend above maps onto it
+    reps = _dual_numbers_representatives(upto)
+    assert len(reps) == count
+    assert reconstruct(reps).d.dim == dim == block_algebra_dim(reps)
+
+
+def _table_generators(case):
+    f3 = GF(3)
+    if case == "F3[C2] -> F3[C3], n <= 2":
+        a, b, dims = cyclic_group_hopf(f3, 2).algebra, cyclic_group_hopf(f3, 3).algebra, (1, 2)
+    else:
+        a, b = cyclic_group_hopf(f3, 3).algebra, dual_numbers(f3)
+        dims = (1, 2) if case == "F3[C3] -> F3[y]/(y2), n <= 2" else (1,)
+    return [rep for n in dims for rep, _ in enumerate_measurings(a, b, n).orbits]
+
+
+@pytest.mark.parametrize("case,count,dim", [("F3[C2] -> F3[C3], n <= 2", 45, 134),
+                                            ("F3[C3] -> F3[y]/(y2), n <= 2", 30, 21),
+                                            ("F3[C3] -> F3[y]/(y2), n = 1", 3, 3)])
+def test_stage_dimension_is_the_block_algebra_dimension(case, count, dim):
+    gens = _table_generators(case)
+    assert len(gens) == count
+    assert reconstruct(gens).d.dim == dim == block_algebra_dim(gens)
+
+
+def test_auto_intertwiner_stages_solve_no_hom_space(monkeypatch, inv_f2, k_f2):
+    import sweedler.reconstruction as reconstruction
+    from sweedler import linalg, measurings
+
+    assert not hasattr(reconstruction, "intertwiners")
+    expected = {}
+    families = {
+        "regular": [regular_measuring(inv_f2)],
+        "mixed": [regular_measuring(inv_f2), _f2_character(),
+                  Measuring(inv_f2, k_f2, 0, LinMap.zero(F2, 0, 0))],
+        "census": _census_representatives(cyclic_group_hopf(GF(3), 2).algebra, 2),
+        "dual numbers": _dual_numbers_representatives(2),
+        "Q[C_4]": [regular_measuring(cyclic_group_hopf(QQ, 4).algebra)],
+    }
+    for name, gens in families.items():
+        g = reconstruct(gens)
+        expected[name] = (g.d, g.pairing, g.projections, g.section)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Hom space was solved")
+
+    monkeypatch.setattr(linalg, "matrix_equation_kernel", refuse)
+    monkeypatch.setattr(measurings, "matrix_equation_kernel", refuse)
+    for name, gens in families.items():
+        g = reconstruct(gens)
+        assert (g.d, g.pairing, g.projections, g.section) == expected[name], name
+    with pytest.raises(AssertionError, match="a Hom space was solved"):
+        reconstruct(families["regular"], auto_intertwiners=False,
+                    morphisms=_all_intertwiners(families["regular"]))
 
 
 def _f2_character():

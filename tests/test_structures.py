@@ -509,6 +509,31 @@ def test_grouplikes_reject_an_invalid_coalgebra_before_the_search():
         assert [f.axiom for f in raised.value.report.failures] == failed
 
 
+def test_morphisms_reject_a_nonassociative_source():
+    # F2 on 1, x, y with xx = y, yx = 1 and xy = yy = 0: (xx)x = 1 but
+    # x(xx) = 0.  The search assumes A associative; unchecked, it returned
+    # f = (1, 1, 1), which is no morphism
+    products = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 1, (2, 0): 2, (1, 1): 2, (2, 1): 0}
+    a = Algebra(LinMap.from_nonzeros(F2, 3, 9, [(t, 3 * i + j, 1)
+                                                for (i, j), t in products.items()]),
+                LinMap.from_nonzeros(F2, 3, 1, [(0, 0, 1)]))
+    k = trivial_algebra(F2)
+    assert not is_algebra_morphism(LinMap.row(F2, (1, 1, 1)), a, k)
+    assert exhaustive_morphisms(a, k) == []
+    with pytest.raises(InvalidStructure) as raised:
+        algebra_morphisms(a, k)
+    assert [f.axiom for f in raised.value.report.failures] == ["associativity"]
+
+
+def test_grouplikes_check_the_coalgebra_and_not_its_dual(evaluated_axioms):
+    # the coalgebra axioms are the dual's algebra axioms, so the search into
+    # k checks no algebra axiom of its own
+    c = dual_coalgebra(cyclic_group_hopf(GF(3), 3).algebra)
+    assert grouplikes(c) == exhaustive_grouplikes(c) == [(1, 1, 1)]
+    names = {name for name, _, _ in evaluated_axioms}
+    assert "coassociativity" in names and "associativity" not in names
+
+
 def test_grouplike_candidates_over_q_skip_counit_zero_and_duplicates(q_c2):
     dual = dual_coalgebra(q_c2.algebra)
     candidates = [(2, 2), (0, 5), (1, 0), (1, 1), (3, -3), (-1, 1)]
