@@ -4,8 +4,9 @@ broken documents in tests/broken/.
 
 Everything is produced through the canonical serializer, so running this
 script must leave a clean git tree.  Each broken document fails one axiom
-(and those that follow from it) on purpose; the golden corpus pins the
-witnesses that ``validate`` or ``reconstruct`` reports for them.
+(and those that follow from it) on purpose, or carries one scalar token too
+long to convert; the golden corpus pins the witnesses and parse errors that
+``validate`` or ``reconstruct`` reports for them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from sweedler.documents import Document, MeasuringDocument, canonical_json, \
-    measuring_to_dict, serialize_document
+    measuring_to_dict, serialize_document, structure_to_dict
 from sweedler.fields import GF, QQ
 from sweedler.linalg import LinMap
 from sweedler.measurings import (
@@ -64,8 +65,9 @@ def changed(f: LinMap, row: int, col: int, value) -> LinMap:
 
 def broken_documents() -> None:
     """Documents that fail associativity, comult multiplicativity, the
-    antipode axioms and measuring multiplicativity.  The measuring refers
-    to its algebras in tests/fixtures/."""
+    antipode axioms and measuring multiplicativity, and three whose counit
+    has an over-long token.  The measuring refers to its algebras in
+    tests/fixtures/."""
     BROKEN.mkdir(parents=True, exist_ok=True)
     f2, f3 = GF(2), GF(3)
     c3 = cyclic_group_hopf(f2, 3)
@@ -90,6 +92,14 @@ def broken_documents() -> None:
           canonical_json(measuring_to_dict(MeasuringDocument(
               "../fixtures/f2_c2.json", "../fixtures/f2_trivial.json",
               Measuring(regular.a, regular.b, 2, psi)))), BROKEN)
+    # the counit of k[C_2] with a second token past CPython's 4,300-digit int
+    # conversion: a parse error before any digit is converted
+    for name, field, token in (("long_integer_q.json", QQ, "7" * 5000),
+                               ("long_fraction_q.json", QQ, "1/" + "7" * 5000),
+                               ("long_token_f3.json", f3, "7" * 5000)):
+        raw = structure_to_dict(Document(cyclic_group_hopf(field, 2), ("1", "g")))
+        raw["counit"][1] = token
+        write(name, canonical_json(raw), BROKEN)
 
 
 def main() -> None:

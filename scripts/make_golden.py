@@ -103,7 +103,11 @@ def cases() -> list[list[str]]:
             if finite(a) and small(a) and small(b):
                 out.append(["tambara-check", _fixture(a), _fixture(b), "--n", "1"])
     out.append(["enumerate-measurings", _fixture("f2_c2.json"), _fixture("f2_dualnum.json"), "0"])
-    out.append(["tambara-check", _fixture("f2_c2.json"), _fixture("f2_dualnum.json"), "--n", "2"])
+    # bounds 2^7200 (2,168 digits, written in decimal) and 2^16200 (4,877 digits,
+    # past CPython's int-to-decimal limit: written as a power)
+    for n in ("2", "60", "90"):
+        out.append(["tambara-check", _fixture("f2_c2.json"), _fixture("f2_dualnum.json"),
+                    "--n", n])
     for n in measurings:
         out.append(["reconstruct", _fixture(n)])
         out.append(["reconstruct", _fixture(n), "--auto-intertwiners", "false"])

@@ -116,10 +116,19 @@ def _load_json(text: str):
         raise ParseError("JSON nested too deeply") from exc
 
 
-def _parse_vector(field: Field, data, length: int, path: str) -> tuple:
+def _parse_vector(field: Field, data, length: int, path: str, tokens: dict) -> tuple:
+    """The scalars of a vector.  ``tokens`` {token: value} belongs to one
+    document, so each distinct token in it is parsed once; anything not a
+    string goes to ``Field.parse``, which refuses it."""
     _want(isinstance(data, list) and len(data) == length,
           f"expected a vector of {length} scalars", path)
-    return tuple(field.parse(x) for x in data)
+    try:
+        return tuple([tokens[x] for x in data])
+    except (KeyError, TypeError):  # a token not seen yet, or not a string
+        for x in data:
+            if not isinstance(x, str) or x not in tokens:
+                tokens[x] = field.parse(x)
+        return tuple([tokens[x] for x in data])
 
 
 def parse_structure_dict(raw: dict) -> Document:
@@ -148,14 +157,16 @@ def parse_structure_dict(raw: dict) -> Document:
     _want("antipode" not in raw or (has_alg and has_coalg),
           "an antipode needs a full bialgebra", "antipode")
 
-    algebra = _parse_algebra(field, dim, raw) if has_alg else None
-    coalgebra = _parse_coalgebra(field, dim, raw) if has_coalg else None
+    tokens: dict = {}
+    algebra = _parse_algebra(field, dim, raw, tokens) if has_alg else None
+    coalgebra = _parse_coalgebra(field, dim, raw, tokens) if has_coalg else None
     antipode = None
     if "antipode" in raw:
         data = raw["antipode"]
         _want(isinstance(data, list) and len(data) == dim, "antipode must list dim images",
               "antipode")
-        cols = [_parse_vector(field, v, dim, f"antipode[{i}]") for i, v in enumerate(data)]
+        cols = [_parse_vector(field, v, dim, f"antipode[{i}]", tokens)
+                for i, v in enumerate(data)]
         antipode = LinMap.from_nonzeros(
             field, dim, dim, [(r, j, x) for j, col in enumerate(cols) for r, x in enumerate(col) if x])
     space = None
@@ -171,9 +182,9 @@ def parse_structure_dict(raw: dict) -> Document:
     return Document(value, tuple(basis))
 
 
-def _parse_algebra(field: Field, dim: int, raw: dict) -> Algebra:
+def _parse_algebra(field: Field, dim: int, raw: dict, tokens: dict) -> Algebra:
     _want(dim >= 1, "an algebra needs dim >= 1", "dim")
-    unit_vec = _parse_vector(field, raw["unit"], dim, "unit")
+    unit_vec = _parse_vector(field, raw["unit"], dim, "unit", tokens)
     support = [i for i, x in enumerate(unit_vec) if x != 0]
     _want(bool(support), "the unit vector cannot be zero", "unit")
     implied = support[0] if len(support) == 1 else None
@@ -198,15 +209,15 @@ def _parse_algebra(field: Field, dim: int, raw: dict) -> Algebra:
         last = (i, j)
         _want(implied is None or (i != implied and j != implied),
               "products with the unit axis are implied and must be omitted", path)
-        vec = _parse_vector(field, vec_data, dim, path)
-        _want(any(x != 0 for x in vec), "zero triples must be omitted", path)
+        vec = _parse_vector(field, vec_data, dim, path, tokens)
+        _want(any(vec), "zero triples must be omitted", path)
         nonzeros += [(t, i * dim + j, x) for t, x in enumerate(vec) if x]
     return Algebra(mult=LinMap.from_nonzeros(field, dim, dim * dim, nonzeros),
                    unit=LinMap.make(field, dim, 1, unit_vec))
 
 
-def _parse_coalgebra(field: Field, dim: int, raw: dict) -> Coalgebra:
-    counit_vec = _parse_vector(field, raw["counit"], dim, "counit")
+def _parse_coalgebra(field: Field, dim: int, raw: dict, tokens: dict) -> Coalgebra:
+    counit_vec = _parse_vector(field, raw["counit"], dim, "counit", tokens)
     data = raw["comult"]
     _want(isinstance(data, list), "comult must be a list of [i, matrix] entries", "comult")
     nonzeros = []
@@ -219,9 +230,10 @@ def _parse_coalgebra(field: Field, dim: int, raw: dict) -> Coalgebra:
         _want(last is None or i > last, "entries must be strictly sorted by index", path)
         last = i
         _want(isinstance(matrix, list) and len(matrix) == dim, "expected a dim x dim matrix", path)
-        rows = [_parse_vector(field, row, dim, f"{path}[{r}]") for r, row in enumerate(matrix)]
+        rows = [_parse_vector(field, row, dim, f"{path}[{r}]", tokens)
+                for r, row in enumerate(matrix)]
         flat = [x for row in rows for x in row]
-        _want(any(x != 0 for x in flat), "zero entries must be omitted", path)
+        _want(any(flat), "zero entries must be omitted", path)
         nonzeros += [(rc, i, x) for rc, x in enumerate(flat) if x]
     return Coalgebra(comult=LinMap.from_nonzeros(field, dim * dim, dim, nonzeros),
                      counit=LinMap.make(field, 1, dim, counit_vec))
@@ -271,6 +283,7 @@ def parse_measuring_document(text: str, loader) -> MeasuringDocument:
     field = a.field
     nonzeros = []
     last = None
+    tokens: dict = {}
     _want(isinstance(raw["psi"], list), "psi must be a list of entries", "psi")
     for idx, entry in enumerate(raw["psi"]):
         path = f"psi[{idx}]"
@@ -282,8 +295,8 @@ def parse_measuring_document(text: str, loader) -> MeasuringDocument:
         _want(0 <= t < a.dim and 0 <= x < xdim, "indices out of range", path)
         _want(last is None or (t, x) > last, "entries must be strictly sorted", path)
         last = (t, x)
-        vec = _parse_vector(field, vec_data, xdim * b.dim, path)
-        _want(any(v != 0 for v in vec), "zero entries must be omitted", path)
+        vec = _parse_vector(field, vec_data, xdim * b.dim, path, tokens)
+        _want(any(vec), "zero entries must be omitted", path)
         nonzeros += [(r, t * xdim + x, v) for r, v in enumerate(vec) if v]
     psi = LinMap.from_nonzeros(field, xdim * b.dim, a.dim * xdim, nonzeros)
     measuring = Measuring(a, b, xdim, psi)

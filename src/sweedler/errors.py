@@ -26,12 +26,24 @@ class UnsupportedField(SweedlerError):
 
 
 class BudgetExceeded(SweedlerError):
-    """An enumeration would exceed the configured candidate budget."""
+    """An enumeration of p^e candidates would exceed the configured budget.
 
-    def __init__(self, needed: int, budget: int):
+    The message writes ``needed`` = p^e in decimal when it has at most 4,300
+    digits (CPython writes no longer int in decimal), and as ``p^e`` beyond;
+    a power far beyond is not computed."""
+
+    def __init__(self, p: int, e: int, budget: int):
+        # p^e >= 2^(e * (bits of p - 1)), and 2^14300 > 10^4300
+        needed = f"{p}^{e}"
+        if e * (p.bit_length() - 1) < 14300 and p ** e < 10 ** 4300:
+            needed = p ** e
         super().__init__(f"enumeration needs {needed} candidates, budget is {budget}")
-        self.needed = needed
+        self.base, self.exponent = p, e
         self.budget = budget
+
+    @property
+    def needed(self) -> int:
+        return self.base ** self.exponent
 
 
 class InvalidStructure(SweedlerError):

@@ -23,6 +23,10 @@ _FRACTION_RE = re.compile(r"(-?(?:0|[1-9][0-9]*))/([1-9][0-9]*)")
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3317044064679887385961981
 
+# digits allowed in the numerator and in the denominator of a rational token:
+# CPython converts no longer digit string to an int
+RATIONAL_DIGITS = 4300
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin test; raises ValueError for n >= PRIME_BOUND."""
@@ -152,30 +156,34 @@ class Field:
         return str(x)
 
     def parse(self, token: str):
-        """Parse a canonical token; anything non-canonical is a ParseError."""
+        """Parse a canonical token; anything non-canonical is a ParseError.
+        Digit counts are checked before any digits are converted."""
         if not isinstance(token, str):
             raise ParseError(f"scalar must be a string, got {token!r}")
         if self.char == 0:
-            m = _FRACTION_RE.fullmatch(token)
-            if m:
-                num, den = int(m.group(1)), int(m.group(2))
-                if den == 1:
-                    raise ParseError(f"non-canonical rational {token!r}: write {num}")
-                value = Fraction(num, den)
-                if value.denominator != den:
-                    raise ParseError(f"non-canonical rational {token!r}: not in lowest terms")
-                return value
-            m = _INT_RE.fullmatch(token)
-            if m:
+            m = _FRACTION_RE.fullmatch(token) or _INT_RE.fullmatch(token)
+            if not m:
+                raise ParseError(f"malformed rational {token!r}")
+            if len(token) > RATIONAL_DIGITS and any(
+                    len(digits.lstrip("-")) > RATIONAL_DIGITS for digits in m.groups()):
+                raise ParseError(f"rational with more than {RATIONAL_DIGITS} digits in its "
+                                 "numerator or denominator")
+            if m.re is _INT_RE:
                 if token == "-0":
                     raise ParseError("non-canonical zero '-0'")
                 return Fraction(int(token))
-            raise ParseError(f"malformed rational {token!r}")
+            num, den = int(m.group(1)), int(m.group(2))
+            if den == 1:
+                raise ParseError(f"non-canonical rational {token!r}: write {num}")
+            value = Fraction(num, den)
+            if value.denominator != den:
+                raise ParseError(f"non-canonical rational {token!r}: not in lowest terms")
+            return value
         m = _INT_RE.fullmatch(token)
         if not m or token.startswith("-"):
             raise ParseError(f"malformed {self} element {token!r}")
-        value = int(token)
-        if value >= self.char:
+        # a token with more digits than p is never canonical: int() is not called on it
+        if len(token) > len(str(self.char)) or (value := int(token)) >= self.char:
             raise ParseError(f"{token!r} is not a canonical representative mod {self.char}")
         return value
 

@@ -13,12 +13,15 @@ the middle of a tensor power; a braiding is given by its nonzeros alone),
 applied in order.  There is one slot kernel, :func:`apply_slot`: it applies
 one factor to a sparse vector, a dict of its nonzeros, by remapping indices
 through the nonzeros of ``t``, so no factor is built and the work follows the
-nonzeros, not the dense size.
-:func:`composite` runs a chain on the basis vectors, a block of them stacked
-into one sparse vector, and writes the dense result; :func:`compose` (f.g)
-and :func:`kron` (f (x) g) are chains of two factors.  The axiom checks of
-:mod:`~sweedler.structures` run the same chains and compare the images,
-without writing any composite.
+nonzeros, not the dense size.  It sums raw products and reduces each entry of
+its result mod p once, where it drops the zeros.
+:func:`_chain_images` runs a chain on the basis vectors, a block of them
+stacked into one sparse vector: the first factor is written from its column
+nonzeros, since distinct basis vectors never meet, and each later factor goes
+through :func:`apply_slot`.  :func:`composite` writes the dense result;
+:func:`compose` (f.g) and :func:`kron` (f (x) g) are chains of two factors.
+The axiom checks of :mod:`~sweedler.structures` run the same chains and
+compare the images, without writing any composite.
 
 :func:`permute_axes` is the one routine that moves data between layouts: it
 reads a map's entries as a tensor with given axis sizes (codomain axes
@@ -269,9 +272,26 @@ def _chain_images(steps: list, block: Sequence[int], dom: int, p: int) -> dict:
     """The basis vectors ``block`` of k^dom run through the steps of a chain:
     stacked as one sparse vector whose outer axis is the position in the
     block, so each factor is applied once per block.  Over Q the nonzeros
-    may be ints."""
-    vec = {pos * dom + c: 1 for pos, c in enumerate(block)}
-    for along, meet, free, b in steps:
+    may be ints.
+
+    The first factor is written from its nonzeros: the image of the basis
+    vector (i, s, j) under 1_a (x) t (x) 1_b is column s of t placed at
+    (i, ., j), and distinct basis vectors never meet, so its listed values
+    go in as they are.
+    """
+    if not steps:
+        return {pos * dom + c: 1 for pos, c in enumerate(block)}
+    along, meet, free, b = steps[0]
+    span, stride = meet * b, free * b
+    per_pos = dom // span * stride
+    vec = {}
+    for pos, c in enumerate(block):
+        i, rest = divmod(c, span)
+        s, j = divmod(rest, b)
+        base = pos * per_pos + i * stride + j
+        for u, v in along[s]:
+            vec[base + u * b] = v
+    for along, meet, free, b in steps[1:]:
         vec = apply_slot(vec, along, meet, free, b, p)
     return vec
 
@@ -283,7 +303,9 @@ def apply_slot(vec: dict, t_along: list[list[tuple]], meet: int, free: int, b: i
     ``t_along[s]`` lists the (index, value) nonzeros of t's column s, and t
     maps k^meet to k^free; given t's rows, this applies the transpose.  The
     nonzero at (i, s, j) meets the nonzeros of column s and lands at
-    (i, u, j).  The result keeps only nonzeros, reduced mod p over F_p.
+    (i, u, j).  The products are summed raw and each entry of the result is
+    reduced mod p once, over F_p, where the zeros are dropped; the result
+    keeps only nonzeros.
     """
     out: dict = {}
     get = out.get
@@ -294,7 +316,9 @@ def apply_slot(vec: dict, t_along: list[list[tuple]], meet: int, free: int, b: i
         base = i * stride + j
         for u, v in t_along[s]:
             idx = base + u * b
-            out[idx] = (get(idx, 0) + x * v) % p if p else get(idx, 0) + x * v
+            out[idx] = get(idx, 0) + x * v
+    if p:
+        return {idx: r for idx, v in out.items() if (r := v % p)}
     if 0 in out.values():
         return {idx: v for idx, v in out.items() if v}
     return out

@@ -590,13 +590,19 @@ def find_opantipode(b: Bialgebra) -> LinMap | None:
 # grouplikes, morphism enumeration and isomorphism classes
 
 
+def _refuse_over_budget(p: int, free: int, budget: int) -> None:
+    """BudgetExceeded when p^free, the candidates of an enumeration of
+    ``free`` coordinates over F_p, exceed the budget.  p^free >= 2^free, so
+    it is computed only when ``free`` is within the budget's bit length."""
+    if free > budget.bit_length() or p ** free > budget:
+        raise BudgetExceeded(p, free, budget)
+
+
 def _vectors(field: Field, length: int, budget: int):
     """All coefficient vectors of the given length, lexicographic.  F_p only."""
     if field.is_rational:
         raise UnsupportedField("exhaustive enumeration needs a finite field")
-    total = field.char ** length
-    if total > budget:
-        raise BudgetExceeded(total, budget)
+    _refuse_over_budget(field.char, length, budget)
     return itertools.product(field.elements(), repeat=length)
 
 
@@ -730,9 +736,7 @@ class _QuadraticSearch:
     """
 
     def __init__(self, k: Field, free: int, budget: int):
-        needed = k.char ** free
-        if needed > budget:
-            raise BudgetExceeded(needed, budget)
+        _refuse_over_budget(k.char, free, budget)
         self.k, self.free = k, free
         # each slot's depth: that of the last free coordinate it reads (-1: none)
         self.values, self.depth = [1, *[0] * free], [-1, *range(free)]

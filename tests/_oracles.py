@@ -318,7 +318,7 @@ def walk_tambara_modules(p, n: int, budget: int = DEFAULT_BUDGET) -> list[tuple[
     g = len(p.generators)
     total = k.char ** (n * n * g)
     if total > budget:
-        raise BudgetExceeded(total, budget)
+        raise BudgetExceeded(k.char, n * n * g, budget)
 
     def evaluate_word(word, mats):
         out = LinMap.identity(k, n)

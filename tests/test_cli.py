@@ -132,6 +132,20 @@ def test_morphism_budget_reports_the_generator_bound(capsys, tmp_path):
     assert report["message"] == "enumeration needs 27 candidates, budget is 2"
 
 
+def test_budget_bounds_past_the_decimal_limit_are_written_as_powers(capsys):
+    # tambara-check of F2[C_2] -> F2[y]/(y^2) has two generators: bound 2^(2 n^2)
+    args = ["tambara-check", fixture("f2_c2.json"), fixture("f2_dualnum.json"), "--n"]
+    code, out = run(capsys, *args, "60")
+    assert code == 4
+    assert json.loads(out)["message"] == (f"enumeration needs {2 ** 7200} candidates, "
+                                          "budget is 16777216")
+    code, out = run(capsys, *args, "90")
+    assert code == 4
+    report = json.loads(out)
+    assert report["error"] == "BudgetExceeded"
+    assert report["message"] == "enumeration needs 2^16200 candidates, budget is 16777216"
+
+
 def test_grouplikes_of_a_long_truncated_dual_fit_a_small_budget(capsys, tmp_path):
     # the dual of F2[y]/(y^20): its grouplikes are the algebra maps out of
     # F2[y]/(y^20), which y generates, so 2 candidates bound the search

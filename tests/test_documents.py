@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from sweedler.cli import main
 from sweedler.documents import (
     Document,
     MeasuringDocument,
@@ -59,7 +60,7 @@ def test_committed_fixtures_reparse_canonically():
 
 
 def test_broken_documents_fail_validation_with_a_witness():
-    broken = sorted((FIXTURES.parent / "broken").glob("*.json"))
+    broken = sorted((FIXTURES.parent / "broken").glob("broken_*.json"))
     assert len(broken) == 4
     for path in broken:
         text = path.read_text()
@@ -237,3 +238,77 @@ def test_layout_and_key_order_are_accepted(name):
         assert variant != text
         assert parse(variant) == parse(text)
         assert serialize(parse(variant)) == text
+
+
+def test_over_long_tokens_are_parse_errors_before_any_conversion(capsys):
+    # the counit's second token has 5,000 digits, past CPython's int conversion
+    for path in sorted((FIXTURES.parent / "broken").glob("long_*.json")):
+        with pytest.raises(ParseError, match="4300 digits|canonical representative mod 3"):
+            parse_document(path.read_text())
+        assert main(["validate", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "ParseError"
+
+
+# Each site's last scalar, after the document has repeated valid tokens: the
+# site's vector misses the token dict, or cannot look its scalar up in it.
+SCALAR_SITES = {
+    "unit": lambda d, x: d["unit"].__setitem__(1, x),
+    "mult": lambda d, x: d["mult"][0][2].__setitem__(1, x),
+    "comult": lambda d, x: d["comult"][1][1][1].__setitem__(1, x),
+    "counit": lambda d, x: d["counit"].__setitem__(1, x),
+    "antipode": lambda d, x: d["antipode"][1].__setitem__(1, x),
+    "psi": lambda d, x: d["psi"][3][1].__setitem__(1, x),
+}
+
+
+_VALID = object()
+
+
+def _document(tmp_path, site: str, scalar=_VALID) -> Path:
+    """A valid document for ``site``, Q[C_2] or a measuring of F2[C_2],
+    written to a file; with ``scalar`` at the last position of the site."""
+    name = "f2_c2_regular.measuring.json" if site == "psi" else "q_c2.json"
+    raw = json.loads((FIXTURES / name).read_text())
+    if site == "psi":
+        raw["a"], raw["b"] = str(FIXTURES / raw["a"]), str(FIXTURES / raw["b"])
+    if scalar is not _VALID:
+        SCALAR_SITES[site](raw, scalar)
+    path = tmp_path / name
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def _parse_file(path: Path):
+    text = path.read_text()
+    if path.name.endswith(".measuring.json"):
+        return parse_measuring_document(text, lambda ref: parse_document(Path(ref).read_text()))
+    return parse_document(text)
+
+
+def _command(site: str) -> str:
+    return "reconstruct" if site == "psi" else "validate"
+
+
+@pytest.mark.parametrize("site", sorted(SCALAR_SITES))
+@pytest.mark.parametrize("scalar", [[1], {"a": "1"}, 1, 1.5, None, True],
+                         ids=["list", "dict", "int", "float", "null", "true"])
+def test_non_string_scalars_are_parse_errors_at_every_site(tmp_path, capsys, site, scalar):
+    _parse_file(_document(tmp_path, site))  # valid, with "0" and "1" repeated before the site
+    path = _document(tmp_path, site, scalar)
+    with pytest.raises(ParseError, match="scalar must be a string"):
+        _parse_file(path)
+    assert main([_command(site), str(path)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "ParseError"
+    assert report["message"].startswith("scalar must be a string")
+
+
+@pytest.mark.parametrize("site", sorted(SCALAR_SITES))
+@pytest.mark.parametrize("token", ["01", "-0", "2/4"])
+def test_non_canonical_tokens_after_repeats_are_rejected(tmp_path, capsys, site, token):
+    _parse_file(_document(tmp_path, site))  # valid, with "0" and "1" repeated before the site
+    path = _document(tmp_path, site, token)
+    with pytest.raises(ParseError):
+        _parse_file(path)
+    assert main([_command(site), str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "ParseError"

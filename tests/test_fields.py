@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from sweedler.errors import ParseError, UnsupportedField
 from sweedler.fields import (
     PRIME_BOUND,
+    RATIONAL_DIGITS,
     GF,
     QQ,
     Field,
@@ -111,6 +112,35 @@ def test_rational_parse_rejects_noncanonical(token):
 def test_prime_field_parse_rejects(token):
     with pytest.raises(ParseError):
         GF(5).parse(token)
+
+
+@pytest.mark.parametrize("token", ["7" * 5000, "1/" + "7" * 5000, "-" + "7" * 4301,
+                                   "7" * 4301 + "/2", "2/" + "7" * 4301],
+                         ids=["integer", "denominator", "negative", "numerator", "4301"])
+def test_rational_tokens_past_the_digit_bound_are_parse_errors(token):
+    with pytest.raises(ParseError, match=f"more than {RATIONAL_DIGITS} digits"):
+        QQ.parse(token)
+
+
+@pytest.mark.parametrize("token", ["7" * 4300, "-" + "7" * 4300, "1/" + "7" * 4300,
+                                   "-" + "7" * 4300 + "/" + "2" + "0" * 4299],
+                         ids=["integer", "negative", "denominator", "both"])
+def test_rational_tokens_at_the_digit_bound_round_trip(token):
+    assert QQ.show(QQ.parse(token)) == token
+
+
+@pytest.mark.parametrize("p,token", [(3, "7" * 5000), (3, "10"), (5, "1" * 4301),
+                                     (2 ** 61 - 1, "1" + "0" * 19)],
+                         ids=["F3-5000", "F3-2", "F5-4301", "mersenne61-20"])
+def test_prime_field_tokens_longer_than_p_are_parse_errors(p, token):
+    assert len(token) > len(str(p))
+    with pytest.raises(ParseError, match=f"is not a canonical representative mod {p}"):
+        Field(p).parse(token)
+
+
+def test_the_digit_bound_is_the_documented_one():
+    text = (Path(__file__).resolve().parents[1] / "docs" / "format.md").read_text()
+    assert f"at most {RATIONAL_DIGITS:,} digits" in text
 
 
 def test_parse_field_names():

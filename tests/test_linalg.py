@@ -252,6 +252,48 @@ def test_composite_shape_errors():
         composite([(t, 1, 1), (LinMap.identity(F2, 2), 1, 1)], 2)
 
 
+def _sparse(column: LinMap) -> dict:
+    return {r: v for r, v in enumerate(column.entries) if v}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_each_entry_is_reduced_once_where_products_cancel_or_wrap(p):
+    k = GF(p)
+    rows, vector = [[1, p - 1], [p - 1, p - 1]], [[1], [1]]
+    # over the integers t (1, 1) = (p, 2p - 2): the first entry's products
+    # cancel mod p, the second's sum past p
+    assert dense_compose(LinMap.from_rows(QQ, rows),
+                         LinMap.from_rows(QQ, vector)).entries == (p, 2 * p - 2)
+    t, ones = LinMap.from_rows(k, rows), LinMap.from_rows(k, vector)
+    t_cols = t.nonzeros(by_col=True)
+
+    def dense_image(chain, dom, vec):
+        column = LinMap.from_nonzeros(k, dom, 1, [(r, 0, v) for r, v in vec.items()])
+        return _sparse(dense_compose(dense_chain(chain, dom), column))
+
+    # t alone, and 1_2 (x) t (x) 1_2 on a vector whose two j = 1 entries meet
+    # t's first row (1 + (p - 1)) and second row (2 (p - 1)) at each i
+    cases = [({0: 1, 1: 1}, 1, 1), ({1: 1, 3: 1, 5: 2, 7: 2, 4: 1}, 2, 2)]
+    for vec, a, b in cases:
+        got = linalg.apply_slot(dict(vec), t_cols, 2, 2, b, p)
+        assert got == dense_image([(t, a, b)], a * 2 * b, vec)
+        assert all(0 < v < p for v in got.values())
+    assert linalg.apply_slot({0: 1, 1: 1}, t_cols, 2, 2, 1, p) == {1: p - 2}
+
+    chains = [([(ones, 1, 1), (t, 1, 1)], 1),
+              ([(ones, 2, 1), (t, 2, 1), (t, 1, 2)], 2),
+              ([(t, 1, 2), (t, 2, 1), (t, 1, 2)], 4)]
+    for chain, dom in chains:
+        got = composite(chain, dom)
+        assert got == dense_chain(chain, dom)
+        assert all(type(v) is int and 0 <= v < p for v in got.entries)
+        images = linalg._chain_images(linalg._chain_steps(chain), range(dom), dom, p)
+        assert all(0 < v < p for v in images.values())
+        assert images == {c * got.cod + r: v for r in range(got.cod) for c in range(dom)
+                          if (v := got[r, c])}
+    assert composite(chains[0][0], 1).entries == (0, p - 2)
+
+
 # -- permute_axes ---------------------------------------------------------------
 
 

@@ -455,6 +455,34 @@ def test_grouplike_budget_is_checked_before_enumerating(m2_f2):
     assert raised.value.needed == 8
 
 
+class _Uncomputed(int):
+    """An exponent whose power must not be computed."""
+
+    def __rpow__(self, base):
+        raise AssertionError(f"{base}^{int(self)} was computed")
+
+
+@pytest.mark.parametrize("p,e,needed", [
+    (2, 14284, str(2 ** 14284)),        # 4,300 digits: the longest written in decimal
+    (2, 14285, "2^14285"),              # 4,301 digits
+    (3, _Uncomputed(10 ** 12), "3^1000000000000"),
+], ids=["4300-digits", "4301-digits", "uncomputed"])
+def test_budget_bounds_are_decimal_up_to_4300_digits(p, e, needed):
+    with pytest.raises(BudgetExceeded) as raised:
+        structures._refuse_over_budget(p, e, 2 ** 24)
+    assert str(raised.value) == f"enumeration needs {needed} candidates, budget is {2 ** 24}"
+    assert (raised.value.base, raised.value.exponent) == (p, e)
+
+
+def test_budget_refusal_at_the_bound():
+    structures._refuse_over_budget(3, 3, 27)
+    with pytest.raises(BudgetExceeded):
+        structures._refuse_over_budget(3, 3, 26)
+    structures._refuse_over_budget(2, 0, 1)
+    with pytest.raises(BudgetExceeded):
+        structures._refuse_over_budget(2, 0, 0)
+
+
 def _span_algebras(algebra_corpus, bialgebra_corpus):
     out = list(algebra_corpus)
     out += [(f"dual {name}", dual_algebra(b.coalgebra)) for name, b in bialgebra_corpus]
