@@ -33,6 +33,7 @@ from .errors import (
     SweedlerError,
     UnsupportedField,
     ValidationError,
+    echo,
 )
 from .graded import assemble, bialgebra_of, degree0_part, dual, is_connected, parts, validate_graded
 from .linalg import LinMap, is_invertible
@@ -202,7 +203,7 @@ def cmd_reconstruct(args):
     loaded: dict = {}
     mdocs = [_read_measuring(path, loaded) for path in args.measurings]
     generated = reconstruct([m.measuring for m in mdocs],
-                            auto_intertwiners=args.auto_intertwiners)
+                            morphisms=None if args.auto_intertwiners else [])
     d = generated.d
     labels = tuple(f"d{i}" for i in range(d.dim))
     return {
@@ -302,7 +303,7 @@ def _boolean(value: str) -> bool:
         return _BOOLEANS[value.lower()]
     except KeyError:
         raise argparse.ArgumentTypeError(
-            f"expected one of true/false/yes/no/1/0, got {value!r}") from None
+            f"expected one of true/false/yes/no/1/0, got {echo(repr(value))}") from None
 
 
 @functools.cache

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, echo
 from .fields import Field, parse_field
 from .graded import GradedSpace, assemble, parts
 from .linalg import LinMap
@@ -114,6 +114,8 @@ def _load_json(text: str):
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
     except RecursionError as exc:
         raise ParseError("JSON nested too deeply") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ParseError("JSON integer too long to convert") from exc
 
 
 def _parse_vector(field: Field, data, length: int, path: str, tokens: dict) -> tuple:
@@ -134,7 +136,7 @@ def _parse_vector(field: Field, data, length: int, path: str, tokens: dict) -> t
 def parse_structure_dict(raw: dict) -> Document:
     _want(isinstance(raw, dict), "document must be an object", "$")
     for key in raw:
-        _want(key in _STRUCTURE_KEYS, f"unknown key {key!r}", key)
+        _want(key in _STRUCTURE_KEYS, f"unknown key {echo(repr(key))}", echo(key))
     for key in ("field", "dim", "basis"):
         _want(key in raw, f"missing key {key!r}", "$")
     field = parse_field(raw["field"]) if isinstance(raw["field"], str) else None
@@ -269,7 +271,7 @@ def parse_measuring_document(text: str, loader) -> MeasuringDocument:
     raw = _load_json(text)
     _want(isinstance(raw, dict), "measuring document must be an object", "$")
     for key in raw:
-        _want(key in ("a", "b", "xdim", "psi"), f"unknown key {key!r}", key)
+        _want(key in ("a", "b", "xdim", "psi"), f"unknown key {echo(repr(key))}", echo(key))
     for key in ("a", "b", "xdim", "psi"):
         _want(key in raw, f"missing key {key!r}", "$")
     _want(isinstance(raw["a"], str) and isinstance(raw["b"], str),

@@ -1,5 +1,17 @@
 """Exception hierarchy shared by all modules."""
 
+# characters of an input value that an error message quotes
+ECHO_CHARS = 64
+
+
+def echo(text: str) -> str:
+    """``text``, a value from the input, as an error message quotes it: whole
+    up to ECHO_CHARS characters, else its first ECHO_CHARS and its length, so
+    that no report grows with the input it quotes."""
+    if len(text) <= ECHO_CHARS:
+        return text
+    return f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
+
 
 class SweedlerError(Exception):
     """Base class for all library errors."""

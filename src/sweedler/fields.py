@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .errors import FieldMismatch, ParseError, UnsupportedField
+from .errors import FieldMismatch, ParseError, UnsupportedField, echo
 
 _INT_RE = re.compile(r"-?(0|[1-9][0-9]*)")
 _FRACTION_RE = re.compile(r"(-?(?:0|[1-9][0-9]*))/([1-9][0-9]*)")
@@ -159,11 +159,11 @@ class Field:
         """Parse a canonical token; anything non-canonical is a ParseError.
         Digit counts are checked before any digits are converted."""
         if not isinstance(token, str):
-            raise ParseError(f"scalar must be a string, got {token!r}")
+            raise ParseError(f"scalar must be a string, got {echo(repr(token))}")
         if self.char == 0:
             m = _FRACTION_RE.fullmatch(token) or _INT_RE.fullmatch(token)
             if not m:
-                raise ParseError(f"malformed rational {token!r}")
+                raise ParseError(f"malformed rational {echo(repr(token))}")
             if len(token) > RATIONAL_DIGITS and any(
                     len(digits.lstrip("-")) > RATIONAL_DIGITS for digits in m.groups()):
                 raise ParseError(f"rational with more than {RATIONAL_DIGITS} digits in its "
@@ -174,17 +174,20 @@ class Field:
                 return Fraction(int(token))
             num, den = int(m.group(1)), int(m.group(2))
             if den == 1:
-                raise ParseError(f"non-canonical rational {token!r}: write {num}")
+                raise ParseError(f"non-canonical rational {echo(repr(token))}: "
+                                 f"write {echo(str(num))}")
             value = Fraction(num, den)
             if value.denominator != den:
-                raise ParseError(f"non-canonical rational {token!r}: not in lowest terms")
+                raise ParseError(f"non-canonical rational {echo(repr(token))}: "
+                                 "not in lowest terms")
             return value
         m = _INT_RE.fullmatch(token)
         if not m or token.startswith("-"):
-            raise ParseError(f"malformed {self} element {token!r}")
+            raise ParseError(f"malformed {self} element {echo(repr(token))}")
         # a token with more digits than p is never canonical: int() is not called on it
         if len(token) > len(str(self.char)) or (value := int(token)) >= self.char:
-            raise ParseError(f"{token!r} is not a canonical representative mod {self.char}")
+            raise ParseError(f"{echo(repr(token))} is not a canonical representative "
+                             f"mod {self.char}")
         return value
 
 
@@ -208,7 +211,7 @@ def parse_field(name: str) -> Field:
         if not is_prime(p):
             raise ParseError(f"field F{p} is not a prime field")
         return Field(p)
-    raise ParseError(f"unknown field {name!r}")
+    raise ParseError(f"unknown field {echo(repr(name))}")
 
 
 def same_field(*fields: Field) -> Field:

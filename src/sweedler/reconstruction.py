@@ -100,8 +100,7 @@ def comodule_to_coend_morphism(delta: LinMap, c: Coalgebra) -> LinMap:
     delta(x_j) = sum_i x_i (x) c_ij:  f_ij -> c_ij."""
     if not validate_comodule(delta, c):
         raise NotAComodule("delta does not satisfy the comodule axioms")
-    x = delta.dom
-    return permute_axes(delta, (x, c.dim, x), (1, 0, 2), 1)
+    return _classifying_map(delta, c.dim)
 
 
 def coend_morphism_to_comodule(phi: LinMap, c: Coalgebra, xdim: int) -> LinMap:
@@ -118,6 +117,13 @@ def coend_morphism_to_comodule(phi: LinMap, c: Coalgebra, xdim: int) -> LinMap:
 def _classified_comodule(phi: LinMap, cdim: int, xdim: int) -> LinMap:
     """delta(x_j) = sum_i x_i (x) phi(f_ij), for any linear phi: coend(X) -> C."""
     return permute_axes(phi, (cdim, xdim, xdim), (1, 0, 2), 2)
+
+
+def _classifying_map(delta: LinMap, cdim: int) -> LinMap:
+    """phi(f_ij) = c_ij for delta(x_j) = sum_i x_i (x) c_ij: the inverse of
+    :func:`_classified_comodule`, for any linear delta: X -> X (x) C."""
+    x = delta.dom
+    return permute_axes(delta, (x, cdim, x), (1, 0, 2), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +234,17 @@ def _coefficients(section: LinMap, xdims: list[int]) -> list[tuple[int, int, int
             for c in range(section.dom)]
 
 
-def reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,
+def reconstruct(measurings: list[Measuring],
                 morphisms: list[tuple[int, int, LinMap]] | None = None,
                 a: Algebra | None = None, b: Algebra | None = None) -> GeneratedSubcoalgebra:
     """The stage that the given measurings generate.
 
-    With ``auto_intertwiners`` it is the subcoalgebra of P(A, B) that they
-    span, dual to the algebra their blocks generate; no Hom space is solved.
+    Without ``morphisms`` it is the subcoalgebra of P(A, B) that they span,
+    dual to the algebra their blocks generate; no Hom space is solved.
     Otherwise ``morphisms`` lists (source index, target index, map) triples,
-    and the stage is the coend over them.  All induced structure is checked;
-    a failed check raises InducedStructureIllDefined and means an input
-    morphism was not one.
+    even none, and the stage is the coend over them.  All induced structure
+    is checked; a failed check raises InducedStructureIllDefined and means an
+    input morphism was not one.
     """
     for m in measurings:
         report = validate_measuring(m)
@@ -275,11 +281,11 @@ def reconstruct(measurings: list[Measuring], auto_intertwiners: bool = True,
                     out.append(vec)
         return out
 
-    if auto_intertwiners:
+    if morphisms is None:
         rows, section = _span_of_words(k, measurings, starts, total)
     else:
         rows, section = _quotient_by_rows(
-            k, total, (row for i, j, f in morphisms or [] for row in relation_rows(i, j, f)))
+            k, total, (row for i, j, f in morphisms for row in relation_rows(i, j, f)))
     d = len(rows)
     projections = tuple(LinMap(k, d, x * x, tuple(v for row in rows for v in row[s:s + x * x]))
                         for s, x in zip(starts, xdims))
@@ -352,9 +358,9 @@ def induced_measuring(g: GeneratedSubcoalgebra, delta: LinMap) -> LinMap:
     that is psi[(i, q), (t, j)] = sum_e beta[q, (t, e)] delta[(i, e), j], read
     off beta.(1_A (x) P) for the classifying map P[e, (i, j)] = delta[(i, e), j].
     """
-    x, d = delta.dom, g.d.dim
-    classifying = permute_axes(delta, (x, d, x), (1, 0, 2), 1)
-    pushed = composite([(classifying, g.a.dim, 1), (g.pairing, 1, 1)], g.a.dim * x * x)
+    x = delta.dom
+    pushed = composite([(_classifying_map(delta, g.d.dim), g.a.dim, 1), (g.pairing, 1, 1)],
+                       g.a.dim * x * x)
     return permute_axes(pushed, (g.b.dim, g.a.dim, x, x), (2, 0, 1, 3), 2)
 
 

@@ -2,10 +2,13 @@
 
 The algebra is presented by generators x_{i,beta}, the coefficients along a
 basis {a_i} of A of the universal map delta: B -> A (x) a(A,B), with the
-relations that make delta unital and multiplicative.  Its n-dimensional
-modules are exactly the algebra morphisms B -> M_n(A); both sides are
-enumerated independently and matched through the canonical identification
-rho(beta_j) = sum_i a_i (x) m(x_{i,j}).
+relations that make delta unital and multiplicative.  Unitality eliminates
+the pivot coordinates, so each coordinate x_{i,j} is a linear form in the
+generators, kept in one table as its nonzero terms (word, coefficient).
+The relations multiply the terms of two coordinates, and the canonical
+identification rho(beta_j) = sum_i a_i (x) m(x_{i,j}) writes each term's
+matrix into rho.  Through it the n-dimensional modules, enumerated
+independently, are matched with the algebra morphisms B -> M_n(A).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionViolated, UnsupportedField
 from .fields import Field, same_field
-from .linalg import LinMap, matrix_equation_kernel, permute_axes
+from .linalg import LinMap, matrix_equation_kernel
 from .structures import (
     DEFAULT_BUDGET,
     Algebra,
@@ -26,7 +29,7 @@ from .structures import (
 )
 
 Word = tuple[int, ...]
-Polynomial = dict[Word, object]  # word -> scalar
+Forms = dict[tuple[int, int], list[tuple[Word, object]]]  # x_{i,j} -> its nonzero terms
 
 
 @dataclass(frozen=True)
@@ -37,40 +40,10 @@ class PresentedAlgebra:
     # each relation: ((coeff, word), ...) sorted by (len(word), word)
 
 
-def _poly_add(field: Field, p: Polynomial, q: Polynomial, scale=None) -> Polynomial:
-    out = dict(p)
-    for word, coeff in q.items():
-        if scale is not None:
-            coeff = field.mul(scale, coeff)
-        acc = field.add(out.get(word, field.zero()), coeff)
-        if acc == 0:
-            out.pop(word, None)
-        else:
-            out[word] = acc
-    return out
-
-
-def _poly_mul(field: Field, p: Polynomial, q: Polynomial) -> Polynomial:
-    out: Polynomial = {}
-    for w1, c1 in p.items():
-        for w2, c2 in q.items():
-            word = w1 + w2
-            acc = field.add(out.get(word, field.zero()), field.mul(c1, c2))
-            if acc == 0:
-                out.pop(word, None)
-            else:
-                out[word] = acc
-    return out
-
-
-def _canonical(poly: Polynomial) -> tuple[tuple[object, Word], ...]:
-    return tuple((poly[w], w) for w in sorted(poly, key=lambda w: (len(w), w)))
-
-
-def _generator_forms(a: Algebra, b: Algebra) -> tuple[list[tuple[int, int]], dict]:
+def _generator_forms(a: Algebra, b: Algebra) -> tuple[list[tuple[int, int]], Forms]:
     """The generators x_{i,j} of a(A, B), numbered in the order of the first
-    list, and every coordinate x_{i,j} as a linear form
-    (constant, ((generator, coefficient), ...)) in them.
+    list, and every coordinate x_{i,j} as its nonzero terms (word,
+    coefficient): the constant on the empty word () and generator g on (g,).
 
     The pivot, the first nonzero coordinate u_pivot of 1_B, is eliminated by
     the unit relation delta(1_B) = 1_A (x) 1:
@@ -82,11 +55,12 @@ def _generator_forms(a: Algebra, b: Algebra) -> tuple[list[tuple[int, int]], dic
     inv_pivot = k.inv(unit_b[pivot])
     generators = [(i, j) for i in range(a.dim) for j in range(b.dim) if j != pivot]
     index = {ij: g for g, ij in enumerate(generators)}
-    forms = {ij: (k.zero(), ((g, k.one()),)) for ij, g in index.items()}
+    forms = {ij: [((g,), k.one())] for ij, g in index.items()}
     for i in range(a.dim):
-        forms[i, pivot] = (k.mul(inv_pivot, unit_a[i]),
-                           tuple((index[i, j], k.neg(k.mul(inv_pivot, u)))
-                                 for j, u in enumerate(unit_b) if j != pivot and u != 0))
+        const = k.mul(inv_pivot, unit_a[i])
+        forms[i, pivot] = ([((), const)] if const != 0 else []) + [
+            ((index[i, j],), k.neg(k.mul(inv_pivot, u)))
+            for j, u in enumerate(unit_b) if j != pivot and u != 0]
     return generators, forms
 
 
@@ -108,40 +82,29 @@ def tambara_presentation(a: Algebra, b: Algebra,
         b_labels = [f"b{j}" for j in range(db)]
     pairs, forms = _generator_forms(a, b)
     generators = [f"x_{{{a_labels[i]},{b_labels[j]}}}" for i, j in pairs]
-
-    def image(i: int, j: int) -> Polynomial:
-        """The linear polynomial representing x_{i,j}."""
-        const, terms = forms[i, j]
-        poly: Polynomial = {(): const} if const != 0 else {}
-        poly.update(((g,), c) for g, c in terms)
-        return poly
+    zero = k.zero()
+    structure = a.mult.nonzeros(by_col=False)  # row t: (i * da + u, c^t_{iu})
+    products = b.mult.nonzeros(by_col=True)  # column (j, l): beta_j * beta_l in B
 
     relations = []
     for j in range(db):
         for l in range(db):
-            product_col = b.mult.col_at(j * db + l)  # beta_j * beta_l in B
             for t in range(da):
                 # sum_{i,u} c^t_{iu} x_{i,j} x_{u,l}  -  sum_m (beta_j beta_l)_m x_{t,m}
-                poly: Polynomial = {}
-                for i in range(da):
-                    pi = image(i, j)
-                    if not pi:
-                        continue
-                    for u in range(da):
-                        coeff = a.mult[t, i * da + u]
-                        if coeff == 0:
-                            continue
-                        pu = image(u, l)
-                        if not pu:
-                            continue
-                        poly = _poly_add(k, poly, _poly_mul(k, pi, pu), scale=coeff)
-                for m in range(db):
-                    coeff = product_col[m]
-                    if coeff == 0:
-                        continue
-                    poly = _poly_add(k, poly, image(t, m), scale=k.neg(coeff))
-                if poly:
-                    relations.append(_canonical(poly))
+                terms: dict[Word, object] = {}
+                for iu, c in structure[t]:
+                    i, u = divmod(iu, da)
+                    for w1, c1 in forms[i, j]:
+                        for w2, c2 in forms[u, l]:
+                            word = w1 + w2
+                            terms[word] = k.add(terms.get(word, zero), k.mul(c, k.mul(c1, c2)))
+                for m, c in products[j * db + l]:
+                    for w, cw in forms[t, m]:
+                        terms[w] = k.sub(terms.get(w, zero), k.mul(c, cw))
+                relation = tuple((terms[w], w) for w in sorted(terms, key=lambda w: (len(w), w))
+                                 if terms[w] != 0)
+                if relation:
+                    relations.append(relation)
     return PresentedAlgebra(k, tuple(generators), tuple(relations))
 
 
@@ -213,22 +176,22 @@ def _stacked_entries(mats: tuple[LinMap, ...]) -> tuple:
 def module_to_matrix_morphism(p: PresentedAlgebra, a: Algebra, b: Algebra,
                               mats: tuple[LinMap, ...], n: int) -> LinMap:
     """The canonical identification: rho(beta_j) = sum_i a_i (x) m(x_{i,j})
-    as an algebra morphism B -> M_n(A)."""
+    as an algebra morphism B -> M_n(A), written from the terms of each
+    x_{i,j}: c times entry (r, s) of the term's matrix (the identity for the
+    empty word) goes to row (r, s, i) and column j."""
     k = p.field
-    da, db = a.dim, b.dim
+    zero, da = k.zero(), a.dim
     _, forms = _generator_forms(a, b)
-
-    def matrix_of(i: int, j: int) -> LinMap:
-        const, terms = forms[i, j]
-        out = LinMap.identity(k, n).scale(const)
-        for g, c in terms:
-            out = out + mats[g].scale(c)
-        return out
-
-    # the blocks stacked on rows (j, i) and columns (r, s), moved to rows (r, s, i)
-    blocks = LinMap(k, db * da, n * n, tuple(x for j in range(db) for i in range(da)
-                                             for x in matrix_of(i, j).entries))
-    return permute_axes(blocks, (db, da, n, n), (2, 3, 1, 0), 3)
+    identity = LinMap.identity(k, n)
+    written: dict[tuple[int, int], object] = {}
+    for (i, j), terms in forms.items():
+        for word, c in terms:
+            rows = (mats[word[0]] if word else identity).nonzeros(by_col=False)
+            for r, row in enumerate(rows):
+                for s, v in row:
+                    at = ((r * n + s) * da + i, j)
+                    written[at] = k.add(written.get(at, zero), k.mul(c, v))
+    return LinMap.from_nonzeros(k, n * n * da, b.dim, ((r, c, v) for (r, c), v in written.items()))
 
 
 def module_intertwiners(mats1: tuple[LinMap, ...], mats2: tuple[LinMap, ...],

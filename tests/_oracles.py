@@ -887,3 +887,117 @@ def hom_walk_morphism_classes(a, b, n, morphisms):
 
     return isomorphism_classes(
         measurings, lambda m1, m2: [iw.f for iw in intertwiners(m1, m2)], invariant)
+
+
+# ---------------------------------------------------------------------------
+# the Tambara layer through a sparse polynomial algebra and dense LinMap sums:
+# the relations and the canonical identification computed the long way
+
+
+def _poly_add(field, p, q, scale=None):
+    out = dict(p)
+    for word, coeff in q.items():
+        if scale is not None:
+            coeff = field.mul(scale, coeff)
+        acc = field.add(out.get(word, field.zero()), coeff)
+        if acc == 0:
+            out.pop(word, None)
+        else:
+            out[word] = acc
+    return out
+
+
+def _poly_mul(field, p, q):
+    out = {}
+    for w1, c1 in p.items():
+        for w2, c2 in q.items():
+            word = w1 + w2
+            acc = field.add(out.get(word, field.zero()), field.mul(c1, c2))
+            if acc == 0:
+                out.pop(word, None)
+            else:
+                out[word] = acc
+    return out
+
+
+def _canonical(poly):
+    return tuple((poly[w], w) for w in sorted(poly, key=lambda w: (len(w), w)))
+
+
+def _reference_forms(a, b):
+    """Every coordinate x_{i,j} as (constant, ((generator, coefficient), ...)),
+    the pivot coordinate of 1_B eliminated by the unit relation."""
+    k = same_field(a.field, b.field)
+    unit_a, unit_b = a.unit_vector(), b.unit_vector()
+    pivot = next(j for j, u in enumerate(unit_b) if u != 0)
+    inv_pivot = k.inv(unit_b[pivot])
+    generators = [(i, j) for i in range(a.dim) for j in range(b.dim) if j != pivot]
+    index = {ij: g for g, ij in enumerate(generators)}
+    forms = {ij: (k.zero(), ((g, k.one()),)) for ij, g in index.items()}
+    for i in range(a.dim):
+        forms[i, pivot] = (k.mul(inv_pivot, unit_a[i]),
+                           tuple((index[i, j], k.neg(k.mul(inv_pivot, u)))
+                                 for j, u in enumerate(unit_b) if j != pivot and u != 0))
+    return generators, forms
+
+
+def reference_presentation(a, b):
+    """(generator pairs (i, j), relations) of a(A, B), each relation
+    ((coeff, word), ...) expanded in a polynomial algebra on the words."""
+    k = same_field(a.field, b.field)
+    da, db = a.dim, b.dim
+    pairs, forms = _reference_forms(a, b)
+
+    def image(i, j):
+        """The linear polynomial representing x_{i,j}."""
+        const, terms = forms[i, j]
+        poly = {(): const} if const != 0 else {}
+        poly.update(((g,), c) for g, c in terms)
+        return poly
+
+    relations = []
+    for j in range(db):
+        for l in range(db):
+            product_col = b.mult.col_at(j * db + l)  # beta_j * beta_l in B
+            for t in range(da):
+                # sum_{i,u} c^t_{iu} x_{i,j} x_{u,l}  -  sum_m (beta_j beta_l)_m x_{t,m}
+                poly = {}
+                for i in range(da):
+                    pi = image(i, j)
+                    if not pi:
+                        continue
+                    for u in range(da):
+                        coeff = a.mult[t, i * da + u]
+                        if coeff == 0:
+                            continue
+                        pu = image(u, l)
+                        if not pu:
+                            continue
+                        poly = _poly_add(k, poly, _poly_mul(k, pi, pu), scale=coeff)
+                for m in range(db):
+                    coeff = product_col[m]
+                    if coeff == 0:
+                        continue
+                    poly = _poly_add(k, poly, image(t, m), scale=k.neg(coeff))
+                if poly:
+                    relations.append(_canonical(poly))
+    return pairs, tuple(relations)
+
+
+def reference_module_to_matrix_morphism(a, b, mats, n):
+    """rho(beta_j) = sum_i a_i (x) m(x_{i,j}) as dense sums of scaled matrices,
+    stacked on rows (j, i) and moved to rows (r, s, i)."""
+    k = same_field(a.field, b.field)
+    da, db = a.dim, b.dim
+    _, forms = _reference_forms(a, b)
+
+    def matrix_of(i, j):
+        const, terms = forms[i, j]
+        out = LinMap.identity(k, n).scale(const)
+        for g, c in terms:
+            out = out + mats[g].scale(c)
+        return out
+
+    blocks = LinMap(k, db * da, n * n, tuple(x for j in range(db) for i in range(da)
+                                             for x in matrix_of(i, j).entries))
+    return permute_axes(blocks, (db, da, n, n), (2, 3, 1, 0), 3)

@@ -102,7 +102,7 @@ def test_criterion_01_finite_dual_oracle():
             (cyclic_group_hopf(QQ, 2).algebra, 2),
         ]
         for a, expected_dim in cases:
-            g = reconstruct([regular_measuring(a)], auto_intertwiners=True)
+            g = reconstruct([regular_measuring(a)])
             assert g.d.dim == expected_dim
             phi = classifying_iso_to_dual(g)
             assert is_coalgebra_morphism(phi, g.d, dual_coalgebra(a))
@@ -460,7 +460,7 @@ def test_criterion_12_stages_are_monotone_and_separated():
         # the coend over every intertwiner is not separated
         everything = [(i, j, iw.f) for i, mi in enumerate(reps) for j, mj in enumerate(reps)
                       for iw in intertwiners(mi, mj)]
-        coend = reconstruct(reps, auto_intertwiners=False, morphisms=everything)
+        coend = reconstruct(reps, morphisms=everything)
         assert (pairing_rank(coend), coend.d.dim) == (8, 10)
 
     _run(12, "stages are monotone in their generators and separated by the pairing", body)

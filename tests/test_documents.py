@@ -312,3 +312,45 @@ def test_non_canonical_tokens_after_repeats_are_rejected(tmp_path, capsys, site,
         _parse_file(path)
     assert main([_command(site), str(path)]) == 2
     assert json.loads(capsys.readouterr().out)["error"] == "ParseError"
+
+
+def _with_long_key(d):
+    d["k" * 5000] = "1"
+
+
+# inputs that an error message quotes, each far longer than the quotation
+ECHOED = {
+    "malformed-q-token": ("q_c2.json", lambda d: d["counit"].__setitem__(1, "7" * 5000 + "x")),
+    "malformed-f3-token": ("f3_c2.json", lambda d: d["counit"].__setitem__(1, "-" + "7" * 5000)),
+    "structure-key": ("q_c2.json", _with_long_key),
+    "measuring-key": ("f2_c2_regular.measuring.json", _with_long_key),
+    "field-name": ("q_c2.json", lambda d: d.update(field="G" * 5000)),
+    "list-scalar": ("q_c2.json", lambda d: d["counit"].__setitem__(1, ["1"] * 10_000)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ECHOED))
+def test_error_reports_quote_a_bounded_part_of_the_input(tmp_path, capsys, case):
+    name, mutate = ECHOED[case]
+    raw = json.loads((FIXTURES / name).read_text())
+    if name.endswith(".measuring.json"):
+        raw["a"], raw["b"] = str(FIXTURES / raw["a"]), str(FIXTURES / raw["b"])
+    mutate(raw)
+    path = tmp_path / name
+    path.write_text(json.dumps(raw))
+    assert main(["reconstruct" if name.endswith(".measuring.json") else "validate",
+                 str(path)]) == 2
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert report["error"] == "ParseError"
+    assert "characters)" in report["message"]
+    assert len(out) < 400
+
+
+def test_a_json_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "q_c2.json"
+    path.write_text((FIXTURES / "q_c2.json").read_text().replace('"dim": 2', '"dim": ' + "7" * 5000))
+    assert main(["validate", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert json.loads(out)["error"] == "ParseError"
+    assert len(out) < 400

@@ -214,7 +214,7 @@ def test_monotone_in_generators(inv_f2, k_f2):
 def test_dropping_intertwiners_never_shrinks_d(inv_f2, k_f2):
     m = regular_measuring(inv_f2)
     with_all = reconstruct([m])
-    bare = reconstruct([m], auto_intertwiners=False, morphisms=[])
+    bare = reconstruct([m], morphisms=[])
     assert bare.d.dim >= with_all.d.dim
     assert bare.d.dim == 4  # no relations at all
 
@@ -226,7 +226,7 @@ def test_adding_intertwiners_weakly_shrinks_d(inv_f2, k_f2):
     basis = [(0, 0, iw.f) for iw in intertwiners(m, m)]
     dims = []
     for upto in range(len(basis) + 1):
-        g = reconstruct([m], auto_intertwiners=False, morphisms=basis[:upto])
+        g = reconstruct([m], morphisms=basis[:upto])
         dims.append(g.d.dim)
     assert dims == sorted(dims, reverse=True)
     assert dims[0] == 4 and dims[-1] == 2
@@ -236,8 +236,7 @@ def test_non_intertwiner_morphism_is_detected(inv_f2, k_f2):
     m = regular_measuring(inv_f2)
     not_an_intertwiner = LinMap.from_rows(F2, [[0, 1], [0, 0]])
     with pytest.raises(InducedStructureIllDefined):
-        reconstruct([m], auto_intertwiners=False,
-                    morphisms=[(0, 0, not_an_intertwiner)])
+        reconstruct([m], morphisms=[(0, 0, not_an_intertwiner)])
 
 
 def test_reconstruct_all_small_modules_matches_finite_dual():
@@ -336,7 +335,7 @@ def _assert_matches_oracle(gens, morphisms=None, a=None, b=None):
         g = reconstruct(gens, a=a, b=b)
         morphisms = _all_intertwiners(gens)
     else:
-        g = reconstruct(gens, auto_intertwiners=False, morphisms=morphisms, a=a, b=b)
+        g = reconstruct(gens, morphisms=morphisms, a=a, b=b)
     assert (g.d, g.pairing, g.projections, g.section) == dense_reconstruct(gens, morphisms, a, b)
     return g
 
@@ -360,8 +359,15 @@ def test_coend_of_the_dual_numbers_census_representatives(upto, count, dim):
     # algebra that their blocks generate (the test below)
     reps = _dual_numbers_representatives(upto)
     assert len(reps) == count
-    assert reconstruct(reps, auto_intertwiners=False,
-                       morphisms=_all_intertwiners(reps)).d.dim == dim
+    assert reconstruct(reps, morphisms=_all_intertwiners(reps)).d.dim == dim
+
+
+def test_a_morphism_list_alone_asks_for_the_coend():
+    # passing every intertwiner is enough to get the coend (dim 10); without
+    # a list the stage is the span of the 12 representatives (dim 8)
+    reps = _dual_numbers_representatives(2)
+    assert reconstruct(reps, morphisms=_all_intertwiners(reps)).d.dim == 10
+    assert reconstruct(reps).d.dim == 8
 
 
 @pytest.mark.parametrize("upto,count,dim", [(2, 12, 8), (3, 40, 16)])
@@ -419,7 +425,7 @@ def test_auto_intertwiner_stages_solve_no_hom_space(monkeypatch, inv_f2, k_f2):
         g = reconstruct(gens)
         assert (g.d, g.pairing, g.projections, g.section) == expected[name], name
     with pytest.raises(AssertionError, match="a Hom space was solved"):
-        reconstruct(families["regular"], auto_intertwiners=False,
+        reconstruct(families["regular"],
                     morphisms=_all_intertwiners(families["regular"]))
 
 
@@ -483,9 +489,9 @@ def test_ill_defined_exactly_when_the_oracle_fails_to_descend(algebra):
         except InducedStructureIllDefined:
             raised += 1
             with pytest.raises(InducedStructureIllDefined):
-                reconstruct([m], auto_intertwiners=False, morphisms=morphisms)
+                reconstruct([m], morphisms=morphisms)
             continue
-        g = reconstruct([m], auto_intertwiners=False, morphisms=morphisms)
+        g = reconstruct([m], morphisms=morphisms)
         assert (g.d, g.pairing, g.projections, g.section) == expected
     # A is commutative, so the intertwiners are the multiplications by A:
     # four of the sixteen maps

@@ -20,7 +20,7 @@ from sweedler.tambara import (
     tambara_modules,
     tambara_presentation,
 )
-from sweedler.zoo import cyclic_group_hopf, dual_numbers, involution_algebra
+from sweedler.zoo import corpus_algebras, cyclic_group_hopf, dual_numbers, involution_algebra
 
 from _oracles import (
     algebra_product,
@@ -28,6 +28,8 @@ from _oracles import (
     conjugation_partition,
     diagonal_algebra,
     isomorphism_classes,
+    reference_module_to_matrix_morphism,
+    reference_presentation,
     walk_tambara_modules,
 )
 
@@ -65,6 +67,21 @@ def test_generator_count_after_unital_normalization(algebra_corpus):
             assert len(p.generators) == a.dim * (b.dim - 1), (name, bname)
 
 
+def _assert_reference_presentation(a, b):
+    p = tambara_presentation(a, b)
+    pairs, relations = reference_presentation(a, b)
+    assert p.generators == tuple(f"x_{{a{i},b{j}}}" for i, j in pairs)
+    assert p.relations == relations
+
+
+@pytest.mark.parametrize("pair", [(name, bname) for name, a in corpus_algebras()
+                                  for bname, b in corpus_algebras() if a.field == b.field],
+                         ids="->".join)
+def test_presentation_matches_the_polynomial_reference_on_the_corpus(pair):
+    algebras = dict(corpus_algebras())
+    _assert_reference_presentation(algebras[pair[0]], algebras[pair[1]])
+
+
 def test_one_dimensional_modules_match_algebra_morphisms(inv_f2):
     b = dual_numbers(F2)
     p = tambara_presentation(inv_f2, b)
@@ -99,6 +116,22 @@ PRESENTATIONS = {
     "f3-f3xf3": lambda: (trivial_algebra(GF(3)), f3_idempotents()),
     "f3c2-f3xf3": lambda: (cyclic_group_hopf(GF(3), 2).algebra, f3_idempotents()),
 }
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_presentation_matches_the_polynomial_reference(name):
+    # f3-f3xf3 and f3c2-f3xf3: the pivot form carries a constant and a second term
+    _assert_reference_presentation(*PRESENTATIONS[name]())
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_identification_matches_the_dense_reference(name):
+    a, b = PRESENTATIONS[name]()
+    p = tambara_presentation(a, b)
+    for n in (0, 1, 2):
+        for mats in tambara_modules(p, n):
+            assert (module_to_matrix_morphism(p, a, b, mats, n)
+                    == reference_module_to_matrix_morphism(a, b, mats, n))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
