@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _string
 
 from .errors import ParseError, ValidationError, echo
 from .fields import Field, parse_field
@@ -86,7 +87,27 @@ def structure_to_dict(doc: Document) -> dict:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """The bytes of ``json.dumps(obj, indent=2) + "\\n"``, written in one pass:
+    the standard library runs its pure-Python encoder whenever it indents."""
+    return _json(obj, "\n") + "\n"
+
+
+def _json(obj, newline: str) -> str:
+    """obj as ``json.dumps(obj, indent=2)`` writes it at the indent of
+    ``newline``: a list of strings is one join, and what is neither a string
+    nor a nonempty list or dict with string keys is left to ``json``."""
+    if isinstance(obj, str):
+        return _string(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)) and obj:
+        items = (map(_string, obj) if all(type(x) is str for x in obj)
+                 else (_json(x, inner) for x in obj))
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
+        return "{" + inner + ("," + inner).join(
+            _string(key) + ": " + _json(value, inner) for key, value in obj.items()) + newline + "}"
+    container = isinstance(obj, (list, tuple, dict))
+    return json.dumps(obj, indent=2 if container else None).replace("\n", newline)
 
 
 def serialize_document(doc: Document) -> str:

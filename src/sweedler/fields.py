@@ -131,7 +131,7 @@ class Field:
         if self.char == 0:
             if x == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return 1 / x
+            return 1 / Fraction(x)
         if x % self.char == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(x, self.char - 2, self.char)

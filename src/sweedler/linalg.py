@@ -37,22 +37,23 @@ X -> c.L.(1_a (x) X (x) 1_b).R with None for an identity L or R.
 coordinates straight from the nonzeros: each nonzero of L on a column
 (alpha, i, beta) meets the nonzeros of R on the rows (alpha, j, beta), and no
 image of a matrix unit is computed.  An equation sums its terms' nonzeros into
-one buffer, whose rows go straight to elimination.
+one sparse row per row it writes, and those go straight to elimination.
 
 A map is a value, so what is read off it is kept on it: :meth:`LinMap.nonzeros`
 lists a map's nonzeros once, for every chain and every term it appears in,
+from the positions it was written at when it was written from its nonzeros,
 and a term's written nonzeros are kept on its L (on its R when L is the
 identity), keyed by everything else the term holds, the other map by value.
 A loop over many pairs of maps writes each term once, with no table to pass.
 
-Elimination is one Gauss-Jordan routine, :func:`_reduce`, behind :func:`rref`,
-:func:`kernel_basis`, :func:`solve` and :func:`invert`.  It normalises each
-pivot row once, lists its nonzeros, and updates only the rows with a nonzero
-in the pivot column, at those positions.  Echelon forms pick the leftmost
-pivot in the lowest-index row first, so every derived basis (kernels,
-quotients, solution spaces) is deterministic.  A span grown one vector at a
-time is one incremental echelon {pivot column: reduced row}, through
-:func:`reduce_row` and :func:`insert_row`; its reduced form is unique.
+Elimination is one reduced echelon {pivot column: row} of sparse rows
+{column: nonzero}, taken from kept nonzeros; over Q the values stay ints
+while they are integral, and canonical Fractions are written only into maps
+and vectors.  :func:`echelon_reduce` clears the pivot columns from a row, and
+:func:`echelon_insert` adds what is left, normalised at its leftmost column,
+and clears that column from the other rows.  Batch callers insert their rows
+in order (:func:`_echelon`); the reduced echelon form is unique, so every
+derived basis (kernels, quotients, solution spaces) is deterministic.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from math import prod
-from operator import itemgetter
 
 from .errors import DimensionMismatch, Singular
 from .fields import Field, same_field
@@ -103,13 +103,15 @@ class LinMap:
     @staticmethod
     def from_nonzeros(field: Field, cod: int, dom: int, nonzeros) -> LinMap:
         """The cod x dom map with the given (row, column, value) entries, each
-        position at most once, and zero everywhere else."""
+        position at most once, and zero everywhere else; it keeps their positions."""
         out = [field.zero()] * (cod * dom)
+        written = []
         for r, c, v in nonzeros:
             if not (0 <= r < cod and 0 <= c < dom):
                 raise DimensionMismatch(f"entry ({r}, {c}) outside a {cod}x{dom} map")
-            out[r * dom + c] = field.coerce(v)
-        return LinMap(field, cod, dom, tuple(out))
+            written.append(pos := r * dom + c)
+            out[pos] = field.coerce(v)
+        return LinMap(field, cod, dom, tuple(out))._written(written)
 
     @staticmethod
     def identity(field: Field, n: int) -> LinMap:
@@ -151,9 +153,12 @@ class LinMap:
         return kept[by_col]
 
     def _listed(self, by_col: bool) -> list[list[tuple]]:
+        """The nonzeros grouped, from the kept positions or a scan of the entries."""
         groups = [[] for _ in range(self.dom if by_col else self.cod)]
         e, n, rational = self.entries, self.dom, not self.field.char
-        for pos in compress(range(len(e)), e):
+        written = self._kept.get(None)
+        for pos in compress(range(len(e)) if written is None else written,
+                            e if written is None else map(e.__getitem__, written)):
             r, c = divmod(pos, n)
             v = e[pos].numerator if rational and e[pos].denominator == 1 else e[pos]
             groups[c if by_col else r].append((r if by_col else c, v))
@@ -162,8 +167,15 @@ class LinMap:
     @cached_property
     def _kept(self) -> dict:
         """What is read off this map, kept: its nonzeros by orientation, and
-        the nonzeros of the matrix-equation terms on it (:func:`_summed_rows`)."""
+        the nonzeros of the matrix-equation terms on it (:func:`_summed_rows`);
+        under None, the positions of its nonzeros, when it was written from them."""
         return {}
+
+    def _written(self, positions) -> LinMap:
+        """This map, keeping ``positions``, each once, which hold all its nonzeros
+        (set in place of the cached property, which a new map has not made)."""
+        self.__dict__["_kept"] = {None: sorted(positions)}
+        return self
 
     def is_zero(self) -> bool:
         z = self.field.zero()
@@ -250,12 +262,14 @@ def composite(chain: Sequence[Factor], dom: int) -> LinMap:
     steps = _chain_steps(chain)
     p = k.char
     out = [k.zero()] * (cod * dom)
+    written = []
     for start in range(0, dom, _BLOCK):
         block = range(start, min(start + _BLOCK, dom))
         for idx, v in _chain_images(steps, block, dom, p).items():
             pos, r = divmod(idx, cod)
-            out[r * dom + start + pos] = v if p else Fraction(v)
-    return LinMap(k, cod, dom, tuple(out))
+            written.append(pos := r * dom + start + pos)
+            out[pos] = v if p else Fraction(v)
+    return LinMap(k, cod, dom, tuple(out))._written(written)
 
 
 def _chain_steps(chain: Sequence[Factor], transposed: bool = False) -> list:
@@ -384,94 +398,95 @@ class _SignedSwap:
 # echelon machinery ---------------------------------------------------------
 
 
+def echelon_reduce(k: Field, echelon: dict[int, dict], row: dict) -> dict:
+    """Clear the pivot columns of a reduced echelon {pivot column: row, 1
+    there and 0 at the other pivots} from the sparse ``row``, in place."""
+    for c in row.keys() & echelon.keys():
+        _subtract(k.char, row, row[c], echelon[c].items())
+    return row
+
+
+def echelon_insert(k: Field, echelon: dict[int, dict], row: dict, ncols: int) -> int | None:
+    """Add the sparse ``row``, already reduced, normalised at its leftmost
+    column if that is one of the first ``ncols``, and clear that column from
+    the other rows; return the pivot, or None for a row left out."""
+    c = min(row) if row else ncols
+    if c >= ncols:
+        return None
+    p = k.char
+    if row[c] != 1:
+        inv = k.inv(row[c])
+        for j, v in row.items():
+            row[j] = v * inv % p if p else v * inv
+    for other in echelon.values():
+        if c in other:
+            _subtract(p, other, other[c], row.items())
+    echelon[c] = row
+    return c
+
+
+def _subtract(p: int, row: dict, factor, other) -> None:
+    """row -= factor * other, for the (column, nonzero) pairs of another row,
+    in place, keeping only nonzeros."""
+    get = row.get
+    for j, y in other:
+        v = (get(j, 0) - factor * y) % p if p else get(j, 0) - factor * y
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+
+
+def _echelon(k: Field, rows, ncols: int) -> dict[int, dict]:
+    """The reduced echelon of the sparse ``rows``, pivoting in the first
+    ``ncols`` columns: each row is reduced by the rows before it and
+    inserted, so the pivots are the leftmost ones, lowest-index row first."""
+    echelon: dict[int, dict] = {}
+    for row in rows:
+        if len(echelon) == ncols:  # every later row reduces to zero there
+            break
+        if row and echelon_reduce(k, echelon, row):
+            echelon_insert(k, echelon, row, ncols)
+    return echelon
+
+
+def _dense(k: Field, vec: dict, n: int) -> tuple:
+    """The sparse vector ``vec`` of k^n as a tuple of canonical scalars."""
+    zero = k.zero()
+    return tuple(k.coerce(vec[i]) if i in vec else zero for i in range(n))
+
+
 def rref(f: LinMap) -> tuple[LinMap, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns (deterministic)."""
-    rows = [list(f.row_at(r)) for r in range(f.cod)]
-    pivots = _reduce(f.field, rows, f.dom)
-    return LinMap(f.field, f.cod, f.dom, tuple(x for row in rows for x in row)), pivots
-
-
-def _reduce(k: Field, rows: list[list], ncols: int) -> tuple[int, ...]:
-    """Gauss-Jordan elimination of ``rows`` in place, pivoting in the first
-    ``ncols`` columns: leftmost pivot, lowest-index row first.
-
-    The pivot row is normalised once and its nonzeros listed; only the rows
-    with a nonzero in the pivot column are updated, at those positions.
-    """
-    p = k.char
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        for pivot_row in range(r, len(rows)):
-            if rows[pivot_row][c]:
-                break
-        else:
-            continue
-        pivot = rows[pivot_row]
-        rows[r], rows[pivot_row] = pivot, rows[r]
-        # the pivot row is zero left of c
-        support = list(compress(range(c, len(pivot)), pivot[c:]))
-        if pivot[c] != 1:
-            inv = k.inv(pivot[c])
-            for j in support:
-                pivot[j] = pivot[j] * inv % p if p else pivot[j] * inv
-        nonzeros = [(j, pivot[j]) for j in support]
-        for row in compress(rows, map(itemgetter(c), rows)):
-            if row is not pivot:
-                factor = row[c]
-                if p:
-                    for j, y in nonzeros:
-                        row[j] = (row[j] - factor * y) % p
-                else:
-                    for j, y in nonzeros:
-                        row[j] -= factor * y
-        pivots.append(c)
-        r += 1
-    return tuple(pivots)
-
-
-def reduce_row(k: Field, echelon: dict[int, list], row: list) -> None:
-    """Clear the pivot columns of an incremental echelon {pivot column: row,
-    1 there and 0 at the other pivots} from ``row``, in place."""
-    p = k.char
-    for c in [c for c in echelon if row[c]]:
-        factor, pivot_row = row[c], echelon[c]
-        for j in compress(range(c, len(row)), pivot_row[c:]):
-            row[j] = (row[j] - factor * pivot_row[j]) % p if p else row[j] - factor * pivot_row[j]
-
-
-def insert_row(k: Field, echelon: dict[int, list], row: list, ncols: int) -> None:
-    """Add ``row``, already reduced, normalised at its leftmost nonzero among
-    the first ``ncols`` columns, and clear that column from the other rows; a
-    row with no nonzero there is left out."""
-    c = next(compress(range(ncols), row), None)
-    if c is not None:
-        inv = k.inv(row[c])
-        for j in compress(range(c, len(row)), row[c:]):
-            row[j] = k.mul(row[j], inv)
-        for other in echelon.values():
-            reduce_row(k, {c: row}, other)
-        echelon[c] = row
+    echelon = _echelon(f.field, map(dict, f.nonzeros(by_col=False)), f.dom)
+    pivots = sorted(echelon)
+    return (LinMap.from_nonzeros(f.field, f.cod, f.dom, [
+        (r, c, v) for r, pivot in enumerate(pivots) for c, v in echelon[pivot].items()]),
+        tuple(pivots))
 
 
 def rank(f: LinMap) -> int:
-    return len(rref(f)[1])
+    return len(_echelon(f.field, map(dict, f.nonzeros(by_col=False)), f.dom))
 
 
 def kernel_basis(f: LinMap) -> list[tuple]:
     """Basis of ker f, one vector per free column, in reduced column-echelon form."""
-    echelon, pivots = rref(f)
-    return null_vectors(f.field, {c: echelon.row_at(r) for r, c in enumerate(pivots)}, f.dom)
+    k = f.field
+    echelon = _echelon(k, map(dict, f.nonzeros(by_col=False)), f.dom)
+    return [_dense(k, vec, f.dom) for vec in null_vectors(k, echelon, f.dom)]
 
 
-def null_vectors(k: Field, echelon: dict[int, Sequence], n: int) -> list[tuple]:
+def null_vectors(k: Field, echelon: dict[int, dict], n: int) -> list[dict]:
     """Basis of the vectors of k^n that a reduced echelon {pivot column: row}
-    kills, one per free column j in order: 1 at j, minus column j at each pivot."""
-    one, zero = k.one(), k.zero()
-    return [tuple(one if i == j else k.neg(echelon[i][j]) if i in echelon else zero
-                  for i in range(n)) for j in range(n) if j not in echelon]
+    kills, one sparse vector per free column j in order: 1 at j, minus column
+    j at each pivot."""
+    p = k.char
+    vecs = {j: {j: 1} for j in range(n) if j not in echelon}
+    for i, row in echelon.items():
+        for j, v in row.items():
+            if j in vecs:
+                vecs[j][i] = p - v if p else -v
+    return list(vecs.values())
 
 
 def invert(f: LinMap) -> LinMap:
@@ -479,14 +494,13 @@ def invert(f: LinMap) -> LinMap:
     the rank of f) when there is none."""
     if f.cod != f.dom:
         raise DimensionMismatch(f"only square maps can be inverted, got {f.cod}x{f.dom}")
-    k = f.field
-    n = f.cod
-    one, zero = k.one(), k.zero()
-    rows = [list(f.row_at(r)) + [one if i == r else zero for i in range(n)] for r in range(n)]
-    found = len(_reduce(k, rows, n))
-    if found < n:
-        raise Singular(found)
-    return LinMap(k, n, n, tuple(x for row in rows for x in row[n:]))
+    k, n = f.field, f.cod
+    echelon = _echelon(k, (dict(row) | {n + r: 1}
+                           for r, row in enumerate(f.nonzeros(by_col=False))), n)
+    if len(echelon) < n:
+        raise Singular(len(echelon))
+    return LinMap.from_nonzeros(k, n, n, [(r, c - n, v) for r in range(n)
+                                          for c, v in echelon[r].items() if c >= n])
 
 
 def is_invertible(f: LinMap) -> bool:
@@ -497,17 +511,20 @@ def solve(f: LinMap, target: Sequence) -> tuple | None:
     """One solution x of f x = target (free coordinates 0), or None if inconsistent."""
     if len(target) != f.cod:
         raise DimensionMismatch(f"target length {len(target)} for {f.cod} rows")
-    k = f.field
-    aug = LinMap(k, f.cod, f.dom + 1,
-                 tuple(x for r in range(f.cod)
-                       for x in (*f.row_at(r), k.coerce(target[r]))))
-    echelon, pivots = rref(aug)
-    if f.dom in pivots:
+    rows = [dict(row) for row in f.nonzeros(by_col=False)]
+    for row, t in zip(rows, target):
+        if t := f.field.coerce(t):
+            row[f.dom] = t
+    return _solution(f.field, rows, f.dom)
+
+
+def _solution(k: Field, rows: list[dict], n: int) -> tuple | None:
+    """One solution of the system whose augmented sparse rows carry the
+    right-hand side in column n, or None."""
+    echelon = _echelon(k, rows, n + 1)
+    if n in echelon:
         return None
-    sol = [k.zero()] * f.dom
-    for r, p in enumerate(pivots):
-        sol[p] = echelon.entries[r * (f.dom + 1) + f.dom]
-    return tuple(sol)
+    return _dense(k, {c: row[n] for c, row in echelon.items() if n in row}, n)
 
 
 # matrix equations ----------------------------------------------------------
@@ -528,8 +545,7 @@ def _term_nonzeros(field: Field, shape: tuple[int, int],
     (alpha, i, beta) times R's row (alpha, j, beta); so each nonzero of L on
     such a column meets the nonzeros of R on the rows (alpha, j, beta).
     Over Q the products run on ints where the denominators are 1, as
-    :meth:`LinMap.nonzeros` lists them, and the nonzeros written are
-    canonical scalars.
+    :meth:`LinMap.nonzeros` lists them, and are written as they come.
     """
     k = field
     p = k.char
@@ -566,21 +582,19 @@ def _term_nonzeros(field: Field, shape: tuple[int, int],
     for idx, v in out.items():
         if v:
             row, var = divmod(idx, nvars)
-            by_row.setdefault(row, []).append((var, v if p else Fraction(v)))
+            by_row.setdefault(row, []).append((var, v))
     return (mid_cod if left is None else left.cod, cols), by_row
 
 
 def _summed_rows(field: Field, shape: tuple[int, int],
-                 terms: Sequence[Term]) -> tuple[int, dict[int, list]]:
-    """The number of rows of the matrix of X -> sum of the terms, and its rows
-    that some term writes, {row: entries}: each term's nonzeros summed into
-    one buffer.  A term's nonzeros are written once and kept on its L, or on
-    its R when L is None, keyed by the unknown's shape, its scalar, its
-    padding, the side and the other map (by value)."""
-    k = field
-    p = k.char
-    zero = k.zero()
-    nvars = shape[0] * shape[1]
+                 terms: Sequence[Term]) -> tuple[int, dict[int, dict]]:
+    """The number of rows of the matrix of X -> sum of the terms, and its
+    nonzeros by row, {row: {column: nonzero}}: each term's nonzeros summed
+    into one sparse row per row it writes.  A term's nonzeros are written
+    once and kept on its L, or on its R when L is None, keyed by the
+    unknown's shape, its scalar, its padding, the side and the other map (by
+    value)."""
+    p = field.char
     out_shape = None
     rows: dict = {}
     for term in terms:
@@ -597,27 +611,15 @@ def _summed_rows(field: Field, shape: tuple[int, int],
         for r, entries in nonzeros.items():
             row = rows.get(r)
             if row is None:
-                rows[r] = row = [zero] * nvars
-                for j, v in entries:
+                rows[r] = dict(entries)
+                continue
+            for j, v in entries:
+                v = (v + row.get(j, 0)) % p if p else v + row.get(j, 0)
+                if v:
                     row[j] = v
-            else:
-                for j, v in entries:
-                    row[j] = (row[j] + v) % p if p else row[j] + v
+                else:
+                    del row[j]
     return (out_shape[0] * out_shape[1] if out_shape else 0), rows
-
-
-def _operator_matrix(field: Field, shape: tuple[int, int], terms: Sequence[Term]) -> LinMap:
-    """Matrix of X -> sum of the terms, in row-major vec coordinates on both sides."""
-    nvars = shape[0] * shape[1]
-    nrows, rows = _summed_rows(field, shape, terms)
-    zero_row = [field.zero()] * nvars
-    return LinMap(field, nrows, nvars,
-                  tuple(x for r in range(nrows) for x in rows.get(r, zero_row)))
-
-
-def _stack(field: Field, nvars: int, blocks: Sequence[LinMap]) -> LinMap:
-    return LinMap(field, sum(b.cod for b in blocks), nvars,
-                  tuple(x for b in blocks for x in b.entries))
 
 
 def solve_matrix_equations(field: Field, shape: tuple[int, int],
@@ -625,26 +627,30 @@ def solve_matrix_equations(field: Field, shape: tuple[int, int],
                            ) -> LinMap | None:
     """Solve a system of linear matrix equations (sum of terms)(X) = rhs for one X,
     or None; each equation is (terms, rhs)."""
-    if shape[0] * shape[1] == 0:
+    nvars = shape[0] * shape[1]
+    if nvars == 0:
         zero = LinMap.zero(field, shape[0], shape[1])
         return zero if all(rhs.is_zero() for _, rhs in equations) else None
-    stacked = _stack(field, shape[0] * shape[1],
-                     [_operator_matrix(field, shape, terms) for terms, _ in equations])
-    sol = solve(stacked, [x for _, rhs in equations for x in rhs.entries])
-    if sol is None:
-        return None
-    return LinMap(field, shape[0], shape[1], sol)
+    rows = []
+    for terms, rhs in equations:
+        nrows, summed = _summed_rows(field, shape, terms)
+        if len(rhs.entries) != nrows:
+            raise DimensionMismatch(f"{len(rhs.entries)} right-hand sides for {nrows} rows")
+        for r in compress(range(nrows), rhs.entries):
+            summed.setdefault(r, {})[nvars] = rhs.entries[r]
+        rows.extend(summed.values())
+    sol = _solution(field, rows, nvars)
+    return None if sol is None else LinMap(field, shape[0], shape[1], sol)
 
 
 def matrix_equation_kernel(field: Field, shape: tuple[int, int],
                            equations: Sequence[Sequence[Term]]) -> list[LinMap]:
     """Echelon-canonical basis of {X : (sum of terms)(X) = 0 for every equation}.
 
-    The rows the terms write go straight to elimination; each term is
+    The sparse rows the terms write go straight to elimination; each term is
     written once per map it is kept on (:func:`_summed_rows`)."""
     nvars = shape[0] * shape[1]
     rows = [row for terms in equations
             for row in _summed_rows(field, shape, terms)[1].values()]
-    pivots = _reduce(field, rows, nvars)
-    return [LinMap(field, shape[0], shape[1], vec)
-            for vec in null_vectors(field, dict(zip(pivots, rows)), nvars)]
+    return [LinMap(field, *shape, _dense(field, vec, nvars))
+            for vec in null_vectors(field, _echelon(field, rows, nvars), nvars)]

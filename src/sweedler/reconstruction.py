@@ -45,12 +45,13 @@ from .fields import Field
 from .linalg import (
     LinMap,
     _swap,
+    _echelon,
     composite,
-    insert_row,
+    echelon_insert,
+    echelon_reduce,
     kron,
     null_vectors,
     permute_axes,
-    reduce_row,
 )
 from .structures import (
     Algebra,
@@ -151,21 +152,19 @@ class GeneratedSubcoalgebra:
 
 
 def _quotient_by_rows(field: Field, n: int,
-                      relations: Iterable[list]) -> tuple[list[tuple], LinMap]:
-    """Quotient of k^n by the span of the rows ``relations``, inserted in one
-    incremental echelon: the projection k^n -> k^d has its null vectors as
-    rows, one per free column j in order, and the section sends each to e_j."""
-    echelon: dict[int, list] = {}
-    for row in relations:
-        reduce_row(field, echelon, row)
-        insert_row(field, echelon, row, n)
+                      relations: Iterable[dict]) -> tuple[list[dict], LinMap]:
+    """Quotient of k^n by the span of the sparse rows ``relations``, inserted
+    in one incremental echelon: the projection k^n -> k^d has its null
+    vectors as rows, one per free column j in order, and the section sends
+    each to e_j."""
+    echelon = _echelon(field, relations, n)
     free = [j for j in range(n) if j not in echelon]
     return (null_vectors(field, echelon, n),
             LinMap.from_nonzeros(field, n, len(free), [(j, c, 1) for c, j in enumerate(free)]))
 
 
 def _span_of_words(field: Field, measurings: list[Measuring], starts: list[int],
-                   total: int) -> tuple[list[list], LinMap]:
+                   total: int) -> tuple[list[dict], LinMap]:
     """E, the algebra that the blocks M_{t,q}[a, b] = psi_i[(a, q), (t, b)]
     generate in the product of the End(X_i), as vectors of k^total in the
     coend layout (f_ab of coend(X_i) at ``starts[i] + a*x_i + b``), and the
@@ -174,8 +173,8 @@ def _span_of_words(field: Field, measurings: list[Measuring], starts: list[int],
     E is closed under words from the identity: each element inserted is
     multiplied on the right by every block, and the product is reduced in
     one incremental echelon on the reversed columns, so pivots are taken
-    from the right.  Its rows, back in order and listed by pivot, are the
-    reduced echelon form of E: the projection rows onto D = E*, whose
+    from the right.  Its sparse rows, back in order and listed by pivot, are
+    the reduced echelon form of E: the projection rows onto D = E*, whose
     kernel is the annihilator of E.  Where the coend over the intertwiners
     is the span, they are the rows that :func:`_quotient_by_rows` gives."""
     p = field.char
@@ -192,20 +191,16 @@ def _span_of_words(field: Field, measurings: list[Measuring], starts: list[int],
     # f_as of coend(X_i) meets row s of a block and lands in row a
     where = [(start + s * m.xdim, start + a * m.xdim) for start, m in zip(starts, measurings)
              for a in range(m.xdim) for s in range(m.xdim)]
-    echelon: dict[int, list] = {}
-    zero = field.zero()
+    echelon: dict[int, dict] = {}
+    last = total - 1
 
     def insert(nonzeros) -> list | None:
         """The nonzeros of what is left of a vector reduced in the echelon,
         once inserted; None when it is in the span already."""
-        row = [zero] * total
-        for pos, v in nonzeros:
-            row[total - 1 - pos] = v % p if p else field.coerce(v)
-        reduce_row(field, echelon, row)
-        if not any(row):
+        row = {last - pos: x for pos, v in nonzeros if (x := v % p if p else v)}
+        if echelon_insert(field, echelon, echelon_reduce(field, echelon, row), total) is None:
             return None
-        insert_row(field, echelon, row, total)
-        return [(total - 1 - c, v) for c, v in enumerate(row) if v]
+        return [(last - c, v) for c, v in row.items()]
 
     identity = insert((start + a * m.xdim + a, 1) for start, m in zip(starts, measurings)
                       for a in range(m.xdim))
@@ -220,9 +215,9 @@ def _span_of_words(field: Field, measurings: list[Measuring], starts: list[int],
             remainder = insert(product.items())
             if remainder:
                 pending.append(remainder)
-    pivots = sorted(total - 1 - c for c in echelon)
+    pivots = sorted(last - c for c in echelon)
     section = [(j, c, 1) for c, j in enumerate(pivots)]
-    return ([echelon[total - 1 - j][::-1] for j in pivots],
+    return ([{last - c: v for c, v in echelon[last - j].items()} for j in pivots],
             LinMap.from_nonzeros(field, total, len(pivots), section))
 
 
@@ -262,22 +257,22 @@ def reconstruct(measurings: list[Measuring],
     starts = [sum(x * x for x in xdims[:i]) for i in range(len(xdims))]
     total = sum(x * x for x in xdims)
 
-    def relation_rows(i: int, j: int, f: LinMap) -> list[list]:
+    def relation_rows(i: int, j: int, f: LinMap) -> list[dict]:
         xi, xj = xdims[i], xdims[j]
         if f.dom != xi or f.cod != xj:
             raise IncompatibleMeasurings("morphism shape does not match its endpoints")
         # row (r, c), for alpha = e^r in X_j* and v = e_c in X_i, is
         # sum_s f[r, s] f_sc on coend(X_i) minus sum_u f[u, c] f_ru on coend(X_j)
         out = []
-        for r in range(xj):
-            for c in range(xi):
-                vec = [k.zero()] * total
-                for s in compress(range(xi), f.row_at(r)):
-                    vec[starts[i] + s * xi + c] = f[r, s]
-                for u in compress(range(xj), f.col_at(c)):
+        columns = f.nonzeros(by_col=True)
+        for r, row in enumerate(f.nonzeros(by_col=False)):
+            for c, column in enumerate(columns):
+                vec = {starts[i] + s * xi + c: v for s, v in row}
+                for u, v in column:
                     pos = starts[j] + r * xj + u
-                    vec[pos] = k.sub(vec[pos], f[u, c])
-                if any(vec):
+                    if x := k.sub(vec.pop(pos, 0), v):
+                        vec[pos] = x
+                if vec:
                     out.append(vec)
         return out
 
@@ -287,8 +282,15 @@ def reconstruct(measurings: list[Measuring],
         rows, section = _quotient_by_rows(
             k, total, (row for i, j, f in morphisms for row in relation_rows(i, j, f)))
     d = len(rows)
-    projections = tuple(LinMap(k, d, x * x, tuple(v for row in rows for v in row[s:s + x * x]))
-                        for s, x in zip(starts, xdims))
+    # column pos of the rows is coefficient pos - starts[i] of coend(X_i)
+    summand = [(i, s) for i, (s, x) in enumerate(zip(starts, xdims)) for _ in range(x * x)]
+    written = [[] for _ in xdims]
+    for r, row in enumerate(rows):
+        for pos, v in row.items():
+            i, s = summand[pos]
+            written[i].append((r, pos - s, v))
+    projections = tuple(LinMap.from_nonzeros(k, d, x * x, nonzeros)
+                        for x, nonzeros in zip(xdims, written))
 
     # basis vector c of D is the class of the coefficient f_ab of coend(X_i), so
     # each structure map of D is read off generator i at (a, b)

@@ -66,12 +66,12 @@ from .linalg import (
     _swap,
     apply_slot,
     composite,
-    insert_row,
+    echelon_insert,
+    echelon_reduce,
     invert,
     is_invertible,
     kron,
     permute_axes,
-    reduce_row,
 )
 
 DEFAULT_BUDGET = 1 << 24
@@ -680,30 +680,28 @@ def _word_span(a: Algebra) -> tuple[list[int], list[tuple[list, list]], list[lis
     """
     k = a.field
     d = a.dim
-    one, zero = k.one(), k.zero()
-    echelon: dict[int, list] = {}
-    vectors: list[list] = []  # of the words
+    echelon: dict[int, dict] = {}
+    vectors: list[dict] = []  # of the words, by their nonzeros
     columns = a.mult.nonzeros(by_col=True)
 
-    def in_words(v: list, n: int | None = None) -> list | None:
-        """v in words, or None when v is outside the span; given ``n``, such
-        a v becomes word n."""
-        row = [*v, *[zero] * d]
+    def in_words(v: dict, n: int | None = None) -> list | None:
+        """v, by its nonzeros, in words, or None when v is outside the span;
+        given ``n``, such a v becomes word n."""
+        row = dict(v)
         if n is not None and n < d:  # d words span A
-            row[d + n] = one
-        reduce_row(k, echelon, row)
-        if any(row[:d]):
+            row[d + n] = 1
+        echelon_reduce(k, echelon, row)
+        if row and min(row) < d:
             if n is not None:
-                insert_row(k, echelon, row, d)
+                echelon_insert(k, echelon, row, d)
                 vectors.append(v)
             return None
-        return [(j, k.neg(c)) for j, c in enumerate(row[d:]) if c and j != n]
+        return [(j - d, k.coerce(-c)) for j, c in sorted(row.items()) if j - d != n]
 
-    in_words(list(a.unit_vector()), 0)
-    basis = [[one if i == t else zero for i in range(d)] for t in range(d)]
+    in_words(dict(a.unit.nonzeros(by_col=True)[0]), 0)
     generators, stages = [], []
     for t in range(d):
-        if in_words(basis[t]) is not None:
+        if in_words({t: 1}) is not None:
             continue
         generators.append(t)
         words, relations = [], []
@@ -711,16 +709,16 @@ def _word_span(a: Algebra) -> tuple[list[int], list[tuple[list, list]], list[lis
         while pending:
             w, g = pending.popleft()
             v, s = vectors[w], generators[g]  # v times e_s, off mult's columns (i, s)
-            product = apply_slot({i * d + s: v[i] for i in itertools.compress(range(d), v)},
+            product = apply_slot({i * d + s: x for i, x in v.items()},
                                  columns, d * d, d, 1, k.char)
-            combo = in_words([product.get(r, zero) for r in range(d)], len(vectors))
+            combo = in_words(product, len(vectors))
             if combo is None:
                 pending.extend((len(vectors) - 1, h) for h in range(len(generators)))
                 words.append((w, g))
             else:
                 relations.append((w, g, combo))
         stages.append((words, relations))
-    return generators, stages, [in_words(e) for e in basis]
+    return generators, stages, [in_words({t: 1}) for t in range(d)]
 
 
 class _QuadraticSearch:

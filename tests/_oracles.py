@@ -9,17 +9,19 @@ import itertools
 from collections import deque
 from collections.abc import Sequence
 from itertools import compress
+from operator import itemgetter
 
 from sweedler.errors import (
     BudgetExceeded,
     DimensionMismatch,
     InducedStructureIllDefined,
+    Singular,
     UnsupportedField,
 )
-from sweedler.fields import same_field
+from sweedler.fields import Field, same_field
 from sweedler.linalg import (
     LinMap,
-    _reduce,
+    _summed_rows,
     compose,
     composite,
     invert,
@@ -1001,3 +1003,199 @@ def reference_module_to_matrix_morphism(a, b, mats, n):
     blocks = LinMap(k, db * da, n * n, tuple(x for j in range(db) for i in range(da)
                                              for x in matrix_of(i, j).entries))
     return permute_axes(blocks, (db, da, n, n), (2, 3, 1, 0), 3)
+
+
+# ---------------------------------------------------------------------------
+# dense elimination: the batch Gauss-Jordan routine and the incremental
+# echelon the library once ran on dense rows, and the solvers, the span of
+# words and the quotient by relations written on them
+
+
+def _reduce(k: Field, rows: list[list], ncols: int) -> tuple[int, ...]:
+    """Gauss-Jordan elimination of ``rows`` in place, pivoting in the first
+    ``ncols`` columns: leftmost pivot, lowest-index row first.
+
+    The pivot row is normalised once and its nonzeros listed; only the rows
+    with a nonzero in the pivot column are updated, at those positions.
+    """
+    p = k.char
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        for pivot_row in range(r, len(rows)):
+            if rows[pivot_row][c]:
+                break
+        else:
+            continue
+        pivot = rows[pivot_row]
+        rows[r], rows[pivot_row] = pivot, rows[r]
+        # the pivot row is zero left of c
+        support = list(compress(range(c, len(pivot)), pivot[c:]))
+        if pivot[c] != 1:
+            inv = k.inv(pivot[c])
+            for j in support:
+                pivot[j] = pivot[j] * inv % p if p else pivot[j] * inv
+        nonzeros = [(j, pivot[j]) for j in support]
+        for row in compress(rows, map(itemgetter(c), rows)):
+            if row is not pivot:
+                factor = row[c]
+                if p:
+                    for j, y in nonzeros:
+                        row[j] = (row[j] - factor * y) % p
+                else:
+                    for j, y in nonzeros:
+                        row[j] -= factor * y
+        pivots.append(c)
+        r += 1
+    return tuple(pivots)
+
+
+def reduce_row(k: Field, echelon: dict[int, list], row: list) -> None:
+    """Clear the pivot columns of an incremental echelon {pivot column: row,
+    1 there and 0 at the other pivots} from ``row``, in place."""
+    p = k.char
+    for c in [c for c in echelon if row[c]]:
+        factor, pivot_row = row[c], echelon[c]
+        for j in compress(range(c, len(row)), pivot_row[c:]):
+            row[j] = (row[j] - factor * pivot_row[j]) % p if p else row[j] - factor * pivot_row[j]
+
+
+def insert_row(k: Field, echelon: dict[int, list], row: list, ncols: int) -> None:
+    """Add ``row``, already reduced, normalised at its leftmost nonzero among
+    the first ``ncols`` columns, and clear that column from the other rows; a
+    row with no nonzero there is left out."""
+    c = next(compress(range(ncols), row), None)
+    if c is not None:
+        inv = k.inv(row[c])
+        for j in compress(range(c, len(row)), row[c:]):
+            row[j] = k.mul(row[j], inv)
+        for other in echelon.values():
+            reduce_row(k, {c: row}, other)
+        echelon[c] = row
+
+
+def reference_rref(f: LinMap) -> tuple[LinMap, tuple[int, ...]]:
+    rows = [list(f.row_at(r)) for r in range(f.cod)]
+    pivots = _reduce(f.field, rows, f.dom)
+    return LinMap(f.field, f.cod, f.dom, tuple(x for row in rows for x in row)), pivots
+
+
+def reference_rank(f: LinMap) -> int:
+    return len(reference_rref(f)[1])
+
+
+def reference_kernel_basis(f: LinMap) -> list[tuple]:
+    echelon, pivots = reference_rref(f)
+    return reference_null_vectors(f.field, {c: echelon.row_at(r) for r, c in enumerate(pivots)},
+                                  f.dom)
+
+
+def reference_null_vectors(k: Field, echelon: dict[int, Sequence], n: int) -> list[tuple]:
+    one, zero = k.one(), k.zero()
+    return [tuple(one if i == j else k.neg(echelon[i][j]) if i in echelon else zero
+                  for i in range(n)) for j in range(n) if j not in echelon]
+
+
+def reference_invert(f: LinMap) -> LinMap:
+    if f.cod != f.dom:
+        raise DimensionMismatch(f"only square maps can be inverted, got {f.cod}x{f.dom}")
+    k = f.field
+    n = f.cod
+    one, zero = k.one(), k.zero()
+    rows = [list(f.row_at(r)) + [one if i == r else zero for i in range(n)] for r in range(n)]
+    found = len(_reduce(k, rows, n))
+    if found < n:
+        raise Singular(found)
+    return LinMap(k, n, n, tuple(x for row in rows for x in row[n:]))
+
+
+def reference_solve(f: LinMap, target: Sequence) -> tuple | None:
+    k = f.field
+    aug = LinMap(k, f.cod, f.dom + 1,
+                 tuple(x for r in range(f.cod)
+                       for x in (*f.row_at(r), k.coerce(target[r]))))
+    echelon, pivots = reference_rref(aug)
+    if f.dom in pivots:
+        return None
+    sol = [k.zero()] * f.dom
+    for r, p in enumerate(pivots):
+        sol[p] = echelon.entries[r * (f.dom + 1) + f.dom]
+    return tuple(sol)
+
+
+def reference_matrix_equation_kernel(field: Field, shape, equations) -> list[LinMap]:
+    """The kernel of the rows the terms write, each made a dense row of
+    canonical scalars and eliminated by ``_reduce``."""
+    nvars = shape[0] * shape[1]
+    rows = [[field.coerce(row.get(j, 0)) for j in range(nvars)] for terms in equations
+            for row in _summed_rows(field, shape, terms)[1].values()]
+    pivots = _reduce(field, rows, nvars)
+    return [LinMap(field, shape[0], shape[1], vec)
+            for vec in reference_null_vectors(field, dict(zip(pivots, rows)), nvars)]
+
+
+def reference_quotient_by_rows(field: Field, n: int, relations) -> tuple[list[tuple], LinMap]:
+    """``reconstruction._quotient_by_rows`` on dense rows."""
+    echelon: dict[int, list] = {}
+    for row in relations:
+        reduce_row(field, echelon, row)
+        insert_row(field, echelon, row, n)
+    free = [j for j in range(n) if j not in echelon]
+    return (reference_null_vectors(field, echelon, n),
+            LinMap.from_nonzeros(field, n, len(free), [(j, c, 1) for c, j in enumerate(free)]))
+
+
+def reference_span_of_words(field: Field, measurings, starts: list[int],
+                            total: int) -> tuple[list[list], LinMap]:
+    """``reconstruction._span_of_words`` on dense rows."""
+    p = field.char
+    blocks: dict[tuple[int, int], dict[int, list]] = {}
+    for start, m in zip(starts, measurings):
+        x, db = m.xdim, m.b.dim
+        for col, column in enumerate(m.psi.nonzeros(by_col=True)):
+            t, b = divmod(col, x)
+            for r, v in column:
+                a, q = divmod(r, db)
+                blocks.setdefault((t, q), {}).setdefault(start + a * x, []).append((b, v))
+    where = [(start + s * m.xdim, start + a * m.xdim) for start, m in zip(starts, measurings)
+             for a in range(m.xdim) for s in range(m.xdim)]
+    echelon: dict[int, list] = {}
+    zero = field.zero()
+
+    def insert(nonzeros) -> list | None:
+        row = [zero] * total
+        for pos, v in nonzeros:
+            row[total - 1 - pos] = v % p if p else field.coerce(v)
+        reduce_row(field, echelon, row)
+        if not any(row):
+            return None
+        insert_row(field, echelon, row, total)
+        return [(total - 1 - c, v) for c, v in enumerate(row) if v]
+
+    identity = insert((start + a * m.xdim + a, 1) for start, m in zip(starts, measurings)
+                      for a in range(m.xdim))
+    pending = [identity] if identity else []
+    for u in pending:
+        for block in blocks.values():
+            product: dict[int, object] = {}
+            for pos, x in u:
+                row, base = where[pos]
+                for b, v in block.get(row, ()):
+                    product[base + b] = product.get(base + b, 0) + x * v
+            remainder = insert(product.items())
+            if remainder:
+                pending.append(remainder)
+    pivots = sorted(total - 1 - c for c in echelon)
+    section = [(j, c, 1) for c, j in enumerate(pivots)]
+    return ([echelon[total - 1 - j][::-1] for j in pivots],
+            LinMap.from_nonzeros(field, total, len(pivots), section))
+
+
+def operator_matrix(field: Field, shape, terms) -> LinMap:
+    """The matrix of X -> sum of the terms, written from the sparse rows that
+    ``linalg._summed_rows`` sums."""
+    nrows, rows = _summed_rows(field, shape, terms)
+    return LinMap.from_nonzeros(field, nrows, shape[0] * shape[1],
+                                [(r, c, v) for r, row in rows.items() for c, v in row.items()])

@@ -7,6 +7,7 @@ from sweedler.cli import main
 from sweedler.documents import (
     Document,
     MeasuringDocument,
+    canonical_json,
     parse_document,
     parse_measuring_document,
     serialize_document,
@@ -354,3 +355,53 @@ def test_a_json_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
     out = capsys.readouterr().out
     assert json.loads(out)["error"] == "ParseError"
     assert len(out) < 400
+
+
+def _payload(rng, depth):
+    """A seeded JSON value: nested dicts and lists (empty ones included),
+    tuples, strings with non-ASCII, control characters, quotes and
+    backslashes, booleans, None, ints past 2^64, floats, and lists that mix
+    scalars with containers."""
+    scalars = [True, False, None, 0, -7, 2 ** 64 + 1, -(3 ** 50), 1.5, -0.0, "",
+               "plain", "é ü ∞", "\U0001d11e", "tab\tnew\nline\x00\x1f\x7f", 'q"uo\\te', "/"]
+    kind = rng.randrange(6 if depth else 1)
+    if kind == 0:
+        return rng.choice(scalars)
+    if kind == 1:
+        return [str(rng.randrange(-5, 5)) for _ in range(rng.randrange(4))]
+    items = [_payload(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if kind == 2:
+        return items
+    if kind == 3:
+        return tuple(items)
+    return {rng.choice(["a", "é", "k\"ey", "\n", ""]) + str(i): v for i, v in enumerate(items)}
+
+
+def test_canonical_json_writes_the_bytes_of_the_standard_library():
+    import random
+
+    rng = random.Random(2614)
+    payloads = [_payload(rng, 4) for _ in range(300)]
+    payloads += [{}, [], (), "", {"a": {}, "b": [], "c": [[]], "d": [{}]}, [1, "1", [1], {"1": 1}],
+                 {1: "int key", None: "null key", True: "bool key", 2.5: "float key"}]
+    kinds = set()
+
+    def walk(x):
+        kinds.add(type(x))
+        for y in (x.values() if isinstance(x, dict) else x if isinstance(x, (list, tuple))
+                  else ()):
+            walk(y)
+    for payload in payloads:
+        walk(payload)
+    assert kinds == {dict, list, tuple, str, bool, type(None), int, float}
+    for payload in payloads:
+        assert canonical_json(payload) == json.dumps(payload, indent=2) + "\n", payload
+
+
+def test_canonical_json_rewrites_every_golden_report():
+    reports = sorted((Path(__file__).parent / "golden").glob("*.txt"))
+    assert len(reports) > 500
+    for path in reports:
+        text = path.read_text()
+        assert canonical_json(json.loads(text)) == json.dumps(json.loads(text), indent=2) + "\n"
+        assert canonical_json(json.loads(text)) == text, path.name

@@ -90,6 +90,27 @@ def test_rational_arithmetic():
         QQ.elements()
 
 
+@pytest.mark.parametrize("x,inverse", [
+    (2, Fraction(1, 2)), (-3, Fraction(-1, 3)), (1, Fraction(1)), (-1, Fraction(-1)),
+    (Fraction(2, 3), Fraction(3, 2)), (Fraction(-5), Fraction(-1, 5)),
+])
+def test_rational_inverse_and_division_are_exact_fractions(x, inverse):
+    # ints come from the nonzero lists of maps over Q; no float may appear
+    assert QQ.inv(x) == inverse and type(QQ.inv(x)) is Fraction
+    for y in (1, -4, Fraction(7, 2)):
+        quotient = QQ.div(y, x)
+        assert quotient == Fraction(y) * inverse and type(quotient) is Fraction
+    assert QQ.div(1, 2) == Fraction(1, 2) and type(QQ.div(1, 2)) is Fraction
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0)])
+def test_rational_inverse_of_zero_raises(zero):
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(zero)
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, zero)
+
+
 @pytest.mark.parametrize("token,value", [
     ("0", Fraction(0)),
     ("-7", Fraction(-7)),

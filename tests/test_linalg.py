@@ -12,7 +12,15 @@ from _oracles import (
     dense_permute,
     dense_reduce,
     dense_term_operator,
+    operator_matrix,
     probing_operator_matrix,
+    reference_invert,
+    reference_kernel_basis,
+    reference_matrix_equation_kernel,
+    reference_null_vectors,
+    reference_rank,
+    reference_rref,
+    reference_solve,
 )
 from sweedler import linalg
 from sweedler.errors import DimensionMismatch, FieldMismatch, Singular
@@ -20,7 +28,6 @@ from sweedler.fields import GF, QQ
 from sweedler.graded import GradedSpace, koszul_swap
 from sweedler.linalg import (
     LinMap,
-    _operator_matrix,
     _SignedSwap,
     compose,
     composite,
@@ -438,7 +445,7 @@ def test_operator_matrix_matches_the_probing_oracle(field):
         shape = (rng.randint(1, 3), rng.randint(1, 3))
         terms = random_equation(rng, field, shape)
         expected = probing_operator_matrix(dense_term_operator(terms), field, shape)
-        assert _operator_matrix(field, shape, terms) == expected
+        assert operator_matrix(field, shape, terms) == expected
         for _c, left, a, b, right in terms:
             seen.update({"several terms"} if len(terms) > 1 else set())
             padded = "a, b > 1, " if a > 1 and b > 1 else ""
@@ -451,11 +458,9 @@ def test_operator_matrix_matches_the_probing_oracle(field):
 def probing_kernel(field, shape, equations):
     """The kernel of the stacked probing matrices of the equations, by dense elimination."""
     blocks = [probing_operator_matrix(dense_term_operator(t), field, shape) for t in equations]
-    system = LinMap(field, sum(b.cod for b in blocks), shape[0] * shape[1],
-                    tuple(x for b in blocks for x in b.entries))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linalg, "_reduce", dense_reduce)
-        return kernel_basis(system)
+    rows = [list(b.row_at(r)) for b in blocks for r in range(b.cod)]
+    pivots = dense_reduce(field, rows, shape[0] * shape[1])
+    return reference_null_vectors(field, dict(zip(pivots, rows)), shape[0] * shape[1])
 
 
 def test_matrix_equations_match_the_probing_oracle():
@@ -589,6 +594,36 @@ def test_nonzeros_are_listed_once_per_map(monkeypatch):
     assert [by_col for m, by_col in listed if m is mult] == [True]
 
 
+@pytest.mark.parametrize("field", [QQ, F2, GF(3)], ids=str)
+def test_maps_written_from_nonzeros_list_them_without_a_scan(monkeypatch, field):
+    # from_nonzeros and composite keep the positions they write; the lists
+    # equal those a scan of an equal map finds, written zeros are not
+    # listed, and over Q only the written positions are tested for truth
+    rng = random.Random(2615 + field.char)
+    f, g = sparse_random_map(rng, field, 4, 5), sparse_random_map(rng, field, 5, 3)
+    written = [
+        LinMap.from_nonzeros(field, 4, 5, [(r, c, f[r, c]) for r in range(4) for c in range(5)]),
+        LinMap.from_nonzeros(field, 2, 2, [(0, 0, 0), (1, 1, 1), (1, 0, -1)]),
+        compose(f, g), kron(f, g), composite([(g, 1, 1), (f, 1, 1)], 3),
+    ]
+    scanned = [LinMap(m.field, m.cod, m.dom, m.entries) for m in written]
+    truth = []
+    monkeypatch.setattr(Fraction, "__bool__", lambda x: truth.append(x) or x.numerator != 0)
+    for m, copy in zip(written, scanned):
+        positions = m._kept[None]
+        assert positions == sorted(set(positions))
+        lists = (m.nonzeros(by_col=False), m.nonzeros(by_col=True))
+        assert len(truth) <= 2 * len(positions)  # once per orientation
+        assert lists == (copy.nonzeros(by_col=False), copy.nonzeros(by_col=True))
+        truth.clear()
+    assert len(written[2]._kept[None]) < len(written[2].entries)
+    minus_one = field.char - 1 if field.char else -1
+    assert written[1].nonzeros(by_col=False) == [[], [(0, minus_one), (1, 1)]]
+    # a composite fills its zeros with one shared object
+    product = written[2]
+    assert len({id(x) for x in product.entries if not x}) <= 1
+
+
 def test_matrix_equations_on_zero_shapes():
     terms = [(1, None, 1, 1, None)]
     assert matrix_equation_kernel(QQ, (0, 2), [terms]) == []
@@ -598,11 +633,11 @@ def test_matrix_equations_on_zero_shapes():
 
 def test_matrix_equation_term_shape_errors():
     with pytest.raises(DimensionMismatch):
-        _operator_matrix(QQ, (2, 2), [(1, LinMap.identity(QQ, 3), 1, 1, None)])
+        operator_matrix(QQ, (2, 2), [(1, LinMap.identity(QQ, 3), 1, 1, None)])
     with pytest.raises(DimensionMismatch):
-        _operator_matrix(QQ, (2, 2), [(1, None, 1, 1, LinMap.identity(QQ, 3))])
+        operator_matrix(QQ, (2, 2), [(1, None, 1, 1, LinMap.identity(QQ, 3))])
     with pytest.raises(DimensionMismatch):
-        _operator_matrix(QQ, (2, 2), [(1, None, 1, 1, None), (1, None, 2, 1, None)])
+        operator_matrix(QQ, (2, 2), [(1, None, 1, 1, None), (1, None, 2, 1, None)])
 
 
 def elimination_cases(rng, field):
@@ -636,14 +671,99 @@ def test_elimination_matches_the_dense_oracle(field):
         square = LinMap(field, n, n, tuple(f[r, c] for r in range(n) for c in range(n)))
         targets = [f.apply(sparse_random_map(rng, field, f.dom, 1).entries),
                    sparse_random_map(rng, field, 1, f.cod).entries]
+        assert (rref(f), kernel_basis(f), [solve(f, t) for t in targets],
+                outcome(invert, square), rank(f)) == \
+            (reference_rref(f), reference_kernel_basis(f),
+             [reference_solve(f, t) for t in targets], outcome(reference_invert, square),
+             reference_rank(f))
 
-        def results():
-            return (rref(f), kernel_basis(f), [solve(f, t) for t in targets],
-                    outcome(invert, square), rank(f))
-        got = results()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(linalg, "_reduce", dense_reduce)
-            assert got == results()
+
+def assert_canonical(field, values):
+    """Every value a canonical scalar: a Fraction over Q, an int in [0, p) over F_p."""
+    for v in values:
+        if field.char:
+            assert type(v) is int and 0 <= v < field.char, v
+        else:
+            assert type(v) is Fraction, v
+
+
+def echelon_cases(rng, field):
+    """(kind, map) for each kind the echelon must treat: empty shapes, zero
+    maps, zero rows and columns, duplicate rows, rank-deficient products,
+    square, wide and tall; half of them written from their nonzeros (kept
+    positions) and half from dense entries (scanned)."""
+    zero = field.zero()
+    for cod, dom in [(0, 0), (0, 4), (4, 0), (1, 1), (3, 3), (5, 5), (2, 6), (6, 2), (3, 7),
+                     (7, 3)]:
+        f = sparse_random_map(rng, field, cod, dom)
+        yield "random", f
+        yield "zero", LinMap.zero(field, cod, dom)
+        yield "kept", LinMap.from_nonzeros(field, cod, dom, [
+            (r, c, f[r, c]) for r in range(cod) for c in range(dom)])
+        if not (cod and dom):
+            continue
+        inner = rng.randrange(min(cod, dom))
+        yield "rank-deficient", compose(sparse_random_map(rng, field, cod, inner),
+                                        sparse_random_map(rng, field, inner, dom))
+        blank_row, blank_col = rng.randrange(cod), rng.randrange(dom)
+        yield "zero row and column", LinMap(field, cod, dom, tuple(
+            zero if r == blank_row or c == blank_col else f[r, c]
+            for r in range(cod) for c in range(dom)))
+        if cod > 1:
+            rows = [f.row_at(r) for r in range(cod)]
+            rows[-1] = rows[0]
+            yield "duplicate rows", LinMap(field, cod, dom, sum(rows, ()))
+
+
+@pytest.mark.parametrize("field", [QQ, F2, GF(3), GF(5)], ids=str)
+def test_sparse_echelon_matches_the_dense_reference(field):
+    # rref (entries and pivots), rank, kernel_basis, solve, invert and the
+    # rank Singular carries, entry for entry against the dense routines the
+    # library once ran, and every entry a canonical scalar
+    rng = random.Random(2611 + field.char)
+    seen = set()
+    for kind, f in echelon_cases(rng, field):
+        seen.add(kind)
+        echelon, pivots = rref(f)
+        assert (echelon, pivots) == reference_rref(f), kind
+        assert_canonical(field, echelon.entries)
+        assert rank(f) == reference_rank(f) == len(pivots)
+        basis = kernel_basis(f)
+        assert basis == reference_kernel_basis(f), kind
+        assert_canonical(field, [x for vec in basis for x in vec])
+        image = f.apply(sparse_random_map(rng, field, f.dom, 1).entries)
+        for target in (image, (0,) * f.cod, sparse_random_map(rng, field, 1, f.cod).entries,
+                       *([(0,) * i + (1,) + (0,) * (f.cod - i - 1) for i in range(f.cod)])):
+            solution = solve(f, target)
+            assert solution == reference_solve(f, target), kind
+            seen.add("inconsistent" if solution is None else "consistent")
+            if solution is not None:
+                assert_canonical(field, solution)
+                assert f.apply(solution) == tuple(field.coerce(t) for t in target)
+        n = min(f.cod, f.dom)
+        for square in (LinMap(field, n, n, tuple(f[r, c] for r in range(n) for c in range(n))),
+                       *([f] if f.cod == f.dom else [])):
+            inverse = outcome(invert, square)
+            assert inverse == outcome(reference_invert, square), kind
+            if isinstance(inverse, LinMap):
+                assert_canonical(field, inverse.entries)
+                seen.add("invertible")
+            else:
+                seen.add("singular of positive rank" if inverse[1] else "singular")
+    assert seen == {"random", "zero", "kept", "rank-deficient", "zero row and column",
+                    "duplicate rows", "consistent", "inconsistent", "invertible", "singular",
+                    "singular of positive rank"}
+
+
+@pytest.mark.parametrize("field", [QQ, F2, GF(3), GF(5)], ids=str)
+def test_matrix_equation_kernel_matches_the_dense_reference(field):
+    rng = random.Random(2612 + field.char)
+    for _ in range(40):
+        shape = (rng.randint(1, 3), rng.randint(1, 3))
+        equations = [random_equation(rng, field, shape) for _ in range(rng.randint(1, 3))]
+        kernel = matrix_equation_kernel(field, shape, equations)
+        assert kernel == reference_matrix_equation_kernel(field, shape, equations)
+        assert_canonical(field, [x for f in kernel for x in f.entries])
 
 
 # -- swap --------------------------------------------------------------------

@@ -1,7 +1,9 @@
 
 import functools
 import itertools
+import random
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -693,3 +695,79 @@ def test_dual_hopf_check_sweedler_antipode_square(sweedler4):
     assert not square.is_identity()
     solved = find_antipode(dual.bialgebra)
     assert solved is not None and solved.antipode == dual.antipode
+
+
+def _densified(field, rows, n):
+    """Sparse rows {column: value} as dense rows of canonical scalars, with
+    every value checked: nonzero, an int in [0, p) over F_p, an int or a
+    Fraction over Q (never a float)."""
+    for row in rows:
+        for c, v in row.items():
+            assert 0 <= c < n and v
+            assert (type(v) is int and 0 < v < field.char) if field.char else \
+                type(v) in (int, Fraction)
+    return [[field.coerce(row.get(c, 0)) for c in range(n)] for row in rows]
+
+
+def _q_c2_family():
+    q = cyclic_group_hopf(QQ, 2).algebra
+    return [regular_measuring(q), *[
+        Measuring(q, trivial_algebra(QQ), 1, LinMap.from_rows(QQ, [row]))
+        for row in ([1, 1], [1, -1])]]
+
+
+_SPAN_FAMILIES = {
+    "F2[C2] -> F2[y]/(y^2), n <= 2": lambda: _dual_numbers_representatives(2),
+    "F3[C3] -> F3[y]/(y2), n <= 2": lambda: _table_generators("F3[C3] -> F3[y]/(y2), n <= 2"),
+    "F3[C3] -> F3, n <= 2": lambda: _census_representatives(
+        cyclic_group_hopf(GF(3), 3).algebra, 2),
+    "regular Q[C3]": lambda: [regular_measuring(cyclic_group_hopf(QQ, 3).algebra)],
+    "regular sweedler/Q": lambda: [regular_measuring(sweedler_hopf(QQ).algebra)],
+    "Q[C2]: regular, trivial and sign": _q_c2_family,
+    "none": list,
+}
+
+
+@pytest.mark.parametrize("family", list(_SPAN_FAMILIES))
+def test_span_of_words_matches_the_dense_reference(family):
+    from _oracles import reference_span_of_words
+    from sweedler.reconstruction import _span_of_words
+
+    gens = _SPAN_FAMILIES[family]()
+    k = gens[0].field if gens else F2
+    xdims = [m.xdim for m in gens]
+    starts = [sum(x * x for x in xdims[:i]) for i in range(len(xdims))]
+    total = sum(x * x for x in xdims)
+    rows, section = _span_of_words(k, gens, starts, total)
+    ref_rows, ref_section = reference_span_of_words(k, gens, starts, total)
+    assert _densified(k, rows, total) == ref_rows
+    assert section == ref_section
+    if gens:
+        g = reconstruct(gens)
+        for m in (*g.projections, g.section, g.d.comult, g.d.counit, g.pairing):
+            assert all(type(x) is (int if k.char else Fraction) for x in m.entries)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, GF(3), GF(5)], ids=str)
+def test_quotient_by_rows_matches_the_dense_reference(field):
+    # zero rows, duplicate rows, rank-deficient and full-rank relation sets
+    from _oracles import reference_quotient_by_rows
+    from sweedler.reconstruction import _quotient_by_rows
+
+    rng = random.Random(2613 + field.char)
+    scalars = ([1, -1, 2, Fraction(1, 2), Fraction(-3, 4)] if not field.char
+               else range(1, field.char))
+    for n, count in [(0, 0), (1, 2), (4, 0), (4, 6), (6, 3), (8, 8), (5, 12)]:
+        for _ in range(4):
+            rows = [{c: rng.choice(scalars) for c in range(n) if rng.random() < 0.4}
+                    for _ in range(count)]
+            if len(rows) > 2:
+                rows[-1] = dict(rows[0])
+                rows[1] = {}
+            dense = _densified(field, rows, n)
+            got_rows, got_section = _quotient_by_rows(field, n, [dict(r) for r in rows])
+            ref_rows, ref_section = reference_quotient_by_rows(field, n, dense)
+            assert [tuple(r) for r in _densified(field, got_rows, n)] == ref_rows
+            assert got_section == ref_section
+            assert all(type(x) is (int if field.char else Fraction)
+                       for x in got_section.entries)

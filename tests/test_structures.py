@@ -500,6 +500,20 @@ def test_word_span_matches_the_batch_reference(algebra_corpus, bialgebra_corpus)
         assert _word_span(a) == word_span(a), name
 
 
+def test_word_span_coordinates_are_canonical(algebra_corpus, bialgebra_corpus):
+    # the sparse echelon computes over Q on ints; what it returns is canonical
+    fields = set()
+    for name, a in _span_algebras(algebra_corpus, bialgebra_corpus):
+        k = a.field
+        fields.add(k)
+        _, stages, coords = _word_span(a)
+        values = [c for _, relations in stages for _, _, combo in relations for _, c in combo]
+        values += [c for coord in coords for _, c in coord]
+        for c in values:
+            assert (type(c) is int and 0 < c < k.char) if k.char else type(c) is Fraction, name
+    assert QQ in fields and len(fields) > 2
+
+
 def _grouplike_coalgebras(algebra_corpus, bialgebra_corpus):
     out = [(f"dual {name}", dual_coalgebra(a)) for name, a in algebra_corpus]
     out += [(name, b.coalgebra) for name, b in bialgebra_corpus]
@@ -585,10 +599,11 @@ def test_morphisms_from_a_large_diagonal_algebra_raise_without_elimination(monke
         calls.append(args)
         return reduce(*args)
 
-    reduce = linalg._reduce
-    # patched wherever the name may be bound, so a call by an imported name counts too
+    reduce = linalg._echelon
+    # the batch echelon, patched wherever the name may be bound, so a call by
+    # an imported name counts too; the word span grows one echelon instead
     for module in (linalg, structures):
-        monkeypatch.setattr(module, "_reduce", counted, raising=False)
+        monkeypatch.setattr(module, "_echelon", counted, raising=False)
     # e_0, ..., e_88 are generators; e_89 is the unit minus them
     with pytest.raises(BudgetExceeded) as raised:
         algebra_morphisms(diagonal_algebra(F2, 90), trivial_algebra(F2))
