@@ -94,7 +94,14 @@ def _read_measuring(path: str, loaded: dict) -> docs.MeasuringDocument:
 
 
 def _matrix(f: LinMap) -> list[list[str]]:
-    return [docs.show_vector(f.field, f.row_at(r)) for r in range(f.cod)]
+    """The shown rows of f: copies of a shown zero row, with f's nonzeros shown."""
+    show = f.field.show
+    zero = [show(f.field.zero())] * f.dom
+    rows = [zero.copy() for _ in range(f.cod)]
+    for row, nonzeros in zip(rows, f.nonzeros(by_col=False)):
+        for c, v in nonzeros:
+            row[c] = show(v)
+    return rows
 
 
 def _kind(value) -> str:

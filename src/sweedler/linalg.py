@@ -589,11 +589,11 @@ def _term_nonzeros(field: Field, shape: tuple[int, int],
 def _summed_rows(field: Field, shape: tuple[int, int],
                  terms: Sequence[Term]) -> tuple[int, dict[int, dict]]:
     """The number of rows of the matrix of X -> sum of the terms, and its
-    nonzeros by row, {row: {column: nonzero}}: each term's nonzeros summed
-    into one sparse row per row it writes.  A term's nonzeros are written
-    once and kept on its L, or on its R when L is None, keyed by the
-    unknown's shape, its scalar, its padding, the side and the other map (by
-    value)."""
+    nonzero rows, {row: {column: nonzero}}: each term's nonzeros summed
+    into one sparse row per row it writes, and a row dropped once it
+    cancels to nothing.  A term's nonzeros are written once and kept on its
+    L, or on its R when L is None, keyed by the unknown's shape, its scalar,
+    its padding, the side and the other map (by value)."""
     p = field.char
     out_shape = None
     rows: dict = {}
@@ -619,6 +619,8 @@ def _summed_rows(field: Field, shape: tuple[int, int],
                     row[j] = v
                 else:
                     del row[j]
+            if not row:  # a row that cancels is no equation
+                del rows[r]
     return (out_shape[0] * out_shape[1] if out_shape else 0), rows
 
 

@@ -19,7 +19,8 @@ a time stacked into one sparse vector of nonzeros (``linalg.apply_slot``),
 and the reduced images are compared; the first basis tensor where they
 differ is the witness.  No composite is built, so the cost follows the
 nonzeros and not dim^4 or dim^5.  Coassociativity compares the transposed
-chains, so its witness is the first differing row.  Validators, morphism
+chains, so its witness is the first differing row; equality is decided on
+the smaller side, columns or rows (:func:`_differ_at`).  Validators, morphism
 tests, measurings and the checks of reconstructed stages all write their
 identities as axioms.  Constructions write their structure maps in the same
 notation: a fusion operator, a tensor product algebra or a tensor product of
@@ -278,8 +279,8 @@ def _unflatten(index: int, dims: tuple[int, ...]) -> tuple:
 
 
 class Axiom(NamedTuple):
-    """Two chains with the same composite k^dims -> ..., checked column by
-    column; with ``by_row`` row by row, as the transposed chains are."""
+    """Two chains with the same composite k^dims -> ..., whose witness is the
+    first column at which they differ; with ``by_row``, the first row."""
 
     name: str
     lhs: Sequence[Factor]
@@ -301,7 +302,11 @@ def _failures(axioms: Sequence[Axiom]) -> list[Failure]:
 
 def _differ_at(axiom: Axiom) -> int | None:
     """The first basis vector, in index order, that the axiom's two chains
-    send to different vectors, or None when the composites agree.
+    send to different vectors, or None when the composites agree.  Two
+    composites are equal exactly when their transposes are, so equality is
+    decided first on the side with fewer basis vectors, the columns or the
+    rows, counted off the factors' shapes (on a tie, the axiom's own side);
+    only when the composites differ is the axiom's own side run for the witness.
 
     Both chains run on blocks of consecutive basis vectors, one factor at a
     time (``linalg._chain_images``, which :func:`~sweedler.linalg.composite`
@@ -312,10 +317,20 @@ def _differ_at(axiom: Axiom) -> int | None:
     reversed, each transposed) are compared, so the index is the first row
     at which the composites differ.
     """
-    dom = prod(axiom.dims)
+    n, by_row = prod(axiom.dims), axiom.by_row
+    other = n  # the other side's size: the lhs codomain (by row, its domain)
+    for t, a, b in axiom.lhs[:1] if by_row else axiom.lhs[-1:]:
+        other = a * (t.dom if by_row else t.cod) * b
+    if other < n and _first_difference(axiom, not by_row, other) is None:
+        return None
+    return _first_difference(axiom, by_row, n)
+
+
+def _first_difference(axiom: Axiom, transposed: bool, dom: int) -> int | None:
+    """:func:`_differ_at` on one side: the basis vectors of k^dom."""
     if dom == 0:
         return None
-    chains = [_chain_steps(chain, axiom.by_row) for chain in (axiom.lhs, axiom.rhs)]
+    chains = [_chain_steps(chain, transposed) for chain in (axiom.lhs, axiom.rhs)]
     cod = dom
     for _, meet, free, _ in chains[0]:
         cod = cod // meet * free

@@ -9,6 +9,7 @@ import itertools
 from collections import deque
 from collections.abc import Sequence
 from itertools import compress
+from math import prod
 from operator import itemgetter
 
 from sweedler.errors import (
@@ -20,7 +21,10 @@ from sweedler.errors import (
 )
 from sweedler.fields import Field, same_field
 from sweedler.linalg import (
+    _BLOCK,
     LinMap,
+    _chain_images,
+    _chain_steps,
     _summed_rows,
     compose,
     composite,
@@ -38,6 +42,7 @@ from sweedler.structures import (
     DEFAULT_BUDGET,
     Algebra,
     Coalgebra,
+    _live,
     _vectors,
     coopposite,
     general_linear_group,
@@ -862,6 +867,33 @@ def dense_measuring_failures(m):
     _dense_check(failures, "measuring unit", compose_slot(m.psi, m.a.unit, 1, x, after=False),
                  dense_kron(LinMap.identity(k, x), m.b.unit), (x,))
     return failures
+
+
+def reference_differ_at(axiom) -> int | None:
+    """The engine of ``structures._differ_at`` on the axiom's documented side
+    only: the first basis vector (by row, the first row) at which the two
+    chains differ, found by running every basis vector of that side, or None."""
+    dom = prod(axiom.dims)
+    if dom == 0:
+        return None
+    chains = [_chain_steps(chain, axiom.by_row) for chain in (axiom.lhs, axiom.rhs)]
+    cod = dom
+    for _, meet, free, _ in chains[0]:
+        cod = cod // meet * free
+    p = (axiom.lhs or axiom.rhs)[0][0].field.char
+    candidates = range(dom)
+    if dom > _BLOCK:
+        live = [_live(steps, dom) for steps in chains]
+        if None not in live:
+            candidates = sorted({*live[0], *live[1]})
+    for start in range(0, len(candidates), _BLOCK):
+        block = candidates[start:start + _BLOCK]
+        left, right = (_chain_images(steps, block, dom, p) for steps in chains)
+        if left != right:
+            first = min(idx for idx in left.keys() | right.keys()
+                        if left.get(idx) != right.get(idx))
+            return block[first // cod]
+    return None
 
 
 def dense_homogeneity_failures(name, f, cod_degs, dom_degs):

@@ -4,7 +4,8 @@ Every structure of the corpus and the committed fixtures, and every
 measuring fixture, is broken one structure constant at a time at seeded
 positions.  The checks must report the same (axiom, witness) pairs, in the
 same order, as the dense composites of ``_oracles`` compared column by column
-(row by row for coassociativity).
+(row by row for coassociativity).  Each axiom, decided on its smaller side,
+must also give the index that running its documented side alone gives.
 """
 
 import random
@@ -19,13 +20,24 @@ from _oracles import (
     dense_coalgebra_failures,
     dense_homogeneity_failures,
     dense_measuring_failures,
+    reference_differ_at,
 )
 
+import sweedler.graded as graded
+import sweedler.measurings as measurings
+import sweedler.reconstruction as reconstruction
+import sweedler.structures as structures
 from sweedler.documents import parse_document, parse_measuring_document
-from sweedler.fields import GF
+from sweedler.fields import GF, QQ
 from sweedler.graded import _homogeneity_failures, assemble, koszul_swap, parts
 from sweedler.linalg import LinMap, compose, kron, swap_map
-from sweedler.measurings import Measuring, regular_measuring, validate_measuring
+from sweedler.measurings import (
+    Measuring,
+    enumerate_measurings,
+    regular_measuring,
+    validate_measuring,
+)
+from sweedler.reconstruction import _classified_comodule, reconstruct, validate_comodule
 from sweedler.structures import (
     Algebra,
     Bialgebra,
@@ -40,6 +52,7 @@ from sweedler.zoo import (
     corpus_bialgebras,
     corpus_hopf_algebras,
     cyclic_group_hopf,
+    dual_numbers,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -222,3 +235,83 @@ def test_morphism_checks_agree_with_the_dense_identities(seed):
             assert is_coalgebra_morphism(f, c, c) == (
                 compose(c.counit, f) == c.counit
                 and compose(c.comult, f) == compose(kron(f, f), c.comult))
+
+
+def test_each_axiom_decides_as_its_documented_side_does(monkeypatch):
+    # every axiom that the structures, measurings, reconstructed stages and
+    # morphism tests of this module hand to the engine, valid and broken:
+    # deciding on the smaller side and rerunning the documented one for the
+    # witness gives what the documented side alone gives
+    axioms = []
+    collect = structures._failures
+
+    def collecting(batch):
+        batch = list(batch)
+        axioms.extend(batch)
+        return collect(batch)
+
+    for module in (structures, graded, measurings, reconstruction):
+        monkeypatch.setattr(module, "_failures", collecting)
+    rng = random.Random(15)
+    for value in _structures():
+        for v in (value, *_structure_mutants(value, rng)):
+            v.report
+    for m in _measurings():
+        for v in (m, *_measuring_mutants(m, rng)):
+            validate_measuring(v)
+    # stages spanned and stages by coend, and their comodules, broken too
+    a, b = cyclic_group_hopf(GF(2), 2).algebra, dual_numbers(GF(2))
+    reps = [rep for n in (1, 2) for rep, _ in enumerate_measurings(a, b, n).orbits]
+    stages = [reconstruct(reps), reconstruct(reps, morphisms=[])]
+    stages += [reconstruct([m]) for m in _measurings()]
+    for g in stages:
+        for p, m in zip(g.projections, g.generators):
+            delta = _classified_comodule(p, g.d.dim, m.xdim)
+            assert validate_comodule(delta, g.d)
+            validate_comodule(_changed(delta, rng), g.d)
+    for _, alg in corpus_algebras():
+        c = dual_coalgebra(alg)
+        ident = LinMap.identity(alg.field, alg.dim)
+        for f in [ident] + [_changed(ident, rng) for _ in range(POSITIONS)]:
+            is_algebra_morphism(f, alg, alg)
+            is_coalgebra_morphism(f, c, c)
+    monkeypatch.undo()
+    names = {axiom.name for axiom in axioms}
+    assert ALL_AXIOMS | {"coassociative", "counital", "multiplicative in A", "unital",
+                         "multiplicative", "comultiplicative"} <= names
+    differing = 0
+    for axiom in axioms:
+        expected = reference_differ_at(axiom)
+        assert structures._differ_at(axiom) == expected, axiom.name
+        differing += expected is not None
+    assert len(axioms) > 5000 and differing > 2000
+
+
+def test_associativity_and_coassociativity_run_on_dim_basis_vectors(monkeypatch):
+    # valid values: each axiom is decided on its smaller side only, so no
+    # chain runs on the d^3 basis tensors, and the counit is multiplicative
+    # on its one row
+    runs = []
+    differ_at, chain_images = structures._differ_at, structures._chain_images
+    current = []
+
+    def naming(axiom):
+        current.append(axiom.name)
+        return differ_at(axiom)
+
+    def recording(steps, block, dom, p):
+        runs.append((current[-1], dom))
+        return chain_images(steps, block, dom, p)
+
+    monkeypatch.setattr(structures, "_differ_at", naming)
+    monkeypatch.setattr(structures, "_chain_images", recording)
+    for value in (cyclic_group_hopf(QQ, 8), matrix_algebra(trivial_algebra(GF(2)), 3)):
+        runs.clear()
+        assert value.report.ok
+        d = value.dim
+        assert d ** 3 not in {dom for _, dom in runs}
+        assert {dom for name, dom in runs if name == "associativity"} == {d}
+        if isinstance(value, Algebra):
+            continue
+        assert {dom for name, dom in runs if name == "coassociativity"} == {d}
+        assert {dom for name, dom in runs if name == "counit multiplicative"} == {1}

@@ -1,10 +1,12 @@
 import argparse
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 
@@ -17,8 +19,10 @@ from sweedler.documents import (
     MeasuringDocument,
     serialize_document,
     serialize_measuring_document,
+    show_vector,
 )
 from sweedler.fields import GF, QQ
+from sweedler.linalg import LinMap
 from sweedler.measurings import regular_measuring
 from sweedler.structures import dual_coalgebra
 from sweedler.zoo import cyclic_group_hopf
@@ -458,7 +462,7 @@ def test_two_paths_to_one_document_share_its_parse(parses, capsys, tmp_path):
     assert len(parses) == 2
 
 
-def _run_under_memory_limit(argv, limit_bytes):
+def _run_under_memory_limit(argv, limit_bytes, timeout=300):
     """Run the CLI in a child process whose address space is capped, so that a
     blow-up fails this test instead of exhausting the machine."""
     def cap():
@@ -467,7 +471,7 @@ def _run_under_memory_limit(argv, limit_bytes):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run([sys.executable, "-m", "sweedler", *argv], env=env,
-                          preexec_fn=cap, capture_output=True, text=True, timeout=300)
+                          preexec_fn=cap, capture_output=True, text=True, timeout=timeout)
 
 
 def test_wide_algebra_with_empty_mult_fails_validation_within_a_gib(tmp_path):
@@ -545,6 +549,41 @@ def test_regular_stage_of_q_c16_is_built_within_256_mib(tmp_path):
     report = json.loads(proc.stdout)["result"]
     assert report["d"]["dim"] == 16
     assert len(report["projections"]) == 1
+
+
+def test_long_truncated_dual_validates_within_256_mib(tmp_path):
+    # the dual of F2[y]/(y^40): coassociativity is decided on its 40 columns,
+    # not on the 64,000 rows of (Delta (x) 1).Delta
+    path = tmp_path / "dual_trunc40.json"
+    path.write_text(serialize_document(Document(dual_coalgebra(truncated_algebra(GF(2), 40)),
+                                                tuple(f"y{i}" for i in range(40)))))
+    proc = _run_under_memory_limit(["validate", str(path)], 256 << 20, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)["result"]
+    assert (report["kind"], report["dim"], report["valid"]) == ("coalgebra", 40, True)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_reported_matrices_show_every_dense_entry(field):
+    # shown from the nonzeros over copies of a shown zero row: the same rows
+    # as every entry shown, for zero rows, empty shapes, and over Q for
+    # Fractions, negative values and the ints the nonzeros are listed as
+    rng = random.Random(40 + field.char)
+    scalars = ([Fraction(1), Fraction(-1), Fraction(3), Fraction(-7, 3), Fraction(1, 2)]
+               if field.is_rational else range(1, field.char))
+    maps = [LinMap.zero(field, 0, 3), LinMap.zero(field, 3, 0), LinMap.zero(field, 0, 0),
+            LinMap.zero(field, 2, 3)]
+    for cod, dom in ((1, 1), (3, 4), (5, 2), (4, 7)):
+        entries = [0] * dom + [rng.choice(scalars) if rng.random() < 0.5 else 0
+                               for _ in range((cod - 1) * dom)]
+        f = LinMap.make(field, cod, dom, entries)
+        maps += [f, LinMap.from_nonzeros(field, cod, dom, [
+            (r, c, f[r, c]) for r in range(cod) for c in range(dom) if f[r, c]])]
+    maps.append(cyclic_group_hopf(field, 3).antipode)
+    listed = [v for f in maps for row in f.nonzeros(by_col=False) for _, v in row]
+    assert not field.is_rational or {int, Fraction} <= {type(v) for v in listed}
+    for f in maps:
+        assert cli._matrix(f) == [show_vector(f.field, f.row_at(r)) for r in range(f.cod)]
 
 
 @pytest.mark.parametrize("argv", [["enumerate-measurings", "k.json", "k.json", "1"],

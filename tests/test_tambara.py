@@ -208,6 +208,27 @@ def test_correspondence_converts_each_module_once(monkeypatch, inv_f2):
     assert len(calls) == report.module_count == 28
 
 
+def test_intertwiner_systems_pass_no_row_that_cancels(monkeypatch, inv_f2):
+    # both sides solve a Hom system for each of the 28 x 28 = 784 ordered
+    # pairs of modules; a summed row that cancels to nothing is dropped
+    # before elimination, which sees only equations
+    import sweedler.linalg as linalg
+
+    original = linalg._echelon
+    counts = {"rows": 0, "empty": 0}
+
+    def counted(k, rows, ncols):
+        rows = list(rows)
+        counts["rows"] += len(rows)
+        counts["empty"] += sum(not row for row in rows)
+        return original(k, rows, ncols)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    report = correspondence_check(inv_f2, dual_numbers(F2), 2)
+    assert report.ok and report.module_count == 28
+    assert counts["rows"] > 0 and counts["empty"] == 0
+
+
 def test_a_wrong_intertwiner_basis_fails_the_check(monkeypatch, capsys, inv_f2):
     import sweedler.measurings as measurings
 
