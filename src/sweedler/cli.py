@@ -260,9 +260,7 @@ def cmd_graded_check(args):
     connected = None
     if all(d >= 0 for d in space.degrees):
         connected = is_connected(space)
-    return {"valid": report.ok, "connected": connected,
-            "failures": [{"axiom": f.axiom, "witness": list(f.witness)}
-                         for f in report.failures]}, False
+    return {"valid": report.ok, "connected": connected, "failures": _failure_list(report)}, False
 
 
 def cmd_degree0(args):
@@ -394,11 +392,15 @@ def _report(args, payload: dict, is_document: bool) -> str:
 def _error_report(args, exc: Exception) -> str:
     report = {"command": args.command, "status": "error",
               "error": type(exc).__name__, "message": str(exc)}
-    failures = getattr(exc, "report", None)
-    if failures is not None:
-        report["failures"] = [{"axiom": f.axiom, "witness": list(f.witness)}
-                              for f in failures.failures]
+    checked = getattr(exc, "report", None)
+    if checked is not None:
+        report["failures"] = _failure_list(checked)
     return docs.canonical_json(report)
+
+
+def _failure_list(report) -> list[dict]:
+    """The failures of an axiom report, one {"axiom", "witness"} each."""
+    return [{"axiom": f.axiom, "witness": list(f.witness)} for f in report.failures]
 
 
 def _run(args) -> tuple[int, str]:

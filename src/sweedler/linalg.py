@@ -30,21 +30,18 @@ layouts of a measuring psi, its matrix morphism A -> M_n(B), a comodule, its
 classifying coend morphism and a stack of module matrices all convert
 through it.
 
-Linear equations on a matrix unknown X (intertwiner and Tambara module Hom
-spaces) are sums of terms ``(c, L, a, b, R)``, each the map
-X -> c.L.(1_a (x) X (x) 1_b).R with None for an identity L or R.
-:func:`_term_nonzeros` writes one term's operator in row-major vec
-coordinates straight from the nonzeros: each nonzero of L on a column
-(alpha, i, beta) meets the nonzeros of R on the rows (alpha, j, beta), and no
-image of a matrix unit is computed.  An equation sums its terms' nonzeros into
-one sparse row per row it writes, and those go straight to elimination.
+The one matrix equation solved is that of intertwiners, (X (x) 1_b).psi1 =
+psi2.(1_a (x) X) for an unknown X (of measurings; of Tambara modules with
+a = b = 1 for each generator).  :func:`_side` writes each side's rows in
+row-major vec coordinates straight from psi's row nonzeros, and
+:func:`_equation_rows` sums the two sides into sparse rows for elimination.
 
 A map is a value, so what is read off it is kept on it: :meth:`LinMap.nonzeros`
-lists a map's nonzeros once, for every chain and every term it appears in,
+lists a map's nonzeros once, for every chain and equation it appears in,
 from the positions it was written at when it was written from its nonzeros,
-and a term's written nonzeros are kept on its L (on its R when L is the
-identity), keyed by everything else the term holds, the other map by value.
-A loop over many pairs of maps writes each term once, with no table to pass.
+and a side of an equation is kept on its psi, keyed by the side, the other
+size, a and b.  A loop over many pairs writes each side once, with no table
+to pass.
 
 Elimination is one reduced echelon {pivot column: row} of sparse rows
 {column: nonzero}, taken from kept nonzeros; over Q the values stay ints
@@ -111,6 +108,8 @@ class LinMap:
                 raise DimensionMismatch(f"entry ({r}, {c}) outside a {cod}x{dom} map")
             written.append(pos := r * dom + c)
             out[pos] = field.coerce(v)
+        if len(set(written)) < len(written):
+            raise DimensionMismatch(f"a position of a {cod}x{dom} map given twice")
         return LinMap(field, cod, dom, tuple(out))._written(written)
 
     @staticmethod
@@ -167,7 +166,7 @@ class LinMap:
     @cached_property
     def _kept(self) -> dict:
         """What is read off this map, kept: its nonzeros by orientation, and
-        the nonzeros of the matrix-equation terms on it (:func:`_summed_rows`);
+        the rows of the matrix-equation sides written from it (:func:`_side`);
         under None, the positions of its nonzeros, when it was written from them."""
         return {}
 
@@ -529,130 +528,81 @@ def _solution(k: Field, rows: list[dict], n: int) -> tuple | None:
 
 # matrix equations ----------------------------------------------------------
 
-# One term (c, L, a, b, R) of an equation is the map X -> c.L.(1_a (x) X (x) 1_b).R
-# on matrices X; L or R is None for an identity.
-Term = tuple[object, LinMap | None, int, int, LinMap | None]
+Equation = tuple[LinMap, LinMap, int, int]  # (psi1, psi2, a, b): see matrix_equation_kernel
 
 
-def _term_nonzeros(field: Field, shape: tuple[int, int],
-                   term: Term) -> tuple[tuple[int, int], dict[int, list[tuple]]]:
-    """The shape (rows, cols) of a term's images, and the nonzeros of its
-    operator X -> c.L.(1_a (x) X (x) 1_b).R by row, {row: [(column, value)]},
-    in row-major vec coordinates on both sides.
-
-    The column of X's entry (i, j) is the image of the matrix unit E_ij, and
-    L.(1_a (x) E_ij (x) 1_b).R = sum over (alpha, beta) of L's column
-    (alpha, i, beta) times R's row (alpha, j, beta); so each nonzero of L on
-    such a column meets the nonzeros of R on the rows (alpha, j, beta).
-    Over Q the products run on ints where the denominators are 1, as
-    :meth:`LinMap.nonzeros` lists them, and are written as they come.
-    """
-    k = field
-    p = k.char
-    c, left, a, b, right = term
-    c = k.coerce(c)
-    if not p and c.denominator == 1:
-        c = c.numerator
-    cod, dom = shape
-    nvars = cod * dom
-    mid_cod, mid_dom = a * cod * b, a * dom * b
-    if (left is not None and left.dom != mid_cod) or (right is not None and right.cod != mid_dom):
-        raise DimensionMismatch(f"term does not fit a {cod}x{dom} unknown")
-    cols = mid_dom if right is None else right.dom
-    # (r, s, value) for the nonzeros of L, and R's nonzeros (column, value) by row
-    if left is None:
-        left_nz = [(s, s, c) for s in range(mid_cod)]
-    else:
-        left_nz = [(r, s, c * v) for r, row in enumerate(left.nonzeros(by_col=False))
-                   for s, v in row]
-    right_rows = [[(t, 1)] for t in range(mid_dom)] if right is None else right.nonzeros(False)
-    out: dict = {}
-    for r, s, lv in left_nz:
-        alpha, rest = divmod(s, cod * b)
-        i, beta = divmod(rest, b)
-        base = r * cols * nvars + i * dom
-        for j in range(dom):
-            for col, rv in right_rows[(alpha * dom + j) * b + beta]:
-                idx = base + col * nvars + j
-                acc = lv * rv
-                if idx in out:
-                    acc += out[idx]
-                out[idx] = acc % p if p else acc
-    by_row: dict = {}
-    for idx, v in out.items():
-        if v:
-            row, var = divmod(idx, nvars)
-            by_row.setdefault(row, []).append((var, v))
-    return (mid_cod if left is None else left.cod, cols), by_row
+def _side(psi: LinMap, n: int, other: int, a: int, b: int, x_first: bool) -> dict:
+    """A side of an equation as sparse rows {row: [(column, value)]} in
+    row-major vec coordinates, written from psi's row nonzeros and kept on
+    psi: (X (x) 1_b).psi for an other x n unknown X with ``x_first``, else
+    minus psi.(1_a (x) X) for an n x other X."""
+    kept, key = psi._kept, (x_first, other, a, b)
+    if key not in kept:
+        p, out = psi.field.char, {}
+        for r, row in enumerate(psi.nonzeros(by_col=False)):
+            if x_first:  # psi's (j, beta), c meets X's (i, j) at row (i, beta), column c
+                j, beta = divmod(r, b)
+                for i in range(other):
+                    var, base = i * n + j, (i * b + beta) * psi.dom
+                    for c, v in row:
+                        out.setdefault(base + c, []).append((var, v))
+            else:  # psi's r, (alpha, i) meets X's (i, j) at row r, column (alpha, j)
+                for s, v in row:
+                    alpha, i = divmod(s, n)
+                    base, minus = (r * a + alpha) * other, p - v if p else -v
+                    for j in range(other):
+                        out.setdefault(base + j, []).append((i * other + j, minus))
+        kept[key] = out
+    return kept[key]
 
 
-def _summed_rows(field: Field, shape: tuple[int, int],
-                 terms: Sequence[Term]) -> tuple[int, dict[int, dict]]:
-    """The number of rows of the matrix of X -> sum of the terms, and its
-    nonzero rows, {row: {column: nonzero}}: each term's nonzeros summed
-    into one sparse row per row it writes, and a row dropped once it
-    cancels to nothing.  A term's nonzeros are written once and kept on its
-    L, or on its R when L is None, keyed by the unknown's shape, its scalar,
-    its padding, the side and the other map (by value)."""
-    p = field.char
-    out_shape = None
-    rows: dict = {}
-    for term in terms:
-        c, left, a, b, right = term
-        owner, key = ((right, (shape, c, a, b, "right", None)) if left is None
-                      else (left, (shape, c, a, b, "left", right)))
-        kept = {} if owner is None else owner._kept
-        if key not in kept:
-            kept[key] = _term_nonzeros(field, shape, term)
-        term_shape, nonzeros = kept[key]
-        if out_shape not in (None, term_shape):
-            raise DimensionMismatch(f"term does not fit a {shape[0]}x{shape[1]} unknown")
-        out_shape = term_shape
-        for r, entries in nonzeros.items():
-            row = rows.get(r)
-            if row is None:
-                rows[r] = dict(entries)
-                continue
-            for j, v in entries:
-                v = (v + row.get(j, 0)) % p if p else v + row.get(j, 0)
-                if v:
-                    row[j] = v
-                else:
-                    del row[j]
-            if not row:  # a row that cancels is no equation
-                del rows[r]
-    return (out_shape[0] * out_shape[1] if out_shape else 0), rows
+def _equation_rows(shape: tuple[int, int], equation: Equation) -> dict[int, dict]:
+    """The nonzero rows {row: {column: nonzero}} of an equation on a ``shape``
+    unknown: its two kept sides summed, a row dropped once it cancels."""
+    (n2, n1), (psi1, psi2, a, b) = shape, equation
+    if (psi1.cod, psi1.dom, psi2.cod, psi2.dom) != (n1 * b, a * n1, n2 * b, a * n2):
+        raise DimensionMismatch(f"{psi1.cod}x{psi1.dom} and {psi2.cod}x{psi2.dom} maps do not "
+                                f"fit an {n2}x{n1} unknown with a = {a}, b = {b}")
+    p = psi1.field.char
+    rows = {r: dict(entries) for r, entries in _side(psi1, n1, n2, a, b, True).items()}
+    for r, entries in _side(psi2, n2, n1, a, b, False).items():
+        row = rows.setdefault(r, {})
+        for j, v in entries:
+            v = (v + row.get(j, 0)) % p if p else v + row.get(j, 0)
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+        if not row:  # a row that cancels is no equation
+            del rows[r]
+    return rows
 
 
 def solve_matrix_equations(field: Field, shape: tuple[int, int],
-                           equations: Sequence[tuple[Sequence[Term], LinMap]],
-                           ) -> LinMap | None:
-    """Solve a system of linear matrix equations (sum of terms)(X) = rhs for one X,
-    or None; each equation is (terms, rhs)."""
-    nvars = shape[0] * shape[1]
-    if nvars == 0:
-        zero = LinMap.zero(field, shape[0], shape[1])
-        return zero if all(rhs.is_zero() for _, rhs in equations) else None
-    rows = []
-    for terms, rhs in equations:
-        nrows, summed = _summed_rows(field, shape, terms)
-        if len(rhs.entries) != nrows:
-            raise DimensionMismatch(f"{len(rhs.entries)} right-hand sides for {nrows} rows")
-        for r in compress(range(nrows), rhs.entries):
+                           equations: Sequence[tuple[Equation, LinMap]]) -> LinMap | None:
+    """One X with (X (x) 1_b).psi1 - psi2.(1_a (x) X) = rhs for every
+    ((psi1, psi2, a, b), rhs), free coordinates 0, or None if inconsistent."""
+    n2, n1 = shape
+    nvars, rows = n2 * n1, []
+    for equation, rhs in equations:
+        *_, a, b = equation
+        if (rhs.cod, rhs.dom) != (n2 * b, a * n1):
+            raise DimensionMismatch(f"{rhs.cod}x{rhs.dom} right-hand side for {n2 * b}x{a * n1}")
+        summed = _equation_rows(shape, equation)
+        for r in compress(range(len(rhs.entries)), rhs.entries):
             summed.setdefault(r, {})[nvars] = rhs.entries[r]
-        rows.extend(summed.values())
+        rows += summed.values()
     sol = _solution(field, rows, nvars)
-    return None if sol is None else LinMap(field, shape[0], shape[1], sol)
+    return None if sol is None else LinMap(field, n2, n1, sol)
 
 
 def matrix_equation_kernel(field: Field, shape: tuple[int, int],
-                           equations: Sequence[Sequence[Term]]) -> list[LinMap]:
-    """Echelon-canonical basis of {X : (sum of terms)(X) = 0 for every equation}.
-
-    The sparse rows the terms write go straight to elimination; each term is
-    written once per map it is kept on (:func:`_summed_rows`)."""
+                           equations: Sequence[Equation]) -> list[LinMap]:
+    """Echelon-canonical basis of the n2 x n1 matrices X with
+    (X (x) 1_b).psi1 = psi2.(1_a (x) X) for every equation (psi1, psi2, a, b),
+    psi1 an n1*b x a*n1 map and psi2 an n2*b x a*n2 map; the rows of the
+    differences go straight to elimination."""
     nvars = shape[0] * shape[1]
-    rows = [row for terms in equations
-            for row in _summed_rows(field, shape, terms)[1].values()]
+    rows = [row for equation in equations for row in _equation_rows(shape, equation).values()]
     return [LinMap(field, *shape, _dense(field, vec, nvars))
             for vec in null_vectors(field, _echelon(field, rows, nvars), nvars)]

@@ -151,13 +151,12 @@ def unit_measuring(a: Bialgebra, b: Algebra) -> Measuring:
 def intertwiners(m1: Measuring, m2: Measuring) -> list[Intertwiner]:
     """Echelon-canonical basis of {f : (f (x) 1_B).psi1 = psi2.(1_A (x) f)}.
 
-    Each psi keeps the term it writes, so a loop over many pairs writes each
-    measuring's term once per partner dimension (``linalg._summed_rows``)."""
+    Each psi keeps the side of the equation it writes, so a loop over many
+    pairs writes each side once per partner dimension (``linalg._side``)."""
     if m1.a != m2.a or m1.b != m2.b:
         raise IncompatibleMeasurings("intertwiners need the same (A, B)")
-    da, db = m1.a.dim, m1.b.dim
     basis = matrix_equation_kernel(m1.field, (m2.xdim, m1.xdim),
-                                   [[(1, None, 1, db, m1.psi), (-1, m2.psi, da, 1, None)]])
+                                   [(m1.psi, m2.psi, m1.a.dim, m1.b.dim)])
     return [Intertwiner(m1, m2, f) for f in basis]
 
 

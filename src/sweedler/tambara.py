@@ -196,10 +196,9 @@ def module_to_matrix_morphism(p: PresentedAlgebra, a: Algebra, b: Algebra,
 
 def module_intertwiners(mats1: tuple[LinMap, ...], mats2: tuple[LinMap, ...],
                         field: Field, n: int) -> list[LinMap]:
-    """Echelon basis of {T : T m1(x) = m2(x) T for every generator x}; each
-    generator matrix keeps the terms it writes (``linalg._summed_rows``)."""
-    return matrix_equation_kernel(field, (n, n), [[(1, None, 1, 1, m1), (-1, m2, 1, 1, None)]
-                                                  for m1, m2 in zip(mats1, mats2)])
+    """Echelon basis of {T : T m1(x) = m2(x) T for every generator x}: the
+    intertwiner equation with a = b = 1, each side kept on its matrix."""
+    return matrix_equation_kernel(field, (n, n), [(m1, m2, 1, 1) for m1, m2 in zip(mats1, mats2)])
 
 
 @dataclass(frozen=True)

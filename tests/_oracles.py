@@ -25,7 +25,7 @@ from sweedler.linalg import (
     LinMap,
     _chain_images,
     _chain_steps,
-    _summed_rows,
+    _equation_rows,
     compose,
     composite,
     invert,
@@ -35,7 +35,6 @@ from sweedler.linalg import (
     rank,
     rref,
     solve,
-    solve_matrix_equations,
 )
 from sweedler.measurings import enumerate_measurings, intertwiners, measuring_from_matrix_morphism
 from sweedler.structures import (
@@ -850,10 +849,19 @@ def convolution_inverse(b, twisted):
     d = b.dim
     k = b.field
     dlt = coopposite(b.coalgebra).comult if twisted else b.comult
-    rhs = compose(b.unit, b.counit)
-    return solve_matrix_equations(
-        k, (d, d),
-        [([(1, b.mult, 1, d, dlt)], rhs), ([(1, b.mult, d, 1, dlt)], rhs)])
+    rhs = dense_compose(b.unit, b.counit).entries
+    # both sides' probing matrices stacked, each row with its right-hand side
+    rows = []
+    for pad in ((1, d), (d, 1)):
+        op = probing_operator_matrix(dense_term_operator([(1, b.mult, *pad, dlt)]), k, (d, d))
+        rows += [[*op.row_at(r), rhs[r]] for r in range(op.cod)]
+    pivots = dense_reduce(k, rows, d * d + 1)
+    if d * d in pivots:
+        return None
+    solution = [k.zero()] * (d * d)
+    for row, c in zip(rows, pivots):
+        solution[c] = row[d * d]
+    return LinMap(k, d, d, tuple(solution))
 
 
 def dense_measuring_failures(m):
@@ -1158,11 +1166,11 @@ def reference_solve(f: LinMap, target: Sequence) -> tuple | None:
 
 
 def reference_matrix_equation_kernel(field: Field, shape, equations) -> list[LinMap]:
-    """The kernel of the rows the terms write, each made a dense row of
+    """The kernel of the rows the equations write, each made a dense row of
     canonical scalars and eliminated by ``_reduce``."""
     nvars = shape[0] * shape[1]
-    rows = [[field.coerce(row.get(j, 0)) for j in range(nvars)] for terms in equations
-            for row in _summed_rows(field, shape, terms)[1].values()]
+    rows = [[field.coerce(row.get(j, 0)) for j in range(nvars)] for equation in equations
+            for row in _equation_rows(shape, equation).values()]
     pivots = _reduce(field, rows, nvars)
     return [LinMap(field, shape[0], shape[1], vec)
             for vec in reference_null_vectors(field, dict(zip(pivots, rows)), nvars)]
@@ -1225,9 +1233,11 @@ def reference_span_of_words(field: Field, measurings, starts: list[int],
             LinMap.from_nonzeros(field, total, len(pivots), section))
 
 
-def operator_matrix(field: Field, shape, terms) -> LinMap:
-    """The matrix of X -> sum of the terms, written from the sparse rows that
-    ``linalg._summed_rows`` sums."""
-    nrows, rows = _summed_rows(field, shape, terms)
-    return LinMap.from_nonzeros(field, nrows, shape[0] * shape[1],
+def operator_matrix(field: Field, shape, equation) -> LinMap:
+    """The matrix of X -> (X (x) 1_b).psi1 - psi2.(1_a (x) X) for an equation
+    (psi1, psi2, a, b), written from the sparse rows ``linalg._equation_rows``
+    sums."""
+    (n2, n1), (_, _, a, b) = shape, equation
+    rows = _equation_rows(shape, equation)
+    return LinMap.from_nonzeros(field, n2 * b * a * n1, n2 * n1,
                                 [(r, c, v) for r, row in rows.items() for c, v in row.items()])

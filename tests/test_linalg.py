@@ -417,131 +417,165 @@ def sparse_random_map(rng, field, cod, dom):
                                          for _ in range(cod * dom)])
 
 
-def random_equation(rng, field, shape):
-    """1 to 3 terms (c, L, a, b, R) on a ``shape`` unknown with one output shape;
-    the first term fixes it, with an identity L or R or both when drawn."""
-    cod, dom = shape
-    terms = []
-    out = None
-    for _ in range(rng.randint(1, 3)):
-        a, b = rng.randint(1, 3), rng.randint(1, 3)
-        mid_cod, mid_dom = a * cod * b, a * dom * b
-        if out is None:
-            out = (mid_cod if rng.random() < 0.4 else rng.randint(1, 4),
-                   mid_dom if rng.random() < 0.4 else rng.randint(1, 4))
-        left = (None if out[0] == mid_cod and rng.random() < 0.7
-                else sparse_random_map(rng, field, out[0], mid_cod))
-        right = (None if out[1] == mid_dom and rng.random() < 0.7
-                 else sparse_random_map(rng, field, mid_dom, out[1]))
-        terms.append((rng.choice([1, -1, 2, 3]), left, a, b, right))
-    return terms
+def random_equation(rng, field, shape, same=False):
+    """An equation (psi1, psi2, a, b) on a ``shape`` = (n2, n1) unknown, with
+    a, b <= 3 and sparse psi1: n1*b x a*n1 and psi2: n2*b x a*n2; with
+    ``same`` (n1 = n2) one map is both."""
+    n2, n1 = shape
+    a, b = rng.randint(1, 3), rng.randint(1, 3)
+    psi1 = sparse_random_map(rng, field, n1 * b, a * n1)
+    psi2 = psi1 if same else sparse_random_map(rng, field, n2 * b, a * n2)
+    return psi1, psi2, a, b
 
 
-@pytest.mark.parametrize("field", [F2, GF(3), QQ], ids=str)
+def random_shape(rng):
+    return rng.randint(0, 3), rng.randint(0, 3)
+
+
+def dense_operator(equation):
+    """The dense probing operator X -> (X (x) 1_b).psi1 - psi2.(1_a (x) X)."""
+    psi1, psi2, a, b = equation
+    return dense_term_operator([(1, None, 1, b, psi1), (-1, psi2, a, 1, None)])
+
+
+def probing_rows(field, shape, equations):
+    """The stacked probing matrices of the equations, as dense rows."""
+    blocks = [probing_operator_matrix(dense_operator(e), field, shape) for e in equations]
+    return [list(m.row_at(r)) for m in blocks for r in range(m.cod)]
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), GF(5), QQ], ids=str)
 def test_operator_matrix_matches_the_probing_oracle(field):
     rng = random.Random(811 + field.char)
     seen = set()
-    for _ in range(60):
-        shape = (rng.randint(1, 3), rng.randint(1, 3))
-        terms = random_equation(rng, field, shape)
-        expected = probing_operator_matrix(dense_term_operator(terms), field, shape)
-        assert operator_matrix(field, shape, terms) == expected
-        for _c, left, a, b, right in terms:
-            seen.update({"several terms"} if len(terms) > 1 else set())
-            padded = "a, b > 1, " if a > 1 and b > 1 else ""
-            seen.update({padded + "identity L"} if left is None else set())
-            seen.update({padded + "identity R"} if right is None else set())
-    assert seen == {"several terms", "identity L", "identity R",
-                    "a, b > 1, identity L", "a, b > 1, identity R"}
+    for _ in range(80):
+        shape = random_shape(rng)
+        n2, n1 = shape
+        equation = random_equation(rng, field, shape, same=n1 == n2 and rng.random() < 0.3)
+        psi1, psi2, a, b = equation
+        expected = probing_operator_matrix(dense_operator(equation), field, shape)
+        assert operator_matrix(field, shape, equation) == expected
+        # rows both sides write, and those left after summing
+        both = linalg._side(psi1, n1, n2, a, b, True).keys() & \
+            linalg._side(psi2, n2, n1, a, b, False).keys()
+        left = linalg._equation_rows(shape, equation).keys()
+        cases = {"rectangular": n1 != n2 and n1 * n2, "a, b > 1": a > 1 and b > 1 and n1 * n2,
+                 "psi1 = psi2": psi1 is psi2 and n1, "0 x n": n1 and not n2,
+                 "n x 0": n2 and not n1, "cancelled rows": both - left}
+        seen.update(case for case, occurs in cases.items() if occurs)
+    assert seen == {"rectangular", "a, b > 1", "psi1 = psi2", "0 x n", "n x 0",
+                    "cancelled rows"}
 
 
 def probing_kernel(field, shape, equations):
     """The kernel of the stacked probing matrices of the equations, by dense elimination."""
-    blocks = [probing_operator_matrix(dense_term_operator(t), field, shape) for t in equations]
-    rows = [list(b.row_at(r)) for b in blocks for r in range(b.cod)]
+    rows = probing_rows(field, shape, equations)
     pivots = dense_reduce(field, rows, shape[0] * shape[1])
     return reference_null_vectors(field, dict(zip(pivots, rows)), shape[0] * shape[1])
 
 
+def probing_solution(field, shape, equations, rhs):
+    """The solution with free coordinates 0 of the stacked probing matrices
+    against the stacked right-hand sides, or None, by dense elimination."""
+    nvars = shape[0] * shape[1]
+    rows = [[*row, t] for row, t in zip(probing_rows(field, shape, equations),
+                                        (t for r in rhs for t in r.entries))]
+    pivots = dense_reduce(field, rows, nvars + 1)
+    if nvars in pivots:
+        return None
+    solution = [field.zero()] * nvars
+    for row, c in zip(rows, pivots):
+        solution[c] = row[nvars]
+    return LinMap(field, *shape, tuple(solution))
+
+
 def test_matrix_equations_match_the_probing_oracle():
     rng = random.Random(812)
-    for field in (F2, GF(3), QQ):
-        for _ in range(15):
-            shape = (rng.randint(1, 3), rng.randint(1, 3))
-            equations = [random_equation(rng, field, shape) for _ in range(rng.randint(1, 3))]
-            blocks = [probing_operator_matrix(dense_term_operator(t), field, shape)
-                      for t in equations]
-            kernel = probing_kernel(field, shape, equations)
-            assert [f.entries for f in matrix_equation_kernel(field, shape, equations)] == kernel
-            # a solvable right-hand side: the image of a random X
-            x = sparse_random_map(rng, field, *shape)
-            rhs = [dense_term_operator(t)(x) for t in equations]
+    seen = set()
+    for field in [F2, GF(3), GF(5), QQ] * 30:
+        shape = random_shape(rng)
+        n2, n1 = shape
+        equations = [random_equation(rng, field, shape, same=n1 == n2 and rng.random() < 0.3)
+                     for _ in range(rng.randint(1, 3))]
+        kernel = matrix_equation_kernel(field, shape, equations)
+        assert [f.entries for f in kernel] == probing_kernel(field, shape, equations)
+        # a solvable right-hand side, the image of a random X, and a random one
+        x = sparse_random_map(rng, field, *shape)
+        images = [dense_operator(e)(x) for e in equations]
+        drawn = [sparse_random_map(rng, field, m.cod, m.dom) for m in images]
+        for rhs in (images, drawn):
             solution = solve_matrix_equations(field, shape, list(zip(equations, rhs)))
-            assert solution is not None
-            assert all(b.apply(solution.entries) == r.entries for b, r in zip(blocks, rhs))
+            assert solution == probing_solution(field, shape, equations, rhs)
+            seen.add("inconsistent" if solution is None else "consistent")
+            if solution is None:
+                assert rhs is drawn
+            else:
+                assert_canonical(field, solution.entries)
+                assert all(dense_operator(e)(solution) == r for e, r in zip(equations, rhs))
+    assert seen == {"consistent", "inconsistent"}
 
 
 def _copied(equations):
     """The equations with each map replaced by an equal copy, which keeps nothing."""
     def copy(m):
-        return None if m is None else LinMap(m.field, m.cod, m.dom, m.entries)
-    return [[(c, copy(left), a, b, copy(right)) for c, left, a, b, right in terms]
-            for terms in equations]
+        return LinMap(m.field, m.cod, m.dom, m.entries)
+    return [(copy(psi1), copy(psi2), a, b) for psi1, psi2, a, b in equations]
 
 
-def _counting_term_writes(monkeypatch):
-    written = []
-    original = linalg._term_nonzeros
+def _recorded_sides(monkeypatch):
+    """Every side ``linalg._side`` returns, in call order; a side written
+    anew is a new object, a kept one the object returned before."""
+    returned = []
+    original = linalg._side
 
-    def counted(field, shape, term):
-        written.append(term)
-        return original(field, shape, term)
+    def recorded(*args):
+        returned.append(original(*args))
+        return returned[-1]
 
-    monkeypatch.setattr(linalg, "_term_nonzeros", counted)
-    return written
+    monkeypatch.setattr(linalg, "_side", recorded)
+    return returned
 
 
 @pytest.mark.parametrize("field", [F2, GF(3), QQ], ids=str)
 def test_shared_tables_match_fresh_calls_and_the_probing_oracle(monkeypatch, field):
-    # the seeded terms of the operator-matrix test: a second call reads each
-    # term's nonzeros kept on its map, and agrees with a call on equal copies
-    # of the maps and with the probing oracle
-    written = _counting_term_writes(monkeypatch)
+    # a second call reads each side kept on its map and writes nothing, and
+    # agrees with a call on equal copies of the maps and with the probing oracle
+    returned = _recorded_sides(monkeypatch)
     rng = random.Random(811 + field.char)
     for _ in range(60):
-        shape = (rng.randint(1, 3), rng.randint(1, 3))
-        equations = [random_equation(rng, field, shape)]
+        shape = random_shape(rng)
+        equations = [random_equation(rng, field, shape, same=shape[0] == shape[1])
+                     for _ in range(rng.randint(1, 2))]
         first = matrix_equation_kernel(field, shape, equations)
-        written.clear()
-        memoized = matrix_equation_kernel(field, shape, equations)
-        # only a term with no map to keep it on is written again
-        assert all(t[1] is None and t[4] is None for t in written)
-        assert memoized == first == matrix_equation_kernel(field, shape, _copied(equations))
-        assert [f.entries for f in memoized] == probing_kernel(field, shape, equations)
+        written = list(returned)
+        returned.clear()
+        kept = matrix_equation_kernel(field, shape, equations)
+        assert len(returned) == len(written) == 2 * len(equations)
+        assert all(again is side for again, side in zip(returned, written))
+        assert kept == first == matrix_equation_kernel(field, shape, _copied(equations))
+        assert [f.entries for f in kept] == probing_kernel(field, shape, equations)
+        returned.clear()
 
 
 @pytest.mark.parametrize("field", [GF(3), GF(5), QQ], ids=str)
 def test_shared_tables_tell_apart_terms_on_one_map(field):
-    # terms on the same map that differ only in c, in (a, b), in side or in
-    # the unknown's shape, and two-sided terms with equal but distinct R; the
-    # equations run twice, the second time on what the first one kept
-    m = LinMap.make(field, 2, 2, [1, 1, 0, 0])
+    # one map as psi1 and psi2 of one equation, in either role against
+    # partners of two other sizes, and with other (a, b); the equations run
+    # twice, the second time on what the first one kept
+    m = LinMap.make(field, 2, 2, [1, 1, 0, 2])
     big = LinMap.make(field, 4, 4, [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0])
-    r1, r2 = (LinMap.make(field, 4, 4, [1, 0, 0, 1, 0, 2, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0])
-              for _ in range(2))
+    one, three = LinMap.make(field, 1, 1, [2]), LinMap.identity(field, 3)
     cases = [
-        ((2, 2), [[(1, None, 1, 1, m), (-1, m, 1, 1, None)]]),
-        ((2, 2), [[(1, None, 1, 1, m), (1, m, 1, 1, None)]]),
-        ((2, 2), [[(1, None, 1, 1, m), (2, m, 1, 1, None)]]),
-        ((2, 2), [[(1, None, 1, 2, big)]]),
-        ((2, 2), [[(1, None, 2, 1, big)]]),
-        ((2, 2), [[(1, None, 1, 1, m)], [(1, None, 1, 2, big), (1, None, 2, 1, big)]]),
-        ((2, 2), [[(1, m, 1, 1, None)]]),
-        ((1, 2), [[(1, None, 1, 1, m)]]),
-        ((3, 2), [[(1, None, 1, 1, m)]]),
-        ((2, 1), [[(1, m, 1, 1, None)]]),
-        ((2, 2), [[(1, big, 2, 1, r1)], [(1, big, 2, 1, r2), (-1, big, 1, 2, None)]]),
-        ((2, 2), [[(1, big, 2, 1, r2), (1, big, 2, 1, big)]]),
+        ((2, 2), [(m, m, 1, 1)]),
+        ((1, 2), [(m, one, 1, 1)]),
+        ((3, 2), [(m, three, 1, 1)]),
+        ((2, 1), [(one, m, 1, 1)]),
+        ((2, 3), [(three, m, 1, 1)]),
+        ((2, 2), [(big, big, 2, 2)]),
+        ((4, 4), [(big, big, 1, 1)]),
+        ((4, 4), [(big, big, 1, 1), (LinMap.identity(field, 4), big, 1, 1)]),
+        ((1, 1), [(one, one, 1, 1)]),
+        ((2, 2), [(m, m, 1, 1), (big, big, 2, 2)]),
     ]
     results = [[matrix_equation_kernel(field, shape, equations)
                 for shape, equations in cases] for _ in range(2)]
@@ -560,20 +594,20 @@ def test_intertwiners_of_different_dimensions_share_one_table(monkeypatch):
          *[Measuring(q.algebra, trivial_algebra(QQ), 1, LinMap.from_rows(QQ, [row]))
            for row in ([1, 1], [1, -1])]],
     ]
-    written = _counting_term_writes(monkeypatch)
+    returned = _recorded_sides(monkeypatch)
     for family in families:
         assert len({m.xdim for m in family}) == 2
-        written.clear()
+        returned.clear()
         for m1 in family:
             for m2 in family:
                 copies = [Measuring(m.a, m.b, m.xdim, LinMap(m.field, m.psi.cod, m.psi.dom,
                                                               m.psi.entries)) for m in (m1, m2)]
                 assert ([iw.f for iw in intertwiners(m1, m2)]
                         == [iw.f for iw in intertwiners(*copies)])
-        # the copies write both terms for each pair; the family, each term
+        # the copies write both sides for each pair; the family, each side
         # once per partner dimension
         pairs = len(family) ** 2
-        assert len(written) == 2 * pairs + 2 * len(family) * 2
+        assert len({id(side) for side in returned}) == 2 * pairs + 2 * len(family) * 2
 
 
 def test_nonzeros_are_listed_once_per_map(monkeypatch):
@@ -626,19 +660,30 @@ def test_maps_written_from_nonzeros_list_them_without_a_scan(monkeypatch, field)
 
 
 def test_matrix_equations_on_zero_shapes():
-    terms = [(1, None, 1, 1, None)]
-    assert matrix_equation_kernel(QQ, (0, 2), [terms]) == []
-    assert solve_matrix_equations(QQ, (2, 0), [(terms, LinMap.zero(QQ, 2, 0))]) == \
+    psi = LinMap.identity(QQ, 2)
+    empty = LinMap.zero(QQ, 0, 0)
+    assert matrix_equation_kernel(QQ, (0, 2), [(psi, empty, 1, 1)]) == []
+    assert solve_matrix_equations(QQ, (2, 0), [((empty, psi, 1, 1), LinMap.zero(QQ, 2, 0))]) == \
         LinMap.zero(QQ, 2, 0)
+    # no equation: every X solves it
+    assert len(matrix_equation_kernel(QQ, (2, 1), [])) == 2
 
 
 def test_matrix_equation_term_shape_errors():
-    with pytest.raises(DimensionMismatch):
-        operator_matrix(QQ, (2, 2), [(1, LinMap.identity(QQ, 3), 1, 1, None)])
-    with pytest.raises(DimensionMismatch):
-        operator_matrix(QQ, (2, 2), [(1, None, 1, 1, LinMap.identity(QQ, 3))])
-    with pytest.raises(DimensionMismatch):
-        operator_matrix(QQ, (2, 2), [(1, None, 1, 1, None), (1, None, 2, 1, None)])
+    psi, wide = LinMap.identity(QQ, 2), LinMap.zero(QQ, 2, 4)
+    for equation in [(LinMap.identity(QQ, 3), psi, 1, 1), (psi, LinMap.identity(QQ, 3), 1, 1),
+                     (psi, psi, 2, 1), (wide, psi, 2, 1), (psi, wide, 1, 1)]:
+        with pytest.raises(DimensionMismatch):
+            matrix_equation_kernel(QQ, (2, 2), [equation])
+        with pytest.raises(DimensionMismatch):
+            operator_matrix(QQ, (2, 2), equation)
+    # (X (x) 1_2).psi1 = psi2.X for a 2 x 1 X: 4 x 1 images
+    equation = (LinMap.make(QQ, 2, 1, [1, 0]), LinMap.zero(QQ, 4, 2), 1, 2)
+    for rhs in (LinMap.zero(QQ, 1, 4), LinMap.zero(QQ, 2, 2), LinMap.zero(QQ, 4, 2)):
+        with pytest.raises(DimensionMismatch):
+            solve_matrix_equations(QQ, (2, 1), [(equation, rhs)])
+    assert solve_matrix_equations(QQ, (2, 1), [(equation, LinMap.zero(QQ, 4, 1))]) == \
+        LinMap.zero(QQ, 2, 1)
 
 
 def elimination_cases(rng, field):
@@ -760,8 +805,9 @@ def test_sparse_echelon_matches_the_dense_reference(field):
 def test_matrix_equation_kernel_matches_the_dense_reference(field):
     rng = random.Random(2612 + field.char)
     for _ in range(40):
-        shape = (rng.randint(1, 3), rng.randint(1, 3))
-        equations = [random_equation(rng, field, shape) for _ in range(rng.randint(1, 3))]
+        shape = random_shape(rng)
+        equations = [random_equation(rng, field, shape, same=shape[0] == shape[1])
+                     for _ in range(rng.randint(1, 3))]
         kernel = matrix_equation_kernel(field, shape, equations)
         assert kernel == reference_matrix_equation_kernel(field, shape, equations)
         assert_canonical(field, [x for f in kernel for x in f.entries])
@@ -873,6 +919,16 @@ def test_from_nonzeros_matches_the_dense_table(field):
 def test_from_nonzeros_rejects_positions_outside_the_shape(r, c):
     with pytest.raises(DimensionMismatch):
         LinMap.from_nonzeros(F2, 2, 3, [(0, 0, 1), (r, c, 1)])
+
+
+@pytest.mark.parametrize("field", [QQ, F2, GF(3)], ids=str)
+def test_from_nonzeros_rejects_a_repeated_position(field):
+    # one value would be stored, the position listed twice: compose would
+    # read it twice on one side and once on the other
+    for nonzeros in ([(0, 0, 1), (0, 0, 2)], [(1, 2, 1), (0, 0, 1), (1, 2, 1)],
+                     [(0, 1, 0), (0, 1, 0)]):
+        with pytest.raises(DimensionMismatch):
+            LinMap.from_nonzeros(field, 2, 3, nonzeros)
 
 
 @pytest.mark.parametrize("field", [QQ, F2, GF(3)], ids=str)
