@@ -15,11 +15,12 @@ one factor to a sparse vector, a dict of its nonzeros, by remapping indices
 through the nonzeros of ``t``, so no factor is built and the work follows the
 nonzeros, not the dense size.  It sums raw products and reduces each entry of
 its result mod p once, where it drops the zeros.
-:func:`_chain_images` runs a chain on the basis vectors, a block of them
-stacked into one sparse vector: the first factor is written from its column
-nonzeros, since distinct basis vectors never meet, and each later factor goes
-through :func:`apply_slot`.  :func:`composite` writes the dense result;
-:func:`compose` (f.g) and :func:`kron` (f (x) g) are chains of two factors.
+:meth:`LinMap.apply` is one slot on a vector's nonzeros.  :func:`_chain_images`
+runs a chain on the basis vectors, a block of them stacked into one sparse
+vector: the first factor is written from its column nonzeros, since distinct
+basis vectors never meet, and each later factor goes through :func:`apply_slot`.
+:func:`composite` writes the dense result; :func:`compose` (f.g) and
+:func:`kron` (f (x) g) are chains of two factors.
 The axiom checks of :mod:`~sweedler.structures` run the same chains and
 compare the images, without writing any composite.
 
@@ -28,7 +29,7 @@ reads a map's entries as a tensor with given axis sizes (codomain axes
 first), reorders the axes and splits them into rows and columns again.  The
 layouts of a measuring psi, its matrix morphism A -> M_n(B), a comodule, its
 classifying coend morphism and a stack of module matrices all convert
-through it.
+through it, and :meth:`LinMap.transpose` swaps a map's two axes with it.
 
 The one matrix equation solved is that of intertwiners, (X (x) 1_b).psi1 =
 psi2.(1_a (x) X) for an unknown X (of measurings; of Tambara modules with
@@ -197,27 +198,16 @@ class LinMap:
         return LinMap(f, self.cod, self.dom, tuple(f.mul(c, a) for a in self.entries))
 
     def transpose(self) -> LinMap:
-        return LinMap(self.field, self.dom, self.cod,
-                      tuple(self.entries[r * self.dom + c]
-                            for c in range(self.dom) for r in range(self.cod)))
+        return permute_axes(self, (self.cod, self.dom), (1, 0), 1)
 
     def apply(self, vec: Sequence) -> tuple:
-        """Matrix-vector product on a length-``dom`` vector, walking the
-        nonzeros of the vector and of the columns they select."""
+        """Matrix-vector product on a length-``dom`` vector: the one slot
+        kernel on the vector's nonzeros, written out densely."""
         if len(vec) != self.dom:
             raise DimensionMismatch(f"vector of length {len(vec)} for {self.dom}-dim domain")
-        p = self.field.char
-        zero = self.field.zero()
-        n, e = self.dom, self.entries
-        out = [zero] * self.cod
-        for c in compress(range(n), vec):
-            v = vec[c]
-            for r in compress(range(self.cod), e[c::n]):
-                acc = e[r * n + c] * v
-                if out[r] is not zero:
-                    acc += out[r]
-                out[r] = acc % p if p else acc
-        return tuple(out)
+        image = apply_slot({c: vec[c] for c in compress(range(self.dom), vec)},
+                           self.nonzeros(by_col=True), self.dom, self.cod, 1, self.field.char)
+        return _dense(self.field, image, self.cod)
 
     def _match_shape(self, other: LinMap):
         same_field(self.field, other.field)

@@ -17,10 +17,10 @@ P_i is a coalgebra morphism exactly when delta_i is a D-comodule.  The
 section picks one coefficient f_ab of one coend(X_i) for each basis vector c
 of D, and c is its class, so every map out of D is a read at that
 coefficient: Delta c = (P_i (x) P_i).Delta_i f_ab = sum_t P_i f_at (x) P_i f_tb,
-which is column b of (delta_i (x) 1).delta_i on the rows (a, D, D);
-eps c = delta_ab; and beta(e_t (x) c) = psi_i(e_t (x) x_b) on the rows
-(a, B).  Each is written from the nonzeros of the column it reads
-(``LinMap.nonzeros``), never from a dense column.  These descend (are well
+which is x_b run through the chain (delta_i (x) 1).delta_i, on the rows
+(a, D, D); eps c = delta_ab; and beta(e_t (x) c) = psi_i(e_t (x) x_b) on the
+rows (a, B).  Each is written from nonzeros (``LinMap.nonzeros`` and the one slot
+kernel), never from a dense column or composite.  These descend (are well
 defined) exactly when every delta_i passes :func:`validate_comodule` and
 gives back its psi through the pairing; that and the rest of the induced
 structure are verified before a value is returned.  A generator is checked
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import compress
 
 from .errors import (
     IncompatibleMeasurings,
@@ -41,15 +40,16 @@ from .errors import (
     NotAComodule,
     PreconditionViolated,
 )
-from .fields import Field
+from .fields import Field, same_field
 from .linalg import (
     LinMap,
-    _swap,
+    _chain_images,
+    _chain_steps,
     _echelon,
+    _swap,
     composite,
     echelon_insert,
     echelon_reduce,
-    kron,
     null_vectors,
     permute_axes,
 )
@@ -63,7 +63,6 @@ from .structures import (
     dual_bialgebra,
     dual_coalgebra,
     find_antipode,
-    is_coalgebra_morphism,
     is_commutative,
     validate_coalgebra,
     validate_hopf,
@@ -225,8 +224,7 @@ def _coefficients(section: LinMap, xdims: list[int]) -> list[tuple[int, int, int
     """(i, a, b) for each basis vector c of D: the section's 1 in column c lies
     at the coefficient f_ab of the i-th summand coend(X_i)."""
     summands = [(i, *divmod(f, x)) for i, x in enumerate(xdims) for f in range(x * x)]
-    return [summands[next(compress(range(section.cod), section.col_at(c)))]
-            for c in range(section.dom)]
+    return [summands[column[0][0]] for column in section.nonzeros(by_col=True)]
 
 
 def reconstruct(measurings: list[Measuring],
@@ -237,9 +235,10 @@ def reconstruct(measurings: list[Measuring],
     Without ``morphisms`` it is the subcoalgebra of P(A, B) that they span,
     dual to the algebra their blocks generate; no Hom space is solved.
     Otherwise ``morphisms`` lists (source index, target index, map) triples,
-    even none, and the stage is the coend over them.  All induced structure
-    is checked; a failed check raises InducedStructureIllDefined and means an
-    input morphism was not one.
+    even none, and the stage is the coend over them; an index that is not a
+    generator's raises IncompatibleMeasurings, a map over another field
+    FieldMismatch.  All induced structure is checked; a failed check raises
+    InducedStructureIllDefined and means an input morphism was not one.
     """
     for m in measurings:
         report = validate_measuring(m)
@@ -258,6 +257,9 @@ def reconstruct(measurings: list[Measuring],
     total = sum(x * x for x in xdims)
 
     def relation_rows(i: int, j: int, f: LinMap) -> list[dict]:
+        if i not in range(len(xdims)) or j not in range(len(xdims)):
+            raise IncompatibleMeasurings(f"morphism endpoints ({i}, {j}) are not generators")
+        same_field(k, f.field)
         xi, xj = xdims[i], xdims[j]
         if f.dom != xi or f.cod != xj:
             raise IncompatibleMeasurings("morphism shape does not match its endpoints")
@@ -296,11 +298,12 @@ def reconstruct(measurings: list[Measuring],
     # each structure map of D is read off generator i at (a, b)
     da, db, dd = a.dim, b.dim, d * d
     deltas = [_classified_comodule(p, d, x) for p, x in zip(projections, xdims)]
-    # column b of (delta (x) 1).delta on the rows (a, D, D) is sum_t P f_at (x) P f_tb
-    pushed = [composite([(delta, 1, 1), (delta, 1, d)], x) for delta, x in zip(deltas, xdims)]
+    # x_b run through (delta (x) 1).delta, on the rows (a, D, D), is sum_t P f_at (x) P f_tb
+    steps = [_chain_steps([(delta, 1, 1), (delta, 1, d)]) for delta in deltas]
     coefficients = _coefficients(section, xdims)
     comult = [(r - a * dd, c, v) for c, (i, a, b) in enumerate(coefficients)
-              for r, v in pushed[i].nonzeros(by_col=True)[b] if a * dd <= r < (a + 1) * dd]
+              for r, v in _chain_images(steps[i], [b], xdims[i], k.char).items()
+              if a * dd <= r < (a + 1) * dd]
     # eps f_ab = delta_ab
     counit = [k.one() if a == b else k.zero() for _, a, b in coefficients]
     # beta_i[q, (t, a, b)] = psi_i[(a, q), (t, b)]
@@ -357,13 +360,11 @@ def induced_measuring(g: GeneratedSubcoalgebra, delta: LinMap) -> LinMap:
 
     A X --1 delta--> A X D --c 1--> X A D --1 beta--> X B
 
-    that is psi[(i, q), (t, j)] = sum_e beta[q, (t, e)] delta[(i, e), j], read
-    off beta.(1_A (x) P) for the classifying map P[e, (i, j)] = delta[(i, e), j].
+    that is psi[(i, q), (t, j)] = sum_e beta[q, (t, e)] delta[(i, e), j], as one chain.
     """
-    x = delta.dom
-    pushed = composite([(_classifying_map(delta, g.d.dim), g.a.dim, 1), (g.pairing, 1, 1)],
-                       g.a.dim * x * x)
-    return permute_axes(pushed, (g.b.dim, g.a.dim, x, x), (2, 0, 1, 3), 2)
+    da, x = g.a.dim, delta.dom
+    return composite([(delta, da, 1), (_swap(da, x, g.a.field), 1, g.d.dim), (g.pairing, x, 1)],
+                     da * x)
 
 
 def comodule_of_generator(g: GeneratedSubcoalgebra, index: int) -> LinMap:
@@ -422,8 +423,15 @@ def product_on_generated(g1: GeneratedSubcoalgebra, g2: GeneratedSubcoalgebra,
 def _verify_product(g1, g2, g12, a: Bialgebra, product: LinMap) -> None:
     k = g1.a.field
     da = a.dim
-    d1, d2 = g1.d.dim, g2.d.dim
-    if not is_coalgebra_morphism(product, _tensor_coalgebra(g1.d, g2.d), g12.d):
+    d1, d2, d12 = g1.d.dim, g2.d.dim, g12.d.dim
+    # D1 (x) D2 has Delta = (1 (x) swap (x) 1).(Delta1 (x) Delta2) and eps = eps1 (x) eps2
+    comult = [(g2.d.comult, d1, 1), (g1.d.comult, 1, d2 * d2), (_swap(d1, d2, k), d1, d2)]
+    if _failures([
+        Axiom("counital", [(product, 1, 1), (g12.d.counit, 1, 1)],
+              [(g2.d.counit, d1, 1), (g1.d.counit, 1, 1)], (d1 * d2,)),
+        Axiom("comultiplicative", [(product, 1, 1), (g12.d.comult, 1, 1)],
+              [*comult, (product, d1 * d2, 1), (product, 1, d12)], (d1 * d2,)),
+    ]):
         raise InducedStructureIllDefined("product is not a coalgebra morphism")
     # beta12.(1 (x) product) must be the convolution of beta1, beta2:
     # A D1 D2 --Delta 1 1--> A A D1 D2 --1 c 1--> A D1 A D2 --b1 b2--> B B --mult--> B
@@ -432,15 +440,6 @@ def _verify_product(g1, g2, g12, a: Bialgebra, product: LinMap) -> None:
                          (g2.pairing, da * d1, 1), (g1.pairing, 1, g2.b.dim),
                          (g1.b.mult, 1, 1)], (da, d1, d2))]):
         raise InducedStructureIllDefined("product is not compatible with the pairings")
-
-
-def _tensor_coalgebra(c1: Coalgebra, c2: Coalgebra) -> Coalgebra:
-    """Tensor product coalgebra with Delta = (1 (x) swap (x) 1).(Delta (x) Delta)."""
-    d1, d2 = c1.dim, c2.dim
-    comult = composite([(c2.comult, d1, 1), (c1.comult, 1, d2 * d2),
-                        (_swap(d1, d2, c1.field), d1, d2)], d1 * d2)
-    counit = kron(c1.counit, c2.counit)
-    return Coalgebra(comult=comult, counit=counit)
 
 
 def dual_hopf_check(h: HopfAlgebra) -> HopfAlgebra:

@@ -43,7 +43,6 @@ from sweedler.structures import (
     Coalgebra,
     _live,
     _vectors,
-    coopposite,
     general_linear_group,
     is_algebra_morphism,
 )
@@ -845,16 +844,27 @@ def dense_antipode_failures(b, s):
 
 def convolution_inverse(b, twisted):
     """Solve mult.(s (x) 1).D = unit.counit = mult.(1 (x) s).D for s, where
-    D = comult (antipode) or swap.comult (opantipode).  None if inconsistent."""
+    D = comult (antipode) or swap.comult (opantipode).  None if inconsistent.
+
+    Both operators on s are written entry by entry from the dense tables:
+    at row (r, c), the unknown s[x, y] meets D[(y, z), c] and mult[r, (x, z)]
+    on the left, and s[x, z] meets D[(y, z), c] and mult[r, (y, x)] on the right."""
     d = b.dim
     k = b.field
-    dlt = coopposite(b.coalgebra).comult if twisted else b.comult
-    rhs = dense_compose(b.unit, b.counit).entries
-    # both sides' probing matrices stacked, each row with its right-hand side
+    mult, comult = b.mult.entries, b.comult.entries
+    rhs = [k.mul(u, e) for u in b.unit.entries for e in b.counit.entries]
+    triples = list(itertools.product(range(d), repeat=3))
     rows = []
-    for pad in ((1, d), (d, 1)):
-        op = probing_operator_matrix(dense_term_operator([(1, b.mult, *pad, dlt)]), k, (d, d))
-        rows += [[*op.row_at(r), rhs[r]] for r in range(op.cod)]
+    for left in (True, False):
+        for r, c in itertools.product(range(d), repeat=2):
+            row = [0] * (d * d)
+            for x, y, z in triples:
+                dlt = comult[((z * d + y) if twisted else (y * d + z)) * d + c]
+                if left:
+                    row[x * d + y] += mult[r * d * d + x * d + z] * dlt
+                else:
+                    row[x * d + z] += mult[r * d * d + y * d + x] * dlt
+            rows.append([*map(k.coerce, row), rhs[r * d + c]])
     pivots = dense_reduce(k, rows, d * d + 1)
     if d * d in pivots:
         return None

@@ -465,12 +465,18 @@ def test_two_paths_to_one_document_share_its_parse(parses, capsys, tmp_path):
 def _run_under_memory_limit(argv, limit_bytes, timeout=300):
     """Run the CLI in a child process whose address space is capped, so that a
     blow-up fails this test instead of exhausting the machine."""
+    return _python_under_memory_limit(["-m", "sweedler", *argv], limit_bytes, timeout)
+
+
+def _python_under_memory_limit(args, limit_bytes, timeout=300):
+    """Run the interpreter on ``args`` in a child process whose address space
+    is capped, with the library on its path."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
 
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.run([sys.executable, "-m", "sweedler", *argv], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           preexec_fn=cap, capture_output=True, text=True, timeout=timeout)
 
 
@@ -549,6 +555,27 @@ def test_regular_stage_of_q_c16_is_built_within_256_mib(tmp_path):
     report = json.loads(proc.stdout)["result"]
     assert report["d"]["dim"] == 16
     assert len(report["projections"]) == 1
+
+
+def test_stages_of_f2_c16_and_their_product_are_built_within_256_mib():
+    # X (x) X = F2^256 for the regular measuring X of F2[C_16]: the stage's
+    # (delta (x) 1).delta and the comultiplication of D (x) D that the product
+    # is checked against were each once written as a dense 65,536 x 256 map
+    code = "\n".join([
+        "from sweedler.fields import GF",
+        "from sweedler.measurings import regular_measuring, tensor_measuring_bialgebra",
+        "from sweedler.reconstruction import product_on_generated, reconstruct",
+        "from sweedler.zoo import cyclic_group_hopf",
+        "h = cyclic_group_hopf(GF(2), 16)",
+        "r = regular_measuring(h.algebra)",
+        "rr = tensor_measuring_bialgebra(r, r, h.bialgebra)",
+        "g1, g12 = reconstruct([r]), reconstruct([rr])",
+        "product = product_on_generated(g1, g1, g12, h.bialgebra)",
+        "print(rr.xdim, g1.d.dim, g12.d.dim, product.cod, product.dom)",
+    ])
+    proc = _python_under_memory_limit(["-c", code], 256 << 20, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["256", "16", "16", "16", "256"]
 
 
 def test_long_truncated_dual_validates_within_256_mib(tmp_path):

@@ -325,6 +325,8 @@ def test_permute_axes_matches_the_entrywise_oracle(case):
     # the inverse order, split back at f's codomain axes, gives f again
     back = sorted(range(len(order)), key=lambda pos: order[pos])
     assert permute_axes(out, [dims[ax] for ax in order], back, c) == f
+    # the transpose is the permutation of f's two axes
+    assert f.transpose() == dense_permute(f, (f.cod, f.dom), (1, 0), 1)
 
 
 def test_permute_axes_keeps_zero_size_shapes():
@@ -334,6 +336,8 @@ def test_permute_axes_keeps_zero_size_shapes():
     assert permute_axes(empty, (5, 0), (0, 1), 1) == LinMap.zero(GF(3), 5, 0)
     assert permute_axes(LinMap.zero(QQ, 4, 0), (2, 2, 0), (2, 0, 1), 1) == \
         LinMap.zero(QQ, 0, 4)
+    assert empty.transpose() == LinMap.zero(GF(3), 5, 0)
+    assert LinMap.zero(QQ, 4, 0).transpose() == LinMap.zero(QQ, 0, 4)
 
 
 def test_permute_axes_shape_errors():

@@ -10,6 +10,7 @@ import pytest
 
 from sweedler.documents import parse_document
 from sweedler.errors import (
+    FieldMismatch,
     IncompatibleMeasurings,
     InducedStructureIllDefined,
     NotAComodule,
@@ -239,6 +240,20 @@ def test_non_intertwiner_morphism_is_detected(inv_f2, k_f2):
     not_an_intertwiner = LinMap.from_rows(F2, [[0, 1], [0, 0]])
     with pytest.raises(InducedStructureIllDefined):
         reconstruct([m], morphisms=[(0, 0, not_an_intertwiner)])
+
+
+def test_explicit_morphisms_join_generators_over_their_field(inv_f2):
+    # once an endpoint -2 of two generators aliased generator 0 and an endpoint
+    # 2 raised a bare IndexError; a map over F3 raised ZeroDivisionError and one
+    # over F5 was read mod 2
+    m = regular_measuring(inv_f2)
+    for i, j in ((-2, 0), (0, -1), (2, 0), (0, 2)):
+        with pytest.raises(IncompatibleMeasurings, match="endpoints"):
+            reconstruct([m, m], morphisms=[(i, j, LinMap.identity(F2, 2))])
+    for f in (LinMap.make(GF(3), 2, 2, [2, 0, 0, 2]), LinMap.identity(GF(5), 2)):
+        with pytest.raises(FieldMismatch):
+            reconstruct([m, m], morphisms=[(0, 1, f)])
+    assert reconstruct([m, m], morphisms=[(0, 1, LinMap.identity(F2, 2))]).d.dim == 4
 
 
 def test_reconstruct_all_small_modules_matches_finite_dual():
