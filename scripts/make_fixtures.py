@@ -6,7 +6,8 @@ Everything is produced through the canonical serializer, so running this
 script must leave a clean git tree.  Each broken document fails one axiom
 (and those that follow from it) on purpose, or carries one scalar token too
 long to convert; the golden corpus pins the witnesses and parse errors that
-``validate`` or ``reconstruct`` reports for them.
+``validate`` or ``reconstruct`` reports for them.  The one valid document in
+tests/broken/ is the zero coalgebra, whose dual is refused.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ def changed(f: LinMap, row: int, col: int, value) -> LinMap:
 
 def broken_documents() -> None:
     """Documents that fail associativity, comult multiplicativity, the
-    antipode axioms and measuring multiplicativity, and three whose counit
-    has an over-long token.  The measuring refers to its algebras in
-    tests/fixtures/."""
+    antipode axioms and measuring multiplicativity, three whose counit
+    has an over-long token, and the zero coalgebra, which is valid but whose
+    dual has no unit.  The measuring refers to its algebras in tests/fixtures/."""
     BROKEN.mkdir(parents=True, exist_ok=True)
     f2, f3 = GF(2), GF(3)
     c3 = cyclic_group_hopf(f2, 3)
@@ -100,6 +101,8 @@ def broken_documents() -> None:
         raw = structure_to_dict(Document(cyclic_group_hopf(field, 2), ("1", "g")))
         raw["counit"][1] = token
         write(name, canonical_json(raw), BROKEN)
+    structure("zero_coalgebra_f2.json", Coalgebra(LinMap.zero(f2, 0, 0), LinMap.zero(f2, 1, 0)),
+              [], BROKEN)
 
 
 def main() -> None:

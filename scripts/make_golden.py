@@ -129,6 +129,9 @@ def cases() -> list[list[str]]:
         out.append(["reconstruct" if n.endswith(".measuring.json") else "validate",
                     f"{BROKEN}/{n}"])
     out.append(["validate", _fixture("f2_c2.json"), "--seed", "7"])
+    # the dual of the zero coalgebra has no unit: a precondition failure
+    zero = f"{BROKEN}/zero_coalgebra_f2.json"
+    out += [["dual", zero], ["convolution", zero, _fixture("f2_c2.json")]]
     out.append(["validate", _fixture("missing.json")])
     return out
 

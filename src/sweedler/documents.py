@@ -13,11 +13,10 @@ docs/format.md.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
 
 from .errors import ParseError, ValidationError, echo
-from .fields import Field, parse_field
+from .fields import Field, Value, parse_field
 from .graded import GradedSpace, assemble, parts
 from .linalg import LinMap
 from .measurings import Measuring, validate_measuring
@@ -27,12 +26,14 @@ _STRUCTURE_KEYS = ("field", "dim", "basis", "unit", "mult",
                    "comult", "counit", "antipode", "degrees")
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(Value):
     """A parsed structure document: the validated value plus its basis labels."""
 
     value: object
     labels: tuple[str, ...]
+
+    def __init__(self, value, labels):
+        vars(self).update(value=value, labels=labels)
 
     @property
     def field(self) -> Field:
@@ -270,11 +271,13 @@ def parse_document(text: str) -> Document:
 # measuring documents
 
 
-@dataclass(frozen=True)
-class MeasuringDocument:
+class MeasuringDocument(Value):
     a_ref: str
     b_ref: str
     measuring: Measuring
+
+    def __init__(self, a_ref, b_ref, measuring):
+        vars(self).update(a_ref=a_ref, b_ref=b_ref, measuring=measuring)
 
 
 def measuring_to_dict(mdoc: MeasuringDocument) -> dict:

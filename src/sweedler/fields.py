@@ -8,9 +8,9 @@ floating point is used anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import attrgetter
 
 from .errors import FieldMismatch, ParseError, UnsupportedField, echo
 
@@ -71,15 +71,42 @@ def primitive_root(p: int) -> int:
     return next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
 
 
-@dataclass(frozen=True)
-class Field:
+class Value:
+    """An immutable value: its ``__init__`` sets its fields, the class's annotated
+    names, with one ``vars(self).update``; after that only ``cached_property``
+    writes, to keep what is read off it.  Values of one class with equal fields
+    are equal and hash as the fields' tuple, read by one ``attrgetter``: no exec."""
+
+    def __init_subclass__(cls):
+        names = cls._fields = tuple(cls.__annotations__)
+        get = attrgetter(*names)
+        key = get if len(names) > 1 else lambda value: (get(value),)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return self is other or get(self) == get(other)
+            return NotImplemented
+        cls.__eq__, cls.__hash__ = __eq__, lambda self: hash(key(self))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__qualname__} is immutable: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Field(Value):
     """``Field(0)`` is the rationals, ``Field(p)`` the prime field F_p."""
 
-    char: int = 0
+    char: int
 
-    def __post_init__(self):
-        if self.char != 0 and not is_prime(self.char):
-            raise ValueError(f"characteristic must be 0 or a prime, got {self.char}")
+    def __init__(self, char=0):
+        vars(self).update(char=char)
+        if char != 0 and not is_prime(char):
+            raise ValueError(f"characteristic must be 0 or a prime, got {char}")
 
     @property
     def is_rational(self) -> bool:
@@ -191,11 +218,12 @@ class Field:
         return value
 
 
-QQ = Field(0)
-
-
+@cache
 def GF(p: int) -> Field:
     return Field(p)
+
+
+QQ = GF(0)
 
 
 def parse_field(name: str) -> Field:
@@ -210,13 +238,13 @@ def parse_field(name: str) -> Field:
         p = int(digits)
         if not is_prime(p):
             raise ParseError(f"field F{p} is not a prime field")
-        return Field(p)
+        return GF(p)
     raise ParseError(f"unknown field {echo(repr(name))}")
 
 
 def same_field(*fields: Field) -> Field:
     first = fields[0]
     for f in fields[1:]:
-        if f != first:
+        if f is not first and f != first:
             raise FieldMismatch(f"mixed fields {first} and {f}")
     return first

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -29,7 +28,7 @@ from .errors import (
     NotClosed,
     NotCommutative,
 )
-from .fields import Field, same_field
+from .fields import Field, Value, same_field
 from .linalg import LinMap, _SignedSwap, composite
 from .measurings import _braided_tensor
 from .structures import (
@@ -48,29 +47,31 @@ from .structures import (
 )
 
 
-@dataclass(frozen=True)
-class GradedSpace:
+class GradedSpace(Value):
     field: Field
     degrees: tuple[int, ...]
+
+    def __init__(self, field, degrees):
+        vars(self).update(field=field, degrees=degrees)
 
     @property
     def dim(self) -> int:
         return len(self.degrees)
 
 
-@dataclass(frozen=True)
-class Graded:
+class Graded(Value):
     """A structure value with a degree for each basis vector: ``value`` is an
     ungraded Algebra, Coalgebra, Bialgebra or HopfAlgebra."""
 
     value: Algebra | Coalgebra | Bialgebra | HopfAlgebra
     space: GradedSpace
 
-    def __post_init__(self):
-        if parts(self.value)[3] is not None:
+    def __init__(self, value, space):
+        vars(self).update(value=value, space=space)
+        if parts(value)[3] is not None:
             raise TypeError("a graded value cannot be graded again")
-        same_field(self.value.field, self.space.field)
-        if self.value.dim != self.space.dim:
+        same_field(value.field, space.field)
+        if value.dim != space.dim:
             raise DimensionMismatch("degree list length differs from the dimension")
 
     @property

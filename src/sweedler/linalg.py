@@ -37,12 +37,13 @@ a = b = 1 for each generator).  :func:`_side` writes each side's rows in
 row-major vec coordinates straight from psi's row nonzeros, and
 :func:`_equation_rows` sums the two sides into sparse rows for elimination.
 
-A map is a value, so what is read off it is kept on it: :meth:`LinMap.nonzeros`
-lists a map's nonzeros once, for every chain and equation it appears in,
-from the positions it was written at when it was written from its nonzeros,
-and a side of an equation is kept on its psi, keyed by the side, the other
-size, a and b.  A loop over many pairs writes each side once, with no table
-to pass.
+A map is a :class:`~sweedler.fields.Value`: its ``__init__`` sets its four
+fields once, and setting or deleting an attribute raises AttributeError.  So
+what is read off it is kept on it, outside its fields: :meth:`LinMap.nonzeros`
+lists a map's nonzeros once, for every chain and equation it appears in, from
+the positions it was written at when it was written from its nonzeros, and a
+side of an equation is kept on its psi, keyed by the side, the other size, a
+and b.  A loop over many pairs writes each side once, with no table to pass.
 
 Elimination is one reduced echelon {pivot column: row} of sparse rows
 {column: nonzero}, taken from kept nonzeros; over Q the values stay ints
@@ -57,31 +58,28 @@ derived basis (kernels, quotients, solution spaces) is deterministic.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from math import prod
 
 from .errors import DimensionMismatch, Singular
-from .fields import Field, same_field
+from .fields import Field, Value, same_field
 
 
-@dataclass(frozen=True)
-class LinMap:
+class LinMap(Value):
     field: Field
     cod: int
     dom: int
     entries: tuple  # row-major, length cod*dom, canonical scalars
 
-    def __post_init__(self):
-        if self.cod < 0 or self.dom < 0:
+    def __init__(self, field, cod, dom, entries):
+        vars(self).update(field=field, cod=cod, dom=dom, entries=entries)
+        if cod < 0 or dom < 0:
             raise DimensionMismatch("negative dimension")
-        if len(self.entries) != self.cod * self.dom:
+        if len(entries) != cod * dom:
             raise DimensionMismatch(
-                f"{self.cod}x{self.dom} map needs {self.cod * self.dom} entries, "
-                f"got {len(self.entries)}"
-            )
+                f"{cod}x{dom} map needs {cod * dom} entries, got {len(entries)}")
 
     # construction ---------------------------------------------------------
 
@@ -357,8 +355,7 @@ def _swap(m: int, n: int, field: Field) -> _SignedSwap:
     return _SignedSwap(field, (0,) * m, (0,) * n)
 
 
-@dataclass(frozen=True)
-class _SignedSwap:
+class _SignedSwap(Value):
     """The braiding k^m (x) k^n -> k^n (x) k^m of basis vectors with the given
     degrees, m and n of them: e_i (x) e_j -> (-1)^(left[i] * right[j]) e_j (x) e_i.
     A chain factor given by its m*n nonzeros; only :func:`swap_map` and
@@ -367,6 +364,9 @@ class _SignedSwap:
     field: Field
     left: tuple[int, ...]
     right: tuple[int, ...]
+
+    def __init__(self, field, left, right):
+        vars(self).update(field=field, left=left, right=right)
 
     @property
     def dom(self) -> int:

@@ -16,7 +16,6 @@ closed under the moves of a generating set of GL_n(k)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -26,7 +25,7 @@ from .errors import (
     NotCommutative,
     PreconditionViolated,
 )
-from .fields import same_field
+from .fields import Value, same_field
 from .linalg import (
     LinMap,
     _SignedSwap,
@@ -53,18 +52,18 @@ from .structures import (
 )
 
 
-@dataclass(frozen=True)
-class Measuring:
+class Measuring(Value):
     a: Algebra
     b: Algebra
     xdim: int
     psi: LinMap  # dim(a)*xdim -> xdim*dim(b)
 
-    def __post_init__(self):
-        same_field(self.a.field, self.b.field, self.psi.field)
-        if self.xdim < 0:
+    def __init__(self, a, b, xdim, psi):
+        vars(self).update(a=a, b=b, xdim=xdim, psi=psi)
+        same_field(a.field, b.field, psi.field)
+        if xdim < 0:
             raise DimensionMismatch("xdim must be >= 0")
-        if self.psi.dom != self.a.dim * self.xdim or self.psi.cod != self.xdim * self.b.dim:
+        if psi.dom != a.dim * xdim or psi.cod != xdim * b.dim:
             raise DimensionMismatch("psi shape does not match (a, b, xdim)")
 
     @property
@@ -85,17 +84,21 @@ class Measuring:
         ])))
 
 
-@dataclass(frozen=True)
-class Intertwiner:
+class Intertwiner(Value):
     source: Measuring
     target: Measuring
     f: LinMap  # source.xdim -> target.xdim
 
+    def __init__(self, source, target, f):
+        vars(self).update(source=source, target=target, f=f)
 
-@dataclass(frozen=True)
-class OrbitReport:
+
+class OrbitReport(Value):
     total_count: int
     orbits: tuple[tuple[Measuring, int], ...]  # (representative, orbit size)
+
+    def __init__(self, total_count, orbits):
+        vars(self).update(total_count=total_count, orbits=orbits)
 
 
 def validate_measuring(m: Measuring) -> ValidationReport:

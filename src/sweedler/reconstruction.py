@@ -31,7 +31,6 @@ With B = k and enough modules this computes the linear dual of A.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .errors import (
     IncompatibleMeasurings,
@@ -40,7 +39,7 @@ from .errors import (
     NotAComodule,
     PreconditionViolated,
 )
-from .fields import Field, same_field
+from .fields import Field, Value, same_field
 from .linalg import (
     LinMap,
     _chain_images,
@@ -130,8 +129,7 @@ def _classifying_map(delta: LinMap, cdim: int) -> LinMap:
 # generated subcoalgebras
 
 
-@dataclass(frozen=True)
-class GeneratedSubcoalgebra:
+class GeneratedSubcoalgebra(Value):
     """A finite stage: the subcoalgebra of P(A, B) that ``generators`` span,
     or their coend over a chosen family of intertwiners.
 
@@ -148,6 +146,10 @@ class GeneratedSubcoalgebra:
     projections: tuple[LinMap, ...]
     section: LinMap
     generators: tuple[Measuring, ...]
+
+    def __init__(self, a, b, d, pairing, projections, section, generators):
+        vars(self).update(a=a, b=b, d=d, pairing=pairing, projections=projections,
+                          section=section, generators=generators)
 
 
 def _quotient_by_rows(field: Field, n: int,

@@ -41,7 +41,6 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from typing import NamedTuple
@@ -56,7 +55,7 @@ from .errors import (
     Singular,
     UnsupportedField,
 )
-from .fields import Field, primitive_root, same_field
+from .fields import Field, Value, primitive_root, same_field
 from .linalg import (
     _BLOCK,
     Factor,
@@ -82,19 +81,19 @@ DEFAULT_BUDGET = 1 << 24
 # data types
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(Value):
     """Unital associative algebra: mult: dim^2 -> dim, unit: 1 -> dim."""
 
     mult: LinMap
     unit: LinMap
 
-    def __post_init__(self):
-        same_field(self.mult.field, self.unit.field)
-        d = self.unit.cod
+    def __init__(self, mult, unit):
+        vars(self).update(mult=mult, unit=unit)
+        same_field(mult.field, unit.field)
+        d = unit.cod
         if d < 1:
             raise DimensionMismatch("an algebra needs dim >= 1 (it has a unit)")
-        if self.unit.dom != 1 or self.mult.cod != d or self.mult.dom != d * d:
+        if unit.dom != 1 or mult.cod != d or mult.dom != d * d:
             raise DimensionMismatch("algebra structure maps have inconsistent shapes")
 
     @property
@@ -114,17 +113,17 @@ class Algebra:
         return ValidationReport(tuple(_failures(_algebra_axioms(self))))
 
 
-@dataclass(frozen=True)
-class Coalgebra:
+class Coalgebra(Value):
     """Counital coassociative coalgebra: comult: dim -> dim^2, counit: dim -> 1."""
 
     comult: LinMap
     counit: LinMap
 
-    def __post_init__(self):
-        same_field(self.comult.field, self.counit.field)
-        d = self.counit.dom
-        if self.counit.cod != 1 or self.comult.dom != d or self.comult.cod != d * d:
+    def __init__(self, comult, counit):
+        vars(self).update(comult=comult, counit=counit)
+        same_field(comult.field, counit.field)
+        d = counit.dom
+        if counit.cod != 1 or comult.dom != d or comult.cod != d * d:
             raise DimensionMismatch("coalgebra structure maps have inconsistent shapes")
 
     @property
@@ -141,14 +140,14 @@ class Coalgebra:
         return ValidationReport(tuple(_failures(_coalgebra_axioms(self))))
 
 
-@dataclass(frozen=True)
-class Bialgebra:
+class Bialgebra(Value):
     algebra: Algebra
     coalgebra: Coalgebra
 
-    def __post_init__(self):
-        same_field(self.algebra.field, self.coalgebra.field)
-        if self.algebra.dim != self.coalgebra.dim:
+    def __init__(self, algebra, coalgebra):
+        vars(self).update(algebra=algebra, coalgebra=coalgebra)
+        same_field(algebra.field, coalgebra.field)
+        if algebra.dim != coalgebra.dim:
             raise DimensionMismatch("bialgebra halves disagree on dimension")
 
     @property
@@ -203,15 +202,15 @@ class Bialgebra:
             Axiom("counit unital", [(u, 1, 1), (eps, 1, 1)], [], (1,))]))
 
 
-@dataclass(frozen=True)
-class HopfAlgebra:
+class HopfAlgebra(Value):
     bialgebra: Bialgebra
     antipode: LinMap
 
-    def __post_init__(self):
-        same_field(self.bialgebra.field, self.antipode.field)
-        d = self.bialgebra.dim
-        if self.antipode.cod != d or self.antipode.dom != d:
+    def __init__(self, bialgebra, antipode):
+        vars(self).update(bialgebra=bialgebra, antipode=antipode)
+        same_field(bialgebra.field, antipode.field)
+        d = bialgebra.dim
+        if antipode.cod != d or antipode.dom != d:
             raise DimensionMismatch("antipode shape does not match the bialgebra")
 
     @property
@@ -241,18 +240,22 @@ class HopfAlgebra:
 # validation
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(Value):
     axiom: str
     witness: tuple
+
+    def __init__(self, axiom, witness):
+        vars(self).update(axiom=axiom, witness=witness)
 
     def __str__(self):
         return f"{self.axiom} fails at basis indices {self.witness}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Value):
     failures: tuple[Failure, ...]
+
+    def __init__(self, failures):
+        vars(self).update(failures=failures)
 
     @property
     def ok(self) -> bool:
@@ -493,6 +496,8 @@ def dual_coalgebra(a: Algebra) -> Coalgebra:
 
 
 def dual_algebra(c: Coalgebra) -> Algebra:
+    if c.dim == 0:
+        raise PreconditionViolated("the dual of the zero coalgebra has no unit: it is not an algebra")
     return Algebra(mult=c.comult.transpose(), unit=c.counit.transpose())
 
 
@@ -531,8 +536,7 @@ def convolution_algebra(c: Coalgebra, b: Algebra) -> Algebra:
 # fusion operators and antipodes
 
 
-@dataclass(frozen=True)
-class FusionOperators:
+class FusionOperators(Value):
     """The four canonical endomorphisms of H (x) H whose invertibility
     characterises Hopf (h, h_prime) and op-Hopf (h_bar, h_bar_prime)."""
 
@@ -540,6 +544,9 @@ class FusionOperators:
     h_prime: LinMap
     h_bar: LinMap
     h_bar_prime: LinMap
+
+    def __init__(self, h, h_prime, h_bar, h_bar_prime):
+        vars(self).update(h=h, h_prime=h_prime, h_bar=h_bar, h_bar_prime=h_bar_prime)
 
 
 def fusion_operators(b: Bialgebra) -> FusionOperators:

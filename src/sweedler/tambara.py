@@ -14,10 +14,9 @@ independently, are matched with the algebra morphisms B -> M_n(A).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import PreconditionViolated, UnsupportedField
-from .fields import Field, same_field
+from .fields import Field, Value, same_field
 from .linalg import LinMap, matrix_equation_kernel
 from .structures import (
     DEFAULT_BUDGET,
@@ -32,12 +31,14 @@ Word = tuple[int, ...]
 Forms = dict[tuple[int, int], list[tuple[Word, object]]]  # x_{i,j} -> its nonzero terms
 
 
-@dataclass(frozen=True)
-class PresentedAlgebra:
+class PresentedAlgebra(Value):
     field: Field
     generators: tuple[str, ...]
     relations: tuple[tuple[tuple[object, Word], ...], ...]
     # each relation: ((coeff, word), ...) sorted by (len(word), word)
+
+    def __init__(self, field, generators, relations):
+        vars(self).update(field=field, generators=generators, relations=relations)
 
 
 def _generator_forms(a: Algebra, b: Algebra) -> tuple[list[tuple[int, int]], Forms]:
@@ -201,8 +202,7 @@ def module_intertwiners(mats1: tuple[LinMap, ...], mats2: tuple[LinMap, ...],
     return matrix_equation_kernel(field, (n, n), [(m1, m2, 1, 1) for m1, m2 in zip(mats1, mats2)])
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+class CorrespondenceReport(Value):
     n: int
     module_count: int
     morphism_count: int
@@ -211,6 +211,13 @@ class CorrespondenceReport:
     matched: bool
     orbits_matched: bool
     intertwiners_matched: bool
+
+    def __init__(self, n, module_count, morphism_count, module_orbit_sizes,
+                 morphism_orbit_sizes, matched, orbits_matched, intertwiners_matched):
+        vars(self).update(n=n, module_count=module_count, morphism_count=morphism_count,
+                          module_orbit_sizes=module_orbit_sizes, matched=matched,
+                          morphism_orbit_sizes=morphism_orbit_sizes, orbits_matched=orbits_matched,
+                          intertwiners_matched=intertwiners_matched)
 
     @property
     def ok(self) -> bool:

@@ -173,6 +173,14 @@ def test_parse_field_names():
         parse_field("GF(2)")
 
 
+def test_fields_by_name_are_one_object_per_characteristic():
+    assert parse_field("F3") is parse_field("F3") is GF(3)
+    assert parse_field("Q") is GF(0) is QQ
+    built = Field(3)
+    assert built is not GF(3) and built == GF(3) and hash(built) == hash(GF(3))
+    assert same_field(GF(3), built, parse_field("F3")) is GF(3)
+
+
 def test_same_field_mismatch():
     from sweedler.errors import FieldMismatch
 

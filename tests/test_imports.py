@@ -1,8 +1,11 @@
-"""The library imports nothing but the standard library and itself, and
-every name the benchmark's tracer wraps is one of its functions."""
+"""The library imports nothing but the standard library and itself, starts
+without loading ``dataclasses``, and every name the benchmark's tracer wraps
+is one of its functions."""
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,3 +37,13 @@ def test_every_traced_name_is_a_library_function():
     missing = [f"{module}.{name}" for module, names in traced.items() for name in names
                if not callable(getattr(importlib.import_module(f"sweedler.{module}"), name, None))]
     assert traced and not missing, missing
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # each @dataclass compiles its methods with exec when its module is imported,
+    # which a CLI pays on every start; -S keeps site hooks from loading it first
+    code = "import sys, sweedler.cli; print('dataclasses' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0 and result.stdout == "False\n", result.stderr

@@ -123,6 +123,8 @@ def test_zero_dimensional_coalgebra_is_legal():
     zero = Coalgebra(comult=LinMap.zero(QQ, 0, 0), counit=LinMap.zero(QQ, 1, 0))
     assert validate_coalgebra(zero).ok
     assert grouplikes(zero, candidates=[]) == []
+    with pytest.raises(PreconditionViolated, match="the dual of the zero coalgebra has no unit"):
+        dual_algebra(zero)
 
 
 # -- constructions ------------------------------------------------------------
