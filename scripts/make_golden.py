@@ -105,7 +105,7 @@ def cases() -> list[list[str]]:
     out.append(["enumerate-measurings", _fixture("f2_c2.json"), _fixture("f2_dualnum.json"), "0"])
     # bounds 2^7200 (2,168 digits, written in decimal) and 2^16200 (4,877 digits,
     # past CPython's int-to-decimal limit: written as a power)
-    for n in ("2", "60", "90"):
+    for n in ("2", "3", "60", "90"):
         out.append(["tambara-check", _fixture("f2_c2.json"), _fixture("f2_dualnum.json"),
                     "--n", n])
     for n in measurings:
