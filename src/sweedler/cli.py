@@ -255,7 +255,7 @@ def cmd_graded_check(args):
     doc = _read_document(args.document)
     space = parts(doc.value)[3]
     if space is None:
-        raise ValidationError("input carries no degrees")
+        raise PreconditionViolated("input carries no degrees")
     report = validate_graded(doc.value)
     connected = None
     if all(d >= 0 for d in space.degrees):

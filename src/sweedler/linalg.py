@@ -33,17 +33,16 @@ through it, and :meth:`LinMap.transpose` swaps a map's two axes with it.
 
 The one matrix equation solved is that of intertwiners, (X (x) 1_b).psi1 =
 psi2.(1_a (x) X) for an unknown X (of measurings; of Tambara modules with
-a = b = 1 for each generator).  :func:`_side` writes each side's rows in
-row-major vec coordinates straight from psi's row nonzeros, and
-:func:`_equation_rows` sums the two sides into sparse rows for elimination.
+a = b = 1 for each generator).  :func:`_equation_rows` writes the rows of
+the difference in row-major vec coordinates straight from the row nonzeros
+of both maps, into fresh sparse rows for elimination, and drops a row that
+cancels.
 
 A map is a :class:`~sweedler.fields.Value`: its ``__init__`` sets its four
 fields once, and setting or deleting an attribute raises AttributeError.  So
 what is read off it is kept on it, outside its fields: :meth:`LinMap.nonzeros`
 lists a map's nonzeros once, for every chain and equation it appears in, from
-the positions it was written at when it was written from its nonzeros, and a
-side of an equation is kept on its psi, keyed by the side, the other size, a
-and b.  A loop over many pairs writes each side once, with no table to pass.
+the positions it was written at when it was written from its nonzeros.
 
 Elimination is one reduced echelon {pivot column: row} of sparse rows
 {column: nonzero}, taken from kept nonzeros; over Q the values stay ints
@@ -164,8 +163,7 @@ class LinMap(Value):
 
     @cached_property
     def _kept(self) -> dict:
-        """What is read off this map, kept: its nonzeros by orientation, and
-        the rows of the matrix-equation sides written from it (:func:`_side`);
+        """What is read off this map, kept: its nonzeros by orientation and,
         under None, the positions of its nonzeros, when it was written from them."""
         return {}
 
@@ -521,51 +519,36 @@ def _solution(k: Field, rows: list[dict], n: int) -> tuple | None:
 Equation = tuple[LinMap, LinMap, int, int]  # (psi1, psi2, a, b): see matrix_equation_kernel
 
 
-def _side(psi: LinMap, n: int, other: int, a: int, b: int, x_first: bool) -> dict:
-    """A side of an equation as sparse rows {row: [(column, value)]} in
-    row-major vec coordinates, written from psi's row nonzeros and kept on
-    psi: (X (x) 1_b).psi for an other x n unknown X with ``x_first``, else
-    minus psi.(1_a (x) X) for an n x other X."""
-    kept, key = psi._kept, (x_first, other, a, b)
-    if key not in kept:
-        p, out = psi.field.char, {}
-        for r, row in enumerate(psi.nonzeros(by_col=False)):
-            if x_first:  # psi's (j, beta), c meets X's (i, j) at row (i, beta), column c
-                j, beta = divmod(r, b)
-                for i in range(other):
-                    var, base = i * n + j, (i * b + beta) * psi.dom
-                    for c, v in row:
-                        out.setdefault(base + c, []).append((var, v))
-            else:  # psi's r, (alpha, i) meets X's (i, j) at row r, column (alpha, j)
-                for s, v in row:
-                    alpha, i = divmod(s, n)
-                    base, minus = (r * a + alpha) * other, p - v if p else -v
-                    for j in range(other):
-                        out.setdefault(base + j, []).append((i * other + j, minus))
-        kept[key] = out
-    return kept[key]
-
-
 def _equation_rows(shape: tuple[int, int], equation: Equation) -> dict[int, dict]:
     """The nonzero rows {row: {column: nonzero}} of an equation on a ``shape``
-    unknown: its two kept sides summed, a row dropped once it cancels."""
+    unknown, in row-major vec coordinates, written fresh from the row
+    nonzeros of both maps: (X (x) 1_b).psi1 - psi2.(1_a (x) X), a row
+    dropped once it cancels."""
     (n2, n1), (psi1, psi2, a, b) = shape, equation
     if (psi1.cod, psi1.dom, psi2.cod, psi2.dom) != (n1 * b, a * n1, n2 * b, a * n2):
         raise DimensionMismatch(f"{psi1.cod}x{psi1.dom} and {psi2.cod}x{psi2.dom} maps do not "
                                 f"fit an {n2}x{n1} unknown with a = {a}, b = {b}")
-    p = psi1.field.char
-    rows = {r: dict(entries) for r, entries in _side(psi1, n1, n2, a, b, True).items()}
-    for r, entries in _side(psi2, n2, n1, a, b, False).items():
-        row = rows.setdefault(r, {})
-        for j, v in entries:
-            v = (v + row.get(j, 0)) % p if p else v + row.get(j, 0)
-            if v:
-                row[j] = v
-            else:
-                del row[j]
-        if not row:  # a row that cancels is no equation
-            del rows[r]
-    return rows
+    p, rows = psi1.field.char, {}
+    # psi1's (j, beta), c meets X's (i, j) at row (i, beta), column c: once per row and unknown
+    for r, entries in enumerate(psi1.nonzeros(by_col=False)):
+        j, beta = divmod(r, b)
+        for i in range(n2):
+            var, base = i * n1 + j, (i * b + beta) * psi1.dom
+            for c, v in entries:
+                rows.setdefault(base + c, {})[var] = v
+    # psi2's r, (alpha, i) meets X's (i, j) at row r, column (alpha, j), subtracted
+    for r, entries in enumerate(psi2.nonzeros(by_col=False)):
+        for s, v in entries:
+            alpha, i = divmod(s, n2)
+            base = (r * a + alpha) * n1
+            for j in range(n1):
+                row, var = rows.setdefault(base + j, {}), i * n1 + j
+                w = (row.get(var, 0) - v) % p if p else row.get(var, 0) - v
+                if w:
+                    row[var] = w
+                else:
+                    del row[var]
+    return {r: row for r, row in rows.items() if row}  # a row that cancels is no equation
 
 
 def solve_matrix_equations(field: Field, shape: tuple[int, int],

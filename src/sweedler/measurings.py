@@ -152,10 +152,8 @@ def unit_measuring(a: Bialgebra, b: Algebra) -> Measuring:
 
 
 def intertwiners(m1: Measuring, m2: Measuring) -> list[Intertwiner]:
-    """Echelon-canonical basis of {f : (f (x) 1_B).psi1 = psi2.(1_A (x) f)}.
-
-    Each psi keeps the side of the equation it writes, so a loop over many
-    pairs writes each side once per partner dimension (``linalg._side``)."""
+    """Echelon-canonical basis of {f : (f (x) 1_B).psi1 = psi2.(1_A (x) f)},
+    one system whose rows are written from the nonzeros of both psi."""
     if m1.a != m2.a or m1.b != m2.b:
         raise IncompatibleMeasurings("intertwiners need the same (A, B)")
     basis = matrix_equation_kernel(m1.field, (m2.xdim, m1.xdim),
@@ -196,12 +194,16 @@ def morphism_classes(a: Algebra, b: Algebra, n: int,
     """The measurings of algebra morphisms A -> M_n(B) that an enumeration
     proved, unpacked without a second check, in conjugation orbits: the
     morphisms must be all of them, and each class is listed in their order."""
-    measurings = [Measuring(a, b, n, _psi_of(rho, a.dim, b.dim, n)) for rho in morphisms]
-    # the n x n blocks M_{t,q}[i, j] = psi[(i, q), (t, j)], each conjugated by g
-    blocks = [permute_axes(m.psi, (n, b.dim, a.dim, n), (2, 1, 0, 3), 3).entries
-              for m in measurings]
-    return [[measurings[i] for i in members]
-            for members in conjugation_classes(a.field, n, blocks)]
+    classes = conjugation_classes(a.field, n, [_blocks(rho, n, b.dim) for rho in morphisms])
+    return [[Measuring(a, b, n, _psi_of(morphisms[i], a.dim, b.dim, n)) for i in members]
+            for members in classes]
+
+
+def _blocks(rho: LinMap, n: int, db: int) -> tuple:
+    """The n x n blocks M_{t,q}[i, j] = rho[(i, j, q), t] of a morphism
+    rho: A -> M_n(B), stacked in (t, q) order, read from rho's entries;
+    conjugating every block by g conjugates the measuring by g."""
+    return permute_axes(rho, (n, n, db, rho.dom), (3, 2, 0, 1), 4).entries
 
 
 # ---------------------------------------------------------------------------

@@ -892,16 +892,14 @@ def conjugation_classes(field: Field, n: int, items: Sequence[tuple]) -> list[li
     into orbits under m -> g m g^-1 on every block, g in GL_n(F_p): lists of
     item indices in item order, listed in the order of their first members.
 
-    Each item not yet placed is closed under the moves of :func:`gl_generators`,
+    Each item not yet placed is closed under the moves of :func:`_moves`,
     one row and one column operation per block; in a finite group that is the
     whole orbit, so a conjugate missing from the items raises
-    PreconditionViolated.  The primitive root is found only for an item that
-    diag(w, 1, ..., 1) moves.
+    PreconditionViolated.
     """
     if field.is_rational:
         raise UnsupportedField("conjugation orbits need a finite field")
-    p, size = field.char, n * n
-    transvections = gl_generators(p, n, scaling=False)
+    p = field.char
     index = {item: i for i, item in enumerate(items)}
     label: list[int | None] = [None] * len(items)  # the class of each indexed item
     classes: list[list[int]] = []
@@ -913,12 +911,7 @@ def conjugation_classes(field: Field, n: int, items: Sequence[tuple]) -> list[li
             stack = [item]
             while stack:
                 m = stack.pop()
-                # diag(w, 1, ..., 1) scales the off-diagonal entries of row 0
-                # and column 0, and fixes a block without them
-                scaled = p > 2 and n > 1 and any(m[b + c] or m[b + c * n]
-                                                 for b in range(0, len(m), size)
-                                                 for c in range(1, n))
-                for move in gl_generators(p, n) if scaled else transvections:
+                for move in _moves(p, n, m):
                     at = index.get(_conjugated(m, n, p, move))
                     if at is None:
                         raise PreconditionViolated("the items are not closed under conjugation")
@@ -927,6 +920,17 @@ def conjugation_classes(field: Field, n: int, items: Sequence[tuple]) -> list[li
                         stack.append(items[at])
         classes[label[seed]].append(i)
     return classes
+
+
+def _moves(p: int, n: int, *items: tuple) -> list[tuple[int, int, int]]:
+    """The moves of :func:`gl_generators` for ``items`` (blocks as in
+    :func:`conjugation_classes`): the transvections, and diag(w, 1, ..., 1),
+    which scales the off-diagonal entries of row 0 and column 0 of a block,
+    only when it moves one of them, so the primitive root is found only then."""
+    size = n * n
+    scaled = p > 2 and n > 1 and any(m[b + c] or m[b + c * n] for m in items
+                                     for b in range(0, len(m), size) for c in range(1, n))
+    return gl_generators(p, n, scaling=scaled)
 
 
 def _conjugated(item: tuple, n: int, p: int, move: tuple[int, int, int]) -> tuple:

@@ -8,7 +8,11 @@ generators, kept in one table as its nonzero terms (word, coefficient).
 The relations multiply the terms of two coordinates, and the canonical
 identification rho(beta_j) = sum_i a_i (x) m(x_{i,j}) writes each term's
 matrix into rho.  Through it the n-dimensional modules, enumerated
-independently, are matched with the algebra morphisms B -> M_n(A).
+independently, are matched with the algebra morphisms B -> M_n(A).  GL_n(k)
+acts on both by conjugation, and Hom(g.M1, h.M2) = h Hom(M1, M2) g^-1 on
+each side; so once the identification commutes with the generator moves of
+GL_n(k), hence with the whole group, the Hom spaces of all pairs agree as
+soon as those of the pairs of orbit representatives do.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from .linalg import LinMap, matrix_equation_kernel
 from .structures import (
     DEFAULT_BUDGET,
     Algebra,
+    _conjugated,
+    _moves,
     _QuadraticSearch,
     algebra_morphisms,
     conjugation_classes,
@@ -198,7 +204,7 @@ def module_to_matrix_morphism(p: PresentedAlgebra, a: Algebra, b: Algebra,
 def module_intertwiners(mats1: tuple[LinMap, ...], mats2: tuple[LinMap, ...],
                         field: Field, n: int) -> list[LinMap]:
     """Echelon basis of {T : T m1(x) = m2(x) T for every generator x}: the
-    intertwiner equation with a = b = 1, each side kept on its matrix."""
+    intertwiner equation with a = b = 1, one per generator."""
     return matrix_equation_kernel(field, (n, n), [(m1, m2, 1, 1) for m1, m2 in zip(mats1, mats2)])
 
 
@@ -228,45 +234,48 @@ def correspondence_check(a: Algebra, b: Algebra, n: int,
                          budget: int = DEFAULT_BUDGET) -> CorrespondenceReport:
     """Verify that n-dimensional modules of a(A, B) are exactly the algebra
     morphisms B -> M_n(A), compatibly with conjugation orbits and intertwiners.
-    At n = 0 the one module matches the one morphism into M_0(A) = 0."""
+    At n = 0 the one module matches the one morphism into M_0(A) = 0.
+    Intertwiners are compared on orbit representatives (module docstring)."""
     # imported here so that tests can patch the measurings module's functions
     from .measurings import (
+        _blocks,
         intertwiners as measuring_intertwiners,
-        matrix_morphism_from_measuring,
         measuring_from_matrix_morphism,
-        morphism_classes,
     )
 
     if n < 0:
         raise PreconditionViolated(f"modules need n >= 0, got {n}")
     p = tambara_presentation(a, b)
+    k, q = p.field, p.field.char
     modules = tambara_modules(p, n, budget=budget)
-    if n == 0:
-        morphisms = [LinMap(p.field, 0, b.dim, ())]
-    else:
-        morphisms = algebra_morphisms(b, matrix_algebra(a, n), budget=budget)
-    rhos = [module_to_matrix_morphism(p, a, b, mats, n) for mats in modules]
-    translate = {_stacked_entries(mats): rho.entries for mats, rho in zip(modules, rhos)}
-    matched = sorted(translate.values()) == sorted(rho.entries for rho in morphisms)
+    morphisms = ([LinMap(k, 0, b.dim, ())] if n == 0
+                 else algebra_morphisms(b, matrix_algebra(a, n), budget=budget))
+    rhos = {_stacked_entries(mats): module_to_matrix_morphism(p, a, b, mats, n)
+            for mats in modules}
+    # the translation: a module's generator matrices -> the blocks of its morphism
+    translate = {key: _blocks(rho, n, a.dim) for key, rho in rhos.items()}
+    images = [_blocks(rho, n, a.dim) for rho in morphisms]
+    matched = sorted(translate.values()) == sorted(images)
 
+    module_classes = _module_classes(p, modules, n)
     module_partition = [frozenset(translate[_stacked_entries(mats)] for mats in members)
-                        for members in _module_classes(p, modules, n)]
-    morphism_partition = [frozenset(matrix_morphism_from_measuring(mu).entries for mu in members)
-                          for members in morphism_classes(b, a, n, morphisms)]
+                        for members in module_classes]
+    morphism_partition = [frozenset(images[i] for i in members)
+                          for members in conjugation_classes(k, n, images)]
     orbits_matched = set(module_partition) == set(morphism_partition)
 
-    # intertwiners transport: the same T solves both sides, in the same basis;
-    # each module becomes a measuring once, through the checked conversion.
-    # The two sides stay independent systems: their terms are kept on
-    # different maps, the generator matrices and the psi
-    mus = [measuring_from_matrix_morphism(rho, b, a, n) for rho in rhos]
-    intertwiners_ok = True
-    for mats1, mu1 in zip(modules, mus):
-        for mats2, mu2 in zip(modules, mus):
-            lhs = [t.entries for t in module_intertwiners(mats1, mats2, p.field, n)]
-            rhs = [iw.f.entries for iw in measuring_intertwiners(mu1, mu2)]
-            if lhs != rhs:
-                intertwiners_ok = False
+    # (a) equivariance: a conjugate of a module translates to the conjugate
+    # of its translation
+    equivariant = all(translate.get(_conjugated(key, n, q, move)) == _conjugated(image, n, q, move)
+                      for key, image in translate.items() for move in _moves(q, n, key, image))
+    # (b) the same T solves both sides, in the same basis, on representatives;
+    # each becomes a measuring once, through the checked conversion
+    reps = [(mats, measuring_from_matrix_morphism(rhos[_stacked_entries(mats)], b, a, n))
+            for mats, *_ in module_classes]
+    intertwiners_ok = equivariant and all(
+        [t.entries for t in module_intertwiners(mats1, mats2, k, n)]
+        == [iw.f.entries for iw in measuring_intertwiners(mu1, mu2)]
+        for mats1, mu1 in reps for mats2, mu2 in reps)
     return CorrespondenceReport(
         n=n,
         module_count=len(modules),

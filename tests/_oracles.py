@@ -12,6 +12,7 @@ from itertools import compress
 from math import prod
 from operator import itemgetter
 
+from sweedler import tambara
 from sweedler.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -1053,6 +1054,21 @@ def reference_module_to_matrix_morphism(a, b, mats, n):
     blocks = LinMap(k, db * da, n * n, tuple(x for j in range(db) for i in range(da)
                                              for x in matrix_of(i, j).entries))
     return permute_axes(blocks, (db, da, n, n), (2, 3, 1, 0), 3)
+
+
+def all_pairs_intertwiners_matched(a, b, n) -> bool:
+    """The Tambara check's intertwiner comparison on every ordered pair of
+    n-dimensional modules, as the library once ran it: the module Hom space
+    against the Hom space of the two measurings, each module converted once
+    through ``tambara.module_to_matrix_morphism``, looked up at call time so
+    that a patched translation is the one compared."""
+    p = tambara.tambara_presentation(a, b)
+    modules = tambara.tambara_modules(p, n)
+    mus = [measuring_from_matrix_morphism(tambara.module_to_matrix_morphism(p, a, b, mats, n),
+                                          b, a, n) for mats in modules]
+    return all([t.entries for t in tambara.module_intertwiners(m1, m2, p.field, n)]
+               == [iw.f.entries for iw in intertwiners(mu1, mu2)]
+               for m1, mu1 in zip(modules, mus) for m2, mu2 in zip(modules, mus))
 
 
 # ---------------------------------------------------------------------------

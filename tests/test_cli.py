@@ -253,8 +253,10 @@ def test_graded_check_command(capsys):
 
 
 def test_graded_check_requires_degrees(capsys):
-    code, _ = run(capsys, "graded-check", fixture("q_c2.json"))
-    assert code == 3
+    # a missing grading is a precondition, not a failed axiom
+    code, out = run(capsys, "graded-check", fixture("q_c2.json"))
+    assert code == 5
+    assert json.loads(out)["error"] == "PreconditionViolated"
 
 
 def test_degree0_command(capsys):
@@ -615,7 +617,8 @@ def test_reported_matrices_show_every_dense_entry(field):
 
 @pytest.mark.parametrize("argv", [["enumerate-measurings", "k.json", "k.json", "1"],
                                   ["enumerate-measurings", "k.json", "k.json", "2"],
-                                  ["tambara-check", "k.json", "k.json", "--n", "1"]])
+                                  ["tambara-check", "k.json", "k.json", "--n", "1"],
+                                  ["tambara-check", "k.json", "k.json", "--n", "2"]])
 def test_census_over_a_large_prime_does_no_work_per_scalar(tmp_path, argv):
     # conjugation fixes the unit in M_n(k): no move may cost p or sqrt(p) steps
     (tmp_path / "k.json").write_text(json.dumps(

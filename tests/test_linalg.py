@@ -459,16 +459,24 @@ def test_operator_matrix_matches_the_probing_oracle(field):
         psi1, psi2, a, b = equation
         expected = probing_operator_matrix(dense_operator(equation), field, shape)
         assert operator_matrix(field, shape, equation) == expected
-        # rows both sides write, and those left after summing
-        both = linalg._side(psi1, n1, n2, a, b, True).keys() & \
-            linalg._side(psi2, n2, n1, a, b, False).keys()
+        # rows both sides write, by probing each side alone, and those left
+        # after summing: exactly the nonzero rows of the probing matrix
+        both = set.intersection(*(_probed_rows(field, shape, [term]) for term in
+                                  [(1, None, 1, b, psi1), (-1, psi2, a, 1, None)]))
         left = linalg._equation_rows(shape, equation).keys()
+        assert left == {r for r in range(expected.cod) if any(expected.row_at(r))}
         cases = {"rectangular": n1 != n2 and n1 * n2, "a, b > 1": a > 1 and b > 1 and n1 * n2,
                  "psi1 = psi2": psi1 is psi2 and n1, "0 x n": n1 and not n2,
                  "n x 0": n2 and not n1, "cancelled rows": both - left}
         seen.update(case for case, occurs in cases.items() if occurs)
     assert seen == {"rectangular", "a, b > 1", "psi1 = psi2", "0 x n", "n x 0",
                     "cancelled rows"}
+
+
+def _probed_rows(field, shape, terms):
+    """The indices of the nonzero rows of the probing matrix of a sum of terms."""
+    m = probing_operator_matrix(dense_term_operator(terms), field, shape)
+    return {r for r in range(m.cod) if any(m.row_at(r))}
 
 
 def probing_kernel(field, shape, equations):
@@ -520,31 +528,36 @@ def test_matrix_equations_match_the_probing_oracle():
 
 
 def _copied(equations):
-    """The equations with each map replaced by an equal copy, which keeps nothing."""
+    """The equations with each map replaced by an equal copy, which has read nothing."""
     def copy(m):
         return LinMap(m.field, m.cod, m.dom, m.entries)
     return [(copy(psi1), copy(psi2), a, b) for psi1, psi2, a, b in equations]
 
 
-def _recorded_sides(monkeypatch):
-    """Every side ``linalg._side`` returns, in call order; a side written
-    anew is a new object, a kept one the object returned before."""
+def _recorded_rows(monkeypatch):
+    """Every row table ``linalg._equation_rows`` returns, in call order."""
     returned = []
-    original = linalg._side
+    original = linalg._equation_rows
 
     def recorded(*args):
         returned.append(original(*args))
         return returned[-1]
 
-    monkeypatch.setattr(linalg, "_side", recorded)
+    monkeypatch.setattr(linalg, "_equation_rows", recorded)
     return returned
+
+
+def _keeps_only_nonzeros(m):
+    """Whether a map keeps nothing but its nonzero lists and written positions."""
+    return set(m._kept) <= {None, False, True}
 
 
 @pytest.mark.parametrize("field", [F2, GF(3), QQ], ids=str)
 def test_shared_tables_match_fresh_calls_and_the_probing_oracle(monkeypatch, field):
-    # a second call reads each side kept on its map and writes nothing, and
-    # agrees with a call on equal copies of the maps and with the probing oracle
-    returned = _recorded_sides(monkeypatch)
+    # a second call on the same maps writes its rows again, no map keeps
+    # them, and it agrees with a call on equal copies of the maps and with
+    # the probing oracle
+    returned = _recorded_rows(monkeypatch)
     rng = random.Random(811 + field.char)
     for _ in range(60):
         shape = random_shape(rng)
@@ -553,11 +566,12 @@ def test_shared_tables_match_fresh_calls_and_the_probing_oracle(monkeypatch, fie
         first = matrix_equation_kernel(field, shape, equations)
         written = list(returned)
         returned.clear()
-        kept = matrix_equation_kernel(field, shape, equations)
-        assert len(returned) == len(written) == 2 * len(equations)
-        assert all(again is side for again, side in zip(returned, written))
-        assert kept == first == matrix_equation_kernel(field, shape, _copied(equations))
-        assert [f.entries for f in kept] == probing_kernel(field, shape, equations)
+        again = matrix_equation_kernel(field, shape, equations)
+        assert len(returned) == len(written) == len(equations)
+        assert all(rows is not before for rows, before in zip(returned, written))
+        assert all(_keeps_only_nonzeros(m) for psi1, psi2, _, _ in equations for m in (psi1, psi2))
+        assert again == first == matrix_equation_kernel(field, shape, _copied(equations))
+        assert [f.entries for f in again] == probing_kernel(field, shape, equations)
         returned.clear()
 
 
@@ -565,7 +579,7 @@ def test_shared_tables_match_fresh_calls_and_the_probing_oracle(monkeypatch, fie
 def test_shared_tables_tell_apart_terms_on_one_map(field):
     # one map as psi1 and psi2 of one equation, in either role against
     # partners of two other sizes, and with other (a, b); the equations run
-    # twice, the second time on what the first one kept
+    # twice on the same maps
     m = LinMap.make(field, 2, 2, [1, 1, 0, 2])
     big = LinMap.make(field, 4, 4, [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0])
     one, three = LinMap.make(field, 1, 1, [2]), LinMap.identity(field, 3)
@@ -590,7 +604,7 @@ def test_shared_tables_tell_apart_terms_on_one_map(field):
     assert len({tuple(f.entries for f in kernel) for kernel in results[0]}) > 5
 
 
-def test_intertwiners_of_different_dimensions_share_one_table(monkeypatch):
+def test_intertwiners_of_different_dimensions_match_copies():
     f2, q = (cyclic_group_hopf(GF(2), 2).algebra, dual_numbers(GF(2))), cyclic_group_hopf(QQ, 2)
     families = [
         [m for n in (1, 2) for m, _ in enumerate_measurings(*f2, n).orbits],
@@ -598,20 +612,16 @@ def test_intertwiners_of_different_dimensions_share_one_table(monkeypatch):
          *[Measuring(q.algebra, trivial_algebra(QQ), 1, LinMap.from_rows(QQ, [row]))
            for row in ([1, 1], [1, -1])]],
     ]
-    returned = _recorded_sides(monkeypatch)
     for family in families:
         assert len({m.xdim for m in family}) == 2
-        returned.clear()
         for m1 in family:
             for m2 in family:
                 copies = [Measuring(m.a, m.b, m.xdim, LinMap(m.field, m.psi.cod, m.psi.dom,
                                                               m.psi.entries)) for m in (m1, m2)]
                 assert ([iw.f for iw in intertwiners(m1, m2)]
                         == [iw.f for iw in intertwiners(*copies)])
-        # the copies write both sides for each pair; the family, each side
-        # once per partner dimension
-        pairs = len(family) ** 2
-        assert len({id(side) for side in returned}) == 2 * pairs + 2 * len(family) * 2
+        # each psi met partners of both dimensions and keeps no equation rows
+        assert all(_keeps_only_nonzeros(m.psi) for m in family)
 
 
 def test_nonzeros_are_listed_once_per_map(monkeypatch):

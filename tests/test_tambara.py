@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from sweedler import tambara
 from sweedler.cli import EXIT_INTERNAL, main
 from sweedler.errors import BudgetExceeded
 from sweedler.fields import GF
@@ -24,6 +25,7 @@ from sweedler.zoo import corpus_algebras, cyclic_group_hopf, dual_numbers, invol
 
 from _oracles import (
     algebra_product,
+    all_pairs_intertwiners_matched,
     conjugation_invariant,
     conjugation_partition,
     diagonal_algebra,
@@ -192,7 +194,7 @@ def test_module_to_matrix_morphism_is_the_identification(inv_f2):
         assert matrix_morphism_from_measuring(mu) == rho
 
 
-def test_correspondence_converts_each_module_once(monkeypatch, inv_f2):
+def test_correspondence_converts_each_orbit_representative_once(monkeypatch, inv_f2):
     import sweedler.measurings as measurings
 
     calls = []
@@ -204,14 +206,71 @@ def test_correspondence_converts_each_module_once(monkeypatch, inv_f2):
 
     monkeypatch.setattr(measurings, "measuring_from_matrix_morphism", counted)
     report = correspondence_check(inv_f2, dual_numbers(F2), 2)
-    assert report.ok
-    assert len(calls) == report.module_count == 28
+    assert report.ok and report.module_count == 28
+    assert len(calls) == len(report.module_orbit_sizes) == 10
+
+
+def test_correspondence_solves_hom_spaces_on_representative_pairs_only(monkeypatch, inv_f2):
+    # 10 module orbits give 10 x 10 ordered pairs on each side, where all
+    # pairs of the 28 modules were 784
+    import sweedler.measurings as measurings
+
+    counts = {"modules": 0, "measurings": 0}
+
+    def counted(name, original):
+        def call(*args):
+            counts[name] += 1
+            return original(*args)
+        return call
+
+    monkeypatch.setattr(tambara, "module_intertwiners",
+                        counted("modules", tambara.module_intertwiners))
+    monkeypatch.setattr(measurings, "intertwiners", counted("measurings", measurings.intertwiners))
+    report = correspondence_check(inv_f2, dual_numbers(F2), 2)
+    assert report.ok and len(report.module_orbit_sizes) == 10
+    assert counts == {"modules": 100, "measurings": 100}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_correspondence_matches_the_all_pairs_oracle(name, n):
+    a, b = PRESENTATIONS[name]()
+    assert correspondence_check(a, b, n).intertwiners_matched is \
+        all_pairs_intertwiners_matched(a, b, n) is True
+
+
+@pytest.mark.parametrize("with_representative", [True, False],
+                         ids=["with-representative", "without"])
+def test_a_translation_that_swaps_two_orbit_members_fails_only_the_intertwiners(
+        monkeypatch, inv_f2, with_representative):
+    # two members of one orbit trade their morphisms: the translation stays a
+    # bijection onto the morphisms that maps orbits onto orbits, but no longer
+    # commutes with conjugation (on an orbit of three or more, a swap fixes a
+    # member, and a GL_n-map of an orbit that fixes a member is the
+    # identity); without the representative, every representative pair still
+    # matches and only equivariance can tell
+    b = dual_numbers(F2)
+    p = tambara_presentation(inv_f2, b)
+    orbit = next(members for members in _module_classes(p, tambara_modules(p, 2), 2)
+                 if len(members) >= 3)
+    x, y = orbit[:2] if with_representative else orbit[1:3]
+    swapped = {_stacked_entries(x): y, _stacked_entries(y): x}
+    original = tambara.module_to_matrix_morphism
+
+    def swapping(p, a, b, mats, n):
+        return original(p, a, b, swapped.get(_stacked_entries(mats), mats), n)
+
+    monkeypatch.setattr(tambara, "module_to_matrix_morphism", swapping)
+    report = correspondence_check(inv_f2, b, 2)
+    assert report.matched and report.orbits_matched
+    assert report.intertwiners_matched is False
+    assert all_pairs_intertwiners_matched(inv_f2, b, 2) is False
 
 
 def test_intertwiner_systems_pass_no_row_that_cancels(monkeypatch, inv_f2):
-    # both sides solve a Hom system for each of the 28 x 28 = 784 ordered
-    # pairs of modules; a summed row that cancels to nothing is dropped
-    # before elimination, which sees only equations
+    # both sides solve a Hom system for each of the 10 x 10 ordered pairs
+    # of orbit representatives; a summed row that cancels to nothing is
+    # dropped before elimination, which sees only equations
     import sweedler.linalg as linalg
 
     original = linalg._echelon
