@@ -21,6 +21,7 @@ from functools import cached_property
 from .errors import (
     DimensionMismatch,
     IncompatibleMeasurings,
+    InvalidStructure,
     NotAMorphism,
     NotCommutative,
     PreconditionViolated,
@@ -43,12 +44,13 @@ from .structures import (
     Bialgebra,
     ValidationReport,
     _failures,
-    algebra_morphisms,
+    _morphism_search,
     conjugation_classes,
     is_algebra_morphism,
     is_commutative,
     matrix_algebra,
     trivial_algebra,
+    validate_algebra,
 )
 
 
@@ -173,37 +175,52 @@ def enumerate_measurings(a: Algebra, b: Algebra, n: int,
     """All n-dimensional measurings, classified into GL_n(k)-conjugation orbits.
 
     Enumeration runs over algebra morphisms A -> M_n(B) (the measuring axioms
-    are equivalent to these, and the space is smaller than raw psi maps).
-    Orbits are conjugation orbits, found by :func:`morphism_classes`.
-    Representatives are the lexicographically smallest flattened psi entries.
+    are equivalent to these, and the space is smaller than raw psi maps),
+    found by the scheduled search of :func:`_morphism_blocks`, each kept as
+    the tuple of its n x n blocks.  Orbits are the conjugation orbits of those
+    tuples (:func:`~sweedler.structures.conjugation_classes`).  Only each
+    orbit's representative, the lexicographically smallest flattened psi
+    entries, becomes a :class:`Measuring`, its psi read off its blocks.
     """
     if n < 0:
         raise PreconditionViolated(f"measurings need n >= 0, got {n}")
     if n == 0:
         empty = Measuring(a, b, 0, LinMap.zero(a.field, 0, 0))
         return OrbitReport(1, ((empty, 1),))
-    morphisms = algebra_morphisms(a, matrix_algebra(b, n), budget=budget)
-    orbits = [(min(members, key=lambda m: m.psi.entries), len(members))
-              for members in morphism_classes(a, b, n, morphisms)]
-    orbits.sort(key=lambda pair: pair[0].psi.entries)
-    return OrbitReport(len(morphisms), tuple(orbits))
+    items = _morphism_blocks(a, b, n, budget)
+    da, db = a.dim, b.dim
+    # psi[(i, q), (t, j)] = M_{t,q}[i, j]
+    psi_order = [((t * db + q) * n + i) * n + j
+                 for i in range(n) for q in range(db) for t in range(da) for j in range(n)]
+    orbits = sorted((min(_read(items[i], psi_order) for i in members), len(members))
+                    for members in conjugation_classes(a.field, n, items))
+    return OrbitReport(len(items), tuple(
+        (Measuring(a, b, n, LinMap(a.field, n * db, da * n, entries)), size)
+        for entries, size in orbits))
 
 
-def morphism_classes(a: Algebra, b: Algebra, n: int,
-                     morphisms: list[LinMap]) -> list[list[Measuring]]:
-    """The measurings of algebra morphisms A -> M_n(B) that an enumeration
-    proved, unpacked without a second check, in conjugation orbits: the
-    morphisms must be all of them, and each class is listed in their order."""
-    classes = conjugation_classes(a.field, n, [_blocks(rho, n, b.dim) for rho in morphisms])
-    return [[Measuring(a, b, n, _psi_of(morphisms[i], a.dim, b.dim, n)) for i in members]
-            for members in classes]
+def _morphism_blocks(a: Algebra, b: Algebra, n: int, budget: int) -> list[tuple]:
+    """The algebra morphisms A -> M_n(B) of a valid algebra A (an invalid one
+    raises InvalidStructure), lexicographic, each as its blocks
+    (:func:`_block_order`), read off the search's entries one at a time."""
+    validate_algebra(a).raise_if_failed(InvalidStructure)
+    found = _morphism_search(a, matrix_algebra(b, n), budget)
+    order = _block_order(n, b.dim, a.dim)
+    for i, entries in enumerate(found):
+        found[i] = _read(entries, order)
+    return found
 
 
-def _blocks(rho: LinMap, n: int, db: int) -> tuple:
-    """The n x n blocks M_{t,q}[i, j] = rho[(i, j, q), t] of a morphism
-    rho: A -> M_n(B), stacked in (t, q) order, read from rho's entries;
+def _block_order(n: int, db: int, da: int) -> list[int]:
+    """Where the n x n blocks M_{t,q}[i, j] = rho[(i, j, q), t] of a morphism
+    rho: A -> M_n(B), stacked in (t, q) order, sit in rho's row-major entries;
     conjugating every block by g conjugates the measuring by g."""
-    return permute_axes(rho, (n, n, db, rho.dom), (3, 2, 0, 1), 4).entries
+    return [((i * n + j) * db + q) * da + t
+            for t in range(da) for q in range(db) for i in range(n) for j in range(n)]
+
+
+def _read(entries: tuple, order: list[int]) -> tuple:
+    return tuple(map(entries.__getitem__, order))
 
 
 # ---------------------------------------------------------------------------

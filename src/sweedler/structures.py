@@ -29,8 +29,10 @@ slot kernel; a plain swap next to a single map is a reordering of its axes
 (``linalg.permute_axes``).
 
 Over a prime field, algebra morphisms are enumerated through generators,
-one image coordinate at a time, each branch ending at its first failing
-relation among words; grouplikes of C are the algebra maps C* -> k.  The
+one image coordinate at a time in the order of a schedule that decides the
+relation with the fewest unplaced coordinates next, each branch ending at
+its first failing relation among words, and the results are sorted after;
+grouplikes of C are the algebra maps C* -> k.  The
 isomorphism classes of representations (morphisms into M_n(B), modules) are
 their GL_n(k)-conjugation orbits, each closed under a fixed generating set
 of the group; GL_n(k) is never listed.
@@ -42,6 +44,7 @@ import itertools
 from collections import deque
 from collections.abc import Sequence
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from math import prod
 from typing import NamedTuple
 
@@ -646,8 +649,7 @@ def grouplikes(c: Coalgebra, candidates: Sequence[Sequence] | None = None,
             raise UnsupportedField("exhaustive enumeration needs a finite field")
         if c.dim == 0:
             return []
-        return [f.entries for f in _morphism_search(dual_algebra(c), trivial_algebra(k),
-                                                    budget)]
+        return _morphism_search(dual_algebra(c), trivial_algebra(k), budget)
     lines = {}  # each candidate scaled to counit 1, once, in order
     for cand in candidates:
         vec = tuple(k.coerce(x) for x in cand)
@@ -744,23 +746,29 @@ def _word_span(a: Algebra) -> tuple[list[int], list[tuple[list, list]], list[lis
 
 
 class _QuadraticSearch:
-    """Assignments over F_p of ``free`` scalar slots, depth first and in
-    lexicographic order, under quadratic tasks.
+    """Assignments over F_p of ``free`` scalar slots under quadratic tasks,
+    depth first in the order of a schedule.
 
-    Slot 0 holds 1 and slots 1..free the free coordinates, the first one
-    outermost.  :meth:`schedule` adds a task sum(values[x] values[y] c) over
-    terms (x, y, c): a derived slot, or a coordinate that must vanish.  Each
-    task is evaluated at the depth of the last free coordinate it reads, and a
-    branch ends at its first nonzero vanishing coordinate.  The budget bounds
-    p to the number of free coordinates, however few are tried.
+    Slot 0 holds 1 and slots 1..free the free coordinates.  :meth:`schedule`
+    adds a task sum(values[x] values[y] c) over terms (x, y, c): a derived
+    slot, or a coordinate that must vanish; each records the free coordinates
+    it reads, through the derived slots too.  The search places next the
+    unplaced coordinates of the vanishing coordinate with the fewest of them
+    still unplaced, then any coordinate no task reads, so relations are
+    decided early rather than after the last row (:meth:`_order`).  Each
+    task is evaluated at the depth of the last free coordinate it reads, and
+    a branch ends at its first nonzero vanishing coordinate.  Assignments are
+    found in the order of the schedule, not lexicographically, so callers
+    sort them.  The budget bounds p to the number of free coordinates,
+    however few are tried.
     """
 
     def __init__(self, k: Field, free: int, budget: int):
         _refuse_over_budget(k.char, free, budget)
         self.k, self.free = k, free
-        # each slot's depth: that of the last free coordinate it reads (-1: none)
-        self.values, self.depth = [1, *[0] * free], [-1, *range(free)]
-        self.tasks = [[] for _ in range(free + 1)]  # by depth + 1
+        self.values = [1, *[0] * free]
+        self.reads = [(), *((v,) for v in range(1, free + 1))]  # the free slots each reads
+        self.tasks: list[tuple] = []  # (target slot or None, terms, reads), as scheduled
 
     def schedule(self, terms: list[tuple], word: bool) -> int | None:
         """Queue the sum over ``terms``, as a derived slot when ``word``, whose
@@ -768,58 +776,106 @@ class _QuadraticSearch:
         always-zero sum is None."""
         if not terms:
             return None
-        depth = self.depth
-        level = max(max(depth[x], depth[y]) for x, y, _ in terms)
-        target = len(self.values) if word else None
-        self.tasks[level + 1].append((target, terms))
+        reads = self.reads
+        read = set()
+        for x, y, _ in terms:
+            read.update(reads[x], reads[y])
+        target = None
         if word:
+            target = len(self.values)
             self.values.append(0)
-            depth.append(level)
+            reads.append(read)
+        self.tasks.append((target, terms, read))
         return target
+
+    def _order(self) -> list[int]:
+        """The free slots in the order they are assigned.  A heap holds each
+        vanishing coordinate i with its count c of unplaced slots as the one
+        int c * size + i, size the number of them, so ties go to the first
+        scheduled; a count is pushed again each time a slot it reads is placed."""
+        slots = [sorted(read) for target, _, read in self.tasks if target is None and read]
+        readers: list[list[int]] = [[] for _ in range(self.free + 1)]
+        for i, read in enumerate(slots):
+            for v in read:
+                readers[v].append(i)
+        count = [len(read) for read in slots]
+        size = len(slots)
+        heap = [c * size + i for i, c in enumerate(count)]
+        heapify(heap)
+        placed = [False] * (self.free + 1)
+        order = []
+        while heap:
+            c, i = divmod(heappop(heap), size)
+            if c != count[i]:
+                continue  # stale: lowered since, to zero once decided
+            for v in slots[i]:
+                if not placed[v]:
+                    placed[v] = True
+                    order.append(v)
+                    for j in readers[v]:
+                        count[j] -= 1
+                        if count[j]:
+                            heappush(heap, count[j] * size + j)
+        return order + [v for v in range(1, self.free + 1) if not placed[v]]
 
     def run(self, leaf) -> None:
         """Call ``leaf(values)`` at each assignment under which every
-        coordinate that must vanish does, in lexicographic order."""
-        values, tasks, free, k = self.values, self.tasks, self.free, self.k
-        p = k.char
+        coordinate that must vanish does, in the order of the schedule."""
+        values, free = self.values, self.free
+        p, elements = self.k.char, self.k.elements()
+        order = self._order()
+        depth = [0] * (free + 1)
+        for d, v in enumerate(order):
+            depth[v] = d + 1
+        tasks = [[] for _ in range(free + 1)]  # by the depth they are decided at
+        for target, terms, read in self.tasks:
+            tasks[max(map(depth.__getitem__, read), default=0)].append((target, terms))
 
-        def search(v: int):
-            for target, terms in tasks[v]:
-                acc = sum(values[x] * values[y] * c for x, y, c in terms) % p
+        def search(d: int):
+            for target, terms in tasks[d]:
+                acc = 0
+                for x, y, c in terms:
+                    acc += values[x] * values[y] * c
+                acc %= p
                 if target is not None:
                     values[target] = acc
                 elif acc:
                     return
-            if v == free:
+            if d == free:
                 leaf(values)
                 return
-            for x in k.elements():
-                values[v + 1] = x  # the slot of free coordinate v
-                search(v + 1)
+            v = order[d]
+            for x in elements:
+                values[v] = x
+                search(d + 1)
 
         search(0)
 
 
 def algebra_morphisms(a: Algebra, b: Algebra, budget: int = DEFAULT_BUDGET,
                       zero_coords: frozenset[int] | None = None) -> list[LinMap]:
-    """All algebra morphisms A -> B, lexicographic, from a valid algebra A:
-    an invalid one raises InvalidStructure, as the search assumes A
-    associative and unital (:func:`_morphism_search`)."""
+    """All algebra morphisms A -> B from a valid algebra A: an invalid one
+    raises InvalidStructure, as the search assumes A associative and unital
+    (:func:`_morphism_search`).  The search finds them in the order of its
+    schedule; they are returned sorted, lexicographic in their entries."""
     validate_algebra(a).raise_if_failed(InvalidStructure)
-    return _morphism_search(a, b, budget, zero_coords)
+    return [LinMap(a.field, b.dim, a.dim, entries)
+            for entries in _morphism_search(a, b, budget, zero_coords)]
 
 
 def _morphism_search(a: Algebra, b: Algebra, budget: int,
-                     zero_coords: frozenset[int] | None = None) -> list[LinMap]:
-    """The algebra morphisms A -> B, lexicographic, for A already checked.
+                     zero_coords: frozenset[int] | None = None) -> list[tuple]:
+    """The entries of the algebra morphisms A -> B, row-major and sorted,
+    for A already checked.
 
     A morphism is fixed by its images of the generators of :func:`_word_span`,
     whose free coordinates are the slots of one :class:`_QuadraticSearch`.
     Each coordinate of a word's image (word times generator, through B's
     structure constants by output coordinate) is a derived slot, and each
     coordinate of a relation (word times generator minus its combination of
-    words) must vanish (A and B are associative and unital).  Coordinates in
-    ``zero_coords`` (f[q, t] at q*dim(A) + t) are pinned to zero.
+    words) must vanish (A and B are associative and unital).  The search
+    visits them in the order of its schedule; the leaves are sorted after.
+    Coordinates in ``zero_coords`` (f[q, t] at q*dim(A) + t) are pinned to zero.
     """
     k = same_field(a.field, b.field)
     if k.is_rational:
@@ -857,12 +913,12 @@ def _morphism_search(a: Algebra, b: Algebra, budget: int,
     found = []
 
     def leaf(values: list):
-        entries = tuple(sum(values[x] * c for x, c in terms) % p for terms in entry_terms)
+        entries = tuple([sum([values[x] * c for x, c in terms]) % p for terms in entry_terms])
         if not any(entries[i] for i in pinned):
-            found.append(LinMap(k, db, da, entries))
+            found.append(entries)
 
     quadratic.run(leaf)
-    found.sort(key=lambda f: f.entries)
+    found.sort()
     return found
 
 
@@ -878,10 +934,12 @@ def general_linear_group(field: Field, n: int, budget: int = DEFAULT_BUDGET) -> 
 
 def gl_generators(p: int, n: int, scaling: bool = True) -> list[tuple[int, int, int]]:
     """Generators of GL_n(F_p) as moves (i, j, c): the transvection 1 + c E_ij
-    when i != j, and diag(c, 1, ..., 1) when i = j = 0.  The transvections
-    1 + E_ij generate SL_n(F_p); for p > 2, diag(w, 1, ..., 1) with w a
-    primitive root adds every determinant, unless ``scaling`` is off."""
-    moves = [(i, j, 1) for i in range(n) for j in range(n) if i != j]
+    when i != j, and diag(c, 1, ..., 1) when i = j = 0.  The n transvections
+    1 + E_{i,i+1}, indices mod n, generate SL_n(F_p): for n > 2 the
+    commutators [1 + a E_ij, 1 + b E_jk] = 1 + ab E_ik reach every 1 + E_ik
+    along the cycle.  For p > 2, diag(w, 1, ..., 1) with w a primitive root
+    adds every determinant, unless ``scaling`` is off."""
+    moves = [(i, (i + 1) % n, 1) for i in range(n)] if n > 1 else []
     if scaling and p > 2 and n > 0:
         moves.append((0, 0, primitive_root(p)))
     return moves

@@ -28,9 +28,7 @@ from .structures import (
     _conjugated,
     _moves,
     _QuadraticSearch,
-    algebra_morphisms,
     conjugation_classes,
-    matrix_algebra,
 )
 
 Word = tuple[int, ...]
@@ -122,13 +120,14 @@ def tambara_presentation(a: Algebra, b: Algebra,
 def tambara_modules(p: PresentedAlgebra, n: int,
                     budget: int = DEFAULT_BUDGET) -> list[tuple[LinMap, ...]]:
     """All n-dimensional modules: assignments of n x n matrices to the
-    generators satisfying every relation; lexicographic order.
+    generators satisfying every relation; lexicographic order of the
+    generator matrices' entries, generator by generator and row by row.
 
-    The entries of the generator matrices, generator by generator and row
-    by row, are the free coordinates of one quadratic search
-    (``structures._QuadraticSearch``).  Coordinate (i, j) of a relation must
-    vanish; its word xy gives sum_l c x[i, l] y[l, j], its word x gives
-    c x[i, j], and its empty word c on the diagonal."""
+    Those entries are the free coordinates of one quadratic search
+    (``structures._QuadraticSearch``), visited in the order of its schedule
+    and sorted after.  Coordinate (i, j) of a relation must vanish; its word
+    xy gives sum_l c x[i, l] y[l, j], its word x gives c x[i, j], and its
+    empty word c on the diagonal."""
     k = p.field
     if k.is_rational:
         raise UnsupportedField("module enumeration needs a finite field")
@@ -152,19 +151,10 @@ def tambara_modules(p: PresentedAlgebra, n: int,
                     terms.append((0, 0, c))
             quadratic.schedule(terms, False)
     found = []
-
-    def leaf(values: list):
-        found.append(tuple(LinMap(k, n, n, tuple(values[slot(t, 0, 0):slot(t + 1, 0, 0)]))
-                           for t in range(g)))
-
-    quadratic.run(leaf)
-    return found
-
-
-def module_orbits(p: PresentedAlgebra, modules: list[tuple[LinMap, ...]],
-                  n: int) -> list[tuple[tuple[LinMap, ...], int]]:
-    """GL_n(k)-conjugation orbits of modules, lexicographically smallest first."""
-    return [(members[0], len(members)) for members in _module_classes(p, modules, n)]
+    quadratic.run(lambda values: found.append(tuple(values[1:slot(g, 0, 0)])))
+    found.sort()
+    return [tuple(LinMap(k, n, n, entries[t * cells:(t + 1) * cells]) for t in range(g))
+            for entries in found]
 
 
 def _module_classes(p: PresentedAlgebra, modules: list[tuple[LinMap, ...]],
@@ -238,7 +228,9 @@ def correspondence_check(a: Algebra, b: Algebra, n: int,
     Intertwiners are compared on orbit representatives (module docstring)."""
     # imported here so that tests can patch the measurings module's functions
     from .measurings import (
-        _blocks,
+        _block_order,
+        _morphism_blocks,
+        _read,
         intertwiners as measuring_intertwiners,
         measuring_from_matrix_morphism,
     )
@@ -248,13 +240,13 @@ def correspondence_check(a: Algebra, b: Algebra, n: int,
     p = tambara_presentation(a, b)
     k, q = p.field, p.field.char
     modules = tambara_modules(p, n, budget=budget)
-    morphisms = ([LinMap(k, 0, b.dim, ())] if n == 0
-                 else algebra_morphisms(b, matrix_algebra(a, n), budget=budget))
+    # the morphisms B -> M_n(A) as their blocks; into M_0(A) = 0 only the zero map
+    images = [()] if n == 0 else _morphism_blocks(b, a, n, budget)
     rhos = {_stacked_entries(mats): module_to_matrix_morphism(p, a, b, mats, n)
             for mats in modules}
     # the translation: a module's generator matrices -> the blocks of its morphism
-    translate = {key: _blocks(rho, n, a.dim) for key, rho in rhos.items()}
-    images = [_blocks(rho, n, a.dim) for rho in morphisms]
+    order = _block_order(n, a.dim, b.dim)
+    translate = {key: _read(rho.entries, order) for key, rho in rhos.items()}
     matched = sorted(translate.values()) == sorted(images)
 
     module_classes = _module_classes(p, modules, n)
@@ -279,7 +271,7 @@ def correspondence_check(a: Algebra, b: Algebra, n: int,
     return CorrespondenceReport(
         n=n,
         module_count=len(modules),
-        morphism_count=len(morphisms),
+        morphism_count=len(images),
         module_orbit_sizes=tuple(sorted((len(o) for o in module_partition), reverse=True)),
         morphism_orbit_sizes=tuple(sorted((len(o) for o in morphism_partition), reverse=True)),
         matched=matched,

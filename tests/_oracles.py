@@ -513,6 +513,23 @@ def gl_order(p, n):
     return out
 
 
+def orbit_size_by_stabiliser(rep) -> int:
+    """The size of the GL_n(F_p)-conjugation orbit of the measuring ``rep``,
+    by orbit-stabiliser and not by closing the orbit: |GL_n(F_p)| / |Aut(rep)|.
+    The stabiliser Aut(rep) is the set of invertible elements of End(rep) =
+    ``intertwiners(rep, rep)``, found by walking that span and testing rank."""
+    k, n = rep.field, rep.xdim
+    basis = [iw.f.entries for iw in intertwiners(rep, rep)]
+    units = 0
+    for coeffs in itertools.product(k.elements(), repeat=len(basis)):
+        entries = tuple(sum(c * t[i] for c, t in zip(coeffs, basis)) % k.char
+                        for i in range(n * n))
+        units += reference_rank(LinMap(k, n, n, entries)) == n
+    order = gl_order(k.char, n)
+    assert order % units == 0, "Aut(rep) is not a subgroup of GL_n"
+    return order // units
+
+
 # The Hom-walk orbit routine the library once used: an item joins a class
 # when a Hom space from the seed holds an invertible map.
 

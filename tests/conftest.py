@@ -99,3 +99,20 @@ def evaluated_axioms(monkeypatch):
         if name.split(".")[0] == "sweedler" and getattr(module, "_failures", None) is original:
             monkeypatch.setattr(module, "_failures", counted)
     return counts
+
+
+@pytest.fixture
+def search_visits(monkeypatch):
+    """The free coordinates of each assignment that a quadratic search finds
+    while the test runs, in the order it finds them."""
+    visits = []
+    original = structures._QuadraticSearch.run
+
+    def run(self, leaf):
+        def record(values):
+            visits.append(tuple(values[1:self.free + 1]))
+            leaf(values)
+        original(self, record)
+
+    monkeypatch.setattr(structures._QuadraticSearch, "run", run)
+    return visits

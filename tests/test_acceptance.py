@@ -16,6 +16,7 @@ from _oracles import (
     convolution_inverse,
     f2_2x2_invertible,
     f2_2x2_product,
+    orbit_size_by_stabiliser,
     pairing_rank,
 )
 
@@ -464,6 +465,31 @@ def test_criterion_12_stages_are_monotone_and_separated():
         assert (pairing_rank(coend), coend.d.dim) == (8, 10)
 
     _run(12, "stages are monotone in their generators and separated by the pairing", body)
+
+
+# -- 16: orbit sizes from stabilisers ---------------------------------------------------
+
+
+def test_criterion_16_orbit_sizes_from_stabilisers():
+    def body():
+        # the rows of scripts/measuring_census.py at n <= 3: every orbit has
+        # |GL_n(F_p)| / |Aut(rep)| members, Aut(rep) the units of End(rep)
+        rows = [(involution_algebra(F2), trivial_algebra(F2), (1, 2, 3)),
+                (cyclic_group_hopf(F2, 3).algebra, trivial_algebra(F2), (1, 2, 3)),
+                (cyclic_group_hopf(F3, 2).algebra, trivial_algebra(F3), (1, 2, 3)),
+                (involution_algebra(F2), dual_numbers(F2), (1, 2, 3)),
+                (matrix_algebra(trivial_algebra(F2), 2), trivial_algebra(F2), (1, 2))]
+        orbits = 0
+        for a, b, dims in rows:
+            for n in dims:
+                report = enumerate_measurings(a, b, n)
+                sizes = [size for _, size in report.orbits]
+                assert sizes == [orbit_size_by_stabiliser(rep) for rep, _ in report.orbits]
+                assert sum(sizes) == report.total_count
+                orbits += len(sizes)
+        assert orbits == 1 + 2 + 2 + 1 + 2 + 2 + 2 + 3 + 4 + 2 + 10 + 28 + 0 + 1
+
+    _run(16, "orbit sizes equal |GL_n| / |Aut(rep)|", body)
 
 
 def _random_map(rng, field, cod, dom):

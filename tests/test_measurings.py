@@ -21,7 +21,6 @@ from sweedler.measurings import (
     intertwiners,
     matrix_morphism_from_measuring,
     measuring_from_matrix_morphism,
-    morphism_classes,
     regular_measuring,
     restrict_measuring,
     corestrict_measuring,
@@ -32,6 +31,7 @@ from sweedler.measurings import (
 )
 from sweedler.structures import (
     algebra_morphisms,
+    conjugation_classes,
     general_linear_group,
     matrix_algebra,
     trivial_algebra,
@@ -248,14 +248,48 @@ def test_enumeration_proves_each_morphism_once(monkeypatch):
     assert calls == {"matrix_algebra": 1, "is_algebra_morphism": 0}
 
 
+def _captured_census(a, b, n):
+    """enumerate_measurings(a, b, n), with the items and the classes of its one
+    call of conjugation_classes: the morphisms A -> M_n(B) as block tuples,
+    and lists of their indices."""
+    import sweedler.measurings as measurings
+
+    seen = []
+
+    def capture(field, size, items):
+        classes = conjugation_classes(field, size, items)
+        seen.append((items, classes))
+        return classes
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measurings, "conjugation_classes", capture)
+        report = enumerate_measurings(a, b, n)
+    ((items, classes),) = seen
+    return report, items, classes
+
+
+def _census_classes(a, b, n):
+    """enumerate_measurings(a, b, n) and the orbits it found, each a list of
+    morphisms rho: A -> M_n(B) in the order of the items, rebuilt from the
+    blocks M_{t,q}[i, j] = rho[(i, j, q), t] stacked in (t, q) order."""
+    report, items, classes = _captured_census(a, b, n)
+    da, db = a.dim, b.dim
+
+    def morphism(blocks):
+        return LinMap(a.field, n * n * db, da, tuple(
+            blocks[((t * db + q) * n + i) * n + j]
+            for i in range(n) for j in range(n) for q in range(db) for t in range(da)))
+
+    return report, [[morphism(items[i]) for i in members] for members in classes]
+
+
 @pytest.mark.parametrize("a,b,n", CENSUS)
 def test_census_matches_the_exhaustive_oracles(a, b, n):
     morphisms = exhaustive_morphisms(a, matrix_algebra(b, n))
     assert algebra_morphisms(a, matrix_algebra(b, n)) == morphisms
     oracle = conjugation_partition(morphisms, n, 1, b.dim)
-    classes = morphism_classes(a, b, n, morphisms)
-    assert {frozenset(matrix_morphism_from_measuring(m).entries for m in members)
-            for members in classes} == set(oracle)
+    _, classes = _census_classes(a, b, n)
+    assert {frozenset(rho.entries for rho in members) for members in classes} == set(oracle)
     # representatives: the smallest psi of each orbit, psi[(i, q), (t, j)] = rho[(i, j, q), t]
     expected = sorted(
         (min(dense_permute(LinMap(a.field, n * n * b.dim, a.dim, rho), (n, n, b.dim, a.dim),
@@ -316,8 +350,7 @@ def test_invariant_buckets_keep_the_orbit_partition(inv_f2):
     oracle = conjugation_orbits({rho.entries: rho for rho in morphisms},
                                 lambda rho: (gl_conjugate(rho, g, g_inv, 1, b.dim).entries
                                              for g, g_inv in gl))
-    classes = [[matrix_morphism_from_measuring(m).entries for m in members]
-               for members in morphism_classes(inv_f2, b, n, morphisms)]
+    classes = [[rho.entries for rho in members] for members in _census_classes(inv_f2, b, n)[1]]
     assert [frozenset(members) for members in classes] == oracle
     # one bucket for all: every item is tested against every seed, in class order
     measurings = [measuring_from_matrix_morphism(rho, inv_f2, b, n) for rho in morphisms]
@@ -350,23 +383,30 @@ def test_sweedler_orbits_make_at_most_two_intertwiner_calls_per_morphism(monkeyp
     *(pytest.param(dual_numbers(F3), trivial_algebra(F3), n, id=f"F3y-F3-n{n}") for n in (2, 3))])
 def test_conjugation_classes_match_the_hom_walk_oracle(a, b, n):
     morphisms = algebra_morphisms(a, matrix_algebra(b, n))
-    classes = [[m.psi for m in members] for members in morphism_classes(a, b, n, morphisms)]
+    report, found = _census_classes(a, b, n)
+    assert sorted((rho for members in found for rho in members),
+                  key=lambda f: f.entries) == morphisms
+    classes = [[measuring_from_matrix_morphism(rho, a, b, n).psi for rho in members]
+               for members in found]
     assert classes == [[m.psi for m in members]
                        for members in hom_walk_morphism_classes(a, b, n, morphisms)]
+    # the reported orbits are these classes: the smallest psi of each, with its size
+    assert [(rep.psi, size) for rep, size in report.orbits] == \
+        sorted(((min(members, key=lambda psi: psi.entries), len(members))
+                for members in classes), key=lambda pair: pair[0].entries)
     if n == 3 and b.dim == 2:
         assert (len(morphisms), len(classes)) == (1184, 28)
 
 
 def test_a_missing_conjugate_is_a_precondition_violation():
     a, b, n = cyclic_group_hopf(F3, 2).algebra, trivial_algebra(F3), 2
-    morphisms = algebra_morphisms(a, matrix_algebra(b, n))
-    classes = morphism_classes(a, b, n, morphisms)
+    _, items, classes = _captured_census(a, b, n)
     assert any(len(members) > 1 for members in classes)
     for members in classes:
         if len(members) > 1:
-            dropped = matrix_morphism_from_measuring(members[-1])
+            dropped = members[-1]
             with pytest.raises(PreconditionViolated):
-                morphism_classes(a, b, n, [rho for rho in morphisms if rho != dropped])
+                conjugation_classes(a.field, n, [x for i, x in enumerate(items) if i != dropped])
 
 
 def test_census_orbits_solve_no_matrix_equation(monkeypatch):
@@ -383,6 +423,30 @@ def test_census_orbits_solve_no_matrix_equation(monkeypatch):
     # the counters see calls made through the library
     intertwiners(report.orbits[0][0], report.orbits[0][0])
     assert len(calls) == 1
+
+
+def test_enumeration_builds_one_measuring_per_orbit(monkeypatch):
+    # the 1184 morphisms stay block tuples; only the 28 representatives
+    # become measurings, their psi read off the blocks
+    import sweedler.measurings as measurings
+
+    calls = []
+    original = measurings.Measuring
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(measurings, "Measuring", counted)
+    a, b = involution_algebra(F2), dual_numbers(F2)
+    report = enumerate_measurings(a, b, 3)
+    assert (report.total_count, len(report.orbits)) == (1184, 28)
+    assert len(calls) == 28
+    assert [rep for rep, _ in report.orbits] == [original(*args) for args in calls]
+    for rep, _ in report.orbits:
+        assert validate_measuring(rep).ok
+        assert rep.psi == measuring_from_matrix_morphism(
+            matrix_morphism_from_measuring(rep), a, b, 3).psi
 
 
 def test_cyclic_morphisms_enumerate_only_the_generator_image():

@@ -53,12 +53,15 @@ from sweedler.structures import (
     validate_hopf,
 )
 from sweedler.graded import Graded, graded_algebra_morphisms
+from sweedler.measurings import enumerate_measurings
+from sweedler.reconstruction import reconstruct
 from sweedler.zoo import (
     cyclic_group_hopf,
     dual_numbers,
     graded_dual_numbers,
     graded_line_hopf,
     idempotent_monoid_bialgebra,
+    involution_algebra,
     sweedler_hopf,
 )
 
@@ -525,6 +528,10 @@ def _grouplike_coalgebras(algebra_corpus, bialgebra_corpus):
             ("graded line/F2", graded_line_hopf(F2, 1).value.coalgebra)]
     out += [(f"dual F2^{n}", dual_coalgebra(diagonal_algebra(F2, n))) for n in range(1, 13)]
     out += [(f"dual F2[y]/(y^{n})", dual_coalgebra(truncated_algebra(F2, n))) for n in range(1, 13)]
+    # the stage of the F2[C_2] -> F2[y]/(y^2) representatives with n <= 2
+    reps = [rep for n in (1, 2)
+            for rep, _ in enumerate_measurings(involution_algebra(F2), dual_numbers(F2), n).orbits]
+    out.append(("F2C2-F2y stage", reconstruct(reps).d))
     return [(name, c) for name, c in out if not c.field.is_rational]
 
 
@@ -731,7 +738,7 @@ def _generator_matrix(p, n, move):
     return LinMap.make(GF(p), n, n, entries)
 
 
-@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2)])
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)])
 def test_gl_generators_reach_the_whole_group_from_the_identity(p, n):
     gens = [_generator_matrix(p, n, move).entries for move in gl_generators(p, n)]
     identity = tuple(int(r == s) for r in range(n) for s in range(n))
@@ -821,6 +828,36 @@ def test_budget_bound_is_p_to_the_free_generator_coordinates(a, b, needed, pins)
         algebra_morphisms(a, b, budget=needed - 1, zero_coords=pins)
     assert (exc.value.needed, exc.value.budget) == (needed, needed - 1)
     algebra_morphisms(a, b, budget=needed, zero_coords=pins)
+
+
+def test_search_places_first_the_relation_with_fewest_unplaced_coordinates():
+    search = structures._QuadraticSearch(F2, 6, 2 ** 6)
+    square = search.schedule([(1, 1, 1)], True)  # a derived slot, reading slot 1
+    search.schedule([(2, 3, 1), (4, 5, 1), (0, 0, 1)], False)  # reads 2, 3, 4, 5
+    search.schedule([(square, 5, 1)], False)  # reads 1 through the derived slot, and 5
+    search.schedule([(0, 4, 1), (0, 0, 1)], False)  # reads 4 only
+    assert search.schedule([], False) is None
+    # 4 alone decides the last relation; the second then has two unplaced
+    # slots (1, 5) against the first's three (2, 3, 5), so 1 and 5 come next,
+    # then 2 and 3; slot 6, which no relation reads, comes last
+    assert search._order() == [4, 1, 5, 2, 3, 6]
+    found = []
+    search.run(lambda values: found.append(tuple(values[1:7])))
+    brute = [v for v in itertools.product(range(2), repeat=6)
+             if v[3] == 1 and v[0] * v[4] == 0 and (v[1] * v[2] + v[3] * v[4] + 1) % 2 == 0]
+    assert sorted(found) == brute and found != brute
+
+
+@pytest.mark.parametrize("a,b,n", [
+    (involution_algebra(F2), dual_numbers(F2), 2),
+    (involution_algebra(F2), trivial_algebra(F2), 3),
+], ids=["F2C2-F2y-n2", "F2C2-F2-n3"])
+def test_census_search_visits_out_of_row_major_order(search_visits, a, b, n):
+    # the coordinates of g^2 = 1 are placed before the last row of g, so the
+    # leaves come out of lexicographic order; sorted, they are the listing
+    found = algebra_morphisms(a, matrix_algebra(b, n))
+    assert search_visits != sorted(search_visits) and len(search_visits) == len(found)
+    assert found == exhaustive_morphisms(a, matrix_algebra(b, n))
 
 
 def _cli(command):

@@ -16,7 +16,6 @@ from sweedler.tambara import (
     _stacked_entries,
     correspondence_check,
     module_intertwiners,
-    module_orbits,
     module_to_matrix_morphism,
     tambara_modules,
     tambara_presentation,
@@ -143,6 +142,15 @@ def test_module_search_matches_the_walk_oracle(name, n):
     assert tambara_modules(p, n) == walk_tambara_modules(p, n)
 
 
+def test_module_search_is_scheduled_and_returns_lexicographic_order(search_visits, inv_f2):
+    # the search finds the 28 modules in the order of its schedule; the
+    # list is sorted by the stacked generator matrices, row by row
+    p = tambara_presentation(inv_f2, dual_numbers(F2))
+    stacked = [_stacked_entries(mats) for mats in tambara_modules(p, 2)]
+    assert len(stacked) == 28
+    assert stacked == sorted(search_visits) != search_visits
+
+
 def test_diagonal_modules_in_one_search():
     # 12 generators: the walk tries 2^12 candidates, the search prunes at the
     # first relation coordinate that fails
@@ -154,8 +162,8 @@ def test_diagonal_modules_in_one_search():
 def test_module_orbits_partition(inv_f2):
     p = tambara_presentation(inv_f2, dual_numbers(F2))
     modules = tambara_modules(p, 2)
-    orbits = module_orbits(p, modules, 2)
-    assert sum(size for _, size in orbits) == len(modules)
+    orbits = _module_classes(p, modules, 2)
+    assert sum(len(members) for members in orbits) == len(modules)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
@@ -321,8 +329,8 @@ def test_module_orbits_match_the_conjugation_oracle(inv_f2):
     stacked = [LinMap(F2, gens * 4, 1, tuple(x for m in mats for x in m.entries))
                for mats in modules]
     oracle = sorted((min(orbit), len(orbit)) for orbit in conjugation_partition(stacked, 2, gens, 1))
-    found = [(tuple(x for m in mats for x in m.entries), size)
-             for mats, size in module_orbits(p, modules, 2)]
+    found = [(tuple(x for m in members[0] for x in m.entries), len(members))
+             for members in _module_classes(p, modules, 2)]
     assert found == oracle
     assert len(oracle) > 1
 
