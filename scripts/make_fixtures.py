@@ -66,9 +66,10 @@ def changed(f: LinMap, row: int, col: int, value) -> LinMap:
 
 def broken_documents() -> None:
     """Documents that fail associativity, comult multiplicativity, the
-    antipode axioms and measuring multiplicativity, three whose counit
-    has an over-long token, and the zero coalgebra, which is valid but whose
-    dual has no unit.  The measuring refers to its algebras in tests/fixtures/."""
+    antipode axioms and measuring multiplicativity, a measuring whose two
+    algebras are over different fields, three whose counit has an over-long
+    token, and the zero coalgebra, which is valid but whose dual has no unit.
+    The measurings refer to their algebras in tests/fixtures/."""
     BROKEN.mkdir(parents=True, exist_ok=True)
     f2, f3 = GF(2), GF(3)
     c3 = cyclic_group_hopf(f2, 3)
@@ -93,6 +94,10 @@ def broken_documents() -> None:
           canonical_json(measuring_to_dict(MeasuringDocument(
               "../fixtures/f2_c2.json", "../fixtures/f2_trivial.json",
               Measuring(regular.a, regular.b, 2, psi)))), BROKEN)
+    # the sign character of Q[C_2] written into F2: a and b over different fields
+    write("mixed_fields.measuring.json",
+          canonical_json({"a": "../fixtures/q_c2.json", "b": "../fixtures/f2_trivial.json",
+                          "xdim": 1, "psi": [[[0, 0], ["1"]], [[1, 0], ["1"]]]}), BROKEN)
     # the counit of k[C_2] with a second token past CPython's 4,300-digit int
     # conversion: a parse error before any digit is converted
     for name, field, token in (("long_integer_q.json", QQ, "7" * 5000),

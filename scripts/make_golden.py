@@ -2,7 +2,8 @@
 """Regenerate the golden-report corpus in tests/golden/.
 
 Every CLI command is run in-process over every committed fixture it applies
-to (pairs of fixtures over one field for the two-input commands), and
+to (pairs of fixtures over one field for the two-input commands, and a few
+pairs over different fields, which are refused), and
 ``validate`` or ``reconstruct`` over each broken document, from the
 repository root so that the reports carry repo-relative paths.  The exit
 code and the exact stdout bytes of each run are stored; tests/test_golden.py
@@ -102,6 +103,13 @@ def cases() -> list[list[str]]:
                 out.append(["enumerate-measurings", _fixture(a), _fixture(b), n])
             if finite(a) and small(a) and small(b):
                 out.append(["tambara-check", _fixture(a), _fixture(b), "--n", "1"])
+    # operands over different fields cannot be combined: FieldMismatch, exit 5
+    for a, b in (("q_c2.json", "f2_c2.json"), ("f2_c2.json", "f3_c2.json")):
+        out.append(["convolution", _fixture(a), _fixture(b)])
+        out.append(["morphisms", _fixture(a), _fixture(b)])
+        out.append(["enumerate-measurings", _fixture(a), _fixture(b), "1"])
+        out.append(["tambara-presentation", _fixture(a), _fixture(b)])
+        out.append(["tambara-check", _fixture(a), _fixture(b), "--n", "1"])
     out.append(["enumerate-measurings", _fixture("f2_c2.json"), _fixture("f2_dualnum.json"), "0"])
     # bounds 2^7200 (2,168 digits, written in decimal) and 2^16200 (4,877 digits,
     # past CPython's int-to-decimal limit: written as a power)

@@ -7,8 +7,9 @@ grouplikes) are successful runs with status 0; only operational problems
 (parse, validation, budget, unsupported inputs) are nonzero:
 
     0 success          3 validation error     5 unsupported input, precondition
-    1 internal error   4 budget exceeded        violation or tables too large
-    2 parse error, unreadable input or unwritable ``--output``
+    1 internal error   4 budget exceeded        violation, inputs over different
+    2 parse error, unreadable input or          fields, or tables too large
+      unwritable ``--output``
 
 The argument parser is built once per process (``build_parser`` is cached)
 and shared by every in-process caller of ``main``: ``parse_args`` returns a
@@ -26,6 +27,7 @@ from pathlib import Path
 from . import documents as docs
 from .errors import (
     BudgetExceeded,
+    FieldMismatch,
     IncompatibleMeasurings,
     NotCommutative,
     ParseError,
@@ -413,7 +415,7 @@ def _run(args) -> tuple[int, str]:
         return EXIT_VALIDATION, _error_report(args, exc)
     except BudgetExceeded as exc:
         return EXIT_BUDGET, _error_report(args, exc)
-    except (UnsupportedField, PreconditionViolated, IncompatibleMeasurings,
+    except (UnsupportedField, PreconditionViolated, IncompatibleMeasurings, FieldMismatch,
             NotCommutative) as exc:
         return EXIT_UNSUPPORTED, _error_report(args, exc)
     except OSError as exc:

@@ -24,6 +24,7 @@ from .structures import Algebra, Coalgebra
 
 _STRUCTURE_KEYS = ("field", "dim", "basis", "unit", "mult",
                    "comult", "counit", "antipode", "degrees")
+_MEASURING_KEYS = ("a", "b", "xdim", "psi")
 
 
 class Document(Value):
@@ -101,7 +102,7 @@ def _json(obj, newline: str) -> str:
         return _string(obj)
     inner = newline + "  "
     if isinstance(obj, (list, tuple)) and obj:
-        items = (map(_string, obj) if all(type(x) is str for x in obj)
+        items = (map(_string, obj) if set(map(type, obj)) == {str}
                  else (_json(x, inner) for x in obj))
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
@@ -140,6 +141,19 @@ def _load_json(text: str):
         raise ParseError("JSON integer too long to convert") from exc
 
 
+def _unknown_key(raw: dict, keys: tuple[str, ...]) -> None:
+    """A ParseError at the first key of ``raw``, in its order, not in ``keys``."""
+    if raw.keys() - keys:
+        key = next(key for key in raw if key not in keys)
+        raise ParseError(f"unknown key {echo(repr(key))}", path=echo(key))
+
+
+def _nonzero(data: list) -> list[int]:
+    """The positions of the nonzero scalars of a vector that :func:`_parse_vector`
+    has accepted: ``"0"`` is the one canonical zero token over every field."""
+    return [i for i, token in enumerate(data) if token != "0"]
+
+
 def _parse_vector(field: Field, data, length: int, path: str, tokens: dict) -> tuple:
     """The scalars of a vector.  ``tokens`` {token: value} belongs to one
     document, so each distinct token in it is parsed once; anything not a
@@ -157,8 +171,7 @@ def _parse_vector(field: Field, data, length: int, path: str, tokens: dict) -> t
 
 def parse_structure_dict(raw: dict) -> Document:
     _want(isinstance(raw, dict), "document must be an object", "$")
-    for key in raw:
-        _want(key in _STRUCTURE_KEYS, f"unknown key {echo(repr(key))}", echo(key))
+    _unknown_key(raw, _STRUCTURE_KEYS)
     for key in ("field", "dim", "basis"):
         _want(key in raw, f"missing key {key!r}", "$")
     field = parse_field(raw["field"]) if isinstance(raw["field"], str) else None
@@ -191,8 +204,8 @@ def parse_structure_dict(raw: dict) -> Document:
               "antipode")
         cols = [_parse_vector(field, v, dim, f"antipode[{i}]", tokens)
                 for i, v in enumerate(data)]
-        antipode = LinMap.from_nonzeros(
-            field, dim, dim, [(r, j, x) for j, col in enumerate(cols) for r, x in enumerate(col) if x])
+        antipode = LinMap.from_nonzeros(field, dim, dim, [
+            (r, j, col[r]) for j, (v, col) in enumerate(zip(data, cols)) for r in _nonzero(v)])
     space = None
     if "degrees" in raw:
         data = raw["degrees"]
@@ -209,7 +222,7 @@ def parse_structure_dict(raw: dict) -> Document:
 def _parse_algebra(field: Field, dim: int, raw: dict, tokens: dict) -> Algebra:
     _want(dim >= 1, "an algebra needs dim >= 1", "dim")
     unit_vec = _parse_vector(field, raw["unit"], dim, "unit", tokens)
-    support = [i for i, x in enumerate(unit_vec) if x != 0]
+    support = _nonzero(raw["unit"])
     _want(bool(support), "the unit vector cannot be zero", "unit")
     implied = support[0] if len(support) == 1 else None
     nonzeros = []
@@ -234,10 +247,11 @@ def _parse_algebra(field: Field, dim: int, raw: dict, tokens: dict) -> Algebra:
         _want(implied is None or (i != implied and j != implied),
               "products with the unit axis are implied and must be omitted", path)
         vec = _parse_vector(field, vec_data, dim, path, tokens)
-        _want(any(vec), "zero triples must be omitted", path)
-        nonzeros += [(t, i * dim + j, x) for t, x in enumerate(vec) if x]
+        at = _nonzero(vec_data)
+        _want(bool(at), "zero triples must be omitted", path)
+        nonzeros += [(t, i * dim + j, vec[t]) for t in at]
     return Algebra(mult=LinMap.from_nonzeros(field, dim, dim * dim, nonzeros),
-                   unit=LinMap.make(field, dim, 1, unit_vec))
+                   unit=LinMap(field, dim, 1, unit_vec))
 
 
 def _parse_coalgebra(field: Field, dim: int, raw: dict, tokens: dict) -> Coalgebra:
@@ -256,11 +270,12 @@ def _parse_coalgebra(field: Field, dim: int, raw: dict, tokens: dict) -> Coalgeb
         _want(isinstance(matrix, list) and len(matrix) == dim, "expected a dim x dim matrix", path)
         rows = [_parse_vector(field, row, dim, f"{path}[{r}]", tokens)
                 for r, row in enumerate(matrix)]
-        flat = [x for row in rows for x in row]
-        _want(any(flat), "zero entries must be omitted", path)
-        nonzeros += [(rc, i, x) for rc, x in enumerate(flat) if x]
+        entries = [(r * dim + c, i, rows[r][c]) for r, row in enumerate(matrix)
+                   for c in _nonzero(row)]
+        _want(bool(entries), "zero entries must be omitted", path)
+        nonzeros += entries
     return Coalgebra(comult=LinMap.from_nonzeros(field, dim * dim, dim, nonzeros),
-                     counit=LinMap.make(field, 1, dim, counit_vec))
+                     counit=LinMap(field, 1, dim, counit_vec))
 
 
 def parse_document(text: str) -> Document:
@@ -294,9 +309,8 @@ def parse_measuring_document(text: str, loader) -> MeasuringDocument:
     """``loader(ref)`` must return the referenced structure Document."""
     raw = _load_json(text)
     _want(isinstance(raw, dict), "measuring document must be an object", "$")
-    for key in raw:
-        _want(key in ("a", "b", "xdim", "psi"), f"unknown key {echo(repr(key))}", echo(key))
-    for key in ("a", "b", "xdim", "psi"):
+    _unknown_key(raw, _MEASURING_KEYS)
+    for key in _MEASURING_KEYS:
         _want(key in raw, f"missing key {key!r}", "$")
     _want(isinstance(raw["a"], str) and isinstance(raw["b"], str),
           "a and b must be document references", "$")
@@ -304,6 +318,9 @@ def parse_measuring_document(text: str, loader) -> MeasuringDocument:
     b_doc = loader(raw["b"])
     a = _require_algebra(a_doc, "a")
     b = _require_algebra(b_doc, "b")
+    if a.field != b.field:  # one document, so an invalid one, not two mismatched inputs
+        raise ValidationError(f"referenced documents 'a' and 'b' are over different fields, "
+                              f"{a.field} and {b.field}")
     xdim = raw["xdim"]
     _want(_is_int(xdim) and xdim >= 0, "xdim must be a nonnegative integer", "xdim")
     field = a.field
@@ -322,8 +339,9 @@ def parse_measuring_document(text: str, loader) -> MeasuringDocument:
         _want(last is None or (t, x) > last, "entries must be strictly sorted", path)
         last = (t, x)
         vec = _parse_vector(field, vec_data, xdim * b.dim, path, tokens)
-        _want(any(vec), "zero entries must be omitted", path)
-        nonzeros += [(r, t * xdim + x, v) for r, v in enumerate(vec) if v]
+        at = _nonzero(vec_data)
+        _want(bool(at), "zero entries must be omitted", path)
+        nonzeros += [(r, t * xdim + x, vec[r]) for r in at]
     psi = LinMap.from_nonzeros(field, xdim * b.dim, a.dim * xdim, nonzeros)
     measuring = Measuring(a, b, xdim, psi)
     validate_measuring(measuring).raise_if_failed(ValidationError, "not a measuring: ")

@@ -1,7 +1,11 @@
 """Exact scalar arithmetic over the rationals and over prime fields.
 
-Scalars are plain ``fractions.Fraction`` values over Q and canonical ints in
-``[0, p)`` over F_p; the :class:`Field` object supplies the operations.  No
+Scalars have one canonical form.  Over Q an integral value is an ``int`` and
+any other value a ``fractions.Fraction`` with denominator > 1 (:func:`canonical`);
+over F_p a scalar is an int in ``[0, p)``.  Equal ints and Fractions compare
+and hash equal, so the form never changes a result, only its cost: a zero
+test or a product of ints is one machine-level step.  The :class:`Field`
+object supplies the operations, and each returns the canonical form.  No
 floating point is used anywhere.
 """
 
@@ -71,6 +75,11 @@ def primitive_root(p: int) -> int:
     return next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
 
 
+def canonical(x):
+    """A rational in canonical form: its numerator when it is integral."""
+    return x if x.__class__ is int or x.denominator != 1 else x.numerator
+
+
 class Value:
     """An immutable value: its ``__init__`` sets its fields, the class's annotated
     names, with one ``vars(self).update``; after that only ``cached_property``
@@ -118,21 +127,21 @@ class Field(Value):
     # element constructors ------------------------------------------------
 
     def zero(self):
-        return Fraction(0) if self.char == 0 else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.char == 0 else 1 % self.char
+        return 1 % self.char if self.char else 1
 
     def from_int(self, n: int):
-        return Fraction(n) if self.char == 0 else n % self.char
+        return n % self.char if self.char else n
 
     def coerce(self, x):
         """Bring an int or Fraction into canonical form for this field."""
         if self.char == 0:
-            if isinstance(x, Fraction):
-                return x
             if isinstance(x, int):
-                return Fraction(x)
+                return int(x)  # a bool is an int, but not a canonical one
+            if isinstance(x, Fraction):
+                return canonical(x)
         else:
             if isinstance(x, int):
                 return x % self.char
@@ -143,22 +152,22 @@ class Field(Value):
     # arithmetic -----------------------------------------------------------
 
     def add(self, x, y):
-        return x + y if self.char == 0 else (x + y) % self.char
+        return canonical(x + y) if self.char == 0 else (x + y) % self.char
 
     def sub(self, x, y):
-        return x - y if self.char == 0 else (x - y) % self.char
+        return canonical(x - y) if self.char == 0 else (x - y) % self.char
 
     def neg(self, x):
         return -x if self.char == 0 else (-x) % self.char
 
     def mul(self, x, y):
-        return x * y if self.char == 0 else (x * y) % self.char
+        return canonical(x * y) if self.char == 0 else (x * y) % self.char
 
     def inv(self, x):
         if self.char == 0:
             if x == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return 1 / Fraction(x)
+            return canonical(1 / Fraction(x))
         if x % self.char == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(x, self.char - 2, self.char)
@@ -175,11 +184,8 @@ class Field(Value):
     # serialization --------------------------------------------------------
 
     def show(self, x) -> str:
-        """Canonical token: reduced ``p/q`` (or ``n``) over Q, ``0..p-1`` over F_p."""
-        if self.char == 0:
-            if x.denominator == 1:
-                return str(x.numerator)
-            return f"{x.numerator}/{x.denominator}"
+        """Canonical token: reduced ``p/q`` (or ``n``) over Q, ``0..p-1`` over F_p;
+        a Fraction writes itself so, its denominator left out when it is 1."""
         return str(x)
 
     def parse(self, token: str):
@@ -198,12 +204,12 @@ class Field(Value):
             if m.re is _INT_RE:
                 if token == "-0":
                     raise ParseError("non-canonical zero '-0'")
-                return Fraction(int(token))
+                return int(token)
             num, den = int(m.group(1)), int(m.group(2))
             if den == 1:
                 raise ParseError(f"non-canonical rational {echo(repr(token))}: "
                                  f"write {echo(str(num))}")
-            value = Fraction(num, den)
+            value = Fraction(num, den)  # den > 1, so never integral when canonical
             if value.denominator != den:
                 raise ParseError(f"non-canonical rational {echo(repr(token))}: "
                                  "not in lowest terms")

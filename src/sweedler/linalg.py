@@ -13,12 +13,14 @@ the middle of a tensor power; a braiding is given by its nonzeros alone),
 applied in order.  There is one slot kernel, :func:`apply_slot`: it applies
 one factor to a sparse vector, a dict of its nonzeros, by remapping indices
 through the nonzeros of ``t``, so no factor is built and the work follows the
-nonzeros, not the dense size.  It sums raw products and reduces each entry of
-its result mod p once, where it drops the zeros.
+nonzeros, not the dense size.  It sums raw products and, given p, reduces
+each entry of its result mod p once, where it drops the zeros.
 :meth:`LinMap.apply` is one slot on a vector's nonzeros.  :func:`_chain_images`
 runs a chain on the basis vectors, a block of them stacked into one sparse
 vector: the first factor is written from its column nonzeros, since distinct
-basis vectors never meet, and each later factor goes through :func:`apply_slot`.
+basis vectors never meet, and each later factor goes through :func:`apply_slot`,
+which reduces mod p only at the last factor: the raw ints before it are
+congruent to the reduced ones.
 :func:`composite` writes the dense result; :func:`compose` (f.g) and
 :func:`kron` (f (x) g) are chains of two factors.
 The axiom checks of :mod:`~sweedler.structures` run the same chains and
@@ -44,26 +46,28 @@ what is read off it is kept on it, outside its fields: :meth:`LinMap.nonzeros`
 lists a map's nonzeros once, for every chain and equation it appears in, from
 the positions it was written at when it was written from its nonzeros.
 
-Elimination is one reduced echelon {pivot column: row} of sparse rows
-{column: nonzero}, taken from kept nonzeros; over Q the values stay ints
-while they are integral, and canonical Fractions are written only into maps
-and vectors.  :func:`echelon_reduce` clears the pivot columns from a row, and
-:func:`echelon_insert` adds what is left, normalised at its leftmost column,
-and clears that column from the other rows.  Batch callers insert their rows
-in order (:func:`_echelon`); the reduced echelon form is unique, so every
-derived basis (kernels, quotients, solution spaces) is deterministic.
+Every scalar a map or a vector holds is canonical (:mod:`~sweedler.fields`):
+over Q an int when integral and a Fraction otherwise, so the nonzeros are
+listed and multiplied as they are stored.  Elimination is one reduced
+echelon {pivot column: row} of sparse rows {column: nonzero}, taken from
+kept nonzeros; its values are exact, and they are brought to the canonical
+form where they are written into maps and vectors.  :func:`echelon_reduce`
+clears the pivot columns from a row, and :func:`echelon_insert` adds what is
+left, normalised at its leftmost column, and clears that column from the
+other rows.  Batch callers insert their rows in order (:func:`_echelon`);
+the reduced echelon form is unique, so every derived basis (kernels,
+quotients, solution spaces) is deterministic.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from math import prod
 
 from .errors import DimensionMismatch, Singular
-from .fields import Field, Value, same_field
+from .fields import Field, Value, canonical, same_field
 
 
 class LinMap(Value):
@@ -100,12 +104,12 @@ class LinMap(Value):
         """The cod x dom map with the given (row, column, value) entries, each
         position at most once, and zero everywhere else; it keeps their positions."""
         out = [field.zero()] * (cod * dom)
-        written = []
+        written, coerce = [], field.coerce
         for r, c, v in nonzeros:
             if not (0 <= r < cod and 0 <= c < dom):
                 raise DimensionMismatch(f"entry ({r}, {c}) outside a {cod}x{dom} map")
             written.append(pos := r * dom + c)
-            out[pos] = field.coerce(v)
+            out[pos] = coerce(v)
         if len(set(written)) < len(written):
             raise DimensionMismatch(f"a position of a {cod}x{dom} map given twice")
         return LinMap(field, cod, dom, tuple(out))._written(written)
@@ -142,8 +146,7 @@ class LinMap(Value):
     def nonzeros(self, by_col: bool) -> list[list[tuple]]:
         """The nonzero entries, one (index, value) list per row, or per column
         when ``by_col``; the index is the entry's column (or row).  Listed on
-        first use and kept, so the lists are shared and must not be changed;
-        over Q a value with denominator 1 is an int, which multiplies faster."""
+        first use and kept, so the lists are shared and must not be changed."""
         kept = self._kept
         if by_col not in kept:
             kept[by_col] = self._listed(by_col)
@@ -152,13 +155,18 @@ class LinMap(Value):
     def _listed(self, by_col: bool) -> list[list[tuple]]:
         """The nonzeros grouped, from the kept positions or a scan of the entries."""
         groups = [[] for _ in range(self.dom if by_col else self.cod)]
-        e, n, rational = self.entries, self.dom, not self.field.char
+        e, n = self.entries, self.dom
         written = self._kept.get(None)
-        for pos in compress(range(len(e)) if written is None else written,
-                            e if written is None else map(e.__getitem__, written)):
-            r, c = divmod(pos, n)
-            v = e[pos].numerator if rational and e[pos].denominator == 1 else e[pos]
-            groups[c if by_col else r].append((r if by_col else c, v))
+        positions = compress(range(len(e)) if written is None else written,
+                             e if written is None else map(e.__getitem__, written))
+        if by_col:
+            for pos in positions:
+                r, c = divmod(pos, n)
+                groups[c].append((r, e[pos]))
+        else:
+            for pos in positions:
+                r, c = divmod(pos, n)
+                groups[r].append((c, e[pos]))
         return groups
 
     @cached_property
@@ -235,7 +243,7 @@ def composite(chain: Sequence[Factor], dom: int) -> LinMap:
     DimensionMismatch when the factors do not compose.
 
     Its columns are the images of the basis vectors (:func:`_chain_images`),
-    and its entries canonical scalars.
+    stored as they come but for a Fraction, which is made canonical.
     """
     k = same_field(*(t.field for t, _, _ in chain))
     cod = dom
@@ -253,7 +261,7 @@ def composite(chain: Sequence[Factor], dom: int) -> LinMap:
         for idx, v in _chain_images(steps, block, dom, p).items():
             pos, r = divmod(idx, cod)
             written.append(pos := r * dom + start + pos)
-            out[pos] = v if p else Fraction(v)
+            out[pos] = v if v.__class__ is int else canonical(v)
     return LinMap(k, cod, dom, tuple(out))._written(written)
 
 
@@ -270,8 +278,8 @@ def _chain_steps(chain: Sequence[Factor], transposed: bool = False) -> list:
 def _chain_images(steps: list, block: Sequence[int], dom: int, p: int) -> dict:
     """The basis vectors ``block`` of k^dom run through the steps of a chain:
     stacked as one sparse vector whose outer axis is the position in the
-    block, so each factor is applied once per block.  Over Q the nonzeros
-    may be ints.
+    block, so each factor is applied once per block.  Over F_p the entries
+    are reduced mod p only by the last factor.
 
     The first factor is written from its nonzeros: the image of the basis
     vector (i, s, j) under 1_a (x) t (x) 1_b is column s of t placed at
@@ -284,14 +292,22 @@ def _chain_images(steps: list, block: Sequence[int], dom: int, p: int) -> dict:
     span, stride = meet * b, free * b
     per_pos = dom // span * stride
     vec = {}
-    for pos, c in enumerate(block):
-        i, rest = divmod(c, span)
-        s, j = divmod(rest, b)
-        base = pos * per_pos + i * stride + j
-        for u, v in along[s]:
-            vec[base + u * b] = v
-    for along, meet, free, b in steps[1:]:
-        vec = apply_slot(vec, along, meet, free, b, p)
+    if b == 1:  # (i, s) and (i, u): one divmod, as in apply_slot
+        for pos, c in enumerate(block):
+            i, s = divmod(c, meet)
+            base = pos * per_pos + i * free
+            for u, v in along[s]:
+                vec[base + u] = v
+    else:
+        for pos, c in enumerate(block):
+            i, rest = divmod(c, span)
+            s, j = divmod(rest, b)
+            base = pos * per_pos + i * stride + j
+            for u, v in along[s]:
+                vec[base + u * b] = v
+    last = len(steps) - 1
+    for n, (along, meet, free, b) in enumerate(steps[1:], 1):
+        vec = apply_slot(vec, along, meet, free, b, p if n == last else 0)
     return vec
 
 
@@ -302,20 +318,28 @@ def apply_slot(vec: dict, t_along: list[list[tuple]], meet: int, free: int, b: i
     ``t_along[s]`` lists the (index, value) nonzeros of t's column s, and t
     maps k^meet to k^free; given t's rows, this applies the transpose.  The
     nonzero at (i, s, j) meets the nonzeros of column s and lands at
-    (i, u, j).  The products are summed raw and each entry of the result is
-    reduced mod p once, over F_p, where the zeros are dropped; the result
-    keeps only nonzeros.
+    (i, u, j).  The products are summed raw and, given a prime p, each entry
+    of the result is reduced mod p once, where the zeros are dropped; with
+    p = 0 the sums stay raw.  The result keeps only nonzeros.
     """
     out: dict = {}
     get = out.get
-    span, stride = meet * b, free * b
-    for m, x in vec.items():
-        i, rest = divmod(m, span)
-        s, j = divmod(rest, b)
-        base = i * stride + j
-        for u, v in t_along[s]:
-            idx = base + u * b
-            out[idx] = get(idx, 0) + x * v
+    if b == 1:  # (i, s) and (i, u): one divmod
+        for m, x in vec.items():
+            i, s = divmod(m, meet)
+            base = i * free
+            for u, v in t_along[s]:
+                idx = base + u
+                out[idx] = get(idx, 0) + x * v
+    else:
+        span, stride = meet * b, free * b
+        for m, x in vec.items():
+            i, rest = divmod(m, span)
+            s, j = divmod(rest, b)
+            base = i * stride + j
+            for u, v in t_along[s]:
+                idx = base + u * b
+                out[idx] = get(idx, 0) + x * v
     if p:
         return {idx: r for idx, v in out.items() if (r := v % p)}
     if 0 in out.values():

@@ -336,20 +336,21 @@ def _first_difference(axiom: Axiom, transposed: bool, dom: int) -> int | None:
     """:func:`_differ_at` on one side: the basis vectors of k^dom."""
     if dom == 0:
         return None
-    chains = [_chain_steps(chain, transposed) for chain in (axiom.lhs, axiom.rhs)]
-    cod = dom
-    for _, meet, free, _ in chains[0]:
-        cod = cod // meet * free
+    lhs, rhs = _chain_steps(axiom.lhs, transposed), _chain_steps(axiom.rhs, transposed)
     p = (axiom.lhs or axiom.rhs)[0][0].field.char
     candidates = range(dom)
     if dom > _BLOCK:
-        live = [_live(steps, dom) for steps in chains]
+        live = _live(lhs, dom), _live(rhs, dom)
         if None not in live:
             candidates = sorted({*live[0], *live[1]})
     for start in range(0, len(candidates), _BLOCK):
         block = candidates[start:start + _BLOCK]
-        left, right = (_chain_images(steps, block, dom, p) for steps in chains)
+        left = _chain_images(lhs, block, dom, p)
+        right = _chain_images(rhs, block, dom, p)
         if left != right:
+            cod = dom
+            for _, meet, free, _ in lhs:
+                cod = cod // meet * free
             first = min(idx for idx in left.keys() | right.keys()
                         if left.get(idx) != right.get(idx))
             return block[first // cod]

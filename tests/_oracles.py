@@ -8,6 +8,7 @@ do their arithmetic inline.
 import itertools
 from collections import deque
 from collections.abc import Sequence
+from fractions import Fraction
 from itertools import compress
 from math import prod
 from operator import itemgetter
@@ -47,6 +48,17 @@ from sweedler.structures import (
     general_linear_group,
     is_algebra_morphism,
 )
+
+
+def assert_canonical(field, values) -> None:
+    """Every value a canonical scalar: over Q an int exactly when it is
+    integral and otherwise a Fraction with denominator > 1 (never a float,
+    never an integral Fraction); over F_p an int in [0, p)."""
+    for v in values:
+        if field.char:
+            assert type(v) is int and 0 <= v < field.char, v
+        else:
+            assert type(v) is int or (type(v) is Fraction and v.denominator > 1), v
 
 
 def classifying_iso_to_dual(g):

@@ -30,7 +30,7 @@ import sweedler.structures as structures
 from sweedler.documents import parse_document, parse_measuring_document
 from sweedler.fields import GF, QQ
 from sweedler.graded import _homogeneity_failures, assemble, koszul_swap, parts
-from sweedler.linalg import LinMap, compose, kron, swap_map
+from sweedler.linalg import LinMap, _chain_images, _chain_steps, compose, invert, kron, swap_map
 from sweedler.measurings import (
     Measuring,
     enumerate_measurings,
@@ -41,6 +41,9 @@ from sweedler.reconstruction import _classified_comodule, reconstruct, validate_
 from sweedler.structures import (
     Algebra,
     Bialgebra,
+    Coalgebra,
+    HopfAlgebra,
+    _antipode_axioms,
     dual_coalgebra,
     is_algebra_morphism,
     is_coalgebra_morphism,
@@ -177,6 +180,51 @@ def test_structure_witnesses_match_the_dense_checks():
             checked += 1
     assert checked > 500
     assert ALL_AXIOMS - {"measuring multiplicativity", "measuring unit"} <= seen
+
+
+def _transported(h: HopfAlgebra, t: LinMap) -> HopfAlgebra:
+    """h carried along the basis change t: each structure map conjugated by t."""
+    ti, b = invert(t), h.bialgebra
+    mult, unit = compose(compose(ti, b.mult), kron(t, t)), compose(ti, b.unit)
+    comult, counit = compose(compose(kron(ti, ti), b.comult), t), compose(b.counit, t)
+    return HopfAlgebra(Bialgebra(Algebra(mult, unit), Coalgebra(comult, counit)),
+                       compose(compose(ti, h.antipode), t))
+
+
+def test_witnesses_over_a_large_prime_match_the_dense_checks():
+    # over p = 2^61 - 1 only a chain's last factor reduces mod p, so the raw
+    # sums before it pass p and some are nonzero multiples of p: group
+    # algebras carried along basis changes with entries -1 = p - 1 and
+    # anywhere in [0, p), valid and broken one constant at a time, fail where
+    # the dense checks fail
+    k = GF(2**61 - 1)
+    p = k.char
+    rng = random.Random(61)
+    values = []
+    for n in (2, 3, 4):
+        h = cyclic_group_hopf(k, n)
+        steps = LinMap.from_nonzeros(k, n, n, [(i, i, 1) for i in range(n)]
+                                     + [(i, i + 1, p - 1) for i in range(n - 1)])
+        values += [_transported(h, steps), _transported(h, LinMap.make(
+            k, n, n, [rng.randrange(p) for _ in range(n * n)]))]
+    multiples = 0
+    for value in values:
+        b = value.bialgebra
+        for axiom in _antipode_axioms(b, value.antipode):
+            raw = _chain_images(_chain_steps(axiom.lhs[:-1]), range(b.dim), b.dim, 0)
+            multiples += sum(v % p == 0 for v in raw.values())
+        assert value.report.ok and not _dense_failures(value)
+        assert not dense_algebra_failures(value.algebra)
+        failing = 0
+        for mutant in _structure_mutants(value, rng):
+            expected = _dense_failures(mutant)
+            assert [(f.axiom, f.witness) for f in mutant.report.failures] == expected
+            algebra = parts(mutant)[0]
+            assert [(f.axiom, f.witness) for f in algebra.report.failures] == \
+                dense_algebra_failures(algebra)
+            failing += bool(expected)
+        assert failing > 10
+    assert multiples > 0
 
 
 def test_homogeneity_witness_is_the_first_in_row_major_order():

@@ -125,6 +125,27 @@ def test_budget_exceeded_exit_code(capsys):
     assert json.loads(out)["error"] == "BudgetExceeded"
 
 
+@pytest.mark.parametrize("argv", [["convolution"], ["morphisms"], ["enumerate-measurings", "1"],
+                                  ["tambara-presentation"], ["tambara-check", "--n", "1"]],
+                         ids=lambda argv: argv[0])
+def test_operands_over_different_fields_are_unsupported(capsys, argv):
+    # each document is valid, but they cannot be combined: exit 5
+    for a, b in (("q_c2.json", "f2_c2.json"), ("f3_c2.json", "f2_c2.json")):
+        code, out = run(capsys, argv[0], fixture(a), fixture(b), *argv[1:])
+        assert code == 5
+        assert json.loads(out)["error"] == "FieldMismatch"
+
+
+def test_measuring_document_over_two_fields_is_invalid(capsys):
+    # one document whose a and b are over different fields: exit 3, before psi is read
+    broken = Path(__file__).parent / "broken" / "mixed_fields.measuring.json"
+    code, out = run(capsys, "reconstruct", str(broken))
+    report = json.loads(out)
+    assert (code, report["error"]) == (3, "ValidationError")
+    assert report["message"] == \
+        "referenced documents 'a' and 'b' are over different fields, Q and F2"
+
+
 def test_morphism_budget_reports_the_generator_bound(capsys, tmp_path):
     # F3[C_3] is generated by g: the bound is 3 to the 3 coordinates of g's image
     f3c3 = tmp_path / "f3c3.json"

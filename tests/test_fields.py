@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from _oracles import assert_canonical
 from sweedler.errors import ParseError, UnsupportedField
 from sweedler.fields import (
     PRIME_BOUND,
@@ -86,6 +87,14 @@ def test_rational_arithmetic():
     x = QQ.coerce(Fraction(1, 3))
     assert QQ.add(x, x) == Fraction(2, 3)
     assert QQ.inv(x) == 3
+    # integral results are ints, the others Fractions; one, zero and
+    # from_int are ints, and a bool or an integral Fraction coerces to an int
+    results = [QQ.add(x, x), QQ.add(x, QQ.add(x, x)), QQ.sub(x, x), QQ.mul(x, 3), QQ.neg(x),
+               QQ.mul(Fraction(3, 2), Fraction(2, 3)), QQ.zero(), QQ.one(), QQ.from_int(-5),
+               QQ.coerce(True), QQ.coerce(Fraction(6, 3)), QQ.coerce(Fraction(-1, 2))]
+    assert results == [Fraction(2, 3), 1, 0, 1, Fraction(-1, 3), 1, 0, 1, -5, 1, 2,
+                       Fraction(-1, 2)]
+    assert_canonical(QQ, results)
     with pytest.raises(UnsupportedField):
         QQ.elements()
 
@@ -95,12 +104,16 @@ def test_rational_arithmetic():
     (Fraction(2, 3), Fraction(3, 2)), (Fraction(-5), Fraction(-1, 5)),
 ])
 def test_rational_inverse_and_division_are_exact_fractions(x, inverse):
-    # ints come from the nonzero lists of maps over Q; no float may appear
-    assert QQ.inv(x) == inverse and type(QQ.inv(x)) is Fraction
-    for y in (1, -4, Fraction(7, 2)):
+    # exact through Fraction, and canonical: an int exactly when integral,
+    # whatever form the operands come in; no float may appear
+    assert QQ.inv(x) == inverse
+    assert_canonical(QQ, [QQ.inv(x)])
+    for y in (1, -4, Fraction(7, 2), Fraction(2)):
         quotient = QQ.div(y, x)
-        assert quotient == Fraction(y) * inverse and type(quotient) is Fraction
+        assert quotient == Fraction(y) * inverse
+        assert_canonical(QQ, [quotient])
     assert QQ.div(1, 2) == Fraction(1, 2) and type(QQ.div(1, 2)) is Fraction
+    assert QQ.div(4, 2) == 2 and type(QQ.div(4, 2)) is int
 
 
 @pytest.mark.parametrize("zero", [0, Fraction(0)])
@@ -118,8 +131,11 @@ def test_rational_inverse_of_zero_raises(zero):
     ("-1/2", Fraction(-1, 2)),
 ])
 def test_rational_parse_canonical(token, value):
-    assert QQ.parse(token) == value
-    assert QQ.show(value) == token
+    # an integral token parses to an int, any other to a Fraction; both show
+    # as the token, and so does an integral Fraction
+    parsed = QQ.parse(token)
+    assert parsed == value and type(parsed) is (int if value.denominator == 1 else Fraction)
+    assert QQ.show(parsed) == QQ.show(value) == token
 
 
 @pytest.mark.parametrize("token", ["2/4", "3/1", "4/-2", "+3", "01", "1/0", "", "a", "-0",

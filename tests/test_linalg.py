@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import (
+    assert_canonical,
     dense_chain,
     dense_compose,
     dense_kron,
@@ -237,14 +238,81 @@ def test_composite_with_the_signed_koszul_braiding(case):
     assert composite(chain, dom) == dense_chain(chain, dom)
 
 
-def test_composite_over_q_holds_fractions():
-    # integer structure constants run as ints inside the chain kernel
+def test_composite_over_q_holds_canonical_scalars():
+    # integer structure constants run as ints through the chain kernel and
+    # are stored as they come; a Fraction is stored canonically, as an int
+    # when the products make it integral
     comult = LinMap.make(QQ, 4, 2, [1, 0, 0, 1, 0, 1, 1, 0])
     mult = LinMap.make(QQ, 2, 4, [1, 0, 0, -1, 0, 1, 1, 0])
     got = composite([(comult, 1, 2), (mult, 2, 1)], 4)
     assert got == LinMap.make(QQ, 4, 4, [1, 0, 0, -1, 0, 1, 1, 0, 0, -1, 1, 0, 1, 0, 0, 1])
-    assert all(type(x) is Fraction for x in got.entries)
-    assert all(type(x) is Fraction for x in kron(comult, mult).entries)
+    assert all(type(x) is int for x in got.entries + kron(comult, mult).entries)
+    half = LinMap.make(QQ, 1, 2, [Fraction(1, 2), Fraction(-3, 2)])
+    two = LinMap.make(QQ, 2, 1, [2, 4])
+    assert compose(half, two).entries == (-5,) and type(compose(half, two)[0, 0]) is int
+    assert compose(two, half).entries == (1, -3, 2, -6)
+    assert kron(half, two).entries == (1, -3, 2, -6)
+    assert kron(half, half).entries == (Fraction(1, 4), Fraction(-3, 4), Fraction(-3, 4),
+                                        Fraction(9, 4))
+    for f in (compose(half, two), compose(two, half), kron(half, two), kron(half, half)):
+        assert_canonical(QQ, f.entries)
+
+
+def test_map_arithmetic_over_q_holds_canonical_scalars():
+    # sums, scalings, axis permutations, transposes, products and images of
+    # maps over Q hold an int exactly where a value is integral
+    rng = random.Random(2620)
+    for _ in range(30):
+        cod, dom = rng.randint(1, 4), rng.randint(1, 4)
+        f, g = sparse_random_map(rng, QQ, cod, dom), sparse_random_map(rng, QQ, cod, dom)
+        h = sparse_random_map(rng, QQ, dom, rng.randint(1, 3))
+        vec = sparse_random_map(rng, QQ, dom, 1).entries
+        for m in (f + g, f + f.scale(-1), f.scale(Fraction(2, 3)), f.scale(4), f.scale(0),
+                  f.transpose(), permute_axes(f, (cod, dom), (1, 0), 2),
+                  compose(f, h), kron(f, h), LinMap.identity(QQ, dom), LinMap.zero(QQ, 2, 2)):
+            assert_canonical(QQ, m.entries)
+        assert_canonical(QQ, f.apply(vec))
+        assert f + f.scale(-1) == LinMap.zero(QQ, cod, dom)
+        assert (f + g).entries == tuple(x + y for x, y in zip(f.entries, g.entries))
+
+
+def test_chains_over_a_large_prime_reduce_once_at_the_end():
+    # over p = 2^61 - 1 the raw sums between a chain's factors are congruent
+    # to the reduced ones and only the last factor reduces them: a middle
+    # sum (p - 1) + 1 = p, a nonzero multiple of p, goes on unreduced and the
+    # last factor sends it to zero; random chains with entries near p and
+    # anywhere in [0, p) match the factors built and multiplied densely
+    k = GF(2**61 - 1)
+    p = k.char
+    split, join = LinMap.column(k, [p - 1, 1]), LinMap.row(k, [1, 1])
+    scale = LinMap.column(k, [5])
+    chain = [(split, 1, 1), (join, 1, 1), (scale, 1, 1)]
+    assert linalg._chain_images(linalg._chain_steps(chain[:2]), range(1), 1, 0) == {0: p}
+    assert composite(chain, 1) == dense_chain(chain, 1) == LinMap.zero(k, 1, 1)
+    assert composite(chain[:2], 1) == LinMap.zero(k, 1, 1)
+    rng = random.Random(2621)
+    near = [1, 2, p - 1, p - 2, p // 2]
+
+    def large(cod, dom):
+        return LinMap.make(k, cod, dom, [
+            rng.choice(near) if rng.random() < 0.5 else rng.randrange(p) if rng.random() < 0.5
+            else 0 for _ in range(cod * dom)])
+    wrapped = 0
+    for _ in range(40):
+        chain, dom = [], rng.randint(1, 3) * rng.randint(1, 2)
+        cod = dom
+        for _ in range(rng.randint(2, 4)):
+            a = rng.choice([x for x in (1, 2) if cod % x == 0])
+            b = rng.choice([x for x in (1, 2) if cod // a % x == 0])
+            t = large(rng.randint(1, 3), cod // (a * b))
+            chain.append((t, a, b))
+            cod = a * t.cod * b
+        got = composite(chain, dom)
+        assert got == dense_chain(chain, dom)
+        assert all(type(v) is int and 0 <= v < p for v in got.entries)
+        raw = linalg._chain_images(linalg._chain_steps(chain[:-1]), range(dom), dom, 0)
+        wrapped += any(v >= p or v < 0 for v in raw.values())
+    assert wrapped > 10
 
 
 def test_composite_shape_errors():
@@ -628,7 +696,7 @@ def test_nonzeros_are_listed_once_per_map(monkeypatch):
     f = LinMap.make(QQ, 2, 3, [1, 0, Fraction(1, 2), 0, -2, 0])
     assert f.nonzeros(by_col=False) == [[(0, 1), (2, Fraction(1, 2))], [(1, -2)]]
     assert f.nonzeros(by_col=True) == [[(0, 1)], [(1, -2)], [(0, Fraction(1, 2))]]
-    # a denominator 1 is read as an int
+    # an integral value is stored, and listed, as an int
     assert [type(v) for row in f.nonzeros(by_col=False) for _, v in row] == [int, Fraction, int]
     # a product that every algebra axiom, two algebra values and a chain read:
     # associativity decides on its rows, the unit laws and the chain read columns
@@ -650,6 +718,9 @@ def test_maps_written_from_nonzeros_list_them_without_a_scan(monkeypatch, field)
     # listed, and over Q only the written positions are tested for truth
     rng = random.Random(2615 + field.char)
     f, g = sparse_random_map(rng, field, 4, 5), sparse_random_map(rng, field, 5, 3)
+    # integral values are ints, which are tested without a call: count on
+    # maps with non-integral entries
+    assert field.char or all(Fraction in {type(x) for x in m.entries} for m in (f, g))
     written = [
         LinMap.from_nonzeros(field, 4, 5, [(r, c, f[r, c]) for r in range(4) for c in range(5)]),
         LinMap.from_nonzeros(field, 2, 2, [(0, 0, 0), (1, 1, 1), (1, 0, -1)]),
@@ -736,15 +807,6 @@ def test_elimination_matches_the_dense_oracle(field):
             (reference_rref(f), reference_kernel_basis(f),
              [reference_solve(f, t) for t in targets], outcome(reference_invert, square),
              reference_rank(f))
-
-
-def assert_canonical(field, values):
-    """Every value a canonical scalar: a Fraction over Q, an int in [0, p) over F_p."""
-    for v in values:
-        if field.char:
-            assert type(v) is int and 0 <= v < field.char, v
-        else:
-            assert type(v) is Fraction, v
 
 
 def echelon_cases(rng, field):

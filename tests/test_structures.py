@@ -46,6 +46,7 @@ from sweedler.structures import (
     is_commutative,
     matrix_algebra,
     opposite,
+    tensor_algebra,
     trivial_algebra,
     validate_algebra,
     validate_bialgebra,
@@ -63,10 +64,12 @@ from sweedler.zoo import (
     idempotent_monoid_bialgebra,
     involution_algebra,
     sweedler_hopf,
+    trivial_hopf,
 )
 
 from _oracles import (
     algebra_product,
+    assert_canonical,
     conjugation_invariant,
     conjugation_orbits,
     convolution_inverse,
@@ -494,10 +497,45 @@ def _span_algebras(algebra_corpus, bialgebra_corpus):
     out += [("F5[C4]", cyclic_group_hopf(GF(5), 4).algebra),
             ("M3(F2[y]/(y2))", matrix_algebra(dual_numbers(F2), 3)),
             ("Q[C6]", cyclic_group_hopf(QQ, 6).algebra),
-            ("dual sweedler/Q", dual_algebra(sweedler_hopf(QQ).coalgebra))]
+            ("dual sweedler/Q", dual_algebra(sweedler_hopf(QQ).coalgebra)),
+            ("Q, unit 2e", _halved_unit_algebra())]
     out += [(f"F2^{n}", diagonal_algebra(F2, n)) for n in range(1, 13)]
     out += [(f"F2[y]/(y^{n})", truncated_algebra(F2, n)) for n in range(1, 13)]
     return out
+
+
+def _halved_unit_algebra() -> Algebra:
+    """Q with the unit 2e, so ee = e/2: non-integral structure constants."""
+    return Algebra(mult=LinMap.make(QQ, 1, 1, [Fraction(1, 2)]), unit=LinMap.make(QQ, 1, 1, [2]))
+
+
+def test_zoo_maps_hold_canonical_scalars_through_the_constructions():
+    # every structure map of the zoo over Q and F_3, and those of its duals,
+    # tensor squares, convolution algebras and solved antipodes, holds
+    # canonical scalars: over Q an int exactly where a value is integral
+    fractions = 0
+    for k in (QQ, GF(3)):
+        bialgebras = [h.bialgebra for h in (cyclic_group_hopf(k, 3), sweedler_hopf(k),
+                                            trivial_hopf(k))] + [idempotent_monoid_bialgebra(k)]
+        algebras = [b.algebra for b in bialgebras] + [
+            dual_numbers(k), involution_algebra(k), matrix_algebra(trivial_algebra(k), 2),
+            *([_halved_unit_algebra()] if k.is_rational else [])]
+        maps = []
+        for b in bialgebras:
+            for value in (b, dual_bialgebra(b)):
+                maps += [value.mult, value.unit, value.comult, value.counit]
+                solved = find_antipode(value)
+                maps += [solved.antipode] if solved is not None else []
+        for a in algebras:
+            c = dual_coalgebra(a)
+            square, conv = tensor_algebra(a, a), convolution_algebra(c, a)
+            maps += [c.comult, c.counit, dual_algebra(c).mult, square.mult, square.unit,
+                     conv.mult, conv.unit]
+        for m in maps:
+            assert_canonical(k, m.entries)
+        fractions += sum(type(x) is Fraction for m in maps for x in m.entries)
+        assert len(maps) == 4 * 8 + 6 + 7 * len(algebras)  # 6 antipodes: not idempotent/k
+    assert fractions > 0
 
 
 def test_word_span_matches_the_batch_reference(algebra_corpus, bialgebra_corpus):
@@ -506,7 +544,8 @@ def test_word_span_matches_the_batch_reference(algebra_corpus, bialgebra_corpus)
 
 
 def test_word_span_coordinates_are_canonical(algebra_corpus, bialgebra_corpus):
-    # the sparse echelon computes over Q on ints; what it returns is canonical
+    # the sparse echelon computes on exact values; what it returns is
+    # canonical and nonzero: over Q an int exactly when integral
     fields = set()
     for name, a in _span_algebras(algebra_corpus, bialgebra_corpus):
         k = a.field
@@ -514,8 +553,8 @@ def test_word_span_coordinates_are_canonical(algebra_corpus, bialgebra_corpus):
         _, stages, coords = _word_span(a)
         values = [c for _, relations in stages for _, _, combo in relations for _, c in combo]
         values += [c for coord in coords for _, c in coord]
-        for c in values:
-            assert (type(c) is int and 0 < c < k.char) if k.char else type(c) is Fraction, name
+        assert all(values), name
+        assert_canonical(k, values)
     assert QQ in fields and len(fields) > 2
 
 
